@@ -1,0 +1,619 @@
+package collector
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"repro/internal/graph"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
+)
+
+// The wire layout, version wireVersion: a hand-written binary encoding
+// of the muxFrame envelope (mux.go) and everything that hangs off it.
+// This file is the whole format; frame.go adds the length prefix and
+// the version byte in front, stateblob.go the three cold state bodies
+// that still travel as a gob blob.
+//
+// Primitives
+//
+//	uvarint, varint  encoding/binary's variable-length integers
+//	f64              math.Float64bits, 8 bytes big-endian, so NaN
+//	                 payloads, -0 and ±Inf arrive bit for bit
+//	string           uvarint length, then the bytes
+//	list             uvarint count, then the elements
+//	flags            one byte; a bit this version does not define is
+//	                 an error
+//	blob             4-byte big-endian length, then a self-contained
+//	                 gob stream (stateblob.go)
+//
+// Every field below is always present and in this order; "?" marks a
+// body that is present only when its flag bit is set.
+//
+//	muxFrame  uvarint Stream, varint Kind, flags{Req,Resp,Update},
+//	          ?request, ?response, ?update
+//	request   string Op, key Key, f64 Span, string Node, f64 BudgetMS,
+//	          string TraceID, flags{Watch,Matrix}, ?watch, ?matrixreq
+//	key       varint Global, varint Dir
+//	watch     string Kind, key Key, string Node, f64 Span, f64 Threshold
+//	matrixreq list<string> Srcs, list<string> Dsts, varint TFKind,
+//	          f64 Span, f64 Horizon
+//	response  flags{Leader,Topo,Telemetry,Matrix}, varint Code,
+//	          string Err, f64 RetryAfterMS, string LeaderHint,
+//	          uvarint Term, stat Stat, f64 Age, list<sample> Samples,
+//	          health Health, ?topo, ?blob Telemetry, ?matrix
+//	stat      f64 Min, Q1, Median, Q3, Max, Accuracy, varint Samples,
+//	          f64 Age
+//	sample    f64 Time, f64 Value
+//	health    uvarint 0 for a nil map, else 1+count, then per agent:
+//	          string id, varint State, varint ConsecutiveFailures,
+//	          f64 LastSuccess, LastAttempt, NextAttempt, uvarint Skipped
+//	topo      list<node>, list<link>, f64 DiscoveredAt
+//	node      string ID, varint Kind, f64 InternalBW, ComputePower,
+//	          MemoryBytes
+//	link      string A, string B, f64 Capacity, f64 Latency,
+//	          varint Global
+//	matrix    rows Bandwidth (f64), rows Latency (f64), rows Valid (one
+//	          byte per cell, 0 or 1), uvarint Epoch, uvarint Term
+//	rows      uvarint row count, then per row: uvarint length, cells
+//	update    flags{Overflowed,Resync,Final,TopoChanged,Feed,Summary},
+//	          uvarint Seq, uvarint Epoch, uvarint Term, stat Stat,
+//	          string Err, ?blob Feed, ?blob Summary
+//
+// Decoding reproduces what the gob format it replaced produced: an
+// empty string, list or row decodes to the zero value (nil), a nil map
+// stays nil and an empty one stays empty, an unset body stays a nil
+// pointer.
+//
+// Allocation rule: a count is checked against the bytes left in the
+// frame (at the element's minimum encoded size) before anything is
+// allocated for it, so a frame of n bytes allocates at most a small
+// constant times n — the worst case is a list of empty strings, one
+// byte on the wire and a 16-byte header in memory. Bytes left over
+// after a complete frame are an error.
+
+// ---- encoding ----
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// flagBits packs up to eight booleans, first argument in bit 0.
+func flagBits(bits ...bool) byte {
+	var f byte
+	for i, on := range bits {
+		f |= boolByte(on) << i
+	}
+	return f
+}
+
+func appendMuxFrame(b []byte, f *muxFrame) ([]byte, error) {
+	b = binary.AppendUvarint(b, f.Stream)
+	b = appendInt(b, f.Kind)
+	b = append(b, flagBits(f.Req != nil, f.Resp != nil, f.Update != nil))
+	var err error
+	if f.Req != nil {
+		b = appendRequest(b, f.Req)
+	}
+	if f.Resp != nil {
+		if b, err = appendResponse(b, f.Resp); err != nil {
+			return b, err
+		}
+	}
+	if f.Update != nil {
+		if b, err = appendUpdate(b, f.Update); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+func appendKey(b []byte, k ChannelKey) []byte {
+	return appendInt(appendInt(b, k.Global), int(k.Dir))
+}
+
+func appendRequest(b []byte, r *request) []byte {
+	b = appendString(b, r.Op)
+	b = appendKey(b, r.Key)
+	b = appendF64(b, r.Span)
+	b = appendString(b, r.Node)
+	b = appendF64(b, r.BudgetMS)
+	b = appendString(b, r.TraceID)
+	b = append(b, flagBits(r.Watch != nil, r.Matrix != nil))
+	if w := r.Watch; w != nil {
+		b = appendString(b, w.Kind)
+		b = appendKey(b, w.Key)
+		b = appendString(b, w.Node)
+		b = appendF64(b, w.Span)
+		b = appendF64(b, w.Threshold)
+	}
+	if m := r.Matrix; m != nil {
+		b = appendNodeIDs(b, m.Srcs)
+		b = appendNodeIDs(b, m.Dsts)
+		b = appendInt(b, m.TFKind)
+		b = appendF64(b, m.Span)
+		b = appendF64(b, m.Horizon)
+	}
+	return b
+}
+
+func appendNodeIDs(b []byte, ids []graph.NodeID) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = appendString(b, string(id))
+	}
+	return b
+}
+
+func appendStat(b []byte, st *stats.Stat) []byte {
+	b = appendF64(b, st.Min)
+	b = appendF64(b, st.Q1)
+	b = appendF64(b, st.Median)
+	b = appendF64(b, st.Q3)
+	b = appendF64(b, st.Max)
+	b = appendF64(b, st.Accuracy)
+	b = appendInt(b, st.Samples)
+	return appendF64(b, st.Age)
+}
+
+func appendResponse(b []byte, r *response) ([]byte, error) {
+	b = append(b, flagBits(r.Leader, r.Topo != nil, r.Telemetry != nil, r.Matrix != nil))
+	b = appendInt(b, r.Code)
+	b = appendString(b, r.Err)
+	b = appendF64(b, r.RetryAfterMS)
+	b = appendString(b, r.LeaderHint)
+	b = binary.AppendUvarint(b, r.Term)
+	b = appendStat(b, &r.Stat)
+	b = appendF64(b, r.Age)
+	b = binary.AppendUvarint(b, uint64(len(r.Samples)))
+	for _, s := range r.Samples {
+		b = appendF64(appendF64(b, s.Time), s.Value)
+	}
+	if r.Health == nil {
+		b = append(b, 0)
+	} else {
+		b = binary.AppendUvarint(b, uint64(len(r.Health))+1)
+		for id, h := range r.Health {
+			b = appendString(b, id)
+			b = appendInt(b, int(h.State))
+			b = appendInt(b, h.ConsecutiveFailures)
+			b = appendF64(b, h.LastSuccess)
+			b = appendF64(b, h.LastAttempt)
+			b = appendF64(b, h.NextAttempt)
+			b = binary.AppendUvarint(b, h.Skipped)
+		}
+	}
+	if t := r.Topo; t != nil {
+		b = binary.AppendUvarint(b, uint64(len(t.Nodes)))
+		for i := range t.Nodes {
+			n := &t.Nodes[i]
+			b = appendString(b, n.ID)
+			b = appendInt(b, n.Kind)
+			b = appendF64(b, n.InternalBW)
+			b = appendF64(b, n.ComputePower)
+			b = appendF64(b, n.MemoryBytes)
+		}
+		b = binary.AppendUvarint(b, uint64(len(t.Links)))
+		for i := range t.Links {
+			l := &t.Links[i]
+			b = appendString(b, l.A)
+			b = appendString(b, l.B)
+			b = appendF64(b, l.Capacity)
+			b = appendF64(b, l.Latency)
+			b = appendInt(b, l.Global)
+		}
+		b = appendF64(b, t.DiscoveredAt)
+	}
+	if r.Telemetry != nil {
+		var err error
+		if b, err = appendStateBlob(b, r.Telemetry); err != nil {
+			return b, err
+		}
+	}
+	if m := r.Matrix; m != nil {
+		b = appendF64Rows(b, m.Bandwidth)
+		b = appendF64Rows(b, m.Latency)
+		b = binary.AppendUvarint(b, uint64(len(m.Valid)))
+		for _, row := range m.Valid {
+			b = binary.AppendUvarint(b, uint64(len(row)))
+			for _, v := range row {
+				b = append(b, boolByte(v))
+			}
+		}
+		b = binary.AppendUvarint(b, m.Epoch)
+		b = binary.AppendUvarint(b, m.Term)
+	}
+	return b, nil
+}
+
+func appendF64Rows(b []byte, rows [][]float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(rows)))
+	for _, row := range rows {
+		b = binary.AppendUvarint(b, uint64(len(row)))
+		for _, v := range row {
+			b = appendF64(b, v)
+		}
+	}
+	return b
+}
+
+func appendUpdate(b []byte, u *WatchUpdate) ([]byte, error) {
+	b = append(b, flagBits(u.Overflowed, u.Resync, u.Final, u.TopoChanged, u.Feed != nil, u.Summary != nil))
+	b = binary.AppendUvarint(b, u.Seq)
+	b = binary.AppendUvarint(b, u.Epoch)
+	b = binary.AppendUvarint(b, u.Term)
+	b = appendStat(b, &u.Stat)
+	b = appendString(b, u.Err)
+	var err error
+	if u.Feed != nil {
+		if b, err = appendStateBlob(b, u.Feed); err != nil {
+			return b, err
+		}
+	}
+	if u.Summary != nil {
+		if b, err = appendStateBlob(b, u.Summary); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// ---- decoding ----
+
+// wireDec is a cursor over one frame's payload. The first failure
+// sticks: every later read returns a zero value and a zero count, so
+// decode functions read straight through and check err once.
+type wireDec struct {
+	b   []byte
+	err error
+}
+
+func (d *wireDec) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrMalformedFrame, what)
+		d.b = nil
+	}
+}
+
+// take returns the next n bytes without copying them.
+func (d *wireDec) take(n int) []byte {
+	if n > len(d.b) {
+		d.fail("truncated field")
+		return nil
+	}
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *wireDec) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("bad uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *wireDec) int() int {
+	v, n := binary.Varint(d.b)
+	if n <= 0 || int64(int(v)) != v {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return int(v)
+}
+
+func (d *wireDec) f64() float64 {
+	if p := d.take(8); p != nil {
+		return math.Float64frombits(binary.BigEndian.Uint64(p))
+	}
+	return 0
+}
+
+// flags reads a flag byte and rejects bits beyond the defined ones.
+func (d *wireDec) flags(defined int) byte {
+	p := d.take(1)
+	if p == nil {
+		return 0
+	}
+	if p[0]>>defined != 0 {
+		d.fail("undefined flag bit")
+		return 0
+	}
+	return p[0]
+}
+
+// count reads a list length and checks it against the bytes that
+// remain, each element taking at least minSize of them, before the
+// caller allocates for it.
+func (d *wireDec) count(minSize int) int { return d.bounded(d.uvarint(), minSize) }
+
+func (d *wireDec) bounded(n uint64, minSize int) int {
+	if n > uint64(len(d.b)/minSize) {
+		d.fail("count exceeds the bytes remaining")
+		return 0
+	}
+	return int(n)
+}
+
+func (d *wireDec) str() string { return string(d.take(d.count(1))) }
+
+// wireNames are the values of the fields that name() reads: the op
+// names and the watch kinds (WatchUtil and WatchLoad are op names too).
+var wireNames = append(servedOps[:], "watch", WatchVersion, WatchFeed, WatchRegionSummary)
+
+// name is str for the fields whose values come from a small fixed set
+// (op names, watch kinds): those decode without allocating.
+func (d *wireDec) name() string {
+	p := d.take(d.count(1))
+	for _, s := range wireNames {
+		if string(p) == s {
+			return s
+		}
+	}
+	return string(p)
+}
+
+func decodeMuxFrame(payload []byte, f *muxFrame) error {
+	d := wireDec{b: payload}
+	f.Stream = d.uvarint()
+	f.Kind = d.int()
+	has := d.flags(3)
+	if has&1 != 0 {
+		f.Req = d.request()
+	}
+	if has&2 != 0 {
+		f.Resp = d.response()
+	}
+	if has&4 != 0 {
+		f.Update = d.update()
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("bytes left over after the frame")
+	}
+	return d.err
+}
+
+func (d *wireDec) key() ChannelKey {
+	return ChannelKey{Global: d.int(), Dir: graph.Dir(d.int())}
+}
+
+func (d *wireDec) request() *request {
+	r := &request{
+		Op:       d.name(),
+		Key:      d.key(),
+		Span:     d.f64(),
+		Node:     d.str(),
+		BudgetMS: d.f64(),
+		TraceID:  d.str(),
+	}
+	has := d.flags(2)
+	if has&1 != 0 {
+		r.Watch = &WatchRequest{
+			Kind:      d.name(),
+			Key:       d.key(),
+			Node:      d.str(),
+			Span:      d.f64(),
+			Threshold: d.f64(),
+		}
+	}
+	if has&2 != 0 {
+		r.Matrix = &MatrixRequest{
+			Srcs:    d.nodeIDs(),
+			Dsts:    d.nodeIDs(),
+			TFKind:  d.int(),
+			Span:    d.f64(),
+			Horizon: d.f64(),
+		}
+	}
+	return r
+}
+
+func (d *wireDec) nodeIDs() []graph.NodeID {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	ids := make([]graph.NodeID, n)
+	for i := range ids {
+		ids[i] = graph.NodeID(d.str())
+	}
+	return ids
+}
+
+func (d *wireDec) stat() stats.Stat {
+	return stats.Stat{
+		Min:      d.f64(),
+		Q1:       d.f64(),
+		Median:   d.f64(),
+		Q3:       d.f64(),
+		Max:      d.f64(),
+		Accuracy: d.f64(),
+		Samples:  d.int(),
+		Age:      d.f64(),
+	}
+}
+
+// Minimum encoded sizes of the list elements, for count.
+const (
+	sampleWireSize = 16             // two f64
+	healthWireMin  = 1 + 2 + 24 + 1 // id length, two varints, three f64, uvarint
+	nodeWireMin    = 1 + 1 + 24     // id length, varint, three f64
+	linkWireMin    = 2 + 16 + 1     // two lengths, two f64, varint
+)
+
+func (d *wireDec) response() *response {
+	has := d.flags(4)
+	r := &response{
+		Leader:       has&1 != 0,
+		Code:         d.int(),
+		Err:          d.str(),
+		RetryAfterMS: d.f64(),
+		LeaderHint:   d.str(),
+		Term:         d.uvarint(),
+		Stat:         d.stat(),
+		Age:          d.f64(),
+	}
+	if n := d.count(sampleWireSize); n > 0 {
+		r.Samples = make([]stats.Sample, n)
+		for i := range r.Samples {
+			r.Samples[i] = stats.Sample{Time: d.f64(), Value: d.f64()}
+		}
+	}
+	if n := d.uvarint(); n > 0 {
+		agents := d.bounded(n-1, healthWireMin)
+		r.Health = make(map[string]AgentHealth, agents)
+		for i := 0; i < agents; i++ {
+			id := d.str()
+			r.Health[id] = AgentHealth{
+				State:               HealthState(d.int()),
+				ConsecutiveFailures: d.int(),
+				LastSuccess:         d.f64(),
+				LastAttempt:         d.f64(),
+				NextAttempt:         d.f64(),
+				Skipped:             d.uvarint(),
+			}
+		}
+	}
+	if has&2 != 0 {
+		t := &WireTopo{}
+		if n := d.count(nodeWireMin); n > 0 {
+			t.Nodes = make([]WireNode, n)
+			for i := range t.Nodes {
+				t.Nodes[i] = WireNode{ID: d.str(), Kind: d.int(),
+					InternalBW: d.f64(), ComputePower: d.f64(), MemoryBytes: d.f64()}
+			}
+		}
+		if n := d.count(linkWireMin); n > 0 {
+			t.Links = make([]WireLink, n)
+			for i := range t.Links {
+				t.Links[i] = WireLink{A: d.str(), B: d.str(),
+					Capacity: d.f64(), Latency: d.f64(), Global: d.int()}
+			}
+		}
+		t.DiscoveredAt = d.f64()
+		r.Topo = t
+	}
+	if has&4 != 0 {
+		r.Telemetry = new(telemetry.Snapshot)
+		d.stateBlob(r.Telemetry)
+	}
+	if has&8 != 0 {
+		r.Matrix = &MatrixAnswer{
+			Bandwidth: d.f64Rows(),
+			Latency:   d.f64Rows(),
+			Valid:     d.boolRows(),
+			Epoch:     d.uvarint(),
+			Term:      d.uvarint(),
+		}
+	}
+	return r
+}
+
+// rowsShape reads a rows body's row count, then looks ahead over the
+// rows without decoding their cells and reports the cell total, so the
+// caller can back every row with one slab. The look-ahead checks each
+// row length against the bytes that remain; the cursor stays at the
+// first row.
+func (d *wireDec) rowsShape(cellSize int) (rows, cells int) {
+	rows = d.count(1)
+	ahead := *d
+	for i := 0; i < rows; i++ {
+		n := ahead.count(cellSize)
+		ahead.take(n * cellSize)
+		cells += n
+	}
+	if ahead.err != nil {
+		d.b, d.err = nil, ahead.err
+		return 0, 0
+	}
+	return rows, cells
+}
+
+func (d *wireDec) f64Rows() [][]float64 {
+	rows, cells := d.rowsShape(8)
+	if rows == 0 {
+		return nil
+	}
+	out := make([][]float64, rows)
+	slab := make([]float64, cells)
+	for i := range out {
+		n := d.count(8)
+		if n == 0 {
+			continue
+		}
+		p := d.take(8 * n)
+		out[i], slab = slab[:n:n], slab[n:]
+		for j := range out[i] {
+			out[i][j] = math.Float64frombits(binary.BigEndian.Uint64(p[8*j:]))
+		}
+	}
+	return out
+}
+
+func (d *wireDec) boolRows() [][]bool {
+	rows, cells := d.rowsShape(1)
+	if rows == 0 {
+		return nil
+	}
+	out := make([][]bool, rows)
+	slab := make([]bool, cells)
+	for i := range out {
+		n := d.count(1)
+		if n == 0 {
+			continue
+		}
+		p := d.take(n)
+		out[i], slab = slab[:n:n], slab[n:]
+		for j, c := range p {
+			if c > 1 {
+				d.fail("matrix validity cell is neither 0 nor 1")
+				return nil
+			}
+			out[i][j] = c == 1
+		}
+	}
+	return out
+}
+
+func (d *wireDec) update() *WatchUpdate {
+	has := d.flags(6)
+	u := &WatchUpdate{
+		Overflowed:  has&1 != 0,
+		Resync:      has&2 != 0,
+		Final:       has&4 != 0,
+		TopoChanged: has&8 != 0,
+		Seq:         d.uvarint(),
+		Epoch:       d.uvarint(),
+		Term:        d.uvarint(),
+		Stat:        d.stat(),
+		Err:         d.str(),
+	}
+	if has&16 != 0 {
+		u.Feed = new(FeedPayload)
+		d.stateBlob(u.Feed)
+	}
+	if has&32 != 0 {
+		u.Summary = new(RegionSummary)
+		d.stateBlob(u.Summary)
+	}
+	return u
+}

@@ -1,0 +1,499 @@
+package collector
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
+)
+
+// diffWire reports where a and b differ, or "" when they are the same
+// wire value. Floats compare by their bits, so a NaN equals the same
+// NaN; with gobZero set, -0 also equals +0, because gob omits a struct
+// field that compares equal to zero and so turns -0 into +0. Nil and
+// empty are different, as in reflect.DeepEqual.
+func diffWire(a, b reflect.Value, gobZero bool, path string) string {
+	if a.Type() != b.Type() {
+		return fmt.Sprintf("%s: types %s and %s", path, a.Type(), b.Type())
+	}
+	if t, ok := a.Interface().(time.Time); ok {
+		if !t.Equal(b.Interface().(time.Time)) {
+			return fmt.Sprintf("%s: %v != %v", path, a, b)
+		}
+		return ""
+	}
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		if math.Float64bits(x) != math.Float64bits(y) && !(gobZero && x == y) {
+			return fmt.Sprintf("%s: %#x != %#x", path, math.Float64bits(x), math.Float64bits(y))
+		}
+	case reflect.Pointer:
+		if a.IsNil() != b.IsNil() {
+			return fmt.Sprintf("%s: nil %v != nil %v", path, a.IsNil(), b.IsNil())
+		}
+		if !a.IsNil() {
+			return diffWire(a.Elem(), b.Elem(), gobZero, path)
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := diffWire(a.Field(i), b.Field(i), gobZero, path+"."+a.Type().Field(i).Name); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Sprintf("%s: nil %v len %d != nil %v len %d", path, a.IsNil(), a.Len(), b.IsNil(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := diffWire(a.Index(i), b.Index(i), gobZero, fmt.Sprintf("%s[%d]", path, i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Sprintf("%s: nil %v len %d != nil %v len %d", path, a.IsNil(), a.Len(), b.IsNil(), b.Len())
+		}
+		for _, k := range a.MapKeys() {
+			bv := b.MapIndex(k)
+			if !bv.IsValid() {
+				return fmt.Sprintf("%s[%v]: missing", path, k)
+			}
+			if d := diffWire(a.MapIndex(k), bv, gobZero, fmt.Sprintf("%s[%v]", path, k)); d != "" {
+				return d
+			}
+		}
+	default:
+		if !a.Equal(b) {
+			return fmt.Sprintf("%s: %v != %v", path, a, b)
+		}
+	}
+	return ""
+}
+
+// frameDiff compares two frames bit for bit.
+func frameDiff(a, b *muxFrame) string {
+	return diffWire(reflect.ValueOf(a), reflect.ValueOf(b), false, "frame")
+}
+
+// viaCodec and viaGob send one frame through the wire codec and
+// through the gob stream it replaced.
+func viaCodec(f *muxFrame) (*muxFrame, error) {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, f, 0); err != nil {
+		return nil, err
+	}
+	out := new(muxFrame)
+	return out, readFrame(&buf, out, 0)
+}
+
+func viaGob(f *muxFrame) (*muxFrame, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+		return nil, err
+	}
+	out := new(muxFrame)
+	return out, gob.NewDecoder(&buf).Decode(out)
+}
+
+// frameGen draws frames of every shape the wire carries.
+type frameGen struct{ *rand.Rand }
+
+var oddFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 42e6, math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7ff8_0000_dead_beef), // a NaN with a payload
+	math.SmallestNonzeroFloat64, math.MaxFloat64,
+}
+
+func (g frameGen) f64() float64 {
+	if g.Intn(3) == 0 {
+		return oddFloats[g.Intn(len(oddFloats))]
+	}
+	return g.NormFloat64() * 1e6
+}
+
+func (g frameGen) str() string {
+	return []string{"", "m-1", "timberline", "collector: unknown channel glink7/fwd", "héllo\x00"}[g.Intn(5)]
+}
+
+func (g frameGen) key() ChannelKey {
+	return ChannelKey{Global: g.Intn(100) - 3, Dir: graph.Dir(g.Intn(3))}
+}
+
+func (g frameGen) stat() stats.Stat {
+	if g.Intn(4) == 0 {
+		return stats.Stat{}
+	}
+	return stats.Stat{Min: g.f64(), Q1: g.f64(), Median: g.f64(), Q3: g.f64(), Max: g.f64(),
+		Accuracy: g.f64(), Samples: g.Intn(200) - 1, Age: g.f64()}
+}
+
+func (g frameGen) samples() []stats.Sample {
+	switch g.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return []stats.Sample{}
+	}
+	s := make([]stats.Sample, 1+g.Intn(150))
+	for i := range s {
+		s[i] = stats.Sample{Time: g.f64(), Value: g.f64()}
+	}
+	return s
+}
+
+func (g frameGen) nodes(n int) []graph.NodeID {
+	if n == 0 {
+		return [][]graph.NodeID{nil, {}}[g.Intn(2)]
+	}
+	ids := make([]graph.NodeID, n)
+	for i := range ids {
+		ids[i] = graph.NodeID(fmt.Sprintf("edge%d-h%d", i/8, i%8))
+	}
+	ids[g.Intn(n)] = ""
+	return ids
+}
+
+func (g frameGen) topo(nodes, links int) *WireTopo {
+	t := &WireTopo{DiscoveredAt: g.f64()}
+	for i := 0; i < nodes; i++ {
+		t.Nodes = append(t.Nodes, WireNode{ID: fmt.Sprintf("n%d", i), Kind: g.Intn(3),
+			InternalBW: g.f64(), ComputePower: g.f64(), MemoryBytes: g.f64()})
+	}
+	for i := 0; i < links; i++ {
+		t.Links = append(t.Links, WireLink{A: fmt.Sprintf("n%d", g.Intn(nodes+1)), B: g.str(),
+			Capacity: g.f64(), Latency: g.f64(), Global: g.Intn(1 << 20)})
+	}
+	if nodes == 0 && g.Intn(2) == 0 {
+		t.Nodes, t.Links = []WireNode{}, []WireLink{}
+	}
+	return t
+}
+
+func (g frameGen) health() map[string]AgentHealth {
+	switch g.Intn(3) {
+	case 0:
+		return nil
+	case 1:
+		return map[string]AgentHealth{}
+	}
+	h := make(map[string]AgentHealth)
+	for i := g.Intn(9); i >= 0; i-- {
+		h[fmt.Sprintf("agent-%d", i)] = AgentHealth{State: HealthState(g.Intn(3)), ConsecutiveFailures: g.Intn(9),
+			LastSuccess: g.f64(), LastAttempt: g.f64(), NextAttempt: g.f64(), Skipped: g.Uint64()}
+	}
+	h[""] = AgentHealth{LastSuccess: -1}
+	return h
+}
+
+// matrix draws an answer of the given shape; ragged perturbs one row,
+// which no handler should produce but the wire must carry to
+// checkMatrixShape intact.
+func (g frameGen) matrix(rows, cols int, ragged bool) *MatrixAnswer {
+	m := &MatrixAnswer{Epoch: g.Uint64(), Term: uint64(g.Intn(4))}
+	if rows == 0 && g.Intn(2) == 0 {
+		m.Bandwidth, m.Latency, m.Valid = [][]float64{}, [][]float64{}, [][]bool{}
+	}
+	for i := 0; i < rows; i++ {
+		bw, lat, ok := make([]float64, cols), make([]float64, cols), make([]bool, cols)
+		for j := 0; j < cols; j++ {
+			bw[j], lat[j], ok[j] = g.f64(), g.f64(), g.Intn(4) != 0
+		}
+		m.Bandwidth, m.Latency, m.Valid = append(m.Bandwidth, bw), append(m.Latency, lat), append(m.Valid, ok)
+	}
+	if ragged && rows > 0 {
+		i := g.Intn(rows)
+		m.Bandwidth[i] = append(m.Bandwidth[i], 1, 2)
+		m.Valid[i] = nil
+		m.Latency = m.Latency[:rows-1]
+	}
+	return m
+}
+
+func (g frameGen) request() *request {
+	ops := []string{"topo", "util", "samples", "load", "age", "health", "stats", "ping", "watch", "matrix", "", "no-such-op"}
+	r := &request{Op: ops[g.Intn(len(ops))], Key: g.key(), Span: g.f64(), Node: g.str(),
+		BudgetMS: g.f64(), TraceID: g.str()}
+	if r.Op == "watch" || g.Intn(8) == 0 {
+		kinds := []string{WatchVersion, WatchUtil, WatchLoad, WatchFeed, WatchRegionSummary, "", "bogus"}
+		r.Watch = &WatchRequest{Kind: kinds[g.Intn(len(kinds))], Key: g.key(), Node: g.str(),
+			Span: g.f64(), Threshold: g.f64()}
+		if g.Intn(4) == 0 {
+			r.Watch = &WatchRequest{}
+		}
+	}
+	if r.Op == "matrix" || g.Intn(8) == 0 {
+		r.Matrix = &MatrixRequest{Srcs: g.nodes(g.Intn(3) * g.Intn(33)), Dsts: g.nodes(g.Intn(3) * g.Intn(33)),
+			TFKind: g.Intn(6) - 1, Span: g.f64(), Horizon: g.f64()}
+	}
+	return r
+}
+
+func (g frameGen) response() *response {
+	r := &response{Term: uint64(g.Intn(3)), Leader: g.Intn(2) == 0}
+	switch g.Intn(10) {
+	case 0: // typed refusal
+		r.Code = g.Intn(codeMatrixUnsup+3) - 1
+		r.Err, r.RetryAfterMS, r.LeaderHint = g.str(), g.f64(), g.str()
+	case 1:
+		r.Err, r.Stat = g.str(), g.stat()
+	case 2:
+		r.Samples = g.samples()
+	case 3:
+		r.Topo = g.topo(g.Intn(2)*g.Intn(40), g.Intn(60))
+	case 4:
+		r.Health = g.health()
+	case 5:
+		snap := telemetry.Snapshot{Counters: map[string]uint64{"server.op.util": g.Uint64()},
+			Gauges:       map[string]float64{"g": g.NormFloat64()},
+			Spans:        []telemetry.SpanRecord{{Trace: "t", Name: "rpc.util", Start: time.Unix(g.Int63n(1e9), 0), Duration: 5, Attrs: map[string]string{"verdict": "admitted"}}},
+			SpansStarted: 1}
+		if g.Intn(3) == 0 {
+			snap = telemetry.Snapshot{}
+		}
+		r.Telemetry = &snap
+	case 6:
+		shapes := [][2]int{{0, 0}, {1, 0}, {3, 0}, {1, 1}, {1, 64}, {64, 1}, {5, 7}, {64, 64}}
+		s := shapes[g.Intn(len(shapes))]
+		r.Matrix = g.matrix(s[0], s[1], g.Intn(5) == 0)
+	case 7:
+		r.Age = g.f64()
+	default:
+		r.Stat = g.stat()
+	}
+	return r
+}
+
+func (g frameGen) update() *WatchUpdate {
+	u := &WatchUpdate{Seq: g.Uint64() >> uint(g.Intn(64)), Epoch: uint64(g.Intn(1000)),
+		Overflowed: g.Intn(4) == 0, Resync: g.Intn(4) == 0, Final: g.Intn(8) == 0, TopoChanged: g.Intn(4) == 0,
+		Term: uint64(g.Intn(3))}
+	switch g.Intn(5) {
+	case 0:
+		u.Stat = g.stat()
+	case 1:
+		u.Err = g.str()
+	case 2:
+		u.Feed = &FeedPayload{Epoch: u.Epoch, Full: g.Intn(2) == 0, Now: g.NormFloat64(), WindowLen: 150,
+			Topo:     g.topo(g.Intn(5), g.Intn(5)),
+			Capacity: map[ChannelKey]float64{g.key(): 1e8},
+			Channels: map[ChannelKey][]stats.Sample{g.key(): {{Time: 1, Value: 2}}},
+			Loads:    map[string][]stats.Sample{"m-1": {{Time: 1, Value: 0.5}}},
+			Health:   map[string]AgentHealth{"m-1": {LastSuccess: 4}}}
+		if g.Intn(3) == 0 {
+			u.Feed = &FeedPayload{}
+		}
+	case 3:
+		u.Summary = &RegionSummary{Region: "r0", Epoch: u.Epoch, GeneratedAt: g.NormFloat64(),
+			Hosts:   []RegionHost{{ID: "h", Power: 1, AccessBps: 1e8}},
+			Borders: []RegionBorder{{ID: "b", InteriorBps: 1e9}},
+			Pairs:   []RegionPair{{Peer: "r1", Links: 2, CapacityBps: 1e9, HopCount: 3}}}
+	}
+	return u
+}
+
+func (g frameGen) frame() *muxFrame {
+	f := &muxFrame{Stream: g.Uint64() >> uint(g.Intn(64))}
+	switch g.Intn(12) {
+	case 0:
+		f.Kind = mfCancel
+	case 1: // envelopes no well-behaved peer sends
+		f.Kind = g.Intn(20) - 10
+		if g.Intn(2) == 0 {
+			f.Req, f.Resp, f.Update = g.request(), g.response(), g.update()
+		}
+	case 2, 3, 4:
+		f.Kind, f.Req = mfRequest, g.request()
+	case 5, 6:
+		f.Kind, f.Update = mfUpdate, g.update()
+	default:
+		f.Kind, f.Resp = mfResponse, g.response()
+	}
+	return f
+}
+
+// TestCodecMatchesGob is the differential test of the wire codec: for
+// seeded frames of every shape, what the codec decodes must be what a
+// gob stream of the same frame decoded to — including gob's
+// nil-for-empty normalisation, which callers rely on.
+func TestCodecMatchesGob(t *testing.T) {
+	g := frameGen{rand.New(rand.NewSource(12))}
+	frames := []*muxFrame{
+		{}, {Kind: mfRequest, Req: &request{}}, {Kind: mfResponse, Resp: &response{}},
+		{Kind: mfUpdate, Update: &WatchUpdate{}},
+		respFrame(&response{Topo: &WireTopo{}, Matrix: &MatrixAnswer{}, Telemetry: &telemetry.Snapshot{}}),
+		// The biggest topology a default frame carries.
+		respFrame(&response{Topo: g.topo(40000, 50000)}),
+	}
+	for i := 0; i < 3000; i++ {
+		frames = append(frames, g.frame())
+	}
+	for i, f := range frames {
+		got, err := viaCodec(f)
+		if err != nil {
+			t.Fatalf("frame %d: codec: %v\n%+v", i, err, f)
+		}
+		want, err := viaGob(f)
+		if err != nil {
+			t.Fatalf("frame %d: gob: %v\n%+v", i, err, f)
+		}
+		if d := diffWire(reflect.ValueOf(got), reflect.ValueOf(want), true, "frame"); d != "" {
+			t.Fatalf("frame %d: codec and gob disagree at %s\nsent %+v", i, d, f)
+		}
+	}
+}
+
+// TestCodecFloatsBitExact: every float on the wire arrives with the
+// bits it was sent with — where gob turned a -0 field into +0.
+func TestCodecFloatsBitExact(t *testing.T) {
+	for _, v := range oddFloats {
+		st := stats.Stat{Min: v, Q1: v, Median: v, Q3: v, Max: v, Accuracy: v, Age: v}
+		frames := []*muxFrame{
+			reqFrame(&request{Op: "util", Span: v, BudgetMS: v,
+				Watch:  &WatchRequest{Span: v, Threshold: v},
+				Matrix: &MatrixRequest{Span: v, Horizon: v}}),
+			respFrame(&response{Stat: st, Age: v, RetryAfterMS: v,
+				Samples: []stats.Sample{{Time: v, Value: v}},
+				Health:  map[string]AgentHealth{"a": {LastSuccess: v, LastAttempt: v, NextAttempt: v}},
+				Topo: &WireTopo{DiscoveredAt: v,
+					Nodes: []WireNode{{ID: "n", InternalBW: v, ComputePower: v, MemoryBytes: v}},
+					Links: []WireLink{{A: "a", B: "b", Capacity: v, Latency: v}}},
+				Matrix: &MatrixAnswer{Bandwidth: [][]float64{{v}}, Latency: [][]float64{{v, v}}}}),
+			{Kind: mfUpdate, Update: &WatchUpdate{Stat: st}},
+		}
+		for _, f := range frames {
+			got, err := viaCodec(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := frameDiff(f, got); d != "" {
+				t.Errorf("%#x: %s", math.Float64bits(v), d)
+			}
+		}
+	}
+}
+
+// TestMatrixAnswerDecodesIntoOneSlab: the rows of a decoded matrix are
+// slices of one backing array, not an allocation each (the allocation
+// count could not hold otherwise).
+func TestMatrixAnswerDecodesIntoOneSlab(t *testing.T) {
+	g := frameGen{rand.New(rand.NewSource(3))}
+	got, err := viaCodec(respFrame(&response{Matrix: g.matrix(64, 64, false)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range got.Resp.Matrix.Bandwidth {
+		if cap(row) != 64 {
+			t.Fatalf("row %d can grow into its neighbour: cap %d", i, cap(row))
+		}
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	r := bytes.NewReader(frame)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(frame)
+		var out muxFrame
+		if err := readFrame(r, &out, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// response, answer, a row-header slice plus a slab per plane, and the
+	// read buffer whenever the pool has none to give (under -race it
+	// drops some on purpose) — against 192 for a slice per row.
+	if allocs > 12 {
+		t.Fatalf("decoding a 64x64 answer took %.0f allocations, want <= 12", allocs)
+	}
+}
+
+// TestPointQueryAllocBudget: the codec's share of one point query —
+// encode and decode of a util request and of its response — stays
+// within 8 allocations (it was 2,411 with a gob stream per frame).
+func TestPointQueryAllocBudget(t *testing.T) {
+	req := reqFrame(&request{Op: "util", Key: ChannelKey{Global: 7, Dir: 1}, Span: 10, BudgetMS: 1999.5})
+	resp := respFrame(&response{Stat: stats.Stat{Min: 1e6, Q1: 2e6, Median: 3e6, Q3: 4e6, Max: 5e6,
+		Accuracy: 0.9, Samples: 150, Age: 1.5}})
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, f := range []*muxFrame{req, resp} {
+			buf.Reset()
+			if err := writeFrame(&buf, f, 0); err != nil {
+				t.Fatal(err)
+			}
+			var out muxFrame
+			if err := readFrame(&buf, &out, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("a util request/response pair took %.0f allocations through the codec, want <= 8", allocs)
+	}
+}
+
+// BenchmarkFrameCodec is the codec rung of the latency ladder: one
+// writeFrame plus one readFrame of a representative frame, no socket.
+func BenchmarkFrameCodec(b *testing.B) {
+	r := feedRig(b)
+	topo, err := r.col.Topology()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cur := &FeedCursor{}
+	if _, err := r.col.FeedSince(cur); err != nil {
+		b.Fatal(err)
+	}
+	r.clk.Advance(2)
+	delta, err := r.col.FeedSince(cur)
+	if err != nil || delta == nil || delta.Full {
+		b.Fatalf("feed delta = %+v, %v", delta, err)
+	}
+	st, err := r.col.Utilization(keyFor(b, topo, "m-6", "timberline"), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := frameGen{rand.New(rand.NewSource(1))}
+	cases := []struct {
+		name  string
+		frame *muxFrame
+	}{
+		{"ping", reqFrame(&request{Op: "ping"})},
+		{"util", respFrame(&response{Stat: st})},
+		{"topo-fig3", respFrame(&response{Topo: topoToWire(topo)})},
+		{"matrix64", respFrame(&response{Matrix: g.matrix(64, 64, false)})},
+		{"update-version", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: 150}}},
+		{"update-feed-delta", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: delta.Epoch, Feed: delta}}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := writeFrame(&buf, tc.frame, 0); err != nil {
+				b.Fatal(err)
+			}
+			wire := buf.Len()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := writeFrame(&buf, tc.frame, 0); err != nil {
+					b.Fatal(err)
+				}
+				var out muxFrame
+				if err := readFrame(&buf, &out, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(wire), "wire-bytes")
+		})
+	}
+}

@@ -20,7 +20,7 @@ type rig struct {
 	col *Collector
 }
 
-func newRig(t *testing.T, pollPeriod float64) *rig {
+func newRig(t testing.TB, pollPeriod float64) *rig {
 	t.Helper()
 	clk := simclock.New()
 	n, err := netsim.New(clk, topology.Testbed())
@@ -44,7 +44,7 @@ func newRig(t *testing.T, pollPeriod float64) *rig {
 
 // keyFor returns the ChannelKey for traffic flowing from `from` to `to`
 // over their direct link in the discovered topology.
-func keyFor(t *testing.T, topo *Topology, from, to graph.NodeID) ChannelKey {
+func keyFor(t testing.TB, topo *Topology, from, to graph.NodeID) ChannelKey {
 	t.Helper()
 	for _, l := range topo.Graph.Links() {
 		if (l.A == from && l.B == to) || (l.A == to && l.B == from) {

@@ -191,23 +191,3 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	cur.epoch = epoch
 	return p, nil
 }
-
-// init warms gob's engines for feed-carrying update frames, so the
-// first replica sync on a fresh process pays no engine compilation.
-func init() {
-	warmGob(&muxFrame{Stream: 1, Kind: mfUpdate, Update: &WatchUpdate{
-		Seq: 1, Epoch: 1, Term: 1,
-		Feed: &FeedPayload{
-			Epoch: 1, Full: true, Now: 1, HalfLife: 1, WindowLen: 1, WindowAge: 1, PollPeriod: 1, Term: 1,
-			Topo: &WireTopo{
-				Nodes:        []WireNode{{ID: "n", Kind: 1, InternalBW: 1, ComputePower: 1, MemoryBytes: 1}},
-				Links:        []WireLink{{A: "a", B: "b", Capacity: 1, Latency: 1, Global: 1}},
-				DiscoveredAt: 1,
-			},
-			Capacity: map[ChannelKey]float64{{Global: 1}: 1},
-			Channels: map[ChannelKey][]stats.Sample{{Global: 1}: {{Time: 1, Value: 1}}},
-			Loads:    map[string][]stats.Sample{"n": {{Time: 1, Value: 1}}},
-			Health:   map[string]AgentHealth{"n": {}},
-		},
-	}})
-}

@@ -15,7 +15,7 @@ import (
 
 // feedRig is a rig with traffic and a few completed poll rounds, so
 // feed payloads have real samples to carry.
-func feedRig(t *testing.T) *rig {
+func feedRig(t testing.TB) *rig {
 	t.Helper()
 	r := newRig(t, 2)
 	if err := r.col.Start(); err != nil {

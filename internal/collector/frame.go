@@ -1,28 +1,48 @@
 package collector
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 )
 
-// Bounded wire framing for the TCP query protocol. Each message is a
-// 4-byte big-endian length prefix followed by a self-contained gob
-// stream. The explicit prefix exists so both ends can reject an
-// oversized frame *before* allocating or decoding anything: a corrupt
-// or hostile length must cost a bounded read and a typed error, never
-// an unbounded allocation (raw gob will happily try to buffer whatever
-// its own internal length header claims, up to 1 GiB).
+// Bounded wire framing for the TCP query protocol. Each message is
 //
-// Every frame is an independent gob stream (type information is resent
-// per frame). That costs a few hundred bytes per message and buys a
-// crucial property: a connection aborted mid-frame — a cancelled call,
-// a killed replica — never poisons decoder state for the next request,
-// so reconnect-and-retry works without resynchronization.
+//	[4-byte big-endian payload length][payload]
+//	payload = [1-byte wire version][muxFrame envelope, codec.go]
+//
+// The explicit prefix exists so both ends can reject an oversized frame
+// *before* allocating or decoding anything: a corrupt or hostile length
+// must cost a bounded read and a typed error, never an unbounded
+// allocation.
+//
+// Frames are stateless: every frame decodes on its own, from its own
+// bytes, and neither end keeps codec state per connection. That buys
+// three properties the protocol relies on:
+//
+//   - abort safety: a connection cut mid-frame — a cancelled call, a
+//     killed replica — leaves nothing to resynchronize, so
+//     reconnect-and-retry works from any frame boundary;
+//   - bounded allocation: every count inside a frame is checked against
+//     the bytes that remain in that frame before anything is allocated
+//     (codec.go), so a peer cannot grow tables on the other side;
+//   - no per-connection memory: a persistent gob encoder/decoder pair
+//     was measured at 50 kB per connection end (+30 % live heap on the
+//     benchmark's point-query workload), which this design does not pay.
+//
+// Version rule: the first payload byte names the layout of everything
+// after it. There is no negotiation and no fallback: a frame with any
+// other version — including a frame of the gob-stream format this
+// replaced — fails with ErrWireVersion and the connection is dropped.
+// Changing the layout means a new version byte and a flag day.
+
+// wireVersion is the version byte of the layout in codec.go. The high
+// bit is set on purpose: a gob stream starts with a message length,
+// either a byte below 0x80 or a byte-count marker 0xF8–0xFF, so no
+// frame of the old format can start with this byte.
+const wireVersion = 0x81
 
 // DefaultMaxFrame bounds one wire frame in bytes. Topology frames for
 // very large domains are the biggest legitimate messages; 4 MiB covers
@@ -34,101 +54,85 @@ const DefaultMaxFrame = 4 << 20
 // prefix) or on write (a response that should never have grown so big).
 var ErrFrameTooLarge = errors.New("collector: wire frame too large")
 
-// maxPooledFrame caps what the buffer pools retain: a rare multi-
+// ErrWireVersion is the typed rejection for a frame whose version byte
+// is not wireVersion: a peer from the other side of a flag day.
+var ErrWireVersion = errors.New("collector: unsupported wire version")
+
+// ErrMalformedFrame is the typed rejection for a payload that does not
+// decode: a count exceeding the bytes that remain, a truncated field,
+// an out-of-range flag, or bytes left over after a complete frame.
+var ErrMalformedFrame = errors.New("collector: malformed wire frame")
+
+// maxPooledFrame caps what the buffer pool retains: a rare multi-
 // megabyte topology frame must not pin its buffer for the life of the
 // process. Typical measurement frames are well under a kilobyte.
 const maxPooledFrame = 1 << 18
 
-// frameBufPool recycles encode buffers. A busy query server writes one
-// frame per request; the buffer is dead the moment it hits the socket.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// framePayloadPool recycles read-side payload buffers the same way.
-var framePayloadPool = sync.Pool{New: func() any {
+// frameBufPool recycles frame buffers in both directions. A written
+// frame is dead the moment it hits the socket, a read one the moment it
+// is decoded (the codec copies everything it keeps).
+var frameBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
 }}
 
-// writeFrame encodes v as one length-prefixed gob frame on w.
-func writeFrame(w io.Writer, v any, max int) error {
+func putFrameBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledFrame {
+		frameBufPool.Put(bp)
+	}
+}
+
+// writeFrame encodes f as one length-prefixed frame on w, in a single
+// Write.
+func writeFrame(w io.Writer, f *muxFrame, max int) error {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledFrame {
-			buf.Reset()
-			frameBufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+	bp := frameBufPool.Get().(*[]byte)
+	defer putFrameBuf(bp)
+	b, err := appendMuxFrame(append((*bp)[:0], 0, 0, 0, 0, wireVersion), f)
+	*bp = b
+	if err != nil {
 		return fmt.Errorf("collector: encoding frame: %w", err)
 	}
-	payload := buf.Len() - 4
+	payload := len(b) - 4
 	if payload > max {
 		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, payload, max)
 	}
-	b := buf.Bytes()
 	binary.BigEndian.PutUint32(b[:4], uint32(payload))
-	_, err := w.Write(b)
+	_, err = w.Write(b)
 	return err
 }
 
-// readFrame reads one length-prefixed gob frame from r into v,
-// rejecting frames over max bytes without reading (or allocating) their
-// payload. The payload buffer is pooled; gob copies everything it
-// decodes into v, so nothing aliases the buffer after return.
-func readFrame(r io.Reader, v any, max int) error {
+// readFrame reads one length-prefixed frame from r into f, rejecting
+// frames over max bytes without reading (or allocating) their payload.
+// Nothing in f aliases the pooled read buffer after return.
+func readFrame(r io.Reader, f *muxFrame, max int) error {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	bp := frameBufPool.Get().(*[]byte)
+	defer putFrameBuf(bp)
+	hdr := (*bp)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if int64(n) > int64(max) {
 		return fmt.Errorf("%w: prefix claims %d > %d bytes", ErrFrameTooLarge, n, max)
 	}
-	pp := framePayloadPool.Get().(*[]byte)
-	defer func() {
-		if cap(*pp) <= maxPooledFrame {
-			framePayloadPool.Put(pp)
-		}
-	}()
-	if cap(*pp) < int(n) {
-		*pp = make([]byte, n)
+	if cap(*bp) < int(n) {
+		*bp = make([]byte, n)
 	}
-	payload := (*pp)[:n]
+	payload := (*bp)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("collector: decoding frame: %w", err)
+	if n == 0 {
+		return fmt.Errorf("%w: empty payload", ErrMalformedFrame)
 	}
-	return nil
-}
-
-// warmGob runs representative wire values through a throwaway
-// encode/decode round so gob compiles its type engines at package init
-// instead of on the first request of the first connection. Frames stay
-// independent gob streams on the wire — that is what makes
-// reconnect-after-abort safe — but engine compilation is process-global
-// and only needs to happen once.
-func warmGob(vals ...any) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range vals {
-		if err := enc.Encode(v); err != nil {
-			panic(fmt.Sprintf("collector: gob warm-up encode: %v", err))
-		}
+	if payload[0] != wireVersion {
+		return fmt.Errorf("%w: frame says %#x, this end speaks %#x", ErrWireVersion, payload[0], wireVersion)
 	}
-	dec := gob.NewDecoder(&buf)
-	for _, v := range vals {
-		if err := dec.Decode(v); err != nil {
-			panic(fmt.Sprintf("collector: gob warm-up decode: %v", err))
-		}
-	}
+	return decodeMuxFrame(payload[1:], f)
 }

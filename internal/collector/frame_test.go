@@ -3,34 +3,43 @@ package collector
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
 	"testing"
 )
 
+func reqFrame(r *request) *muxFrame {
+	return &muxFrame{Stream: 1, Kind: mfRequest, Req: r}
+}
+
+func respFrame(r *response) *muxFrame {
+	return &muxFrame{Stream: 1, Kind: mfResponse, Resp: r}
+}
+
 // TestFrameRoundTrip: request and response frames survive the wire.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := request{Op: "util", Key: ChannelKey{Global: 7}, Span: 2.5, BudgetMS: 43.5}
-	if err := writeFrame(&buf, &in, 0); err != nil {
+	if err := writeFrame(&buf, reqFrame(&in), 0); err != nil {
 		t.Fatal(err)
 	}
-	var out request
+	var out muxFrame
 	if err := readFrame(&buf, &out, 0); err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
-		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	if out.Stream != 1 || out.Kind != mfRequest || out.Req == nil || *out.Req != in {
+		t.Fatalf("round trip: got %+v (req %+v), want %+v", out, out.Req, in)
 	}
 }
 
-// TestFrameIndependentStreams: each frame is a self-contained gob
-// stream, so a reader can start at any frame boundary — the property
+// TestFrameIndependentStreams: each frame decodes from its own bytes
+// alone, so a reader can start at any frame boundary — the property
 // that makes reconnect-after-abort safe.
 func TestFrameIndependentStreams(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 3; i++ {
-		if err := writeFrame(&buf, &request{Op: "ping"}, 0); err != nil {
+		if err := writeFrame(&buf, reqFrame(&request{Op: "ping"}), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,11 +51,11 @@ func TestFrameIndependentStreams(t *testing.T) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	buf.Next(int(n))
-	var out request
+	var out muxFrame
 	if err := readFrame(&buf, &out, 0); err != nil {
 		t.Fatalf("decoding from a later frame boundary: %v", err)
 	}
-	if out.Op != "ping" {
+	if out.Req == nil || out.Req.Op != "ping" {
 		t.Fatalf("got %+v", out)
 	}
 }
@@ -56,7 +65,7 @@ func TestFrameIndependentStreams(t *testing.T) {
 func TestFrameOversizedWriteRejected(t *testing.T) {
 	var buf bytes.Buffer
 	big := response{Err: string(make([]byte, 4096))}
-	err := writeFrame(&buf, &big, 128)
+	err := writeFrame(&buf, respFrame(&big), 128)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
@@ -71,7 +80,7 @@ func TestFrameHostilePrefixRejected(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 0xFFFF_FFFF) // claims ~4 GiB
 	r := &countingReader{r: bytes.NewReader(hdr[:])}
-	var out response
+	var out muxFrame
 	err := readFrame(r, &out, DefaultMaxFrame)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
@@ -85,29 +94,115 @@ func TestFrameHostilePrefixRejected(t *testing.T) {
 // I/O error, not a hang or a panic.
 func TestFrameTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &request{Op: "topo"}, 0); err != nil {
+	if err := writeFrame(&buf, reqFrame(&request{Op: "topo"}), 0); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
-	var out request
+	var out muxFrame
 	err := readFrame(bytes.NewReader(cut), &out, 0)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame: got %v, want ErrUnexpectedEOF", err)
 	}
 }
 
-// TestFrameCorruptPayload: a well-sized but non-gob payload errors
-// cleanly.
+// rawFrame prefixes payload with its length.
+func rawFrame(payload ...byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestFrameCorruptPayload: a well-sized payload that is not a frame of
+// this version errors cleanly, with the error that names why.
 func TestFrameCorruptPayload(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("\xff\xfe\xfdnot gob")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	var out request
-	if err := readFrame(&buf, &out, 0); err == nil {
-		t.Fatal("corrupt payload decoded without error")
+	var good bytes.Buffer
+	if err := writeFrame(&good, reqFrame(&request{Op: "util", Node: "m-1"}), 0); err != nil {
+		t.Fatal(err)
+	}
+	body := good.Bytes()[4:]
+
+	var oldFormat bytes.Buffer
+	if err := gob.NewEncoder(&oldFormat).Encode(reqFrame(&request{Op: "ping"})); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"garbage", []byte("\xff\xfe\xfdnot a frame"), ErrWireVersion},
+		{"old gob frame", oldFormat.Bytes(), ErrWireVersion},
+		{"next version", append([]byte{wireVersion + 1}, body[1:]...), ErrWireVersion},
+		{"empty", nil, ErrMalformedFrame},
+		{"version only", []byte{wireVersion}, ErrMalformedFrame},
+		{"trailing byte", append(append([]byte{}, body...), 0), ErrMalformedFrame},
+		{"cut inside a field", body[:len(body)-5], ErrMalformedFrame},
+		{"undefined envelope flag", []byte{wireVersion, 1, 2, 0x08}, ErrMalformedFrame},
+		// Stream 1, kind request, Req set, op length 2^62.
+		{"hostile string length", []byte{wireVersion, 1, 2, 1,
+			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}, ErrMalformedFrame},
+	}
+	for _, tc := range cases {
+		var out muxFrame
+		err := readFrame(bytes.NewReader(rawFrame(tc.payload...)), &out, 0)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// hostileCounts is one 128-byte frame per list in the layout, each
+// claiming far more elements than the frame has bytes for.
+func hostileCounts() map[string][]byte {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	pad := func(p []byte) []byte { return rawFrame(append(p, make([]byte, 128-4-len(p))...)...) }
+	reqHead := []byte{wireVersion, 1, 2, 1} // stream 1, kind request, Req set
+	// op "", key 0/0, span, node "", budget, trace "", Matrix set
+	matrixReq := append(append([]byte{}, reqHead...), 0, 0, 0)
+	matrixReq = append(matrixReq, make([]byte, 8)...)
+	matrixReq = append(matrixReq, 0)
+	matrixReq = append(matrixReq, make([]byte, 8)...)
+	matrixReq = append(matrixReq, 0, 2)
+	// Response up to the Samples count: flags, code, err, retry, hint,
+	// term, stat, age.
+	respHead := func(flags byte) []byte {
+		p := []byte{wireVersion, 1, 4, 2, flags, 0, 0}
+		p = append(p, make([]byte, 8)...)
+		p = append(p, 0, 0)
+		p = append(p, make([]byte, 6*8+1+8)...)
+		return append(p, make([]byte, 8)...)
+	}
+	return map[string][]byte{
+		"matrix srcs": pad(append(matrixReq, huge...)),
+		"samples":     pad(append(respHead(0), huge...)),
+		"health":      pad(append(append(respHead(0), 0), huge...)),
+		"topo nodes":  pad(append(append(respHead(2), 0, 0), huge...)),
+		"matrix rows": pad(append(append(respHead(8), 0, 0), huge...)),
+		"matrix row":  pad(append(append(respHead(8), 0, 0, 1), huge...)),
+	}
+}
+
+// TestHostileCountsRejectedBeforeAllocation: a count that exceeds the
+// bytes remaining in its frame is a typed error, and rejecting it costs
+// a handful of small allocations (the error), never one sized by the
+// count.
+func TestHostileCountsRejectedBeforeAllocation(t *testing.T) {
+	for name, frame := range hostileCounts() {
+		if len(frame) != 128 {
+			t.Fatalf("%s: fixture is %d bytes, want 128", name, len(frame))
+		}
+		var err error
+		r := bytes.NewReader(frame)
+		allocs := testing.AllocsPerRun(100, func() {
+			r.Reset(frame)
+			var out muxFrame
+			err = readFrame(r, &out, 0)
+		})
+		if !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s: got %v, want ErrMalformedFrame", name, err)
+		}
+		if allocs > 8 {
+			t.Errorf("%s: rejecting a 128-byte hostile frame took %.0f allocations", name, allocs)
+		}
 	}
 }
 

@@ -8,89 +8,118 @@ import (
 	"repro/internal/stats"
 )
 
-// FuzzReadFrame feeds arbitrary bytes to the wire-frame reader on both
-// sides of the protocol (request decode on the server, response decode
-// on the client). Hostile input — corrupt gob, lying length prefixes,
-// truncation — must produce an error, never a panic and never an
-// allocation beyond the frame cap.
-func FuzzReadFrame(f *testing.F) {
-	add := func(v any) {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, v, 0); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	add(&request{Op: "util", Key: ChannelKey{Global: 3}, Span: 5, BudgetMS: 12.5})
-	add(&request{Op: "topo"})
-	add(&response{Stat: stats.Exact(42e6), Code: codeOK})
-	add(&response{Err: "collector: load shed (retry after 50ms)", Code: codeShed, RetryAfterMS: 50})
-
-	hostile := make([]byte, 4)
-	binary.BigEndian.PutUint32(hostile, 0xFFFF_FFFF)
-	f.Add(hostile)
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0, 0, 0, 5, 1, 2}) // truncated payload
-
+// fuzzFrame is the body both frame fuzz targets share. Hostile input —
+// a wrong version, lying counts, truncation, trailing bytes — must
+// produce an error, never a panic. A frame the decoder accepts must
+// re-encode, decode again to the same value, and must not have
+// allocated more list elements than it had bytes to pay for.
+func fuzzFrame(t *testing.T, data []byte) {
 	const maxFrame = 1 << 16
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var req request
-		if err := readFrame(bytes.NewReader(data), &req, maxFrame); err == nil {
-			// A frame the server accepts must be re-encodable: the field
-			// values gob produced are within what writeFrame handles.
-			var out bytes.Buffer
-			if err := writeFrame(&out, &req, 0); err != nil {
-				t.Fatalf("accepted request does not re-encode: %v (%+v)", err, req)
-			}
-		}
-		var resp response
-		if err := readFrame(bytes.NewReader(data), &resp, maxFrame); err == nil {
-			var out bytes.Buffer
-			if err := writeFrame(&out, &resp, 0); err != nil {
-				t.Fatalf("accepted response does not re-encode: %v", err)
-			}
-		}
-	})
+	var mf muxFrame
+	if err := readFrame(bytes.NewReader(data), &mf, maxFrame); err != nil {
+		return
+	}
+	if n := frameElements(&mf); n > len(data) {
+		t.Fatalf("a %d-byte frame decoded to %d list elements", len(data), n)
+	}
+	var out bytes.Buffer
+	if err := writeFrame(&out, &mf, 0); err != nil {
+		t.Fatalf("accepted frame does not re-encode: %v (%+v)", err, mf)
+	}
+	var again muxFrame
+	if err := readFrame(&out, &again, 0); err != nil {
+		t.Fatalf("re-encoded frame does not decode: %v (%+v)", err, mf)
+	}
+	if d := frameDiff(&mf, &again); d != "" {
+		t.Fatalf("frame changed across a re-encode at %s:\n%+v\n%+v", d, mf, again)
+	}
 }
 
-// FuzzReadMuxFrame is FuzzReadFrame for the multiplexed envelope: the
-// shape both sides actually read since framing moved to stream IDs. A
-// hostile envelope — wild stream IDs, unknown kinds, nested garbage in
-// the request/response/update arms — must error or decode to something
-// re-encodable, never panic.
-func FuzzReadMuxFrame(f *testing.F) {
-	add := func(v any) {
+// frameElements counts the list elements and map entries a decoded
+// frame holds outside its state blobs.
+func frameElements(mf *muxFrame) int {
+	n := 0
+	if r := mf.Req; r != nil && r.Matrix != nil {
+		n += len(r.Matrix.Srcs) + len(r.Matrix.Dsts)
+	}
+	if r := mf.Resp; r != nil {
+		n += len(r.Samples) + len(r.Health)
+		if r.Topo != nil {
+			n += len(r.Topo.Nodes) + len(r.Topo.Links)
+		}
+		if m := r.Matrix; m != nil {
+			n += len(m.Bandwidth) + len(m.Latency) + len(m.Valid)
+			for _, row := range m.Bandwidth {
+				n += len(row)
+			}
+			for _, row := range m.Latency {
+				n += len(row)
+			}
+			for _, row := range m.Valid {
+				n += len(row)
+			}
+		}
+	}
+	return n
+}
+
+func addFrames(f *testing.F, frames ...*muxFrame) {
+	for _, mf := range frames {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, v, 0); err != nil {
+		if err := writeFrame(&buf, mf, 0); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-2]) // truncated
 	}
-	add(&muxFrame{Stream: 1, Kind: mfRequest,
-		Req: &request{Op: "util", Key: ChannelKey{Global: 3}, Span: 5, BudgetMS: 12.5}})
-	add(&muxFrame{Stream: 2, Kind: mfRequest,
-		Req: &request{Op: "watch", Watch: &WatchRequest{Kind: WatchUtil, Key: ChannelKey{Global: 1}, Span: 5, Threshold: 1e6}}})
-	add(&muxFrame{Stream: 2, Kind: mfResponse,
-		Resp: &response{Err: "collector: too many subscriptions", Code: codeWatchLimit}})
-	add(&muxFrame{Stream: 2, Kind: mfUpdate,
-		Update: &WatchUpdate{Seq: 7, Epoch: 41, Overflowed: true, Stat: stats.Exact(42e6)}})
-	add(&muxFrame{Stream: 9, Kind: mfUpdate, Update: &WatchUpdate{Final: true}})
-	add(&muxFrame{Stream: 2, Kind: mfCancel})
-
 	hostile := make([]byte, 4)
 	binary.BigEndian.PutUint32(hostile, 0xFFFF_FFFF)
 	f.Add(hostile)
 	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0, 0, 0, 5, 1, 2}) // truncated payload
+	f.Add([]byte{0, 0, 0, 5, 1, 2})               // truncated payload
+	f.Add(rawFrame(wireVersion+1, 1, 2, 0))       // wrong version
+	f.Add(rawFrame(wireVersion, 1, 8, 0, 0))      // trailing byte after a cancel
+	f.Add(rawFrame(0x40, 0xff, 0x81, 0x03, 0x01)) // what a gob stream starts like
+	for _, frame := range hostileCounts() {
+		f.Add(frame)
+	}
+}
 
-	const maxFrame = 1 << 16
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var mf muxFrame
-		if err := readFrame(bytes.NewReader(data), &mf, maxFrame); err == nil {
-			var out bytes.Buffer
-			if err := writeFrame(&out, &mf, 0); err != nil {
-				t.Fatalf("accepted mux frame does not re-encode: %v (%+v)", err, mf)
-			}
-		}
-	})
+// FuzzReadFrame feeds arbitrary bytes to the wire-frame reader, seeded
+// with request and response frames.
+func FuzzReadFrame(f *testing.F) {
+	addFrames(f,
+		reqFrame(&request{Op: "util", Key: ChannelKey{Global: 3}, Span: 5, BudgetMS: 12.5}),
+		reqFrame(&request{Op: "topo", TraceID: "t-1"}),
+		respFrame(&response{Stat: stats.Exact(42e6), Code: codeOK}),
+		respFrame(&response{Err: "collector: load shed (retry after 50ms)", Code: codeShed, RetryAfterMS: 50}),
+		respFrame(&response{Topo: topoToWire(fakeTopo()), Term: 3, Leader: true}),
+		respFrame(&response{Matrix: &MatrixAnswer{
+			Bandwidth: [][]float64{{1, 2}, {3, 4}},
+			Latency:   [][]float64{{1, 2}, {3, 4}},
+			Valid:     [][]bool{{true, false}, {true, true}},
+			Epoch:     9,
+		}}),
+	)
+	f.Fuzz(fuzzFrame)
+}
+
+// FuzzReadMuxFrame is FuzzReadFrame seeded with the envelope's other
+// arms: watch requests, refusals, updates with and without a state
+// blob, cancels, wild stream IDs and unknown kinds.
+func FuzzReadMuxFrame(f *testing.F) {
+	addFrames(f,
+		&muxFrame{Stream: 2, Kind: mfRequest,
+			Req: &request{Op: "watch", Watch: &WatchRequest{Kind: WatchUtil, Key: ChannelKey{Global: 1}, Span: 5, Threshold: 1e6}}},
+		&muxFrame{Stream: 2, Kind: mfResponse,
+			Resp: &response{Err: "collector: too many subscriptions", Code: codeWatchLimit}},
+		&muxFrame{Stream: 2, Kind: mfUpdate,
+			Update: &WatchUpdate{Seq: 7, Epoch: 41, Overflowed: true, Stat: stats.Exact(42e6)}},
+		&muxFrame{Stream: 9, Kind: mfUpdate, Update: &WatchUpdate{Final: true}},
+		&muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 1, Epoch: 2,
+			Summary: &RegionSummary{Region: "r0", Epoch: 2, Hosts: []RegionHost{{ID: "h", Power: 1}}}}},
+		&muxFrame{Stream: 2, Kind: mfCancel},
+		&muxFrame{Stream: 1<<64 - 1, Kind: -7},
+	)
+	f.Fuzz(fuzzFrame)
 }

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -74,15 +76,13 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestGarbageFrameDropsOnlyThatConn: a client sending a garbage gob
-// frame loses its connection; concurrent well-behaved clients are
-// untouched.
+// TestGarbageFrameDropsOnlyThatConn: a client sending a frame the
+// server cannot decode — garbage, a frame of the old gob format, a
+// hostile count, trailing bytes — gets no answer and loses its
+// connection at once, not at the idle deadline; concurrent
+// well-behaved clients are untouched.
 func TestGarbageFrameDropsOnlyThatConn(t *testing.T) {
-	// A short idle deadline bounds the test even when the garbage looks
-	// to gob like the prefix of an enormous frame.
-	srv, err := ServeConfig(&fakeSource{}, "127.0.0.1:0", ServerConfig{
-		IdleTimeout: 200 * time.Millisecond,
-	})
+	srv, err := ServeConfig(&fakeSource{}, "127.0.0.1:0", ServerConfig{IdleTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,25 +97,42 @@ func TestGarbageFrameDropsOnlyThatConn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
+	var oldFormat bytes.Buffer
+	if err := gob.NewEncoder(&oldFormat).Encode(reqFrame(&request{Op: "ping"})); err != nil {
 		t.Fatal(err)
 	}
-	defer bad.Close()
-	if _, err := bad.Write([]byte("\xff\xfe\xfdnot gob at all\x00\x01")); err != nil {
+	var ping bytes.Buffer
+	if err := writeFrame(&ping, reqFrame(&request{Op: "ping"}), 0); err != nil {
 		t.Fatal(err)
 	}
-	// The server must drop the garbage connection...
-	bad.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 64)
-	if _, err := bad.Read(buf); err == nil {
-		// A first read may observe buffered bytes only if the server
-		// somehow answered; it must not.
-		t.Fatal("server answered a garbage frame")
+	garbage := map[string][]byte{
+		"garbage":        []byte("\xff\xfe\xfdnot a frame at all\x00\x01"),
+		"old gob frame":  rawFrame(oldFormat.Bytes()...),
+		"hostile count":  hostileCounts()["matrix srcs"],
+		"trailing bytes": rawFrame(append(ping.Bytes()[4:], 0)...),
 	}
-	// ...while the good client keeps working.
-	if _, err := good.Topology(); err != nil {
-		t.Fatalf("well-behaved client disturbed by garbage peer: %v", err)
+	for name, frame := range garbage {
+		bad, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bad.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		// The server must drop the garbage connection...
+		bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := bad.Read(make([]byte, 64))
+		var nerr net.Error
+		if n > 0 || err == nil {
+			t.Errorf("%s: server answered (%d bytes)", name, n)
+		} else if errors.As(err, &nerr) && nerr.Timeout() {
+			t.Errorf("%s: connection left open", name)
+		}
+		bad.Close()
+		// ...while the good client keeps working.
+		if _, err := good.Topology(); err != nil {
+			t.Fatalf("%s: well-behaved client disturbed by garbage peer: %v", name, err)
+		}
 	}
 }
 

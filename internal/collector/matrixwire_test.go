@@ -91,7 +91,7 @@ func TestCheckMatrixShape(t *testing.T) {
 func FuzzDecodeMatrixRequest(f *testing.F) {
 	add := func(mr *MatrixRequest) {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, &request{Op: "matrix", Matrix: mr}, 0); err != nil {
+		if err := writeFrame(&buf, reqFrame(&request{Op: "matrix", Matrix: mr}), 0); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -105,10 +105,11 @@ func FuzzDecodeMatrixRequest(f *testing.F) {
 
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req request
-		if err := readFrame(bytes.NewReader(data), &req, maxFrame); err != nil {
+		var mf muxFrame
+		if err := readFrame(bytes.NewReader(data), &mf, maxFrame); err != nil || mf.Req == nil {
 			return
 		}
+		req := mf.Req
 		// Whatever decoded must price and validate without panics …
 		_ = matrixWeight(req.Matrix)
 		verr := validateMatrixRequest(req.Matrix)
@@ -119,7 +120,7 @@ func FuzzDecodeMatrixRequest(f *testing.F) {
 		}
 		// … and an accepted frame must be re-encodable.
 		var out bytes.Buffer
-		if err := writeFrame(&out, &req, 0); err != nil {
+		if err := writeFrame(&out, &mf, 0); err != nil {
 			t.Fatalf("accepted matrix request does not re-encode: %v (%+v)", err, req)
 		}
 	})

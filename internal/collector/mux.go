@@ -16,11 +16,11 @@ package collector
 //     (feed.go) is such a stream whose updates carry FeedPayload
 //     snapshots/deltas for stateless read replicas.
 //
-// The envelope rides on the existing length-prefixed independent-gob
-// frames (frame.go), so the bounded-allocation and abort-mid-frame
-// properties carry over unchanged. Stream IDs are allocated by the
-// client, monotonically per connection; the server only ever echoes
-// them back.
+// One envelope is one length-prefixed, stateless frame (frame.go) in
+// the binary layout of codec.go, so the bounded-allocation and
+// abort-mid-frame properties are those of the frame. Stream IDs are
+// allocated by the client, monotonically per connection; the server
+// only ever echoes them back.
 
 // muxFrame kinds. Exactly one of Req/Resp/Update is set, matching Kind.
 const (
@@ -31,24 +31,12 @@ const (
 )
 
 // muxFrame is the wire envelope: every frame on a connection is one of
-// these. Unset pointer fields cost nothing on the wire (gob omits
-// them), so an ordinary request frame is only a few bytes larger than
-// the pre-mux protocol's.
+// these. An unset pointer field costs one flag bit on the wire, so the
+// envelope adds three or four bytes to the body it carries.
 type muxFrame struct {
 	Stream uint64
 	Kind   int
 	Req    *request
 	Resp   *response
 	Update *WatchUpdate
-}
-
-// init warms gob's engines for the envelope shapes the first real
-// connection will see (request/response warming lives in service.go).
-func init() {
-	warmGob(
-		&muxFrame{Stream: 1, Kind: mfRequest, Req: &request{Op: "ping"}},
-		&muxFrame{Stream: 1, Kind: mfResponse, Resp: &response{Code: 1}},
-		&muxFrame{Stream: 1, Kind: mfUpdate, Update: &WatchUpdate{Seq: 1, Epoch: 1}},
-		&muxFrame{Stream: 1, Kind: mfCancel},
-	)
 }

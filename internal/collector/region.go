@@ -105,16 +105,3 @@ func WatchLocal(ctx context.Context, src Source, req WatchRequest) (*WatchHandle
 	vn, _ := src.(VersionNotifier)
 	return watchLocal(ctx, src, vn, req, DefaultWatchQueueDepth), nil
 }
-
-// init warms gob's engines for summary-carrying update frames.
-func init() {
-	warmGob(&muxFrame{Stream: 1, Kind: mfUpdate, Update: &WatchUpdate{
-		Seq: 1, Epoch: 1, Term: 1,
-		Summary: &RegionSummary{
-			Region: "r0", Epoch: 1, Term: 1, GeneratedAt: 1, MaxDataAge: 1,
-			Hosts:   []RegionHost{{ID: "h", Power: 1, MemoryBytes: 1, AccessBps: 1, AvailableBps: 1}},
-			Borders: []RegionBorder{{ID: "b", InteriorBps: 1}},
-			Pairs:   []RegionPair{{Peer: "r1", Links: 1, CapacityBps: 1, AvailableBps: 1, HopCount: 1, LatencySec: 1}},
-		},
-	}})
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,17 +21,17 @@ import (
 // service exists for daemon mode and is covered by real-socket
 // integration tests.
 //
-// Wire format: length-prefixed gob frames (frame.go), each carrying a
-// stream-multiplexed envelope (mux.go). A connection multiplexes any
-// number of concurrent request/response streams — the client pipelines
-// ordinary queries and the server answers each as its handler finishes
-// — plus long-lived watch subscription streams (watch.go). Each
-// request may carry a deadline-budget hint (BudgetMS); the server
-// enforces it — a request whose budget expires in the admission queue
-// or before compute starts is answered with a typed deadline refusal
-// instead of a dead answer.
+// Wire format: length-prefixed stateless binary frames (frame.go,
+// layout in codec.go), each carrying a stream-multiplexed envelope
+// (mux.go). A connection multiplexes any number of concurrent
+// request/response streams — the client pipelines ordinary queries and
+// the server answers each as its handler finishes — plus long-lived
+// watch subscription streams (watch.go). Each request may carry a
+// deadline-budget hint (BudgetMS); the server enforces it — a request
+// whose budget expires in the admission queue or before compute starts
+// is answered with a typed deadline refusal instead of a dead answer.
 
-// WireNode is the gob wire form of one topology node. The Wire* types
+// WireNode is the wire form of one topology node. The Wire* types
 // are exported so downstream feed consumers (read replicas, standby
 // collectors, replica-of-replica chains) can speak the feed protocol
 // without reaching into collector internals; use FeedPayload.Topology
@@ -43,7 +44,7 @@ type WireNode struct {
 	MemoryBytes  float64
 }
 
-// WireLink is the gob wire form of one topology link. Global is the
+// WireLink is the wire form of one topology link. Global is the
 // paper's global-channel ID for the link (0 = local only).
 type WireLink struct {
 	A, B     string
@@ -52,7 +53,7 @@ type WireLink struct {
 	Global   int
 }
 
-// WireTopo is the gob wire form of a discovered topology, carried in
+// WireTopo is the wire form of a discovered topology, carried in
 // topology responses, feed payloads, and checkpoint files.
 type WireTopo struct {
 	Nodes        []WireNode
@@ -113,7 +114,7 @@ func topoFromWire(w *WireTopo) *Topology {
 }
 
 type request struct {
-	Op   string // "topo", "util", "samples", "load", "age", "health", "stats", "ping", "watch"
+	Op   string // one of servedOps, or "watch"
 	Key  ChannelKey
 	Span float64
 	Node string
@@ -180,43 +181,6 @@ type response struct {
 	Matrix *MatrixAnswer
 }
 
-// init warms gob's type engines with representative wire values so the
-// first real request on a fresh process does not pay engine compilation
-// on top of its round trip. Nested fields are populated: gob builds
-// engines lazily, per concrete type it actually sees.
-func init() {
-	warmGob(
-		&request{Op: "ping", Key: ChannelKey{Global: 1}, Span: 1, Node: "n", BudgetMS: 1, TraceID: "t",
-			Watch:  &WatchRequest{Kind: WatchUtil, Key: ChannelKey{Global: 1}, Span: 1, Threshold: 1},
-			Matrix: &MatrixRequest{Srcs: []graph.NodeID{"a"}, Dsts: []graph.NodeID{"b"}, TFKind: 2, Span: 1, Horizon: 1}},
-		&response{
-			Err:     "e",
-			Stat:    stats.Stat{Min: 1, Q1: 1, Median: 1, Q3: 1, Max: 1, Accuracy: 1, Samples: 1, Age: 1},
-			Samples: []stats.Sample{{Time: 1, Value: 1}},
-			Topo: &WireTopo{
-				Nodes:        []WireNode{{ID: "n", Kind: 1, InternalBW: 1, ComputePower: 1, MemoryBytes: 1}},
-				Links:        []WireLink{{A: "a", B: "b", Capacity: 1, Latency: 1, Global: 1}},
-				DiscoveredAt: 1,
-			},
-			Age:          1,
-			Health:       map[string]AgentHealth{"n": {}},
-			Code:         1,
-			RetryAfterMS: 1,
-			LeaderHint:   "l",
-			Term:         1,
-			Leader:       true,
-			Telemetry:    &telemetry.Snapshot{Counters: map[string]uint64{"c": 1}},
-			Matrix: &MatrixAnswer{
-				Bandwidth: [][]float64{{1}},
-				Latency:   [][]float64{{1}},
-				Valid:     [][]bool{{true}},
-				Epoch:     1,
-				Term:      1,
-			},
-		},
-	)
-}
-
 // DefaultIdleTimeout is how long a connection may sit between requests
 // (or mid-frame) before the server drops it: a client that connects and
 // sends nothing — or a truncated frame — must not pin a goroutine and
@@ -228,7 +192,7 @@ const DefaultIdleTimeout = 2 * time.Minute
 // it via errors.Is; FailoverSource treats it as "try another replica".
 var ErrServerBusy = errors.New("collector: server busy")
 
-// busyMsg is ErrServerBusy's wire form (errors don't cross gob).
+// busyMsg is ErrServerBusy's wire form (errors travel as text).
 var busyMsg = ErrServerBusy.Error()
 
 // ServerConfig tunes the server's lifecycle protections. The zero value
@@ -348,6 +312,7 @@ type Server struct {
 	ln   net.Listener
 	gate *workGate
 	tel  *telemetry.Registry
+	ops  map[string]opMeter
 	wg   sync.WaitGroup
 
 	mu       sync.Mutex
@@ -451,12 +416,16 @@ func ServeConfig(src Source, addr string, cfg ServerConfig) (*Server, error) {
 		src: src, cfg: cfg, ln: ln,
 		gate:      newWorkGate(cfg.MaxInflight, cfg.QueueDepth),
 		tel:       tel,
+		ops:       make(map[string]opMeter, len(servedOps)),
 		conns:     make(map[net.Conn]*connState),
 		watchSubs: make(map[*subscription]struct{}),
 		watchKick: make(chan struct{}, 1),
 		watchStop: make(chan struct{}),
 	}
 	s.gate.instrument(tel)
+	for _, op := range servedOps {
+		s.ops[op] = s.meterFor(op)
+	}
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.watchLoop()
@@ -655,9 +624,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		var f muxFrame
 		if err := readFrame(conn, &f, s.cfg.MaxFrame); err != nil {
-			// Oversized or malformed frames (ErrFrameTooLarge, bad gob)
-			// drop only this connection: the stream cannot be resynced,
-			// and answering garbage would reward a hostile peer.
+			// Oversized, malformed or wrong-version frames
+			// (ErrFrameTooLarge, ErrMalformedFrame, ErrWireVersion) drop
+			// only this connection: the stream cannot be resynced, and
+			// answering garbage would reward a hostile peer.
 			return
 		}
 		switch {
@@ -719,8 +689,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // refused, not computed.
 func (s *Server) dispatch(req *request) *response {
 	start := time.Now()
-	s.tel.Counter("server.op." + req.Op).Inc()
-	sp := s.tel.StartSpan(req.TraceID, "rpc."+req.Op)
+	m, ok := s.ops[req.Op]
+	if !ok {
+		m = s.meterFor(req.Op)
+	}
+	m.count.Inc()
+	sp := s.tel.StartSpan(req.TraceID, m.span)
 	defer sp.Finish()
 	if s.cfg.Gate != nil && req.Op != "ping" && req.Op != "stats" {
 		if err := s.cfg.Gate(req.Op); err != nil {
@@ -757,7 +731,7 @@ func (s *Server) dispatch(req *request) *response {
 		}
 		defer s.gate.release(w)
 	}
-	sp.SetAttr("queue_wait_ms", fmt.Sprintf("%.3f", float64(time.Since(start))/float64(time.Millisecond)))
+	sp.SetAttr("queue_wait_ms", msAttr(time.Since(start)))
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		sp.SetAttr("verdict", "deadline")
 		return &response{Err: ErrDeadlineExceeded.Error(), Code: codeDeadline}
@@ -765,8 +739,35 @@ func (s *Server) dispatch(req *request) *response {
 	sp.SetAttr("verdict", "admitted")
 	handleStart := time.Now()
 	resp := s.handle(req, deadline)
-	sp.SetAttr("handler_ms", fmt.Sprintf("%.3f", float64(time.Since(handleStart))/float64(time.Millisecond)))
+	sp.SetAttr("handler_ms", msAttr(time.Since(handleStart)))
 	return resp
+}
+
+// servedOps are the ops dispatch serves; their meters are resolved
+// once per server instead of per request.
+var servedOps = [...]string{"topo", "util", "samples", "load", "age", "health", "stats", "matrix", "ping"}
+
+// opMeter is what dispatch records one op under.
+type opMeter struct {
+	count *telemetry.Counter // server.op.<op>
+	span  string             // rpc.<op>
+}
+
+func (s *Server) meterFor(op string) opMeter {
+	return opMeter{count: s.tel.Counter("server.op." + op), span: "rpc." + op}
+}
+
+// msAttr renders a duration as a span attribute: milliseconds with
+// three decimals, the text "%.3f" gave. Integer arithmetic, because
+// strconv formats a float to a fixed number of decimals on its slow
+// multi-precision path, which was 9 % of a point query's CPU.
+func msAttr(d time.Duration) string {
+	us := max(d+500*time.Nanosecond, 0) / time.Microsecond
+	var buf [24]byte
+	b := strconv.AppendInt(buf[:0], int64(us/1000), 10)
+	frac := us % 1000
+	b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	return string(b)
 }
 
 // verdictFor names a gate refusal for span records.
@@ -811,6 +812,11 @@ func appError(resp *response, err error) {
 		resp.Code = codeMatrixSize
 	case errors.Is(err, ErrMatrixUnsupported):
 		resp.Code = codeMatrixUnsup
+	case errors.Is(err, ErrDeadlineExceeded):
+		// The budget ran out inside the handler, now that it sees the
+		// request's deadline: same typed refusal as running out in the
+		// admission queue.
+		resp.Code = codeDeadline
 	}
 }
 
@@ -836,6 +842,13 @@ func (s *Server) stampHA(resp *response) {
 // one errored response, never the daemon process: every shared-daemon
 // deployment (the paper's Figure 2) has this property or doesn't scale
 // past its first misbehaving query.
+//
+// Every op reaches the Source through one context carrying the
+// caller's trace ID, so serving-side spans join the caller's trace, and
+// what remains of the request's budget, so a handler that fetches
+// upstream (a proxying server, a mid-matrix measurement fetch) observes
+// the deadline the admission layer charged the wait against. A request
+// with neither costs no context and no timer.
 func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
 	resp = &response{}
 	defer func() {
@@ -845,34 +858,43 @@ func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
 		}
 		s.stampHA(resp)
 	}()
+	ctx := context.Background()
+	if req.TraceID != "" {
+		ctx = telemetry.WithTrace(ctx, req.TraceID)
+	}
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	switch req.Op {
 	case "topo":
-		t, err := s.src.Topology()
+		t, err := CtxTopology(ctx, s.src)
 		if err != nil {
 			appError(resp, err)
 		} else {
 			resp.Topo = topoToWire(t)
 		}
 	case "util":
-		st, err := s.src.Utilization(req.Key, req.Span)
+		st, err := CtxUtilization(ctx, s.src, req.Key, req.Span)
 		if err != nil {
 			appError(resp, err)
 		}
 		resp.Stat = st
 	case "samples":
-		sm, err := s.src.Samples(req.Key)
+		sm, err := CtxSamples(ctx, s.src, req.Key)
 		if err != nil {
 			appError(resp, err)
 		}
 		resp.Samples = sm
 	case "load":
-		st, err := s.src.HostLoad(graph.NodeID(req.Node), req.Span)
+		st, err := CtxHostLoad(ctx, s.src, graph.NodeID(req.Node), req.Span)
 		if err != nil {
 			appError(resp, err)
 		}
 		resp.Stat = st
 	case "age":
-		age, err := s.src.DataAge(req.Key)
+		age, err := CtxDataAge(ctx, s.src, req.Key)
 		if err != nil {
 			appError(resp, err)
 		}
@@ -904,18 +926,6 @@ func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
 		snap := telemetry.MergeSnapshots(snaps...)
 		resp.Telemetry = &snap
 	case "matrix":
-		// The handler inherits what remains of the request's budget so
-		// mid-matrix measurement fetches observe the same deadline the
-		// admission layer charged the wait against.
-		ctx := context.Background()
-		if !deadline.IsZero() {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
-		}
-		if req.TraceID != "" {
-			ctx = telemetry.WithTrace(ctx, req.TraceID)
-		}
 		s.handleMatrix(ctx, resp, req.Matrix)
 	case "ping":
 		// Liveness probe: reaching the switch at all is the answer.

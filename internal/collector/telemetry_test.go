@@ -3,9 +3,13 @@ package collector
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -139,5 +143,102 @@ func TestClientTelemetryAndStatsOp(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["server.admission.in_use"]; !ok {
 		t.Errorf("snapshot missing server.admission.in_use gauge: %v", snap.Gauges)
+	}
+}
+
+// TestMsAttrMatchesPrintf: the span attributes keep the text "%.3f"
+// of the milliseconds gave them.
+func TestMsAttrMatchesPrintf(t *testing.T) {
+	for _, d := range []time.Duration{0, 1, 499, 501, 999, 1000, 1499, 12345678, 1999999600, 7 * time.Hour, -5} {
+		want := fmt.Sprintf("%.3f", float64(max(d, 0))/float64(time.Millisecond))
+		if got := msAttr(d); got != want {
+			t.Errorf("msAttr(%d ns) = %q, want %q", d, got, want)
+		}
+	}
+}
+
+// ctxSpy is a ContextSource that records what each serving-side call
+// was handed.
+type ctxSpy struct {
+	fakeSource
+	mu       sync.Mutex
+	traces   []string
+	deadline []bool
+}
+
+func (s *ctxSpy) saw(ctx context.Context) {
+	_, has := ctx.Deadline()
+	s.mu.Lock()
+	s.traces = append(s.traces, telemetry.TraceFrom(ctx))
+	s.deadline = append(s.deadline, has)
+	s.mu.Unlock()
+}
+
+func (s *ctxSpy) TopologyCtx(ctx context.Context) (*Topology, error) {
+	s.saw(ctx)
+	return s.Topology()
+}
+func (s *ctxSpy) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
+	s.saw(ctx)
+	return s.Utilization(key, span)
+}
+func (s *ctxSpy) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
+	s.saw(ctx)
+	return s.Samples(key)
+}
+func (s *ctxSpy) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
+	s.saw(ctx)
+	return s.HostLoad(node, span)
+}
+func (s *ctxSpy) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
+	s.saw(ctx)
+	return s.DataAge(key)
+}
+
+// TestScalarOpsCarryTraceAndDeadlineToSource: every scalar op reaches
+// the serving Source with the caller's trace ID and, when the request
+// has a budget, its deadline — and with a bare context when it has
+// neither.
+func TestScalarOpsCarryTraceAndDeadlineToSource(t *testing.T) {
+	spy := &ctxSpy{}
+	srv, err := Serve(spy, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	scalarOps := func(ctx context.Context) {
+		t.Helper()
+		_, err1 := cli.TopologyCtx(ctx)
+		_, err2 := cli.UtilizationCtx(ctx, ChannelKey{Global: 1}, 10)
+		_, err3 := cli.SamplesCtx(ctx, ChannelKey{Global: 1})
+		_, err4 := cli.HostLoadCtx(ctx, "a", 10)
+		_, err5 := cli.DataAgeCtx(ctx, ChannelKey{Global: 1})
+		if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scalarOps(context.Background())
+	traced, cancel := context.WithTimeout(telemetry.WithTrace(context.Background(), "trace-7"), 5*time.Second)
+	defer cancel()
+	scalarOps(traced)
+
+	spy.mu.Lock()
+	defer spy.mu.Unlock()
+	if len(spy.traces) != 10 {
+		t.Fatalf("source saw %d context calls, want 10", len(spy.traces))
+	}
+	for i := 0; i < 5; i++ {
+		if spy.traces[i] != "" || spy.deadline[i] {
+			t.Errorf("op %d, bare request: source saw trace %q, deadline %v", i, spy.traces[i], spy.deadline[i])
+		}
+		if spy.traces[5+i] != "trace-7" || !spy.deadline[5+i] {
+			t.Errorf("op %d, traced and budgeted: source saw trace %q, deadline %v", i, spy.traces[5+i], spy.deadline[5+i])
+		}
 	}
 }

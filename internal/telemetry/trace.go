@@ -12,7 +12,7 @@ import (
 
 // Request tracing. A trace ID is minted once at the remos API edge
 // (core.Modeler's Ctx entry points), rides the context through the
-// Modeler and the collector client, crosses the wire in the gob request
+// Modeler and the collector client, crosses the wire in the request
 // frame next to BudgetMS, and is stamped into span records on both
 // sides. Matching the client's span to the server's by trace ID turns
 // "this query was slow" into "this query waited 40 ms in replica B's

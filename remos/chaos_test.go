@@ -71,6 +71,23 @@ func (s *lockedSource) Health() map[graph.NodeID]collector.AgentHealth {
 	return s.col.Health()
 }
 
+// fatSummarySource gives a lockedSource a region digest of about 40 kB,
+// for the subscriber that never reads: a version update is some 70
+// bytes on the wire, and the kernel would buffer hours of those before
+// a stalled socket jams, where a digest per epoch jams it in under a
+// second.
+type fatSummarySource struct{ *lockedSource }
+
+func (fatSummarySource) RegionName() string { return "chaos" }
+
+func (fatSummarySource) RegionSummary() (*collector.RegionSummary, error) {
+	sum := &collector.RegionSummary{Region: "chaos", Hosts: make([]collector.RegionHost, 1024)}
+	for i := range sum.Hosts {
+		sum.Hosts[i] = collector.RegionHost{ID: fmt.Sprintf("host-%d", i), Power: 1, MemoryBytes: 1 << 30, AccessBps: 1e8, AvailableBps: 9e7}
+	}
+	return sum, nil
+}
+
 // chaosEvent is one step of the deterministic schedule.
 type chaosEvent struct {
 	kind  int     // 0 blackhole, 1 kill replica A, 2 restart replica A, 3 checkpoint, >=4 quiet
@@ -376,7 +393,7 @@ func TestChaosWatchBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrA := srvA.Addr()
-	srvB, err := collector.ServeConfig(ls, "127.0.0.1:0", scfg)
+	srvB, err := collector.ServeConfig(fatSummarySource{ls}, "127.0.0.1:0", scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +458,7 @@ func TestChaosWatchBackpressure(t *testing.T) {
 	if tc, ok := rawConn.(*net.TCPConn); ok {
 		tc.SetReadBuffer(4096)
 	}
-	if err := collector.SubscribeRaw(rawConn, remos.WatchRequest{Kind: remos.WatchVersion}); err != nil {
+	if err := collector.SubscribeRaw(rawConn, remos.WatchRequest{Kind: collector.WatchRegionSummary}); err != nil {
 		t.Fatalf("raw subscribe: %v", err)
 	}
 

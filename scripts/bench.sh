@@ -88,8 +88,11 @@ run_benches() {
     echo "==> go test -bench BenchmarkMatrixWire -benchtime=$MICRO_BENCHTIME ./remos (matrix wire op + p99 latency)"
     go test -run '^$' -bench 'BenchmarkMatrixWire' -benchmem -benchtime "$MICRO_BENCHTIME" ./remos | tee "$TMP/matrixwire.txt"
 
+    echo "==> go test -bench BenchmarkFrameCodec -benchtime=$MICRO_BENCHTIME ./internal/collector (wire codec rung)"
+    go test -run '^$' -bench 'BenchmarkFrameCodec' -benchmem -benchtime "$MICRO_BENCHTIME" ./internal/collector | tee "$TMP/framecodec.txt"
+
     # Benchstat-friendly raw output, kept as a CI artifact.
-    cat "$TMP/root.txt" "$TMP/micro.txt" "$TMP/telemetry.txt" "$TMP/matrixcore.txt" "$TMP/matrixwire.txt" > "$RAW"
+    cat "$TMP/root.txt" "$TMP/micro.txt" "$TMP/telemetry.txt" "$TMP/matrixcore.txt" "$TMP/matrixwire.txt" "$TMP/framecodec.txt" > "$RAW"
 
     {
         printf '{\n'
@@ -110,6 +113,9 @@ run_benches() {
         printf '],\n'
         printf '    "repro/remos": ['
         bench_json "$TMP/matrixwire.txt"
+        printf '],\n'
+        printf '    "repro/internal/collector": ['
+        bench_json "$TMP/framecodec.txt"
         printf ']\n'
         printf '  }\n'
         printf '}\n'

@@ -52,6 +52,10 @@ echo "==> loadgen smoke: 2 replicas, mixed workload, latency + error gates"
 go run ./cmd/remos-loadgen -selftest 2 -workers 8 -conns 4 -duration 3s \
     -matrix-frac 0.5 -matrix-size 8 -max-p999 250
 
+echo "==> benchmark module: vet + oracle-checked smoke of all four workloads (its own go.mod; ./... above does not reach it)"
+go vet -C benchmark ./...
+go test -C benchmark -timeout 300s ./...
+
 echo "==> fuzz smoke (10s per target)"
 go test -fuzz=FuzzDecode -fuzztime=10s -run '^$' ./internal/snmp
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
