@@ -27,6 +27,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/simclock"
 	"repro/internal/snmp"
+	"repro/internal/stats"
 	"repro/internal/topogen"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -287,16 +288,102 @@ func BenchmarkAblationTopologyVsFlowMatrix(b *testing.B) {
 
 // --- End-to-end micro-costs -------------------------------------------------
 
-// BenchmarkCollectorPollRound measures one full SNMP poll of the testbed
-// (11 agents, 20 directed channels) — the recurring cost a deployment
-// pays, which the paper argues must stay low.
+// writeSideTestbed builds one of the benchmark's two fixtures — the
+// Figure 3 testbed (11 agents) or topogen hier-300 (300 agents) — with
+// cross traffic and `history` virtual seconds of polling behind it.
+func writeSideTestbed(b *testing.B, fixture string, history float64) *remos.Testbed {
+	b.Helper()
+	g := topology.Testbed()
+	if fixture == "hier300" {
+		tp, err := topogen.Generate(topogen.Spec{Kind: topogen.KindHier, N: 300, Seed: 11, Regions: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g = tp.Graph
+	}
+	tb, err := remos.NewTestbedOn(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := tb.Hosts()
+	for i := 0; i < 3; i++ {
+		traffic.OnOff(tb.Network, hosts[i*5%len(hosts)], hosts[(i*5+len(hosts)/2)%len(hosts)],
+			traffic.OnOffConfig{Rate: float64(20+10*i) * 1e6, MeanOn: 6, MeanOff: 4, Seed: int64(100 + i)})
+	}
+	tb.Run(history)
+	return tb
+}
+
+// BenchmarkCollectorPollRound measures one full SNMP poll round — the
+// recurring cost a deployment pays, which the paper argues must stay
+// low — on the Figure 3 testbed and on hier-300. requests/round is the
+// SNMP requests the agents served per round (one per agent in steady
+// state); us/agent is the round's wall time per agent.
 func BenchmarkCollectorPollRound(b *testing.B) {
-	e := experiments.NewEnv()
-	e.Warmup()
-	b.ResetTimer()
+	for _, fixture := range []string{"fig3", "hier300"} {
+		b.Run(fixture, func(b *testing.B) {
+			tb := writeSideTestbed(b, fixture, 30)
+			requests := func() (n uint64) {
+				for _, a := range tb.Agents.Agents {
+					n += a.Requests()
+				}
+				return n
+			}
+			before := requests()
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb.Run(2) // one poll period
+			}
+			b.StopTimer()
+			agents := float64(len(tb.Agents.Agents))
+			b.ReportMetric(float64(requests()-before)/float64(b.N), "requests/round")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/agents/1e3, "us/agent")
+		})
+	}
+}
+
+// BenchmarkFeedSinceDelta measures collecting one epoch's replication
+// delta on hier-300 with full (512-sample) windows: the time the feed
+// holds the collector's lock per subscriber per epoch, which must not
+// depend on how much history the windows retain.
+func BenchmarkFeedSinceDelta(b *testing.B) {
+	b.Run("hier300", func(b *testing.B) {
+		tb := writeSideTestbed(b, "hier300", 1100)
+		cur := &collector.FeedCursor{}
+		if _, err := tb.Collector.FeedSince(cur); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tb.Run(2)
+			b.StartTimer()
+			if p, err := tb.Collector.FeedSince(cur); err != nil || p == nil || p.Full {
+				b.Fatalf("FeedSince: %+v, %v", p, err)
+			}
+		}
+	})
+}
+
+// BenchmarkWindowAppendFull measures the replica's append — fork the
+// previous view, add one sample — on a full 512-sample window. B/op is
+// the point: it must not be the 8 KiB of the window.
+func BenchmarkWindowAppendFull(b *testing.B) {
+	w := stats.NewWindow(512, 0)
+	for i := 0; i < 1024; i++ {
+		if err := w.Add(float64(i), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Clk.Advance(2) // one poll period
+		w = w.Fork()
+		if err := w.Add(float64(1024+i), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

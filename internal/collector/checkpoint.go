@@ -155,10 +155,8 @@ func (c *Collector) RestoreCheckpoint(r io.Reader) (CheckpointInfo, error) {
 	// Rebuild windows outside the lock; install everything at once.
 	rebuild := func(samples []stats.Sample) (*stats.Window, error) {
 		w := stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-		for _, s := range samples {
-			if err := w.Add(s.Time, s.Value); err != nil {
-				return nil, fmt.Errorf("collector: corrupt checkpoint: %w", err)
-			}
+		if err := w.AddAll(samples); err != nil {
+			return nil, fmt.Errorf("collector: corrupt checkpoint: %w", err)
 		}
 		return w, nil
 	}

@@ -186,6 +186,7 @@ type Collector struct {
 	loads      map[graph.NodeID]*stats.Window
 	health     map[graph.NodeID]*AgentHealth
 	lastNode   map[graph.NodeID]*nodeInfo
+	agents     []agentSlot // the domain in node-ID order; plan fields guarded by mu
 	rng        *rand.Rand
 	ticker     *simclock.Ticker
 	rediscover *simclock.Ticker
@@ -193,6 +194,12 @@ type Collector struct {
 	polls       uint64
 	pollErrors  uint64
 	discoveries uint64
+
+	// pollMu serialises poll rounds and guards the round's scratch
+	// buffers, which are reused from round to round.
+	pollMu  sync.Mutex
+	obsBuf  []counterObs
+	loadBuf []loadObs
 
 	// stateGen counts wholesale state replacements (checkpoint
 	// restores). Feed cursors (feed.go) remember the generation they
@@ -231,6 +238,22 @@ type counterState struct {
 	at     float64
 	octets uint32
 	valid  bool
+	// round is the poll round (polls+1 at the time) that last wrote the
+	// entry: both ends of a link report the same channel, and the first
+	// agent in node-ID order to report it in a round wins.
+	round uint64
+}
+
+// counterObs and loadObs are one round's readings, collected without
+// c.mu (agents may be slow) and applied under it in one step.
+type counterObs struct {
+	key    ChannelKey
+	octets uint32
+}
+
+type loadObs struct {
+	node graph.NodeID
+	load float64
 }
 
 // New creates a Collector; call Discover (or Start, which discovers
@@ -238,9 +261,15 @@ type counterState struct {
 func New(cfg Config) *Collector {
 	cfg.fill()
 	tel := telemetry.NewRegistry()
+	agents := make([]agentSlot, 0, len(cfg.Addrs))
+	for id, addr := range cfg.Addrs {
+		agents = append(agents, agentSlot{id: id, addr: addr})
+	}
+	sort.Slice(agents, func(i, j int) bool { return agents[i].id < agents[j].id })
 	return &Collector{
 		cfg:      cfg,
 		tel:      tel,
+		agents:   agents,
 		counters: make(map[ChannelKey]counterState),
 		windows:  make(map[ChannelKey]*stats.Window),
 		capacity: make(map[ChannelKey]float64),
@@ -402,84 +431,62 @@ func (c *Collector) Capacity(key ChannelKey) (float64, bool) {
 	return v, ok
 }
 
-// sortedNodes returns the domain's node IDs in stable order.
-func (c *Collector) sortedNodes() []graph.NodeID {
-	ids := make([]graph.NodeID, 0, len(c.cfg.Addrs))
-	for id := range c.cfg.Addrs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // PollOnce polls every agent in the domain once, recording one
-// utilization sample per channel. Agent failures are counted and
-// skipped: a collector must survive unreachable routers.
+// utilization sample per channel. Each agent costs one GET: its poll
+// plan (discovery.go) replayed. Agent failures are counted and skipped:
+// a collector must survive unreachable routers.
 func (c *Collector) PollOnce() {
 	wallStart := time.Now()
 	defer func() {
 		c.telPolls.Inc()
 		c.telPollMS.Observe(float64(time.Since(wallStart)) / float64(time.Millisecond))
 	}()
+	c.pollMu.Lock()
+	defer c.pollMu.Unlock()
 	now := float64(c.cfg.Clock.Now())
-	type obs struct {
-		key    ChannelKey
-		octets uint32
-	}
-	var observations []obs
-	seen := make(map[ChannelKey]bool)
-	var loadObs []struct {
-		node graph.NodeID
-		load float64
-	}
+	observations, loads := c.obsBuf[:0], c.loadBuf[:0]
 
-	for _, id := range c.sortedNodes() {
+	for i := range c.agents {
 		// Circuit breaker: agents on a backoff schedule are skipped, so
 		// a dead router costs a few probes per backoff period while the
 		// surviving topology keeps being polled at full rate.
-		if !c.allowAttempt(id, now) {
+		id := c.agents[i].id
+		plan, ok := c.allowAttempt(i, now)
+		if !ok {
 			continue
 		}
-		addr := c.cfg.Addrs[id]
-		ifaces, err := c.walkInterfaces(addr)
+		plan, vbs, err := c.pollAgent(i, plan)
 		if err != nil {
 			c.recordFailure(id, now)
 			continue
 		}
-		for _, iface := range ifaces {
-			outKey := canonicalKey(iface.global, string(id), iface.neighbor)
-			inKey := canonicalKey(iface.global, iface.neighbor, string(id))
-			if !seen[outKey] {
-				seen[outKey] = true
-				observations = append(observations, obs{outKey, iface.outOctets})
-			}
-			if !seen[inKey] {
-				seen[inKey] = true
-				observations = append(observations, obs{inKey, iface.inOctets})
-			}
+		for j, key := range plan.keys {
+			observations = append(observations, counterObs{key, vbs[j].Value.Uint})
 		}
 		// Host CPU load, when exposed. A misbehaving agent can report
 		// anything; negative or non-finite loads are rejected at ingest
 		// so they never reach a sample window.
-		if vbs, err := c.cfg.Client.Get(addr, snmp.OIDHrProcessorLoad); err == nil && len(vbs) == 1 {
-			load := float64(vbs[0].Value.Int) / 100
+		if plan.load {
+			load := float64(vbs[len(plan.keys)].Value.Int) / 100
 			if math.IsNaN(load) || math.IsInf(load, 0) || load < 0 {
 				c.noteIngestError()
 			} else {
-				loadObs = append(loadObs, struct {
-					node graph.NodeID
-					load float64
-				}{id, load})
+				loads = append(loads, loadObs{id, load})
 			}
 		}
 		c.recordSuccess(id, now)
 	}
+	c.obsBuf, c.loadBuf = observations, loads
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	round := c.polls + 1
 	for _, o := range observations {
 		prev := c.counters[o.key]
-		c.counters[o.key] = counterState{at: now, octets: o.octets, valid: true}
+		if prev.round == round {
+			continue // the link's other end already reported it this round
+		}
+		c.counters[o.key] = counterState{at: now, octets: o.octets, valid: true, round: round}
 		if !prev.valid || now <= prev.at {
 			continue // baseline sample
 		}
@@ -499,25 +506,15 @@ func (c *Collector) PollOnce() {
 			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
 			c.windows[o.key] = w
 		}
-		if err := w.Add(now, rate); err != nil {
-			c.pollErrors++
-			c.telPollErrors.Inc()
-		} else {
-			c.telSamples.Inc()
-		}
+		c.addSampleLocked(w, now, rate)
 	}
-	for _, lo := range loadObs {
+	for _, lo := range loads {
 		w := c.loads[lo.node]
 		if w == nil {
 			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
 			c.loads[lo.node] = w
 		}
-		if err := w.Add(now, lo.load); err != nil {
-			c.pollErrors++
-			c.telPollErrors.Inc()
-		} else {
-			c.telSamples.Inc()
-		}
+		c.addSampleLocked(w, now, lo.load)
 	}
 	c.polls++
 	// Bump even on an all-failures round: data *ages* (and accuracy
@@ -525,6 +522,15 @@ func (c *Collector) PollOnce() {
 	// which memoized answers may drift from a recomputation.
 	c.dataVersion.Add(1)
 	c.notifyVersion()
+}
+
+func (c *Collector) addSampleLocked(w *stats.Window, now, v float64) {
+	if err := w.Add(now, v); err != nil {
+		c.pollErrors++
+		c.telPollErrors.Inc()
+	} else {
+		c.telSamples.Inc()
+	}
 }
 
 // DataVersion implements VersionedSource.

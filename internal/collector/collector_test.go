@@ -22,8 +22,14 @@ type rig struct {
 
 func newRig(t testing.TB, pollPeriod float64) *rig {
 	t.Helper()
+	return newRigOn(t, topology.Testbed(), pollPeriod)
+}
+
+// newRigOn is newRig over an arbitrary topology.
+func newRigOn(t testing.TB, g *graph.Graph, pollPeriod float64) *rig {
+	t.Helper()
 	clk := simclock.New()
-	n, err := netsim.New(clk, topology.Testbed())
+	n, err := netsim.New(clk, g)
 	if err != nil {
 		t.Fatal(err)
 	}

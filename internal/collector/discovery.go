@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,20 +11,21 @@ import (
 	"repro/internal/snmp"
 )
 
-// ifaceInfo is one row of an agent's interface table, joined with the
-// Remos enterprise columns.
+// ifaceInfo is one row of an agent's interface table: the static
+// columns, joined with the Remos enterprise columns. Discovery reads
+// them; a poll round reads only the two octet counters of each row.
 type ifaceInfo struct {
-	index     uint32
-	neighbor  string
-	global    int // global link ID
-	speed     float64
-	inOctets  uint32
-	outOctets uint32
+	index    uint32
+	neighbor string
+	global   int // global link ID
+	speed    float64
 }
 
-// walkInterfaces reads an agent's interface table. GETBULK keeps the
-// round-trip count low — the recurring cost the paper says must stay
-// "low and directly related to the depth and frequency of requests".
+// walkInterfaces reads the static columns of an agent's interface
+// table: a GETBULK walk of the neighbour column, then one GET per row
+// for the link ID and ifSpeed. It is the table-learning step of
+// discovery (and of a poll round that finds an agent without a plan),
+// not part of the steady-state poll.
 func (c *Collector) walkInterfaces(addr string) ([]ifaceInfo, error) {
 	nbrs, err := c.cfg.Client.BulkWalk(addr, snmp.OIDRemosNeighbor, 16)
 	if err != nil {
@@ -32,12 +34,7 @@ func (c *Collector) walkInterfaces(addr string) ([]ifaceInfo, error) {
 	out := make([]ifaceInfo, 0, len(nbrs))
 	for _, vb := range nbrs {
 		idx := vb.OID[len(vb.OID)-1]
-		vbs, err := c.cfg.Client.Get(addr,
-			snmp.OIDRemosLinkID.Append(idx),
-			snmp.OIDIfSpeed.Append(idx),
-			snmp.OIDIfInOctets.Append(idx),
-			snmp.OIDIfOutOctets.Append(idx),
-		)
+		vbs, err := c.cfg.Client.Get(addr, snmp.OIDRemosLinkID.Append(idx), snmp.OIDIfSpeed.Append(idx))
 		if err != nil {
 			return nil, err
 		}
@@ -50,13 +47,131 @@ func (c *Collector) walkInterfaces(addr string) ([]ifaceInfo, error) {
 			return nil, fmt.Errorf("collector: agent %s ifindex %d reports invalid link speed %v", addr, idx, speed)
 		}
 		out = append(out, ifaceInfo{
-			index:     idx,
-			neighbor:  string(vb.Value.Bytes),
-			global:    int(vbs[0].Value.Int),
-			speed:     speed,
-			inOctets:  vbs[2].Value.Uint,
-			outOctets: vbs[3].Value.Uint,
+			index:    idx,
+			neighbor: string(vb.Value.Bytes),
+			global:   int(vbs[0].Value.Int),
+			speed:    speed,
 		})
+	}
+	return out, nil
+}
+
+// agentSlot is one agent of the domain. id and addr never change; plan
+// is guarded by c.mu.
+type agentSlot struct {
+	id   graph.NodeID
+	addr string
+	plan *pollPlan // nil: not learned yet (cold, or after a warm restart)
+}
+
+// pollPlan is what a poll round asks one agent, made once from its
+// interface table and replayed as one GET per round: the recurring cost
+// the paper says must stay "low and directly related to the depth and
+// frequency of requests". It is immutable; invalidation replaces it.
+//
+// The plan holds only the columns that change between rounds. Link ID,
+// neighbour and ifSpeed are read when the table is learned: a capacity
+// change or a renumbered interface is picked up by the next discovery
+// (Config.RediscoverPeriod), a removed one by the NoSuchName it causes.
+// Both ends of a link stay in their agents' plans, so a channel keeps
+// being measured while one endpoint is Down.
+type pollPlan struct {
+	// oids is ifOutOctets.i, ifInOctets.i for each interface, then
+	// hrProcessorLoad when the agent exposes it.
+	oids []snmp.OID
+	// keys[j] is the channel the counter at oids[j] measures.
+	keys []ChannelKey
+	load bool
+}
+
+// learnPlan walks an agent's interface table and builds its poll plan.
+func (c *Collector) learnPlan(id graph.NodeID, addr string) ([]ifaceInfo, *pollPlan, error) {
+	ifaces, err := c.walkInterfaces(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan := &pollPlan{
+		oids: make([]snmp.OID, 0, 2*len(ifaces)+1),
+		keys: make([]ChannelKey, 0, 2*len(ifaces)),
+	}
+	for _, iface := range ifaces {
+		plan.oids = append(plan.oids, snmp.OIDIfOutOctets.Append(iface.index), snmp.OIDIfInOctets.Append(iface.index))
+		plan.keys = append(plan.keys,
+			canonicalKey(iface.global, string(id), iface.neighbor),
+			canonicalKey(iface.global, iface.neighbor, string(id)))
+	}
+	// Host CPU load is optional: routers answer NoSuchName.
+	switch _, err := c.cfg.Client.Get(addr, snmp.OIDHrProcessorLoad); {
+	case err == nil:
+		plan.oids = append(plan.oids, snmp.OIDHrProcessorLoad)
+		plan.load = true
+	case !errors.Is(err, snmp.ErrNoSuchName):
+		return nil, nil, err
+	}
+	return ifaces, plan, nil
+}
+
+// setPlan installs (or, with nil, forgets) the plan of agent slot i.
+func (c *Collector) setPlan(i int, plan *pollPlan) {
+	c.mu.Lock()
+	c.agents[i].plan = plan
+	c.mu.Unlock()
+}
+
+// pollAgent reads one agent's counters: its plan replayed as one GET
+// (see getAll for the agent whose table outgrows one message).
+// An agent without a plan is walked first. A NoSuchName or mismatched
+// answer means the table moved under the plan: the plan is forgotten
+// and the agent walked and asked again within the round. Any other
+// error, or a second one of those, is the agent's failed attempt.
+func (c *Collector) pollAgent(i int, plan *pollPlan) (*pollPlan, []snmp.VarBind, error) {
+	slot := &c.agents[i]
+	for relearned := false; ; relearned = true {
+		if plan == nil {
+			var err error
+			if _, plan, err = c.learnPlan(slot.id, slot.addr); err != nil {
+				return nil, nil, err
+			}
+			c.setPlan(i, plan)
+		}
+		vbs, err := c.getAll(slot.addr, plan.oids)
+		if err == nil {
+			// Get has matched OIDs to positions; the value types are the
+			// other half of "this varbind is that channel's counter".
+			for j := range plan.keys {
+				if vbs[j].Value.Kind != snmp.KindCounter32 {
+					return nil, nil, fmt.Errorf("collector: agent %s answers %v with a %v", slot.addr, plan.oids[j], vbs[j].Value.Kind)
+				}
+			}
+			if plan.load && vbs[len(plan.keys)].Value.Kind != snmp.KindInteger {
+				return nil, nil, fmt.Errorf("collector: agent %s answers hrProcessorLoad with a %v", slot.addr, vbs[len(plan.keys)].Value.Kind)
+			}
+			return plan, vbs, nil
+		}
+		if relearned || !(errors.Is(err, snmp.ErrNoSuchName) || errors.Is(err, snmp.ErrBadResponse)) {
+			return nil, nil, err
+		}
+		c.setPlan(i, nil)
+		plan = nil
+	}
+}
+
+// getAll reads oids in as few GETs as the protocol allows: one for any
+// realistic agent, one per snmp.MaxVarBinds OIDs for a table too large
+// for a single message. The answers come back in the order asked.
+func (c *Collector) getAll(addr string, oids []snmp.OID) ([]snmp.VarBind, error) {
+	if len(oids) <= snmp.MaxVarBinds {
+		return c.cfg.Client.Get(addr, oids...)
+	}
+	out := make([]snmp.VarBind, 0, len(oids))
+	for len(oids) > 0 {
+		n := min(len(oids), snmp.MaxVarBinds)
+		vbs, err := c.cfg.Client.Get(addr, oids[:n]...)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vbs...)
+		oids = oids[n:]
 	}
 	return out, nil
 }
@@ -70,10 +185,10 @@ type nodeInfo struct {
 	ifaces     []ifaceInfo
 }
 
-func (c *Collector) queryNode(addr string) (*nodeInfo, error) {
+func (c *Collector) queryNode(id graph.NodeID, addr string) (*nodeInfo, *pollPlan, error) {
 	vbs, err := c.cfg.Client.Get(addr, snmp.OIDSysName, snmp.OIDRemosNodeKind, snmp.OIDRemosInternalBW)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ni := &nodeInfo{
 		name:       string(vbs[0].Value.Bytes),
@@ -88,11 +203,12 @@ func (c *Collector) queryNode(addr string) (*nodeInfo, error) {
 			ni.memory = float64(mem[0].Value.Int) * 1024
 		}
 	}
-	ni.ifaces, err = c.walkInterfaces(addr)
+	var plan *pollPlan
+	ni.ifaces, plan, err = c.learnPlan(id, addr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ni, nil
+	return ni, plan, nil
 }
 
 // Discover queries every agent in the domain and assembles the Topology.
@@ -127,15 +243,16 @@ func (c *Collector) Discover() (*Topology, error) {
 			nodes[ni.name] = ni
 		}
 	}
-	for _, id := range c.sortedNodes() {
+	for i := range c.agents {
+		id := c.agents[i].id
 		// The breaker throttles discovery the same way it throttles
 		// polling: a Down agent is re-probed on the backoff schedule, and
 		// a successful probe here is how it rejoins the topology.
-		if !c.allowAttempt(id, now) {
+		if _, ok := c.allowAttempt(i, now); !ok {
 			remember(id)
 			continue
 		}
-		ni, err := c.queryNode(c.cfg.Addrs[id])
+		ni, plan, err := c.queryNode(id, c.agents[i].addr)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("collector: discovering %q: %w", id, err)
@@ -147,6 +264,7 @@ func (c *Collector) Discover() (*Topology, error) {
 		c.recordSuccess(id, now)
 		c.mu.Lock()
 		c.lastNode[id] = ni
+		c.agents[i].plan = plan // rediscovery replaces the plan
 		c.mu.Unlock()
 		nodes[ni.name] = ni
 		live[ni.name] = true

@@ -153,14 +153,24 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 		}
 		cur.disc = c.topo.DiscoveredAt
 	}
+	// A delta is about one sample per window: its sample slices are
+	// carved out of one slab (capped, so no later append can reach into a
+	// neighbour's). A Full payload copies each window on its own.
+	var slab []stats.Sample
+	if !full {
+		slab = make([]stats.Sample, 0, len(c.windows)+len(c.loads))
+	}
+	collect := func(w *stats.Window, since float64, seen bool) []stats.Sample {
+		if full || !seen {
+			return w.Samples()
+		}
+		from := len(slab)
+		slab = w.AppendSince(slab, since)
+		return slab[from:len(slab):len(slab)]
+	}
 	for k, w := range c.windows {
 		since, seen := cur.chans[k]
-		var samples []stats.Sample
-		if full || !seen {
-			samples = w.Samples()
-		} else {
-			samples = w.SamplesSince(since)
-		}
+		samples := collect(w, since, seen)
 		if len(samples) == 0 {
 			continue
 		}
@@ -170,12 +180,7 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	for id, w := range c.loads {
 		key := string(id)
 		since, seen := cur.loads[key]
-		var samples []stats.Sample
-		if full || !seen {
-			samples = w.Samples()
-		} else {
-			samples = w.SamplesSince(since)
-		}
+		samples := collect(w, since, seen)
 		if len(samples) == 0 {
 			continue
 		}

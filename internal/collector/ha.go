@@ -207,9 +207,9 @@ func appendFeedSamples(w *stats.Window, samples []stats.Sample) error {
 			math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
 			return fmt.Errorf("collector: non-finite sample in feed payload")
 		}
-		if err := w.Add(s.Time, s.Value); err != nil {
-			return fmt.Errorf("collector: corrupt feed payload: %w", err)
-		}
+	}
+	if err := w.AddAll(samples); err != nil {
+		return fmt.Errorf("collector: corrupt feed payload: %w", err)
 	}
 	return nil
 }

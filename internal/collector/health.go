@@ -84,19 +84,21 @@ func (c *Collector) healthLocked(id graph.NodeID) *AgentHealth {
 	return h
 }
 
-// allowAttempt consults the circuit breaker: it reports whether the
-// agent may be contacted now, recording either the attempt or the skip.
-func (c *Collector) allowAttempt(id graph.NodeID, now float64) bool {
+// allowAttempt consults the circuit breaker for agent slot i: it
+// reports whether the agent may be contacted now, recording either the
+// attempt or the skip, and hands back the agent's current poll plan
+// (nil: not learned yet) from the same critical section.
+func (c *Collector) allowAttempt(i int, now float64) (*pollPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := c.healthLocked(id)
+	h := c.healthLocked(c.agents[i].id)
 	if now < h.NextAttempt {
 		h.Skipped++
 		c.tel.Counter("collector.breaker.skips").Inc()
-		return false
+		return nil, false
 	}
 	h.LastAttempt = now
-	return true
+	return c.agents[i].plan, true
 }
 
 // noteTransitionLocked counts a health state change in the telemetry

@@ -77,10 +77,8 @@ func LoadHistory(r io.Reader) (*Replay, error) {
 			n = 1
 		}
 		w := stats.NewWindow(n, 0)
-		for _, s := range samples {
-			if err := w.Add(s.Time, s.Value); err != nil {
-				return nil, fmt.Errorf("collector: corrupt history: %w", err)
-			}
+		if err := w.AddAll(samples); err != nil {
+			return nil, fmt.Errorf("collector: corrupt history: %w", err)
 		}
 		return w, nil
 	}

@@ -124,8 +124,16 @@ type rig struct {
 
 func newRig(t testing.TB) *rig {
 	t.Helper()
+	r := newRigOn(t, topology.Testbed())
+	traffic.Blast(r.net, "m-6", "m-8", 40e6)
+	r.clk.Advance(10)
+	return r
+}
+
+func newRigOn(t testing.TB, g *graph.Graph) *rig {
+	t.Helper()
 	clk := simclock.New()
-	n, err := netsim.New(clk, topology.Testbed())
+	n, err := netsim.New(clk, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +152,6 @@ func newRig(t testing.TB) *rig {
 	if err := col.Start(); err != nil {
 		t.Fatal(err)
 	}
-	traffic.Blast(n, "m-6", "m-8", 40e6)
-	clk.Advance(10)
 	return &rig{clk: clk, net: n, col: col}
 }
 

@@ -14,8 +14,13 @@ import (
 // through Replica.cur (an atomic.Pointer, the same lock-free discipline
 // as the Modeler's topology snapshots). Query goroutines Load it and
 // read freely; the feed goroutine never mutates a published store —
-// applying a delta builds a successor copy-on-write, cloning only the
-// windows that received samples.
+// applying a delta builds a successor: copy-on-write maps over
+// persistent windows (stats.Window). A window that received samples is
+// forked and appended to, which shares every chunk the predecessor can
+// see, so a delta costs the samples it ships, not the windows it
+// touches. The feed goroutine is the windows' single writer; it appends
+// at the tip, and a delta retried from an older store (one that failed
+// half-way) copies at most one chunk per window instead.
 type store struct {
 	epoch    uint64 // collector DataVersion this state reflects
 	term     uint64 // HA lease term of the feeding leader (0 = no HA)
@@ -98,7 +103,7 @@ func applyFull(p *collector.FeedPayload, wall time.Time) (*store, error) {
 }
 
 // applyDelta builds the successor store: shallow map copies, windows
-// cloned only where new samples landed, topology/capacity replaced only
+// forked only where new samples landed, topology/capacity replaced only
 // when the payload re-shipped them.
 func (st *store) applyDelta(p *collector.FeedPayload, wall time.Time) (*store, error) {
 	if p.Full {
@@ -161,8 +166,8 @@ func (st *store) applyDelta(p *collector.FeedPayload, wall time.Time) (*store, e
 }
 
 // windowLen defends against a malformed payload: stats.NewWindow
-// panics on a non-positive length and preallocates the ring, so a
-// corrupt length must not drive an unbounded allocation.
+// panics on a non-positive length, and the length bounds what a window
+// may retain, so a corrupt one must not license unbounded growth.
 func windowLen(p *collector.FeedPayload) int {
 	const maxLen = 1 << 16
 	if p.WindowLen <= 0 {
@@ -182,14 +187,14 @@ func rebuildWindow(st *store, samples []stats.Sample) (*stats.Window, error) {
 	return addSamples(w, samples)
 }
 
-// extendWindow clones prev (nil = a channel new to this replica) and
-// appends the shipped samples.
+// extendWindow forks prev (nil = a channel new to this replica) and
+// appends the shipped samples to the fork; prev is left as it was.
 func extendWindow(st *store, prev *stats.Window, samples []stats.Sample) (*stats.Window, error) {
 	var w *stats.Window
 	if prev == nil {
 		w = stats.NewWindow(st.windowLen, st.windowAge)
 	} else {
-		w = prev.Clone()
+		w = prev.Fork()
 	}
 	return addSamples(w, samples)
 }
@@ -200,9 +205,9 @@ func addSamples(w *stats.Window, samples []stats.Sample) (*stats.Window, error) 
 			math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
 			return nil, fmt.Errorf("replica: non-finite sample in feed payload")
 		}
-		if err := w.Add(s.Time, s.Value); err != nil {
-			return nil, fmt.Errorf("replica: %w", err)
-		}
+	}
+	if err := w.AddAll(samples); err != nil {
+		return nil, fmt.Errorf("replica: %w", err)
 	}
 	return w, nil
 }

@@ -3,7 +3,7 @@ package snmp
 import (
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 )
 
 // Agent serves a MIB under a community string. Handle implements the
@@ -19,8 +19,7 @@ type Agent struct {
 	// experiments leave it nil.
 	Serialize func(fn func())
 
-	mu       sync.Mutex
-	requests uint64
+	requests atomic.Uint64
 }
 
 // NewAgent creates an agent with an empty MIB.
@@ -29,11 +28,7 @@ func NewAgent(name, community string) *Agent {
 }
 
 // Requests returns how many PDUs the agent has handled (diagnostic).
-func (a *Agent) Requests() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.requests
-}
+func (a *Agent) Requests() uint64 { return a.requests.Load() }
 
 // Handle processes one decoded request and returns the response message.
 func (a *Agent) Handle(req *Message) *Message {
@@ -46,9 +41,7 @@ func (a *Agent) Handle(req *Message) *Message {
 }
 
 func (a *Agent) handle(req *Message) *Message {
-	a.mu.Lock()
-	a.requests++
-	a.mu.Unlock()
+	a.requests.Add(1)
 	resp := &Message{
 		Community: req.Community,
 		Type:      PDUResponse,
@@ -60,6 +53,7 @@ func (a *Agent) handle(req *Message) *Message {
 	}
 	switch req.Type {
 	case PDUGet:
+		resp.VarBinds = make([]VarBind, 0, len(req.VarBinds))
 		for i, vb := range req.VarBinds {
 			v, ok := a.MIB.Get(vb.OID)
 			if !ok {

@@ -79,6 +79,10 @@ func NewUDPTransport() *UDPTransport {
 	}
 }
 
+// udpBufPool holds the datagram-sized receive buffers of RoundTrip, one
+// per attempt in flight; the response is copied out at its real size.
+var udpBufPool = sync.Pool{New: func() any { b := make([]byte, 65536); return &b }}
+
 // RoundTrip implements Transport. One socket is dialed per call and
 // reused across retry attempts; dial errors count as failed attempts
 // (they can be as transient as packet loss), so they retry too.
@@ -105,12 +109,13 @@ func (t *UDPTransport) RoundTrip(addr string, req []byte) ([]byte, error) {
 		if _, err := conn.Write(req); err != nil {
 			return nil, err
 		}
-		buf := make([]byte, 65536)
-		n, err := conn.Read(buf)
+		bp := udpBufPool.Get().(*[]byte)
+		defer udpBufPool.Put(bp)
+		n, err := conn.Read(*bp)
 		if err != nil {
 			return nil, err
 		}
-		return buf[:n], nil
+		return append([]byte(nil), (*bp)[:n]...), nil
 	}
 	var lastErr error
 	for i := 0; i <= t.Retries; i++ {
@@ -169,19 +174,35 @@ func (c *Client) roundTrip(addr string, req *Message) (*Message, error) {
 	return resp, nil
 }
 
-// Get fetches exact OIDs. A NoSuchName error from the agent is returned
-// as an error carrying the failing index.
+// Get fetches exact OIDs and returns one varbind per OID asked, in the
+// order asked: callers may index the result by request position. A
+// NoSuchName answer is an error wrapping ErrNoSuchName with the failing
+// index; a NoError answer of any other shape — fewer or more varbinds,
+// or a different OID at some position — is ErrBadResponse.
 func (c *Client) Get(addr string, oids ...OID) ([]VarBind, error) {
-	req := &Message{Community: c.Community, Type: PDUGet, RequestID: c.id()}
-	for _, o := range oids {
-		req.VarBinds = append(req.VarBinds, VarBind{OID: o, Value: Null()})
+	req := &Message{Community: c.Community, Type: PDUGet, RequestID: c.id(),
+		VarBinds: make([]VarBind, len(oids))}
+	for i, o := range oids {
+		req.VarBinds[i] = VarBind{OID: o, Value: Null()}
 	}
 	resp, err := c.roundTrip(addr, req)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Error != NoError {
-		return resp.VarBinds, fmt.Errorf("snmp: %v at index %d", resp.Error, resp.ErrorIndex)
+	switch resp.Error {
+	case NoError:
+	case NoSuchName:
+		return nil, fmt.Errorf("%w at index %d", ErrNoSuchName, resp.ErrorIndex)
+	default:
+		return nil, fmt.Errorf("snmp: %v at index %d", resp.Error, resp.ErrorIndex)
+	}
+	if len(resp.VarBinds) != len(oids) {
+		return nil, fmt.Errorf("%w: %d varbinds for %d OIDs", ErrBadResponse, len(resp.VarBinds), len(oids))
+	}
+	for i, o := range oids {
+		if resp.VarBinds[i].OID.Cmp(o) != 0 {
+			return nil, fmt.Errorf("%w: %v at position %d, asked %v", ErrBadResponse, resp.VarBinds[i].OID, i+1, o)
+		}
 	}
 	return resp.VarBinds, nil
 }
@@ -189,6 +210,11 @@ func (c *Client) Get(addr string, oids ...OID) ([]VarBind, error) {
 // ErrNoSuchName reports that an OID has no successor (end of MIB) or
 // does not exist.
 var ErrNoSuchName = errors.New("snmp: noSuchName")
+
+// ErrBadResponse reports a Get response that does not answer the OIDs
+// asked, position by position — a misbehaving agent or a corrupted
+// datagram that still decoded.
+var ErrBadResponse = errors.New("snmp: response does not match request")
 
 // GetNext fetches the lexicographic successor of one OID.
 func (c *Client) GetNext(addr string, oid OID) (VarBind, error) {

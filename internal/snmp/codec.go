@@ -35,6 +35,10 @@ const (
 	maxOctets    = 4096
 )
 
+// MaxVarBinds is the most varbinds one message carries; a caller with
+// more OIDs to read issues several Gets.
+const MaxVarBinds = maxVarBinds
+
 // Encode serializes a message.
 func Encode(m *Message) ([]byte, error) {
 	if len(m.Community) > maxCommunity {
@@ -193,6 +197,14 @@ func Decode(buf []byte) (*Message, error) {
 	}
 	if int(nb) > maxVarBinds {
 		return nil, fmt.Errorf("snmp: too many varbinds (%d)", nb)
+	}
+	// Size the list once: the count is bounded above, and a varbind is at
+	// least two bytes, so a hostile count cannot out-allocate its packet.
+	if n := int(nb); n > 0 {
+		if most := (len(buf) - d.off) / 2; n > most {
+			n = most
+		}
+		m.VarBinds = make([]VarBind, 0, n)
 	}
 	for i := 0; i < int(nb); i++ {
 		olen, err := d.u8()

@@ -1,25 +1,26 @@
 package snmp
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // MIB is an OID-addressed store. Entries may be static values or dynamic
 // getters evaluated at query time (counters read from the simulator).
 // MIB is safe for concurrent use: the UDP transport serves from its own
 // goroutine.
 type MIB struct {
-	mu      sync.RWMutex
-	entries map[string]func() Value
-	sorted  []OID // lexicographically sorted keys for GETNEXT
-	dirty   bool
+	mu sync.RWMutex
+	// entries is kept in lexicographic OID order by SetFunc, so Get and
+	// Next are one binary search under the read lock, with no per-lookup
+	// key to build.
+	entries []mibEntry
+}
+
+type mibEntry struct {
+	oid OID
+	get func() Value
 }
 
 // NewMIB returns an empty MIB.
-func NewMIB() *MIB {
-	return &MIB{entries: make(map[string]func() Value)}
-}
+func NewMIB() *MIB { return &MIB{} }
 
 // Set installs a static value at an OID.
 func (m *MIB) Set(oid OID, v Value) {
@@ -28,22 +29,43 @@ func (m *MIB) Set(oid OID, v Value) {
 
 // SetFunc installs a dynamic value. The getter runs on every query.
 func (m *MIB) SetFunc(oid OID, get func() Value) {
-	key := oid.String()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, exists := m.entries[key]; !exists {
-		m.sorted = append(m.sorted, oid.Clone())
-		m.dirty = true
+	i, found := m.search(oid)
+	if found {
+		m.entries[i].get = get
+		return
 	}
-	m.entries[key] = get
+	m.entries = append(m.entries, mibEntry{})
+	copy(m.entries[i+1:], m.entries[i:])
+	m.entries[i] = mibEntry{oid: oid.Clone(), get: get}
+}
+
+// search returns the index of the first entry whose OID is >= oid and
+// whether that entry is oid itself. Callers hold m.mu.
+func (m *MIB) search(oid OID) (int, bool) {
+	lo, hi := 0, len(m.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.entries[mid].oid.Cmp(oid) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.entries) && m.entries[lo].oid.Cmp(oid) == 0
 }
 
 // Get returns the value at exactly oid.
 func (m *MIB) Get(oid OID) (Value, bool) {
 	m.mu.RLock()
-	get, ok := m.entries[oid.String()]
+	i, found := m.search(oid)
+	var get func() Value
+	if found {
+		get = m.entries[i].get
+	}
 	m.mu.RUnlock()
-	if !ok {
+	if !found {
 		return Null(), false
 	}
 	return get(), true
@@ -52,21 +74,18 @@ func (m *MIB) Get(oid OID) (Value, bool) {
 // Next returns the first entry strictly after oid in lexicographic
 // order — GETNEXT semantics, which Walk builds on.
 func (m *MIB) Next(oid OID) (OID, Value, bool) {
-	m.mu.Lock()
-	if m.dirty {
-		sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i].Cmp(m.sorted[j]) < 0 })
-		m.dirty = false
+	m.mu.RLock()
+	i, found := m.search(oid)
+	if found {
+		i++
 	}
-	// Binary search for the first key > oid.
-	idx := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].Cmp(oid) > 0 })
-	if idx == len(m.sorted) {
-		m.mu.Unlock()
+	if i == len(m.entries) {
+		m.mu.RUnlock()
 		return nil, Null(), false
 	}
-	next := m.sorted[idx]
-	get := m.entries[next.String()]
-	m.mu.Unlock()
-	return next.Clone(), get(), true
+	e := m.entries[i]
+	m.mu.RUnlock()
+	return e.oid.Clone(), e.get(), true
 }
 
 // Len returns the number of entries.

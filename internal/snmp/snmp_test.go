@@ -374,3 +374,84 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// TestMIBKeepsOrderUnderAnyInsertOrder: entries installed in any order
+// (and re-installed) walk in OID order, and prefixes sort before their
+// extensions — the binary-search lookup must agree with Cmp.
+func TestMIBKeepsOrderUnderAnyInsertOrder(t *testing.T) {
+	want := []string{"1.2", "1.2.0", "1.2.0.7", "1.2.1", "1.3", "1.10", "2"}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {3, 0, 6, 2, 5, 1, 4}} {
+		m := NewMIB()
+		for n, i := range order {
+			m.Set(MustOID(want[i]), Integer(int64(n)))
+		}
+		m.Set(MustOID(want[3]), Integer(99)) // replace, not duplicate
+		if m.Len() != len(want) {
+			t.Fatalf("Len = %d", m.Len())
+		}
+		cur := MustOID("0")
+		for _, w := range want {
+			next, _, ok := m.Next(cur)
+			if !ok || next.String() != w {
+				t.Fatalf("order %v: after %v came %v, want %s", order, cur, next, w)
+			}
+			if _, ok := m.Get(next); !ok {
+				t.Fatalf("Get(%v) missed an entry Next returned", next)
+			}
+			cur = next
+		}
+		if v, _ := m.Get(MustOID(want[3])); v.Int != 99 {
+			t.Fatalf("replaced value = %v", v)
+		}
+		if _, ok := m.Get(MustOID("1.2.0.6")); ok {
+			t.Fatal("Get hit an OID that was never set")
+		}
+	}
+}
+
+// rewriteTransport answers through a real agent, then lets the test
+// rewrite the response: an agent that misbehaves, or a datagram that
+// was corrupted and still decodes.
+type rewriteTransport struct {
+	agent   *Agent
+	rewrite func(resp *Message)
+}
+
+func (r *rewriteTransport) RoundTrip(_ string, req []byte) ([]byte, error) {
+	m, err := Decode(req)
+	if err != nil {
+		return nil, err
+	}
+	resp := r.agent.Handle(m)
+	r.rewrite(resp)
+	return Encode(resp)
+}
+
+// TestGetVerifiesResponseShape: Get answers by request position, so a
+// NoError response with fewer or more varbinds, the right ones in
+// another order, or another OID at some position is ErrBadResponse — and
+// never a varbind slice a caller could index out of range.
+func TestGetVerifiesResponseShape(t *testing.T) {
+	oids := []OID{OIDSysName, OIDIfInOctets.Append(1), OIDIfInOctets.Append(2)}
+	cases := map[string]func(*Message){
+		"short":     func(m *Message) { m.VarBinds = m.VarBinds[:1] },
+		"empty":     func(m *Message) { m.VarBinds = nil },
+		"long":      func(m *Message) { m.VarBinds = append(m.VarBinds, m.VarBinds[0]) },
+		"reordered": func(m *Message) { m.VarBinds[1], m.VarBinds[2] = m.VarBinds[2], m.VarBinds[1] },
+		"wrong OID": func(m *Message) { m.VarBinds[2].OID = OIDIfOutOctets.Append(2) },
+	}
+	for name, rewrite := range cases {
+		c := NewClient(&rewriteTransport{agent: newTestAgent(), rewrite: rewrite}, "public")
+		vbs, err := c.Get("a", oids...)
+		if !errors.Is(err, ErrBadResponse) || vbs != nil {
+			t.Errorf("%s response: vbs=%v err=%v, want ErrBadResponse", name, vbs, err)
+		}
+	}
+	c := NewClient(&rewriteTransport{agent: newTestAgent(), rewrite: func(*Message) {}}, "public")
+	if vbs, err := c.Get("a", oids...); err != nil || len(vbs) != 3 || vbs[2].Value.Uint != 200 {
+		t.Fatalf("untouched response: %v, %v", vbs, err)
+	}
+	if _, err := c.Get("a", OIDSysName, MustOID("9.9")); !errors.Is(err, ErrNoSuchName) {
+		t.Fatalf("missing OID: err=%v, want ErrNoSuchName", err)
+	}
+}

@@ -161,11 +161,16 @@ func (s Stat) String() string {
 // here reflects only sample count saturation (n/(n+4)); callers with
 // window-coverage information should overwrite it via WithAccuracy.
 func Quartiles(samples []float64) Stat {
-	n := len(samples)
+	return quartilesOf(append([]float64(nil), samples...))
+}
+
+// quartilesOf is Quartiles for a slice the caller gives up: it is
+// sorted in place.
+func quartilesOf(s []float64) Stat {
+	n := len(s)
 	if n == 0 {
 		return NoData()
 	}
-	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
 	st := Stat{
 		Min:     s[0],

@@ -34,7 +34,7 @@ ATTEMPTS=${ATTEMPTS:-2}
 
 # Micro-benchmarks: per-op costs small enough that -benchtime 1x would
 # measure noise instead of code.
-MICRO_PAT='BenchmarkCollectorPollRound|BenchmarkModeler|BenchmarkFxIteration|BenchmarkWatchFanout|BenchmarkReplica|BenchmarkFederated'
+MICRO_PAT='BenchmarkCollectorPollRound|BenchmarkFeedSinceDelta|BenchmarkWindowAppendFull|BenchmarkModeler|BenchmarkFxIteration|BenchmarkWatchFanout|BenchmarkReplica|BenchmarkFederated'
 
 COMPARE=0
 BASELINE=BENCH_remos.json
@@ -91,8 +91,11 @@ run_benches() {
     echo "==> go test -bench BenchmarkFrameCodec -benchtime=$MICRO_BENCHTIME ./internal/collector (wire codec rung)"
     go test -run '^$' -bench 'BenchmarkFrameCodec' -benchmem -benchtime "$MICRO_BENCHTIME" ./internal/collector | tee "$TMP/framecodec.txt"
 
+    echo "==> go test -bench BenchmarkReplicaApplyDelta -benchtime=$MICRO_BENCHTIME ./internal/replica (write-side rung: B/op per epoch)"
+    go test -run '^$' -bench 'BenchmarkReplicaApplyDelta' -benchmem -benchtime "$MICRO_BENCHTIME" ./internal/replica | tee "$TMP/replicaapply.txt"
+
     # Benchstat-friendly raw output, kept as a CI artifact.
-    cat "$TMP/root.txt" "$TMP/micro.txt" "$TMP/telemetry.txt" "$TMP/matrixcore.txt" "$TMP/matrixwire.txt" "$TMP/framecodec.txt" > "$RAW"
+    cat "$TMP/root.txt" "$TMP/micro.txt" "$TMP/telemetry.txt" "$TMP/matrixcore.txt" "$TMP/matrixwire.txt" "$TMP/framecodec.txt" "$TMP/replicaapply.txt" > "$RAW"
 
     {
         printf '{\n'
@@ -116,6 +119,9 @@ run_benches() {
         printf '],\n'
         printf '    "repro/internal/collector": ['
         bench_json "$TMP/framecodec.txt"
+        printf '],\n'
+        printf '    "repro/internal/replica": ['
+        bench_json "$TMP/replicaapply.txt"
         printf ']\n'
         printf '  }\n'
         printf '}\n'

@@ -28,6 +28,9 @@ go test -timeout 120s -count=2 ./internal/collector
 echo "==> go test -race ./..."
 go test -race -timeout 120s ./...
 
+echo "==> go test -race -count=2 ./internal/stats (window vs naive model, predecessor views under concurrent readers)"
+go test -race -timeout 120s -count=2 -run 'TestWindow' ./internal/stats
+
 echo "==> go test -race -count=2 ./internal/telemetry (concurrent writers vs snapshot readers)"
 go test -race -timeout 120s -count=2 ./internal/telemetry
 
@@ -58,6 +61,7 @@ go test -C benchmark -timeout 300s ./...
 
 echo "==> fuzz smoke (10s per target)"
 go test -fuzz=FuzzDecode -fuzztime=10s -run '^$' ./internal/snmp
+go test -fuzz=FuzzWindowOps -fuzztime=10s -run '^$' ./internal/stats
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzReadMuxFrame -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzDecodeMatrixRequest -fuzztime=10s -run '^$' ./internal/collector
