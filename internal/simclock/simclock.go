@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
@@ -79,8 +80,13 @@ func (q *eventQueue) Pop() any {
 
 // Clock is a virtual clock with an event queue. The zero value is ready to
 // use and starts at time 0.
+//
+// Scheduling and running events belong to one goroutine at a time (the
+// run loop, or whoever serialises with it). Now alone may be called from
+// any goroutine: query paths read it for data ages while a driver
+// goroutine advances the clock.
 type Clock struct {
-	now     Time
+	now     atomic.Uint64 // math.Float64bits of the current Time; written only by the run loop
 	queue   eventQueue
 	nextSeq uint64
 	running bool
@@ -91,7 +97,9 @@ type Clock struct {
 func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time { return c.now }
+func (c *Clock) Now() Time { return Time(math.Float64frombits(c.now.Load())) }
+
+func (c *Clock) setNow(t Time) { c.now.Store(math.Float64bits(float64(t))) }
 
 // Fired returns the number of events executed so far (diagnostic).
 func (c *Clock) Fired() uint64 { return c.fired }
@@ -114,8 +122,8 @@ var ErrPast = errors.New("simclock: schedule in the past")
 // before the current time: scheduling into the past is always a programming
 // error in a discrete-event simulation.
 func (c *Clock) Schedule(due Time, label string, fn func(now Time)) *Event {
-	if due < c.now {
-		panic(fmt.Errorf("%w: due=%v now=%v label=%q", ErrPast, due, c.now, label))
+	if now := c.Now(); due < now {
+		panic(fmt.Errorf("%w: due=%v now=%v label=%q", ErrPast, due, now, label))
 	}
 	e := &Event{due: due, seq: c.nextSeq, fn: fn, label: label}
 	c.nextSeq++
@@ -128,7 +136,7 @@ func (c *Clock) After(d Duration, label string, fn func(now Time)) *Event {
 	if d < 0 {
 		panic(fmt.Errorf("%w: negative delay %v label=%q", ErrPast, d, label))
 	}
-	return c.Schedule(c.now+Time(d), label, fn)
+	return c.Schedule(c.Now()+Time(d), label, fn)
 }
 
 // Cancel removes a pending event. Canceling an already-fired or already-
@@ -159,9 +167,9 @@ func (c *Clock) Step() bool {
 		if e.canceled {
 			continue
 		}
-		c.now = e.due
+		c.setNow(e.due)
 		c.fired++
-		e.fn(c.now)
+		e.fn(e.due)
 		return true
 	}
 	return false
@@ -186,8 +194,8 @@ func (c *Clock) NextDue() Time { return c.peek() }
 // next event is strictly after the deadline, then advances the clock to the
 // deadline. It returns the number of events executed.
 func (c *Clock) RunUntil(deadline Time) int {
-	if deadline < c.now {
-		panic(fmt.Errorf("%w: deadline=%v now=%v", ErrPast, deadline, c.now))
+	if now := c.Now(); deadline < now {
+		panic(fmt.Errorf("%w: deadline=%v now=%v", ErrPast, deadline, now))
 	}
 	if c.running {
 		panic("simclock: reentrant RunUntil")
@@ -203,8 +211,8 @@ func (c *Clock) RunUntil(deadline Time) int {
 		c.Step()
 		n++
 	}
-	if c.now < deadline {
-		c.now = deadline
+	if c.Now() < deadline {
+		c.setNow(deadline)
 	}
 	return n
 }
@@ -224,7 +232,7 @@ func (c *Clock) Run(maxEvents int) int {
 
 // Advance moves the clock forward by d, executing any events that fall due.
 func (c *Clock) Advance(d Duration) int {
-	return c.RunUntil(c.now + Time(d))
+	return c.RunUntil(c.Now() + Time(d))
 }
 
 // Ticker schedules fn every period seconds starting at start, until Stop is

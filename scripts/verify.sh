@@ -51,6 +51,9 @@ go test -race -timeout 300s -count=1 -run 'TestFederationThousandNodeAcceptance|
 echo "==> matrix stage: wire op + admission + fencing under -race, kernel equivalence"
 go test -race -timeout 300s -count=1 -run 'TestMatrix' ./remos ./internal/core
 
+echo "==> simclock: Now() read from query goroutines while the run loop advances it"
+go test -race -timeout 300s -count=20 -run TestMatrixConcurrentWithPollRounds ./internal/core
+
 echo "==> loadgen smoke: 2 replicas, mixed workload, latency + error gates"
 go run ./cmd/remos-loadgen -selftest 2 -workers 8 -conns 4 -duration 3s \
     -matrix-frac 0.5 -matrix-size 8 -max-p999 250
