@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 // Checkpoint/warm-restart: a collector can serialize its full state —
@@ -25,7 +22,7 @@ const checkpointMagic = "REMOS-CKPT"
 // CheckpointVersion is the current checkpoint format version. Restores
 // reject any other version: state formats evolve and a silent
 // misdecode is worse than a cold start.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // checkpointHeader precedes the dump. It is encoded as its own gob
 // value so header validation happens before the (much larger) dump is
@@ -35,14 +32,8 @@ type checkpointHeader struct {
 	Version int
 }
 
-// wireCounter is counterState with exported fields for gob.
-type wireCounter struct {
-	At     float64
-	Octets uint32
-	Valid  bool
-}
-
-// checkpointDump is the serialized collector state.
+// checkpointDump is the serialized collector: the measurement state as
+// a Full feed payload, and around it what the feed does not carry.
 type checkpointDump struct {
 	// SavedAt is the virtual time of the save; SavedAtWallNanos is the
 	// wall clock (UnixNano) at the same moment, letting a restarting
@@ -54,12 +45,8 @@ type checkpointDump struct {
 	PollErrors  uint64
 	Discoveries uint64
 
-	Topo     *WireTopo
-	Counters map[ChannelKey]wireCounter
-	Channels map[ChannelKey][]stats.Sample
-	Capacity map[ChannelKey]float64
-	Loads    map[string][]stats.Sample
-	Health   map[string]AgentHealth
+	Counters map[ChannelKey]counterState
+	State    FeedPayload
 }
 
 // CheckpointInfo describes a restored checkpoint.
@@ -86,7 +73,7 @@ func (c *Collector) SaveCheckpoint(w io.Writer) error {
 	}()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.topo == nil {
+	if c.st.topo == nil {
 		return fmt.Errorf("collector: nothing to checkpoint before discovery")
 	}
 	dump := checkpointDump{
@@ -95,27 +82,8 @@ func (c *Collector) SaveCheckpoint(w io.Writer) error {
 		Polls:            c.polls,
 		PollErrors:       c.pollErrors,
 		Discoveries:      c.discoveries,
-		Topo:             topoToWire(c.topo),
-		Counters:         make(map[ChannelKey]wireCounter, len(c.counters)),
-		Channels:         make(map[ChannelKey][]stats.Sample, len(c.windows)),
-		Capacity:         make(map[ChannelKey]float64, len(c.capacity)),
-		Loads:            make(map[string][]stats.Sample, len(c.loads)),
-		Health:           make(map[string]AgentHealth, len(c.health)),
-	}
-	for k, cs := range c.counters {
-		dump.Counters[k] = wireCounter{At: cs.at, Octets: cs.octets, Valid: cs.valid}
-	}
-	for k, win := range c.windows {
-		dump.Channels[k] = win.Samples()
-	}
-	for k, v := range c.capacity {
-		dump.Capacity[k] = v
-	}
-	for id, win := range c.loads {
-		dump.Loads[string(id)] = win.Samples()
-	}
-	for id, h := range c.health {
-		dump.Health[string(id)] = *h
+		Counters:         c.counters,
+		State:            *c.st.Payload(),
 	}
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(&checkpointHeader{Magic: checkpointMagic, Version: CheckpointVersion}); err != nil {
@@ -148,55 +116,21 @@ func (c *Collector) RestoreCheckpoint(r io.Reader) (CheckpointInfo, error) {
 	if err := dec.Decode(&dump); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("collector: corrupt checkpoint: %w", err)
 	}
-	if dump.Topo == nil {
-		return CheckpointInfo{}, fmt.Errorf("collector: corrupt checkpoint: no topology")
+	// Rebuild outside the lock; install everything at once.
+	st, err := StateFromPayload(&dump.State)
+	if err != nil {
+		return CheckpointInfo{}, fmt.Errorf("collector: corrupt checkpoint: %w", err)
 	}
-
-	// Rebuild windows outside the lock; install everything at once.
-	rebuild := func(samples []stats.Sample) (*stats.Window, error) {
-		w := stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-		if err := w.AddAll(samples); err != nil {
-			return nil, fmt.Errorf("collector: corrupt checkpoint: %w", err)
-		}
-		return w, nil
-	}
-	windows := make(map[ChannelKey]*stats.Window, len(dump.Channels))
-	for k, samples := range dump.Channels {
-		w, err := rebuild(samples)
-		if err != nil {
-			return CheckpointInfo{}, err
-		}
-		windows[k] = w
-	}
-	loads := make(map[graph.NodeID]*stats.Window, len(dump.Loads))
-	for id, samples := range dump.Loads {
-		w, err := rebuild(samples)
-		if err != nil {
-			return CheckpointInfo{}, err
-		}
-		loads[graph.NodeID(id)] = w
-	}
-	counters := make(map[ChannelKey]counterState, len(dump.Counters))
-	for k, wc := range dump.Counters {
-		counters[k] = counterState{at: wc.At, octets: wc.Octets, valid: wc.Valid}
-	}
-	capacity := make(map[ChannelKey]float64, len(dump.Capacity))
-	for k, v := range dump.Capacity {
-		capacity[k] = v
-	}
-	health := make(map[graph.NodeID]*AgentHealth, len(dump.Health))
-	for id, h := range dump.Health {
-		hc := h
-		health[graph.NodeID(id)] = &hc
+	// Answers decay by this process's configured half-life, not the one
+	// the saving process ran with: a restart may change the flag.
+	st.halfLife = c.cfg.staleHalfLife()
+	if dump.Counters == nil { // gob leaves an empty map nil; PollOnce writes into it
+		dump.Counters = make(map[ChannelKey]counterState)
 	}
 
 	c.mu.Lock()
-	c.topo = topoFromWire(dump.Topo)
-	c.counters = counters
-	c.windows = windows
-	c.capacity = capacity
-	c.loads = loads
-	c.health = health
+	c.st = st
+	c.counters = dump.Counters
 	c.polls = dump.Polls
 	c.pollErrors = dump.PollErrors
 	c.discoveries = dump.Discoveries

@@ -117,6 +117,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r.col.Health(), col2.Health()) {
 		t.Fatal("health map did not round-trip")
 	}
+	if n := r.col.Telemetry().Snapshot(); n.Counters["collector.checkpoint.saves"] != 1 ||
+		n.Quantiles["collector.checkpoint.save_ms"].Count != 1 ||
+		col2.Telemetry().Snapshot().Counters["collector.checkpoint.restores"] != 1 {
+		t.Fatalf("checkpoint metrics: saver %v, restorer %v", n.Counters, col2.Telemetry().Snapshot().Counters)
+	}
 	if r.col.Polls() != col2.Polls() || r.col.PollErrors() != col2.PollErrors() ||
 		r.col.Discoveries() != col2.Discoveries() {
 		t.Fatalf("poll statistics lost: %d/%d/%d vs %d/%d/%d",
@@ -245,6 +250,58 @@ func TestCheckpointRejection(t *testing.T) {
 	var vnext bytes.Buffer
 	gob.NewEncoder(&vnext).Encode(&checkpointHeader{Magic: checkpointMagic, Version: CheckpointVersion + 1})
 	expectErr("future version", vnext.Bytes(), "unsupported checkpoint version")
+
+	// A checkpoint written by the previous format (v1: the state's maps
+	// flat in the dump) is refused by the version check, and the
+	// collector it was offered to cold-starts.
+	type v1Dump struct {
+		SavedAt  float64
+		Polls    uint64
+		Topo     *WireTopo
+		Channels map[ChannelKey][]stats.Sample
+	}
+	r, _ := checkpointedRig(t)
+	var v1 bytes.Buffer
+	enc := gob.NewEncoder(&v1)
+	enc.Encode(&checkpointHeader{Magic: checkpointMagic, Version: 1})
+	topo, _ := r.col.Topology()
+	enc.Encode(&v1Dump{SavedAt: 40, Polls: 20, Topo: topoToWire(topo),
+		Channels: map[ChannelKey][]stats.Sample{{Global: 1}: {{Time: 2, Value: 1}}}})
+	expectErr("previous version", v1.Bytes(), "unsupported checkpoint version 1")
+	cold := New(Config{Client: r.col.cfg.Client, Clock: r.clk, Addrs: r.col.cfg.Addrs, PollPeriod: 2})
+	if _, err := cold.RestoreCheckpoint(bytes.NewReader(v1.Bytes())); err == nil {
+		t.Fatal("v1 checkpoint restored")
+	}
+	if err := cold.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Stop()
+	if cold.Discoveries() != 1 || cold.Polls() != 1 {
+		t.Fatalf("after a refused restore: %d discoveries, %d polls; want a cold start's 1 and 1",
+			cold.Discoveries(), cold.Polls())
+	}
+
+	// Non-finite samples and times never enter a window, whichever way
+	// the state arrives.
+	for name, poison := range map[string]stats.Sample{
+		"NaN value":  {Time: 1e6, Value: math.NaN()},
+		"+Inf value": {Time: 1e6, Value: math.Inf(1)},
+		"+Inf time":  {Time: math.Inf(1), Value: 1},
+		"-Inf time":  {Time: math.Inf(-1), Value: 1},
+	} {
+		dump := checkpointDump{State: *r.col.st.Payload()}
+		for k := range dump.State.Channels {
+			dump.State.Channels[k] = append(dump.State.Channels[k], poison)
+			break
+		}
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		enc.Encode(&checkpointHeader{Magic: checkpointMagic, Version: CheckpointVersion})
+		if err := enc.Encode(&dump); err != nil {
+			t.Fatal(err)
+		}
+		expectErr(name, buf.Bytes(), "corrupt checkpoint")
+	}
 
 	// Bit-flip corruption inside the dump body.
 	flipped := append([]byte(nil), ckpt...)

@@ -178,13 +178,12 @@ type Collector struct {
 	cfg Config
 	tel *telemetry.Registry
 
-	mu         sync.Mutex
-	topo       *Topology
+	mu sync.Mutex
+	// st is the measurement state (state.go). The poll and discovery
+	// paths write into its maps and windows in place; a feed apply or a
+	// checkpoint restore replaces it whole.
+	st         *State
 	counters   map[ChannelKey]counterState
-	windows    map[ChannelKey]*stats.Window
-	capacity   map[ChannelKey]float64
-	loads      map[graph.NodeID]*stats.Window
-	health     map[graph.NodeID]*AgentHealth
 	lastNode   map[graph.NodeID]*nodeInfo
 	agents     []agentSlot // the domain in node-ID order; plan fields guarded by mu
 	rng        *rand.Rand
@@ -234,10 +233,12 @@ type Collector struct {
 	telSamples    *telemetry.Counter
 }
 
+// counterState is one channel's last counter reading. The exported
+// fields are the baseline a checkpoint carries (gob).
 type counterState struct {
-	at     float64
-	octets uint32
-	valid  bool
+	At     float64
+	Octets uint32
+	Valid  bool
 	// round is the poll round (polls+1 at the time) that last wrote the
 	// entry: both ends of a link report the same channel, and the first
 	// agent in node-ID order to report it in a round wins.
@@ -270,11 +271,8 @@ func New(cfg Config) *Collector {
 		cfg:      cfg,
 		tel:      tel,
 		agents:   agents,
+		st:       newState(cfg.staleHalfLife(), cfg.WindowLen, cfg.WindowAge),
 		counters: make(map[ChannelKey]counterState),
-		windows:  make(map[ChannelKey]*stats.Window),
-		capacity: make(map[ChannelKey]float64),
-		loads:    make(map[graph.NodeID]*stats.Window),
-		health:   make(map[graph.NodeID]*AgentHealth),
 		lastNode: make(map[graph.NodeID]*nodeInfo),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 
@@ -312,7 +310,7 @@ func (c *Collector) PollErrors() uint64 {
 // baselines.
 func (c *Collector) Start() error {
 	c.mu.Lock()
-	warm := c.topo != nil
+	warm := c.st.topo != nil
 	c.mu.Unlock()
 	if !warm {
 		if _, err := c.Discover(); err != nil {
@@ -357,78 +355,45 @@ func (c *Collector) Discoveries() uint64 {
 func (c *Collector) Topology() (*Topology, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.topo == nil {
+	if c.st.topo == nil {
 		return nil, fmt.Errorf("collector: topology not discovered yet")
 	}
-	return c.topo, nil
-}
-
-// ageAdjustLocked stamps the data age onto a summary and decays its
-// accuracy by the configured half-life: how an agent outage shows up in
-// query answers (stale-but-served) instead of as an error.
-func (c *Collector) ageAdjustLocked(st stats.Stat, w *stats.Window) stats.Stat {
-	latest, ok := w.Latest()
-	if !ok {
-		return st
-	}
-	st.Age = math.Max(0, float64(c.cfg.Clock.Now())-latest.Time)
-	return st.AgeDecayed(c.cfg.staleHalfLife())
+	return c.st.topo, nil
 }
 
 // Utilization implements Source.
 func (c *Collector) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.windows[key]
-	if w == nil {
-		return stats.NoData(), fmt.Errorf("collector: unknown channel %v", key)
-	}
-	return c.ageAdjustLocked(w.Summary(span), w), nil
+	return c.st.Utilization(key, span, float64(c.cfg.Clock.Now()))
 }
 
 // DataAge implements Source: seconds since the newest sample for key.
 func (c *Collector) DataAge(key ChannelKey) (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.windows[key]
-	if w == nil {
-		return 0, fmt.Errorf("collector: unknown channel %v", key)
-	}
-	latest, ok := w.Latest()
-	if !ok {
-		return math.Inf(1), nil
-	}
-	return math.Max(0, float64(c.cfg.Clock.Now())-latest.Time), nil
+	return c.st.DataAge(key, float64(c.cfg.Clock.Now()))
 }
 
 // Samples implements Source.
 func (c *Collector) Samples(key ChannelKey) ([]stats.Sample, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.windows[key]
-	if w == nil {
-		return nil, fmt.Errorf("collector: unknown channel %v", key)
-	}
-	return w.Samples(), nil
+	return c.st.Samples(key)
 }
 
 // HostLoad implements Source.
 func (c *Collector) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.loads[node]
-	if w == nil {
-		return stats.NoData(), fmt.Errorf("collector: no load data for %q", node)
-	}
-	return c.ageAdjustLocked(w.Summary(span), w), nil
+	return c.st.HostLoad(node, span, float64(c.cfg.Clock.Now()))
 }
 
 // Capacity returns the discovered capacity of a channel in bits/s.
 func (c *Collector) Capacity(key ChannelKey) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.capacity[key]
-	return v, ok
+	return c.st.Capacity(key)
 }
 
 // PollOnce polls every agent in the domain once, recording one
@@ -486,13 +451,13 @@ func (c *Collector) PollOnce() {
 		if prev.round == round {
 			continue // the link's other end already reported it this round
 		}
-		c.counters[o.key] = counterState{at: now, octets: o.octets, valid: true, round: round}
-		if !prev.valid || now <= prev.at {
+		c.counters[o.key] = counterState{At: now, Octets: o.octets, Valid: true, round: round}
+		if !prev.Valid || now <= prev.At {
 			continue // baseline sample
 		}
 		// Counter32 wraparound-safe difference.
-		delta := uint32(o.octets - prev.octets)
-		rate := float64(delta) * 8 / (now - prev.at)
+		delta := uint32(o.octets - prev.Octets)
+		rate := float64(delta) * 8 / (now - prev.At)
 		// Ingest validation: a rate must be a finite non-negative number
 		// before it may enter a window. maxmin's guards downstream are
 		// the second line of defense, not the first.
@@ -501,18 +466,18 @@ func (c *Collector) PollOnce() {
 			c.telPollErrors.Inc()
 			continue
 		}
-		w := c.windows[o.key]
+		w := c.st.channels[o.key]
 		if w == nil {
 			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-			c.windows[o.key] = w
+			c.st.channels[o.key] = w
 		}
 		c.addSampleLocked(w, now, rate)
 	}
 	for _, lo := range loads {
-		w := c.loads[lo.node]
+		w := c.st.loads[lo.node]
 		if w == nil {
 			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-			c.loads[lo.node] = w
+			c.st.loads[lo.node] = w
 		}
 		c.addSampleLocked(w, now, lo.load)
 	}

@@ -354,12 +354,12 @@ func (c *Collector) Discover() (*Topology, error) {
 		topo.GlobalID[l.ID] = gid
 		// Record capacities for both directions.
 		c.mu.Lock()
-		c.capacity[ChannelKey{Global: gid, Dir: graph.AtoB}] = rec.capacity
-		c.capacity[ChannelKey{Global: gid, Dir: graph.BtoA}] = rec.capacity
+		c.st.capacity[ChannelKey{Global: gid, Dir: graph.AtoB}] = rec.capacity
+		c.st.capacity[ChannelKey{Global: gid, Dir: graph.BtoA}] = rec.capacity
 		c.mu.Unlock()
 	}
 	c.mu.Lock()
-	c.topo = topo
+	c.st.topo = topo
 	c.discoveries++
 	c.mu.Unlock()
 	c.dataVersion.Add(1)

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/graph"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -135,6 +133,7 @@ type replica struct {
 
 // FailoverSource is a replicated Source over several collector daemons.
 type FailoverSource struct {
+	remote   // the query surface, each call routed by f.call
 	cfg      FailoverConfig
 	replicas []*replica
 	order    []int // routing preference: indexes into replicas (shuffled when cfg.Shuffle)
@@ -162,12 +161,13 @@ func DialFailover(addrs []string, cfg FailoverConfig) (*FailoverSource, error) {
 	}
 	f := &FailoverSource{cfg: cfg, tel: tel, stop: make(chan struct{}),
 		rng: rand.New(rand.NewSource(cfg.Seed))}
+	f.remote = remote{f}
 	reachable := 0
 	var firstErr error
 	for _, addr := range addrs {
 		// Replica clients share the failover registry, so client.calls /
 		// client.call_ms aggregate across the replica set.
-		r := &replica{addr: addr, client: &Client{addr: addr, cfg: cfg.Client, tel: tel}}
+		r := &replica{addr: addr, client: newClient(addr, cfg.Client, tel)}
 		if _, err := r.client.connect(); err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -279,18 +279,12 @@ func (f *FailoverSource) recordFailure(i int, err error) {
 	}
 	f.noteReplicaStateLocked(r.state, next)
 	r.state = next
-	backoff := f.cfg.BackoffBase << uint(min(r.consec-1, 30))
-	if backoff > f.cfg.BackoffMax {
-		backoff = f.cfg.BackoffMax
-	}
 	// Jitter desynchronizes probe schedules across a client fleet: N
 	// clients that all saw the replica die must not all re-probe it at
 	// the same instants (health.go's breaker applies the same ±fraction
 	// to agent retries).
-	if j := f.cfg.BackoffJitter; j > 0 {
-		backoff = time.Duration(float64(backoff) * (1 + j*(2*f.rng.Float64()-1)))
-	}
-	r.nextAttempt = time.Now().Add(backoff)
+	r.nextAttempt = time.Now().Add(time.Duration(BackoffAfter(float64(f.cfg.BackoffBase),
+		float64(f.cfg.BackoffMax), r.consec, f.cfg.BackoffJitter, f.rng.Float64)))
 }
 
 // errFencedTerm is the internal routing error for an answer rejected by
@@ -351,19 +345,20 @@ func (f *FailoverSource) nextIndex(tried []bool, pass int, now time.Time, hint *
 	return -1
 }
 
-// call implements caller by routing one request across the replica set:
-// first over eligible replicas in routing order, then — if every one
-// of those failed — over anything not yet tried, because a marked-Down
-// replica that actually recovered beats returning an error. A replica
-// that answers (even with an application-level error such as "unknown
-// channel") is authoritative — unless term fencing rejects it as a
-// deposed leader's answer; transport failures and typed refusals
-// (busy connection caps, load sheds, standby not-leader) move on to
-// the next replica, a not-leader refusal promoting its leader hint to
-// the next attempt. The context is re-checked between attempts so an
-// expired budget or a cancellation stops the routing loop instead of
-// walking every replica with a dead deadline.
-func (f *FailoverSource) call(ctx context.Context, req *request) (*response, error) {
+// route walks the replica set for one operation: first over eligible
+// replicas in routing order, then — if every one of those failed — over
+// anything not yet tried, because a marked-Down replica that actually
+// recovered beats returning an error. try makes the attempt on one
+// replica and reports whether its outcome stands (err, possibly an
+// application-level error such as "unknown channel", is then returned
+// as is). Of the outcomes that do not stand, typed refusals (busy, shed,
+// subscription cap, stale replica, not-leader, fenced answer) prove the
+// replica alive: they route around it without penalizing its health, a
+// not-leader refusal promoting its leader hint to the next attempt.
+// Anything else counts as a failure. The context is re-checked between
+// attempts so an expired budget stops the loop instead of walking every
+// replica with a dead deadline.
+func (f *FailoverSource) route(ctx context.Context, try func(r *replica) (stands bool, err error)) error {
 	now := time.Now()
 	tried := make([]bool, len(f.replicas))
 	var firstErr error
@@ -378,33 +373,15 @@ func (f *FailoverSource) call(ctx context.Context, req *request) (*response, err
 				if firstErr == nil {
 					firstErr = cerr
 				}
-				return nil, fmt.Errorf("collector: failover aborted after %v: %w", firstErr, cerr)
+				return fmt.Errorf("collector: failover aborted after %v: %w", firstErr, cerr)
 			}
 			tried[i] = true
-			r := f.replicas[i]
 			f.tel.Counter("failover.attempts").Inc()
-			resp, err := r.client.call(ctx, req)
-			if resp != nil && !errors.Is(err, ErrServerBusy) && !errors.Is(err, ErrLoadShed) &&
-				!errors.Is(err, ErrStaleReplica) && !errors.Is(err, ErrNotLeader) {
-				if f.observeTerm(resp.Term, resp.Leader) {
-					// The answer is from a node claiming leadership at a
-					// term we know is over: a deposed leader double-
-					// serving. Reject it and route on.
-					f.tel.Counter("failover.fencing.rejections").Inc()
-					f.recordRefusal(i, errFencedTerm)
-					if firstErr == nil {
-						firstErr = errFencedTerm
-					}
-					continue
-				}
+			stands, err := try(f.replicas[i])
+			if stands {
 				f.recordSuccess(i)
-				return resp, err
+				return err
 			}
-			// An overload, staleness, or not-leader refusal proves the
-			// replica alive — don't penalize its health, just route
-			// around it this call. (A fenced read replica recovers by
-			// itself the moment its feed resyncs; a standby answers the
-			// moment it is promoted.)
 			switch {
 			case errors.Is(err, ErrNotLeader):
 				f.recordRefusal(i, err)
@@ -414,7 +391,8 @@ func (f *FailoverSource) call(ctx context.Context, req *request) (*response, err
 					}
 				}
 			case errors.Is(err, ErrServerBusy) || errors.Is(err, ErrLoadShed) ||
-				errors.Is(err, ErrStaleReplica):
+				errors.Is(err, ErrTooManySubscriptions) || errors.Is(err, ErrStaleReplica) ||
+				errors.Is(err, errFencedTerm):
 				f.recordRefusal(i, err)
 			default:
 				f.recordFailure(i, err)
@@ -426,9 +404,35 @@ func (f *FailoverSource) call(ctx context.Context, req *request) (*response, err
 	}
 	f.tel.Counter("failover.exhausted").Inc()
 	if cerr := ctxCallError(ctx); cerr != nil {
-		return nil, fmt.Errorf("collector: failover exhausted (%v): %w", firstErr, cerr)
+		return fmt.Errorf("collector: failover exhausted (%v): %w", firstErr, cerr)
 	}
-	return nil, fmt.Errorf("collector: all %d replicas failed: %w", len(f.replicas), firstErr)
+	return fmt.Errorf("collector: all %d replicas failed: %w", len(f.replicas), firstErr)
+}
+
+// call implements caller by routing one request across the replica set.
+// A replica that answers is authoritative — unless term fencing rejects
+// it as a deposed leader's answer.
+func (f *FailoverSource) call(ctx context.Context, req *request) (*response, error) {
+	var resp *response
+	err := f.route(ctx, func(r *replica) (stands bool, err error) {
+		resp, err = r.client.call(ctx, req)
+		switch {
+		case resp == nil || errors.Is(err, ErrServerBusy) || errors.Is(err, ErrLoadShed) ||
+			errors.Is(err, ErrStaleReplica) || errors.Is(err, ErrNotLeader):
+			// No answer, or a typed refusal: route decides what it costs.
+		case f.observeTerm(resp.Term, resp.Leader):
+			// The answer is from a node claiming leadership at a term we
+			// know is over: a deposed leader double-serving. Reject it
+			// and route on.
+			f.tel.Counter("failover.fencing.rejections").Inc()
+			err = errFencedTerm
+		default:
+			return true, err
+		}
+		resp = nil
+		return false, err
+	})
+	return resp, err
 }
 
 // recordRefusal notes an overload refusal without dinging the replica's
@@ -491,68 +495,6 @@ func (f *FailoverSource) probeLoop() {
 	}
 }
 
-// Topology implements Source.
-func (f *FailoverSource) Topology() (*Topology, error) {
-	return callTopology(context.Background(), f)
-}
-
-// TopologyCtx implements ContextSource.
-func (f *FailoverSource) TopologyCtx(ctx context.Context) (*Topology, error) {
-	return callTopology(ctx, f)
-}
-
-// Utilization implements Source.
-func (f *FailoverSource) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
-	return callUtilization(context.Background(), f, key, span)
-}
-
-// UtilizationCtx implements ContextSource.
-func (f *FailoverSource) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
-	return callUtilization(ctx, f, key, span)
-}
-
-// Samples implements Source.
-func (f *FailoverSource) Samples(key ChannelKey) ([]stats.Sample, error) {
-	return callSamples(context.Background(), f, key)
-}
-
-// SamplesCtx implements ContextSource.
-func (f *FailoverSource) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
-	return callSamples(ctx, f, key)
-}
-
-// HostLoad implements Source.
-func (f *FailoverSource) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	return callHostLoad(context.Background(), f, node, span)
-}
-
-// HostLoadCtx implements ContextSource.
-func (f *FailoverSource) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
-	return callHostLoad(ctx, f, node, span)
-}
-
-// DataAge implements Source.
-func (f *FailoverSource) DataAge(key ChannelKey) (float64, error) {
-	return callDataAge(context.Background(), f, key)
-}
-
-// DataAgeCtx implements ContextSource.
-func (f *FailoverSource) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
-	return callDataAge(ctx, f, key)
-}
-
-// Health implements HealthSource: the serving replica's view of the
-// per-agent collection health.
-func (f *FailoverSource) Health() map[graph.NodeID]AgentHealth {
-	return callHealth(context.Background(), f)
-}
-
-// TelemetrySnapshot fetches the serving replica's merged metrics
-// snapshot (routed like any other call, so it fails over too).
-func (f *FailoverSource) TelemetrySnapshot(ctx context.Context) (*telemetry.Snapshot, error) {
-	return callTelemetry(ctx, f)
-}
-
 // Watch implements WatchSource with transparent re-subscribe: the
 // subscription is placed on the preferred eligible replica, and when
 // that replica's stream dies with a transport error the proxy
@@ -578,59 +520,14 @@ func (f *FailoverSource) Watch(ctx context.Context, wr WatchRequest) (*WatchHand
 	return h, nil
 }
 
-// subscribeAny routes one subscribe across the replica set with the
-// same two-pass preference order as call(): eligible replicas first,
-// then anything not yet tried. Overload refusals (busy, shed, at the
-// subscription cap) prove a replica alive and just route past it.
+// subscribeAny routes one subscribe across the replica set.
 func (f *FailoverSource) subscribeAny(ctx context.Context, wr WatchRequest) (*WatchHandle, error) {
-	now := time.Now()
-	tried := make([]bool, len(f.replicas))
-	var firstErr error
-	hint := -1
-	for pass := 0; pass < 2; pass++ {
-		for {
-			i := f.nextIndex(tried, pass, now, &hint)
-			if i < 0 {
-				break
-			}
-			if cerr := ctxCallError(ctx); cerr != nil {
-				if firstErr == nil {
-					firstErr = cerr
-				}
-				return nil, fmt.Errorf("collector: failover aborted after %v: %w", firstErr, cerr)
-			}
-			tried[i] = true
-			r := f.replicas[i]
-			f.tel.Counter("failover.attempts").Inc()
-			h, err := r.client.Watch(ctx, wr)
-			if err == nil {
-				f.recordSuccess(i)
-				return h, nil
-			}
-			switch {
-			case errors.Is(err, ErrNotLeader):
-				f.recordRefusal(i, err)
-				if addr, ok := LeaderHint(err); ok {
-					if j := f.indexOf(addr); j >= 0 && !tried[j] {
-						hint = j
-					}
-				}
-			case errors.Is(err, ErrServerBusy) || errors.Is(err, ErrLoadShed) ||
-				errors.Is(err, ErrTooManySubscriptions) || errors.Is(err, ErrStaleReplica):
-				f.recordRefusal(i, err)
-			default:
-				f.recordFailure(i, err)
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	f.tel.Counter("failover.exhausted").Inc()
-	if cerr := ctxCallError(ctx); cerr != nil {
-		return nil, fmt.Errorf("collector: failover exhausted (%v): %w", firstErr, cerr)
-	}
-	return nil, fmt.Errorf("collector: all %d replicas failed: %w", len(f.replicas), firstErr)
+	var h *WatchHandle
+	err := f.route(ctx, func(r *replica) (stands bool, err error) {
+		h, err = r.client.Watch(ctx, wr)
+		return err == nil, err
+	})
+	return h, err
 }
 
 // proxyWatch forwards updates from replica streams onto h until a

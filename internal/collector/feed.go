@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/stats"
 )
@@ -35,9 +36,9 @@ import (
 // FeedSource accept it.
 const WatchFeed = "feed"
 
-// FeedPayload is the replication payload of one WatchFeed update.
-// Shapes mirror checkpointDump so the feed and the checkpoint file stay
-// one encoding family.
+// FeedPayload is the replication payload of one WatchFeed update. A
+// Full one is the serialized form of a State (state.go), so it is also
+// the body of a checkpoint and the whole of a history file.
 type FeedPayload struct {
 	// Epoch is the source DataVersion the payload was collected at.
 	Epoch uint64
@@ -118,7 +119,8 @@ type FeedSource interface {
 func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.topo == nil {
+	st := c.st
+	if st.topo == nil {
 		return nil, fmt.Errorf("collector: topology not discovered yet")
 	}
 	epoch := c.dataVersion.Load()
@@ -127,72 +129,77 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	if !full && epoch == cur.epoch {
 		return nil, nil
 	}
-	p := &FeedPayload{
-		Epoch:      epoch,
-		Full:       full,
-		Term:       term,
-		Now:        float64(c.cfg.Clock.Now()),
-		HalfLife:   c.cfg.staleHalfLife(),
-		WindowLen:  c.cfg.WindowLen,
-		WindowAge:  c.cfg.WindowAge,
-		PollPeriod: c.cfg.PollPeriod,
-		Channels:   make(map[ChannelKey][]stats.Sample),
-		Loads:      make(map[string][]stats.Sample),
-		Health:     make(map[string]AgentHealth, len(c.health)),
-	}
+	var p *FeedPayload
 	if full {
-		cur.chans = make(map[ChannelKey]float64)
-		cur.loads = make(map[string]float64)
-		cur.disc = 0
-	}
-	if full || c.topo.DiscoveredAt != cur.disc {
-		p.Topo = topoToWire(c.topo)
-		p.Capacity = make(map[ChannelKey]float64, len(c.capacity))
-		for k, v := range c.capacity {
-			p.Capacity[k] = v
+		p = st.Payload()
+		cur.chans, cur.loads = newestTimes(p.Channels), newestTimes(p.Loads)
+	} else {
+		p = &FeedPayload{
+			HalfLife:  st.halfLife,
+			WindowLen: st.windowLen,
+			WindowAge: st.windowAge,
+			Channels:  make(map[ChannelKey][]stats.Sample),
+			Loads:     make(map[string][]stats.Sample),
+			Health:    make(map[string]AgentHealth, len(st.health)),
 		}
-		cur.disc = c.topo.DiscoveredAt
-	}
-	// A delta is about one sample per window: its sample slices are
-	// carved out of one slab (capped, so no later append can reach into a
-	// neighbour's). A Full payload copies each window on its own.
-	var slab []stats.Sample
-	if !full {
-		slab = make([]stats.Sample, 0, len(c.windows)+len(c.loads))
-	}
-	collect := func(w *stats.Window, since float64, seen bool) []stats.Sample {
-		if full || !seen {
-			return w.Samples()
+		if st.topo.DiscoveredAt != cur.disc {
+			p.Topo = topoToWire(st.topo)
+			p.Capacity = maps.Clone(st.capacity)
 		}
-		from := len(slab)
-		slab = w.AppendSince(slab, since)
-		return slab[from:len(slab):len(slab)]
-	}
-	for k, w := range c.windows {
-		since, seen := cur.chans[k]
-		samples := collect(w, since, seen)
-		if len(samples) == 0 {
-			continue
+		// A delta is about one sample per window: its sample slices are
+		// carved out of one slab (capped, so no later append can reach
+		// into a neighbour's). A window new to the cursor is copied whole.
+		slab := make([]stats.Sample, 0, len(st.channels)+len(st.loads))
+		collect := func(w *stats.Window, since float64, seen bool) []stats.Sample {
+			if !seen {
+				return w.Samples()
+			}
+			from := len(slab)
+			slab = w.AppendSince(slab, since)
+			return slab[from:len(slab):len(slab)]
 		}
-		p.Channels[k] = samples
-		cur.chans[k] = samples[len(samples)-1].Time
-	}
-	for id, w := range c.loads {
-		key := string(id)
-		since, seen := cur.loads[key]
-		samples := collect(w, since, seen)
-		if len(samples) == 0 {
-			continue
+		for k, w := range st.channels {
+			since, seen := cur.chans[k]
+			samples := collect(w, since, seen)
+			if len(samples) == 0 {
+				continue
+			}
+			p.Channels[k] = samples
+			cur.chans[k] = samples[len(samples)-1].Time
 		}
-		p.Loads[key] = samples
-		cur.loads[key] = samples[len(samples)-1].Time
+		for id, w := range st.loads {
+			key := string(id)
+			since, seen := cur.loads[key]
+			samples := collect(w, since, seen)
+			if len(samples) == 0 {
+				continue
+			}
+			p.Loads[key] = samples
+			cur.loads[key] = samples[len(samples)-1].Time
+		}
+		for id, h := range st.health {
+			p.Health[string(id)] = *h
+		}
 	}
-	for id, h := range c.health {
-		p.Health[string(id)] = *h
-	}
+	p.Epoch, p.Term = epoch, term
+	p.Now = float64(c.cfg.Clock.Now())
+	p.PollPeriod = c.cfg.PollPeriod
 	cur.sentFull = true
 	cur.gen = c.stateGen
 	cur.term = term
 	cur.epoch = epoch
+	cur.disc = st.topo.DiscoveredAt
 	return p, nil
+}
+
+// newestTimes is where a cursor stands after shipping samples: at the
+// newest sample of each window.
+func newestTimes[K comparable](shipped map[K][]stats.Sample) map[K]float64 {
+	marks := make(map[K]float64, len(shipped))
+	for k, samples := range shipped {
+		if n := len(samples); n > 0 {
+			marks[k] = samples[n-1].Time
+		}
+	}
+	return marks
 }

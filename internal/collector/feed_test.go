@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -116,6 +117,59 @@ func TestFeedSinceDeltaExtendsCleanly(t *testing.T) {
 		if got[key][i] != want[i] {
 			t.Fatalf("sample %d: replayed %+v, collector %+v", i, got[key][i], want[i])
 		}
+	}
+}
+
+// TestStandbyDeltaApplyIsAtomic: a delta that re-ships the topology and
+// carries one out-of-order channel among many must fail and leave the
+// standby exactly as it was — every window, the topology, the version.
+func TestStandbyDeltaApplyIsAtomic(t *testing.T) {
+	r := feedRig(t)
+	r.net.SetHostLoad("m-5", 0.25)
+	cur := &FeedCursor{}
+	standby := New(Config{Clock: r.clk, PollPeriod: 2})
+	full, err := r.col.FeedSince(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.ApplyFeed(full); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(4)
+	if _, err := r.col.Discover(); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := r.col.FeedSince(cur)
+	if err != nil || delta == nil || delta.Full || delta.Topo == nil || len(delta.Channels) < 10 {
+		t.Fatalf("delta = %+v, %v; want a topology-carrying delta over many channels", delta, err)
+	}
+	topo, _ := r.col.Topology()
+	bad := keyFor(t, topo, "m-6", "timberline")
+	delta.Channels[bad] = []stats.Sample{{Time: 1, Value: 1}} // older than everything applied
+
+	snapshot := func() (*Topology, uint64, *FeedPayload) {
+		tp, err := standby.Topology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := standby.DataVersion()
+		standby.mu.Lock()
+		defer standby.mu.Unlock()
+		return tp, v, standby.st.Payload()
+	}
+	topoBefore, verBefore, stateBefore := snapshot()
+	if err := standby.ApplyFeed(delta); err == nil {
+		t.Fatal("delta with an out-of-order channel applied")
+	}
+	topoAfter, verAfter, stateAfter := snapshot()
+	if topoAfter != topoBefore {
+		t.Fatal("failed delta swapped the topology")
+	}
+	if verAfter != verBefore {
+		t.Fatalf("failed delta moved DataVersion %d -> %d", verBefore, verAfter)
+	}
+	if !reflect.DeepEqual(stateAfter, stateBefore) {
+		t.Fatal("failed delta left windows, capacities or health changed")
 	}
 }
 

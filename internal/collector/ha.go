@@ -2,11 +2,7 @@ package collector
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
-
-	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 // Collector-side hooks for the hot-standby pair (internal/ha): the HA
@@ -62,154 +58,36 @@ func advanceVersionTo(dv *atomic.Uint64, v uint64) {
 }
 
 // ApplyFeed installs one replication feed payload into the collector: a
-// standby's live state sync. Full payloads replace the measurement
+// standby's live state sync. The successor state is built whole
+// (State.Extend) and installed at once, so a corrupt payload leaves the
+// collector exactly as it was. Full payloads replace the measurement
 // state wholesale (bumping the state generation, exactly like a
 // checkpoint restore, so any downstream feed cursors re-snapshot);
-// deltas extend the existing windows. Counter baselines are not carried
-// by the feed, so a promoted standby's first poll round re-baselines
-// each counter instead of fabricating a rate across the failover.
-//
-// Coherence (Seq gaps, term fencing, delta-before-full) is the caller's
-// job — the ha.Node's sync loop enforces the same rules as a read
-// replica — but a delta arriving before any full payload is rejected
-// here too, since applying it would corrupt the store silently.
+// deltas extend the existing windows, and a promoted standby's poll
+// rounds carry on appending at their tips. Counter baselines are not
+// carried by the feed: the first poll round after a promotion
+// re-baselines each counter instead of fabricating a rate across the
+// failover. Coherence (Seq gaps, term fencing) is the caller's job.
 func (c *Collector) ApplyFeed(p *FeedPayload) error {
 	if p == nil {
 		return fmt.Errorf("collector: nil feed payload")
 	}
-	if p.Full {
-		return c.applyFeedFull(p)
-	}
-	return c.applyFeedDelta(p)
-}
-
-func (c *Collector) applyFeedFull(p *FeedPayload) error {
-	topo, err := p.Topology()
-	if err != nil {
-		return err
-	}
-	if topo == nil {
-		return fmt.Errorf("collector: full feed payload without topology")
-	}
-	// Rebuild windows outside the lock, install at once (the same
-	// discipline as RestoreCheckpoint): a corrupt payload must leave the
-	// collector unchanged.
-	windows := make(map[ChannelKey]*stats.Window, len(p.Channels))
-	for k, samples := range p.Channels {
-		w, err := c.rebuildFeedWindow(samples)
-		if err != nil {
-			return err
-		}
-		windows[k] = w
-	}
-	loads := make(map[graph.NodeID]*stats.Window, len(p.Loads))
-	for id, samples := range p.Loads {
-		w, err := c.rebuildFeedWindow(samples)
-		if err != nil {
-			return err
-		}
-		loads[graph.NodeID(id)] = w
-	}
-	capacity := make(map[ChannelKey]float64, len(p.Capacity))
-	for k, v := range p.Capacity {
-		capacity[k] = v
-	}
-	health := make(map[graph.NodeID]*AgentHealth, len(p.Health))
-	for id, h := range p.Health {
-		hc := h
-		health[graph.NodeID(id)] = &hc
-	}
 	c.mu.Lock()
-	c.topo = topo
-	c.counters = make(map[ChannelKey]counterState)
-	c.windows = windows
-	c.capacity = capacity
-	c.loads = loads
-	c.health = health
-	c.stateGen++
-	c.mu.Unlock()
-	advanceVersionTo(&c.dataVersion, p.Epoch)
-	c.notifyVersion()
-	c.tel.Counter("collector.feed.applied.full").Inc()
-	return nil
-}
-
-func (c *Collector) applyFeedDelta(p *FeedPayload) error {
-	topo, err := p.Topology()
+	next, err := c.st.Extend(p)
 	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if c.topo == nil {
 		c.mu.Unlock()
-		return fmt.Errorf("collector: feed delta before any full payload")
+		return err
 	}
-	if topo != nil {
-		c.topo = topo
-		capacity := make(map[ChannelKey]float64, len(p.Capacity))
-		for k, v := range p.Capacity {
-			capacity[k] = v
-		}
-		c.capacity = capacity
-	}
-	for k, samples := range p.Channels {
-		w := c.windows[k]
-		if w == nil {
-			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-			c.windows[k] = w
-		}
-		if err := appendFeedSamples(w, samples); err != nil {
-			c.mu.Unlock()
-			return err
-		}
-	}
-	for id, samples := range p.Loads {
-		nid := graph.NodeID(id)
-		w := c.loads[nid]
-		if w == nil {
-			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-			c.loads[nid] = w
-		}
-		if err := appendFeedSamples(w, samples); err != nil {
-			c.mu.Unlock()
-			return err
-		}
-	}
-	if p.Health != nil {
-		health := make(map[graph.NodeID]*AgentHealth, len(p.Health))
-		for id, h := range p.Health {
-			hc := h
-			health[graph.NodeID(id)] = &hc
-		}
-		c.health = health
+	c.st = next
+	applied := "collector.feed.applied.delta"
+	if p.Full {
+		c.counters = make(map[ChannelKey]counterState)
+		c.stateGen++
+		applied = "collector.feed.applied.full"
 	}
 	c.mu.Unlock()
 	advanceVersionTo(&c.dataVersion, p.Epoch)
 	c.notifyVersion()
-	c.tel.Counter("collector.feed.applied.delta").Inc()
-	return nil
-}
-
-// rebuildFeedWindow reconstructs a sample window from shipped samples,
-// sized by the collector's own config (the pair is configured
-// identically). Out-of-order or non-finite samples fail the apply.
-func (c *Collector) rebuildFeedWindow(samples []stats.Sample) (*stats.Window, error) {
-	w := stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-	if err := appendFeedSamples(w, samples); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func appendFeedSamples(w *stats.Window, samples []stats.Sample) error {
-	for _, s := range samples {
-		if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) ||
-			math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
-			return fmt.Errorf("collector: non-finite sample in feed payload")
-		}
-	}
-	if err := w.AddAll(samples); err != nil {
-		return fmt.Errorf("collector: corrupt feed payload: %w", err)
-	}
+	c.tel.Counter(applied).Inc()
 	return nil
 }

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 )
@@ -76,10 +75,10 @@ type HealthSource interface {
 // healthLocked returns (creating if needed) the mutable health record
 // for an agent. Callers hold c.mu.
 func (c *Collector) healthLocked(id graph.NodeID) *AgentHealth {
-	h := c.health[id]
+	h := c.st.health[id]
 	if h == nil {
 		h = &AgentHealth{LastSuccess: -1, LastAttempt: -1}
-		c.health[id] = h
+		c.st.health[id] = h
 	}
 	return h
 }
@@ -138,14 +137,8 @@ func (c *Collector) recordFailure(id graph.NodeID, now float64) {
 	}
 	c.noteTransitionLocked(h.State, next)
 	h.State = next
-	backoff := c.cfg.BackoffBase * math.Exp2(float64(h.ConsecutiveFailures-1))
-	if backoff > c.cfg.BackoffMax {
-		backoff = c.cfg.BackoffMax
-	}
-	if j := c.cfg.BackoffJitter; j > 0 {
-		backoff *= 1 + j*(2*c.rng.Float64()-1)
-	}
-	h.NextAttempt = now + backoff
+	h.NextAttempt = now + BackoffAfter(c.cfg.BackoffBase, c.cfg.BackoffMax,
+		h.ConsecutiveFailures, c.cfg.BackoffJitter, c.rng.Float64)
 }
 
 // Health implements HealthSource: a snapshot of every agent's health,
@@ -153,18 +146,14 @@ func (c *Collector) recordFailure(id graph.NodeID, now float64) {
 func (c *Collector) Health() map[graph.NodeID]AgentHealth {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[graph.NodeID]AgentHealth, len(c.health))
-	for id, h := range c.health {
-		out[id] = *h
-	}
-	return out
+	return c.st.Health()
 }
 
 // HealthOf returns one agent's health snapshot.
 func (c *Collector) HealthOf(id graph.NodeID) (AgentHealth, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h, ok := c.health[id]
+	h, ok := c.st.health[id]
 	if !ok {
 		return AgentHealth{}, false
 	}

@@ -2,10 +2,13 @@ package collector
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -82,6 +85,54 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadHistory(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty accepted")
+	}
+
+	r := newRig(t, 2)
+	if err := r.col.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.RunUntil(20)
+	topo, _ := r.col.Topology()
+	k := keyFor(t, topo, "timberline", "whiteface")
+
+	// Non-finite samples and times are garbage too: a history file goes
+	// through the same constructor as a feed payload.
+	for name, poison := range map[string]stats.Sample{
+		"NaN value":  {Time: 1e6, Value: math.NaN()},
+		"-Inf value": {Time: 1e6, Value: math.Inf(-1)},
+		"+Inf time":  {Time: math.Inf(1), Value: 1},
+	} {
+		p := r.col.st.Payload()
+		p.Channels[k] = append(p.Channels[k], poison)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadHistory(&buf); err == nil {
+			t.Fatalf("history with a %s sample accepted", name)
+		}
+	}
+
+	// A dump in the shape SaveHistory wrote before a history file became
+	// a Full FeedPayload still loads: gob matches fields by name.
+	type historyDump struct {
+		Topo     *WireTopo
+		Channels map[ChannelKey][]stats.Sample
+		Capacity map[ChannelKey]float64
+		Loads    map[string][]stats.Sample
+	}
+	cur := r.col.st.Payload()
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&historyDump{cur.Topo, cur.Channels, cur.Capacity, cur.Loads}); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := LoadHistory(&old)
+	if err != nil {
+		t.Fatalf("history in the previous shape refused: %v", err)
+	}
+	got, err := rp.Samples(k)
+	if want, _ := r.col.Samples(k); err != nil || len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("previous-shape history replays %d samples (%v), collector holds %d", len(got), err, len(want))
 	}
 }
 

@@ -156,14 +156,16 @@ func (s *Server) handleMatrix(ctx context.Context, resp *response, mr *MatrixReq
 	resp.Matrix = ans
 }
 
-// callMatrix is the shared client-side wrapper: one "matrix" round
-// trip through any caller (direct Client or FailoverSource), with the
-// response's HA term copied onto the answer.
-func callMatrix(ctx context.Context, c caller, mr *MatrixRequest) (*MatrixAnswer, error) {
+// MatrixQuery implements MatrixSource: one "matrix" round trip, with
+// the response's HA term copied onto the answer. Through a failover
+// group, typed refusals (shed, stale, not-leader) route to the next
+// replica like every other op; ErrMatrixTooLarge and
+// ErrMatrixUnsupported are authoritative and returned as-is.
+func (r remote) MatrixQuery(ctx context.Context, mr *MatrixRequest) (*MatrixAnswer, error) {
 	if err := validateMatrixRequest(mr); err != nil {
 		return nil, err
 	}
-	resp, err := c.call(ctx, &request{Op: "matrix", Matrix: mr})
+	resp, err := r.call(ctx, &request{Op: "matrix", Matrix: mr})
 	if err != nil {
 		return nil, err
 	}
@@ -191,17 +193,4 @@ func checkMatrixShape(mr *MatrixRequest, ans *MatrixAnswer) error {
 		}
 	}
 	return nil
-}
-
-// MatrixQuery implements MatrixSource over the TCP client.
-func (c *Client) MatrixQuery(ctx context.Context, mr *MatrixRequest) (*MatrixAnswer, error) {
-	return callMatrix(ctx, c, mr)
-}
-
-// MatrixQuery implements MatrixSource over the failover group: typed
-// refusals (shed, stale, not-leader) route to the next replica like
-// every other op; ErrMatrixTooLarge and ErrMatrixUnsupported are
-// authoritative and returned as-is.
-func (f *FailoverSource) MatrixQuery(ctx context.Context, mr *MatrixRequest) (*MatrixAnswer, error) {
-	return callMatrix(ctx, f, mr)
 }

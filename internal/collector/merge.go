@@ -177,20 +177,28 @@ func (m *Merged) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
 
 // UtilizationCtx implements ContextSource.
 func (m *Merged) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
+	return firstAnswer(m, stats.NoData(), func(s Source) (stats.Stat, error) { return CtxUtilization(ctx, s, key, span) })
+}
+
+// firstAnswer asks the members in order and returns the first answer. A
+// lifecycle error (the caller gave up, a server refused) ends the walk;
+// any other error moves on, and the first of them is returned when no
+// member answers.
+func firstAnswer[T any](m *Merged, none T, ask func(Source) (T, error)) (T, error) {
 	var firstErr error
 	for _, s := range m.sources {
-		st, err := CtxUtilization(ctx, s, key, span)
+		v, err := ask(s)
 		if err == nil {
-			return st, nil
+			return v, nil
 		}
 		if IsLifecycleError(err) {
-			return stats.NoData(), err
+			return none, err
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	return stats.NoData(), firstErr
+	return none, firstErr
 }
 
 // Samples implements Source.
@@ -200,20 +208,7 @@ func (m *Merged) Samples(key ChannelKey) ([]stats.Sample, error) {
 
 // SamplesCtx implements ContextSource.
 func (m *Merged) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
-	var firstErr error
-	for _, s := range m.sources {
-		sm, err := CtxSamples(ctx, s, key)
-		if err == nil {
-			return sm, nil
-		}
-		if IsLifecycleError(err) {
-			return nil, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, firstErr
+	return firstAnswer(m, nil, func(s Source) ([]stats.Sample, error) { return CtxSamples(ctx, s, key) })
 }
 
 // HostLoad implements Source.
@@ -223,20 +218,7 @@ func (m *Merged) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
 
 // HostLoadCtx implements ContextSource.
 func (m *Merged) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
-	var firstErr error
-	for _, s := range m.sources {
-		st, err := CtxHostLoad(ctx, s, node, span)
-		if err == nil {
-			return st, nil
-		}
-		if IsLifecycleError(err) {
-			return stats.NoData(), err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return stats.NoData(), firstErr
+	return firstAnswer(m, stats.NoData(), func(s Source) (stats.Stat, error) { return CtxHostLoad(ctx, s, node, span) })
 }
 
 // DataAge implements Source: the freshest age any member reports for the

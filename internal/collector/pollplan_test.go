@@ -154,9 +154,9 @@ func sameRecords(t *testing.T, col, ref *Collector) {
 	defer col.mu.Unlock()
 	ref.mu.Lock()
 	defer ref.mu.Unlock()
-	if len(col.windows) != len(ref.windows) || len(col.loads) != len(ref.loads) {
+	if len(col.st.channels) != len(ref.st.channels) || len(col.st.loads) != len(ref.st.loads) {
 		t.Fatalf("%d channels %d hosts, reference %d and %d",
-			len(col.windows), len(col.loads), len(ref.windows), len(ref.loads))
+			len(col.st.channels), len(col.st.loads), len(ref.st.channels), len(ref.st.loads))
 	}
 	byTime := func(w *stats.Window) map[float64]float64 {
 		m := make(map[float64]float64)
@@ -165,16 +165,16 @@ func sameRecords(t *testing.T, col, ref *Collector) {
 		}
 		return m
 	}
-	for k, w := range col.windows {
-		want := byTime(ref.windows[k])
+	for k, w := range col.st.channels {
+		want := byTime(ref.st.channels[k])
 		for tm, v := range byTime(w) {
 			if wv, ok := want[tm]; !ok || wv != v {
 				t.Fatalf("channel %v at t=%v: %v, reference %v (present %v)", k, tm, v, wv, ok)
 			}
 		}
 	}
-	for id, w := range col.loads {
-		want := byTime(ref.loads[id])
+	for id, w := range col.st.loads {
+		want := byTime(ref.st.loads[id])
 		for tm, v := range byTime(w) {
 			if wv, ok := want[tm]; !ok || wv != v {
 				t.Fatalf("host %v at t=%v: %v, reference %v (present %v)", id, tm, v, wv, ok)

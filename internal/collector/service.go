@@ -1013,6 +1013,7 @@ var errCallTimeout = errors.New("collector: call timed out waiting for response"
 // concurrently (pipelining), and watch subscriptions ride alongside
 // them on their own streams.
 type Client struct {
+	remote
 	addr string
 	cfg  ClientConfig
 	tel  *telemetry.Registry // nil = client-side metrics disabled
@@ -1055,11 +1056,19 @@ func Dial(addr string) (*Client, error) {
 	return DialConfig(addr, ClientConfig{})
 }
 
+// newClient builds an unconnected client whose query surface calls
+// through itself.
+func newClient(addr string, cfg ClientConfig, tel *telemetry.Registry) *Client {
+	c := &Client{addr: addr, cfg: cfg, tel: tel}
+	c.remote = remote{c}
+	return c
+}
+
 // DialConfig connects to a collector service with explicit failure
 // behaviour.
 func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	cfg.fill()
-	c := &Client{addr: addr, cfg: cfg, tel: cfg.Telemetry}
+	c := newClient(addr, cfg, cfg.Telemetry)
 	if _, err := c.connect(); err != nil {
 		return nil, err
 	}
@@ -1331,14 +1340,8 @@ func (c *Client) call(ctx context.Context, req *request) (_ *response, retErr er
 		if c.cfg.SingleAttempt || errors.Is(err, ErrFrameTooLarge) || errors.Is(err, errClientClosed) {
 			return nil, err
 		}
-		if c.cfg.RetryBackoff > 0 {
-			t := time.NewTimer(c.cfg.RetryBackoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctxError(ctx)
-			}
+		if c.cfg.RetryBackoff > 0 && !sleepCtx(ctx, c.cfg.RetryBackoff) {
+			return nil, ctxError(ctx)
 		}
 		resp, err = attempt()
 		if err != nil {
@@ -1374,14 +1377,8 @@ func (c *Client) Watch(ctx context.Context, wr WatchRequest) (*WatchHandle, erro
 		return nil, err
 	}
 	// One reconnect-and-retry for transport failures, like call().
-	if c.cfg.RetryBackoff > 0 {
-		t := time.NewTimer(c.cfg.RetryBackoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctxError(ctx)
-		}
+	if c.cfg.RetryBackoff > 0 && !sleepCtx(ctx, c.cfg.RetryBackoff) {
+		return nil, ctxError(ctx)
 	}
 	return c.subscribeOnce(ctx, wr)
 }
@@ -1558,15 +1555,25 @@ func decodeResponse(resp *response) (*response, error) {
 	}
 }
 
-// caller abstracts "send one request, get one response" so the Source
-// method wrappers below are shared between Client (one connection) and
-// FailoverSource (a replica set).
+// caller abstracts "send one request, get one response": a Client makes
+// it over one connection, a FailoverSource routes it across a replica
+// set.
 type caller interface {
 	call(ctx context.Context, req *request) (*response, error)
 }
 
-func callTopology(ctx context.Context, c caller) (*Topology, error) {
-	resp, err := c.call(ctx, &request{Op: "topo"})
+// remote is the query surface of a dialed collector — Source,
+// ContextSource, HealthSource, MatrixSource and the telemetry snapshot —
+// written once over a caller. Client and FailoverSource embed it,
+// pointing at themselves.
+type remote struct{ caller }
+
+// Topology implements Source.
+func (r remote) Topology() (*Topology, error) { return r.TopologyCtx(context.Background()) }
+
+// TopologyCtx implements ContextSource.
+func (r remote) TopologyCtx(ctx context.Context) (*Topology, error) {
+	resp, err := r.call(ctx, &request{Op: "topo"})
 	if err != nil {
 		return nil, err
 	}
@@ -1576,57 +1583,68 @@ func callTopology(ctx context.Context, c caller) (*Topology, error) {
 	return topoFromWireChecked(resp.Topo)
 }
 
-func callUtilization(ctx context.Context, c caller, key ChannelKey, span float64) (stats.Stat, error) {
-	resp, err := c.call(ctx, &request{Op: "util", Key: key, Span: span})
-	if err != nil {
-		if resp != nil {
-			return resp.Stat, err
-		}
-		return stats.NoData(), err
-	}
-	return resp.Stat, nil
+// Utilization implements Source.
+func (r remote) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+	return r.UtilizationCtx(context.Background(), key, span)
 }
 
-func callSamples(ctx context.Context, c caller, key ChannelKey) ([]stats.Sample, error) {
-	resp, err := c.call(ctx, &request{Op: "samples", Key: key})
+// UtilizationCtx implements ContextSource.
+func (r remote) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
+	return r.stat(ctx, &request{Op: "util", Key: key, Span: span})
+}
+
+// stat makes a call whose answer is a Stat (which a refusal may still
+// carry).
+func (r remote) stat(ctx context.Context, req *request) (stats.Stat, error) {
+	resp, err := r.call(ctx, req)
+	if resp == nil {
+		return stats.NoData(), err
+	}
+	return resp.Stat, err
+}
+
+// Samples implements Source.
+func (r remote) Samples(key ChannelKey) ([]stats.Sample, error) {
+	return r.SamplesCtx(context.Background(), key)
+}
+
+// SamplesCtx implements ContextSource.
+func (r remote) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
+	resp, err := r.call(ctx, &request{Op: "samples", Key: key})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Samples, nil
 }
 
-func callHostLoad(ctx context.Context, c caller, node graph.NodeID, span float64) (stats.Stat, error) {
-	resp, err := c.call(ctx, &request{Op: "load", Node: string(node), Span: span})
-	if err != nil {
-		if resp != nil {
-			return resp.Stat, err
-		}
-		return stats.NoData(), err
-	}
-	return resp.Stat, nil
+// HostLoad implements Source.
+func (r remote) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+	return r.HostLoadCtx(context.Background(), node, span)
 }
 
-func callDataAge(ctx context.Context, c caller, key ChannelKey) (float64, error) {
-	resp, err := c.call(ctx, &request{Op: "age", Key: key})
+// HostLoadCtx implements ContextSource.
+func (r remote) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
+	return r.stat(ctx, &request{Op: "load", Node: string(node), Span: span})
+}
+
+// DataAge implements Source.
+func (r remote) DataAge(key ChannelKey) (float64, error) {
+	return r.DataAgeCtx(context.Background(), key)
+}
+
+// DataAgeCtx implements ContextSource.
+func (r remote) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
+	resp, err := r.call(ctx, &request{Op: "age", Key: key})
 	if err != nil {
 		return 0, err
 	}
 	return resp.Age, nil
 }
 
-func callTelemetry(ctx context.Context, c caller) (*telemetry.Snapshot, error) {
-	resp, err := c.call(ctx, &request{Op: "stats"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Telemetry == nil {
-		return nil, fmt.Errorf("collector: server answered stats query without a snapshot")
-	}
-	return resp.Telemetry, nil
-}
-
-func callHealth(ctx context.Context, c caller) map[graph.NodeID]AgentHealth {
-	resp, err := c.call(ctx, &request{Op: "health"})
+// Health implements HealthSource: the answering collector's per-agent
+// health snapshot (nil when the server cannot provide one).
+func (r remote) Health() map[graph.NodeID]AgentHealth {
+	resp, err := r.call(context.Background(), &request{Op: "health"})
 	if err != nil {
 		return nil
 	}
@@ -1637,63 +1655,18 @@ func callHealth(ctx context.Context, c caller) map[graph.NodeID]AgentHealth {
 	return out
 }
 
-// Topology implements Source.
-func (c *Client) Topology() (*Topology, error) { return callTopology(context.Background(), c) }
-
-// TopologyCtx implements ContextSource.
-func (c *Client) TopologyCtx(ctx context.Context) (*Topology, error) { return callTopology(ctx, c) }
-
-// Utilization implements Source.
-func (c *Client) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
-	return callUtilization(context.Background(), c, key, span)
-}
-
-// UtilizationCtx implements ContextSource.
-func (c *Client) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
-	return callUtilization(ctx, c, key, span)
-}
-
-// Samples implements Source.
-func (c *Client) Samples(key ChannelKey) ([]stats.Sample, error) {
-	return callSamples(context.Background(), c, key)
-}
-
-// SamplesCtx implements ContextSource.
-func (c *Client) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
-	return callSamples(ctx, c, key)
-}
-
-// HostLoad implements Source.
-func (c *Client) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	return callHostLoad(context.Background(), c, node, span)
-}
-
-// HostLoadCtx implements ContextSource.
-func (c *Client) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
-	return callHostLoad(ctx, c, node, span)
-}
-
-// DataAge implements Source.
-func (c *Client) DataAge(key ChannelKey) (float64, error) {
-	return callDataAge(context.Background(), c, key)
-}
-
-// DataAgeCtx implements ContextSource.
-func (c *Client) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
-	return callDataAge(ctx, c, key)
-}
-
-// Health implements HealthSource: the remote collector's per-agent
-// health snapshot (nil when the server cannot provide one).
-func (c *Client) Health() map[graph.NodeID]AgentHealth {
-	return callHealth(context.Background(), c)
-}
-
-// TelemetrySnapshot fetches the server's merged metrics snapshot (the
-// "stats" op): the server's own registry plus its Source's, when the
-// Source exposes one.
-func (c *Client) TelemetrySnapshot(ctx context.Context) (*telemetry.Snapshot, error) {
-	return callTelemetry(ctx, c)
+// TelemetrySnapshot fetches the answering server's merged metrics
+// snapshot (the "stats" op): the server's own registry plus its
+// Source's, when the Source exposes one.
+func (r remote) TelemetrySnapshot(ctx context.Context) (*telemetry.Snapshot, error) {
+	resp, err := r.call(ctx, &request{Op: "stats"})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Telemetry == nil {
+		return nil, fmt.Errorf("collector: server answered stats query without a snapshot")
+	}
+	return resp.Telemetry, nil
 }
 
 // Ping issues a liveness round trip: any answer from the server counts.

@@ -712,10 +712,7 @@ func (c *Collector) notifyVersion() {
 // Watch implements WatchSource in-process: same evaluation and
 // bounded-queue semantics as the TCP server, minus the wire.
 func (c *Collector) Watch(ctx context.Context, req WatchRequest) (*WatchHandle, error) {
-	if !validWatchKind(req.Kind) {
-		return nil, fmt.Errorf("collector: unknown watch kind %q", req.Kind)
-	}
-	return watchLocal(ctx, c, c, req, DefaultWatchQueueDepth), nil
+	return WatchLocal(ctx, c, req)
 }
 
 // watchLocal runs a watch evaluation loop against an in-process

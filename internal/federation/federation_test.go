@@ -289,6 +289,16 @@ func TestFederationDarkRegionAndHeal(t *testing.T) {
 	if _, err := mod.AvailableBandwidth(r0[0], r2[0], core.TFHistory(10)); err != nil {
 		t.Fatalf("healed cross query: %v", err)
 	}
+	snap := v.Telemetry().Snapshot()
+	if snap.Counters["federation.pull.errors"] == 0 || snap.Counters["federation.pulls"] == 0 {
+		t.Fatalf("dark pulls not counted: %v", snap.Counters)
+	}
+	for _, g := range []string{"federation.regions", "federation.region." + darkRegion + ".age",
+		"federation.region." + darkRegion + ".epoch", "federation.region." + darkRegion + ".fails"} {
+		if _, ok := snap.Gauges[g]; !ok {
+			t.Fatalf("gauge %s not registered (gauges: %v)", g, snap.Gauges)
+		}
+	}
 }
 
 // TestFederationTermFencing: summaries from a deposed leader (lower
@@ -350,6 +360,9 @@ func TestFederationTermFencing(t *testing.T) {
 	}
 	if fenced.Value() != 1 {
 		t.Fatalf("fencing rejections drifted: %v", fenced.Value())
+	}
+	if got := v.Telemetry().Counter("federation.summary.applied").Value(); got != 2 {
+		t.Fatalf("federation.summary.applied = %v, want the 2 summaries that applied", got)
 	}
 }
 

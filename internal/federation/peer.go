@@ -53,8 +53,6 @@ func (p *funcPeer) Fetch() (*collector.RegionSummary, error) { return p.fetch() 
 // cached summary (or an error before the first push / after Close).
 type WatchPeer struct {
 	region string
-	dial   func() (collector.WatchSource, error)
-	owned  bool // close the WatchSource when a stream ends (we dialed it)
 
 	mu   sync.Mutex
 	sum  *collector.RegionSummary
@@ -68,7 +66,7 @@ type WatchPeer struct {
 // expected remote region name, used for labeling before the first push.
 // The caller keeps ownership of ws and closes it after Close.
 func NewWatchPeer(region string, ws collector.WatchSource) *WatchPeer {
-	return newWatchPeer(region, func() (collector.WatchSource, error) { return ws, nil }, false)
+	return newWatchPeer(region, func() (collector.WatchSource, func(), error) { return ws, func() {}, nil })
 }
 
 // NewDialWatchPeer is NewWatchPeer with the connection made (and remade)
@@ -78,60 +76,46 @@ func NewWatchPeer(region string, ws collector.WatchSource) *WatchPeer {
 // to be reachable — a mutual-subscription cycle converges in any
 // startup order instead of deadlocking on connect-before-listen.
 func NewDialWatchPeer(region string, dial func() (collector.WatchSource, error)) *WatchPeer {
-	return newWatchPeer(region, dial, true)
+	return newWatchPeer(region, func() (collector.WatchSource, func(), error) {
+		ws, err := dial()
+		if err != nil {
+			return nil, nil, err
+		}
+		release := func() {}
+		if c, ok := ws.(interface{ Close() error }); ok {
+			release = func() { c.Close() }
+		}
+		return ws, release, nil
+	})
 }
 
-func newWatchPeer(region string, dial func() (collector.WatchSource, error), owned bool) *WatchPeer {
+func newWatchPeer(region string, dial func() (collector.WatchSource, func(), error)) *WatchPeer {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &WatchPeer{
 		region: region,
-		dial:   dial,
-		owned:  owned,
 		err:    fmt.Errorf("federation: no summary received yet from %q", region),
 		stop:   cancel,
 		done:   make(chan struct{}),
 	}
-	go p.loop(ctx)
-	return p
-}
-
-func (p *WatchPeer) loop(ctx context.Context) {
-	defer close(p.done)
-	backoff := 100 * time.Millisecond
-	// fail records err and sleeps the backoff; false means ctx is done.
-	fail := func(err error) bool {
-		p.mu.Lock()
-		p.err = err
-		p.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(backoff):
-		}
-		if backoff < 5*time.Second {
-			backoff *= 2
-		}
-		return true
+	cfg := collector.FollowConfig{
+		Dial: dial,
+		Kind: collector.WatchRegionSummary,
+		Base: 100 * time.Millisecond,
+		// A dead stream means the peer may be dark: Fetch errors until
+		// the next push, so the View's health walk and breaker see the
+		// outage while queries keep answering from the last-good
+		// summary it already applied.
+		Ended: func(err error, _ bool) {
+			p.mu.Lock()
+			p.err = fmt.Errorf("federation: watch stream to %q: %w", p.region, err)
+			p.mu.Unlock()
+		},
 	}
-	for ctx.Err() == nil {
-		ws, err := p.dial()
-		if err != nil {
-			if !fail(err) {
-				return
-			}
-			continue
-		}
-		h, err := ws.Watch(ctx, collector.WatchRequest{Kind: collector.WatchRegionSummary})
-		if err != nil {
-			p.release(ws)
-			if !fail(err) {
-				return
-			}
-			continue
-		}
-		for u := range h.C {
+	go func() {
+		defer close(p.done)
+		collector.Follow(ctx, cfg, func(u collector.WatchUpdate) (bool, error) {
 			if u.Summary == nil {
-				continue // error updates, finals
+				return false, nil // error updates
 			}
 			p.mu.Lock()
 			p.sum, p.err = u.Summary, nil
@@ -139,29 +123,10 @@ func (p *WatchPeer) loop(ctx context.Context) {
 				p.region = u.Summary.Region
 			}
 			p.mu.Unlock()
-			backoff = 100 * time.Millisecond
-		}
-		h.Cancel()
-		p.release(ws)
-		// A dead stream means the peer may be dark: Fetch errors until
-		// the next push, so the View's health walk and breaker see the
-		// outage while queries keep answering from the last-good
-		// summary it already applied.
-		p.mu.Lock()
-		p.err = fmt.Errorf("federation: watch stream to %q ended", p.region)
-		p.mu.Unlock()
-	}
-}
-
-// release closes a loop-dialed WatchSource; caller-owned sources are
-// left alone.
-func (p *WatchPeer) release(ws collector.WatchSource) {
-	if !p.owned {
-		return
-	}
-	if c, ok := ws.(interface{ Close() error }); ok {
-		c.Close()
-	}
+			return true, nil
+		})
+	}()
+	return p
 }
 
 // Region implements Peer.
@@ -254,16 +219,8 @@ func (p *peerMember) refresh(now float64) {
 	v := p.view
 	if err != nil {
 		p.fails++
-		// Same breaker shape as agent polling: exponential backoff on
-		// consecutive failures, capped.
-		back := v.cfg.RefreshPeriod
-		for i := 1; i < p.fails && back < v.cfg.BackoffMax; i++ {
-			back *= 2
-		}
-		if back > v.cfg.BackoffMax {
-			back = v.cfg.BackoffMax
-		}
-		p.nextAttempt = now + back
+		// Same breaker schedule as agent polling, without jitter.
+		p.nextAttempt = now + collector.BackoffAfter(v.cfg.RefreshPeriod, v.cfg.BackoffMax, p.fails, 0, nil)
 		v.tel.Counter("federation.pull.errors").Inc()
 		return
 	}

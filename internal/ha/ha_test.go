@@ -234,6 +234,13 @@ func TestPromotionAfterLeaderDeath(t *testing.T) {
 	if snap.Gauges["ha.role"] != 1 || snap.Gauges["ha.term"] != 2 {
 		t.Fatalf("ha gauges: role=%v term=%v", snap.Gauges["ha.role"], snap.Gauges["ha.term"])
 	}
+	// The names remos-stat's HA line reads (the feed-sync ones move in
+	// remos.TestChaosLeaderFailover, where a real feed runs).
+	for _, name := range []string{"ha.demotions", "ha.fencing.rejections", "ha.sync.errors", "ha.sync.resyncs"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Fatalf("%s not registered (counters: %v)", name, snap.Counters)
+		}
+	}
 }
 
 // TestGracefulHandoff: Close releases the lease, so the peer takes

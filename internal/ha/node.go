@@ -32,7 +32,6 @@ const (
 	defaultLeaseTTL  = 3.0 // lease units (virtual or wall seconds)
 	defaultHeartbeat = 1.0 // virtual seconds between lease heartbeats
 	defaultBackoff   = 250 * time.Millisecond
-	maxBackoffMult   = 16
 )
 
 // Config wires a Node to its collector, lease, and peer.
@@ -382,7 +381,10 @@ func (n *Node) Wait() {
 }
 
 // startSync launches the standby's feed-sync goroutine, replacing any
-// previous one.
+// previous one: collector.Follow keeps one WatchFeed subscription to the
+// peer alive (backoff in wall time — the peer dial is real I/O even when
+// the pair shares a virtual clock) under the read replica's coherence
+// rules, and every payload goes through applyPayload.
 func (n *Node) startSync() {
 	n.stopSync()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -391,7 +393,43 @@ func (n *Node) startSync() {
 	n.syncCancel = cancel
 	n.syncDone = done
 	n.syncMu.Unlock()
-	go n.syncLoop(ctx, done)
+	go func() {
+		defer close(done)
+		collector.Follow(ctx, collector.FollowConfig{
+			Dial: n.dialPeer,
+			Kind: collector.WatchFeed,
+			Base: defaultBackoff,
+			Ended: func(_ error, resync bool) {
+				if resync {
+					n.telResyncs.Inc()
+				} else {
+					n.telSyncErrs.Inc()
+				}
+			},
+		}, func(u collector.WatchUpdate) (bool, error) {
+			if u.Err != "" || u.Feed == nil {
+				return false, nil
+			}
+			err := n.applyPayload(u.Feed)
+			if errors.Is(err, errStopped) {
+				cancel() // no longer a standby: end the loop, not a resync
+			}
+			return err == nil, err
+		})
+	}()
+}
+
+// dialPeer connects to wherever the standby currently syncs from.
+func (n *Node) dialPeer() (collector.WatchSource, func(), error) {
+	peer := n.syncPeer()
+	if peer == "" {
+		return nil, nil, errors.New("ha: no peer to sync from yet")
+	}
+	cl, err := collector.DialConfig(peer, n.cfg.Client)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cl, func() { cl.Close() }, nil
 }
 
 // stopSync cancels the sync goroutine without waiting: the goroutine
@@ -407,138 +445,24 @@ func (n *Node) stopSync() {
 	}
 }
 
-// syncLoop keeps one feed subscription to the peer alive, with
-// exponential backoff between attempts (wall time — the peer dial is
-// real I/O even when the pair shares a virtual clock).
-func (n *Node) syncLoop(ctx context.Context, done chan struct{}) {
-	defer close(done)
-	backoff := defaultBackoff
-	for ctx.Err() == nil {
-		progress, err := n.syncOnce(ctx)
-		if ctx.Err() != nil || errors.Is(err, errStopped) {
-			return
-		}
-		if err != nil {
-			if errors.Is(err, errResync) {
-				n.telResyncs.Inc()
-			} else {
-				n.telSyncErrs.Inc()
-			}
-		}
-		if progress {
-			backoff = defaultBackoff
-		}
-		t := time.NewTimer(backoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return
-		}
-		if backoff < defaultBackoff*maxBackoffMult {
-			backoff *= 2
-		}
-	}
-}
-
-// errResync mirrors the replica's coherence signal: the stream broke
-// in a way only a fresh full snapshot can fix.
-var errResync = errors.New("ha: feed coherence lost, resyncing")
-
-// syncOnce runs one subscription lifetime against the peer: dial,
-// subscribe to WatchFeed, apply payloads into the local collector
-// until the stream ends. Coherence rules match the read replica: Seq
-// must be dense, Overflowed or a late Resync mark forces a fresh
-// subscription, and term fencing rejects payloads from a deposed
-// leader.
-func (n *Node) syncOnce(ctx context.Context) (progress bool, err error) {
-	peer := n.syncPeer()
-	if peer == "" {
-		return false, errors.New("ha: no peer to sync from yet")
-	}
-	cl, err := collector.DialConfig(peer, n.cfg.Client)
-	if err != nil {
-		return false, err
-	}
-	defer cl.Close()
-	h, err := cl.Watch(ctx, collector.WatchRequest{Kind: collector.WatchFeed})
-	if err != nil {
-		return false, err
-	}
-	defer h.Cancel()
-	var lastSeq uint64
-	for {
-		var u collector.WatchUpdate
-		var open bool
-		select {
-		case u, open = <-h.C:
-		case <-ctx.Done():
-			return progress, ctx.Err()
-		}
-		if !open {
-			if werr := h.Err(); werr != nil {
-				return progress, werr
-			}
-			return progress, errors.New("ha: feed stream closed")
-		}
-		if u.Final {
-			return progress, errors.New("ha: feed drained by server")
-		}
-		if u.Seq != 0 && lastSeq != 0 && u.Seq != lastSeq+1 {
-			return progress, errResync
-		}
-		if u.Overflowed {
-			return progress, errResync
-		}
-		// Same in-band re-base rule as the read replica: a Resync mark
-		// whose update carries a self-contained Full payload (the leader
-		// restored a checkpoint or changed term) is applied in place.
-		if u.Resync && progress && (u.Feed == nil || !u.Feed.Full) {
-			return progress, errResync
-		}
-		if u.Seq != 0 {
-			lastSeq = u.Seq
-		}
-		if u.Err != "" || u.Feed == nil {
-			continue
-		}
-		applied, aerr := n.applyPayload(u.Feed)
-		if aerr != nil {
-			if errors.Is(aerr, errStopped) {
-				return progress, aerr
-			}
-			return progress, errResync
-		}
-		if applied {
-			progress = true
-		}
-	}
-}
-
 // applyPayload installs one feed payload under the Serialize lock,
-// where the role and syncTerm checks are ordered with promotions.
-func (n *Node) applyPayload(p *collector.FeedPayload) (applied bool, err error) {
+// where the role check and the term fence are ordered with promotions.
+func (n *Node) applyPayload(p *collector.FeedPayload) (err error) {
 	n.cfg.Serialize(func() {
 		if n.dead.Load() || n.Role() != RoleStandby {
 			err = errStopped
 			return
 		}
-		if p.Term < n.syncTerm {
-			// A deposed leader is still feeding us: fence it. The
-			// resulting resync redials, and the dial lands on whatever
-			// PeerAddr now serves.
-			n.telFenceRej.Inc()
-			err = errors.New("ha: feed payload from deposed leader term")
+		// A deposed leader still feeding us is fenced; the resulting
+		// resync redials, and the dial lands on whatever PeerAddr now
+		// serves.
+		if err = collector.FenceFeed(p, n.syncTerm); err != nil {
+			if errors.Is(err, collector.ErrDeposedTerm) {
+				n.telFenceRej.Inc()
+			}
 			return
 		}
-		if p.Term > n.syncTerm && !p.Full {
-			// A term advanced mid-stream without a re-snapshot: the
-			// delta chains from a state we never saw.
-			err = errors.New("ha: feed delta across term change")
-			return
-		}
-		if aerr := n.col.ApplyFeed(p); aerr != nil {
-			err = aerr
+		if err = n.col.ApplyFeed(p); err != nil {
 			return
 		}
 		n.syncTerm = p.Term
@@ -547,7 +471,6 @@ func (n *Node) applyPayload(p *collector.FeedPayload) (applied bool, err error) 
 			n.telTerm.Set(float64(p.Term))
 			n.col.SetHA(p.Term, false)
 		}
-		applied = true
 	})
-	return applied, err
+	return err
 }

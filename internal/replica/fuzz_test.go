@@ -3,8 +3,8 @@ package replica
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/collector"
 )
@@ -22,11 +22,12 @@ func encodePayload(t testing.TB, p *collector.FeedPayload) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDecodeDelta feeds arbitrary bytes through the gob decode + store
-// apply path a replica runs on every feed update. The replica trusts
-// its collector, but a partition can truncate or corrupt a stream
-// mid-frame; whatever arrives, the apply must return an error (which
-// triggers a resync) — never panic, never install a corrupt store.
+// FuzzDecodeDelta feeds arbitrary bytes through the gob decode +
+// collector.State build/extend path that every consumer of a feed
+// payload runs — replica, HA standby, checkpoint restore, history load.
+// They trust their collector, but a partition can truncate or corrupt a
+// stream mid-frame; whatever arrives, the apply must return an error
+// (which triggers a resync) — never panic, never yield a corrupt state.
 func FuzzDecodeDelta(f *testing.F) {
 	// Seed with real payloads: one full snapshot and a couple of
 	// deltas from a live testbed collector.
@@ -52,11 +53,11 @@ func FuzzDecodeDelta(f *testing.F) {
 	evil.Full = false
 	f.Add(encodePayload(f, &evil))
 
-	wall := time.Unix(1000, 0)
-	base, err := applyFull(full, wall)
+	base, err := collector.StateFromPayload(full)
 	if err != nil {
 		f.Fatal(err)
 	}
+	baseBefore := base.Payload()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p collector.FeedPayload
@@ -64,25 +65,23 @@ func FuzzDecodeDelta(f *testing.F) {
 			return // corrupt frame: the wire layer would drop it
 		}
 		// Apply as a full snapshot and as a delta against a real
-		// store; errors are fine (they trigger resync), panics and
-		// mutations of the base store are not.
-		if st, err := applyFull(&p, wall); err == nil && st.topo == nil {
-			t.Fatal("applyFull succeeded without topology")
+		// state; errors are fine (they trigger resync), panics and
+		// mutations of the base state are not.
+		if st, err := collector.StateFromPayload(&p); err == nil && st.Topology() == nil {
+			t.Fatal("StateFromPayload succeeded without topology")
 		}
-		epochBefore := base.epoch
-		next, err := base.applyDelta(&p, wall)
-		if base.epoch != epochBefore {
-			t.Fatal("applyDelta mutated the base store")
+		next, err := base.Extend(&p)
+		if !reflect.DeepEqual(base.Payload(), baseBefore) {
+			t.Fatal("Extend mutated the base state")
 		}
 		if err != nil {
 			return
 		}
-		// An accepted delta must keep per-window sample monotonicity.
-		for k, w := range next.channels {
-			s := w.Samples()
+		// An accepted delta must keep per-window sample order.
+		for k, s := range next.Payload().Channels {
 			for i := 1; i < len(s); i++ {
-				if s[i].Time <= s[i-1].Time {
-					t.Fatalf("channel %v: non-monotone samples after accepted delta", k)
+				if s[i].Time < s[i-1].Time {
+					t.Fatalf("channel %v: samples out of order after accepted delta", k)
 				}
 			}
 		}

@@ -31,18 +31,16 @@
 //	Lagging --feed quiet > MaxStaleness--> Fenced
 //	Fenced  --update applied--> Live (via resync if the stream broke)
 //
-// Any stream-coherence violation — a Seq gap, an Overflowed or Resync
-// mark, a failed delta apply — tears the subscription down and
-// re-subscribes from scratch; a fresh subscription has a fresh
-// server-side cursor, so the first update is a full snapshot again.
+// The feed is followed by collector.Follow: any stream-coherence
+// violation or failed apply tears the subscription down and
+// re-subscribes from scratch, whose first update is a full snapshot
+// again.
 package replica
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,8 +124,8 @@ type Config struct {
 	// disabled); negative disables the Lagging state.
 	LagThreshold time.Duration
 	// ResyncBackoff is the initial delay between feed reconnect
-	// attempts; it doubles per consecutive failure up to 16x, with
-	// ±20% jitter. 0 means DefaultResyncBackoff.
+	// attempts (collector.FollowConfig.Base); it doubles per consecutive
+	// failure up to 16x, with ±20% jitter. 0 means DefaultResyncBackoff.
 	ResyncBackoff time.Duration
 	// Seed seeds the backoff jitter; 0 derives one from the wall
 	// clock so a fleet of replicas decorrelates naturally.
@@ -141,8 +139,6 @@ type Config struct {
 const (
 	DefaultMaxStaleness  = 30 * time.Second
 	DefaultResyncBackoff = 500 * time.Millisecond
-	maxBackoffMultiple   = 16
-	backoffJitter        = 0.2
 )
 
 func (cfg Config) fill() Config {
@@ -161,9 +157,6 @@ func (cfg Config) fill() Config {
 	}
 	if cfg.ResyncBackoff == 0 {
 		cfg.ResyncBackoff = DefaultResyncBackoff
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = time.Now().UnixNano()
 	}
 	return cfg
 }
@@ -191,9 +184,6 @@ type Replica struct {
 
 	// now is the wall clock; swapped in tests.
 	now func() time.Time
-
-	rng     *rand.Rand // reconnect-backoff jitter; feed goroutine only
-	feedIdx int        // next feed-address rotation index; feed goroutine only
 
 	versionMu   sync.Mutex
 	versionSubs map[chan struct{}]struct{}
@@ -226,7 +216,6 @@ func New(cfg Config) *Replica {
 		cancel:   cancel,
 		syncedCh: make(chan struct{}),
 		now:      time.Now,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		tel:      cfg.Telemetry,
 	}
 	r.telFulls = r.tel.Counter("replica.updates.full")
@@ -310,190 +299,67 @@ func (r *Replica) Status() Status {
 func (r *Replica) Telemetry() *telemetry.Registry { return r.tel }
 
 // ---------------------------------------------------------------------
-// Feed loop: subscribe, apply, resync.
-
-// errResync is the internal signal that the stream lost coherence and
-// the subscription must be rebuilt from a fresh cursor.
-var errResync = errors.New("replica: stream coherence lost, resyncing")
+// Feed: follow, apply.
 
 func (r *Replica) feedLoop() {
-	backoff := r.cfg.ResyncBackoff
-	for r.ctx.Err() == nil {
-		ok, err := r.runFeedOnce(r.ctx)
-		if r.ctx.Err() != nil {
-			return
-		}
-		if err != nil && !errors.Is(err, errResync) {
-			r.telErrs.Inc()
-		}
-		if ok {
-			// The stream made progress before breaking; restart the
-			// backoff ladder.
-			backoff = r.cfg.ResyncBackoff
-		}
-		// Rotate to the next feed address: if the feeder died — or
-		// refused as a hot-standby pair's non-leader — the next attempt
-		// tries its peer instead of hammering the same address.
-		r.feedIdx++
-		if !r.sleep(jittered(backoff, r.rng)) {
-			return
-		}
-		backoff *= 2
-		if max := r.cfg.ResyncBackoff * maxBackoffMultiple; backoff > max {
-			backoff = max
-		}
-	}
-}
-
-// jittered spreads d by ±backoffJitter so a fleet of replicas cut off
-// by the same partition does not reconnect in lockstep.
-func jittered(d time.Duration, rng *rand.Rand) time.Duration {
-	return time.Duration(float64(d) * (1 + backoffJitter*(2*rng.Float64()-1)))
-}
-
-func (r *Replica) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.ctx.Done():
-		return false
-	}
-}
-
-// runFeedOnce runs one subscription lifetime: dial, subscribe, consume
-// until the stream breaks. It reports whether any update was applied
-// (progress resets the reconnect backoff).
-func (r *Replica) runFeedOnce(ctx context.Context) (progress bool, err error) {
-	addrs := r.cfg.FeedAddrs
-	if len(addrs) == 0 {
-		return false, errors.New("replica: no feed address configured")
-	}
-	cl, err := collector.DialConfig(addrs[r.feedIdx%len(addrs)], r.cfg.Client)
-	if err != nil {
-		return false, err
-	}
-	defer cl.Close()
-	h, err := cl.Watch(ctx, collector.WatchRequest{Kind: collector.WatchFeed})
-	if err != nil {
-		return false, err
-	}
-	defer h.Cancel()
-	return r.consumeFeed(ctx, h)
-}
-
-// consumeFeed applies updates until the stream ends or loses
-// coherence. Coherence rules: Seq must be dense; Overflowed or Resync
-// marks mean updates were missed or the stream re-based, and since a
-// feed delta is only meaningful relative to the exact previous one,
-// either forces a full resync (fresh subscription => fresh cursor =>
-// full snapshot).
-func (r *Replica) consumeFeed(ctx context.Context, h *collector.WatchHandle) (progress bool, err error) {
-	var lastSeq uint64
-	for {
-		var u collector.WatchUpdate
-		var open bool
-		select {
-		case u, open = <-h.C:
-		case <-ctx.Done():
-			return progress, ctx.Err()
-		}
-		if !open {
-			if werr := h.Err(); werr != nil {
-				return progress, werr
+	collector.Follow(r.ctx, collector.FollowConfig{
+		Addrs:  r.cfg.FeedAddrs,
+		Client: r.cfg.Client,
+		Kind:   collector.WatchFeed,
+		Base:   r.cfg.ResyncBackoff,
+		Seed:   r.cfg.Seed,
+		Ended: func(_ error, resync bool) {
+			if !resync {
+				r.telErrs.Inc()
 			}
-			return progress, errors.New("replica: feed stream closed")
-		}
-		if u.Final {
-			// Server drained us (graceful shutdown): reconnect.
-			return progress, errors.New("replica: feed drained by server")
-		}
-		if needsResync(lastSeq, u, progress) {
-			return progress, errResync
-		}
-		if u.Seq != 0 {
-			lastSeq = u.Seq
-		}
+		},
+	}, func(u collector.WatchUpdate) (bool, error) {
 		if u.Err != "" {
 			// Non-terminal evaluation error (e.g. collector has no
 			// topology yet). The subscription recovers by itself.
 			r.telErrs.Inc()
-			continue
+			return false, nil
 		}
 		if u.Feed == nil {
-			continue
+			return false, nil
 		}
-		if err := r.apply(u.Feed); err != nil {
-			return progress, fmt.Errorf("%w (%v)", errResync, err)
-		}
-		progress = true
-	}
-}
-
-// needsResync is the stream-coherence rule, as a pure function: a Seq
-// gap means updates were dropped, Overflowed means the server's queue
-// folded states together, and a Resync mark after progress means the
-// stream re-based on another server — in every case the deltas no
-// longer chain from our store, so only a fresh full snapshot is safe.
-// (A Resync mark before any progress is fine: there is nothing to be
-// incoherent with yet.)
-func needsResync(lastSeq uint64, u collector.WatchUpdate, progress bool) bool {
-	if u.Seq != 0 && lastSeq != 0 && u.Seq != lastSeq+1 {
-		return true
-	}
-	if u.Overflowed {
-		return true
-	}
-	// A Resync-marked update that carries a self-contained Full feed
-	// payload is an in-band re-base — the source replaced its state
-	// wholesale (checkpoint restore, HA term change) and re-shipped a
-	// snapshot on the live subscription. Applying it IS the resync; no
-	// fresh subscription needed.
-	return u.Resync && progress && (u.Feed == nil || !u.Feed.Full)
+		return true, r.apply(u.Feed)
+	})
 }
 
 // apply builds the successor store from one payload and publishes it.
 func (r *Replica) apply(p *collector.FeedPayload) error {
 	wall := r.now()
 	prev := r.cur.Load()
-	// Term fencing: a payload from a lease term below the applied one is
-	// a deposed leader still feeding — reject it (the resulting resync
-	// rotates to the live leader). A term advance is only coherent as a
-	// fresh Full snapshot; a delta across terms chains from state the
-	// new leader never had.
-	if prev != nil && p.Term < prev.term {
-		r.telFenceRej.Inc()
-		return fmt.Errorf("replica: payload term %d below applied term %d (deposed leader)",
-			p.Term, prev.term)
+	var base *collector.State // nil: nothing applied yet, only a Full payload extends it
+	if prev != nil {
+		if err := collector.FenceFeed(p, prev.term); err != nil {
+			if errors.Is(err, collector.ErrDeposedTerm) {
+				r.telFenceRej.Inc()
+			}
+			return err
+		}
+		base = prev.State
 	}
-	if prev != nil && p.Term > prev.term && !p.Full {
-		return fmt.Errorf("replica: delta across term change (%d -> %d)", prev.term, p.Term)
-	}
-	var next *store
-	var err error
-	switch {
-	case p.Full:
-		next, err = applyFull(p, wall)
+	st, err := base.Extend(p)
+	if p.Full {
 		r.telFulls.Inc()
 		if prev != nil && err == nil {
-			// A full snapshot over an existing store is a re-base:
-			// the replica recovered from a coherence loss or a healed
-			// partition. (The trigger side — errResync in feedLoop —
-			// can fire without completing; this counts completions.)
+			// A full snapshot over an existing store is a re-base: the
+			// replica recovered from a coherence loss or a healed
+			// partition. (The trigger side — Follow abandoning a stream — can
+			// fire without completing; this counts completions.)
 			r.telResyncs.Inc()
 		}
-	case prev == nil:
-		// A delta with nothing to apply it to: only possible if the
-		// server-side cursor outlived our store, i.e. incoherent.
-		return errors.New("replica: delta before first full snapshot")
-	default:
-		next, err = prev.applyDelta(p, wall)
+	} else if prev != nil {
 		r.telDeltas.Inc()
 	}
 	if err != nil {
 		return err
 	}
+	// Past the fence a delta carries the applied term, so p.Term is the
+	// store's term either way.
+	next := &store{State: st, epoch: p.Epoch, term: p.Term, feedNow: p.Now, appliedWall: wall}
 	// lag.epochs counts collector epochs that were coalesced into this
 	// update (0 = saw every epoch; the collector coalesces when the
 	// replica is slow or the queue folds).
@@ -564,7 +430,7 @@ func (r *Replica) Topology() (*collector.Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.topo, nil
+	return st.State.Topology(), nil
 }
 
 // CheckFresh reports whether the replica would accept a query right
@@ -577,18 +443,10 @@ func (r *Replica) CheckFresh() error {
 	return err
 }
 
-// ageAdjust mirrors the collector's ageAdjustLocked, but against the
-// extrapolated clock: ages keep growing in wall time between feed
-// updates, so a lagging replica's answers degrade honestly instead of
-// freezing at their last-fed age.
-func (st *store) ageAdjust(s stats.Stat, w *stats.Window, wall time.Time) stats.Stat {
-	latest, ok := w.Latest()
-	if !ok {
-		return s
-	}
-	s.Age = math.Max(0, st.virtualNow(wall)-latest.Time)
-	return s.AgeDecayed(st.halfLife)
-}
+// The measurement reads are the collector's own (collector.State)
+// against the extrapolated clock: ages keep growing in wall time between
+// feed updates, so a lagging replica's answers degrade honestly instead
+// of freezing at their last-fed age.
 
 // Utilization implements collector.Source.
 func (r *Replica) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
@@ -596,11 +454,7 @@ func (r *Replica) Utilization(key collector.ChannelKey, span float64) (stats.Sta
 	if err != nil {
 		return stats.NoData(), err
 	}
-	w := st.channels[key]
-	if w == nil {
-		return stats.NoData(), fmt.Errorf("collector: unknown channel %v", key)
-	}
-	return st.ageAdjust(w.Summary(span), w, r.now()), nil
+	return st.State.Utilization(key, span, st.virtualNow(r.now()))
 }
 
 // DataAge implements collector.Source.
@@ -609,15 +463,7 @@ func (r *Replica) DataAge(key collector.ChannelKey) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := st.channels[key]
-	if w == nil {
-		return 0, fmt.Errorf("collector: unknown channel %v", key)
-	}
-	latest, ok := w.Latest()
-	if !ok {
-		return math.Inf(1), nil
-	}
-	return math.Max(0, st.virtualNow(r.now())-latest.Time), nil
+	return st.State.DataAge(key, st.virtualNow(r.now()))
 }
 
 // Samples implements collector.Source.
@@ -626,11 +472,7 @@ func (r *Replica) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := st.channels[key]
-	if w == nil {
-		return nil, fmt.Errorf("collector: unknown channel %v", key)
-	}
-	return w.Samples(), nil
+	return st.State.Samples(key)
 }
 
 // HostLoad implements collector.Source.
@@ -639,11 +481,7 @@ func (r *Replica) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) 
 	if err != nil {
 		return stats.NoData(), err
 	}
-	w := st.loads[node]
-	if w == nil {
-		return stats.NoData(), fmt.Errorf("collector: no load data for %q", node)
-	}
-	return st.ageAdjust(w.Summary(span), w, r.now()), nil
+	return st.State.HostLoad(node, span, st.virtualNow(r.now()))
 }
 
 // Capacity mirrors Collector.Capacity.
@@ -652,8 +490,7 @@ func (r *Replica) Capacity(key collector.ChannelKey) (float64, bool) {
 	if st == nil {
 		return 0, false
 	}
-	v, ok := st.capacity[key]
-	return v, ok
+	return st.State.Capacity(key)
 }
 
 // Health implements collector.HealthSource: the agent health as of the
@@ -663,11 +500,7 @@ func (r *Replica) Health() map[graph.NodeID]collector.AgentHealth {
 	if st == nil {
 		return map[graph.NodeID]collector.AgentHealth{}
 	}
-	out := make(map[graph.NodeID]collector.AgentHealth, len(st.health))
-	for id, h := range st.health {
-		out[id] = h
-	}
-	return out
+	return st.State.Health()
 }
 
 // DataVersion implements collector.VersionedSource: the replica's

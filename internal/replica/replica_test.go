@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -94,8 +95,8 @@ func TestNeedsResync(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := needsResync(c.lastSeq, c.u, c.progress); got != c.want {
-				t.Fatalf("needsResync(%d, %+v, %v) = %v, want %v",
+			if got := collector.NeedsResync(c.lastSeq, c.u, c.progress); got != c.want {
+				t.Fatalf("NeedsResync(%d, %+v, %v) = %v, want %v",
 					c.lastSeq, c.u, c.progress, got, c.want)
 			}
 		})
@@ -113,7 +114,9 @@ func TestStateString(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Store apply, against payloads from a real collector.
+// collector.State build and extend, against payloads from a real
+// collector. (These tests predate the shared State and stay here, under
+// their names, with the rig they use.)
 
 // rig is an in-process testbed collector producing real feed payloads.
 type rig struct {
@@ -173,22 +176,22 @@ func chanKey(t testing.TB, col *collector.Collector, from, to graph.NodeID) coll
 func TestStoreApplyFullThenDeltas(t *testing.T) {
 	r := newRig(t)
 	cur := &collector.FeedCursor{}
-	wall := time.Unix(1000, 0)
 
 	p, err := r.col.FeedSince(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := applyFull(p, wall)
+	st, err := collector.StateFromPayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.epoch != p.Epoch || st.topo == nil {
-		t.Fatalf("store after full: epoch %d topo %v", st.epoch, st.topo)
+	if st.Topology() == nil {
+		t.Fatal("state after full has no topology")
 	}
 
-	// Three delta rounds; the final store must agree with the collector
+	// Three delta rounds; the final state must agree with the collector
 	// sample for sample.
+	key := chanKey(t, r.col, "m-6", "timberline")
 	for i := 0; i < 3; i++ {
 		r.clk.Advance(2)
 		p, err := r.col.FeedSince(cur)
@@ -196,50 +199,53 @@ func TestStoreApplyFullThenDeltas(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev := st
-		st, err = st.applyDelta(p, wall.Add(time.Duration(i)*time.Second))
+		before, _ := prev.Samples(key)
+		st, err = st.Extend(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.epoch != p.Epoch {
-			t.Fatalf("delta %d: epoch %d, want %d", i, st.epoch, p.Epoch)
-		}
-		// COW: the previous store must be untouched by the apply.
-		if prev.epoch == st.epoch {
-			t.Fatal("applyDelta mutated the previous store's epoch")
+		// COW: the previous state must be untouched by the extend.
+		after, _ := prev.Samples(key)
+		if st == prev || !reflect.DeepEqual(before, after) {
+			t.Fatal("Extend mutated the state it extended")
 		}
 	}
 
-	key := chanKey(t, r.col, "m-6", "timberline")
 	want, err := r.col.Samples(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := st.channels[key].Samples()
+	got, err := st.Samples(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
-		t.Fatalf("store has %d samples, collector %d", len(got), len(want))
+		t.Fatalf("state has %d samples, collector %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sample %d: store %+v, collector %+v", i, got[i], want[i])
+			t.Fatalf("sample %d: state %+v, collector %+v", i, got[i], want[i])
 		}
 	}
 
-	// Utilization through the store must match the collector's answer
-	// up to the age term (the store extrapolates in wall time).
+	// Utilization through the state must match the collector's answer
+	// up to the age term (a replica reads it at an extrapolated clock).
 	cs, err := r.col.Utilization(key, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := st.ageAdjust(st.channels[key].Summary(6), st.channels[key], wall.Add(3*time.Second))
+	ss, err := st.Utilization(key, 6, float64(r.clk.Now())+3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(cs.Median-ss.Median) > 1e-6 {
-		t.Fatalf("median: store %v, collector %v", ss.Median, cs.Median)
+		t.Fatalf("median: state %v, collector %v", ss.Median, cs.Median)
 	}
 }
 
 func TestStoreApplyRejectsIncoherentPayloads(t *testing.T) {
 	r := newRig(t)
 	cur := &collector.FeedCursor{}
-	wall := time.Unix(1000, 0)
 	p, err := r.col.FeedSince(cur)
 	if err != nil {
 		t.Fatal(err)
@@ -248,24 +254,24 @@ func TestStoreApplyRejectsIncoherentPayloads(t *testing.T) {
 	// A full payload stripped of its topology must fail.
 	noTopo := *p
 	noTopo.Topo = nil
-	if _, err := applyFull(&noTopo, wall); err == nil {
-		t.Fatal("applyFull accepted a full payload without topology")
+	if _, err := collector.StateFromPayload(&noTopo); err == nil {
+		t.Fatal("StateFromPayload accepted a full payload without topology")
 	}
 
-	st, err := applyFull(p, wall)
+	st, err := collector.StateFromPayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Replaying the same samples again violates per-channel sample
-	// monotonicity — the apply must fail (the replica then resyncs)
+	// monotonicity — the extend must fail (the replica then resyncs)
 	// rather than silently corrupt the windows.
 	replay := *p
 	replay.Full = false
 	replay.Topo = nil
 	replay.Epoch = p.Epoch + 1
-	if _, err := st.applyDelta(&replay, wall); err == nil {
-		t.Fatal("applyDelta accepted out-of-order samples")
+	if _, err := st.Extend(&replay); err == nil {
+		t.Fatal("Extend accepted out-of-order samples")
 	}
 
 	// Non-finite samples are rejected.
@@ -275,8 +281,14 @@ func TestStoreApplyRejectsIncoherentPayloads(t *testing.T) {
 			{Global: 0}: {{Time: math.NaN(), Value: 1}},
 		},
 	}
-	if _, err := st.applyDelta(&bad, wall); err == nil {
-		t.Fatal("applyDelta accepted a NaN sample time")
+	if _, err := st.Extend(&bad); err == nil {
+		t.Fatal("Extend accepted a NaN sample time")
+	}
+
+	// A delta has nothing to extend before the first full payload.
+	var none *collector.State
+	if _, err := none.Extend(&replay); err == nil {
+		t.Fatal("Extend of no state accepted a delta")
 	}
 }
 
@@ -500,6 +512,28 @@ func TestReplicaSyncServeFenceRecover(t *testing.T) {
 	if tel.Counters["replica.queries.fenced"] == 0 {
 		t.Fatal("fenced queries not counted")
 	}
+	// The rest of the replica.* names remos-stat's REPLICA line reads:
+	// feed errors while the server was down, one completed re-base
+	// after the heal. (Whether a delta landed before the partition is
+	// timing; TestReplicaTermFencing counts those.)
+	for _, name := range []string{"replica.updates.err", "replica.resyncs"} {
+		if tel.Counters[name] == 0 {
+			t.Fatalf("%s not counted across a partition and heal (counters: %v)", name, tel.Counters)
+		}
+	}
+	for _, name := range []string{"replica.updates.delta", "replica.fencing.rejections"} {
+		if _, ok := tel.Counters[name]; !ok {
+			t.Fatalf("%s not registered (counters: %v)", name, tel.Counters)
+		}
+	}
+	for _, name := range []string{"replica.epoch", "replica.term", "replica.state", "replica.lag.epochs", "replica.lag.seconds"} {
+		if _, ok := tel.Gauges[name]; !ok {
+			t.Fatalf("gauge %s not registered (gauges: %v)", name, tel.Gauges)
+		}
+	}
+	if ver, _ := rep.DataVersion(); tel.Gauges["replica.epoch"] == 0 || tel.Gauges["replica.epoch"] > float64(ver) {
+		t.Fatalf("replica.epoch gauge = %v with DataVersion %d", tel.Gauges["replica.epoch"], ver)
+	}
 
 	// Teardown everything and verify no goroutines leak.
 	srv2.Close()
@@ -637,5 +671,12 @@ func TestReplicaTermFencing(t *testing.T) {
 	// clients through Status.
 	if got := rep.Status().Term; got != 3 {
 		t.Fatalf("final term = %d, want 3", got)
+	}
+	// Only what passed the fence is counted as an update: the seed and
+	// the term-3 full (a re-base over an existing store), one delta.
+	snap := rep.Telemetry().Snapshot()
+	if c := snap.Counters; c["replica.updates.full"] != 2 || c["replica.updates.delta"] != 1 ||
+		c["replica.resyncs"] != 1 || snap.Gauges["replica.term"] != 3 {
+		t.Fatalf("update counters after the script: %v, replica.term = %v", c, snap.Gauges["replica.term"])
 	}
 }

@@ -85,7 +85,7 @@ func TestReplicaEqualsCollectorAcrossWrap(t *testing.T) {
 	}
 
 	// poisoned returns p with one channel's newest sample made non-finite:
-	// applyDelta extends some windows, then fails on that one.
+	// Extend forks some windows, then fails on that one.
 	poisoned := func(p *collector.FeedPayload) *collector.FeedPayload {
 		cp := *p
 		cp.Channels = make(map[collector.ChannelKey][]stats.Sample, len(p.Channels))
@@ -170,8 +170,7 @@ func BenchmarkReplicaApplyDelta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		wall := time.Unix(1000, 0)
-		st, err := applyFull(p, wall)
+		st, err := collector.StateFromPayload(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +183,7 @@ func BenchmarkReplicaApplyDelta(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if st, err = st.applyDelta(p, wall); err != nil {
+			if st, err = st.Extend(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -201,8 +200,7 @@ func TestApplyDeltaCopiesNoWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wall := time.Unix(1000, 0)
-	st, err := applyFull(p, wall)
+	st, err := collector.StateFromPayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +215,7 @@ func TestApplyDeltaCopiesNoWindow(t *testing.T) {
 		windows = len(p.Channels) + len(p.Loads)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if st, err = st.applyDelta(p, wall); err != nil {
+		if st, err = st.Extend(p); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -230,6 +228,6 @@ func TestApplyDeltaCopiesNoWindow(t *testing.T) {
 	// add 8,192 B per touched window.
 	perWindow := float64(total) / rounds / float64(windows)
 	if perWindow > 400 {
-		t.Fatalf("applyDelta allocates %.0f B per touched window per epoch", perWindow)
+		t.Fatalf("Extend allocates %.0f B per touched window per epoch", perWindow)
 	}
 }

@@ -279,6 +279,16 @@ func TestChaosLeaderFailover(t *testing.T) {
 		_, err := fsrc.Utilization(backbone, 10)
 		return err == nil
 	})
+	// The standby's first payload dates from before the leader's first
+	// sample; wait for the delta that carries the backbone window, or a
+	// promotion right now would answer "unknown channel" until the new
+	// leader's own second poll round.
+	waitUntil(t, 10*time.Second, "standby holds the backbone window", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		_, err := colB.Samples(backbone)
+		return err == nil
+	})
 	if term, leader, on := colA.HAStatus(); !on || !leader || term != 1 {
 		t.Fatalf("leader HA status: term=%d leader=%v on=%v", term, leader, on)
 	}
@@ -401,6 +411,19 @@ func TestChaosLeaderFailover(t *testing.T) {
 	}
 	if got := colB.Telemetry().Snapshot().Counters["ha.promotions"]; got != 1 {
 		t.Fatalf("ha.promotions = %d, want 1", got)
+	}
+	// The feed-sync side of the ha.* and collector.feed.* names: the new
+	// leader lost its feed when the old one died (a sync error, not a
+	// resync), and the healed standby follows the feed in deltas at the
+	// observed term.
+	if got := colB.Telemetry().Snapshot().Counters["ha.sync.errors"]; got == 0 {
+		t.Fatal("ha.sync.errors not counted when the leader's feed died")
+	}
+	waitUntil(t, 10*time.Second, "healed standby applying feed deltas", func() bool {
+		return colA.Telemetry().Snapshot().Counters["collector.feed.applied.delta"] > 0
+	})
+	if g := colA.Telemetry().Snapshot().Gauges; g["ha.role"] != 0 || g["ha.term"] != 2 {
+		t.Fatalf("healed standby gauges: ha.role=%v ha.term=%v, want 0 and 2", g["ha.role"], g["ha.term"])
 	}
 	if n, _, _ := trA.stats(); n != pollsA {
 		t.Fatal("rejoined standby polled agents")
