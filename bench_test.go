@@ -13,6 +13,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -747,6 +748,97 @@ func BenchmarkReplicaModelerFlowQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- The dialed Modeler (DESIGN.md §20) ---------------------------------
+
+// benchDialedModeler serves a warmed-up collector on the loopback and
+// returns a Modeler over a dialed failover handle, the paper's own
+// deployment. Beside ns/op and allocs/op the benchmarks report rtt/op,
+// the wire round trips a query cost, read from the server's server.op.*
+// counters: one, where the same query over per-key fetches cost a dozen.
+func benchDialedModeler(b *testing.B) (*experiments.Env, *core.Modeler, func() float64, func()) {
+	b.Helper()
+	e := experiments.NewEnv()
+	traffic.Blast(e.Net, "m-6", "m-8", 60e6)
+	e.Warmup()
+	srv, err := collector.Serve(e.Col, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fo, err := remos.DialCollectors(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := func() float64 {
+		var n uint64
+		for name, v := range srv.Telemetry().Snapshot().Counters {
+			if strings.HasPrefix(name, "server.op.") {
+				n += v
+			}
+		}
+		return float64(n)
+	}
+	return e, core.New(core.Config{Source: fo}), ops, func() {
+		fo.Close()
+		srv.Close()
+	}
+}
+
+// BenchmarkDialedModelerFlowQuery is BenchmarkModelerFlowQuery over the
+// loopback: warm repeats the query between polls (the server answers
+// "not modified"), cold runs a poll round before every query (the one
+// frame carries the stats).
+func BenchmarkDialedModelerFlowQuery(b *testing.B) {
+	fixed := []core.Flow{{Src: "m-1", Dst: "m-7", Kind: core.FixedFlow, Bandwidth: 2e6}}
+	variable := []core.Flow{
+		{Src: "m-2", Dst: "m-7", Kind: core.VariableFlow, Bandwidth: 1},
+		{Src: "m-3", Dst: "m-8", Kind: core.VariableFlow, Bandwidth: 3},
+	}
+	ind := []core.Flow{{Src: "m-4", Dst: "m-8", Kind: core.IndependentFlow}}
+	for _, mode := range []string{"warm", "cold"} {
+		b.Run(mode, func(b *testing.B) {
+			e, mod, ops, stop := benchDialedModeler(b)
+			defer stop()
+			query := func() {
+				if _, err := mod.QueryFlowInfo(fixed, variable, ind, core.TFHistory(10)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			query() // the topology fetch is set-up
+			before := ops()
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if mode == "cold" {
+					b.StopTimer()
+					e.Clk.Advance(2)
+					b.StartTimer()
+				}
+				query()
+			}
+			b.ReportMetric((ops()-before)/float64(b.N), "rtt/op")
+		})
+	}
+}
+
+// BenchmarkDialedModelerGetGraph is BenchmarkModelerGetGraph over the
+// loopback, warm.
+func BenchmarkDialedModelerGetGraph(b *testing.B) {
+	_, mod, ops, stop := benchDialedModeler(b)
+	defer stop()
+	if _, err := mod.GetGraph(nil, core.TFHistory(10)); err != nil {
+		b.Fatal(err)
+	}
+	before := ops()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := mod.GetGraph(nil, core.TFHistory(10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric((ops()-before)/float64(b.N), "rtt/op")
 }
 
 // --- Collector HA (DESIGN.md §14) ---------------------------------------

@@ -34,15 +34,18 @@ import (
 //	muxFrame  uvarint Stream, varint Kind, flags{Req,Resp,Update},
 //	          ?request, ?response, ?update
 //	request   string Op, key Key, f64 Span, string Node, f64 BudgetMS,
-//	          string TraceID, flags{Watch,Matrix}, ?watch, ?matrixreq
+//	          string TraceID, flags{Watch,Matrix,Read}, ?watch,
+//	          ?matrixreq, ?readreq
 //	key       varint Global, varint Dir
 //	watch     string Kind, key Key, string Node, f64 Span, f64 Threshold
 //	matrixreq list<string> Srcs, list<string> Dsts, varint TFKind,
 //	          f64 Span, f64 Horizon
-//	response  flags{Leader,Topo,Telemetry,Matrix}, varint Code,
+//	readreq   uvarint HaveInstance, uvarint HaveVersion, f64 Span,
+//	          list<key> Keys, list<string> Hosts
+//	response  flags{Leader,Topo,Telemetry,Matrix,Read}, varint Code,
 //	          string Err, f64 RetryAfterMS, string LeaderHint,
 //	          uvarint Term, stat Stat, f64 Age, list<sample> Samples,
-//	          health Health, ?topo, ?blob Telemetry, ?matrix
+//	          health Health, ?topo, ?blob Telemetry, ?matrix, ?readans
 //	stat      f64 Min, Q1, Median, Q3, Max, Accuracy, varint Samples,
 //	          f64 Age
 //	sample    f64 Time, f64 Value
@@ -57,6 +60,10 @@ import (
 //	matrix    rows Bandwidth (f64), rows Latency (f64), rows Valid (one
 //	          byte per cell, 0 or 1), uvarint Epoch, uvarint Term
 //	rows      uvarint row count, then per row: uvarint length, cells
+//	readans   uvarint Instance, uvarint Version, f64 DiscoveredAt,
+//	          flags{NotModified}, list<entry>
+//	entry     one byte, 1 when the entry's read failed and else 0, then
+//	          stat; the request's Keys in order, then its Hosts
 //	update    flags{Overflowed,Resync,Final,TopoChanged,Feed,Summary},
 //	          uvarint Seq, uvarint Epoch, uvarint Term, stat Stat,
 //	          string Err, ?blob Feed, ?blob Summary
@@ -134,7 +141,7 @@ func appendRequest(b []byte, r *request) []byte {
 	b = appendString(b, r.Node)
 	b = appendF64(b, r.BudgetMS)
 	b = appendString(b, r.TraceID)
-	b = append(b, flagBits(r.Watch != nil, r.Matrix != nil))
+	b = append(b, flagBits(r.Watch != nil, r.Matrix != nil, r.Read != nil))
 	if w := r.Watch; w != nil {
 		b = appendString(b, w.Kind)
 		b = appendKey(b, w.Key)
@@ -148,6 +155,16 @@ func appendRequest(b []byte, r *request) []byte {
 		b = appendInt(b, m.TFKind)
 		b = appendF64(b, m.Span)
 		b = appendF64(b, m.Horizon)
+	}
+	if rr := r.Read; rr != nil {
+		b = binary.AppendUvarint(b, rr.HaveInstance)
+		b = binary.AppendUvarint(b, rr.HaveVersion)
+		b = appendF64(b, rr.Span)
+		b = binary.AppendUvarint(b, uint64(len(rr.Keys)))
+		for _, k := range rr.Keys {
+			b = appendKey(b, k)
+		}
+		b = appendNodeIDs(b, rr.Hosts)
 	}
 	return b
 }
@@ -172,7 +189,7 @@ func appendStat(b []byte, st *stats.Stat) []byte {
 }
 
 func appendResponse(b []byte, r *response) ([]byte, error) {
-	b = append(b, flagBits(r.Leader, r.Topo != nil, r.Telemetry != nil, r.Matrix != nil))
+	b = append(b, flagBits(r.Leader, r.Topo != nil, r.Telemetry != nil, r.Matrix != nil, r.Read != nil))
 	b = appendInt(b, r.Code)
 	b = appendString(b, r.Err)
 	b = appendF64(b, r.RetryAfterMS)
@@ -237,6 +254,19 @@ func appendResponse(b []byte, r *response) ([]byte, error) {
 		}
 		b = binary.AppendUvarint(b, m.Epoch)
 		b = binary.AppendUvarint(b, m.Term)
+	}
+	if ra := r.Read; ra != nil {
+		if len(ra.Stats) != len(ra.Failed) {
+			return b, fmt.Errorf("collector: read answer has %d stats and %d failure flags", len(ra.Stats), len(ra.Failed))
+		}
+		b = binary.AppendUvarint(b, ra.Instance)
+		b = binary.AppendUvarint(b, ra.Version)
+		b = appendF64(b, ra.DiscoveredAt)
+		b = append(b, flagBits(ra.NotModified))
+		b = binary.AppendUvarint(b, uint64(len(ra.Stats)))
+		for i := range ra.Stats {
+			b = appendStat(append(b, boolByte(ra.Failed[i])), &ra.Stats[i])
+		}
 	}
 	return b, nil
 }
@@ -405,7 +435,7 @@ func (d *wireDec) request() *request {
 		BudgetMS: d.f64(),
 		TraceID:  d.str(),
 	}
-	has := d.flags(2)
+	has := d.flags(3)
 	if has&1 != 0 {
 		r.Watch = &WatchRequest{
 			Kind:      d.name(),
@@ -423,6 +453,17 @@ func (d *wireDec) request() *request {
 			Span:    d.f64(),
 			Horizon: d.f64(),
 		}
+	}
+	if has&4 != 0 {
+		rr := &ReadRequest{HaveInstance: d.uvarint(), HaveVersion: d.uvarint(), Span: d.f64()}
+		if n := d.count(keyWireSize); n > 0 {
+			rr.Keys = make([]ChannelKey, n)
+			for i := range rr.Keys {
+				rr.Keys[i] = d.key()
+			}
+		}
+		rr.Hosts = d.nodeIDs()
+		r.Read = rr
 	}
 	return r
 }
@@ -454,6 +495,8 @@ func (d *wireDec) stat() stats.Stat {
 
 // Minimum encoded sizes of the list elements, for count.
 const (
+	keyWireSize    = 2              // two varints
+	statWireSize   = 7*8 + 1        // seven f64, varint
 	sampleWireSize = 16             // two f64
 	healthWireMin  = 1 + 2 + 24 + 1 // id length, two varints, three f64, uvarint
 	nodeWireMin    = 1 + 1 + 24     // id length, varint, three f64
@@ -461,7 +504,7 @@ const (
 )
 
 func (d *wireDec) response() *response {
-	has := d.flags(4)
+	has := d.flags(5)
 	r := &response{
 		Leader:       has&1 != 0,
 		Code:         d.int(),
@@ -524,6 +567,24 @@ func (d *wireDec) response() *response {
 			Epoch:     d.uvarint(),
 			Term:      d.uvarint(),
 		}
+	}
+	if has&16 != 0 {
+		ra := &ReadAnswer{Instance: d.uvarint(), Version: d.uvarint(), DiscoveredAt: d.f64()}
+		ra.NotModified = d.flags(1) != 0
+		if n := d.count(1 + statWireSize); n > 0 {
+			ra.Stats = make([]stats.Stat, n)
+			ra.Failed = make([]bool, n)
+			for i := range ra.Stats {
+				failed := d.take(1)
+				if failed != nil && failed[0] > 1 {
+					d.fail("read entry failure flag is neither 0 nor 1")
+					break
+				}
+				ra.Failed[i] = failed != nil && failed[0] == 1
+				ra.Stats[i] = d.stat()
+			}
+		}
+		r.Read = ra
 	}
 	return r
 }

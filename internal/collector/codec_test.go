@@ -218,8 +218,33 @@ func (g frameGen) matrix(rows, cols int, ragged bool) *MatrixAnswer {
 	return m
 }
 
+func (g frameGen) keys(n int) []ChannelKey {
+	if n == 0 {
+		return [][]ChannelKey{nil, {}}[g.Intn(2)]
+	}
+	ks := make([]ChannelKey, n)
+	for i := range ks {
+		ks[i] = g.key()
+	}
+	return ks
+}
+
+// readAnswer draws a read answer of n entries (n 0: not modified, or
+// an answer to an empty list).
+func (g frameGen) readAnswer(n int) *ReadAnswer {
+	ra := &ReadAnswer{Instance: g.Uint64(), Version: uint64(g.Intn(1000)), DiscoveredAt: g.f64(),
+		NotModified: n == 0 && g.Intn(2) == 0}
+	if n == 0 && g.Intn(2) == 0 {
+		ra.Stats, ra.Failed = []stats.Stat{}, []bool{}
+	}
+	for i := 0; i < n; i++ {
+		ra.Stats, ra.Failed = append(ra.Stats, g.stat()), append(ra.Failed, g.Intn(5) == 0)
+	}
+	return ra
+}
+
 func (g frameGen) request() *request {
-	ops := []string{"topo", "util", "samples", "load", "age", "health", "stats", "ping", "watch", "matrix", "", "no-such-op"}
+	ops := []string{"topo", "util", "samples", "load", "age", "health", "stats", "ping", "watch", "matrix", "read", "", "no-such-op"}
 	r := &request{Op: ops[g.Intn(len(ops))], Key: g.key(), Span: g.f64(), Node: g.str(),
 		BudgetMS: g.f64(), TraceID: g.str()}
 	if r.Op == "watch" || g.Intn(8) == 0 {
@@ -234,14 +259,21 @@ func (g frameGen) request() *request {
 		r.Matrix = &MatrixRequest{Srcs: g.nodes(g.Intn(3) * g.Intn(33)), Dsts: g.nodes(g.Intn(3) * g.Intn(33)),
 			TFKind: g.Intn(6) - 1, Span: g.f64(), Horizon: g.f64()}
 	}
+	if r.Op == "read" || g.Intn(8) == 0 {
+		r.Read = &ReadRequest{HaveInstance: g.Uint64() >> uint(g.Intn(64)), HaveVersion: uint64(g.Intn(1000)),
+			Span: g.f64(), Keys: g.keys(g.Intn(3) * g.Intn(33)), Hosts: g.nodes(g.Intn(3) * g.Intn(9))}
+		if g.Intn(4) == 0 {
+			r.Read = &ReadRequest{}
+		}
+	}
 	return r
 }
 
 func (g frameGen) response() *response {
 	r := &response{Term: uint64(g.Intn(3)), Leader: g.Intn(2) == 0}
-	switch g.Intn(10) {
+	switch g.Intn(11) {
 	case 0: // typed refusal
-		r.Code = g.Intn(codeMatrixUnsup+3) - 1
+		r.Code = g.Intn(codeReadUnsup+3) - 1
 		r.Err, r.RetryAfterMS, r.LeaderHint = g.str(), g.f64(), g.str()
 	case 1:
 		r.Err, r.Stat = g.str(), g.stat()
@@ -266,6 +298,8 @@ func (g frameGen) response() *response {
 		r.Matrix = g.matrix(s[0], s[1], g.Intn(5) == 0)
 	case 7:
 		r.Age = g.f64()
+	case 8:
+		r.Read = g.readAnswer(g.Intn(3) * g.Intn(33))
 	default:
 		r.Stat = g.stat()
 	}
@@ -329,7 +363,8 @@ func TestCodecMatchesGob(t *testing.T) {
 	frames := []*muxFrame{
 		{}, {Kind: mfRequest, Req: &request{}}, {Kind: mfResponse, Resp: &response{}},
 		{Kind: mfUpdate, Update: &WatchUpdate{}},
-		respFrame(&response{Topo: &WireTopo{}, Matrix: &MatrixAnswer{}, Telemetry: &telemetry.Snapshot{}}),
+		respFrame(&response{Topo: &WireTopo{}, Matrix: &MatrixAnswer{}, Telemetry: &telemetry.Snapshot{}, Read: &ReadAnswer{}}),
+		reqFrame(&request{Op: "read", Watch: &WatchRequest{}, Matrix: &MatrixRequest{}, Read: &ReadRequest{}}),
 		// The biggest topology a default frame carries.
 		respFrame(&response{Topo: g.topo(40000, 50000)}),
 	}
@@ -359,14 +394,16 @@ func TestCodecFloatsBitExact(t *testing.T) {
 		frames := []*muxFrame{
 			reqFrame(&request{Op: "util", Span: v, BudgetMS: v,
 				Watch:  &WatchRequest{Span: v, Threshold: v},
-				Matrix: &MatrixRequest{Span: v, Horizon: v}}),
+				Matrix: &MatrixRequest{Span: v, Horizon: v},
+				Read:   &ReadRequest{Span: v}}),
 			respFrame(&response{Stat: st, Age: v, RetryAfterMS: v,
 				Samples: []stats.Sample{{Time: v, Value: v}},
 				Health:  map[string]AgentHealth{"a": {LastSuccess: v, LastAttempt: v, NextAttempt: v}},
 				Topo: &WireTopo{DiscoveredAt: v,
 					Nodes: []WireNode{{ID: "n", InternalBW: v, ComputePower: v, MemoryBytes: v}},
 					Links: []WireLink{{A: "a", B: "b", Capacity: v, Latency: v}}},
-				Matrix: &MatrixAnswer{Bandwidth: [][]float64{{v}}, Latency: [][]float64{{v, v}}}}),
+				Matrix: &MatrixAnswer{Bandwidth: [][]float64{{v}}, Latency: [][]float64{{v, v}}},
+				Read:   &ReadAnswer{DiscoveredAt: v, Stats: []stats.Stat{st, st}, Failed: []bool{false, true}}}),
 			{Kind: mfUpdate, Update: &WatchUpdate{Stat: st}},
 		}
 		for _, f := range frames {
@@ -441,6 +478,64 @@ func TestPointQueryAllocBudget(t *testing.T) {
 	}
 }
 
+// TestReadAnswerAllocBudget: a "not modified" answer, the whole response
+// of a warm remote query, decodes into the response and the answer and
+// nothing else; one carrying stats adds its two slices.
+func TestReadAnswerAllocBudget(t *testing.T) {
+	g := frameGen{rand.New(rand.NewSource(5))}
+	for _, tc := range []struct {
+		name  string
+		frame *muxFrame
+		max   float64
+	}{
+		{"not modified", respFrame(&response{Read: &ReadAnswer{Instance: 1 << 60, Version: 150, DiscoveredAt: 2, NotModified: true}}), 2},
+		{"24 entries", respFrame(&response{Read: g.readAnswer(24)}), 4},
+	} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, tc.frame, 0); err != nil {
+			t.Fatal(err)
+		}
+		wire := buf.Bytes()
+		r := bytes.NewReader(wire)
+		allocs := testing.AllocsPerRun(200, func() {
+			r.Reset(wire)
+			var out muxFrame
+			if err := readFrame(r, &out, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The read buffer comes from the pool, which under -race drops
+		// some on purpose.
+		if allocs > tc.max+1 {
+			t.Errorf("%s: decoding took %.0f allocations, want <= %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
+// TestReadAnswerNeedsAFlagPerStat: the wire carries one entry list, so
+// an answer whose two slices disagree does not encode.
+func TestReadAnswerNeedsAFlagPerStat(t *testing.T) {
+	var buf bytes.Buffer
+	err := writeFrame(&buf, respFrame(&response{Read: &ReadAnswer{Stats: make([]stats.Stat, 2), Failed: make([]bool, 1)}}), 0)
+	if err == nil {
+		t.Fatal("an answer with 2 stats and 1 failure flag encoded")
+	}
+}
+
+// TestWireVersionIsNotThePreviousOne: a peer still on the layout before
+// the read op checks a frame's first payload byte against 0x81, so a
+// frame from this end fails its version check (ErrWireVersion there),
+// never its decoder.
+func TestWireVersionIsNotThePreviousOne(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, reqFrame(&request{Op: "read", Read: &ReadRequest{Keys: []ChannelKey{{Global: 1}}}}), 0); err != nil {
+		t.Fatal(err)
+	}
+	if v := buf.Bytes()[4]; v != wireVersion || v == 0x81 {
+		t.Fatalf("frames start with version %#x; this end speaks %#x and the previous layout was 0x81", v, wireVersion)
+	}
+}
+
 // BenchmarkFrameCodec is the codec rung of the latency ladder: one
 // writeFrame plus one readFrame of a representative frame, no socket.
 func BenchmarkFrameCodec(b *testing.B) {
@@ -471,6 +566,8 @@ func BenchmarkFrameCodec(b *testing.B) {
 		{"util", respFrame(&response{Stat: st})},
 		{"topo-fig3", respFrame(&response{Topo: topoToWire(topo)})},
 		{"matrix64", respFrame(&response{Matrix: g.matrix(64, 64, false)})},
+		{"read-notmodified", respFrame(&response{Read: &ReadAnswer{Instance: 1 << 60, Version: 150, DiscoveredAt: 2, NotModified: true}})},
+		{"read-24", respFrame(&response{Read: g.readAnswer(24)})},
 		{"update-version", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: 150}}},
 		{"update-feed-delta", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: delta.Epoch, Feed: delta}}},
 	}

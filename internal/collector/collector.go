@@ -57,10 +57,15 @@ func (t *Topology) Key(l *graph.Link, d graph.Dir) ChannelKey {
 // the measurements or topology behind the source may have changed (a
 // poll round ran, a rediscovery completed, a checkpoint was restored).
 // The Modeler uses it to invalidate its per-snapshot availability memo
-// without re-fetching every channel per query; sources that cannot
-// report a version cheaply (the TCP Client — a version probe would cost
-// the round trip the memo exists to avoid) return ok=false and the
-// Modeler simply skips memoization for them.
+// without re-fetching every channel per query. A dialed handle (Client,
+// FailoverSource) deliberately has none: the version lives in another
+// process, and a copy of it held client-side would be stale the moment
+// a poll ran. Its Modeler instead sends the version it memoized under
+// along with the query's one fetch (ReadSource, readwire.go) and the
+// server says whether it still stands — one round trip that replaces
+// the dozen per-channel ones, rather than a probe on top of them. A
+// source with neither capability (a history Replay, a test double) is
+// simply not memoized.
 type VersionedSource interface {
 	DataVersion() (version uint64, ok bool)
 }

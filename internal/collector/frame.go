@@ -41,8 +41,10 @@ import (
 // wireVersion is the version byte of the layout in codec.go. The high
 // bit is set on purpose: a gob stream starts with a message length,
 // either a byte below 0x80 or a byte-count marker 0xF8–0xFF, so no
-// frame of the old format can start with this byte.
-const wireVersion = 0x81
+// frame of the old format can start with this byte. 0x81 was the layout
+// before the "read" op (readwire.go) added a flag bit to the request and
+// to the response.
+const wireVersion = 0x82
 
 // DefaultMaxFrame bounds one wire frame in bytes. Topology frames for
 // very large domains are the biggest legitimate messages; 4 MiB covers

@@ -132,6 +132,11 @@ func TestFrameCorruptPayload(t *testing.T) {
 		{"garbage", []byte("\xff\xfe\xfdnot a frame"), ErrWireVersion},
 		{"old gob frame", oldFormat.Bytes(), ErrWireVersion},
 		{"next version", append([]byte{wireVersion + 1}, body[1:]...), ErrWireVersion},
+		// The layout before the read op: a peer from the other side of
+		// that flag day is told so, whichever end it is. Its frames are
+		// refused here by their first byte, and ours there the same way
+		// (TestWireVersionIsNotThePreviousOne).
+		{"previous version", append([]byte{0x81}, body[1:]...), ErrWireVersion},
 		{"empty", nil, ErrMalformedFrame},
 		{"version only", []byte{wireVersion}, ErrMalformedFrame},
 		{"trailing byte", append(append([]byte{}, body...), 0), ErrMalformedFrame},
@@ -161,7 +166,12 @@ func hostileCounts() map[string][]byte {
 	matrixReq = append(matrixReq, make([]byte, 8)...)
 	matrixReq = append(matrixReq, 0)
 	matrixReq = append(matrixReq, make([]byte, 8)...)
-	matrixReq = append(matrixReq, 0, 2)
+	matrixReq = append(matrixReq, 0)
+	readReq := append(append([]byte{}, matrixReq...), 4) // same fields, Read set instead
+	matrixReq = append(matrixReq, 2)
+	// Have 0/0 and span, up to the Keys count.
+	readReq = append(readReq, 0, 0)
+	readReq = append(readReq, make([]byte, 8)...)
 	// Response up to the Samples count: flags, code, err, retry, hint,
 	// term, stat, age.
 	respHead := func(flags byte) []byte {
@@ -178,6 +188,11 @@ func hostileCounts() map[string][]byte {
 		"topo nodes":  pad(append(append(respHead(2), 0, 0), huge...)),
 		"matrix rows": pad(append(append(respHead(8), 0, 0), huge...)),
 		"matrix row":  pad(append(append(respHead(8), 0, 0, 1), huge...)),
+		"read keys":   pad(append(readReq, huge...)),
+		"read hosts":  pad(append(append(readReq, 0), huge...)),
+		// Samples and health empty, then instance, version, discovery
+		// time and the answer's flags, up to the entry count.
+		"read entries": pad(append(append(append(respHead(16), 0, 0, 1, 1), make([]byte, 9)...), huge...)),
 	}
 }
 

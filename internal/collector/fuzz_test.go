@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/stats"
 )
 
@@ -41,6 +42,12 @@ func frameElements(mf *muxFrame) int {
 	n := 0
 	if r := mf.Req; r != nil && r.Matrix != nil {
 		n += len(r.Matrix.Srcs) + len(r.Matrix.Dsts)
+	}
+	if r := mf.Req; r != nil && r.Read != nil {
+		n += len(r.Read.Keys) + len(r.Read.Hosts)
+	}
+	if r := mf.Resp; r != nil && r.Read != nil {
+		n += len(r.Read.Stats) + len(r.Read.Failed)
 	}
 	if r := mf.Resp; r != nil {
 		n += len(r.Samples) + len(r.Health)
@@ -120,6 +127,11 @@ func FuzzReadMuxFrame(f *testing.F) {
 			Summary: &RegionSummary{Region: "r0", Epoch: 2, Hosts: []RegionHost{{ID: "h", Power: 1}}}}},
 		&muxFrame{Stream: 2, Kind: mfCancel},
 		&muxFrame{Stream: 1<<64 - 1, Kind: -7},
+		reqFrame(&request{Op: "read", BudgetMS: 1999, Read: &ReadRequest{HaveInstance: 1<<63 + 5, HaveVersion: 150, Span: 10,
+			Keys: []ChannelKey{{Global: 3}, {Global: 3, Dir: 1}, {Global: 7}}, Hosts: []graph.NodeID{"m-1", "m-6"}}}),
+		respFrame(&response{Read: &ReadAnswer{Instance: 1<<63 + 5, Version: 150, DiscoveredAt: 2, NotModified: true}}),
+		respFrame(&response{Term: 2, Leader: true, Read: &ReadAnswer{Instance: 1<<63 + 5, Version: 151, DiscoveredAt: 2,
+			Stats: []stats.Stat{stats.Exact(42e6), stats.NoData()}, Failed: []bool{false, true}}}),
 	)
 	f.Fuzz(fuzzFrame)
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -126,6 +127,10 @@ type request struct {
 	// (matrixwire.go).
 	Matrix *MatrixRequest
 
+	// Read carries the validator and the entry list for the "read" op
+	// (readwire.go).
+	Read *ReadRequest
+
 	// BudgetMS is the client's remaining time budget in milliseconds at
 	// send time (0 = none declared; the server applies its
 	// DefaultBudget). The server refuses with a typed deadline answer
@@ -150,6 +155,7 @@ const (
 	codeNotLeader   = 6 // standby in a hot-standby pair (ErrNotLeader + leader hint)
 	codeMatrixSize  = 7 // matrix weight the gate can never grant (ErrMatrixTooLarge)
 	codeMatrixUnsup = 8 // server cannot compute matrices (ErrMatrixUnsupported)
+	codeReadUnsup   = 9 // served source reports no data version (ErrReadUnsupported)
 )
 
 type response struct {
@@ -179,6 +185,9 @@ type response struct {
 
 	// Matrix answers the "matrix" op (matrixwire.go).
 	Matrix *MatrixAnswer
+
+	// Read answers the "read" op (readwire.go).
+	Read *ReadAnswer
 }
 
 // DefaultIdleTimeout is how long a connection may sit between requests
@@ -210,8 +219,8 @@ type ServerConfig struct {
 
 	// MaxInflight caps concurrent work units across all connections (a
 	// weighted semaphore: topology queries cost 4 units, sample dumps 2,
-	// everything else 1, pings are free). Zero disables admission
-	// control.
+	// matrices and batched reads grow with their size, everything else
+	// 1, pings are free). Zero disables admission control.
 	MaxInflight int
 	// QueueDepth bounds how many requests may wait for work units;
 	// arrivals beyond it are shed with a typed retry-after refusal.
@@ -314,6 +323,12 @@ type Server struct {
 	tel  *telemetry.Registry
 	ops  map[string]opMeter
 	wg   sync.WaitGroup
+
+	// instance is this server's nonce in "read" validators (readwire.go);
+	// readTopo caches the served topology's discovery time per data
+	// version for the same op.
+	instance uint64
+	readTopo atomic.Pointer[readTopoAt]
 
 	mu       sync.Mutex
 	conns    map[net.Conn]*connState
@@ -421,6 +436,7 @@ func ServeConfig(src Source, addr string, cfg ServerConfig) (*Server, error) {
 		watchSubs: make(map[*subscription]struct{}),
 		watchKick: make(chan struct{}, 1),
 		watchStop: make(chan struct{}),
+		instance:  newInstanceNonce(),
 	}
 	s.gate.instrument(tel)
 	for _, op := range servedOps {
@@ -724,6 +740,9 @@ func (s *Server) dispatch(req *request) *response {
 		}
 		w = matrixWeight(req.Matrix)
 	}
+	if req.Op == "read" {
+		w = readWeight(req.Read)
+	}
 	if s.gate != nil && w > 0 {
 		if err := s.gate.acquire(w, deadline); err != nil {
 			sp.SetAttr("verdict", verdictFor(err))
@@ -745,7 +764,7 @@ func (s *Server) dispatch(req *request) *response {
 
 // servedOps are the ops dispatch serves; their meters are resolved
 // once per server instead of per request.
-var servedOps = [...]string{"topo", "util", "samples", "load", "age", "health", "stats", "matrix", "ping"}
+var servedOps = [...]string{"topo", "util", "samples", "load", "age", "health", "stats", "matrix", "read", "ping"}
 
 // opMeter is what dispatch records one op under.
 type opMeter struct {
@@ -812,6 +831,8 @@ func appError(resp *response, err error) {
 		resp.Code = codeMatrixSize
 	case errors.Is(err, ErrMatrixUnsupported):
 		resp.Code = codeMatrixUnsup
+	case errors.Is(err, ErrReadUnsupported):
+		resp.Code = codeReadUnsup
 	case errors.Is(err, ErrDeadlineExceeded):
 		// The budget ran out inside the handler, now that it sees the
 		// request's deadline: same typed refusal as running out in the
@@ -927,6 +948,8 @@ func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
 		resp.Telemetry = &snap
 	case "matrix":
 		s.handleMatrix(ctx, resp, req.Matrix)
+	case "read":
+		s.handleRead(ctx, resp, req.Read)
 	case "ping":
 		// Liveness probe: reaching the switch at all is the answer.
 	default:
@@ -1550,6 +1573,8 @@ func decodeResponse(resp *response) (*response, error) {
 		return resp, fmt.Errorf("%w (%s)", ErrMatrixTooLarge, resp.Err)
 	case codeMatrixUnsup:
 		return resp, ErrMatrixUnsupported
+	case codeReadUnsup:
+		return resp, ErrReadUnsupported
 	default:
 		return resp, fmt.Errorf("collector: unknown response code %d (%s)", resp.Code, resp.Err)
 	}
@@ -1563,8 +1588,8 @@ type caller interface {
 }
 
 // remote is the query surface of a dialed collector — Source,
-// ContextSource, HealthSource, MatrixSource and the telemetry snapshot —
-// written once over a caller. Client and FailoverSource embed it,
+// ContextSource, HealthSource, MatrixSource, ReadSource and the telemetry
+// snapshot — written once over a caller. Client and FailoverSource embed it,
 // pointing at themselves.
 type remote struct{ caller }
 

@@ -134,8 +134,13 @@ type Modeler struct {
 	tel *telemetry.Registry // nil when Config.Telemetry was nil
 
 	// vsrc is non-nil when the source reports data versions
-	// (collector.VersionedSource), which gates availability memoization.
+	// (collector.VersionedSource): view() then keys the availability
+	// memo on them. rsrc is non-nil instead when the source is a dialed
+	// collector (collector.ReadSource): it has no version of its own, so
+	// each query validates the memo against the server and fetches what
+	// it is missing in one conditional batched read (view.prefetch).
 	vsrc collector.VersionedSource
+	rsrc collector.ReadSource
 
 	// snap is the read side: queries Load it and proceed without locks.
 	// buildMu single-flights rebuilds after Refresh (or at first use);
@@ -187,6 +192,9 @@ func New(cfg Config) *Modeler {
 		if _, vok := vs.DataVersion(); vok {
 			m.vsrc = vs
 		}
+	}
+	if rs, ok := cfg.Source.(collector.ReadSource); ok && m.vsrc == nil {
+		m.rsrc = rs
 	}
 	m.gEpoch = m.tel.Gauge("modeler.snapshot_epoch")
 	m.gCacheAge = m.tel.Gauge("modeler.topo_cache_age_s")
@@ -344,7 +352,7 @@ func (m *Modeler) computeChannelAvailability(ctx context.Context, s *snapshot,
 		if err != nil && collector.IsLifecycleError(err) {
 			return stats.NoData(), fmt.Errorf("core: availability of %v: %w", key, err)
 		}
-		return stats.Exact(l.Capacity).WithAccuracy(0.1), nil
+		return degradedAvailability(l), nil
 	}
 	var util stats.Stat
 	switch tf.Kind {
@@ -379,8 +387,23 @@ func (m *Modeler) computeChannelAvailability(ctx context.Context, s *snapshot,
 	default:
 		panic(fmt.Sprintf("core: bad timeframe kind %v", tf.Kind))
 	}
+	return m.availabilityFromUtilization(s, l, key, util), nil
+}
+
+// degradedAvailability is the answer for a channel whose measurement is
+// missing: its capacity, at low accuracy.
+func degradedAvailability(l *graph.Link) stats.Stat {
+	return stats.Exact(l.Capacity).WithAccuracy(0.1)
+}
+
+// availabilityFromUtilization turns one channel's utilization summary
+// into its availability: capacity minus utilization, the application's
+// own registered traffic discounted first when DiscountSelf is on. Both
+// fetch paths end here — the per-channel one above and the batched one
+// (view.prefetch).
+func (m *Modeler) availabilityFromUtilization(s *snapshot, l *graph.Link, key collector.ChannelKey, util stats.Stat) stats.Stat {
 	if !util.Valid() {
-		return degrade(nil)
+		return degradedAvailability(l)
 	}
 	if m.cfg.DiscountSelf {
 		if own := m.selfRateOn(s.topo, s.rt, key); own > 0 {
@@ -391,7 +414,7 @@ func (m *Modeler) computeChannelAvailability(ctx context.Context, s *snapshot,
 			}.ClampNonNegative()
 		}
 	}
-	return stats.SubFrom(l.Capacity, util), nil
+	return stats.SubFrom(l.Capacity, util)
 }
 
 // AvailableBandwidth reports the bottleneck availability between two
@@ -406,6 +429,14 @@ func (m *Modeler) AvailableBandwidth(src, dst graph.NodeID, tf Timeframe) (stats
 func (m *Modeler) AvailableBandwidthCtx(ctx context.Context, src, dst graph.NodeID, tf Timeframe) (_ stats.Stat, retErr error) {
 	ctx, finish := m.startQuery(ctx, "query.bw", m.qBW)
 	defer func() { finish(retErr) }()
+	st, err := m.availableBandwidth(ctx, src, dst, tf)
+	if err == errTopologyMoved {
+		st, err = m.availableBandwidth(ctx, src, dst, tf)
+	}
+	return st, err
+}
+
+func (m *Modeler) availableBandwidth(ctx context.Context, src, dst graph.NodeID, tf Timeframe) (stats.Stat, error) {
 	s, err := m.snapshot(ctx)
 	if err != nil {
 		return stats.NoData(), err
@@ -418,6 +449,15 @@ func (m *Modeler) AvailableBandwidthCtx(ctx context.Context, src, dst graph.Node
 		return stats.NoData(), fmt.Errorf("core: no route %s -> %s", src, dst)
 	}
 	v := m.view(s, tf)
+	if v.batched() {
+		sc := getMatrixScratch(s.chanSlots)
+		sc.wantPath(p)
+		err := v.prefetch(ctx, sc.chans, nil)
+		putMatrixScratch(sc)
+		if err != nil {
+			return stats.NoData(), err
+		}
+	}
 	out := stats.NoData()
 	for i, l := range p.Links {
 		a, err := v.channelAvailability(ctx, l, l.DirFrom(p.Nodes[i]))

@@ -110,9 +110,36 @@ func (m *Modeler) QueryFlowInfo(fixed, variable, independent []Flow, tf Timefram
 func (m *Modeler) QueryFlowInfoCtx(ctx context.Context, fixed, variable, independent []Flow, tf Timeframe) (_ *FlowInfo, retErr error) {
 	ctx, finish := m.startQuery(ctx, "query.flowinfo", m.qFlowQuery)
 	defer func() { finish(retErr) }()
+	fi, err := m.flowInfo(ctx, fixed, variable, independent, tf)
+	if err == errTopologyMoved {
+		fi, err = m.flowInfo(ctx, fixed, variable, independent, tf)
+	}
+	return fi, err
+}
+
+func (m *Modeler) flowInfo(ctx context.Context, fixed, variable, independent []Flow, tf Timeframe) (*FlowInfo, error) {
 	s, err := m.snapshot(ctx)
 	if err != nil {
 		return nil, err
+	}
+	v := m.view(s, tf)
+	if v.batched() {
+		// List the channels of every flow's route before folding any, so
+		// one frame fetches them all. A flow without a route lists
+		// nothing; the loop below reports it.
+		sc := getMatrixScratch(s.chanSlots)
+		for _, class := range [...][]Flow{fixed, variable, independent} {
+			for _, f := range class {
+				if p := s.rt.Route(f.Src, f.Dst); p != nil && f.Src != f.Dst {
+					sc.wantPath(p)
+				}
+			}
+		}
+		err := v.prefetch(ctx, sc.chans, nil)
+		putMatrixScratch(sc)
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Build the resource space: one resource per directed channel in use,
@@ -120,7 +147,7 @@ func (m *Modeler) QueryFlowInfoCtx(ctx context.Context, fixed, variable, indepen
 	// pooled; nothing it owns escapes into the returned FlowInfo (the
 	// solver and allocationStat copy what they keep), so it is released
 	// when the query returns.
-	idx := newResourceIndex(ctx, m.view(s, tf))
+	idx := newResourceIndex(ctx, v)
 	defer idx.release()
 	toDemand := func(f Flow) (maxmin.Demand, *graph.Path, error) {
 		if f.Src == f.Dst {

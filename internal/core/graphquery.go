@@ -135,6 +135,14 @@ func (m *Modeler) GetGraph(nodes []graph.NodeID, tf Timeframe) (*Graph, error) {
 func (m *Modeler) GetGraphCtx(ctx context.Context, nodes []graph.NodeID, tf Timeframe) (_ *Graph, retErr error) {
 	ctx, finish := m.startQuery(ctx, "query.getgraph", m.qGetGraph)
 	defer func() { finish(retErr) }()
+	g, err := m.getGraph(ctx, nodes, tf)
+	if err == errTopologyMoved {
+		g, err = m.getGraph(ctx, nodes, tf)
+	}
+	return g, err
+}
+
+func (m *Modeler) getGraph(ctx context.Context, nodes []graph.NodeID, tf Timeframe) (*Graph, error) {
 	s, err := m.snapshot(ctx)
 	if err != nil {
 		return nil, err
@@ -159,6 +167,28 @@ func (m *Modeler) GetGraphCtx(ctx context.Context, nodes []graph.NodeID, tf Time
 	}
 
 	v := m.view(s, tf)
+	if v.batched() {
+		sc := getMatrixScratch(s.chanSlots)
+		var hosts []graph.NodeID
+		for i := range plan.links {
+			for _, pc := range plan.links[i].fwd {
+				sc.want(pc.l, pc.d)
+			}
+			for _, pc := range plan.links[i].rev {
+				sc.want(pc.l, pc.d)
+			}
+		}
+		for i := range plan.nodes {
+			if plan.nodes[i].Kind == graph.Compute {
+				hosts = append(hosts, plan.nodes[i].ID)
+			}
+		}
+		err := v.prefetch(ctx, sc.chans, hosts)
+		putMatrixScratch(sc)
+		if err != nil {
+			return nil, err
+		}
+	}
 	out := &Graph{
 		Timeframe: tf,
 		Epoch:     s.epoch,

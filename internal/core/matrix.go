@@ -94,7 +94,11 @@ func (m *Modeler) QueryMatrixCtx(ctx context.Context, srcs, dsts []graph.NodeID,
 			return nil, err
 		}
 	}
-	return m.matrixLocal(ctx, srcs, dsts, tf)
+	mi, err := m.matrixLocal(ctx, srcs, dsts, tf)
+	if err == errTopologyMoved {
+		mi, err = m.matrixLocal(ctx, srcs, dsts, tf)
+	}
+	return mi, err
 }
 
 // maxMatrixWorkers bounds the row worker pool: matrix parallelism is a
@@ -106,7 +110,9 @@ const maxMatrixWorkers = 8
 // costs more than the sweep itself.
 const minParallelCells = 256
 
-// matrixChan is one directed channel some row sweep will read.
+// matrixChan is one directed channel a query will read: some row sweep
+// of a matrix, or — listed for view.prefetch — a route or plan link of
+// any query over a dialed collector.
 type matrixChan struct {
 	l    *graph.Link
 	d    graph.Dir
@@ -200,6 +206,22 @@ func getMatrixScratch(chanSlots int) *matrixScratch {
 	return sc
 }
 
+// want lists one directed channel, once.
+func (sc *matrixScratch) want(l *graph.Link, d graph.Dir) {
+	slot := int(l.ID)*2 + int(d)
+	if !sc.need[slot] {
+		sc.need[slot] = true
+		sc.chans = append(sc.chans, matrixChan{l: l, d: d, slot: slot})
+	}
+}
+
+// wantPath lists the channels a route traverses.
+func (sc *matrixScratch) wantPath(p *graph.Path) {
+	for i, l := range p.Links {
+		sc.want(l, l.DirFrom(p.Nodes[i]))
+	}
+}
+
 func putMatrixScratch(sc *matrixScratch) {
 	for _, mc := range sc.chans {
 		sc.need[mc.slot] = false
@@ -278,12 +300,7 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 		}
 		sweeps[i] = cs
 		for k := range cs.steps {
-			st := &cs.steps[k]
-			slot := int(st.availSlot)
-			if !sc.need[slot] {
-				sc.need[slot] = true
-				sc.chans = append(sc.chans, matrixChan{l: st.link, d: st.dir, slot: slot})
-			}
+			sc.want(cs.steps[k].link, cs.steps[k].dir)
 		}
 	}
 	dstSlots := make([]int32, cols)
@@ -301,6 +318,11 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 	// errors abort the batch (the caller's budget expired or the
 	// source refused); measurement errors already degraded to capacity
 	// at low accuracy inside computeChannelAvailability.
+	if v.batched() {
+		if err := v.prefetch(ctx, sc.chans, nil); err != nil {
+			return nil, err
+		}
+	}
 	for _, mc := range sc.chans {
 		st, aerr := v.channelAvailability(ctx, mc.l, mc.d)
 		if aerr != nil {

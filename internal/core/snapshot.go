@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -24,9 +25,12 @@ import (
 // snapshot carries two derived, lazily built, lock-free structures:
 //
 //   - an availability memo: per (timeframe, channel) Stats computed at
-//     most once per source data version (collector.VersionedSource), so
-//     a burst of queries between poll ticks shares one summary per
-//     channel instead of re-deriving quartiles per query;
+//     most once per source data version, so a burst of queries between
+//     poll ticks shares one summary per channel instead of re-deriving
+//     quartiles per query. An in-process source reports its version
+//     (collector.VersionedSource) and view() reads it per query; a
+//     dialed one has the answering server validate the generation
+//     inside the query's one fetch (view.prefetch);
 //   - a plan cache: the logical-topology skeleton remos_get_graph
 //     derives for a node set (route induction + chain collapsing, §4.3)
 //     is purely topological, so it is built once per (epoch, node set)
@@ -43,9 +47,11 @@ type snapshot struct {
 	nodeSlot  map[graph.NodeID]int
 	chanSlots int
 
-	// memoOK gates the availability memo: it needs a versioned source
-	// (collector.VersionedSource) to know when measurements may have
-	// changed. Unversioned sources (the TCP client) skip memoization.
+	// memoOK says view() resolves the memo generation itself, from the
+	// source's own data version (collector.VersionedSource). Over a
+	// dialed collector it is false and view.prefetch resolves the
+	// generation from the server's answer instead; a source that offers
+	// neither (a history replay, a test double) is not memoized.
 	memoOK bool
 	memo   atomic.Pointer[availMemo]
 
@@ -79,9 +85,17 @@ func newSnapshot(epoch uint64, topo *collector.Topology, rt *graph.RouteTable, m
 // for exactly one combined data version (source version + self-flow
 // generation). When the version moves the whole generation is dropped
 // and rebuilt — there is no per-entry invalidation to race on.
+//
+// Over a dialed collector the version is only comparable between
+// answers of one server instance (collector.ReadAnswer), so a
+// generation is identified by (instance, version, selfGen) and version
+// is the server's alone; in process instance and selfGen stay zero and
+// version is the combined sum.
 type availMemo struct {
-	version uint64
-	tfs     atomic.Pointer[[]*tfMemo]
+	version  uint64
+	instance uint64
+	selfGen  uint64
+	tfs      atomic.Pointer[[]*tfMemo]
 }
 
 // tfMemo holds the memoized stats of one timeframe: dense arrays of
@@ -93,6 +107,22 @@ type tfMemo struct {
 	tf    Timeframe
 	avail []atomic.Pointer[stats.Stat] // indexed by linkID*2 + dir
 	loads []atomic.Pointer[stats.Stat] // indexed by nodeSlot
+}
+
+// holds reports whether every listed channel and host has its slot
+// filled.
+func (tm *tfMemo) holds(s *snapshot, chans []matrixChan, hosts []graph.NodeID) bool {
+	for _, mc := range chans {
+		if tm.avail[mc.slot].Load() == nil {
+			return false
+		}
+	}
+	for _, id := range hosts {
+		if tm.loads[s.nodeSlot[id]].Load() == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // tfFor returns (building if needed) the memo for one timeframe. The
@@ -136,7 +166,10 @@ type view struct {
 	m  *Modeler
 	s  *snapshot
 	tf Timeframe
-	tm *tfMemo // nil: memo disabled (capacity timeframe or unversioned source)
+	// tm is nil when nothing is memoized for this query: the capacity
+	// timeframe, a source with neither a version nor a read op, and —
+	// until prefetch has run — a dialed collector.
+	tm *tfMemo
 }
 
 // view builds the read context for one query. The memo generation is
@@ -165,6 +198,109 @@ func (m *Modeler) view(s *snapshot, tf Timeframe) view {
 	}
 	v.tm = am.tfFor(tf, s)
 	return v
+}
+
+// errTopologyMoved is prefetch's verdict that the server now serves a
+// topology discovered at another time than the snapshot's: the snapshot
+// is dropped and the query entry points run once more against a fresh
+// one.
+var errTopologyMoved = errors.New("core: the collector rediscovered its topology during the query")
+
+// batched reports whether this view's measurements come from one
+// conditional batched read (prefetch) rather than per-channel fetches:
+// a dialed collector, and a timeframe that reads utilization summaries.
+// Future predicts from raw samples and stays per channel.
+func (v *view) batched() bool {
+	return v.m.rsrc != nil && (v.tf.Kind == Current || v.tf.Kind == History)
+}
+
+// prefetch is a remote query's one round trip. The caller lists every
+// channel and host the query is about to fold; prefetch sends the list
+// with the validator of the installed memo generation — if that
+// generation already holds every listed slot — and leaves v.tm holding
+// all of them, so the fold that follows reads memo hits only:
+//
+//   - "not modified": the generation it checked is current, v.tm is it;
+//   - stats under the installed generation's stamp: the missing slots
+//     (and the held ones, again) are filled in;
+//   - stats under another stamp: a fresh generation replaces the
+//     installed one — on any instance change, and within one instance
+//     only upward; an answer older than what is installed fills a
+//     detached generation that serves this query alone.
+//
+// The answer's stamp was read before its data (collector/readwire.go),
+// so a slot is never older than its generation says. A lifecycle error
+// aborts the query as it does per channel; any other failure (a server
+// without the op, a transport error) leaves v.tm nil and the per-channel
+// path answers, degrading exactly as it always has.
+func (v *view) prefetch(ctx context.Context, chans []matrixChan, hosts []graph.NodeID) error {
+	m, s := v.m, v.s
+	self := m.selfGen.Load()
+	req := &collector.ReadRequest{Span: tfSpan(v.tf), Keys: make([]collector.ChannelKey, len(chans)), Hosts: hosts}
+	for i, mc := range chans {
+		req.Keys[i] = s.topo.Key(mc.l, mc.d)
+	}
+	var held *tfMemo
+	if am := s.memo.Load(); am != nil && am.selfGen == self {
+		if tm := am.tfFor(v.tf, s); tm.holds(s, chans, hosts) {
+			held = tm
+			req.HaveInstance, req.HaveVersion = am.instance, am.version
+		}
+	}
+	ans, err := m.rsrc.Read(ctx, req)
+	if err != nil {
+		if collector.IsLifecycleError(err) {
+			return fmt.Errorf("core: %w", err)
+		}
+		return nil
+	}
+	if math.Float64bits(ans.DiscoveredAt) != math.Float64bits(s.topo.DiscoveredAt) {
+		m.snap.CompareAndSwap(s, nil)
+		return errTopologyMoved
+	}
+	if ans.NotModified {
+		v.tm = held
+		return nil
+	}
+	var am *availMemo
+	for {
+		am = s.memo.Load()
+		if am != nil && am.instance == ans.Instance && am.selfGen == self && am.version >= ans.Version {
+			if am.version > ans.Version {
+				am = &availMemo{version: ans.Version, instance: ans.Instance, selfGen: self}
+			}
+			break
+		}
+		fresh := &availMemo{version: ans.Version, instance: ans.Instance, selfGen: self}
+		if s.memo.CompareAndSwap(am, fresh) {
+			am = fresh
+			break
+		}
+	}
+	tm := am.tfFor(v.tf, s)
+	// One slab backs every slot this answer fills; a generation is
+	// dropped whole, so its slots never outlive one another by much.
+	slab := make([]stats.Stat, len(ans.Stats))
+	for i, mc := range chans {
+		if ans.Failed[i] {
+			slab[i] = degradedAvailability(mc.l)
+		} else {
+			slab[i] = m.availabilityFromUtilization(s, mc.l, req.Keys[i], ans.Stats[i])
+		}
+		tm.avail[mc.slot].Store(&slab[i])
+	}
+	for j, id := range hosts {
+		i := len(chans) + j
+		if ans.Failed[i] {
+			slab[i] = stats.NoData()
+		} else {
+			slab[i] = ans.Stats[i]
+		}
+		tm.loads[s.nodeSlot[id]].Store(&slab[i])
+	}
+	m.cMemoMiss.Add(uint64(len(slab)))
+	v.tm = tm
+	return nil
 }
 
 // channelAvailability is the memoized read path for one directed
@@ -418,8 +554,8 @@ func (s *snapshot) buildPlan(nodes []graph.NodeID) (*graphPlan, error) {
 			merged.latency = stats.AddStat(l1.latency, l2.latency)
 			// a -> b traverses l1 from a, then l2 from mid (and the
 			// reverse for b -> a).
-			merged.fwd = append(append([]physChan(nil), chansFrom(l1, a)...), chansFrom(l2, id)...)
-			merged.rev = append(append([]physChan(nil), chansFrom(l2, b)...), chansFrom(l1, id)...)
+			merged.fwd = joinChans(chansFrom(l1, a), chansFrom(l2, id))
+			merged.rev = joinChans(chansFrom(l2, b), chansFrom(l1, id))
 			merged.limit = minPositive(l1.limit, l2.limit)
 			if nd.InternalBW > 0 {
 				merged.capacity = stats.MinStat(merged.capacity, stats.Exact(nd.InternalBW))
@@ -439,7 +575,19 @@ func (s *snapshot) buildPlan(nodes []graph.NodeID) (*graphPlan, error) {
 		}
 	}
 
-	p := &graphPlan{}
+	// Plans are cached for the life of the snapshot, one per node set
+	// queried, so their slices are sized exactly: grown by append they
+	// held half again as much as they used.
+	live := 0
+	for _, bl := range bls {
+		if bl.a != "" {
+			live++
+		}
+	}
+	p := &graphPlan{
+		nodes: make([]NodeInfo, 0, sub.NumNodes()-len(removed)),
+		links: make([]planLink, 0, live),
+	}
 	for _, id := range sub.Nodes() {
 		if removed[id] {
 			continue
@@ -473,6 +621,12 @@ func (s *snapshot) buildPlan(nodes []graph.NodeID) (*graphPlan, error) {
 		p.linkIdx[p.links[i].b] = append(p.linkIdx[p.links[i].b], i)
 	}
 	return p, nil
+}
+
+// joinChans concatenates two channel lists into one of exactly their
+// length.
+func joinChans(a, b []physChan) []physChan {
+	return append(append(make([]physChan, 0, len(a)+len(b)), a...), b...)
 }
 
 // minPositive returns the smaller of two limits, treating <=0 as "no

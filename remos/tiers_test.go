@@ -30,7 +30,11 @@ import (
 // restored from a mid-run checkpoint and polling on, and a Replay of a
 // history dump. At equal epochs they must return the same samples and
 // the same quartiles, bit for bit, for every channel and host; ages
-// follow each tier's own clock rule.
+// follow each tier's own clock rule. The sixth tier holds no State at
+// all: a Modeler over a dialed handle, whose memo the server validates
+// inside each query (readwire.go), must annotate the whole graph exactly
+// as a Modeler linked to the collector does — across the window wrap,
+// and across both rediscoveries without being told of them.
 func TestTiersAgreeOnSharedState(t *testing.T) {
 	const (
 		epochs       = 220
@@ -77,6 +81,18 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	readSrv, err := collector.ServeConfig(&feedSource{&lockedSource{mu: &mu, col: col}},
+		"127.0.0.1:0", collector.ServerConfig{DefaultBudget: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readSrv.Close()
+	dialedSrc, err := remos.DialCollectors(readSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialedSrc.Close()
+	dialed, linked := remos.NewModeler(remos.Config{Source: dialedSrc}), remos.NewModeler(remos.Config{Source: col})
 
 	lease := ha.NewMemoryLease(clk)
 	mkNode := func(c *collector.Collector, id, peer string) *ha.Node {
@@ -136,8 +152,29 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 	restored := false
 	compare := func(epoch int) {
 		t.Helper()
+		// The dialed Modeler's reads take the simulator lock on the server
+		// side, so it is asked first; only this goroutine moves the clock.
+		tfs := []remos.Timeframe{remos.TFCurrent(), remos.TFHistory(10), remos.TFHistory(60)}
+		var dialedGraphs []*remos.Graph
+		for _, tf := range tfs {
+			g, err := dialed.GetGraph(nil, tf)
+			if err != nil {
+				t.Fatalf("epoch %d dialed modeler %+v: %v", epoch, tf, err)
+			}
+			dialedGraphs = append(dialedGraphs, g)
+		}
 		mu.Lock()
 		defer mu.Unlock()
+		linked.Refresh() // a linked Modeler has to be told of a rediscovery
+		for i, tf := range tfs {
+			want, err := linked.GetGraph(nil, tf)
+			if err != nil {
+				t.Fatalf("epoch %d linked modeler %+v: %v", epoch, tf, err)
+			}
+			if d := diffGraphs(dialedGraphs[i], want, sameBits); d != "" {
+				t.Fatalf("epoch %d dialed modeler %+v: %s", epoch, tf, d)
+			}
+		}
 		var dump bytes.Buffer
 		if err := col.SaveHistory(&dump); err != nil {
 			t.Fatal(err)
@@ -230,6 +267,9 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 	defer mu.Unlock()
 	if n := col.Discoveries(); n < 3 {
 		t.Fatalf("scenario ran %d discoveries, want the initial one and two rediscoveries", n)
+	}
+	if n := opCount(readSrv, "topo"); n != 3 {
+		t.Fatalf("the dialed modeler fetched the topology %d times over two rediscoveries, want 3", n)
 	}
 	topo, _ := col.Topology()
 	if s, _ := colStandby.Samples(topo.Key(topo.Graph.Links()[0], graph.AtoB)); len(s) != windowLen {

@@ -51,6 +51,9 @@ go test -race -timeout 300s -count=1 -run 'TestFederationThousandNodeAcceptance|
 echo "==> matrix stage: wire op + admission + fencing under -race, kernel equivalence"
 go test -race -timeout 300s -count=1 -run 'TestMatrix' ./remos ./internal/core
 
+echo "==> dialed modeler: four goroutines on one dialed handle while polls advance, x10 under -race (TestDialed*, TestPrefetch*, TestReadOp* ran once in the -race pass above)"
+go test -race -timeout 300s -count=10 -run TestDialedModelerConcurrentWithPolls ./remos
+
 echo "==> simclock: Now() read from query goroutines while the run loop advances it"
 go test -race -timeout 300s -count=20 -run TestMatrixConcurrentWithPollRounds ./internal/core
 
