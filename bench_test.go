@@ -841,6 +841,80 @@ func BenchmarkDialedModelerGetGraph(b *testing.B) {
 	b.ReportMetric((ops()-before)/float64(b.N), "rtt/op")
 }
 
+// BenchmarkWireRoundTrip times one util round trip over the loopback:
+// the Figure 3 collector served with the daemon's admission defaults,
+// each client goroutine on its own failover handle as
+// remos.DialCollectors gives it. Beside ns/op and allocs/op it reports
+// tick_cluster_pct, the share of round trips in [3.8, 4.8) ms: a thread
+// hand-off that waits out a 250 Hz scheduler tick (DESIGN.md §21).
+func BenchmarkWireRoundTrip(b *testing.B) {
+	tb := writeSideTestbed(b, "fig3", 60)
+	srv, err := collector.ServeConfig(tb.Collector, "127.0.0.1:0", collector.ServerConfig{
+		MaxConns: 256, MaxInflight: 64, QueueDepth: 128, DefaultBudget: 2 * time.Second,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	topo, err := tb.Collector.Topology()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys []collector.ChannelKey
+	for _, l := range topo.Graph.Links() {
+		keys = append(keys, topo.Key(l, graph.AtoB), topo.Key(l, graph.BtoA))
+	}
+	for _, clients := range []int{1, 2} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			handles := make([]*remos.FailoverSource, clients)
+			for i := range handles {
+				h, err := remos.DialCollectors(srv.Addr())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer h.Close()
+				handles[i] = h
+			}
+			ctx := context.Background()
+			rtts := make([][]time.Duration, clients)
+			b.ResetTimer()
+			b.ReportAllocs()
+			var wg sync.WaitGroup
+			for c, h := range handles {
+				n := b.N / clients
+				if c < b.N%clients {
+					n++
+				}
+				rtts[c] = make([]time.Duration, 0, n)
+				wg.Add(1)
+				go func(c int, h *remos.FailoverSource, n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						t0 := time.Now()
+						if _, err := h.UtilizationCtx(ctx, keys[(c+i)%len(keys)], 10); err != nil {
+							b.Error(err)
+							return
+						}
+						rtts[c] = append(rtts[c], time.Since(t0))
+					}
+				}(c, h, n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			in, all := 0, 0
+			for _, rs := range rtts {
+				for _, d := range rs {
+					if d >= 3800*time.Microsecond && d < 4800*time.Microsecond {
+						in++
+					}
+				}
+				all += len(rs)
+			}
+			b.ReportMetric(100*float64(in)/float64(max(all, 1)), "tick_cluster_pct")
+		})
+	}
+}
+
 // --- Collector HA (DESIGN.md §14) ---------------------------------------
 
 // benchPair builds two collectors over one simulated estate for the HA

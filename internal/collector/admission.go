@@ -109,12 +109,8 @@ func (g *workGate) acquire(weight int, deadline time.Time) error {
 	weight = g.clamp(weight)
 	arrived := time.Now()
 	g.mu.Lock()
-	if len(g.waiters) == 0 && g.inUse+weight <= g.capacity {
-		g.inUse += weight
-		g.admitted++
+	if g.grantNowLocked(weight) {
 		g.mu.Unlock()
-		g.telAdmitted.Inc()
-		g.telWaitMS.Observe(0)
 		return nil
 	}
 	if len(g.waiters) >= g.maxQueue {
@@ -161,6 +157,31 @@ func (g *workGate) acquire(weight int, deadline time.Time) error {
 		g.telTimedOut.Inc()
 		return fmt.Errorf("admission queue wait exhausted budget: %w", ErrDeadlineExceeded)
 	}
+}
+
+// tryAcquire claims weight units only if acquire would grant them
+// without queueing, for a caller that must not wait: the connection's
+// read loop answering inline (DESIGN §21).
+func (g *workGate) tryAcquire(weight int) bool {
+	if g == nil || weight <= 0 {
+		return true // no gate, or a free op
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.grantNowLocked(g.clamp(weight))
+}
+
+// grantNowLocked is acquire's fast path: nobody queues ahead and the
+// units are free.
+func (g *workGate) grantNowLocked(weight int) bool {
+	if len(g.waiters) > 0 || g.inUse+weight > g.capacity {
+		return false
+	}
+	g.inUse += weight
+	g.admitted++
+	g.telAdmitted.Inc()
+	g.telWaitMS.Observe(0)
+	return true
 }
 
 // release returns weight units and hands freed capacity to queued

@@ -22,7 +22,7 @@ import (
 // bytes, and neither end keeps codec state per connection. That buys
 // three properties the protocol relies on:
 //
-//   - abort safety: a connection cut mid-frame — a cancelled call, a
+//   - abort safety: a connection cut mid-frame — a failed write, a
 //     killed replica — leaves nothing to resynchronize, so
 //     reconnect-and-retry works from any frame boundary;
 //   - bounded allocation: every count inside a frame is checked against

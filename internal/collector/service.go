@@ -1,11 +1,14 @@
 package collector
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -207,10 +210,10 @@ var busyMsg = ErrServerBusy.Error()
 // ServerConfig tunes the server's lifecycle protections. The zero value
 // of each field selects its default.
 type ServerConfig struct {
-	// IdleTimeout is the per-connection read deadline between (and
-	// within) request frames (default DefaultIdleTimeout); negative
-	// disables it. It also bounds response writes, so a client that
-	// stops reading cannot pin the serving goroutine.
+	// IdleTimeout bounds a connection's silence between and within
+	// request frames, and each response write, at T to 5T/4 (default
+	// DefaultIdleTimeout); negative disables it. A client that stops
+	// reading cannot pin the serving goroutine.
 	IdleTimeout time.Duration
 	// MaxConns caps concurrently served connections; connections beyond
 	// the cap are answered with ErrServerBusy and closed. Zero means
@@ -354,15 +357,20 @@ type connState struct {
 	subs     int
 }
 
-// servedConn is the server's per-connection state: the write lock that
-// serializes response and watch-update frames from concurrent handler
-// and pusher goroutines, and the connection's live subscriptions.
+// servedConn is the server's per-connection state: the buffered reader
+// and armed read deadline of the read loop, the write lock that
+// serializes response and watch-update frames from the read loop and
+// concurrent handler and pusher goroutines, and the connection's live
+// subscriptions.
 type servedConn struct {
-	srv  *Server
-	conn net.Conn
-	st   *connState
+	srv    *Server
+	conn   net.Conn
+	st     *connState
+	br     *bufio.Reader
+	readBy time.Time // armed read deadline; read loop only
 
-	wmu sync.Mutex
+	wmu     sync.Mutex
+	writeBy time.Time // armed write deadline; under wmu
 
 	mu     sync.Mutex
 	subMap map[uint64]*subscription // stream -> subscription
@@ -374,9 +382,24 @@ func (sc *servedConn) writeFrame(f *muxFrame, deadline time.Duration) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
 	if deadline > 0 {
-		sc.conn.SetWriteDeadline(time.Now().Add(deadline))
+		if dl, ok := slackDeadline(sc.writeBy, time.Now(), deadline); ok {
+			sc.conn.SetWriteDeadline(dl)
+			sc.writeBy = dl
+		}
 	}
 	return writeFrame(sc.conn, f, sc.srv.cfg.MaxFrame)
+}
+
+// slackDeadline returns the deadline to arm for an operation allowed d
+// from now, given the one already armed, and whether it differs. An
+// armed deadline is kept while it expires within [d, 5d/4] of now, so a
+// busy connection re-arms about once per d/4 instead of once per frame,
+// and no operation is cut off sooner than d after it starts.
+func slackDeadline(armed, now time.Time, d time.Duration) (time.Time, bool) {
+	if rem := armed.Sub(now); rem >= d && rem <= d+d/4 {
+		return armed, false
+	}
+	return now.Add(d + d/4), true
 }
 
 func (sc *servedConn) addSub(sub *subscription) {
@@ -549,22 +572,19 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
+		// A connection beyond the cap is served with a nil state: its
+		// first request is answered busy and the connection closed.
+		var st *connState
 		s.mu.Lock()
-		if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.refuse(conn)
-			}()
-			continue
+		if s.cfg.MaxConns <= 0 || len(s.conns) < s.cfg.MaxConns {
+			st = &connState{}
+			s.conns[conn] = st
 		}
-		s.conns[conn] = &connState{}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.serveConn(conn)
+			s.serveConn(conn, st)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -572,34 +592,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// refuse answers one over-cap connection with a typed busy error and
-// closes it, so the client fails fast instead of queueing invisibly.
-func (s *Server) refuse(conn net.Conn) {
-	defer conn.Close()
-	if s.cfg.IdleTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(s.cfg.IdleTimeout))
-	}
-	// Wait for the first request frame so the refusal pairs with a call
-	// the client is actually waiting on, then answer it on its stream.
-	var f muxFrame
-	if err := readFrame(conn, &f, s.cfg.MaxFrame); err != nil {
-		return
-	}
-	writeFrame(conn, &muxFrame{
-		Stream: f.Stream, Kind: mfResponse,
-		Resp: &response{Err: busyMsg, Code: codeBusy},
-	}, s.cfg.MaxFrame)
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	s.mu.Lock()
-	st := s.conns[conn]
-	s.mu.Unlock()
-	if st == nil {
-		conn.Close()
-		return
-	}
-	sc := &servedConn{srv: s, conn: conn, st: st}
+func (s *Server) serveConn(conn net.Conn, st *connState) {
+	sc := &servedConn{srv: s, conn: conn, st: st, br: bufio.NewReader(conn)}
 	var inflight sync.WaitGroup
 	defer func() {
 		conn.Close()
@@ -630,16 +624,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		// A connection with live subscriptions is exempt — a watcher is
 		// legitimately silent for as long as it keeps reading pushes.
 		if s.cfg.IdleTimeout > 0 {
-			dl := time.Now().Add(s.cfg.IdleTimeout)
-			if sc.subCount() > 0 {
-				dl = time.Time{}
+			dl, ok := time.Time{}, !sc.readBy.IsZero()
+			if sc.subCount() == 0 {
+				dl, ok = slackDeadline(sc.readBy, time.Now(), s.cfg.IdleTimeout)
 			}
-			if err := conn.SetReadDeadline(dl); err != nil {
-				return
+			if ok {
+				if err := conn.SetReadDeadline(dl); err != nil {
+					return
+				}
+				sc.readBy = dl
 			}
 		}
 		var f muxFrame
-		if err := readFrame(conn, &f, s.cfg.MaxFrame); err != nil {
+		if err := readFrame(sc.br, &f, s.cfg.MaxFrame); err != nil {
 			// Oversized, malformed or wrong-version frames
 			// (ErrFrameTooLarge, ErrMalformedFrame, ErrWireVersion) drop
 			// only this connection: the stream cannot be resynced, and
@@ -647,6 +644,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		switch {
+		case st == nil:
+			// Over the connection cap: the refusal pairs with a call the
+			// client is waiting on, so it fails fast instead of queueing
+			// invisibly.
+			sc.writeFrame(&muxFrame{Stream: f.Stream, Kind: mfResponse,
+				Resp: &response{Err: busyMsg, Code: codeBusy}}, s.cfg.IdleTimeout)
+			return
 		case f.Kind == mfRequest && f.Req != nil && f.Req.Op == "watch":
 			// Subscriptions register synchronously in the read loop so
 			// the ack precedes any teardown race with a fast Cancel.
@@ -659,20 +663,34 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.kickWatch()
 			}
 		case f.Kind == mfRequest && f.Req != nil:
-			// Ordinary requests dispatch concurrently: the mux framing
-			// exists so one slow query does not head-of-line block the
-			// pipeline behind it.
+			// A refusal decided before admission, and a cheap in-memory op
+			// the gate admits at once, is answered right here: no
+			// goroutine, no deadline context (DESIGN §21).
+			stream := f.Stream
+			p, resp := s.begin(f.Req)
+			if resp == nil && s.inlineOp(f.Req) && s.gate.tryAcquire(p.w) {
+				resp = s.finish(p, true)
+			}
+			if resp != nil {
+				if err := sc.writeFrame(&muxFrame{Stream: stream, Kind: mfResponse, Resp: resp},
+					s.cfg.IdleTimeout); err != nil {
+					return
+				}
+				continue
+			}
+			// Everything else dispatches concurrently — an inline op the
+			// gate would queue too, so FIFO order and shedding hold: the mux
+			// framing exists so one slow query does not head-of-line block
+			// the pipeline behind it.
 			s.mu.Lock()
 			st.inflight++
 			s.mu.Unlock()
 			inflight.Add(1)
 			s.wg.Add(1)
-			stream, req := f.Stream, f.Req
 			go func() {
 				defer s.wg.Done()
 				defer inflight.Done()
-				resp := s.dispatch(req)
-				sc.writeFrame(&muxFrame{Stream: stream, Kind: mfResponse, Resp: resp},
+				sc.writeFrame(&muxFrame{Stream: stream, Kind: mfResponse, Resp: s.finish(p, false)},
 					s.cfg.IdleTimeout)
 				s.mu.Lock()
 				st.inflight--
@@ -698,75 +716,126 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatch runs one request through budget accounting and admission
-// control before handing it to the Source. The order matters: the
-// budget clock starts at arrival, the admission wait is charged against
-// it, and a request that comes out of the queue with nothing left is
-// refused, not computed.
-func (s *Server) dispatch(req *request) *response {
-	start := time.Now()
+// inlineOp reports whether req may be answered on its connection's read
+// loop (DESIGN §21): it reads in-memory state at admission weight ≤ 1,
+// and the source answers from local state — a VersionedSource that
+// reports a version, the test handleRead applies — so a proxying server
+// never blocks its read loop on an upstream call.
+func (s *Server) inlineOp(req *request) bool {
+	switch req.Op {
+	case "util", "load", "age", "ping":
+	case "read":
+		if readWeight(req.Read) > 1 {
+			return false
+		}
+	default:
+		return false
+	}
+	vs, ok := s.src.(VersionedSource)
+	if ok {
+		_, ok = vs.DataVersion()
+	}
+	return ok
+}
+
+// pending is one request between arrival and admission: what begin
+// recorded and decided about it.
+type pending struct {
+	req             *request
+	start, deadline time.Time
+	sp              *telemetry.Span
+	w               int
+}
+
+// begin records a request's arrival and applies the policies that run
+// before admission: the HA gate and the matrix size limit. It returns
+// either the pending request or the refusal that ends it. finish then
+// runs it through admission control and the budget check before
+// handing it to the Source. The order matters: the budget clock starts
+// at arrival, the admission wait is charged against it, and a request
+// that comes out of the queue with nothing left is refused, not
+// computed.
+func (s *Server) begin(req *request) (pending, *response) {
+	p := pending{req: req, start: time.Now()}
 	m, ok := s.ops[req.Op]
 	if !ok {
 		m = s.meterFor(req.Op)
 	}
 	m.count.Inc()
-	sp := s.tel.StartSpan(req.TraceID, m.span)
-	defer sp.Finish()
+	p.sp = s.tel.StartSpan(req.TraceID, m.span)
 	if s.cfg.Gate != nil && req.Op != "ping" && req.Op != "stats" {
 		if err := s.cfg.Gate(req.Op); err != nil {
-			sp.SetAttr("verdict", "gated")
-			resp := &response{}
-			appError(resp, err)
-			return resp
+			return p, refused(p.sp, "gated", err)
 		}
 	}
-	var deadline time.Time
 	if req.BudgetMS > 0 {
-		deadline = start.Add(time.Duration(req.BudgetMS * float64(time.Millisecond)))
+		p.deadline = p.start.Add(time.Duration(req.BudgetMS * float64(time.Millisecond)))
 	} else if s.cfg.DefaultBudget > 0 {
-		deadline = start.Add(s.cfg.DefaultBudget)
+		p.deadline = p.start.Add(s.cfg.DefaultBudget)
 	}
-	w := opWeight(req.Op)
+	p.w = opWeight(req.Op)
 	if req.Op == "matrix" {
 		// Size policy runs before the gate: a matrix the gate could
 		// never grant must answer a typed non-retryable refusal, not
 		// queue forever or be silently clamped to a cheaper weight.
 		if err := s.matrixAdmissible(req.Matrix); err != nil {
-			sp.SetAttr("verdict", "refused")
-			resp := &response{}
-			appError(resp, err)
+			resp := refused(p.sp, "refused", err)
 			s.stampHA(resp)
-			return resp
+			return p, resp
 		}
-		w = matrixWeight(req.Matrix)
+		p.w = matrixWeight(req.Matrix)
 	}
 	if req.Op == "read" {
-		w = readWeight(req.Read)
+		p.w = readWeight(req.Read)
 	}
-	if s.gate != nil && w > 0 {
-		if err := s.gate.acquire(w, deadline); err != nil {
-			sp.SetAttr("verdict", verdictFor(err))
-			return refusalResponse(err)
-		}
-		defer s.gate.release(w)
-	}
-	sp.SetAttr("queue_wait_ms", msAttr(time.Since(start)))
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		sp.SetAttr("verdict", "deadline")
-		return &response{Err: ErrDeadlineExceeded.Error(), Code: codeDeadline}
-	}
-	sp.SetAttr("verdict", "admitted")
-	handleStart := time.Now()
-	resp := s.handle(req, deadline)
-	sp.SetAttr("handler_ms", msAttr(time.Since(handleStart)))
+	return p, nil
+}
+
+// refused ends a request's span with verdict and answers err.
+func refused(sp *telemetry.Span, verdict string, err error) *response {
+	sp.SetAttr("verdict", verdict)
+	sp.Finish()
+	resp := &response{}
+	appError(resp, err)
 	return resp
 }
 
-// servedOps are the ops dispatch serves; their meters are resolved
+// finish admits a begun request and runs its handler. held says the
+// caller is the read loop and the gate already granted the request's
+// weight; the handler then gets no deadline context, because an inline
+// op cannot block. The budget check still runs either way.
+func (s *Server) finish(p pending, held bool) *response {
+	defer p.sp.Finish()
+	if s.gate != nil && p.w > 0 {
+		if !held {
+			if err := s.gate.acquire(p.w, p.deadline); err != nil {
+				p.sp.SetAttr("verdict", verdictFor(err))
+				return refusalResponse(err)
+			}
+		}
+		defer s.gate.release(p.w)
+	}
+	p.sp.SetAttr("queue_wait_ms", msAttr(time.Since(p.start)))
+	if !p.deadline.IsZero() && !time.Now().Before(p.deadline) {
+		p.sp.SetAttr("verdict", "deadline")
+		return &response{Err: ErrDeadlineExceeded.Error(), Code: codeDeadline}
+	}
+	p.sp.SetAttr("verdict", "admitted")
+	deadline := p.deadline
+	if held {
+		deadline = time.Time{}
+	}
+	handleStart := time.Now()
+	resp := s.handle(p.req, deadline)
+	p.sp.SetAttr("handler_ms", msAttr(time.Since(handleStart)))
+	return resp
+}
+
+// servedOps are the ops the server serves; their meters are resolved
 // once per server instead of per request.
 var servedOps = [...]string{"topo", "util", "samples", "load", "age", "health", "stats", "matrix", "read", "ping"}
 
-// opMeter is what dispatch records one op under.
+// opMeter is what begin records one op under.
 type opMeter struct {
 	count *telemetry.Counter // server.op.<op>
 	span  string             // rpc.<op>
@@ -1040,6 +1109,7 @@ type Client struct {
 	addr string
 	cfg  ClientConfig
 	tel  *telemetry.Registry // nil = client-side metrics disabled
+	dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 	// connMu guards the connection pointer and the closed flag, so
 	// Close can abort in-flight calls instead of queueing behind them.
@@ -1048,21 +1118,32 @@ type Client struct {
 	closed bool
 }
 
-// muxConn is one multiplexed connection: a background read loop
-// demultiplexes incoming frames to per-stream waiters (ordinary calls)
-// and bounded per-subscription queues (watches). A transport error
-// fails every outstanding stream at once — the conn is then dead and
-// the client dials a fresh one.
+// muxConn is one multiplexed connection. One read token says who reads
+// the socket (DESIGN §21). A caller whose call is the only one
+// outstanding takes it and reads frames itself until its own response
+// arrives: the leader. A caller that finds the token taken waits for its
+// response to be handed over: a follower. A leader done while other
+// streams are outstanding — always, once a watch is live — passes the
+// token to a background loop, which keeps it until none are. Every
+// holder routes frames through readFrame. A transport error fails every
+// outstanding stream at once — the conn is then dead and the client
+// dials a fresh one.
 type muxConn struct {
 	conn net.Conn
 	max  int
 	tel  *telemetry.Registry
 
-	wmu sync.Mutex // serializes frame writes
+	// br and readBy (the armed read deadline) belong to the token holder.
+	br     *bufio.Reader
+	readBy time.Time
+
+	wmu     sync.Mutex // serializes frame writes
+	writeBy time.Time  // armed write deadline; under wmu
 
 	mu      sync.Mutex
 	nextID  uint64
-	calls   map[uint64]chan *response
+	reading bool                      // the read token is taken
+	calls   map[uint64]chan *response // followers' waiters
 	watches map[uint64]*clientWatch
 	err     error
 	done    chan struct{} // closed by fail()
@@ -1082,7 +1163,7 @@ func Dial(addr string) (*Client, error) {
 // newClient builds an unconnected client whose query surface calls
 // through itself.
 func newClient(addr string, cfg ClientConfig, tel *telemetry.Registry) *Client {
-	c := &Client{addr: addr, cfg: cfg, tel: tel}
+	c := &Client{addr: addr, cfg: cfg, tel: tel, dial: net.DialTimeout}
 	c.remote = remote{c}
 	return c
 }
@@ -1102,7 +1183,7 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 // a concurrent caller already installed a live one (then that one is
 // kept and the extra dial discarded).
 func (c *Client) connect() (*muxConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout())
+	conn, err := c.dial("tcp", c.addr, c.dialTimeout())
 	if err != nil {
 		return nil, fmt.Errorf("collector: %w", err)
 	}
@@ -1112,18 +1193,17 @@ func (c *Client) connect() (*muxConn, error) {
 		conn.Close()
 		return nil, errClientClosed
 	}
-	if c.mc != nil && c.mc.alive() {
+	if c.mc != nil && c.mc.failure() == nil {
 		conn.Close()
 		return c.mc, nil
 	}
 	mc := &muxConn{
-		conn: conn, max: c.cfg.MaxFrame, tel: c.tel,
+		conn: conn, br: bufio.NewReader(conn), max: c.cfg.MaxFrame, tel: c.tel,
 		calls:   make(map[uint64]chan *response),
 		watches: make(map[uint64]*clientWatch),
 		done:    make(chan struct{}),
 	}
 	c.mc = mc
-	go mc.readLoop()
 	return mc, nil
 }
 
@@ -1142,7 +1222,7 @@ func (c *Client) getConn() (*muxConn, error) {
 	if closed {
 		return nil, errClientClosed
 	}
-	if mc != nil && mc.alive() {
+	if mc != nil && mc.failure() == nil {
 		return mc, nil
 	}
 	return c.connect()
@@ -1162,10 +1242,9 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// dropConn discards a specific connection (its stream may be mid-frame
-// or its server hung): outstanding streams on it fail, and the next
-// call reconnects on a clean one. A different, newer connection
-// installed meanwhile is left alone.
+// dropConn discards a specific connection (its server hung): outstanding
+// streams on it fail, and the next call reconnects on a clean one. A
+// different, newer connection installed meanwhile is left alone.
 func (c *Client) dropConn(mc *muxConn) {
 	if mc == nil {
 		return
@@ -1178,10 +1257,11 @@ func (c *Client) dropConn(mc *muxConn) {
 	mc.close(fmt.Errorf("collector: connection dropped"))
 }
 
-func (mc *muxConn) alive() bool {
+// failure is the error the connection died of (nil while it lives).
+func (mc *muxConn) failure() error {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	return mc.err == nil
+	return mc.err
 }
 
 // close fails the connection with err and closes the socket.
@@ -1211,65 +1291,208 @@ func (mc *muxConn) fail(err error) {
 	}
 }
 
-// readLoop demultiplexes incoming frames until the connection dies.
-// It never sets a read deadline: liveness is the per-call waiter's
-// job, and a watch-only connection is legitimately quiet.
-func (mc *muxConn) readLoop() {
+// passToken ends a leader's turn: while other streams are outstanding
+// the background loop takes the token over, otherwise it is free.
+func (mc *muxConn) passToken() {
+	mc.mu.Lock()
+	pass := mc.err == nil && (len(mc.calls) > 0 || len(mc.watches) > 0)
+	mc.reading = pass
+	mc.mu.Unlock()
+	if pass {
+		go mc.loop()
+	}
+}
+
+// loop holds the read token while streams other than a leader's are
+// outstanding. It never sets a read deadline: liveness is the per-call
+// waiter's job, and a watch-only connection is legitimately quiet.
+func (mc *muxConn) loop() {
+	mc.armRead(time.Time{})
 	for {
-		var f muxFrame
-		if err := readFrame(mc.conn, &f, mc.max); err != nil {
-			mc.fail(err)
-			mc.conn.Close()
+		if _, err := mc.readFrame(0, time.Time{}); err != nil {
 			return
 		}
-		switch f.Kind {
-		case mfResponse:
-			mc.mu.Lock()
-			ch := mc.calls[f.Stream]
-			delete(mc.calls, f.Stream)
-			mc.mu.Unlock()
-			if ch != nil && f.Resp != nil {
-				ch <- f.Resp // cap 1, waiter may already be gone
+		mc.mu.Lock()
+		idle := len(mc.calls) == 0 && len(mc.watches) == 0
+		mc.reading = !idle
+		mc.mu.Unlock()
+		if idle {
+			return
+		}
+	}
+}
+
+// armRead sets the read deadline to t unless it is armed there already.
+// Token holder only.
+func (mc *muxConn) armRead(t time.Time) {
+	if !t.Equal(mc.readBy) {
+		mc.conn.SetReadDeadline(t)
+		mc.readBy = t
+	}
+}
+
+// readFrame reads the next frame and routes it: a response to its
+// stream's waiter — or, for stream own, back to the caller — and an
+// update to its watch's queue. Responses for departed streams (a call
+// that timed out or was cancelled) and unknown kinds are discarded. A
+// frame whose body is not buffered yet is read to the end under bodyBy.
+// Any read error closes the connection: past a header the stream cannot
+// be resynced. Token holder only.
+func (mc *muxConn) readFrame(own uint64, bodyBy time.Time) (*response, error) {
+	var f muxFrame
+	hdr, err := mc.br.Peek(4)
+	if err == nil {
+		if mc.br.Buffered() < 4+int(binary.BigEndian.Uint32(hdr)) {
+			mc.armRead(bodyBy)
+		}
+		err = readFrame(mc.br, &f, mc.max)
+	}
+	if err != nil {
+		mc.close(err)
+		return nil, mc.failure()
+	}
+	switch {
+	case f.Kind == mfResponse && f.Resp != nil && f.Stream == own:
+		return f.Resp, nil
+	case f.Kind == mfResponse && f.Resp != nil:
+		mc.mu.Lock()
+		ch := mc.calls[f.Stream]
+		delete(mc.calls, f.Stream)
+		mc.mu.Unlock()
+		if ch != nil {
+			ch <- f.Resp // cap 1, waiter may already be gone
+		}
+	case f.Kind == mfUpdate && f.Update != nil:
+		mc.mu.Lock()
+		w := mc.watches[f.Stream]
+		if w != nil && f.Update.Final {
+			// A clean terminal frame: deregister now so a transport
+			// error right behind it cannot mark this stream failed.
+			delete(mc.watches, f.Stream)
+		}
+		mc.mu.Unlock()
+		if w != nil && w.q.push(*f.Update) {
+			mc.tel.Counter("client.watch.drops.overflow").Inc()
+		}
+	}
+	return nil, nil
+}
+
+// aLongTimeAgo is a read deadline that ends a blocked read at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// headerCancel lets a leader's context cancel interrupt its wait for a
+// frame header, and nothing else: it moves the read deadline into the
+// past only while the leader is between frames, so a cancelled call
+// never leaves a frame half read.
+type headerCancel struct {
+	conn net.Conn
+
+	mu      sync.Mutex
+	between bool // the leader waits for a header
+	hit     bool // a cancel moved the deadline
+}
+
+func (hc *headerCancel) interrupt() {
+	hc.mu.Lock()
+	if hc.between {
+		hc.conn.SetReadDeadline(aLongTimeAgo)
+		hc.hit = true
+	}
+	hc.mu.Unlock()
+}
+
+// waiting marks whether the leader waits for a header and reports
+// whether a cancel moved the deadline since the last mark. A nil
+// headerCancel (a context that cannot be cancelled) is never hit.
+func (hc *headerCancel) waiting(on bool) (hit bool) {
+	if hc == nil {
+		return false
+	}
+	hc.mu.Lock()
+	hc.between, hit, hc.hit = on, hc.hit, false
+	hc.mu.Unlock()
+	return hit
+}
+
+// lead reads frames as the token holder until the response on stream id
+// arrives. The connection's read deadline enforces CallTimeout and the
+// context's deadline; a context cancel ends only a wait for a header.
+// The header wait that runs out keeps the connection when the context
+// ended it and reports errCallTimeout (the caller drops the connection)
+// when CallTimeout did.
+func (mc *muxConn) lead(ctx context.Context, id uint64, cfg *ClientConfig) (*response, error) {
+	var callBy time.Time
+	if cfg.CallTimeout > 0 {
+		callBy = time.Now().Add(cfg.CallTimeout)
+	}
+	waitBy := callBy
+	if dl, ok := ctx.Deadline(); ok && (waitBy.IsZero() || dl.Before(waitBy)) {
+		waitBy = dl
+	}
+	var hc *headerCancel
+	if ctx.Done() != nil {
+		hc = &headerCancel{conn: mc.conn}
+		stop := context.AfterFunc(ctx, hc.interrupt)
+		defer stop()
+	}
+	for {
+		if mc.br.Buffered() < 4 {
+			mc.armRead(waitBy)
+			hc.waiting(true)
+			var err error
+			if err = ctxError(ctx); err == nil {
+				_, err = mc.br.Peek(4)
 			}
-		case mfUpdate:
-			if f.Update == nil {
-				continue
+			if hc.waiting(false) {
+				mc.readBy = aLongTimeAgo
 			}
-			mc.mu.Lock()
-			w := mc.watches[f.Stream]
-			if w != nil && f.Update.Final {
-				// A clean terminal frame: deregister now so a transport
-				// error right behind it cannot mark this stream failed.
-				delete(mc.watches, f.Stream)
-			}
-			mc.mu.Unlock()
-			if w != nil {
-				if w.q.push(*f.Update) {
-					mc.tel.Counter("client.watch.drops.overflow").Inc()
+			if err != nil {
+				// No header is in (bufio keeps a partial one): the
+				// stream is intact if the wait merely ran out.
+				if errors.Is(err, os.ErrDeadlineExceeded) || ctx.Err() != nil {
+					if cerr := ctxCallError(ctx); cerr != nil {
+						return nil, cerr
+					}
+					if !callBy.IsZero() && !time.Now().Before(callBy) {
+						return nil, errCallTimeout
+					}
 				}
+				mc.close(err)
+				return nil, mc.failure()
 			}
 		}
-		// Unknown kinds and responses for departed streams (a call that
-		// timed out or was cancelled) are discarded silently.
+		resp, err := mc.readFrame(id, callBy)
+		if resp != nil || err != nil {
+			return resp, err
+		}
 	}
 }
 
 // writeMux writes one frame under the write lock with a bounded write
-// deadline.
+// deadline. A failed write closes the connection whatever the caller's
+// context says: part of the frame may be on the wire.
 func (mc *muxConn) writeMux(f *muxFrame, budget time.Duration) error {
 	mc.wmu.Lock()
 	defer mc.wmu.Unlock()
 	if budget > 0 {
-		mc.conn.SetWriteDeadline(time.Now().Add(budget))
+		if dl, ok := slackDeadline(mc.writeBy, time.Now(), budget); ok {
+			mc.conn.SetWriteDeadline(dl)
+			mc.writeBy = dl
+		}
 	}
-	return writeFrame(mc.conn, f, mc.max)
+	err := writeFrame(mc.conn, f, mc.max)
+	if err != nil {
+		mc.close(err)
+	}
+	return err
 }
 
-// roundTrip sends one request on a fresh stream and waits for its
-// response: until the context ends (typed ctx error, connection kept —
-// the late response is discarded by the read loop), CallTimeout
-// expires (hung-server suspicion — the caller drops the connection),
-// or the connection dies.
+// roundTrip sends one request on a fresh stream and returns its
+// response. With the read token free the caller leads (lead); otherwise
+// it waits until the context ends (typed ctx error, connection kept —
+// the late response is discarded), CallTimeout expires (hung-server
+// suspicion — the caller drops the connection), or the connection dies.
 func (mc *muxConn) roundTrip(ctx context.Context, req *request, cfg *ClientConfig) (*response, error) {
 	mc.mu.Lock()
 	if mc.err != nil {
@@ -1279,14 +1502,23 @@ func (mc *muxConn) roundTrip(ctx context.Context, req *request, cfg *ClientConfi
 	}
 	mc.nextID++
 	id := mc.nextID
-	ch := make(chan *response, 1)
-	mc.calls[id] = ch
+	leads := !mc.reading
+	mc.reading = true
+	var ch chan *response
+	if !leads {
+		ch = make(chan *response, 1)
+		mc.calls[id] = ch
+	}
 	mc.mu.Unlock()
-	defer func() {
-		mc.mu.Lock()
-		delete(mc.calls, id)
-		mc.mu.Unlock()
-	}()
+	if leads {
+		defer mc.passToken()
+	} else {
+		defer func() {
+			mc.mu.Lock()
+			delete(mc.calls, id)
+			mc.mu.Unlock()
+		}()
+	}
 
 	req.BudgetMS = 0
 	if dl, ok := ctx.Deadline(); ok {
@@ -1297,6 +1529,15 @@ func (mc *muxConn) roundTrip(ctx context.Context, req *request, cfg *ClientConfi
 	if err := mc.writeMux(&muxFrame{Stream: id, Kind: mfRequest, Req: req}, cfg.writeBudget()); err != nil {
 		return nil, err
 	}
+	if leads {
+		return mc.lead(ctx, id, cfg)
+	}
+	return mc.await(ctx, ch, cfg)
+}
+
+// await waits for the response handed over on ch until the context
+// ends, CallTimeout expires or the connection dies.
+func (mc *muxConn) await(ctx context.Context, ch chan *response, cfg *ClientConfig) (*response, error) {
 	var timeout <-chan time.Time
 	if cfg.CallTimeout > 0 {
 		t := time.NewTimer(cfg.CallTimeout)
@@ -1311,10 +1552,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, req *request, cfg *ClientConfi
 	case <-timeout:
 		return nil, errCallTimeout
 	case <-mc.done:
-		mc.mu.Lock()
-		err := mc.err
-		mc.mu.Unlock()
-		return nil, err
+		return nil, mc.failure()
 	}
 }
 
@@ -1322,9 +1560,9 @@ func (mc *muxConn) roundTrip(ctx context.Context, req *request, cfg *ClientConfi
 // remaining context budget rides in the request frame as a hint for
 // server-side enforcement, and cancellation or an expired deadline
 // abandons the wait immediately (typed error) without killing the
-// shared connection. Transport failures — dead conn, hung server —
-// drop the connection so concurrent streams fail fast and the next
-// call starts clean.
+// shared connection. Transport failures — a failed write, a read that
+// broke off mid-frame, a dead conn, a hung server — drop the connection
+// so concurrent streams fail fast and the next call starts clean.
 func (c *Client) call(ctx context.Context, req *request) (_ *response, retErr error) {
 	if err := ctxError(ctx); err != nil {
 		return nil, err
@@ -1346,8 +1584,9 @@ func (c *Client) call(ctx context.Context, req *request) (_ *response, retErr er
 		}
 		resp, err := mc.roundTrip(ctx, req, &c.cfg)
 		if err != nil && ctxCallError(ctx) == nil {
-			// Transport failure, not a caller-side deadline: this conn
-			// is suspect (dead, or its server hung); fail it over.
+			// Not a caller-side deadline: this conn is suspect (dead, or
+			// its server hung); fail it over. Errors that broke the
+			// stream closed it already, whatever the context says.
 			c.dropConn(mc)
 		}
 		return resp, err
@@ -1438,7 +1677,12 @@ func (mc *muxConn) subscribe(ctx context.Context, wr WatchRequest, cfg *ClientCo
 	mc.calls[id] = ackCh
 	w := &clientWatch{q: newWatchQueue(cfg.WatchQueueDepth)}
 	mc.watches[id] = w
+	loop := !mc.reading // a live watch keeps the background loop reading
+	mc.reading = true
 	mc.mu.Unlock()
+	if loop {
+		go mc.loop()
+	}
 	abort := func() {
 		mc.mu.Lock()
 		delete(mc.calls, id)
@@ -1456,30 +1700,15 @@ func (mc *muxConn) subscribe(ctx context.Context, wr WatchRequest, cfg *ClientCo
 		abort()
 		return nil, err
 	}
-	var timeout <-chan time.Time
-	if cfg.CallTimeout > 0 {
-		t := time.NewTimer(cfg.CallTimeout)
-		defer t.Stop()
-		timeout = t.C
+	resp, err := mc.await(ctx, ackCh, cfg)
+	if err == nil {
+		_, err = decodeResponse(resp)
 	}
-	select {
-	case resp := <-ackCh:
-		if _, err := decodeResponse(resp); err != nil {
-			abort()
-			return nil, err
+	if err != nil {
+		abort()
+		if ctx.Err() != nil {
+			mc.writeMux(&muxFrame{Stream: id, Kind: mfCancel}, cfg.writeBudget())
 		}
-	case <-ctx.Done():
-		abort()
-		mc.writeMux(&muxFrame{Stream: id, Kind: mfCancel}, cfg.writeBudget())
-		return nil, ctxError(ctx)
-	case <-timeout:
-		abort()
-		return nil, errCallTimeout
-	case <-mc.done:
-		abort()
-		mc.mu.Lock()
-		err := mc.err
-		mc.mu.Unlock()
 		return nil, err
 	}
 

@@ -34,7 +34,7 @@ ATTEMPTS=${ATTEMPTS:-2}
 
 # Micro-benchmarks: per-op costs small enough that -benchtime 1x would
 # measure noise instead of code.
-MICRO_PAT='BenchmarkCollectorPollRound|BenchmarkFeedSinceDelta|BenchmarkWindowAppendFull|BenchmarkModeler|BenchmarkDialedModeler|BenchmarkFxIteration|BenchmarkWatchFanout|BenchmarkReplica|BenchmarkFederated'
+MICRO_PAT='BenchmarkCollectorPollRound|BenchmarkFeedSinceDelta|BenchmarkWindowAppendFull|BenchmarkModeler|BenchmarkDialedModeler|BenchmarkFxIteration|BenchmarkWatchFanout|BenchmarkReplica|BenchmarkFederated|BenchmarkWireRoundTrip'
 
 COMPARE=0
 BASELINE=BENCH_remos.json

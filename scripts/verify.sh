@@ -54,6 +54,9 @@ go test -race -timeout 300s -count=1 -run 'TestMatrix' ./remos ./internal/core
 echo "==> dialed modeler: four goroutines on one dialed handle while polls advance, x10 under -race (TestDialed*, TestPrefetch*, TestReadOp* ran once in the -race pass above)"
 go test -race -timeout 300s -count=10 -run TestDialedModelerConcurrentWithPolls ./remos
 
+echo "==> mux stage: inline server ops and leader/follower client demux, x20 under -race"
+go test -race -timeout 600s -count=20 -run 'TestInline|TestLeader|TestLone|TestFailedWriteDropsConn|TestWatchPipelining' ./internal/collector
+
 echo "==> simclock: Now() read from query goroutines while the run loop advances it"
 go test -race -timeout 300s -count=20 -run TestMatrixConcurrentWithPollRounds ./internal/core
 
