@@ -788,7 +788,8 @@ func benchDialedModeler(b *testing.B) (*experiments.Env, *core.Modeler, func() f
 // BenchmarkDialedModelerFlowQuery is BenchmarkModelerFlowQuery over the
 // loopback: warm repeats the query between polls (the server answers
 // "not modified"), cold runs a poll round before every query (the one
-// frame carries the stats).
+// frame carries the stats), future-cold is cold under TFFuture (the one
+// frame carries each channel's raw window, and the Modeler predicts).
 func BenchmarkDialedModelerFlowQuery(b *testing.B) {
 	fixed := []core.Flow{{Src: "m-1", Dst: "m-7", Kind: core.FixedFlow, Bandwidth: 2e6}}
 	variable := []core.Flow{
@@ -796,12 +797,16 @@ func BenchmarkDialedModelerFlowQuery(b *testing.B) {
 		{Src: "m-3", Dst: "m-8", Kind: core.VariableFlow, Bandwidth: 3},
 	}
 	ind := []core.Flow{{Src: "m-4", Dst: "m-8", Kind: core.IndependentFlow}}
-	for _, mode := range []string{"warm", "cold"} {
+	for _, mode := range []string{"warm", "cold", "future-cold"} {
 		b.Run(mode, func(b *testing.B) {
 			e, mod, ops, stop := benchDialedModeler(b)
 			defer stop()
+			tf := core.TFHistory(10)
+			if mode == "future-cold" {
+				tf = core.TFFuture(4)
+			}
 			query := func() {
-				if _, err := mod.QueryFlowInfo(fixed, variable, ind, core.TFHistory(10)); err != nil {
+				if _, err := mod.QueryFlowInfo(fixed, variable, ind, tf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -810,7 +815,7 @@ func BenchmarkDialedModelerFlowQuery(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if mode == "cold" {
+				if mode != "warm" {
 					b.StopTimer()
 					e.Clk.Advance(2)
 					b.StartTimer()

@@ -9,8 +9,8 @@ import (
 )
 
 // Admission control for the query server: a weighted work semaphore
-// with a bounded FIFO wait queue. Cheap requests (utilization lookups)
-// cost one unit; expensive ones (full topology serialization) cost
+// with a bounded FIFO wait queue. Cheap requests (a point read) cost
+// one unit; expensive ones (full topology serialization) cost
 // several, so "max inflight" bounds actual work rather than request
 // count. When the semaphore is full a request waits — bounded both by
 // the queue depth (beyond it the server sheds with a typed retry-after
@@ -35,8 +35,6 @@ func opWeight(op string) int {
 		return 0
 	case "topo":
 		return 4
-	case "samples":
-		return 2
 	default:
 		return 1
 	}

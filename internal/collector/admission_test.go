@@ -140,14 +140,15 @@ func TestGateWeightClamp(t *testing.T) {
 	}
 }
 
-// TestOpWeights pins the pricing: ping free, topo heaviest.
+// TestOpWeights pins the pricing: ping free, topo heaviest, a point
+// query one unit.
 func TestOpWeights(t *testing.T) {
 	if w := opWeight("ping"); w != 0 {
 		t.Fatalf("ping weight %d, want 0 (liveness probes must pass an overloaded gate)", w)
 	}
-	if !(opWeight("topo") > opWeight("samples") && opWeight("samples") > opWeight("util")) {
-		t.Fatalf("weights not ordered: topo=%d samples=%d util=%d",
-			opWeight("topo"), opWeight("samples"), opWeight("util"))
+	point := readWeight(&ReadRequest{Keys: make([]ChannelKey, 1)})
+	if !(opWeight("topo") > point && point == 1) {
+		t.Fatalf("weights not ordered: topo=%d point=%d", opWeight("topo"), point)
 	}
 }
 

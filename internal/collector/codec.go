@@ -33,19 +33,21 @@ import (
 //
 //	muxFrame  uvarint Stream, varint Kind, flags{Req,Resp,Update},
 //	          ?request, ?response, ?update
-//	request   string Op, key Key, f64 Span, string Node, f64 BudgetMS,
-//	          string TraceID, flags{Watch,Matrix,Read}, ?watch,
-//	          ?matrixreq, ?readreq
+//	request   string Op, f64 BudgetMS, string TraceID,
+//	          flags{Watch,Matrix,Read}, ?watch, ?matrixreq, ?readreq
 //	key       varint Global, varint Dir
 //	watch     string Kind, key Key, string Node, f64 Span, f64 Threshold
 //	matrixreq list<string> Srcs, list<string> Dsts, varint TFKind,
 //	          f64 Span, f64 Horizon
 //	readreq   uvarint HaveInstance, uvarint HaveVersion, f64 Span,
-//	          list<key> Keys, list<string> Hosts
+//	          kind Of, flags{Discovered}, list<key> Keys,
+//	          list<string> Hosts, uvarint MissingKeys (≤ Keys),
+//	          uvarint MissingHosts (≤ Hosts)
+//	kind      one byte: 0 summary, 1 window, 2 age (ReadKind)
 //	response  flags{Leader,Topo,Telemetry,Matrix,Read}, varint Code,
 //	          string Err, f64 RetryAfterMS, string LeaderHint,
-//	          uvarint Term, stat Stat, f64 Age, list<sample> Samples,
-//	          health Health, ?topo, ?blob Telemetry, ?matrix, ?readans
+//	          uvarint Term, health Health, ?topo, ?blob Telemetry,
+//	          ?matrix, ?readans
 //	stat      f64 Min, Q1, Median, Q3, Max, Accuracy, varint Samples,
 //	          f64 Age
 //	sample    f64 Time, f64 Value
@@ -61,9 +63,12 @@ import (
 //	          byte per cell, 0 or 1), uvarint Epoch, uvarint Term
 //	rows      uvarint row count, then per row: uvarint length, cells
 //	readans   uvarint Instance, uvarint Version, f64 DiscoveredAt,
-//	          flags{NotModified}, list<entry>
-//	entry     one byte, 1 when the entry's read failed and else 0, then
-//	          stat; the request's Keys in order, then its Hosts
+//	          flags{NotModified}, kind Of, uvarint KeyCount, list<entry>
+//	entry     one byte, 1 when the entry's read failed and else 0; an
+//	          answered entry then carries, for a host and a channel of
+//	          kind summary, stat; of kind window, list<sample> Window and
+//	          f64 Age; of kind age, f64 Age. The first KeyCount entries
+//	          are the channels, the rest the hosts
 //	update    flags{Overflowed,Resync,Final,TopoChanged,Feed,Summary},
 //	          uvarint Seq, uvarint Epoch, uvarint Term, stat Stat,
 //	          string Err, ?blob Feed, ?blob Summary
@@ -136,9 +141,6 @@ func appendKey(b []byte, k ChannelKey) []byte {
 
 func appendRequest(b []byte, r *request) []byte {
 	b = appendString(b, r.Op)
-	b = appendKey(b, r.Key)
-	b = appendF64(b, r.Span)
-	b = appendString(b, r.Node)
 	b = appendF64(b, r.BudgetMS)
 	b = appendString(b, r.TraceID)
 	b = append(b, flagBits(r.Watch != nil, r.Matrix != nil, r.Read != nil))
@@ -160,11 +162,14 @@ func appendRequest(b []byte, r *request) []byte {
 		b = binary.AppendUvarint(b, rr.HaveInstance)
 		b = binary.AppendUvarint(b, rr.HaveVersion)
 		b = appendF64(b, rr.Span)
+		b = append(b, byte(rr.Of), flagBits(rr.Discovered))
 		b = binary.AppendUvarint(b, uint64(len(rr.Keys)))
 		for _, k := range rr.Keys {
 			b = appendKey(b, k)
 		}
 		b = appendNodeIDs(b, rr.Hosts)
+		b = binary.AppendUvarint(b, uint64(rr.MissingKeys))
+		b = binary.AppendUvarint(b, uint64(rr.MissingHosts))
 	}
 	return b
 }
@@ -195,12 +200,6 @@ func appendResponse(b []byte, r *response) ([]byte, error) {
 	b = appendF64(b, r.RetryAfterMS)
 	b = appendString(b, r.LeaderHint)
 	b = binary.AppendUvarint(b, r.Term)
-	b = appendStat(b, &r.Stat)
-	b = appendF64(b, r.Age)
-	b = binary.AppendUvarint(b, uint64(len(r.Samples)))
-	for _, s := range r.Samples {
-		b = appendF64(appendF64(b, s.Time), s.Value)
-	}
 	if r.Health == nil {
 		b = append(b, 0)
 	} else {
@@ -256,19 +255,44 @@ func appendResponse(b []byte, r *response) ([]byte, error) {
 		b = binary.AppendUvarint(b, m.Term)
 	}
 	if ra := r.Read; ra != nil {
-		if len(ra.Stats) != len(ra.Failed) {
-			return b, fmt.Errorf("collector: read answer has %d stats and %d failure flags", len(ra.Stats), len(ra.Failed))
+		if ra.Of >= readKinds || ra.KeyCount < 0 || ra.KeyCount > len(ra.Entries) {
+			return b, fmt.Errorf("collector: read answer of kind %d names %d of its %d entries channels",
+				ra.Of, ra.KeyCount, len(ra.Entries))
 		}
 		b = binary.AppendUvarint(b, ra.Instance)
 		b = binary.AppendUvarint(b, ra.Version)
 		b = appendF64(b, ra.DiscoveredAt)
-		b = append(b, flagBits(ra.NotModified))
-		b = binary.AppendUvarint(b, uint64(len(ra.Stats)))
-		for i := range ra.Stats {
-			b = appendStat(append(b, boolByte(ra.Failed[i])), &ra.Stats[i])
+		b = append(b, flagBits(ra.NotModified), byte(ra.Of))
+		b = binary.AppendUvarint(b, uint64(ra.KeyCount))
+		b = binary.AppendUvarint(b, uint64(len(ra.Entries)))
+		for i := range ra.Entries {
+			e := &ra.Entries[i]
+			of := ReadSummary // a host's entry is a summary
+			if i < ra.KeyCount {
+				of = ra.Of
+			}
+			b = append(b, boolByte(e.Failed))
+			switch {
+			case e.Failed:
+			case of == ReadSummary:
+				b = appendStat(b, &e.Stat)
+			case of == ReadWindow:
+				b = appendSamples(b, e.Window)
+				b = appendF64(b, e.Age)
+			default:
+				b = appendF64(b, e.Age)
+			}
 		}
 	}
 	return b, nil
+}
+
+func appendSamples(b []byte, samples []stats.Sample) []byte {
+	b = binary.AppendUvarint(b, uint64(len(samples)))
+	for _, s := range samples {
+		b = appendF64(appendF64(b, s.Time), s.Value)
+	}
+	return b
 }
 
 func appendF64Rows(b []byte, rows [][]float64) []byte {
@@ -387,8 +411,8 @@ func (d *wireDec) bounded(n uint64, minSize int) int {
 func (d *wireDec) str() string { return string(d.take(d.count(1))) }
 
 // wireNames are the values of the fields that name() reads: the op
-// names and the watch kinds (WatchUtil and WatchLoad are op names too).
-var wireNames = append(servedOps[:], "watch", WatchVersion, WatchFeed, WatchRegionSummary)
+// names and the watch kinds.
+var wireNames = append(servedOps[:], "watch", WatchVersion, WatchUtil, WatchLoad, WatchFeed, WatchRegionSummary)
 
 // name is str for the fields whose values come from a small fixed set
 // (op names, watch kinds): those decode without allocating.
@@ -426,16 +450,26 @@ func (d *wireDec) key() ChannelKey {
 	return ChannelKey{Global: d.int(), Dir: graph.Dir(d.int())}
 }
 
+// readRequestFrame is a read request's envelope, body and first channel
+// in one allocation, as readResponse is for the answer.
+type readRequestFrame struct {
+	req request
+	rr  ReadRequest
+	key [1]ChannelKey
+}
+
 func (d *wireDec) request() *request {
-	r := &request{
-		Op:       d.name(),
-		Key:      d.key(),
-		Span:     d.f64(),
-		Node:     d.str(),
-		BudgetMS: d.f64(),
-		TraceID:  d.str(),
-	}
+	op, budget, trace := d.name(), d.f64(), d.str()
 	has := d.flags(3)
+	var r *request
+	var rf *readRequestFrame
+	if has&4 != 0 {
+		rf = new(readRequestFrame)
+		r = &rf.req
+	} else {
+		r = new(request)
+	}
+	r.Op, r.BudgetMS, r.TraceID = op, budget, trace
 	if has&1 != 0 {
 		r.Watch = &WatchRequest{
 			Kind:      d.name(),
@@ -454,18 +488,43 @@ func (d *wireDec) request() *request {
 			Horizon: d.f64(),
 		}
 	}
-	if has&4 != 0 {
-		rr := &ReadRequest{HaveInstance: d.uvarint(), HaveVersion: d.uvarint(), Span: d.f64()}
-		if n := d.count(keyWireSize); n > 0 {
+	if rf != nil {
+		rr := &rf.rr
+		rr.HaveInstance, rr.HaveVersion, rr.Span = d.uvarint(), d.uvarint(), d.f64()
+		rr.Of = d.kind()
+		rr.Discovered = d.flags(1) != 0
+		switch n := d.count(keyWireSize); {
+		case n == 1:
+			rr.Keys = rf.key[:]
+		case n > 1:
 			rr.Keys = make([]ChannelKey, n)
-			for i := range rr.Keys {
-				rr.Keys[i] = d.key()
-			}
+		}
+		for i := range rr.Keys {
+			rr.Keys[i] = d.key()
 		}
 		rr.Hosts = d.nodeIDs()
+		if mk, mh := d.uvarint(), d.uvarint(); mk > uint64(len(rr.Keys)) || mh > uint64(len(rr.Hosts)) {
+			d.fail("more missing entries than listed")
+		} else {
+			rr.MissingKeys, rr.MissingHosts = int(mk), int(mh)
+		}
 		r.Read = rr
 	}
 	return r
+}
+
+// kind reads a ReadKind byte and rejects values this version does not
+// define.
+func (d *wireDec) kind() ReadKind {
+	p := d.take(1)
+	if p == nil {
+		return 0
+	}
+	if p[0] >= readKinds {
+		d.fail("undefined read kind")
+		return 0
+	}
+	return ReadKind(p[0])
 }
 
 func (d *wireDec) nodeIDs() []graph.NodeID {
@@ -496,7 +555,6 @@ func (d *wireDec) stat() stats.Stat {
 // Minimum encoded sizes of the list elements, for count.
 const (
 	keyWireSize    = 2              // two varints
-	statWireSize   = 7*8 + 1        // seven f64, varint
 	sampleWireSize = 16             // two f64
 	healthWireMin  = 1 + 2 + 24 + 1 // id length, two varints, three f64, uvarint
 	nodeWireMin    = 1 + 1 + 24     // id length, varint, three f64
@@ -505,22 +563,15 @@ const (
 
 func (d *wireDec) response() *response {
 	has := d.flags(5)
-	r := &response{
-		Leader:       has&1 != 0,
-		Code:         d.int(),
-		Err:          d.str(),
-		RetryAfterMS: d.f64(),
-		LeaderHint:   d.str(),
-		Term:         d.uvarint(),
-		Stat:         d.stat(),
-		Age:          d.f64(),
+	var r *response
+	var ra *ReadAnswer
+	if has&16 != 0 {
+		r, ra = newReadResponse(1)
+	} else {
+		r = new(response)
 	}
-	if n := d.count(sampleWireSize); n > 0 {
-		r.Samples = make([]stats.Sample, n)
-		for i := range r.Samples {
-			r.Samples[i] = stats.Sample{Time: d.f64(), Value: d.f64()}
-		}
-	}
+	r.Leader = has&1 != 0
+	r.Code, r.Err, r.RetryAfterMS, r.LeaderHint, r.Term = d.int(), d.str(), d.f64(), d.str(), d.uvarint()
 	if n := d.uvarint(); n > 0 {
 		agents := d.bounded(n-1, healthWireMin)
 		r.Health = make(map[string]AgentHealth, agents)
@@ -568,25 +619,59 @@ func (d *wireDec) response() *response {
 			Term:      d.uvarint(),
 		}
 	}
-	if has&16 != 0 {
-		ra := &ReadAnswer{Instance: d.uvarint(), Version: d.uvarint(), DiscoveredAt: d.f64()}
+	if ra != nil {
+		ra.Instance, ra.Version, ra.DiscoveredAt = d.uvarint(), d.uvarint(), d.f64()
 		ra.NotModified = d.flags(1) != 0
-		if n := d.count(1 + statWireSize); n > 0 {
-			ra.Stats = make([]stats.Stat, n)
-			ra.Failed = make([]bool, n)
-			for i := range ra.Stats {
-				failed := d.take(1)
-				if failed != nil && failed[0] > 1 {
-					d.fail("read entry failure flag is neither 0 nor 1")
-					break
-				}
-				ra.Failed[i] = failed != nil && failed[0] == 1
-				ra.Stats[i] = d.stat()
+		ra.Of = d.kind()
+		keys := d.uvarint()
+		// A failed entry is its flag byte alone.
+		switch n := d.count(1); {
+		case keys > uint64(n):
+			d.fail("read answer names more channels than it has entries")
+			ra.Entries = nil
+		case n == 0:
+			ra.Entries = nil
+		case n == 1:
+			ra.Entries = ra.Entries[:1]
+		default:
+			ra.Entries = make([]ReadEntry, n)
+		}
+		ra.KeyCount = int(min(keys, uint64(len(ra.Entries))))
+		for i := range ra.Entries {
+			if !d.entry(&ra.Entries[i], i < ra.KeyCount, ra.Of) {
+				break
 			}
 		}
 		r.Read = ra
 	}
 	return r
+}
+
+// entry decodes one read entry of a channel (key) or a host.
+func (d *wireDec) entry(e *ReadEntry, key bool, of ReadKind) bool {
+	failed := d.take(1)
+	switch {
+	case failed == nil:
+		return false
+	case failed[0] > 1:
+		d.fail("read entry failure flag is neither 0 nor 1")
+		return false
+	case failed[0] == 1:
+		e.Failed = true
+	case !key || of == ReadSummary:
+		e.Stat = d.stat()
+	case of == ReadWindow:
+		if n := d.count(sampleWireSize); n > 0 {
+			e.Window = make([]stats.Sample, n)
+			for i := range e.Window {
+				e.Window[i] = stats.Sample{Time: d.f64(), Value: d.f64()}
+			}
+		}
+		e.Age = d.f64()
+	default:
+		e.Age = d.f64()
+	}
+	return d.err == nil
 }
 
 // rowsShape reads a rows body's row count, then looks ahead over the

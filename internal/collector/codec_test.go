@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -229,24 +230,38 @@ func (g frameGen) keys(n int) []ChannelKey {
 	return ks
 }
 
-// readAnswer draws a read answer of n entries (n 0: not modified, or
-// an answer to an empty list).
+// readAnswer draws a read answer of n entries of any kind (n 0: not
+// modified, or an answer to an empty list).
 func (g frameGen) readAnswer(n int) *ReadAnswer {
+	return g.readAnswerOf(ReadKind(g.Intn(readKinds)), n)
+}
+
+func (g frameGen) readAnswerOf(of ReadKind, n int) *ReadAnswer {
 	ra := &ReadAnswer{Instance: g.Uint64(), Version: uint64(g.Intn(1000)), DiscoveredAt: g.f64(),
-		NotModified: n == 0 && g.Intn(2) == 0}
+		NotModified: n == 0 && g.Intn(2) == 0, Of: of, KeyCount: g.Intn(n + 1)}
 	if n == 0 && g.Intn(2) == 0 {
-		ra.Stats, ra.Failed = []stats.Stat{}, []bool{}
+		ra.Entries = []ReadEntry{}
 	}
 	for i := 0; i < n; i++ {
-		ra.Stats, ra.Failed = append(ra.Stats, g.stat()), append(ra.Failed, g.Intn(5) == 0)
+		var e ReadEntry
+		switch {
+		case g.Intn(5) == 0:
+			e.Failed = true
+		case i >= ra.KeyCount || of == ReadSummary:
+			e.Stat = g.stat()
+		case of == ReadWindow:
+			e.Window, e.Age = g.samples(), g.f64()
+		default:
+			e.Age = g.f64()
+		}
+		ra.Entries = append(ra.Entries, e)
 	}
 	return ra
 }
 
 func (g frameGen) request() *request {
-	ops := []string{"topo", "util", "samples", "load", "age", "health", "stats", "ping", "watch", "matrix", "read", "", "no-such-op"}
-	r := &request{Op: ops[g.Intn(len(ops))], Key: g.key(), Span: g.f64(), Node: g.str(),
-		BudgetMS: g.f64(), TraceID: g.str()}
+	ops := []string{"topo", "health", "stats", "ping", "watch", "matrix", "read", "", "util", "no-such-op"}
+	r := &request{Op: ops[g.Intn(len(ops))], BudgetMS: g.f64(), TraceID: g.str()}
 	if r.Op == "watch" || g.Intn(8) == 0 {
 		kinds := []string{WatchVersion, WatchUtil, WatchLoad, WatchFeed, WatchRegionSummary, "", "bogus"}
 		r.Watch = &WatchRequest{Kind: kinds[g.Intn(len(kinds))], Key: g.key(), Node: g.str(),
@@ -261,7 +276,9 @@ func (g frameGen) request() *request {
 	}
 	if r.Op == "read" || g.Intn(8) == 0 {
 		r.Read = &ReadRequest{HaveInstance: g.Uint64() >> uint(g.Intn(64)), HaveVersion: uint64(g.Intn(1000)),
-			Span: g.f64(), Keys: g.keys(g.Intn(3) * g.Intn(33)), Hosts: g.nodes(g.Intn(3) * g.Intn(9))}
+			Span: g.f64(), Of: ReadKind(g.Intn(readKinds)), Discovered: g.Intn(2) == 0,
+			Keys: g.keys(g.Intn(3) * g.Intn(33)), Hosts: g.nodes(g.Intn(3) * g.Intn(9))}
+		r.Read.MissingKeys, r.Read.MissingHosts = g.Intn(len(r.Read.Keys)+1), g.Intn(len(r.Read.Hosts)+1)
 		if g.Intn(4) == 0 {
 			r.Read = &ReadRequest{}
 		}
@@ -271,14 +288,12 @@ func (g frameGen) request() *request {
 
 func (g frameGen) response() *response {
 	r := &response{Term: uint64(g.Intn(3)), Leader: g.Intn(2) == 0}
-	switch g.Intn(11) {
+	switch g.Intn(9) {
 	case 0: // typed refusal
-		r.Code = g.Intn(codeReadUnsup+3) - 1
+		r.Code = g.Intn(codeMatrixUnsup+4) - 1
 		r.Err, r.RetryAfterMS, r.LeaderHint = g.str(), g.f64(), g.str()
 	case 1:
-		r.Err, r.Stat = g.str(), g.stat()
-	case 2:
-		r.Samples = g.samples()
+		r.Err = g.str()
 	case 3:
 		r.Topo = g.topo(g.Intn(2)*g.Intn(40), g.Intn(60))
 	case 4:
@@ -296,12 +311,8 @@ func (g frameGen) response() *response {
 		shapes := [][2]int{{0, 0}, {1, 0}, {3, 0}, {1, 1}, {1, 64}, {64, 1}, {5, 7}, {64, 64}}
 		s := shapes[g.Intn(len(shapes))]
 		r.Matrix = g.matrix(s[0], s[1], g.Intn(5) == 0)
-	case 7:
-		r.Age = g.f64()
-	case 8:
-		r.Read = g.readAnswer(g.Intn(3) * g.Intn(33))
 	default:
-		r.Stat = g.stat()
+		r.Read = g.readAnswer(g.Intn(3) * g.Intn(33))
 	}
 	return r
 }
@@ -392,18 +403,19 @@ func TestCodecFloatsBitExact(t *testing.T) {
 	for _, v := range oddFloats {
 		st := stats.Stat{Min: v, Q1: v, Median: v, Q3: v, Max: v, Accuracy: v, Age: v}
 		frames := []*muxFrame{
-			reqFrame(&request{Op: "util", Span: v, BudgetMS: v,
+			reqFrame(&request{Op: "read", BudgetMS: v,
 				Watch:  &WatchRequest{Span: v, Threshold: v},
 				Matrix: &MatrixRequest{Span: v, Horizon: v},
 				Read:   &ReadRequest{Span: v}}),
-			respFrame(&response{Stat: st, Age: v, RetryAfterMS: v,
-				Samples: []stats.Sample{{Time: v, Value: v}},
-				Health:  map[string]AgentHealth{"a": {LastSuccess: v, LastAttempt: v, NextAttempt: v}},
+			respFrame(&response{RetryAfterMS: v,
+				Health: map[string]AgentHealth{"a": {LastSuccess: v, LastAttempt: v, NextAttempt: v}},
 				Topo: &WireTopo{DiscoveredAt: v,
 					Nodes: []WireNode{{ID: "n", InternalBW: v, ComputePower: v, MemoryBytes: v}},
 					Links: []WireLink{{A: "a", B: "b", Capacity: v, Latency: v}}},
 				Matrix: &MatrixAnswer{Bandwidth: [][]float64{{v}}, Latency: [][]float64{{v, v}}},
-				Read:   &ReadAnswer{DiscoveredAt: v, Stats: []stats.Stat{st, st}, Failed: []bool{false, true}}}),
+				Read:   &ReadAnswer{DiscoveredAt: v, Entries: []ReadEntry{{Stat: st}, {Failed: true}}}}),
+			respFrame(&response{Read: &ReadAnswer{Of: ReadWindow, KeyCount: 1,
+				Entries: []ReadEntry{{Window: []stats.Sample{{Time: v, Value: v}}, Age: v}, {Stat: st}}}}),
 			{Kind: mfUpdate, Update: &WatchUpdate{Stat: st}},
 		}
 		for _, f := range frames {
@@ -454,12 +466,14 @@ func TestMatrixAnswerDecodesIntoOneSlab(t *testing.T) {
 }
 
 // TestPointQueryAllocBudget: the codec's share of one point query —
-// encode and decode of a util request and of its response — stays
-// within 8 allocations (it was 2,411 with a gob stream per frame).
+// encode and decode of a one-entry read request and of its response —
+// stays within 8 allocations (it was 2,411 with a gob stream per frame).
 func TestPointQueryAllocBudget(t *testing.T) {
-	req := reqFrame(&request{Op: "util", Key: ChannelKey{Global: 7, Dir: 1}, Span: 10, BudgetMS: 1999.5})
-	resp := respFrame(&response{Stat: stats.Stat{Min: 1e6, Q1: 2e6, Median: 3e6, Q3: 4e6, Max: 5e6,
-		Accuracy: 0.9, Samples: 150, Age: 1.5}})
+	req := reqFrame(&request{Op: "read", BudgetMS: 1999.5,
+		Read: &ReadRequest{Span: 10, Keys: []ChannelKey{{Global: 7, Dir: 1}}}})
+	resp := respFrame(&response{Read: &ReadAnswer{Instance: 1 << 60, Version: 150, KeyCount: 1,
+		Entries: []ReadEntry{{Stat: stats.Stat{Min: 1e6, Q1: 2e6, Median: 3e6, Q3: 4e6, Max: 5e6,
+			Accuracy: 0.9, Samples: 150, Age: 1.5}}}}})
 	var buf bytes.Buffer
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, f := range []*muxFrame{req, resp} {
@@ -474,13 +488,13 @@ func TestPointQueryAllocBudget(t *testing.T) {
 		}
 	})
 	if allocs > 8 {
-		t.Fatalf("a util request/response pair took %.0f allocations through the codec, want <= 8", allocs)
+		t.Fatalf("a point request/response pair took %.0f allocations through the codec, want <= 8", allocs)
 	}
 }
 
 // TestReadAnswerAllocBudget: a "not modified" answer, the whole response
 // of a warm remote query, decodes into the response and the answer and
-// nothing else; one carrying stats adds its two slices.
+// nothing else; one carrying summaries adds its entry slice.
 func TestReadAnswerAllocBudget(t *testing.T) {
 	g := frameGen{rand.New(rand.NewSource(5))}
 	for _, tc := range []struct {
@@ -489,7 +503,7 @@ func TestReadAnswerAllocBudget(t *testing.T) {
 		max   float64
 	}{
 		{"not modified", respFrame(&response{Read: &ReadAnswer{Instance: 1 << 60, Version: 150, DiscoveredAt: 2, NotModified: true}}), 2},
-		{"24 entries", respFrame(&response{Read: g.readAnswer(24)}), 4},
+		{"24 entries", respFrame(&response{Read: g.readAnswerOf(ReadSummary, 24)}), 4},
 	} {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, tc.frame, 0); err != nil {
@@ -512,27 +526,32 @@ func TestReadAnswerAllocBudget(t *testing.T) {
 	}
 }
 
-// TestReadAnswerNeedsAFlagPerStat: the wire carries one entry list, so
-// an answer whose two slices disagree does not encode.
-func TestReadAnswerNeedsAFlagPerStat(t *testing.T) {
-	var buf bytes.Buffer
-	err := writeFrame(&buf, respFrame(&response{Read: &ReadAnswer{Stats: make([]stats.Stat, 2), Failed: make([]bool, 1)}}), 0)
-	if err == nil {
-		t.Fatal("an answer with 2 stats and 1 failure flag encoded")
+// TestReadAnswerShapeChecked: an answer that names more of its entries
+// channels than it has, or a kind the layout has no encoding for, does
+// not encode: a decoder could not tell where its entries end.
+func TestReadAnswerShapeChecked(t *testing.T) {
+	for name, ra := range map[string]*ReadAnswer{
+		"more channels than entries": {KeyCount: 2, Entries: []ReadEntry{{}}},
+		"a kind with no encoding":    {Of: readKinds},
+	} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, respFrame(&response{Read: ra}), 0); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
 	}
 }
 
-// TestWireVersionIsNotThePreviousOne: a peer still on the layout before
-// the read op checks a frame's first payload byte against 0x81, so a
-// frame from this end fails its version check (ErrWireVersion there),
+// TestWireVersionIsNotThePreviousOne: a peer still on a layout before
+// this one checks a frame's first payload byte against 0x81 or 0x82, so
+// a frame from this end fails its version check (ErrWireVersion there),
 // never its decoder.
 func TestWireVersionIsNotThePreviousOne(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, reqFrame(&request{Op: "read", Read: &ReadRequest{Keys: []ChannelKey{{Global: 1}}}}), 0); err != nil {
 		t.Fatal(err)
 	}
-	if v := buf.Bytes()[4]; v != wireVersion || v == 0x81 {
-		t.Fatalf("frames start with version %#x; this end speaks %#x and the previous layout was 0x81", v, wireVersion)
+	if v := buf.Bytes()[4]; v != wireVersion || v == 0x81 || v == 0x82 {
+		t.Fatalf("frames start with version %#x; this end speaks %#x and the previous layouts were 0x81 and 0x82", v, wireVersion)
 	}
 }
 
@@ -553,8 +572,9 @@ func BenchmarkFrameCodec(b *testing.B) {
 	if err != nil || delta == nil || delta.Full {
 		b.Fatalf("feed delta = %+v, %v", delta, err)
 	}
-	st, err := r.col.Utilization(keyFor(b, topo, "m-6", "timberline"), 10)
-	if err != nil {
+	key := keyFor(b, topo, "m-6", "timberline")
+	var point ReadAnswer
+	if err := NewReader(r.col).Read(context.Background(), &ReadRequest{Span: 10, Keys: []ChannelKey{key}}, &point); err != nil {
 		b.Fatal(err)
 	}
 	g := frameGen{rand.New(rand.NewSource(1))}
@@ -563,11 +583,11 @@ func BenchmarkFrameCodec(b *testing.B) {
 		frame *muxFrame
 	}{
 		{"ping", reqFrame(&request{Op: "ping"})},
-		{"util", respFrame(&response{Stat: st})},
+		{"util", respFrame(&response{Read: &point})},
 		{"topo-fig3", respFrame(&response{Topo: topoToWire(topo)})},
 		{"matrix64", respFrame(&response{Matrix: g.matrix(64, 64, false)})},
 		{"read-notmodified", respFrame(&response{Read: &ReadAnswer{Instance: 1 << 60, Version: 150, DiscoveredAt: 2, NotModified: true}})},
-		{"read-24", respFrame(&response{Read: g.readAnswer(24)})},
+		{"read-24", respFrame(&response{Read: g.readAnswerOf(ReadSummary, 24)})},
 		{"update-version", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: 150}}},
 		{"update-feed-delta", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: delta.Epoch, Feed: delta}}},
 	}

@@ -43,8 +43,9 @@ import (
 // either a byte below 0x80 or a byte-count marker 0xF8–0xFF, so no
 // frame of the old format can start with this byte. 0x81 was the layout
 // before the "read" op (readwire.go) added a flag bit to the request and
-// to the response.
-const wireVersion = 0x82
+// to the response; 0x82 the one that still carried the four scalar
+// measurement ops (util, load, samples, age), which are reads now.
+const wireVersion = 0x83
 
 // DefaultMaxFrame bounds one wire frame in bytes. Topology frames for
 // very large domains are the biggest legitimate messages; 4 MiB covers

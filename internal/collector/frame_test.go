@@ -20,7 +20,7 @@ func respFrame(r *response) *muxFrame {
 // TestFrameRoundTrip: request and response frames survive the wire.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := request{Op: "util", Key: ChannelKey{Global: 7}, Span: 2.5, BudgetMS: 43.5}
+	in := request{Op: "ping", BudgetMS: 43.5, TraceID: "t-7"}
 	if err := writeFrame(&buf, reqFrame(&in), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func rawFrame(payload ...byte) []byte {
 // this version errors cleanly, with the error that names why.
 func TestFrameCorruptPayload(t *testing.T) {
 	var good bytes.Buffer
-	if err := writeFrame(&good, reqFrame(&request{Op: "util", Node: "m-1"}), 0); err != nil {
+	if err := writeFrame(&good, reqFrame(&request{Op: "topo", TraceID: "trace-1"}), 0); err != nil {
 		t.Fatal(err)
 	}
 	body := good.Bytes()[4:]
@@ -161,38 +161,40 @@ func hostileCounts() map[string][]byte {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	pad := func(p []byte) []byte { return rawFrame(append(p, make([]byte, 128-4-len(p))...)...) }
 	reqHead := []byte{wireVersion, 1, 2, 1} // stream 1, kind request, Req set
-	// op "", key 0/0, span, node "", budget, trace "", Matrix set
-	matrixReq := append(append([]byte{}, reqHead...), 0, 0, 0)
-	matrixReq = append(matrixReq, make([]byte, 8)...)
-	matrixReq = append(matrixReq, 0)
-	matrixReq = append(matrixReq, make([]byte, 8)...)
-	matrixReq = append(matrixReq, 0)
-	readReq := append(append([]byte{}, matrixReq...), 4) // same fields, Read set instead
-	matrixReq = append(matrixReq, 2)
-	// Have 0/0 and span, up to the Keys count.
+	// op "", budget, trace "", then the body flags.
+	head := append(append(append([]byte{}, reqHead...), 0), make([]byte, 8)...)
+	head = append(head, 0)
+	matrixReq := append(append([]byte{}, head...), 2)
+	readReq := append(append([]byte{}, head...), 4)
+	// Have 0/0, span, kind and flags, up to the Keys count.
 	readReq = append(readReq, 0, 0)
 	readReq = append(readReq, make([]byte, 8)...)
-	// Response up to the Samples count: flags, code, err, retry, hint,
-	// term, stat, age.
+	readReq = append(readReq, 0, 0)
+	// Response up to the health count: flags, code, err, retry, hint,
+	// term.
 	respHead := func(flags byte) []byte {
 		p := []byte{wireVersion, 1, 4, 2, flags, 0, 0}
 		p = append(p, make([]byte, 8)...)
-		p = append(p, 0, 0)
-		p = append(p, make([]byte, 6*8+1+8)...)
-		return append(p, make([]byte, 8)...)
+		return append(p, 0, 0)
+	}
+	// Health empty, then instance, version, discovery time, the answer's
+	// flags and kind, and its channel count.
+	readAns := func(of, keys byte) []byte {
+		p := append(respHead(16), 0, 1, 1)
+		p = append(p, make([]byte, 8)...)
+		return append(p, 0, of, keys)
 	}
 	return map[string][]byte{
-		"matrix srcs": pad(append(matrixReq, huge...)),
-		"samples":     pad(append(respHead(0), huge...)),
-		"health":      pad(append(append(respHead(0), 0), huge...)),
-		"topo nodes":  pad(append(append(respHead(2), 0, 0), huge...)),
-		"matrix rows": pad(append(append(respHead(8), 0, 0), huge...)),
-		"matrix row":  pad(append(append(respHead(8), 0, 0, 1), huge...)),
-		"read keys":   pad(append(readReq, huge...)),
-		"read hosts":  pad(append(append(readReq, 0), huge...)),
-		// Samples and health empty, then instance, version, discovery
-		// time and the answer's flags, up to the entry count.
-		"read entries": pad(append(append(append(respHead(16), 0, 0, 1, 1), make([]byte, 9)...), huge...)),
+		"matrix srcs":  pad(append(matrixReq, huge...)),
+		"health":       pad(append(respHead(0), huge...)),
+		"topo nodes":   pad(append(append(respHead(2), 0), huge...)),
+		"matrix rows":  pad(append(append(respHead(8), 0), huge...)),
+		"matrix row":   pad(append(append(respHead(8), 0, 1), huge...)),
+		"read keys":    pad(append(readReq, huge...)),
+		"read hosts":   pad(append(append(readReq, 0), huge...)),
+		"read entries": pad(append(readAns(0, 0), huge...)),
+		// One answered window entry, up to its sample count.
+		"read window": pad(append(append(readAns(1, 1), 1, 0), huge...)),
 	}
 }
 

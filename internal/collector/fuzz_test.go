@@ -47,10 +47,13 @@ func frameElements(mf *muxFrame) int {
 		n += len(r.Read.Keys) + len(r.Read.Hosts)
 	}
 	if r := mf.Resp; r != nil && r.Read != nil {
-		n += len(r.Read.Stats) + len(r.Read.Failed)
+		n += len(r.Read.Entries)
+		for _, e := range r.Read.Entries {
+			n += len(e.Window)
+		}
 	}
 	if r := mf.Resp; r != nil {
-		n += len(r.Samples) + len(r.Health)
+		n += len(r.Health)
 		if r.Topo != nil {
 			n += len(r.Topo.Nodes) + len(r.Topo.Links)
 		}
@@ -96,9 +99,10 @@ func addFrames(f *testing.F, frames ...*muxFrame) {
 // with request and response frames.
 func FuzzReadFrame(f *testing.F) {
 	addFrames(f,
-		reqFrame(&request{Op: "util", Key: ChannelKey{Global: 3}, Span: 5, BudgetMS: 12.5}),
+		reqFrame(&request{Op: "read", BudgetMS: 12.5, Read: &ReadRequest{Span: 5, Of: ReadWindow, Keys: []ChannelKey{{Global: 3}}}}),
 		reqFrame(&request{Op: "topo", TraceID: "t-1"}),
-		respFrame(&response{Stat: stats.Exact(42e6), Code: codeOK}),
+		respFrame(&response{Code: codeOK, Read: &ReadAnswer{Instance: 9, Version: 4, Of: ReadWindow, KeyCount: 1,
+			Entries: []ReadEntry{{Window: []stats.Sample{{Time: 1, Value: 2e6}, {Time: 3, Value: 4e6}}, Age: 1.5}}}}),
 		respFrame(&response{Err: "collector: load shed (retry after 50ms)", Code: codeShed, RetryAfterMS: 50}),
 		respFrame(&response{Topo: topoToWire(fakeTopo()), Term: 3, Leader: true}),
 		respFrame(&response{Matrix: &MatrixAnswer{
@@ -131,7 +135,7 @@ func FuzzReadMuxFrame(f *testing.F) {
 			Keys: []ChannelKey{{Global: 3}, {Global: 3, Dir: 1}, {Global: 7}}, Hosts: []graph.NodeID{"m-1", "m-6"}}}),
 		respFrame(&response{Read: &ReadAnswer{Instance: 1<<63 + 5, Version: 150, DiscoveredAt: 2, NotModified: true}}),
 		respFrame(&response{Term: 2, Leader: true, Read: &ReadAnswer{Instance: 1<<63 + 5, Version: 151, DiscoveredAt: 2,
-			Stats: []stats.Stat{stats.Exact(42e6), stats.NoData()}, Failed: []bool{false, true}}}),
+			KeyCount: 1, Entries: []ReadEntry{{Stat: stats.Exact(42e6)}, {Failed: true}}}}),
 	)
 	f.Fuzz(fuzzFrame)
 }

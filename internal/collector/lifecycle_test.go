@@ -140,7 +140,7 @@ func TestServerEnforcesBudgetHint(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	if err := writeFrame(conn, &muxFrame{Stream: 1, Kind: mfRequest,
-		Req: &request{Op: "util", Key: ChannelKey{Global: 1}, BudgetMS: 40}}, 0); err != nil {
+		Req: &request{Op: "read", BudgetMS: 40, Read: &ReadRequest{Keys: []ChannelKey{{Global: 1}}}}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	var f muxFrame

@@ -11,8 +11,8 @@ import (
 // The "matrix" wire op: one round trip for a rectangular N×M batch of
 // flow answers. The paper's clustering consumer needs pairwise N×N
 // matrices and notes that per-pair flow queries "would have been
-// needed, implying a much higher overhead" — with only scalar ops on
-// the wire that overhead is N×M round trips. The matrix op moves the
+// needed, implying a much higher overhead" — with one query per pair
+// on the wire that overhead is N×M round trips. The matrix op moves the
 // batch boundary to the server: node sets go in, an epoch- and
 // term-stamped matrix of bottleneck-bandwidth medians and path
 // latencies comes out, computed by the server's batched kernel
@@ -82,9 +82,9 @@ var ErrMatrixTooLarge = errors.New("collector: matrix too large")
 const DefaultMaxMatrixCells = 65536
 
 // matrixCellsPerUnit converts matrix area into admission-gate work
-// units: a small matrix costs one unit like a scalar query, and the
+// units: a small matrix costs one unit like a point query, and the
 // price grows linearly with area so one huge matrix cannot slip under
-// a gate tuned for scalar ops.
+// a gate tuned for point queries.
 const matrixCellsPerUnit = 256
 
 // matrixWeight prices a matrix request for the admission gate.

@@ -20,7 +20,7 @@ func TestMatrixWeight(t *testing.T) {
 	cases := []struct {
 		n, m, want int
 	}{
-		{1, 1, 1},    // scalar-sized batch costs like a scalar op
+		{1, 1, 1},    // a one-cell batch costs like a point query
 		{8, 8, 1},    // 64 cells still under one extra unit
 		{16, 16, 2},  // 256 cells = 1 + 1
 		{64, 64, 17}, // 4096 cells = 1 + 16

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -113,8 +114,18 @@ func (p *rawPeer) recv(n int) map[uint64]*response {
 	return got
 }
 
+// utilReq is a point query: a one-entry summary read.
 func utilReq(global int) *request {
-	return &request{Op: "util", Key: ChannelKey{Global: global}, Span: 5}
+	return &request{Op: "read", Read: &ReadRequest{Span: 5, Keys: []ChannelKey{{Global: global}}}}
+}
+
+// pointMedian is the median a point query's response answered (NaN when
+// it answered none).
+func pointMedian(r *response) float64 {
+	if r == nil || r.Read == nil || len(r.Read.Entries) != 1 {
+		return math.NaN()
+	}
+	return r.Read.Entries[0].Stat.Median
 }
 
 // TestInlineOpQueuesOrShedsBehindSaturatedGate: with the gate held by a
@@ -151,7 +162,7 @@ func TestInlineOpQueuesOrShedsBehindSaturatedGate(t *testing.T) {
 	if r := got[topo]; r == nil || r.Topo == nil {
 		t.Fatalf("slow topo: got %+v", r)
 	}
-	if r := got[queued]; r == nil || r.Err != "" || r.Stat.Median != 7 {
+	if r := got[queued]; r == nil || r.Err != "" || pointMedian(r) != 7 {
 		t.Fatalf("queued util: got %+v, want median 7", r)
 	}
 	if st := srv.GateStats(); st.Shed != 1 || st.Admitted != 2 {
@@ -299,7 +310,7 @@ func TestInlineHeavyOpDoesNotDelayPoints(t *testing.T) {
 				want[p.send(utilReq(i))] = float64(i)
 			}
 			for id, r := range p.recv(100) {
-				if w, ok := want[id]; !ok || r.Err != "" || r.Stat.Median != w {
+				if w, ok := want[id]; !ok || r.Err != "" || pointMedian(r) != w {
 					t.Fatalf("stream %d: got %+v, want a util answer of %v", id, r, w)
 				}
 			}
@@ -610,7 +621,7 @@ func TestLeaderSplitFramesUnderRandomCancel(t *testing.T) {
 	}
 }
 
-// serveSplit answers each util request with its key's Global ID, writing
+// serveSplit answers each point query with its key's Global ID, writing
 // every response frame in two halves 1 ms apart.
 func serveSplit(conn net.Conn) {
 	defer conn.Close()
@@ -620,12 +631,12 @@ func serveSplit(conn net.Conn) {
 		if err := readFrame(br, &f, 0); err != nil {
 			return
 		}
-		if f.Kind != mfRequest || f.Req == nil {
+		if f.Kind != mfRequest || f.Req == nil || f.Req.Read == nil || len(f.Req.Read.Keys) != 1 {
 			continue
 		}
 		var buf bytes.Buffer
-		writeFrame(&buf, &muxFrame{Stream: f.Stream, Kind: mfResponse,
-			Resp: &response{Stat: stats.Exact(float64(f.Req.Key.Global))}}, 0)
+		writeFrame(&buf, &muxFrame{Stream: f.Stream, Kind: mfResponse, Resp: &response{Read: &ReadAnswer{KeyCount: 1,
+			Entries: []ReadEntry{{Stat: stats.Exact(float64(f.Req.Read.Keys[0].Global))}}}}}, 0)
 		b := buf.Bytes()
 		if _, err := conn.Write(b[:len(b)/2]); err != nil {
 			return

@@ -11,11 +11,9 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -118,10 +116,7 @@ func topoFromWire(w *WireTopo) *Topology {
 }
 
 type request struct {
-	Op   string // one of servedOps, or "watch"
-	Key  ChannelKey
-	Span float64
-	Node string
+	Op string // one of servedOps, or "watch"
 
 	// Watch carries the subscription parameters for the "watch" op.
 	Watch *WatchRequest
@@ -158,16 +153,13 @@ const (
 	codeNotLeader   = 6 // standby in a hot-standby pair (ErrNotLeader + leader hint)
 	codeMatrixSize  = 7 // matrix weight the gate can never grant (ErrMatrixTooLarge)
 	codeMatrixUnsup = 8 // server cannot compute matrices (ErrMatrixUnsupported)
-	codeReadUnsup   = 9 // served source reports no data version (ErrReadUnsupported)
+	// 9 was the read op's "unsupported": every server answers reads now.
 )
 
 type response struct {
-	Err     string
-	Stat    stats.Stat
-	Samples []stats.Sample
-	Topo    *WireTopo
-	Age     float64
-	Health  map[string]AgentHealth
+	Err    string
+	Topo   *WireTopo
+	Health map[string]AgentHealth
 
 	// Code distinguishes typed refusals from application errors;
 	// RetryAfterMS accompanies codeShed, LeaderHint codeNotLeader.
@@ -221,9 +213,9 @@ type ServerConfig struct {
 	MaxConns int
 
 	// MaxInflight caps concurrent work units across all connections (a
-	// weighted semaphore: topology queries cost 4 units, sample dumps 2,
-	// matrices and batched reads grow with their size, everything else
-	// 1, pings are free). Zero disables admission control.
+	// weighted semaphore: topology queries cost 4 units, matrices and
+	// reads grow with their size from 1, everything else 1, pings are
+	// free). Zero disables admission control.
 	MaxInflight int
 	// QueueDepth bounds how many requests may wait for work units;
 	// arrivals beyond it are shed with a typed retry-after refusal.
@@ -327,11 +319,10 @@ type Server struct {
 	ops  map[string]opMeter
 	wg   sync.WaitGroup
 
-	// instance is this server's nonce in "read" validators (readwire.go);
-	// readTopo caches the served topology's discovery time per data
-	// version for the same op.
-	instance uint64
-	readTopo atomic.Pointer[readTopoAt]
+	// reader answers the "read" op (readwire.go): a Reader over src,
+	// whose nonce is this server's instance in validators, or src's own
+	// read op when src is a dialed upstream.
+	reader ReadSource
 
 	mu       sync.Mutex
 	conns    map[net.Conn]*connState
@@ -459,7 +450,7 @@ func ServeConfig(src Source, addr string, cfg ServerConfig) (*Server, error) {
 		watchSubs: make(map[*subscription]struct{}),
 		watchKick: make(chan struct{}, 1),
 		watchStop: make(chan struct{}),
-		instance:  newInstanceNonce(),
+		reader:    ReaderFor(src),
 	}
 	s.gate.instrument(tel)
 	for _, op := range servedOps {
@@ -719,11 +710,11 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 // inlineOp reports whether req may be answered on its connection's read
 // loop (DESIGN §21): it reads in-memory state at admission weight ≤ 1,
 // and the source answers from local state — a VersionedSource that
-// reports a version, the test handleRead applies — so a proxying server
-// never blocks its read loop on an upstream call.
+// reports a version — so a proxying server never blocks its read loop on
+// an upstream call.
 func (s *Server) inlineOp(req *request) bool {
 	switch req.Op {
-	case "util", "load", "age", "ping":
+	case "ping":
 	case "read":
 		if readWeight(req.Read) > 1 {
 			return false
@@ -833,7 +824,7 @@ func (s *Server) finish(p pending, held bool) *response {
 
 // servedOps are the ops the server serves; their meters are resolved
 // once per server instead of per request.
-var servedOps = [...]string{"topo", "util", "samples", "load", "age", "health", "stats", "matrix", "read", "ping"}
+var servedOps = [...]string{"topo", "health", "stats", "matrix", "read", "ping"}
 
 // opMeter is what begin records one op under.
 type opMeter struct {
@@ -900,8 +891,6 @@ func appError(resp *response, err error) {
 		resp.Code = codeMatrixSize
 	case errors.Is(err, ErrMatrixUnsupported):
 		resp.Code = codeMatrixUnsup
-	case errors.Is(err, ErrReadUnsupported):
-		resp.Code = codeReadUnsup
 	case errors.Is(err, ErrDeadlineExceeded):
 		// The budget ran out inside the handler, now that it sees the
 		// request's deadline: same typed refusal as running out in the
@@ -940,7 +929,6 @@ func (s *Server) stampHA(resp *response) {
 // the deadline the admission layer charged the wait against. A request
 // with neither costs no context and no timer.
 func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
-	resp = &response{}
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("collector: recovered panic serving %q: %v", req.Op, r)
@@ -957,6 +945,10 @@ func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
+	if req.Op == "read" {
+		return s.handleRead(ctx, req.Read)
+	}
+	resp = &response{}
 	switch req.Op {
 	case "topo":
 		t, err := CtxTopology(ctx, s.src)
@@ -965,30 +957,6 @@ func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
 		} else {
 			resp.Topo = topoToWire(t)
 		}
-	case "util":
-		st, err := CtxUtilization(ctx, s.src, req.Key, req.Span)
-		if err != nil {
-			appError(resp, err)
-		}
-		resp.Stat = st
-	case "samples":
-		sm, err := CtxSamples(ctx, s.src, req.Key)
-		if err != nil {
-			appError(resp, err)
-		}
-		resp.Samples = sm
-	case "load":
-		st, err := CtxHostLoad(ctx, s.src, graph.NodeID(req.Node), req.Span)
-		if err != nil {
-			appError(resp, err)
-		}
-		resp.Stat = st
-	case "age":
-		age, err := CtxDataAge(ctx, s.src, req.Key)
-		if err != nil {
-			appError(resp, err)
-		}
-		resp.Age = age
 	case "health":
 		if hs, ok := s.src.(HealthSource); ok {
 			h := hs.Health()
@@ -1017,8 +985,6 @@ func (s *Server) handle(req *request, deadline time.Time) (resp *response) {
 		resp.Telemetry = &snap
 	case "matrix":
 		s.handleMatrix(ctx, resp, req.Matrix)
-	case "read":
-		s.handleRead(ctx, resp, req.Read)
 	case "ping":
 		// Liveness probe: reaching the switch at all is the answer.
 	default:
@@ -1802,8 +1768,6 @@ func decodeResponse(resp *response) (*response, error) {
 		return resp, fmt.Errorf("%w (%s)", ErrMatrixTooLarge, resp.Err)
 	case codeMatrixUnsup:
 		return resp, ErrMatrixUnsupported
-	case codeReadUnsup:
-		return resp, ErrReadUnsupported
 	default:
 		return resp, fmt.Errorf("collector: unknown response code %d (%s)", resp.Code, resp.Err)
 	}
@@ -1835,64 +1799,6 @@ func (r remote) TopologyCtx(ctx context.Context) (*Topology, error) {
 		return nil, fmt.Errorf("collector: server answered topology query without a topology")
 	}
 	return topoFromWireChecked(resp.Topo)
-}
-
-// Utilization implements Source.
-func (r remote) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
-	return r.UtilizationCtx(context.Background(), key, span)
-}
-
-// UtilizationCtx implements ContextSource.
-func (r remote) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
-	return r.stat(ctx, &request{Op: "util", Key: key, Span: span})
-}
-
-// stat makes a call whose answer is a Stat (which a refusal may still
-// carry).
-func (r remote) stat(ctx context.Context, req *request) (stats.Stat, error) {
-	resp, err := r.call(ctx, req)
-	if resp == nil {
-		return stats.NoData(), err
-	}
-	return resp.Stat, err
-}
-
-// Samples implements Source.
-func (r remote) Samples(key ChannelKey) ([]stats.Sample, error) {
-	return r.SamplesCtx(context.Background(), key)
-}
-
-// SamplesCtx implements ContextSource.
-func (r remote) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
-	resp, err := r.call(ctx, &request{Op: "samples", Key: key})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Samples, nil
-}
-
-// HostLoad implements Source.
-func (r remote) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	return r.HostLoadCtx(context.Background(), node, span)
-}
-
-// HostLoadCtx implements ContextSource.
-func (r remote) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
-	return r.stat(ctx, &request{Op: "load", Node: string(node), Span: span})
-}
-
-// DataAge implements Source.
-func (r remote) DataAge(key ChannelKey) (float64, error) {
-	return r.DataAgeCtx(context.Background(), key)
-}
-
-// DataAgeCtx implements ContextSource.
-func (r remote) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
-	resp, err := r.call(ctx, &request{Op: "age", Key: key})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Age, nil
 }
 
 // Health implements HealthSource: the answering collector's per-agent

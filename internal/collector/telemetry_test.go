@@ -74,7 +74,7 @@ func TestShedCountMatchesTelemetry(t *testing.T) {
 	// Every shed request still gets a span, with the shed verdict.
 	verdicts := 0
 	for _, sp := range srv.Telemetry().Spans() {
-		if sp.Name == "rpc.util" && sp.Attrs["verdict"] == "shed" {
+		if sp.Name == "rpc.read" && sp.Attrs["verdict"] == "shed" {
 			verdicts++
 		}
 	}
@@ -125,7 +125,7 @@ func TestClientTelemetryAndStatsOp(t *testing.T) {
 
 	// The trace ID crossed the wire: the server's span log has it.
 	recs := srv.Telemetry().SpansFor(trace)
-	if len(recs) != 1 || recs[0].Name != "rpc.util" {
+	if len(recs) != 1 || recs[0].Name != "rpc.read" {
 		t.Fatalf("server spans for trace %q = %+v", trace, recs)
 	}
 	if recs[0].Attrs["verdict"] != "admitted" {
@@ -138,8 +138,8 @@ func TestClientTelemetryAndStatsOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Counters["server.op.util"] != 1 {
-		t.Errorf("snapshot server.op.util = %d, want 1", snap.Counters["server.op.util"])
+	if snap.Counters["server.op.read"] != 1 {
+		t.Errorf("snapshot server.op.read = %d, want 1", snap.Counters["server.op.read"])
 	}
 	if _, ok := snap.Gauges["server.admission.in_use"]; !ok {
 		t.Errorf("snapshot missing server.admission.in_use gauge: %v", snap.Gauges)
@@ -195,10 +195,11 @@ func (s *ctxSpy) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error
 	return s.DataAge(key)
 }
 
-// TestScalarOpsCarryTraceAndDeadlineToSource: every scalar op reaches
-// the serving Source with the caller's trace ID and, when the request
-// has a budget, its deadline — and with a bare context when it has
-// neither.
+// TestScalarOpsCarryTraceAndDeadlineToSource: every scalar query of a
+// dialed handle — topology, and the one-entry reads behind its
+// measurement methods — reaches the serving Source with the caller's
+// trace ID and, when the request has a budget, its deadline — and with a
+// bare context when it has neither.
 func TestScalarOpsCarryTraceAndDeadlineToSource(t *testing.T) {
 	spy := &ctxSpy{}
 	srv, err := Serve(spy, "127.0.0.1:0")
@@ -230,15 +231,18 @@ func TestScalarOpsCarryTraceAndDeadlineToSource(t *testing.T) {
 
 	spy.mu.Lock()
 	defer spy.mu.Unlock()
-	if len(spy.traces) != 10 {
-		t.Fatalf("source saw %d context calls, want 10", len(spy.traces))
+	// Six source calls per round: a window read asks for the samples and
+	// for their age.
+	const calls = 6
+	if len(spy.traces) != 2*calls {
+		t.Fatalf("source saw %d context calls, want %d", len(spy.traces), 2*calls)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < calls; i++ {
 		if spy.traces[i] != "" || spy.deadline[i] {
-			t.Errorf("op %d, bare request: source saw trace %q, deadline %v", i, spy.traces[i], spy.deadline[i])
+			t.Errorf("call %d, bare request: source saw trace %q, deadline %v", i, spy.traces[i], spy.deadline[i])
 		}
-		if spy.traces[5+i] != "trace-7" || !spy.deadline[5+i] {
-			t.Errorf("op %d, traced and budgeted: source saw trace %q, deadline %v", i, spy.traces[5+i], spy.deadline[5+i])
+		if spy.traces[calls+i] != "trace-7" || !spy.deadline[calls+i] {
+			t.Errorf("call %d, traced and budgeted: source saw trace %q, deadline %v", i, spy.traces[calls+i], spy.deadline[calls+i])
 		}
 	}
 }

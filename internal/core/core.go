@@ -133,14 +133,10 @@ type Modeler struct {
 	cfg Config
 	tel *telemetry.Registry // nil when Config.Telemetry was nil
 
-	// vsrc is non-nil when the source reports data versions
-	// (collector.VersionedSource): view() then keys the availability
-	// memo on them. rsrc is non-nil instead when the source is a dialed
-	// collector (collector.ReadSource): it has no version of its own, so
-	// each query validates the memo against the server and fetches what
-	// it is missing in one conditional batched read (view.prefetch).
-	vsrc collector.VersionedSource
-	rsrc collector.ReadSource
+	// reader is how every query reads its measurements: one
+	// conditional batched read per query (view.prefetch) — a Reader over
+	// an in-process source, a dialed handle's own read op.
+	reader collector.ReadSource
 
 	// snap is the read side: queries Load it and proceed without locks.
 	// buildMu single-flights rebuilds after Refresh (or at first use);
@@ -168,10 +164,6 @@ type Modeler struct {
 	qFlowQuery *telemetry.Quantile
 	qBW        *telemetry.Quantile
 	qMatrix    *telemetry.Quantile
-
-	// matrixSyncVer is the source data version (plus one) the serving
-	// matrix path last verified the topology against; see syncSnapshot.
-	matrixSyncVer atomic.Uint64
 }
 
 type selfFlow struct {
@@ -187,15 +179,7 @@ func New(cfg Config) *Modeler {
 	if cfg.Predictor == nil {
 		cfg.Predictor = stats.EWMA{Alpha: 0.3}
 	}
-	m := &Modeler{cfg: cfg, tel: cfg.Telemetry}
-	if vs, ok := cfg.Source.(collector.VersionedSource); ok {
-		if _, vok := vs.DataVersion(); vok {
-			m.vsrc = vs
-		}
-	}
-	if rs, ok := cfg.Source.(collector.ReadSource); ok && m.vsrc == nil {
-		m.rsrc = rs
-	}
+	m := &Modeler{cfg: cfg, tel: cfg.Telemetry, reader: collector.ReaderFor(cfg.Source)}
 	m.gEpoch = m.tel.Gauge("modeler.snapshot_epoch")
 	m.gCacheAge = m.tel.Gauge("modeler.topo_cache_age_s")
 	m.cFetches = m.tel.Counter("modeler.topo_fetches")
@@ -241,7 +225,7 @@ func (m *Modeler) snapshot(ctx context.Context) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: routing discovered topology: %w", err)
 	}
-	s := newSnapshot(m.epoch.Add(1), t, rt, m.vsrc != nil)
+	s := newSnapshot(m.epoch.Add(1), t, rt)
 	m.snap.Store(s)
 	m.cFetches.Inc()
 	m.gEpoch.Set(float64(s.epoch))
@@ -257,20 +241,6 @@ func (m *Modeler) topology(ctx context.Context) (*collector.Topology, *graph.Rou
 		return nil, nil, err
 	}
 	return s.topo, s.rt, nil
-}
-
-// memoVersion is the combined data version availability memos key on:
-// the source's version (bumped per poll/discovery/restore) plus the
-// self-flow generation. Both are monotone, so the sum is monotone.
-func (m *Modeler) memoVersion() (uint64, bool) {
-	if m.vsrc == nil {
-		return 0, false
-	}
-	v, ok := m.vsrc.DataVersion()
-	if !ok {
-		return 0, false
-	}
-	return v + m.selfGen.Load(), true
 }
 
 // startQuery is the shared telemetry prologue of the public query entry
@@ -328,81 +298,31 @@ func (m *Modeler) selfRateOn(topo *collector.Topology, rt *graph.RouteTable, key
 	return sum
 }
 
-// computeChannelAvailability computes the availability Stat of one
-// channel under a timeframe: capacity for TFCapacity, otherwise capacity
-// minus the (possibly predicted) utilization. This is the slow path;
-// queries go through view.channelAvailability, which memoizes the answer
-// per (snapshot, timeframe, data version).
-//
-// Error contract: lifecycle errors (deadline, cancellation, shed, busy —
-// collector.IsLifecycleError) abort the query and propagate; any other
-// measurement error falls back to capacity with low accuracy, matching
-// "initial implementations may only support historical performance". The
-// distinction matters: a missing measurement degrades an answer, but a
-// caller whose budget expired must get the typed error, not a fabricated
-// capacity number computed after they stopped listening.
-func (m *Modeler) computeChannelAvailability(ctx context.Context, s *snapshot,
-	l *graph.Link, d graph.Dir, tf Timeframe) (stats.Stat, error) {
-
-	key := s.topo.Key(l, d)
-	if tf.Kind == Capacity {
-		return stats.Exact(l.Capacity), nil
-	}
-	degrade := func(err error) (stats.Stat, error) {
-		if err != nil && collector.IsLifecycleError(err) {
-			return stats.NoData(), fmt.Errorf("core: availability of %v: %w", key, err)
-		}
-		return degradedAvailability(l), nil
-	}
-	var util stats.Stat
-	switch tf.Kind {
-	case Current:
-		u, err := collector.CtxUtilization(ctx, m.cfg.Source, key, 0)
-		if err != nil {
-			return degrade(err)
-		}
-		util = u
-	case History:
-		u, err := collector.CtxUtilization(ctx, m.cfg.Source, key, tf.Span)
-		if err != nil {
-			return degrade(err)
-		}
-		util = u
-	case Future:
-		samples, err := collector.CtxSamples(ctx, m.cfg.Source, key)
-		if err != nil || len(samples) == 0 {
-			return degrade(err)
-		}
-		util = stats.PredictStat(samples, m.cfg.Predictor, tf.Horizon)
-		if m.cfg.StaleHalfLife > 0 {
-			age, err := collector.CtxDataAge(ctx, m.cfg.Source, key)
-			if err != nil && collector.IsLifecycleError(err) {
-				return stats.NoData(), fmt.Errorf("core: data age of %v: %w", key, err)
-			}
-			if err == nil && age > 0 {
-				util.Age = age
-				util = util.AgeDecayed(m.cfg.StaleHalfLife)
-			}
-		}
-	default:
-		panic(fmt.Sprintf("core: bad timeframe kind %v", tf.Kind))
-	}
-	return m.availabilityFromUtilization(s, l, key, util), nil
-}
-
 // degradedAvailability is the answer for a channel whose measurement is
-// missing: its capacity, at low accuracy.
+// missing: its capacity, at low accuracy — "initial implementations may
+// only support historical performance".
 func degradedAvailability(l *graph.Link) stats.Stat {
 	return stats.Exact(l.Capacity).WithAccuracy(0.1)
 }
 
-// availabilityFromUtilization turns one channel's utilization summary
-// into its availability: capacity minus utilization, the application's
-// own registered traffic discounted first when DiscountSelf is on. Both
-// fetch paths end here — the per-channel one above and the batched one
-// (view.prefetch).
-func (m *Modeler) availabilityFromUtilization(s *snapshot, l *graph.Link, key collector.ChannelKey, util stats.Stat) stats.Stat {
-	if !util.Valid() {
+// availabilityOf turns one channel's read entry into its availability
+// under a timeframe: capacity minus the utilization — summarized by the
+// collector, or predicted here from the raw window for Future, decayed
+// by the window's age — with the application's own registered traffic
+// discounted first when DiscountSelf is on. A failed entry (unknown
+// channel, no samples yet) degrades to the capacity; a lifecycle error
+// never gets this far, it aborted the read: a caller whose budget
+// expired gets the typed error, not a fabricated capacity number.
+func (m *Modeler) availabilityOf(s *snapshot, l *graph.Link, key collector.ChannelKey, tf Timeframe, e *collector.ReadEntry) stats.Stat {
+	util := e.Stat
+	if tf.Kind == Future && !e.Failed && len(e.Window) > 0 {
+		util = stats.PredictStat(e.Window, m.cfg.Predictor, tf.Horizon)
+		if m.cfg.StaleHalfLife > 0 && e.Age > 0 {
+			util.Age = e.Age
+			util = util.AgeDecayed(m.cfg.StaleHalfLife)
+		}
+	}
+	if e.Failed || !util.Valid() {
 		return degradedAvailability(l)
 	}
 	if m.cfg.DiscountSelf {
@@ -448,23 +368,17 @@ func (m *Modeler) availableBandwidth(ctx context.Context, src, dst graph.NodeID,
 	if p == nil {
 		return stats.NoData(), fmt.Errorf("core: no route %s -> %s", src, dst)
 	}
-	v := m.view(s, tf)
-	if v.batched() {
-		sc := getMatrixScratch(s.chanSlots)
-		sc.wantPath(p)
-		err := v.prefetch(ctx, sc.chans, nil)
-		putMatrixScratch(sc)
-		if err != nil {
-			return stats.NoData(), err
-		}
+	v := view{m: m, s: s, tf: tf}
+	sc := getScratch(s.chanSlots)
+	sc.wantPath(p)
+	err = v.prefetch(ctx, sc)
+	putScratch(sc)
+	if err != nil {
+		return stats.NoData(), err
 	}
 	out := stats.NoData()
 	for i, l := range p.Links {
-		a, err := v.channelAvailability(ctx, l, l.DirFrom(p.Nodes[i]))
-		if err != nil {
-			return stats.NoData(), err
-		}
-		out = stats.MinStat(out, a)
+		out = stats.MinStat(out, v.channelAvailability(l, l.DirFrom(p.Nodes[i])))
 	}
 	// Router internal bandwidth also caps the path (Figure 1).
 	for _, nid := range p.Nodes[1 : len(p.Nodes)-1] {

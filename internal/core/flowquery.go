@@ -122,24 +122,22 @@ func (m *Modeler) flowInfo(ctx context.Context, fixed, variable, independent []F
 	if err != nil {
 		return nil, err
 	}
-	v := m.view(s, tf)
-	if v.batched() {
-		// List the channels of every flow's route before folding any, so
-		// one frame fetches them all. A flow without a route lists
-		// nothing; the loop below reports it.
-		sc := getMatrixScratch(s.chanSlots)
-		for _, class := range [...][]Flow{fixed, variable, independent} {
-			for _, f := range class {
-				if p := s.rt.Route(f.Src, f.Dst); p != nil && f.Src != f.Dst {
-					sc.wantPath(p)
-				}
+	// List the channels of every flow's route before folding any, so one
+	// read fetches them all. A flow without a route lists nothing; the
+	// loop below reports it.
+	v := view{m: m, s: s, tf: tf}
+	sc := getScratch(s.chanSlots)
+	for _, class := range [...][]Flow{fixed, variable, independent} {
+		for _, f := range class {
+			if p := s.rt.Route(f.Src, f.Dst); p != nil && f.Src != f.Dst {
+				sc.wantPath(p)
 			}
 		}
-		err := v.prefetch(ctx, sc.chans, nil)
-		putMatrixScratch(sc)
-		if err != nil {
-			return nil, err
-		}
+	}
+	err = v.prefetch(ctx, sc)
+	putScratch(sc)
+	if err != nil {
+		return nil, err
 	}
 
 	// Build the resource space: one resource per directed channel in use,
@@ -147,7 +145,7 @@ func (m *Modeler) flowInfo(ctx context.Context, fixed, variable, independent []F
 	// pooled; nothing it owns escapes into the returned FlowInfo (the
 	// solver and allocationStat copy what they keep), so it is released
 	// when the query returns.
-	idx := newResourceIndex(ctx, v)
+	idx := newResourceIndex(v)
 	defer idx.release()
 	toDemand := func(f Flow) (maxmin.Demand, *graph.Path, error) {
 		if f.Src == f.Dst {
@@ -157,12 +155,7 @@ func (m *Modeler) flowInfo(ctx context.Context, fixed, variable, independent []F
 		if p == nil {
 			return maxmin.Demand{}, nil, fmt.Errorf("core: no route %s -> %s", f.Src, f.Dst)
 		}
-		res, err := idx.resourcesFor(p)
-		if err != nil {
-			return maxmin.Demand{}, nil, err
-		}
-		d := maxmin.Demand{Resources: res, Weight: 1}
-		return d, p, nil
+		return maxmin.Demand{Resources: idx.resourcesFor(p), Weight: 1}, p, nil
 	}
 
 	cp := &maxmin.ClassedProblem{}
@@ -276,8 +269,7 @@ func solveProportionalClasses(cp *maxmin.ClassedProblem) *maxmin.ClassedResult {
 // be retained past the owning query (the solver copies capacities it
 // mutates; results copy stats by value).
 type resourceIndex struct {
-	ctx context.Context
-	v   view
+	v view
 
 	ids   map[resKey]int
 	caps  []float64
@@ -299,9 +291,8 @@ var riPool = sync.Pool{
 	New: func() any { return &resourceIndex{ids: make(map[resKey]int, 32)} },
 }
 
-func newResourceIndex(ctx context.Context, v view) *resourceIndex {
+func newResourceIndex(v view) *resourceIndex {
 	ri := riPool.Get().(*resourceIndex)
-	ri.ctx = ctx
 	ri.v = v
 	return ri
 }
@@ -310,7 +301,6 @@ func newResourceIndex(ctx context.Context, v view) *resourceIndex {
 // keeping the map and slice capacity warm.
 func (ri *resourceIndex) release() {
 	clear(ri.ids)
-	ri.ctx = nil
 	ri.v = view{}
 	ri.caps = ri.caps[:0]
 	ri.stats = ri.stats[:0]
@@ -329,14 +319,11 @@ func (ri *resourceIndex) intern(k resKey, capacity float64, st stats.Stat) int {
 	return id
 }
 
-func (ri *resourceIndex) resourcesFor(p *graph.Path) ([]maxmin.ResourceID, error) {
+func (ri *resourceIndex) resourcesFor(p *graph.Path) []maxmin.ResourceID {
 	start := len(ri.resbuf)
 	for i, l := range p.Links {
 		d := l.DirFrom(p.Nodes[i])
-		st, err := ri.v.channelAvailability(ri.ctx, l, d)
-		if err != nil {
-			return nil, err
-		}
+		st := ri.v.channelAvailability(l, d)
 		capacity := st.Median
 		if !st.Valid() {
 			capacity = l.Capacity
@@ -353,7 +340,7 @@ func (ri *resourceIndex) resourcesFor(p *graph.Path) ([]maxmin.ResourceID, error
 	}
 	// Three-index slice: a later resourcesFor growing resbuf must
 	// reallocate rather than overwrite this demand's tail.
-	return ri.resbuf[start:len(ri.resbuf):len(ri.resbuf)], nil
+	return ri.resbuf[start:len(ri.resbuf):len(ri.resbuf)]
 }
 
 func (ri *resourceIndex) capacities() []float64 { return ri.caps }

@@ -166,28 +166,25 @@ func (m *Modeler) getGraph(ctx context.Context, nodes []graph.NodeID, tf Timefra
 		return nil, err
 	}
 
-	v := m.view(s, tf)
-	if v.batched() {
-		sc := getMatrixScratch(s.chanSlots)
-		var hosts []graph.NodeID
-		for i := range plan.links {
-			for _, pc := range plan.links[i].fwd {
-				sc.want(pc.l, pc.d)
-			}
-			for _, pc := range plan.links[i].rev {
-				sc.want(pc.l, pc.d)
-			}
+	v := view{m: m, s: s, tf: tf}
+	sc := getScratch(s.chanSlots)
+	for i := range plan.links {
+		for _, pc := range plan.links[i].fwd {
+			sc.want(pc.l, pc.d)
 		}
-		for i := range plan.nodes {
-			if plan.nodes[i].Kind == graph.Compute {
-				hosts = append(hosts, plan.nodes[i].ID)
-			}
+		for _, pc := range plan.links[i].rev {
+			sc.want(pc.l, pc.d)
 		}
-		err := v.prefetch(ctx, sc.chans, hosts)
-		putMatrixScratch(sc)
-		if err != nil {
-			return nil, err
+	}
+	for i := range plan.nodes {
+		if plan.nodes[i].Kind == graph.Compute {
+			sc.hosts = append(sc.hosts, plan.nodes[i].ID)
 		}
+	}
+	err = v.prefetch(ctx, sc)
+	putScratch(sc)
+	if err != nil {
+		return nil, err
 	}
 	out := &Graph{
 		Timeframe: tf,
@@ -198,25 +195,15 @@ func (m *Modeler) getGraph(ctx context.Context, nodes []graph.NodeID, tf Timefra
 	out.Nodes = make([]NodeInfo, len(plan.nodes))
 	for i, ni := range plan.nodes {
 		if ni.Kind == graph.Compute {
-			ld, err := v.hostLoad(ctx, ni.ID)
-			if err != nil {
-				return nil, fmt.Errorf("core: load of %q: %w", ni.ID, err)
-			}
-			ni.Load = ld
+			ni.Load = v.hostLoad(ni.ID)
 		}
 		out.Nodes[i] = ni
 	}
 	out.Links = make([]LinkInfo, len(plan.links))
 	for i := range plan.links {
 		pl := &plan.links[i]
-		li := LinkInfo{A: pl.a, B: pl.b, Capacity: pl.capacity, Latency: pl.latency}
-		if li.Avail[0], err = v.foldAvail(ctx, pl.fwd, pl.limit); err != nil {
-			return nil, err
-		}
-		if li.Avail[1], err = v.foldAvail(ctx, pl.rev, pl.limit); err != nil {
-			return nil, err
-		}
-		out.Links[i] = li
+		out.Links[i] = LinkInfo{A: pl.a, B: pl.b, Capacity: pl.capacity, Latency: pl.latency,
+			Avail: [2]stats.Stat{v.foldAvail(pl.fwd, pl.limit), v.foldAvail(pl.rev, pl.limit)}}
 	}
 	return out, nil
 }

@@ -111,8 +111,7 @@ const maxMatrixWorkers = 8
 const minParallelCells = 256
 
 // matrixChan is one directed channel a query will read: some row sweep
-// of a matrix, or — listed for view.prefetch — a route or plan link of
-// any query over a dialed collector.
+// of a matrix, a route, or a plan link, listed for view.prefetch.
 type matrixChan struct {
 	l    *graph.Link
 	d    graph.Dir
@@ -185,20 +184,26 @@ func (s *snapshot) sweepFor(src graph.NodeID) *compiledSweep {
 	return actual.(*compiledSweep)
 }
 
-// matrixScratch is the per-matrix shared scratch: the dense
-// availability table (indexed linkID*2+dir, like the snapshot memo)
-// and the dedup list of channels to fill. Pooled; only touched slots
-// are cleared on release.
-type matrixScratch struct {
+// queryScratch is the per-query shared scratch: the dedup list of
+// channels and the hosts a query reads, the read request and answer
+// that fetch them (view.prefetch), and for a matrix the dense
+// availability table (indexed linkID*2+dir, like the snapshot memo).
+// Pooled; only touched slots are cleared on release.
+type queryScratch struct {
 	need  []bool
 	avail []stats.Stat
 	chans []matrixChan
+	hosts []graph.NodeID
+
+	keys []collector.ChannelKey
+	req  collector.ReadRequest
+	ans  collector.ReadAnswer
 }
 
-var matrixScratchPool = sync.Pool{New: func() any { return &matrixScratch{} }}
+var scratchPool = sync.Pool{New: func() any { return &queryScratch{} }}
 
-func getMatrixScratch(chanSlots int) *matrixScratch {
-	sc := matrixScratchPool.Get().(*matrixScratch)
+func getScratch(chanSlots int) *queryScratch {
+	sc := scratchPool.Get().(*queryScratch)
 	if len(sc.need) < chanSlots {
 		sc.need = make([]bool, chanSlots)
 		sc.avail = make([]stats.Stat, chanSlots)
@@ -207,7 +212,7 @@ func getMatrixScratch(chanSlots int) *matrixScratch {
 }
 
 // want lists one directed channel, once.
-func (sc *matrixScratch) want(l *graph.Link, d graph.Dir) {
+func (sc *queryScratch) want(l *graph.Link, d graph.Dir) {
 	slot := int(l.ID)*2 + int(d)
 	if !sc.need[slot] {
 		sc.need[slot] = true
@@ -216,18 +221,19 @@ func (sc *matrixScratch) want(l *graph.Link, d graph.Dir) {
 }
 
 // wantPath lists the channels a route traverses.
-func (sc *matrixScratch) wantPath(p *graph.Path) {
+func (sc *queryScratch) wantPath(p *graph.Path) {
 	for i, l := range p.Links {
 		sc.want(l, l.DirFrom(p.Nodes[i]))
 	}
 }
 
-func putMatrixScratch(sc *matrixScratch) {
+func putScratch(sc *queryScratch) {
 	for _, mc := range sc.chans {
 		sc.need[mc.slot] = false
 	}
 	sc.chans = sc.chans[:0]
-	matrixScratchPool.Put(sc)
+	sc.hosts = sc.hosts[:0]
+	scratchPool.Put(sc)
 }
 
 // rowScratch is one worker's DP state, indexed by the snapshot's dense
@@ -261,7 +267,7 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 	if err != nil {
 		return nil, err
 	}
-	v := m.view(s, tf)
+	v := view{m: m, s: s, tf: tf}
 
 	n, cols := len(srcs), len(dsts)
 	out := &MatrixInfo{
@@ -288,8 +294,8 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 	// row is invalid except the diagonal. Destination slots resolve once
 	// per matrix too (-1 = structurally invalid), shared by every row.
 	sweeps := make([]*compiledSweep, n)
-	sc := getMatrixScratch(s.chanSlots)
-	defer putMatrixScratch(sc)
+	sc := getScratch(s.chanSlots)
+	defer putScratch(sc)
 	for i, src := range srcs {
 		if nd := s.topo.Graph.Node(src); nd == nil || nd.Kind != graph.Compute {
 			continue
@@ -316,19 +322,13 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 
 	// Availability once per directed channel per matrix. Lifecycle
 	// errors abort the batch (the caller's budget expired or the
-	// source refused); measurement errors already degraded to capacity
-	// at low accuracy inside computeChannelAvailability.
-	if v.batched() {
-		if err := v.prefetch(ctx, sc.chans, nil); err != nil {
-			return nil, err
-		}
+	// source refused); measurement errors degrade to capacity at low
+	// accuracy.
+	if err := v.prefetch(ctx, sc); err != nil {
+		return nil, err
 	}
 	for _, mc := range sc.chans {
-		st, aerr := v.channelAvailability(ctx, mc.l, mc.d)
-		if aerr != nil {
-			return nil, aerr
-		}
-		sc.avail[mc.slot] = st
+		sc.avail[mc.slot] = v.channelAvailability(mc.l, mc.d)
 	}
 
 	// Row sweeps: serial for small matrices, a bounded worker pool
@@ -378,7 +378,7 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 // order MinStat's associativity makes equivalent — plus the summed
 // path latency. Every index is pre-resolved (compiledStep, dstSlots),
 // so the hot loop is pure array arithmetic.
-func matrixRow(sc *matrixScratch, rs *rowScratch,
+func matrixRow(sc *queryScratch, rs *rowScratch,
 	cs *compiledSweep, src graph.NodeID, dsts []graph.NodeID, dstSlots []int32, out *MatrixInfo, i int) {
 
 	rs.cur++
@@ -420,64 +420,13 @@ func matrixRow(sc *matrixScratch, rs *rowScratch,
 	}
 }
 
-// freshnessChecker is the optional fencing hook a source can expose
-// (the read replica does): a cheap check that the source would accept
-// a query right now. MatrixHandler consults it on every call so a
-// fenced replica refuses matrices even when the serving Modeler holds
-// a cached snapshot.
-type freshnessChecker interface {
-	CheckFresh() error
-}
-
-// syncSnapshot keeps a long-lived serving Modeler honest before a
-// wire-batched matrix: it re-checks the source's fencing state every
-// call, and re-pins the topology snapshot when the source's topology
-// pointer moved (rediscovery, replica resync). The topology probe is
-// gated on the source's data version when one is available, so between
-// poll ticks the cost is one atomic load.
-func (m *Modeler) syncSnapshot(ctx context.Context) error {
-	if fc, ok := m.cfg.Source.(freshnessChecker); ok {
-		if err := fc.CheckFresh(); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
-	s := m.snap.Load()
-	if s == nil {
-		return nil // first query builds fresh anyway
-	}
-	var syncTo uint64
-	if m.vsrc != nil {
-		if v, ok := m.vsrc.DataVersion(); ok {
-			if last := m.matrixSyncVer.Load(); last == v+1 {
-				return nil // same version: topology cannot have moved
-			}
-			syncTo = v + 1
-		}
-	}
-	t, err := collector.CtxTopology(ctx, m.cfg.Source)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if s.topo != t {
-		m.Refresh()
-	}
-	if syncTo != 0 {
-		m.matrixSyncVer.Store(syncTo)
-	}
-	return nil
-}
-
 // MatrixHandler adapts a Modeler to collector.ServerConfig.Matrix, so
 // a collector daemon, a read replica, or a federated view serves the
-// "matrix" wire op with the batched kernel. The handler re-syncs the
-// Modeler against its source per call (see syncSnapshot): long-lived
-// serving Modelers must follow topology changes and honor replica
-// fencing, unlike the per-invocation Modelers of CLI clients.
+// "matrix" wire op with the batched kernel. A long-lived serving Modeler
+// follows topology changes and honours replica fencing because every
+// matrix is one read of its source (view.prefetch).
 func MatrixHandler(m *Modeler) collector.MatrixHandler {
 	return func(ctx context.Context, req *collector.MatrixRequest) (*collector.MatrixAnswer, error) {
-		if err := m.syncSnapshot(ctx); err != nil {
-			return nil, err
-		}
 		tf := Timeframe{Kind: TimeframeKind(req.TFKind), Span: req.Span, Horizon: req.Horizon}
 		mi, err := m.QueryMatrixCtx(ctx, req.Srcs, req.Dsts, tf)
 		if err != nil {

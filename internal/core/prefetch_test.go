@@ -8,53 +8,58 @@ import (
 
 	"repro/internal/collector"
 	"repro/internal/graph"
+	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
 // scriptedReader stands in for a dialed collector: the rig collector's
 // scalar surface with its data version hidden (the embedded interface
-// promotes Source only) and a Read the test scripts — which instance
+// promotes Source only) and a read the test scripts — which instance
 // and version it stamps, what discovery time it names, what it fails
-// with.
+// with. Its entries are a Reader's over the collector.
 type scriptedReader struct {
 	collector.Source
-	col *collector.Collector
+	col   *collector.Collector
+	inner *collector.Reader
 
 	instance     uint64
 	versionSkew  uint64
 	discoveredAt func() float64 // nil: the collector's own
 	err          error
 	reads, stats int
+	kinds        []collector.ReadKind
+	listed       []int // channels per read
 }
 
-func (s *scriptedReader) Read(ctx context.Context, req *collector.ReadRequest) (*collector.ReadAnswer, error) {
+func (s *scriptedReader) Read(ctx context.Context, req *collector.ReadRequest, ans *collector.ReadAnswer) error {
 	s.reads++
+	s.kinds, s.listed = append(s.kinds, req.Of), append(s.listed, len(req.Keys))
 	if s.err != nil {
-		return nil, s.err
+		return s.err
 	}
 	v, _ := s.col.DataVersion()
+	v += s.versionSkew
+	unheld := *req
+	unheld.HaveInstance, unheld.MissingKeys, unheld.MissingHosts = 0, 0, 0
+	notModified := req.HaveInstance == s.instance && req.HaveVersion == v
+	if notModified {
+		unheld.Keys = req.Keys[len(req.Keys)-req.MissingKeys:]
+		unheld.Hosts = req.Hosts[len(req.Hosts)-req.MissingHosts:]
+	}
+	if err := s.inner.Read(ctx, &unheld, ans); err != nil {
+		return err
+	}
+	ans.Instance, ans.Version, ans.NotModified = s.instance, v, notModified
+	s.stats += len(ans.Entries)
 	topo, err := s.col.Topology()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ans := &collector.ReadAnswer{Instance: s.instance, Version: v + s.versionSkew, DiscoveredAt: topo.DiscoveredAt}
+	ans.DiscoveredAt = topo.DiscoveredAt
 	if s.discoveredAt != nil {
 		ans.DiscoveredAt = s.discoveredAt()
 	}
-	if req.HaveInstance == ans.Instance && req.HaveVersion == ans.Version {
-		ans.NotModified = true
-		return ans, nil
-	}
-	for _, k := range req.Keys {
-		st, err := s.col.Utilization(k, req.Span)
-		ans.Stats, ans.Failed = append(ans.Stats, st), append(ans.Failed, err != nil)
-	}
-	for _, h := range req.Hosts {
-		st, err := s.col.HostLoad(h, req.Span)
-		ans.Stats, ans.Failed = append(ans.Stats, st), append(ans.Failed, err != nil)
-	}
-	s.stats += len(ans.Stats)
-	return ans, nil
+	return nil
 }
 
 func readerRig(t *testing.T) (*rig, *scriptedReader, *Modeler) {
@@ -62,49 +67,75 @@ func readerRig(t *testing.T) (*rig, *scriptedReader, *Modeler) {
 	r := testbedRig(t)
 	traffic.Blast(r.net, "m-6", "m-8", 60e6)
 	r.clk.RunUntil(30)
-	sr := &scriptedReader{Source: r.col, col: r.col, instance: 77, versionSkew: 1000}
+	sr := &scriptedReader{Source: r.col, col: r.col, inner: collector.NewReader(r.col), instance: 77, versionSkew: 1000}
 	return r, sr, New(Config{Source: sr})
 }
 
-// TestPrefetchFallsBackToPerChannel: a peer that cannot answer the read
-// op, or a read that dies in transport, costs the query nothing but the
-// attempt: the per-channel path answers, as it did before the op
-// existed. Timeframes that do not read utilization summaries never try.
-func TestPrefetchFallsBackToPerChannel(t *testing.T) {
-	for _, failure := range []error{collector.ErrReadUnsupported, errors.New("connection reset")} {
-		r, sr, m := readerRig(t)
-		sr.err = failure
-		want, err := r.mod.GetGraph(nil, TFHistory(10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.GetGraph(nil, TFHistory(10))
-		if err != nil {
-			t.Fatalf("%v: %v", failure, err)
-		}
-		for i := range want.Links {
-			if got.Links[i] != want.Links[i] {
-				t.Fatalf("%v: link %d %+v, want %+v", failure, i, got.Links[i], want.Links[i])
-			}
-		}
-		if sr.reads != 1 {
-			t.Fatalf("%v: %d read attempts for one query", failure, sr.reads)
+// TestPrefetchFailureDegradesEveryEntry: a read that dies in transport
+// costs the query one attempt and no per-channel retries; every entry
+// degrades as a failed one does — a channel to its capacity at low
+// accuracy, a host to no data — exactly what an in-process Modeler
+// answers for a source that knows none of them. Capacity lists no
+// channel; Future reads windows.
+func TestPrefetchFailureDegradesEveryEntry(t *testing.T) {
+	r, sr, m := readerRig(t)
+	sr.err = errors.New("connection reset")
+	got, err := m.GetGraph(nil, TFHistory(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blind := New(Config{Source: &unknowingSource{r.col}})
+	want, err := blind.GetGraph(nil, TFHistory(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Links {
+		if got.Links[i] != want.Links[i] || got.Links[i].Avail[0].Accuracy != 0.1 {
+			t.Fatalf("link %d %+v, want the degraded %+v", i, got.Links[i], want.Links[i])
 		}
 	}
-	_, sr, m := readerRig(t)
+	for i := range want.Nodes {
+		if got.Nodes[i].Load != want.Nodes[i].Load || got.Nodes[i].Load.Valid() {
+			t.Fatalf("node %d load %+v, want no data", i, got.Nodes[i].Load)
+		}
+	}
+	if sr.reads != 1 {
+		t.Fatalf("%d read attempts for one query", sr.reads)
+	}
+
+	_, sr, m = readerRig(t)
 	for _, tf := range []Timeframe{TFCapacity(), TFFuture(5)} {
 		if _, err := m.AvailableBandwidth("m-1", "m-8", tf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sr.reads != 0 {
-		t.Fatalf("capacity and future timeframes sent %d reads", sr.reads)
+	if len(sr.kinds) != 2 || sr.listed[0] != 0 || sr.kinds[1] != collector.ReadWindow || sr.listed[1] == 0 {
+		t.Fatalf("capacity then future sent reads of kinds %v listing %v channels, want an empty read, then a window read", sr.kinds, sr.listed)
 	}
+}
+
+// unknowingSource is the collector with every measurement unknown.
+type unknowingSource struct{ *collector.Collector }
+
+func (unknowingSource) Utilization(collector.ChannelKey, float64) (stats.Stat, error) {
+	return stats.NoData(), errors.New("unknown channel")
+}
+
+func (unknowingSource) HostLoad(graph.NodeID, float64) (stats.Stat, error) {
+	return stats.NoData(), errors.New("no load data")
+}
+
+func (u unknowingSource) UtilizationCtx(context.Context, collector.ChannelKey, float64) (stats.Stat, error) {
+	return u.Utilization(collector.ChannelKey{}, 0)
+}
+
+func (u unknowingSource) HostLoadCtx(context.Context, graph.NodeID, float64) (stats.Stat, error) {
+	return u.HostLoad("", 0)
 }
 
 // TestPrefetchPropagatesLifecycleErrors: a refusal that means "the
 // caller gave up or the server declined" aborts the query with its
-// typed error, exactly as the per-channel path does.
+// typed error; it degrades nothing.
 func TestPrefetchPropagatesLifecycleErrors(t *testing.T) {
 	_, sr, m := readerRig(t)
 	sr.err = &collector.ShedError{RetryAfter: 75 * time.Millisecond}
@@ -154,6 +185,13 @@ func TestPrefetchGenerations(t *testing.T) {
 	if sr.reads != 2 || sr.stats != fetched {
 		t.Fatalf("repeated query: %d reads, %d summaries more", sr.reads, sr.stats-fetched)
 	}
+	// An overlapping query is confirmed too, and reads only the channels
+	// the generation lacks.
+	bw("m-2", "m-8")
+	if got, listed := sr.stats-fetched, sr.listed[2]; sr.reads != 3 || got == 0 || got >= listed {
+		t.Fatalf("overlapping query: %d reads, %d summaries for %d listed channels", sr.reads, got, listed)
+	}
+	fetched = sr.stats
 
 	// Another issuer, lower version: replaced.
 	sr.instance, sr.versionSkew = 78, 0
@@ -167,7 +205,7 @@ func TestPrefetchGenerations(t *testing.T) {
 	sr.versionSkew = 500
 	bw("m-1", "m-8")
 	sr.versionSkew = 400
-	bw("m-2", "m-7") // other channels, so no validator is sent
+	bw("m-2", "m-7") // channels the generation lacks: read in full, at 400
 	if inst, ver := installed(); inst != 78 || ver != v0+500 {
 		t.Fatalf("an older answer displaced the generation: now (%d, %d)", inst, ver)
 	}

@@ -27,10 +27,10 @@ import (
 //   - an availability memo: per (timeframe, channel) Stats computed at
 //     most once per source data version, so a burst of queries between
 //     poll ticks shares one summary per channel instead of re-deriving
-//     quartiles per query. An in-process source reports its version
-//     (collector.VersionedSource) and view() reads it per query; a
-//     dialed one has the answering server validate the generation
-//     inside the query's one fetch (view.prefetch);
+//     quartiles per query. Every query lists what it folds and reads it
+//     in one collector read (view.prefetch), which validates the
+//     generation it holds — in process against the source's version, over
+//     the wire inside the query's one frame;
 //   - a plan cache: the logical-topology skeleton remos_get_graph
 //     derives for a node set (route induction + chain collapsing, §4.3)
 //     is purely topological, so it is built once per (epoch, node set)
@@ -43,17 +43,13 @@ type snapshot struct {
 
 	// nodeSlot assigns every topology node a dense index into tfMemo
 	// load arrays; chanSlots is the length of the channel arrays
-	// (2 slots per link, indexed linkID*2 + dir).
+	// (2 slots per link, indexed linkID*2 + dir), and keys names the
+	// channel behind each slot.
 	nodeSlot  map[graph.NodeID]int
 	chanSlots int
+	keys      []collector.ChannelKey
 
-	// memoOK says view() resolves the memo generation itself, from the
-	// source's own data version (collector.VersionedSource). Over a
-	// dialed collector it is false and view.prefetch resolves the
-	// generation from the server's answer instead; a source that offers
-	// neither (a history replay, a test double) is not memoized.
-	memoOK bool
-	memo   atomic.Pointer[availMemo]
+	memo atomic.Pointer[availMemo]
 
 	plans atomic.Pointer[planMap]
 
@@ -64,8 +60,8 @@ type snapshot struct {
 	sweeps sync.Map
 }
 
-func newSnapshot(epoch uint64, topo *collector.Topology, rt *graph.RouteTable, memoOK bool) *snapshot {
-	s := &snapshot{epoch: epoch, topo: topo, rt: rt, fetched: time.Now(), memoOK: memoOK}
+func newSnapshot(epoch uint64, topo *collector.Topology, rt *graph.RouteTable) *snapshot {
+	s := &snapshot{epoch: epoch, topo: topo, rt: rt, fetched: time.Now()}
 	ids := topo.Graph.Nodes()
 	s.nodeSlot = make(map[graph.NodeID]int, len(ids))
 	for i, id := range ids {
@@ -78,19 +74,21 @@ func newSnapshot(epoch uint64, topo *collector.Topology, rt *graph.RouteTable, m
 		}
 	}
 	s.chanSlots = (maxID + 1) * 2
+	s.keys = make([]collector.ChannelKey, s.chanSlots)
+	for _, l := range topo.Graph.Links() {
+		for _, d := range [...]graph.Dir{graph.AtoB, graph.BtoA} {
+			s.keys[int(l.ID)*2+int(d)] = topo.Key(l, d)
+		}
+	}
 	return s
 }
 
 // availMemo is one generation of memoized per-timeframe answers, valid
-// for exactly one combined data version (source version + self-flow
-// generation). When the version moves the whole generation is dropped
-// and rebuilt — there is no per-entry invalidation to race on.
-//
-// Over a dialed collector the version is only comparable between
-// answers of one server instance (collector.ReadAnswer), so a
-// generation is identified by (instance, version, selfGen) and version
-// is the server's alone; in process instance and selfGen stay zero and
-// version is the combined sum.
+// for exactly one (instance, version, selfGen): the validator of the
+// reads that filled it (collector.ReadAnswer — a version is comparable
+// only between answers of one issuer) and the self-flow generation its
+// availabilities discounted. When either moves the whole generation is
+// dropped and rebuilt — there is no per-entry invalidation to race on.
 type availMemo struct {
 	version  uint64
 	instance uint64
@@ -109,20 +107,29 @@ type tfMemo struct {
 	loads []atomic.Pointer[stats.Stat] // indexed by nodeSlot
 }
 
-// holds reports whether every listed channel and host has its slot
-// filled.
-func (tm *tfMemo) holds(s *snapshot, chans []matrixChan, hosts []graph.NodeID) bool {
-	for _, mc := range chans {
-		if tm.avail[mc.slot].Load() == nil {
-			return false
+// lacking moves the listed channels and hosts whose slots are not filled
+// to the end of their lists, and says how many of each there are. A
+// filled slot stays filled, so what it counts as held is held.
+func (tm *tfMemo) lacking(s *snapshot, chans []matrixChan, hosts []graph.NodeID) (nChans, nHosts int) {
+	held := len(chans)
+	for i := 0; i < held; {
+		if tm.avail[chans[i].slot].Load() != nil {
+			i++
+			continue
 		}
+		held--
+		chans[i], chans[held] = chans[held], chans[i]
 	}
-	for _, id := range hosts {
-		if tm.loads[s.nodeSlot[id]].Load() == nil {
-			return false
+	nChans, held = len(chans)-held, len(hosts)
+	for i := 0; i < held; {
+		if tm.loads[s.nodeSlot[hosts[i]]].Load() != nil {
+			i++
+			continue
 		}
+		held--
+		hosts[i], hosts[held] = hosts[held], hosts[i]
 	}
-	return true
+	return nChans, len(hosts) - held
 }
 
 // tfFor returns (building if needed) the memo for one timeframe. The
@@ -158,207 +165,148 @@ func (am *availMemo) tfFor(tf Timeframe, s *snapshot) *tfMemo {
 }
 
 // view is one query's resolved read context: the snapshot it runs
-// against, its timeframe, and — when memoization applies — the tfMemo
-// for that timeframe at the current data version. Resolving once per
-// query keeps the per-channel path to a slot computation and an atomic
-// load.
+// against, its timeframe, and — once prefetch has run — the tfMemo
+// holding every channel and host the query folds.
 type view struct {
 	m  *Modeler
 	s  *snapshot
 	tf Timeframe
-	// tm is nil when nothing is memoized for this query: the capacity
-	// timeframe, a source with neither a version nor a read op, and —
-	// until prefetch has run — a dialed collector.
 	tm *tfMemo
 }
 
-// view builds the read context for one query. The memo generation is
-// refreshed (CAS, upgrade-only: versions are monotone) when the source
-// reports a newer data version than the installed generation.
-func (m *Modeler) view(s *snapshot, tf Timeframe) view {
-	v := view{m: m, s: s, tf: tf}
-	if tf.Kind == Capacity || !s.memoOK {
-		return v
-	}
-	ver, ok := m.memoVersion()
-	if !ok {
-		return v
-	}
-	var am *availMemo
-	for {
-		am = s.memo.Load()
-		if am != nil && am.version >= ver {
-			break
-		}
-		fresh := &availMemo{version: ver}
-		if s.memo.CompareAndSwap(am, fresh) {
-			am = fresh
-			break
-		}
-	}
-	v.tm = am.tfFor(tf, s)
-	return v
-}
-
-// errTopologyMoved is prefetch's verdict that the server now serves a
+// errTopologyMoved is prefetch's verdict that the source now serves a
 // topology discovered at another time than the snapshot's: the snapshot
 // is dropped and the query entry points run once more against a fresh
 // one.
 var errTopologyMoved = errors.New("core: the collector rediscovered its topology during the query")
 
-// batched reports whether this view's measurements come from one
-// conditional batched read (prefetch) rather than per-channel fetches:
-// a dialed collector, and a timeframe that reads utilization summaries.
-// Future predicts from raw samples and stays per channel.
-func (v *view) batched() bool {
-	return v.m.rsrc != nil && (v.tf.Kind == Current || v.tf.Kind == History)
-}
-
-// prefetch is a remote query's one round trip. The caller lists every
-// channel and host the query is about to fold; prefetch sends the list
-// with the validator of the installed memo generation — if that
-// generation already holds every listed slot — and leaves v.tm holding
-// all of them, so the fold that follows reads memo hits only:
+// prefetch is a query's one read, in process or over the wire. The
+// caller lists in sc every channel and host the query is about to fold;
+// prefetch sends the list with the validator of the installed memo
+// generation and which listed slots that generation lacks, and leaves
+// v.tm holding all of them, so the fold that follows reads memo hits
+// only:
 //
-//   - "not modified": the generation it checked is current, v.tm is it;
-//   - stats under the installed generation's stamp: the missing slots
-//     (and the held ones, again) are filled in;
-//   - stats under another stamp: a fresh generation replaces the
+//   - "not modified": the generation it checked is current, v.tm is it,
+//     and the answer's entries fill the slots it lacked — so between two
+//     polls a slot is read once, however the queries that list it
+//     interleave;
+//   - entries under the installed generation's stamp: every listed slot
+//     is filled in (the held ones again);
+//   - entries under another stamp: a fresh generation replaces the
 //     installed one — on any instance change, and within one instance
 //     only upward; an answer older than what is installed fills a
-//     detached generation that serves this query alone.
+//     detached generation that serves this query alone, as does an
+//     answer without a stamp (a source with no data version).
 //
 // The answer's stamp was read before its data (collector/readwire.go),
 // so a slot is never older than its generation says. A lifecycle error
-// aborts the query as it does per channel; any other failure (a server
-// without the op, a transport error) leaves v.tm nil and the per-channel
-// path answers, degrading exactly as it always has.
-func (v *view) prefetch(ctx context.Context, chans []matrixChan, hosts []graph.NodeID) error {
+// — a fenced replica among them — aborts the query; any other failure of
+// the read (a transport error) fails every entry, and each degrades as a
+// failed entry does. Capacity lists no channel, but still reads: the
+// read is also how the query learns of a fence or a rediscovery.
+func (v *view) prefetch(ctx context.Context, sc *queryScratch) error {
 	m, s := v.m, v.s
+	chans := sc.chans
+	if v.tf.Kind == Capacity {
+		chans = nil
+	}
 	self := m.selfGen.Load()
-	req := &collector.ReadRequest{Span: tfSpan(v.tf), Keys: make([]collector.ChannelKey, len(chans)), Hosts: hosts}
-	for i, mc := range chans {
-		req.Keys[i] = s.topo.Key(mc.l, mc.d)
+	req := &sc.req
+	*req = collector.ReadRequest{Span: tfSpan(v.tf), Discovered: true, Keys: sc.keys[:0], Hosts: sc.hosts}
+	if v.tf.Kind == Future {
+		req.Of = collector.ReadWindow // a prediction starts from the raw window
 	}
 	var held *tfMemo
 	if am := s.memo.Load(); am != nil && am.selfGen == self {
-		if tm := am.tfFor(v.tf, s); tm.holds(s, chans, hosts) {
-			held = tm
-			req.HaveInstance, req.HaveVersion = am.instance, am.version
-		}
+		held = am.tfFor(v.tf, s)
+		req.HaveInstance, req.HaveVersion = am.instance, am.version
+		req.MissingKeys, req.MissingHosts = held.lacking(s, chans, sc.hosts)
 	}
-	ans, err := m.rsrc.Read(ctx, req)
-	if err != nil {
+	for _, mc := range chans {
+		req.Keys = append(req.Keys, s.keys[mc.slot])
+	}
+	sc.keys = req.Keys
+	ans := &sc.ans
+	if err := m.reader.Read(ctx, req, ans); err != nil {
 		if collector.IsLifecycleError(err) {
 			return fmt.Errorf("core: %w", err)
 		}
-		return nil
+		*ans = collector.ReadAnswer{DiscoveredAt: s.topo.DiscoveredAt, Entries: ans.Entries[:0]}
+		for range len(req.Keys) + len(req.Hosts) {
+			ans.Entries = append(ans.Entries, collector.ReadEntry{Failed: true})
+		}
 	}
 	if math.Float64bits(ans.DiscoveredAt) != math.Float64bits(s.topo.DiscoveredAt) {
 		m.snap.CompareAndSwap(s, nil)
 		return errTopologyMoved
 	}
+	keys, hosts := req.Keys, req.Hosts
+	var tm *tfMemo
 	if ans.NotModified {
-		v.tm = held
-		return nil
-	}
-	var am *availMemo
-	for {
-		am = s.memo.Load()
-		if am != nil && am.instance == ans.Instance && am.selfGen == self && am.version >= ans.Version {
-			if am.version > ans.Version {
-				am = &availMemo{version: ans.Version, instance: ans.Instance, selfGen: self}
+		tm = held
+		keys, hosts = keys[len(keys)-req.MissingKeys:], hosts[len(hosts)-req.MissingHosts:]
+		chans = chans[len(chans)-len(keys):]
+	} else {
+		var am *availMemo
+		if ans.Instance == 0 {
+			am = &availMemo{selfGen: self}
+		}
+		for am == nil {
+			cur := s.memo.Load()
+			if cur != nil && cur.instance == ans.Instance && cur.selfGen == self && cur.version >= ans.Version {
+				am = cur
+				if cur.version > ans.Version {
+					am = &availMemo{version: ans.Version, instance: ans.Instance, selfGen: self}
+				}
+				break
 			}
-			break
+			fresh := &availMemo{version: ans.Version, instance: ans.Instance, selfGen: self}
+			if s.memo.CompareAndSwap(cur, fresh) {
+				am = fresh
+			}
 		}
-		fresh := &availMemo{version: ans.Version, instance: ans.Instance, selfGen: self}
-		if s.memo.CompareAndSwap(am, fresh) {
-			am = fresh
-			break
-		}
+		tm = am.tfFor(v.tf, s)
 	}
-	tm := am.tfFor(v.tf, s)
 	// One slab backs every slot this answer fills; a generation is
 	// dropped whole, so its slots never outlive one another by much.
-	slab := make([]stats.Stat, len(ans.Stats))
+	slab := make([]stats.Stat, len(ans.Entries))
 	for i, mc := range chans {
-		if ans.Failed[i] {
-			slab[i] = degradedAvailability(mc.l)
-		} else {
-			slab[i] = m.availabilityFromUtilization(s, mc.l, req.Keys[i], ans.Stats[i])
-		}
+		slab[i] = m.availabilityOf(s, mc.l, keys[i], v.tf, &ans.Entries[i])
 		tm.avail[mc.slot].Store(&slab[i])
 	}
 	for j, id := range hosts {
 		i := len(chans) + j
-		if ans.Failed[i] {
-			slab[i] = stats.NoData()
-		} else {
-			slab[i] = ans.Stats[i]
-		}
+		slab[i] = ans.Entries[i].Stat // a failed entry's is NoData
 		tm.loads[s.nodeSlot[id]].Store(&slab[i])
 	}
+	clear(ans.Entries) // the pooled scratch must not pin windows
 	m.cMemoMiss.Add(uint64(len(slab)))
 	v.tm = tm
 	return nil
 }
 
-// channelAvailability is the memoized read path for one directed
-// channel's availability under the view's timeframe. Lifecycle errors
-// (deadline, cancellation, shed, busy) are never memoized: they belong
-// to one caller's budget, not to the data.
-func (v *view) channelAvailability(ctx context.Context, l *graph.Link, d graph.Dir) (stats.Stat, error) {
+// channelAvailability is the fold's read of one directed channel's
+// availability under the view's timeframe: a capacity, or the slot
+// prefetch filled.
+func (v *view) channelAvailability(l *graph.Link, d graph.Dir) stats.Stat {
 	if v.tf.Kind == Capacity {
-		return stats.Exact(l.Capacity), nil
+		return stats.Exact(l.Capacity)
 	}
-	slot := -1
-	if v.tm != nil {
-		slot = int(l.ID)*2 + int(d)
-		if p := v.tm.avail[slot].Load(); p != nil {
-			v.m.cMemoHits.Inc()
-			return *p, nil
-		}
-	}
-	st, err := v.m.computeChannelAvailability(ctx, v.s, l, d, v.tf)
-	if err != nil {
-		return st, err
-	}
-	if slot >= 0 {
-		v.m.cMemoMiss.Inc()
-		cp := st
-		v.tm.avail[slot].Store(&cp)
-	}
-	return st, nil
+	return v.hit(v.tm.avail[int(l.ID)*2+int(d)].Load())
 }
 
-// hostLoad is the memoized read path for a node's CPU load summary.
-// Non-lifecycle measurement errors degrade to no-data (GetGraph's
-// contract) and the degraded answer is memoized too — it is a property
-// of the current data version, refreshed at the next one.
-func (v *view) hostLoad(ctx context.Context, id graph.NodeID) (stats.Stat, error) {
-	slot := -1
-	if v.tm != nil {
-		if i, ok := v.s.nodeSlot[id]; ok {
-			slot = i
-			if p := v.tm.loads[slot].Load(); p != nil {
-				v.m.cMemoHits.Inc()
-				return *p, nil
-			}
-		}
+// hostLoad is the fold's read of a node's CPU load summary.
+func (v *view) hostLoad(id graph.NodeID) stats.Stat {
+	return v.hit(v.tm.loads[v.s.nodeSlot[id]].Load())
+}
+
+func (v *view) hit(p *stats.Stat) stats.Stat {
+	if p == nil {
+		panic("core: a query folded a channel or host it did not list")
 	}
-	ld, err := collector.CtxHostLoad(ctx, v.m.cfg.Source, id, tfSpan(v.tf))
-	if err != nil {
-		if collector.IsLifecycleError(err) {
-			return stats.NoData(), err
-		}
-		ld = stats.NoData()
-	}
-	if slot >= 0 {
-		v.m.cMemoMiss.Inc()
-		cp := ld
-		v.tm.loads[slot].Store(&cp)
-	}
-	return ld, nil
+	v.m.cMemoHits.Inc()
+	return *p
 }
 
 // foldAvail combines the availabilities of the physical channels behind
@@ -366,19 +314,15 @@ func (v *view) hostLoad(ctx context.Context, id graph.NodeID) (stats.Stat, error
 // collapsed-router internal-bandwidth limit. MinStat is associative and
 // commutative, so folding the flat channel list is equivalent to the
 // pairwise merging the chain collapse used to do.
-func (v *view) foldAvail(ctx context.Context, chans []physChan, limit float64) (stats.Stat, error) {
+func (v *view) foldAvail(chans []physChan, limit float64) stats.Stat {
 	out := stats.NoData()
 	for _, pc := range chans {
-		a, err := v.channelAvailability(ctx, pc.l, pc.d)
-		if err != nil {
-			return stats.NoData(), err
-		}
-		out = stats.MinStat(out, a)
+		out = stats.MinStat(out, v.channelAvailability(pc.l, pc.d))
 	}
 	if limit > 0 {
 		out = stats.MinStat(out, stats.Exact(limit))
 	}
-	return out, nil
+	return out
 }
 
 // physChan identifies one directed physical channel contributing to a

@@ -62,8 +62,9 @@ func (p *probeSource) HostLoad(node graph.NodeID, span float64) (stats.Stat, err
 }
 
 // scalarOnly shows a dialed handle's per-key methods and nothing else:
-// a Modeler over it runs the per-channel program a Modeler ran over any
-// dialed handle before the read op.
+// a Modeler over it reads through an in-process collector.Reader, which
+// asks the handle one channel and one host at a time — the per-key
+// program a Modeler ran over any dialed handle before the read op.
 type scalarOnly struct {
 	collector.Source
 	collector.ContextSource
@@ -194,8 +195,8 @@ func opCount(srv *collector.Server, ops ...string) uint64 {
 // the same Stats bit for bit for seeded flow, graph and bandwidth
 // queries, with DiscountSelf on and off and one channel the source
 // cannot answer for. And it does so in one frame: every query is one
-// "read" round trip and no scalar op; a repeated query is answered "not
-// modified" without a single window summary on the server.
+// "read" round trip; a repeated query is answered "not modified" without
+// a single window summary on the server.
 func TestDialedModelerMatchesInProcess(t *testing.T) {
 	fixtures := []struct {
 		name   string
@@ -334,11 +335,8 @@ func TestDialedModelerMatchesInProcess(t *testing.T) {
 				if got := opCount(batchSrv, "read"); got != queries {
 					t.Errorf("server.op.read = %d after %d queries", got, queries)
 				}
-				if n := opCount(batchSrv, "util", "load", "samples", "age"); n != 0 {
-					t.Errorf("the dialed Modeler sent %d scalar ops to a server that speaks read", n)
-				}
-				if n := opCount(scalarSrv, "read"); n != 0 || opCount(scalarSrv, "util") == 0 {
-					t.Errorf("the per-key handle sent %d read ops and %d util ops", n, opCount(scalarSrv, "util"))
+				if n := opCount(scalarSrv, "read"); n <= queries {
+					t.Errorf("the per-key handle sent %d reads for %d queries, want one per channel and host", n, queries)
 				}
 				if warmHits == 0 || float64(warmHits)/float64(warmHits+warmMisses) <= 0.9 {
 					t.Errorf("memo between epochs: %d hits, %d misses", warmHits, warmMisses)
@@ -529,7 +527,7 @@ func TestDialedValidatorNamesItsIssuer(t *testing.T) {
 // refuses the read op with the typed ErrStaleReplica — also when it
 // could have answered "not modified" without touching a window — and a
 // failover handle routes the Modeler's query on to the collector
-// without marking the replica down, as it does for the scalar ops.
+// without marking the replica down, as it does for every op.
 func TestDialedReadHonoursReplicaFence(t *testing.T) {
 	tb, err := remos.NewTestbed()
 	if err != nil {
@@ -602,7 +600,8 @@ func TestDialedReadHonoursReplicaFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer direct.Close()
-	ans, err := direct.Read(ctx, &collector.ReadRequest{Span: 10})
+	var ans collector.ReadAnswer
+	err = direct.Read(ctx, &collector.ReadRequest{Span: 10}, &ans)
 	if !errors.Is(err, collector.ErrStaleReplica) {
 		t.Fatalf("fenced replica answered a read: %+v, %v", ans, err)
 	}
@@ -625,7 +624,7 @@ func TestDialedReadHonoursReplicaFence(t *testing.T) {
 // collector — no subscription, no Refresh call — notices that the
 // collector rediscovered its topology: the read answer names the
 // discovery time, and on a difference the query re-runs once against a
-// fresh snapshot.
+// fresh snapshot. A linked Modeler reads the same way and follows too.
 func TestDialedModelerFollowsRediscovery(t *testing.T) {
 	tb, err := remos.NewTestbed()
 	if err != nil {
@@ -697,10 +696,12 @@ func TestDialedModelerFollowsRediscovery(t *testing.T) {
 			t.Fatalf("%s after the rediscovery still reads %v over a 30 Mbps link", tc.name, got)
 		}
 	}
-	tb.Modeler.Refresh() // the in-process Modeler has to be told
 	want, err := tb.Modeler.GetGraphCtx(ctx, nodes, core.TFHistory(10))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := capacityAt(want); c != 30e6 {
+		t.Fatalf("the linked Modeler, never refreshed, still reads capacity %v", c)
 	}
 	got, err := m.GetGraphCtx(ctx, nodes, core.TFHistory(10))
 	if err != nil {
@@ -708,5 +709,57 @@ func TestDialedModelerFollowsRediscovery(t *testing.T) {
 	}
 	if d := diffGraphs(got, want, sameBits); d != "" {
 		t.Fatalf("dialed and refreshed in-process Modelers disagree after the rediscovery: %s", d)
+	}
+}
+
+// TestDialedFutureMatchesInProcess: the Future timeframe predicts from
+// raw windows, and a dialed Modeler fetches them in its query's one read
+// (a window read) — its predictions, decayed by the windows' ages, are
+// the in-process Modeler's bit for bit, and a repeated query is "not
+// modified".
+func TestDialedFutureMatchesInProcess(t *testing.T) {
+	tb, err := remos.NewTestbed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Collector.Stop()
+	hosts := tb.Hosts()
+	startOnOff(tb, hosts, 4)
+	tb.Run(40)
+	srv, err := collector.Serve(tb.Collector, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fo, err := remos.DialCollectors(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fo.Close()
+	dialed := core.New(core.Config{Source: fo, StaleHalfLife: 5})
+	local := core.New(core.Config{Source: tb.Collector, StaleHalfLife: 5})
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(3))
+	tf := core.TFFuture(4)
+	for epoch := 0; epoch < 20; epoch++ {
+		tb.Run(2)
+		q := drawQuery(rng, hosts)
+		want, err := q.run(ctx, local, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			reads := opCount(srv, "read")
+			got, err := q.run(ctx, dialed, tf)
+			if err != nil {
+				t.Fatalf("epoch %d %s: %v", epoch, pass, err)
+			}
+			if d := q.diff(got, want, sameBits); d != "" {
+				t.Fatalf("epoch %d %s: dialed Future differs from in-process: %s", epoch, pass, d)
+			}
+			if n := opCount(srv, "read") - reads; n != 1 {
+				t.Fatalf("epoch %d %s: a Future query cost %d reads", epoch, pass, n)
+			}
+		}
 	}
 }

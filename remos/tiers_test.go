@@ -165,7 +165,7 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		linked.Refresh() // a linked Modeler has to be told of a rediscovery
+		linked.Refresh() // redundant since a linked Modeler follows a rediscovery itself (DESIGN §22)
 		for i, tf := range tfs {
 			want, err := linked.GetGraph(nil, tf)
 			if err != nil {

@@ -54,6 +54,11 @@ go test -race -timeout 300s -count=1 -run 'TestMatrix' ./remos ./internal/core
 echo "==> dialed modeler: four goroutines on one dialed handle while polls advance, x10 under -race (TestDialed*, TestPrefetch*, TestReadOp* ran once in the -race pass above)"
 go test -race -timeout 300s -count=10 -run TestDialedModelerConcurrentWithPolls ./remos
 
+echo "==> one query program: every Modeler reads through one collector read (in process, dialed, Future windows, point reads), x5 under -race"
+go test -race -timeout 300s -count=5 -run 'TestPrefetch|TestAvailMemo' ./internal/core
+go test -race -timeout 300s -count=5 -run 'TestReadOp|TestPointReads' ./internal/collector
+go test -race -timeout 300s -count=5 -run 'TestDialedFutureMatchesInProcess|TestDialedModelerFollowsRediscovery' ./remos
+
 echo "==> mux stage: inline server ops and leader/follower client demux, x20 under -race"
 go test -race -timeout 600s -count=20 -run 'TestInline|TestLeader|TestLone|TestFailedWriteDropsConn|TestWatchPipelining' ./internal/collector
 
