@@ -653,7 +653,7 @@ func BenchmarkRealAirshedStep(b *testing.B) {
 }
 
 // BenchmarkReplicaCatchup measures a cold replica resync end to end —
-// dial, feed subscription, full gob snapshot over TCP, copy-on-write
+// dial, feed subscription, Full feed payload over TCP, copy-on-write
 // store rebuild — against synthetic star topologies of 8/100/1000
 // hosts with seven poll rounds of history. ns/op is the wall time for
 // a fresh replica to reach Live; this is the cost a deployment pays

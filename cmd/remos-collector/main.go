@@ -73,7 +73,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	maxConns := flag.Int("max-conns", 256, "max concurrent client connections (0 = unlimited); extras get a typed busy refusal")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "per-connection idle read deadline (negative disables)")
-	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrent work units across all connections (0 disables; topo=4, samples=2, other=1, ping free)")
+	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrent work units across all connections (0 disables; topo=4, read=1+N/16 for N channels and hosts, matrix=1+N*M/256 for N*M cells, ping free, other=1)")
 	queueDepth := flag.Int("queue-depth", 128, "admission control: max requests waiting for work units; beyond it requests are shed with a typed retry-after refusal")
 	defaultBudget := flag.Duration("default-budget", 2*time.Second, "per-request time budget applied when the client declares none (0 = unbudgeted)")
 	watchQueueDepth := flag.Int("watch-queue-depth", 0, "per-subscription bounded delta queue depth; overflow drops oldest and marks the next delivery Overflowed (0 = default 16)")

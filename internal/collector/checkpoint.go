@@ -1,9 +1,12 @@
 package collector
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"time"
 )
 
@@ -11,26 +14,27 @@ import (
 // topology, measurement windows, counter baselines, per-agent health,
 // poll statistics — and a restarted collector can restore it and answer
 // queries immediately, with honest data ages that include the downtime,
-// instead of erroring through a cold discovery-and-poll warmup. The
-// format is gob with a versioned magic header so a restore from a
-// corrupt, truncated, or incompatible file is rejected loudly rather
-// than half-applied.
+// instead of erroring through a cold discovery-and-poll warmup.
+//
+// A checkpoint, like a history file (history.go), is a state file: a
+// magic string, a uvarint format version, the CRC-32 (IEEE) of the body
+// as 4 bytes big-endian, and a body in codec.go's layout. The header and
+// the checksum are checked before the body is decoded, and the body is
+// decoded whole before anything is applied, so a corrupt, truncated or
+// incompatible file is rejected loudly rather than half-applied. A
+// checkpoint's body is
+//
+//	f64 SavedAt, varint SavedAtWallNanos, uvarint Polls, PollErrors,
+//	Discoveries, list<key, f64 At, uvarint Octets, flags{Valid}>
+//	Counters, feed State (a Full payload)
 
-// checkpointMagic identifies a collector checkpoint stream.
+// checkpointMagic identifies a collector checkpoint.
 const checkpointMagic = "REMOS-CKPT"
 
 // CheckpointVersion is the current checkpoint format version. Restores
 // reject any other version: state formats evolve and a silent
-// misdecode is worse than a cold start.
-const CheckpointVersion = 2
-
-// checkpointHeader precedes the dump. It is encoded as its own gob
-// value so header validation happens before the (much larger) dump is
-// even read.
-type checkpointHeader struct {
-	Magic   string
-	Version int
-}
+// misdecode is worse than a cold start. Versions 1 and 2 were gob.
+const CheckpointVersion = 3
 
 // checkpointDump is the serialized collector: the measurement state as
 // a Full feed payload, and around it what the feed does not carry.
@@ -47,6 +51,70 @@ type checkpointDump struct {
 
 	Counters map[ChannelKey]counterState
 	State    FeedPayload
+}
+
+// appendStateFile appends a state file's header to b, then the body
+// that body appends, and fills in the checksum.
+func appendStateFile(b []byte, magic string, version uint64, body func([]byte) []byte) []byte {
+	b = binary.AppendUvarint(append(b, magic...), version)
+	at := len(b)
+	b = body(append(b, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(b[at:], crc32.ChecksumIEEE(b[at+4:]))
+	return b
+}
+
+// readStateFile reads a state file, checks its header, naming what is
+// wrong as a "what", and returns the body once its checksum holds.
+func readStateFile(r io.Reader, what, magic string, version uint64) ([]byte, error) {
+	file, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("collector: reading %s: %w", what, err)
+	}
+	if !bytes.HasPrefix(file, []byte(magic)) {
+		// A gob-era file spells the magic inside its first message.
+		if bytes.Contains(file[:min(len(file), 256)], []byte(magic)) {
+			return nil, fmt.Errorf("collector: unsupported %s version: a gob file from before version %d", what, version)
+		}
+		return nil, fmt.Errorf("collector: not a collector %s: want a %s v%d header, read %q",
+			what, magic, version, file[:min(len(file), len(magic))])
+	}
+	d := wireDec{b: file[len(magic):]}
+	v, sum := d.uvarint(), d.take(4)
+	switch {
+	case d.err != nil:
+		return nil, fmt.Errorf("collector: reading %s header: %w", what, d.err)
+	case v != version:
+		return nil, fmt.Errorf("collector: unsupported %s version %d (want %d)", what, v, version)
+	case crc32.ChecksumIEEE(d.b) != binary.BigEndian.Uint32(sum):
+		return nil, fmt.Errorf("collector: corrupt %s: checksum mismatch", what)
+	}
+	return d.b, nil
+}
+
+func appendCheckpoint(b []byte, dump *checkpointDump) []byte {
+	b = binary.AppendVarint(appendF64(b, dump.SavedAt), dump.SavedAtWallNanos)
+	for _, n := range []uint64{dump.Polls, dump.PollErrors, dump.Discoveries, uint64(len(dump.Counters))} {
+		b = binary.AppendUvarint(b, n)
+	}
+	for k, cs := range dump.Counters {
+		b = appendF64(appendKey(b, k), cs.At)
+		b = append(binary.AppendUvarint(b, uint64(cs.Octets)), flagBits(cs.Valid))
+	}
+	return AppendFeedPayload(b, &dump.State)
+}
+
+func (d *wireDec) checkpoint() *checkpointDump {
+	dump := &checkpointDump{SavedAt: d.f64(), SavedAtWallNanos: d.varint(),
+		Polls: d.uvarint(), PollErrors: d.uvarint(), Discoveries: d.uvarint()}
+	dump.Counters = fillMap(d, d.count(keyWireSize+8+2), func() (ChannelKey, counterState) {
+		k, at, octets := d.key(), d.f64(), d.uvarint()
+		if octets > math.MaxUint32 {
+			d.fail("counter reading exceeds 32 bits")
+		}
+		return k, counterState{At: at, Octets: uint32(octets), Valid: d.flags(1) != 0}
+	})
+	dump.State = *d.feed()
+	return dump
 }
 
 // CheckpointInfo describes a restored checkpoint.
@@ -85,11 +153,9 @@ func (c *Collector) SaveCheckpoint(w io.Writer) error {
 		Counters:         c.counters,
 		State:            *c.st.Payload(),
 	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(&checkpointHeader{Magic: checkpointMagic, Version: CheckpointVersion}); err != nil {
-		return fmt.Errorf("collector: writing checkpoint header: %w", err)
-	}
-	if err := enc.Encode(&dump); err != nil {
+	if _, err := w.Write(appendStateFile(nil, checkpointMagic, CheckpointVersion, func(b []byte) []byte {
+		return appendCheckpoint(b, &dump)
+	})); err != nil {
 		return fmt.Errorf("collector: writing checkpoint: %w", err)
 	}
 	return nil
@@ -100,20 +166,13 @@ func (c *Collector) SaveCheckpoint(w io.Writer) error {
 // decodes the whole dump before touching the collector, so a corrupt or
 // truncated file leaves c unchanged.
 func (c *Collector) RestoreCheckpoint(r io.Reader) (CheckpointInfo, error) {
-	dec := gob.NewDecoder(r)
-	var hdr checkpointHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return CheckpointInfo{}, fmt.Errorf("collector: reading checkpoint header: %w", err)
+	body, err := readStateFile(r, "checkpoint", checkpointMagic, CheckpointVersion)
+	if err != nil {
+		return CheckpointInfo{}, err
 	}
-	if hdr.Magic != checkpointMagic {
-		return CheckpointInfo{}, fmt.Errorf("collector: not a collector checkpoint (magic %q)", hdr.Magic)
-	}
-	if hdr.Version != CheckpointVersion {
-		return CheckpointInfo{}, fmt.Errorf("collector: unsupported checkpoint version %d (want %d)",
-			hdr.Version, CheckpointVersion)
-	}
-	var dump checkpointDump
-	if err := dec.Decode(&dump); err != nil {
+	d := wireDec{b: body}
+	dump := d.checkpoint()
+	if err := d.done("checkpoint"); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("collector: corrupt checkpoint: %w", err)
 	}
 	// Rebuild outside the lock; install everything at once.
@@ -124,9 +183,6 @@ func (c *Collector) RestoreCheckpoint(r io.Reader) (CheckpointInfo, error) {
 	// Answers decay by this process's configured half-life, not the one
 	// the saving process ran with: a restart may change the flag.
 	st.halfLife = c.cfg.staleHalfLife()
-	if dump.Counters == nil { // gob leaves an empty map nil; PollOnce writes into it
-		dump.Counters = make(map[ChannelKey]counterState)
-	}
 
 	c.mu.Lock()
 	c.st = st
@@ -145,6 +201,6 @@ func (c *Collector) RestoreCheckpoint(r io.Reader) (CheckpointInfo, error) {
 	return CheckpointInfo{
 		SavedAt:     dump.SavedAt,
 		SavedAtWall: time.Unix(0, dump.SavedAtWallNanos),
-		Version:     hdr.Version,
+		Version:     CheckpointVersion,
 	}, nil
 }

@@ -212,8 +212,8 @@ func TestWarmStartSkipsDiscovery(t *testing.T) {
 }
 
 // TestCheckpointRejection: corrupt, truncated, alien, and
-// wrong-version files are rejected with a clear error and leave the
-// collector untouched.
+// wrong-version files — the gob checkpoints of version 2 among them —
+// are rejected with a clear error and leave the collector untouched.
 func TestCheckpointRejection(t *testing.T) {
 	_, ckpt := checkpointedRig(t)
 
@@ -238,39 +238,50 @@ func TestCheckpointRejection(t *testing.T) {
 	}
 
 	expectErr("empty", nil, "header")
-	expectErr("garbage", []byte("definitely not a gob stream"), "")
-	for _, frac := range []float64{0.25, 0.5, 0.9} {
-		expectErr("truncated", ckpt[:int(float64(len(ckpt))*frac)], "")
+	expectErr("garbage", []byte("definitely not a checkpoint"), "not a collector checkpoint")
+	expectErr("alien magic", []byte("SOMETHING-ELSE\x03\x00\x00\x00\x00"), "not a collector checkpoint")
+	for i := 0; i < 64; i++ {
+		expectErr("truncated", ckpt[:i*len(ckpt)/64], "")
+	}
+	// The body starts after the magic, the version byte and the checksum.
+	body := len(checkpointMagic) + 1 + 4
+	for i := 0; i < 64; i++ {
+		flipped := append([]byte(nil), ckpt...)
+		flipped[body+i*(len(ckpt)-body)/64] ^= 0x5a
+		expectErr("flipped body byte", flipped, "corrupt checkpoint")
 	}
 
-	var alien bytes.Buffer
-	gob.NewEncoder(&alien).Encode(&checkpointHeader{Magic: "SOMETHING", Version: CheckpointVersion})
-	expectErr("alien magic", alien.Bytes(), "not a collector checkpoint")
-
-	var vnext bytes.Buffer
-	gob.NewEncoder(&vnext).Encode(&checkpointHeader{Magic: checkpointMagic, Version: CheckpointVersion + 1})
-	expectErr("future version", vnext.Bytes(), "unsupported checkpoint version")
-
-	// A checkpoint written by the previous format (v1: the state's maps
-	// flat in the dump) is refused by the version check, and the
-	// collector it was offered to cold-starts.
-	type v1Dump struct {
-		SavedAt  float64
-		Polls    uint64
-		Topo     *WireTopo
-		Channels map[ChannelKey][]stats.Sample
-	}
 	r, _ := checkpointedRig(t)
-	var v1 bytes.Buffer
-	enc := gob.NewEncoder(&v1)
-	enc.Encode(&checkpointHeader{Magic: checkpointMagic, Version: 1})
-	topo, _ := r.col.Topology()
-	enc.Encode(&v1Dump{SavedAt: 40, Polls: 20, Topo: topoToWire(topo),
-		Channels: map[ChannelKey][]stats.Sample{{Global: 1}: {{Time: 2, Value: 1}}}})
-	expectErr("previous version", v1.Bytes(), "unsupported checkpoint version 1")
+	file := func(version uint64, dump *checkpointDump) []byte {
+		return appendStateFile(nil, checkpointMagic, version, func(b []byte) []byte { return appendCheckpoint(b, dump) })
+	}
+	live := &checkpointDump{Counters: r.col.counters, State: *r.col.st.Payload()}
+	expectErr("future version", file(CheckpointVersion+1, live), "unsupported checkpoint version 4")
+
+	// A checkpoint written by the previous format (v2: a gob header
+	// value, then a gob dump) is refused by the version check, and the
+	// collector it was offered to cold-starts.
+	type checkpointHeader struct {
+		Magic   string
+		Version int
+	}
+	type v2Dump struct {
+		SavedAt float64
+		Polls   uint64
+		State   FeedPayload
+	}
+	var v2 bytes.Buffer
+	enc := gob.NewEncoder(&v2)
+	if err := enc.Encode(&checkpointHeader{Magic: checkpointMagic, Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(&v2Dump{SavedAt: 40, Polls: 20, State: live.State}); err != nil {
+		t.Fatal(err)
+	}
+	expectErr("previous version", v2.Bytes(), "unsupported checkpoint version: a gob file from before version 3")
 	cold := New(Config{Client: r.col.cfg.Client, Clock: r.clk, Addrs: r.col.cfg.Addrs, PollPeriod: 2})
-	if _, err := cold.RestoreCheckpoint(bytes.NewReader(v1.Bytes())); err == nil {
-		t.Fatal("v1 checkpoint restored")
+	if _, err := cold.RestoreCheckpoint(bytes.NewReader(v2.Bytes())); err == nil {
+		t.Fatal("v2 checkpoint restored")
 	}
 	if err := cold.Start(); err != nil {
 		t.Fatal(err)
@@ -294,24 +305,7 @@ func TestCheckpointRejection(t *testing.T) {
 			dump.State.Channels[k] = append(dump.State.Channels[k], poison)
 			break
 		}
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		enc.Encode(&checkpointHeader{Magic: checkpointMagic, Version: CheckpointVersion})
-		if err := enc.Encode(&dump); err != nil {
-			t.Fatal(err)
-		}
-		expectErr(name, buf.Bytes(), "corrupt checkpoint")
-	}
-
-	// Bit-flip corruption inside the dump body.
-	flipped := append([]byte(nil), ckpt...)
-	flipped[len(flipped)/2] ^= 0xff
-	col := fresh()
-	if _, err := col.RestoreCheckpoint(bytes.NewReader(flipped)); err == nil {
-		// A single flipped byte may survive gob decoding (it can land in
-		// sample payload); only structural corruption must error. But it
-		// must never panic — reaching here at all is the assertion.
-		t.Log("bit flip decoded cleanly (landed in payload)")
+		expectErr(name, file(CheckpointVersion, &dump), "corrupt checkpoint")
 	}
 }
 

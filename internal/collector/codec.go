@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/stats"
@@ -11,22 +13,26 @@ import (
 )
 
 // The wire layout, version wireVersion: a hand-written binary encoding
-// of the muxFrame envelope (mux.go) and everything that hangs off it.
-// This file is the whole format; frame.go adds the length prefix and
-// the version byte in front, stateblob.go the three cold state bodies
-// that still travel as a gob blob.
+// of the muxFrame envelope (mux.go) and everything that hangs off it,
+// including the three state bodies — feed payload, region summary and
+// telemetry snapshot — of which checkpoint and history files write the
+// feed behind a file header (checkpoint.go). This file is the whole
+// format; frame.go adds the length prefix and the version byte in front.
 //
 // Primitives
 //
 //	uvarint, varint  encoding/binary's variable-length integers
 //	f64              math.Float64bits, 8 bytes big-endian, so NaN
 //	                 payloads, -0 and ±Inf arrive bit for bit
+//	f64r             math.Float64bits byte-reversed, as a uvarint (gob's
+//	                 float rule): every bit, and a round poll time or
+//	                 rate takes 2–4 bytes
 //	string           uvarint length, then the bytes
 //	list             uvarint count, then the elements
+//	map              uvarint 0 for a nil map, else 1+count, then the
+//	                 entries, key first; a repeated key is an error
 //	flags            one byte; a bit this version does not define is
 //	                 an error
-//	blob             4-byte big-endian length, then a self-contained
-//	                 gob stream (stateblob.go)
 //
 // Every field below is always present and in this order; "?" marks a
 // body that is present only when its flag bit is set.
@@ -46,14 +52,13 @@ import (
 //	kind      one byte: 0 summary, 1 window, 2 age (ReadKind)
 //	response  flags{Leader,Topo,Telemetry,Matrix,Read}, varint Code,
 //	          string Err, f64 RetryAfterMS, string LeaderHint,
-//	          uvarint Term, health Health, ?topo, ?blob Telemetry,
-//	          ?matrix, ?readans
+//	          uvarint Term, health Health, ?topo, ?telemetry, ?matrix,
+//	          ?readans
 //	stat      f64 Min, Q1, Median, Q3, Max, Accuracy, varint Samples,
 //	          f64 Age
-//	sample    f64 Time, f64 Value
-//	health    uvarint 0 for a nil map, else 1+count, then per agent:
-//	          string id, varint State, varint ConsecutiveFailures,
-//	          f64 LastSuccess, LastAttempt, NextAttempt, uvarint Skipped
+//	sample    f64r Time, f64r Value
+//	health    map<string id, varint State, varint ConsecutiveFailures,
+//	          f64 LastSuccess, LastAttempt, NextAttempt, uvarint Skipped>
 //	topo      list<node>, list<link>, f64 DiscoveredAt
 //	node      string ID, varint Kind, f64 InternalBW, ComputePower,
 //	          MemoryBytes
@@ -71,12 +76,33 @@ import (
 //	          are the channels, the rest the hosts
 //	update    flags{Overflowed,Resync,Final,TopoChanged,Feed,Summary},
 //	          uvarint Seq, uvarint Epoch, uvarint Term, stat Stat,
-//	          string Err, ?blob Feed, ?blob Summary
+//	          string Err, ?feed, ?summary
+//
+// The state bodies:
+//
+//	feed      uvarint Epoch, flags{Full,Topo}, f64 Now, HalfLife,
+//	          varint WindowLen, f64 WindowAge, PollPeriod, uvarint Term,
+//	          ?topo, map<key, f64> Capacity, map<key, list<sample>>
+//	          Channels, map<string, list<sample>> Loads, health Health
+//	summary   string Region, uvarint Epoch, Term, f64 GeneratedAt,
+//	          MaxDataAge, list<string ID, f64 Power, MemoryBytes,
+//	          AccessBps, AvailableBps> Hosts, list<string ID,
+//	          f64 InteriorBps> Borders, list<string Peer, varint Links,
+//	          f64 CapacityBps, AvailableBps, varint HopCount,
+//	          f64 LatencySec> Pairs
+//	telemetry map<string, uvarint> Counters, map<string, f64> Gauges,
+//	          map<string, stat Stat, uvarint Count, varint Window>
+//	          Quantiles, list<span> Spans, uvarint SpansStarted,
+//	          SpansFinished
+//	span      string Trace, Name, varint Start's Unix seconds, uvarint
+//	          its nanoseconds (< 1e9), varint Duration, map<string,
+//	          string> Attrs
 //
 // Decoding reproduces what the gob format it replaced produced: an
 // empty string, list or row decodes to the zero value (nil), a nil map
 // stays nil and an empty one stays empty, an unset body stays a nil
-// pointer.
+// pointer. Unlike gob it keeps a -0 field's sign, and a span's Start
+// comes back without its monotonic reading or zone (time.Unix).
 //
 // Allocation rule: a count is checked against the bytes left in the
 // frame (at the element's minimum encoded size) before anything is
@@ -118,19 +144,17 @@ func appendMuxFrame(b []byte, f *muxFrame) ([]byte, error) {
 	b = binary.AppendUvarint(b, f.Stream)
 	b = appendInt(b, f.Kind)
 	b = append(b, flagBits(f.Req != nil, f.Resp != nil, f.Update != nil))
-	var err error
 	if f.Req != nil {
 		b = appendRequest(b, f.Req)
 	}
 	if f.Resp != nil {
+		var err error
 		if b, err = appendResponse(b, f.Resp); err != nil {
 			return b, err
 		}
 	}
 	if f.Update != nil {
-		if b, err = appendUpdate(b, f.Update); err != nil {
-			return b, err
-		}
+		b = appendUpdate(b, f.Update)
 	}
 	return b, nil
 }
@@ -200,46 +224,12 @@ func appendResponse(b []byte, r *response) ([]byte, error) {
 	b = appendF64(b, r.RetryAfterMS)
 	b = appendString(b, r.LeaderHint)
 	b = binary.AppendUvarint(b, r.Term)
-	if r.Health == nil {
-		b = append(b, 0)
-	} else {
-		b = binary.AppendUvarint(b, uint64(len(r.Health))+1)
-		for id, h := range r.Health {
-			b = appendString(b, id)
-			b = appendInt(b, int(h.State))
-			b = appendInt(b, h.ConsecutiveFailures)
-			b = appendF64(b, h.LastSuccess)
-			b = appendF64(b, h.LastAttempt)
-			b = appendF64(b, h.NextAttempt)
-			b = binary.AppendUvarint(b, h.Skipped)
-		}
-	}
-	if t := r.Topo; t != nil {
-		b = binary.AppendUvarint(b, uint64(len(t.Nodes)))
-		for i := range t.Nodes {
-			n := &t.Nodes[i]
-			b = appendString(b, n.ID)
-			b = appendInt(b, n.Kind)
-			b = appendF64(b, n.InternalBW)
-			b = appendF64(b, n.ComputePower)
-			b = appendF64(b, n.MemoryBytes)
-		}
-		b = binary.AppendUvarint(b, uint64(len(t.Links)))
-		for i := range t.Links {
-			l := &t.Links[i]
-			b = appendString(b, l.A)
-			b = appendString(b, l.B)
-			b = appendF64(b, l.Capacity)
-			b = appendF64(b, l.Latency)
-			b = appendInt(b, l.Global)
-		}
-		b = appendF64(b, t.DiscoveredAt)
+	b = appendHealth(b, r.Health)
+	if r.Topo != nil {
+		b = appendTopo(b, r.Topo)
 	}
 	if r.Telemetry != nil {
-		var err error
-		if b, err = appendStateBlob(b, r.Telemetry); err != nil {
-			return b, err
-		}
+		b = appendTelemetry(b, r.Telemetry)
 	}
 	if m := r.Matrix; m != nil {
 		b = appendF64Rows(b, m.Bandwidth)
@@ -287,14 +277,6 @@ func appendResponse(b []byte, r *response) ([]byte, error) {
 	return b, nil
 }
 
-func appendSamples(b []byte, samples []stats.Sample) []byte {
-	b = binary.AppendUvarint(b, uint64(len(samples)))
-	for _, s := range samples {
-		b = appendF64(appendF64(b, s.Time), s.Value)
-	}
-	return b
-}
-
 func appendF64Rows(b []byte, rows [][]float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rows)))
 	for _, row := range rows {
@@ -306,25 +288,131 @@ func appendF64Rows(b []byte, rows [][]float64) []byte {
 	return b
 }
 
-func appendUpdate(b []byte, u *WatchUpdate) ([]byte, error) {
+func appendUpdate(b []byte, u *WatchUpdate) []byte {
 	b = append(b, flagBits(u.Overflowed, u.Resync, u.Final, u.TopoChanged, u.Feed != nil, u.Summary != nil))
 	b = binary.AppendUvarint(b, u.Seq)
 	b = binary.AppendUvarint(b, u.Epoch)
 	b = binary.AppendUvarint(b, u.Term)
 	b = appendStat(b, &u.Stat)
 	b = appendString(b, u.Err)
-	var err error
 	if u.Feed != nil {
-		if b, err = appendStateBlob(b, u.Feed); err != nil {
-			return b, err
-		}
+		b = AppendFeedPayload(b, u.Feed)
 	}
 	if u.Summary != nil {
-		if b, err = appendStateBlob(b, u.Summary); err != nil {
-			return b, err
-		}
+		b = appendSummary(b, u.Summary)
 	}
-	return b, nil
+	return b
+}
+
+// appendList writes a list, each element by elem.
+func appendList[T any](b []byte, list []T, elem func([]byte, *T) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(list)))
+	for i := range list {
+		b = elem(b, &list[i])
+	}
+	return b
+}
+
+func appendF64s(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = appendF64(b, v)
+	}
+	return b
+}
+
+// appendMap writes m under the map rule, each entry by entry.
+func appendMap[K comparable, V any](b []byte, m map[K]V, entry func([]byte, K, V) []byte) []byte {
+	if m == nil {
+		return append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m))+1)
+	for k, v := range m {
+		b = entry(b, k, v)
+	}
+	return b
+}
+
+func appendHealth(b []byte, m map[string]AgentHealth) []byte {
+	return appendMap(b, m, func(b []byte, id string, h AgentHealth) []byte {
+		b = appendInt(appendInt(appendString(b, id), int(h.State)), h.ConsecutiveFailures)
+		return binary.AppendUvarint(appendF64s(b, h.LastSuccess, h.LastAttempt, h.NextAttempt), h.Skipped)
+	})
+}
+
+func appendTopo(b []byte, t *WireTopo) []byte {
+	b = appendList(b, t.Nodes, func(b []byte, n *WireNode) []byte {
+		return appendF64s(appendInt(appendString(b, n.ID), n.Kind), n.InternalBW, n.ComputePower, n.MemoryBytes)
+	})
+	b = appendList(b, t.Links, func(b []byte, l *WireLink) []byte {
+		return appendInt(appendF64s(appendString(appendString(b, l.A), l.B), l.Capacity, l.Latency), l.Global)
+	})
+	return appendF64(b, t.DiscoveredAt)
+}
+
+// AppendFeedPayload appends p's body in the wire layout ("feed" above):
+// the form a feed update, a checkpoint and a history file carry it in.
+func AppendFeedPayload(b []byte, p *FeedPayload) []byte {
+	b = append(binary.AppendUvarint(b, p.Epoch), flagBits(p.Full, p.Topo != nil))
+	b = appendInt(appendF64s(b, p.Now, p.HalfLife), p.WindowLen)
+	b = binary.AppendUvarint(appendF64s(b, p.WindowAge, p.PollPeriod), p.Term)
+	if p.Topo != nil {
+		b = appendTopo(b, p.Topo)
+	}
+	b = appendMap(b, p.Capacity, func(b []byte, k ChannelKey, v float64) []byte { return appendF64(appendKey(b, k), v) })
+	b = appendMap(b, p.Channels, func(b []byte, k ChannelKey, s []stats.Sample) []byte {
+		return appendSamples(appendKey(b, k), s)
+	})
+	b = appendMap(b, p.Loads, func(b []byte, node string, s []stats.Sample) []byte {
+		return appendSamples(appendString(b, node), s)
+	})
+	return appendHealth(b, p.Health)
+}
+
+func appendF64r(b []byte, v float64) []byte {
+	return binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(v)))
+}
+
+func appendSamples(b []byte, samples []stats.Sample) []byte {
+	b = binary.AppendUvarint(b, uint64(len(samples)))
+	for _, s := range samples {
+		b = appendF64r(appendF64r(b, s.Time), s.Value)
+	}
+	return b
+}
+
+func appendSummary(b []byte, s *RegionSummary) []byte {
+	b = binary.AppendUvarint(binary.AppendUvarint(appendString(b, s.Region), s.Epoch), s.Term)
+	b = appendF64s(b, s.GeneratedAt, s.MaxDataAge)
+	b = appendList(b, s.Hosts, func(b []byte, h *RegionHost) []byte {
+		return appendF64s(appendString(b, h.ID), h.Power, h.MemoryBytes, h.AccessBps, h.AvailableBps)
+	})
+	b = appendList(b, s.Borders, func(b []byte, br *RegionBorder) []byte {
+		return appendF64(appendString(b, br.ID), br.InteriorBps)
+	})
+	return appendList(b, s.Pairs, func(b []byte, p *RegionPair) []byte {
+		b = appendF64s(appendInt(appendString(b, p.Peer), p.Links), p.CapacityBps, p.AvailableBps)
+		return appendF64(appendInt(b, p.HopCount), p.LatencySec)
+	})
+}
+
+func appendTelemetry(b []byte, s *telemetry.Snapshot) []byte {
+	b = appendMap(b, s.Counters, func(b []byte, name string, v uint64) []byte {
+		return binary.AppendUvarint(appendString(b, name), v)
+	})
+	b = appendMap(b, s.Gauges, func(b []byte, name string, v float64) []byte {
+		return appendF64(appendString(b, name), v)
+	})
+	b = appendMap(b, s.Quantiles, func(b []byte, name string, q telemetry.QuantileSnapshot) []byte {
+		b = appendStat(appendString(b, name), &q.Stat)
+		return appendInt(binary.AppendUvarint(b, q.Count), q.Window)
+	})
+	b = appendList(b, s.Spans, func(b []byte, sp *telemetry.SpanRecord) []byte {
+		b = binary.AppendVarint(appendString(appendString(b, sp.Trace), sp.Name), sp.Start.Unix())
+		b = binary.AppendVarint(binary.AppendUvarint(b, uint64(sp.Start.Nanosecond())), int64(sp.Duration))
+		return appendMap(b, sp.Attrs, func(b []byte, k, v string) []byte { return appendString(appendString(b, k), v) })
+	})
+	b = binary.AppendUvarint(b, s.SpansStarted)
+	return binary.AppendUvarint(b, s.SpansFinished)
 }
 
 // ---- decoding ----
@@ -365,13 +453,22 @@ func (d *wireDec) uvarint() uint64 {
 	return v
 }
 
-func (d *wireDec) int() int {
+func (d *wireDec) varint() int64 {
 	v, n := binary.Varint(d.b)
-	if n <= 0 || int64(int(v)) != v {
+	if n <= 0 {
 		d.fail("bad varint")
 		return 0
 	}
 	d.b = d.b[n:]
+	return v
+}
+
+func (d *wireDec) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail("varint overflows int")
+		return 0
+	}
 	return int(v)
 }
 
@@ -381,6 +478,8 @@ func (d *wireDec) f64() float64 {
 	}
 	return 0
 }
+
+func (d *wireDec) f64r() float64 { return math.Float64frombits(bits.ReverseBytes64(d.uvarint())) }
 
 // flags reads a flag byte and rejects bits beyond the defined ones.
 func (d *wireDec) flags(defined int) byte {
@@ -440,8 +539,14 @@ func decodeMuxFrame(payload []byte, f *muxFrame) error {
 	if has&4 != 0 {
 		f.Update = d.update()
 	}
+	return d.done("frame")
+}
+
+// done fails a decode that left bytes over after its what, and returns
+// the decode's error.
+func (d *wireDec) done(what string) error {
 	if d.err == nil && len(d.b) != 0 {
-		d.fail("bytes left over after the frame")
+		d.fail("bytes left over after the " + what)
 	}
 	return d.err
 }
@@ -554,11 +659,13 @@ func (d *wireDec) stat() stats.Stat {
 
 // Minimum encoded sizes of the list elements, for count.
 const (
-	keyWireSize    = 2              // two varints
-	sampleWireSize = 16             // two f64
-	healthWireMin  = 1 + 2 + 24 + 1 // id length, two varints, three f64, uvarint
-	nodeWireMin    = 1 + 1 + 24     // id length, varint, three f64
-	linkWireMin    = 2 + 16 + 1     // two lengths, two f64, varint
+	keyWireSize   = 2              // two varints
+	sampleWireMin = 2              // two f64r
+	statWireSize  = 7*8 + 1        // seven f64, varint
+	healthWireMin = 1 + 2 + 24 + 1 // id length, two varints, three f64, uvarint
+	nodeWireMin   = 1 + 1 + 24     // id length, varint, three f64
+	linkWireMin   = 2 + 16 + 1     // two lengths, two f64, varint
+	spanWireMin   = 2 + 3 + 1      // two lengths, three varints, a nil map
 )
 
 func (d *wireDec) response() *response {
@@ -572,43 +679,12 @@ func (d *wireDec) response() *response {
 	}
 	r.Leader = has&1 != 0
 	r.Code, r.Err, r.RetryAfterMS, r.LeaderHint, r.Term = d.int(), d.str(), d.f64(), d.str(), d.uvarint()
-	if n := d.uvarint(); n > 0 {
-		agents := d.bounded(n-1, healthWireMin)
-		r.Health = make(map[string]AgentHealth, agents)
-		for i := 0; i < agents; i++ {
-			id := d.str()
-			r.Health[id] = AgentHealth{
-				State:               HealthState(d.int()),
-				ConsecutiveFailures: d.int(),
-				LastSuccess:         d.f64(),
-				LastAttempt:         d.f64(),
-				NextAttempt:         d.f64(),
-				Skipped:             d.uvarint(),
-			}
-		}
-	}
+	r.Health = d.health()
 	if has&2 != 0 {
-		t := &WireTopo{}
-		if n := d.count(nodeWireMin); n > 0 {
-			t.Nodes = make([]WireNode, n)
-			for i := range t.Nodes {
-				t.Nodes[i] = WireNode{ID: d.str(), Kind: d.int(),
-					InternalBW: d.f64(), ComputePower: d.f64(), MemoryBytes: d.f64()}
-			}
-		}
-		if n := d.count(linkWireMin); n > 0 {
-			t.Links = make([]WireLink, n)
-			for i := range t.Links {
-				t.Links[i] = WireLink{A: d.str(), B: d.str(),
-					Capacity: d.f64(), Latency: d.f64(), Global: d.int()}
-			}
-		}
-		t.DiscoveredAt = d.f64()
-		r.Topo = t
+		r.Topo = d.topo()
 	}
 	if has&4 != 0 {
-		r.Telemetry = new(telemetry.Snapshot)
-		d.stateBlob(r.Telemetry)
+		r.Telemetry = d.telemetry()
 	}
 	if has&8 != 0 {
 		r.Matrix = &MatrixAnswer{
@@ -661,12 +737,7 @@ func (d *wireDec) entry(e *ReadEntry, key bool, of ReadKind) bool {
 	case !key || of == ReadSummary:
 		e.Stat = d.stat()
 	case of == ReadWindow:
-		if n := d.count(sampleWireSize); n > 0 {
-			e.Window = make([]stats.Sample, n)
-			for i := range e.Window {
-				e.Window[i] = stats.Sample{Time: d.f64(), Value: d.f64()}
-			}
-		}
+		e.Window = d.samples()
 		e.Age = d.f64()
 	default:
 		e.Age = d.f64()
@@ -754,12 +825,139 @@ func (d *wireDec) update() *WatchUpdate {
 		Err:         d.str(),
 	}
 	if has&16 != 0 {
-		u.Feed = new(FeedPayload)
-		d.stateBlob(u.Feed)
+		u.Feed = d.feed()
 	}
 	if has&32 != 0 {
-		u.Summary = new(RegionSummary)
-		d.stateBlob(u.Summary)
+		u.Summary = d.summary()
 	}
 	return u
+}
+
+// readMap decodes a map under the map rule, each entry, of at least
+// minSize bytes, by entry.
+func readMap[K comparable, V any](d *wireDec, minSize int, entry func() (K, V)) map[K]V {
+	n := d.uvarint()
+	if n == 0 {
+		return nil
+	}
+	return fillMap(d, d.bounded(n-1, minSize), entry)
+}
+
+// fillMap decodes count entries, already checked against the bytes
+// that remain, into a new map.
+func fillMap[K comparable, V any](d *wireDec, count int, entry func() (K, V)) map[K]V {
+	m := make(map[K]V, count)
+	for i := 0; i < count && d.err == nil; i++ {
+		k, v := entry()
+		if m[k] = v; len(m) != i+1 {
+			d.fail("repeated map key")
+		}
+	}
+	return m
+}
+
+// readList decodes a list, each element, of at least minSize bytes, by
+// elem.
+func readList[T any](d *wireDec, minSize int, elem func() T) []T {
+	n := d.count(minSize)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = elem()
+	}
+	return out
+}
+
+func (d *wireDec) health() map[string]AgentHealth {
+	return readMap(d, healthWireMin, func() (string, AgentHealth) {
+		return d.str(), AgentHealth{State: HealthState(d.int()), ConsecutiveFailures: d.int(),
+			LastSuccess: d.f64(), LastAttempt: d.f64(), NextAttempt: d.f64(), Skipped: d.uvarint()}
+	})
+}
+
+func (d *wireDec) topo() *WireTopo {
+	return &WireTopo{
+		Nodes: readList(d, nodeWireMin, func() WireNode {
+			return WireNode{ID: d.str(), Kind: d.int(), InternalBW: d.f64(), ComputePower: d.f64(), MemoryBytes: d.f64()}
+		}),
+		Links: readList(d, linkWireMin, func() WireLink {
+			return WireLink{A: d.str(), B: d.str(), Capacity: d.f64(), Latency: d.f64(), Global: d.int()}
+		}),
+		DiscoveredAt: d.f64(),
+	}
+}
+
+// DecodeFeedPayload decodes one body AppendFeedPayload wrote, all of b
+// and nothing else.
+func DecodeFeedPayload(b []byte) (*FeedPayload, error) {
+	d := wireDec{b: b}
+	p := d.feed()
+	return p, d.done("feed payload")
+}
+
+func (d *wireDec) feed() *FeedPayload {
+	p := &FeedPayload{Epoch: d.uvarint()}
+	has := d.flags(2)
+	p.Full = has&1 != 0
+	p.Now, p.HalfLife, p.WindowLen = d.f64(), d.f64(), d.int()
+	p.WindowAge, p.PollPeriod, p.Term = d.f64(), d.f64(), d.uvarint()
+	if has&2 != 0 {
+		p.Topo = d.topo()
+	}
+	p.Capacity = readMap(d, keyWireSize+8, func() (ChannelKey, float64) { return d.key(), d.f64() })
+	p.Channels = readMap(d, keyWireSize+1, func() (ChannelKey, []stats.Sample) { return d.key(), d.samples() })
+	p.Loads = readMap(d, 2, func() (string, []stats.Sample) { return d.str(), d.samples() })
+	p.Health = d.health()
+	return p
+}
+
+// samples decodes a list of samples (the "sample" row above).
+func (d *wireDec) samples() []stats.Sample {
+	n := d.count(sampleWireMin)
+	if n == 0 {
+		return nil
+	}
+	s := make([]stats.Sample, n)
+	for i := range s {
+		s[i] = stats.Sample{Time: d.f64r(), Value: d.f64r()}
+	}
+	return s
+}
+
+func (d *wireDec) summary() *RegionSummary {
+	return &RegionSummary{Region: d.str(), Epoch: d.uvarint(), Term: d.uvarint(),
+		GeneratedAt: d.f64(), MaxDataAge: d.f64(),
+		Hosts: readList(d, 1+32, func() RegionHost {
+			return RegionHost{ID: d.str(), Power: d.f64(), MemoryBytes: d.f64(), AccessBps: d.f64(), AvailableBps: d.f64()}
+		}),
+		Borders: readList(d, 1+8, func() RegionBorder { return RegionBorder{ID: d.str(), InteriorBps: d.f64()} }),
+		Pairs: readList(d, 1+1+16+1+8, func() RegionPair {
+			return RegionPair{Peer: d.str(), Links: d.int(), CapacityBps: d.f64(), AvailableBps: d.f64(),
+				HopCount: d.int(), LatencySec: d.f64()}
+		}),
+	}
+}
+
+func (d *wireDec) telemetry() *telemetry.Snapshot {
+	return &telemetry.Snapshot{
+		Counters: readMap(d, 2, func() (string, uint64) { return d.str(), d.uvarint() }),
+		Gauges:   readMap(d, 1+8, func() (string, float64) { return d.str(), d.f64() }),
+		Quantiles: readMap(d, 1+statWireSize+2, func() (string, telemetry.QuantileSnapshot) {
+			return d.str(), telemetry.QuantileSnapshot{Stat: d.stat(), Count: d.uvarint(), Window: d.int()}
+		}),
+		Spans:         readList(d, spanWireMin, d.span),
+		SpansStarted:  d.uvarint(),
+		SpansFinished: d.uvarint(),
+	}
+}
+
+func (d *wireDec) span() telemetry.SpanRecord {
+	trace, name, sec, nsec := d.str(), d.str(), d.varint(), d.uvarint()
+	if nsec >= 1e9 {
+		d.fail("span start nanoseconds out of range")
+	}
+	return telemetry.SpanRecord{Trace: trace, Name: name, Start: time.Unix(sec, int64(nsec)),
+		Duration: time.Duration(d.varint()), Attrs: readMap(d, 2, func() (string, string) { return d.str(), d.str() })}
 }

@@ -2,25 +2,31 @@ package collector
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/topogen"
+	"repro/internal/traffic"
 )
 
 // diffWire reports where a and b differ, or "" when they are the same
 // wire value. Floats compare by their bits, so a NaN equals the same
 // NaN; with gobZero set, -0 also equals +0, because gob omits a struct
 // field that compares equal to zero and so turns -0 into +0. Nil and
-// empty are different, as in reflect.DeepEqual.
+// empty are different, as in reflect.DeepEqual. Unexported fields do
+// not cross the wire and are not compared.
 func diffWire(a, b reflect.Value, gobZero bool, path string) string {
 	if a.Type() != b.Type() {
 		return fmt.Sprintf("%s: types %s and %s", path, a.Type(), b.Type())
@@ -46,6 +52,9 @@ func diffWire(a, b reflect.Value, gobZero bool, path string) string {
 		}
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
+			if !a.Type().Field(i).IsExported() {
+				continue // not on the wire
+			}
 			if d := diffWire(a.Field(i), b.Field(i), gobZero, path+"."+a.Type().Field(i).Name); d != "" {
 				return d
 			}
@@ -365,12 +374,94 @@ func (g frameGen) frame() *muxFrame {
 	return f
 }
 
+// hierRig is a collector over the benchmark's hier-300 network
+// (topogen hier N=300 Seed=11, 264 hosts) carrying its twelve on/off
+// flows, polled every 2 s for the given number of rounds.
+func hierRig(t testing.TB, rounds int) *rig {
+	t.Helper()
+	tp, err := topogen.Generate(topogen.Spec{Kind: topogen.KindHier, N: 300, Seed: 11, Regions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRigOn(t, tp.Graph, 2)
+	if err := r.col.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var hosts []graph.NodeID
+	for _, id := range tp.Graph.Nodes() {
+		if tp.Graph.Node(id).Kind == graph.Compute {
+			hosts = append(hosts, id)
+		}
+	}
+	for i, n := 0, len(hosts); i < 12; i++ {
+		traffic.OnOff(r.net, hosts[(i*5)%n], hosts[(i*5+n/2)%n], traffic.OnOffConfig{
+			Rate: float64(20+10*(i%3)) * 1e6, MeanOn: 6, MeanOff: 4, Seed: int64(100 + i)})
+	}
+	r.clk.Advance(float64(2 * rounds))
+	return r
+}
+
+// feedPair returns a rig's Full payload and the delta one more poll
+// round adds to it.
+func feedPair(t testing.TB, r *rig) (full, delta *FeedPayload) {
+	t.Helper()
+	cur := &FeedCursor{}
+	full, err := r.col.FeedSince(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(2)
+	if delta, err = r.col.FeedSince(cur); err != nil || delta == nil || delta.Full {
+		t.Fatalf("feed delta = %+v, %v", delta, err)
+	}
+	return full, delta
+}
+
+func feedFrame(p *FeedPayload) *muxFrame {
+	return &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: p.Epoch, Feed: p}}
+}
+
+// liveSnapshot is a real registry's snapshot: counters, a gauge, a
+// quantile, and finished spans with and without attributes.
+func liveSnapshot() *telemetry.Snapshot {
+	reg := telemetry.NewRegistry()
+	reg.Counter("server.op.read").Add(41)
+	reg.Gauge("server.conns").Set(3)
+	for i := 0; i < 20; i++ {
+		reg.Quantile("server.handler_ms", 0).Observe(float64(i) / 7)
+	}
+	sp := reg.StartSpan("t-1", "rpc.read")
+	sp.SetAttr("verdict", "admitted")
+	sp.SetAttr("queue_wait_us", "12")
+	sp.Finish()
+	reg.StartSpan("t-2", "rpc.topo").Finish()
+	snap := reg.Snapshot()
+	return &snap
+}
+
 // TestCodecMatchesGob is the differential test of the wire codec: for
-// seeded frames of every shape, what the codec decodes must be what a
-// gob stream of the same frame decoded to — including gob's
-// nil-for-empty normalisation, which callers rely on.
+// seeded frames of every shape, real fig3 and hier-300 feed payloads
+// (Full and delta) and a real telemetry snapshot, what the codec
+// decodes must be what a gob stream of the same frame decoded to —
+// including gob's nil-for-empty normalisation of lists, which callers
+// rely on. (A federation region summary is checked the same way in
+// internal/federation, which this package cannot import.) The known
+// differences, which diffWire forgives:
+//   - -0: gob sends a zero struct field as nothing, so a -0 field
+//     arrives as +0 (a -0 map value keeps its sign); the codec keeps
+//     every sign (gobZero).
+//   - span Start: gob goes through time.MarshalBinary, the codec
+//     through Unix seconds and nanoseconds, so the two decode to the
+//     same instant in different zones, both without a monotonic
+//     reading; times compare with Equal.
+//   - nil vs empty map: none for these types. Both keep a nil map nil
+//     and an empty one empty; gob would turn a nil map that is itself a
+//     map value or list element into an empty one, and no type here
+//     has such a map.
 func TestCodecMatchesGob(t *testing.T) {
 	g := frameGen{rand.New(rand.NewSource(12))}
+	fig3Full, fig3Delta := feedPair(t, feedRig(t))
+	hierFull, hierDelta := feedPair(t, hierRig(t, 20))
 	frames := []*muxFrame{
 		{}, {Kind: mfRequest, Req: &request{}}, {Kind: mfResponse, Resp: &response{}},
 		{Kind: mfUpdate, Update: &WatchUpdate{}},
@@ -378,6 +469,11 @@ func TestCodecMatchesGob(t *testing.T) {
 		reqFrame(&request{Op: "read", Watch: &WatchRequest{}, Matrix: &MatrixRequest{}, Read: &ReadRequest{}}),
 		// The biggest topology a default frame carries.
 		respFrame(&response{Topo: g.topo(40000, 50000)}),
+		feedFrame(fig3Full), feedFrame(fig3Delta), feedFrame(hierFull), feedFrame(hierDelta),
+		feedFrame(&FeedPayload{Topo: &WireTopo{}, Capacity: map[ChannelKey]float64{{Global: 1}: math.Copysign(0, -1)},
+			Channels: map[ChannelKey][]stats.Sample{{Global: 1}: {}, {Global: 2}: nil},
+			Loads:    map[string][]stats.Sample{}, Health: map[string]AgentHealth{}}),
+		respFrame(&response{Telemetry: liveSnapshot()}),
 	}
 	for i := 0; i < 3000; i++ {
 		frames = append(frames, g.frame())
@@ -394,6 +490,46 @@ func TestCodecMatchesGob(t *testing.T) {
 		if d := diffWire(reflect.ValueOf(got), reflect.ValueOf(want), true, "frame"); d != "" {
 			t.Fatalf("frame %d: codec and gob disagree at %s\nsent %+v", i, d, f)
 		}
+	}
+}
+
+// TestFullFeedFitsFrame: a hier-300 Full payload with full 512-sample
+// windows, the biggest feed update the benchmark's network sends,
+// encodes to no more bytes than gob makes of it and fits a default
+// frame. It guards the f64r sample rule: with 8-byte floats the same
+// payload is 7.6 MB, 2.6 times gob's 2.9 MB, and does not fit.
+func TestFullFeedFitsFrame(t *testing.T) {
+	full, err := hierRig(t, 512).col.FeedSince(&FeedCursor{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, w := range full.Channels {
+		if len(w) != 512 {
+			t.Fatalf("channel %v holds %d samples, want a full window of 512", k, len(w))
+		}
+	}
+	var wire, gobbed bytes.Buffer
+	if err := writeFrame(&wire, feedFrame(full), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&gobbed).Encode(full); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Len() > gobbed.Len() {
+		t.Fatalf("the Full payload's frame is %d bytes, gob makes %d of it", wire.Len(), gobbed.Len())
+	}
+	t.Logf("Full hier-300 payload: frame %d bytes, gob %d bytes, frame cap %d", wire.Len(), gobbed.Len(), DefaultMaxFrame)
+}
+
+// TestStateBodyRejectsRepeatedKey: a map that names a key twice does
+// not decode, where gob kept the last value.
+func TestStateBodyRejectsRepeatedKey(t *testing.T) {
+	entry := appendHealth(nil, map[string]AgentHealth{"m-1": {LastSuccess: 4}})[1:] // without its count
+	body := AppendFeedPayload(nil, &FeedPayload{})
+	body[len(body)-1] = 1 + 2 // the nil health map becomes two entries
+	body = append(append(body, entry...), entry...)
+	if _, err := DecodeFeedPayload(body); err == nil || !strings.Contains(err.Error(), "repeated map key") {
+		t.Fatalf("a health map naming m-1 twice: err = %v", err)
 	}
 }
 
@@ -542,7 +678,8 @@ func TestReadAnswerShapeChecked(t *testing.T) {
 }
 
 // TestWireVersionIsNotThePreviousOne: a peer still on a layout before
-// this one checks a frame's first payload byte against 0x81 or 0x82, so
+// this one checks a frame's first payload byte against 0x81, 0x82 or
+// 0x83, so
 // a frame from this end fails its version check (ErrWireVersion there),
 // never its decoder.
 func TestWireVersionIsNotThePreviousOne(t *testing.T) {
@@ -550,8 +687,8 @@ func TestWireVersionIsNotThePreviousOne(t *testing.T) {
 	if err := writeFrame(&buf, reqFrame(&request{Op: "read", Read: &ReadRequest{Keys: []ChannelKey{{Global: 1}}}}), 0); err != nil {
 		t.Fatal(err)
 	}
-	if v := buf.Bytes()[4]; v != wireVersion || v == 0x81 || v == 0x82 {
-		t.Fatalf("frames start with version %#x; this end speaks %#x and the previous layouts were 0x81 and 0x82", v, wireVersion)
+	if v := buf.Bytes()[4]; v != wireVersion || v == 0x81 || v == 0x82 || v == 0x83 {
+		t.Fatalf("frames start with version %#x; this end speaks %#x and the previous layouts were 0x81, 0x82 and 0x83", v, wireVersion)
 	}
 }
 
@@ -563,18 +700,25 @@ func BenchmarkFrameCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cur := &FeedCursor{}
-	if _, err := r.col.FeedSince(cur); err != nil {
-		b.Fatal(err)
-	}
-	r.clk.Advance(2)
-	delta, err := r.col.FeedSince(cur)
-	if err != nil || delta == nil || delta.Full {
-		b.Fatalf("feed delta = %+v, %v", delta, err)
-	}
+	_, delta := feedPair(b, r)
+	hier := hierRig(b, 512)
+	hierFull, hierDelta := feedPair(b, hier)
 	key := keyFor(b, topo, "m-6", "timberline")
 	var point ReadAnswer
 	if err := NewReader(r.col).Read(context.Background(), &ReadRequest{Span: 10, Keys: []ChannelKey{key}}, &point); err != nil {
+		b.Fatal(err)
+	}
+	// Twenty-four full 512-sample windows, as a Future query reads them.
+	var keys []ChannelKey
+	for k := range hierFull.Channels {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y ChannelKey) int {
+		return cmp.Or(cmp.Compare(x.Global, y.Global), cmp.Compare(x.Dir, y.Dir))
+	})
+	keys = keys[:24]
+	var windows ReadAnswer
+	if err := NewReader(hier.col).Read(context.Background(), &ReadRequest{Of: ReadWindow, Keys: keys}, &windows); err != nil {
 		b.Fatal(err)
 	}
 	g := frameGen{rand.New(rand.NewSource(1))}
@@ -588,8 +732,11 @@ func BenchmarkFrameCodec(b *testing.B) {
 		{"matrix64", respFrame(&response{Matrix: g.matrix(64, 64, false)})},
 		{"read-notmodified", respFrame(&response{Read: &ReadAnswer{Instance: 1 << 60, Version: 150, DiscoveredAt: 2, NotModified: true}})},
 		{"read-24", respFrame(&response{Read: g.readAnswerOf(ReadSummary, 24)})},
+		{"read-window-24-hier300", respFrame(&response{Read: &windows})},
 		{"update-version", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: 150}}},
-		{"update-feed-delta", &muxFrame{Stream: 3, Kind: mfUpdate, Update: &WatchUpdate{Seq: 9, Epoch: delta.Epoch, Feed: delta}}},
+		{"update-feed-delta", feedFrame(delta)},
+		{"update-feed-delta-hier300", feedFrame(hierDelta)},
+		{"update-feed-full-hier300", feedFrame(hierFull)},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

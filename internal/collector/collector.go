@@ -239,7 +239,7 @@ type Collector struct {
 }
 
 // counterState is one channel's last counter reading. The exported
-// fields are the baseline a checkpoint carries (gob).
+// fields are the baseline a checkpoint carries.
 type counterState struct {
 	At     float64
 	Octets uint32

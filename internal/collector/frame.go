@@ -44,8 +44,10 @@ import (
 // frame of the old format can start with this byte. 0x81 was the layout
 // before the "read" op (readwire.go) added a flag bit to the request and
 // to the response; 0x82 the one that still carried the four scalar
-// measurement ops (util, load, samples, age), which are reads now.
-const wireVersion = 0x83
+// measurement ops (util, load, samples, age), which are reads now; 0x83
+// the one that carried the feed payload, region summary and telemetry
+// snapshot as length-prefixed gob blobs instead of codec.go bodies.
+const wireVersion = 0x84
 
 // DefaultMaxFrame bounds one wire frame in bytes. Topology frames for
 // very large domains are the biggest legitimate messages; 4 MiB covers

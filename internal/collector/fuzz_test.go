@@ -3,9 +3,12 @@ package collector
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/simclock"
 	"repro/internal/stats"
 )
 
@@ -138,4 +141,106 @@ func FuzzReadMuxFrame(f *testing.F) {
 			KeyCount: 1, Entries: []ReadEntry{{Stat: stats.Exact(42e6)}, {Failed: true}}}}),
 	)
 	f.Fuzz(fuzzFrame)
+}
+
+// stateBodyAllocPerByte bounds what a state body or file may allocate
+// per input byte while it is read, beyond a fixed stateBodyAllocFloor.
+// The costliest legal input is a map of empty entries: two or three
+// bytes on the wire against a map slot of 40 bytes, rounded up to a
+// power-of-two table.
+const (
+	stateBodyAllocPerByte = 64
+	stateBodyAllocFloor   = 64 << 10
+)
+
+// allocated reports the bytes fn allocated on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// fuzzStateBody decodes data as one state body. A body that decodes
+// must re-encode and decode to the same value, bit for bit.
+func fuzzStateBody[T any](t *testing.T, name string, data []byte, dec func(*wireDec) T, enc func([]byte, T) []byte) {
+	var v T
+	var err error
+	alloc := allocated(func() {
+		d := wireDec{b: data}
+		v = dec(&d)
+		err = d.done(name)
+	})
+	if limit := stateBodyAllocPerByte*uint64(len(data)) + stateBodyAllocFloor; alloc > limit {
+		t.Fatalf("%s: a %d-byte body allocated %d bytes, over %d", name, len(data), alloc, limit)
+	}
+	if err != nil {
+		return
+	}
+	d := wireDec{b: enc(nil, v)}
+	again := dec(&d)
+	if err := d.done(name); err != nil {
+		t.Fatalf("%s: accepted body does not decode after a re-encode: %v", name, err)
+	}
+	if diff := diffWire(reflect.ValueOf(v), reflect.ValueOf(again), false, name); diff != "" {
+		t.Fatalf("%s: body changed across a re-encode at %s", name, diff)
+	}
+}
+
+// FuzzStateBody feeds arbitrary bytes to the state-body decoders (feed
+// payload, region summary, telemetry snapshot, checkpoint dump) and to
+// the checkpoint and history readers, the readers both as they come
+// and behind a valid header and checksum so the fuzzer reaches their
+// bodies. Nothing may panic or allocate more than a constant times its
+// input; a body that decodes must survive a re-encode unchanged.
+func FuzzStateBody(f *testing.F) {
+	r := feedRig(f)
+	full, delta := feedPair(f, r)
+	for _, p := range []*FeedPayload{full, delta, {}} {
+		f.Add(AppendFeedPayload(nil, p))
+	}
+	f.Add(appendSummary(nil, &RegionSummary{Region: "r0", Epoch: 2, Hosts: []RegionHost{{ID: "h", Power: 1}},
+		Borders: []RegionBorder{{ID: "b", InteriorBps: 1e9}}, Pairs: []RegionPair{{Peer: "r1", Links: 2}}}))
+	f.Add(appendTelemetry(nil, liveSnapshot()))
+	f.Add(appendCheckpoint(nil, &checkpointDump{SavedAt: 40, Polls: 20, Counters: r.col.counters, State: *full}))
+	var ckpt, hist bytes.Buffer
+	if err := r.col.SaveCheckpoint(&ckpt); err != nil {
+		f.Fatal(err)
+	}
+	if err := r.col.SaveHistory(&hist); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt.Bytes())
+	f.Add(hist.Bytes())
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 3, 0, 0, 0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzStateBody(t, "feed payload", data, (*wireDec).feed, AppendFeedPayload)
+		fuzzStateBody(t, "region summary", data, (*wireDec).summary, appendSummary)
+		fuzzStateBody(t, "telemetry snapshot", data, (*wireDec).telemetry, appendTelemetry)
+		fuzzStateBody(t, "checkpoint", data, (*wireDec).checkpoint, appendCheckpoint)
+
+		files := map[string][]byte{"raw": data}
+		for magic, version := range map[string]uint64{checkpointMagic: CheckpointVersion, historyMagic: historyVersion} {
+			files[magic] = appendStateFile(nil, magic, version, func(b []byte) []byte { return append(b, data...) })
+		}
+		for name, file := range files {
+			alloc := allocated(func() {
+				col := New(Config{Clock: simclock.New(), PollPeriod: 2})
+				if _, err := col.RestoreCheckpoint(bytes.NewReader(file)); err != nil {
+					if _, terr := col.Topology(); terr == nil {
+						t.Fatalf("%s: a refused checkpoint left a topology behind", name)
+					}
+				}
+				LoadHistory(bytes.NewReader(file))
+			})
+			// Reading the file (a bufio buffer, a growing body) and
+			// building the state from an accepted one come on top.
+			if limit := 4*stateBodyAllocPerByte*uint64(len(file)) + 4*stateBodyAllocFloor; alloc > limit {
+				t.Fatalf("%s: readers allocated %d bytes for a %d-byte file, over %d", name, alloc, len(file), limit)
+			}
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -17,27 +16,42 @@ import (
 // network it is no longer connected to (post-mortem analysis, capacity
 // planning, tests with recorded traces).
 
+// historyMagic and historyVersion head a history file: a state file
+// (checkpoint.go) whose body is one Full feed payload.
+const (
+	historyMagic   = "REMOS-HIST"
+	historyVersion = 1
+)
+
 // SaveHistory writes the collector's topology and all measurement
-// windows to w: a history file is one gob-encoded Full FeedPayload.
+// windows to w as a history file.
 func (c *Collector) SaveHistory(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.st.topo == nil {
 		return fmt.Errorf("collector: nothing to save before discovery")
 	}
-	return gob.NewEncoder(w).Encode(c.st.Payload())
+	p := c.st.Payload()
+	_, err := w.Write(appendStateFile(nil, historyMagic, historyVersion, func(b []byte) []byte {
+		return AppendFeedPayload(b, p)
+	}))
+	return err
 }
 
 // Replay is a read-only Source backed by a saved history.
 type Replay struct{ st *State }
 
-// LoadHistory reads a dump written by SaveHistory.
+// LoadHistory reads a history file written by SaveHistory.
 func LoadHistory(r io.Reader) (*Replay, error) {
-	var p FeedPayload
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("collector: loading history: %w", err)
+	body, err := readStateFile(r, "history file", historyMagic, historyVersion)
+	if err != nil {
+		return nil, err
 	}
-	st, err := StateFromPayload(&p)
+	p, err := DecodeFeedPayload(body)
+	if err != nil {
+		return nil, fmt.Errorf("collector: corrupt history: %w", err)
+	}
+	st, err := StateFromPayload(p)
 	if err != nil {
 		return nil, fmt.Errorf("collector: corrupt history: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -80,7 +79,7 @@ func TestSaveHistoryBeforeDiscoveryFails(t *testing.T) {
 }
 
 func TestLoadHistoryRejectsGarbage(t *testing.T) {
-	if _, err := LoadHistory(strings.NewReader("not gob")); err == nil {
+	if _, err := LoadHistory(strings.NewReader("not a history file")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := LoadHistory(bytes.NewReader(nil)); err == nil {
@@ -104,35 +103,20 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 	} {
 		p := r.col.st.Payload()
 		p.Channels[k] = append(p.Channels[k], poison)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadHistory(&buf); err == nil {
+		file := appendStateFile(nil, historyMagic, historyVersion, func(b []byte) []byte { return AppendFeedPayload(b, p) })
+		if _, err := LoadHistory(bytes.NewReader(file)); err == nil {
 			t.Fatalf("history with a %s sample accepted", name)
 		}
 	}
 
-	// A dump in the shape SaveHistory wrote before a history file became
-	// a Full FeedPayload still loads: gob matches fields by name.
-	type historyDump struct {
-		Topo     *WireTopo
-		Channels map[ChannelKey][]stats.Sample
-		Capacity map[ChannelKey]float64
-		Loads    map[string][]stats.Sample
-	}
-	cur := r.col.st.Payload()
+	// A history file from before the header — a bare gob Full payload —
+	// is refused with an error that names the format it wants.
 	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(&historyDump{cur.Topo, cur.Channels, cur.Capacity, cur.Loads}); err != nil {
+	if err := gob.NewEncoder(&old).Encode(r.col.st.Payload()); err != nil {
 		t.Fatal(err)
 	}
-	rp, err := LoadHistory(&old)
-	if err != nil {
-		t.Fatalf("history in the previous shape refused: %v", err)
-	}
-	got, err := rp.Samples(k)
-	if want, _ := r.col.Samples(k); err != nil || len(got) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("previous-shape history replays %d samples (%v), collector holds %d", len(got), err, len(want))
+	if _, err := LoadHistory(&old); err == nil || !strings.Contains(err.Error(), "want a REMOS-HIST v1 header") {
+		t.Fatalf("headerless gob history: err = %v, want one naming the REMOS-HIST format", err)
 	}
 }
 

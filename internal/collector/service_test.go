@@ -13,7 +13,7 @@ import (
 )
 
 // TestTCPService exercises the full daemon path: simulated network ->
-// SNMP agents -> collector -> TCP/gob service -> client, over a real
+// SNMP agents -> collector -> TCP service -> client, over a real
 // localhost socket.
 func TestTCPService(t *testing.T) {
 	r := newRig(t, 2)

@@ -1,6 +1,8 @@
 package federation_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -402,6 +404,24 @@ func TestWatchPeerOverWire(t *testing.T) {
 	}
 	if want := len(e.Topo.Hosts(sum.Region)); len(sum.Hosts) != want {
 		t.Fatalf("summary hosts = %d, want %d", len(sum.Hosts), want)
+	}
+	// The codec differential for a real summary: what crossed the wire
+	// is what a gob round trip makes of the region's own summary. The
+	// virtual clock stands still, so both are the same epoch's.
+	local, err := e.Regions[1].RegionSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	viaGob := new(collector.RegionSummary)
+	if err := gob.NewEncoder(&buf).Encode(local); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(viaGob); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sum, viaGob) {
+		t.Fatalf("summary over the wire differs from its gob round trip:\n%+v\n%+v", sum, viaGob)
 	}
 
 	v := federation.NewView(federation.Config{

@@ -258,9 +258,22 @@ func TestStoreApplyRejectsIncoherentPayloads(t *testing.T) {
 		t.Fatal("StateFromPayload accepted a full payload without topology")
 	}
 
+	// A full payload whose link names an undeclared endpoint must fail
+	// with an error, not a panic from the graph package.
+	dangling := *p
+	topo := *p.Topo
+	topo.Links = append([]collector.WireLink{{A: "no-such-node", B: topo.Nodes[0].ID, Capacity: 1e6}}, topo.Links...)
+	dangling.Topo = &topo
+	if _, err := collector.StateFromPayload(&dangling); err == nil {
+		t.Fatal("StateFromPayload accepted a link with an undeclared endpoint")
+	}
+
 	st, err := collector.StateFromPayload(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := st.Extend(&dangling); err == nil {
+		t.Fatal("Extend accepted a link with an undeclared endpoint")
 	}
 
 	// Replaying the same samples again violates per-channel sample

@@ -306,8 +306,8 @@ type QuantileSnapshot struct {
 // Snapshot is a consistent-enough copy of a registry: every instrument
 // is read atomically, though the set as a whole is not a transaction
 // (counters may advance between reads — fine for monitoring). It is a
-// plain data struct so it crosses gob (the collector's `stats` op) and
-// JSON (the debug endpoint) unchanged.
+// plain data struct so it crosses the wire (the collector's `stats` op
+// encodes it field by field) and JSON (the debug endpoint) unchanged.
 type Snapshot struct {
 	Counters  map[string]uint64
 	Gauges    map[string]float64

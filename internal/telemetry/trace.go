@@ -71,7 +71,7 @@ func EnsureTrace(ctx context.Context) (context.Context, string) {
 // SpanRecord is one finished span: what happened to one request at one
 // layer. Attrs carries the layer-specific details (queue wait,
 // admission verdict, replica tried, error class) as strings so the
-// record crosses gob and JSON without a schema per layer.
+// record crosses the wire and JSON without a schema per layer.
 type SpanRecord struct {
 	Trace    string
 	Name     string

@@ -79,9 +79,13 @@ go test -fuzz=FuzzWindowOps -fuzztime=10s -run '^$' ./internal/stats
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzReadMuxFrame -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzDecodeMatrixRequest -fuzztime=10s -run '^$' ./internal/collector
-# FuzzDecodeDelta drives collector.StateFromPayload/Extend, the one path
-# every consumer of a feed payload, checkpoint or history file runs; it
-# lives beside the replica's rig and seed corpus.
+# FuzzStateBody: the feed, summary, telemetry and checkpoint bodies and
+# the checkpoint and history file readers.
+go test -fuzz=FuzzStateBody -fuzztime=10s -run '^$' ./internal/collector
+# FuzzDecodeDelta drives collector.DecodeFeedPayload and
+# StateFromPayload/Extend, the one path every consumer of a feed payload,
+# checkpoint or history file runs; it lives beside the replica's rig and
+# seed corpus.
 go test -fuzz=FuzzDecodeDelta -fuzztime=10s -run '^$' ./internal/replica
 
 echo "==> non-test Go lines per package (ROADMAP aim 2: this number goes down)"
