@@ -575,7 +575,7 @@ func BenchmarkFederatedMerge(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Views[0].Topology(); err != nil {
+		if _, err := e.Views[0].TopologyCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -861,7 +861,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	topo, err := tb.Collector.Topology()
+	topo, err := tb.Collector.TopologyCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

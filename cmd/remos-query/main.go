@@ -46,7 +46,6 @@ import (
 	"strconv"
 	"syscall"
 
-	"repro/internal/collector"
 	"repro/remos"
 )
 
@@ -149,7 +148,7 @@ func main() {
 	case "age":
 		need(args, 3)
 		from, to := remos.NodeID(args[1]), remos.NodeID(args[2])
-		topo, err := collector.CtxTopology(ctx, src)
+		topo, err := src.TopologyCtx(ctx)
 		if err != nil {
 			fatal(err)
 		}

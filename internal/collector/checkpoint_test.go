@@ -61,11 +61,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	col2 := restoreInto(t, ckpt, float64(r.clk.Now()))
 
 	// Topology: identical structure, kinds, capacities, global IDs.
-	t1, err := r.col.Topology()
+	t1, err := r.col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := col2.Topology()
+	t2, err := col2.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
 			k := t1.Key(l, d)
 			for _, span := range []float64{0, 5, 20} {
-				u1, e1 := r.col.Utilization(k, span)
-				u2, e2 := col2.Utilization(k, span)
+				u1, e1 := r.col.UtilizationCtx(context.Background(), k, span)
+				u2, e2 := col2.UtilizationCtx(context.Background(), k, span)
 				if (e1 == nil) != (e2 == nil) {
 					t.Fatalf("util(%v,%v) error mismatch: %v vs %v", k, span, e1, e2)
 				}
@@ -87,13 +87,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 					t.Fatalf("util(%v,%v) = %+v, restored %+v", k, span, u1, u2)
 				}
 			}
-			s1, e1 := r.col.Samples(k)
-			s2, e2 := col2.Samples(k)
+			s1, e1 := r.col.SamplesCtx(context.Background(), k)
+			s2, e2 := col2.SamplesCtx(context.Background(), k)
 			if (e1 == nil) != (e2 == nil) || !reflect.DeepEqual(s1, s2) {
 				t.Fatalf("samples(%v) mismatch", k)
 			}
-			a1, e1 := r.col.DataAge(k)
-			a2, e2 := col2.DataAge(k)
+			a1, e1 := r.col.DataAgeCtx(context.Background(), k)
+			a2, e2 := col2.DataAgeCtx(context.Background(), k)
 			if (e1 == nil) != (e2 == nil) || a1 != a2 {
 				t.Fatalf("age(%v) = %v/%v, restored %v/%v", k, a1, e1, a2, e2)
 			}
@@ -101,11 +101,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Host loads.
-	l1, err := r.col.HostLoad("m-5", 20)
+	l1, err := r.col.HostLoadCtx(context.Background(), "m-5", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := col2.HostLoad("m-5", 20)
+	l2, err := col2.HostLoadCtx(context.Background(), "m-5", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +138,13 @@ func TestCheckpointHonestAges(t *testing.T) {
 	const downtime = 60.0
 	col2 := restoreInto(t, ckpt, saveAt+downtime)
 
-	topo, _ := col2.Topology()
+	topo, _ := col2.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "timberline", "whiteface")
-	ageBefore, err := r.col.DataAge(k)
+	ageBefore, err := r.col.DataAgeCtx(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ageAfter, err := col2.DataAge(k)
+	ageAfter, err := col2.DataAgeCtx(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +153,14 @@ func TestCheckpointHonestAges(t *testing.T) {
 			ageAfter, ageBefore+downtime, ageBefore, downtime)
 	}
 	// The staleness shows up as decayed accuracy too.
-	st, err := col2.Utilization(k, 20)
+	st, err := col2.UtilizationCtx(context.Background(), k, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Age < downtime {
 		t.Fatalf("stat age %v does not include downtime %v", st.Age, downtime)
 	}
-	fresh, _ := r.col.Utilization(k, 20)
+	fresh, _ := r.col.UtilizationCtx(context.Background(), k, 20)
 	if st.Accuracy >= fresh.Accuracy {
 		t.Fatalf("accuracy did not decay across downtime: %v >= %v", st.Accuracy, fresh.Accuracy)
 	}
@@ -192,17 +192,17 @@ func TestWarmStartSkipsDiscovery(t *testing.T) {
 	}
 	// Queries are answerable immediately, and polling still works: new
 	// samples keep arriving on the restored windows.
-	topo2, err := col2.Topology()
+	topo2, err := col2.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := keyFor(t, topo2, "timberline", "whiteface")
-	before, err := col2.Samples(k)
+	before, err := col2.SamplesCtx(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.clk.RunUntil(r.clk.Now() + 10)
-	after, err := col2.Samples(k)
+	after, err := col2.SamplesCtx(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCheckpointRejection(t *testing.T) {
 			t.Fatalf("%s: error %q lacks %q", name, err, wantSub)
 		}
 		// The failed restore must not have half-applied state.
-		if _, terr := col.Topology(); terr == nil {
+		if _, terr := col.TopologyCtx(context.Background()); terr == nil {
 			t.Fatalf("%s: collector has a topology after failed restore", name)
 		}
 	}
@@ -318,34 +318,34 @@ type lockedFeedCol struct {
 	col *Collector
 }
 
-func (l *lockedFeedCol) Topology() (*Topology, error) {
+func (l *lockedFeedCol) TopologyCtx(ctx context.Context) (*Topology, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.col.Topology()
+	return l.col.TopologyCtx(ctx)
 }
 
-func (l *lockedFeedCol) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+func (l *lockedFeedCol) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.col.Utilization(key, span)
+	return l.col.UtilizationCtx(ctx, key, span)
 }
 
-func (l *lockedFeedCol) Samples(key ChannelKey) ([]stats.Sample, error) {
+func (l *lockedFeedCol) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.col.Samples(key)
+	return l.col.SamplesCtx(ctx, key)
 }
 
-func (l *lockedFeedCol) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+func (l *lockedFeedCol) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.col.HostLoad(node, span)
+	return l.col.HostLoadCtx(ctx, node, span)
 }
 
-func (l *lockedFeedCol) DataAge(key ChannelKey) (float64, error) {
+func (l *lockedFeedCol) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.col.DataAge(key)
+	return l.col.DataAgeCtx(ctx, key)
 }
 
 func (l *lockedFeedCol) FeedSince(cur *FeedCursor) (*FeedPayload, error) {

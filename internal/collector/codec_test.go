@@ -696,7 +696,7 @@ func TestWireVersionIsNotThePreviousOne(t *testing.T) {
 // writeFrame plus one readFrame of a representative frame, no socket.
 func BenchmarkFrameCodec(b *testing.B) {
 	r := feedRig(b)
-	topo, err := r.col.Topology()
+	topo, err := r.col.TopologyCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

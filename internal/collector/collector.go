@@ -70,22 +70,28 @@ type VersionedSource interface {
 	DataVersion() (version uint64, ok bool)
 }
 
-// Source is the query surface the Modeler consumes. Implemented by
-// *Collector (in-process), *Client (TCP), and *Merged.
+// Source is the query surface the Modeler consumes: five reads, each
+// under the caller's context. Implemented in process by *Collector,
+// *Merged, the history Replay, the read replica and the federation
+// View and Region; over TCP by *Client and *FailoverSource, which derive
+// per-call I/O deadlines from ctx, forward the remaining budget to the
+// server and abort in-flight reads on cancellation. An in-process source
+// answers at once and leaves the dead-context check to the caller
+// (CtxTopology and its siblings).
 type Source interface {
-	// Topology returns the discovered network map.
-	Topology() (*Topology, error)
-	// Utilization summarizes the traffic rate (bits/s) observed on a
+	// TopologyCtx returns the discovered network map.
+	TopologyCtx(ctx context.Context) (*Topology, error)
+	// UtilizationCtx summarizes the traffic rate (bits/s) observed on a
 	// channel over the trailing span seconds; span 0 means latest sample.
-	Utilization(key ChannelKey, span float64) (stats.Stat, error)
-	// Samples returns the raw utilization samples for predictors.
-	Samples(key ChannelKey) ([]stats.Sample, error)
-	// HostLoad summarizes a host's CPU load fraction over the span.
-	HostLoad(node graph.NodeID, span float64) (stats.Stat, error)
-	// DataAge reports how many seconds old the newest sample for a
+	UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error)
+	// SamplesCtx returns the raw utilization samples for predictors.
+	SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error)
+	// HostLoadCtx summarizes a host's CPU load fraction over the span.
+	HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error)
+	// DataAgeCtx reports how many seconds old the newest sample for a
 	// channel is — the staleness a Modeler uses to decay prediction
 	// accuracy at query time.
-	DataAge(key ChannelKey) (float64, error)
+	DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error)
 }
 
 // Config parameterizes a Collector.
@@ -356,8 +362,8 @@ func (c *Collector) Discoveries() uint64 {
 	return c.discoveries
 }
 
-// Topology implements Source.
-func (c *Collector) Topology() (*Topology, error) {
+// TopologyCtx implements Source.
+func (c *Collector) TopologyCtx(context.Context) (*Topology, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.st.topo == nil {
@@ -366,32 +372,48 @@ func (c *Collector) Topology() (*Topology, error) {
 	return c.st.topo, nil
 }
 
-// Utilization implements Source.
-func (c *Collector) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+// UtilizationCtx implements Source.
+func (c *Collector) UtilizationCtx(_ context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.Utilization(key, span, float64(c.cfg.Clock.Now()))
 }
 
-// DataAge implements Source: seconds since the newest sample for key.
-func (c *Collector) DataAge(key ChannelKey) (float64, error) {
+// DataAgeCtx implements Source: seconds since the newest sample for key.
+func (c *Collector) DataAgeCtx(_ context.Context, key ChannelKey) (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.DataAge(key, float64(c.cfg.Clock.Now()))
 }
 
-// Samples implements Source.
-func (c *Collector) Samples(key ChannelKey) ([]stats.Sample, error) {
+// SamplesCtx implements Source.
+func (c *Collector) SamplesCtx(_ context.Context, key ChannelKey) ([]stats.Sample, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.Samples(key)
 }
 
-// HostLoad implements Source.
-func (c *Collector) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+// HostLoadCtx implements Source.
+func (c *Collector) HostLoadCtx(_ context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st.HostLoad(node, span, float64(c.cfg.Clock.Now()))
+}
+
+// Topology, Samples and HostLoad are residue of the frozen benchmark,
+// which calls them on a *Collector; the benchmark thaw deletes them.
+
+// Topology is TopologyCtx without a context.
+func (c *Collector) Topology() (*Topology, error) { return c.TopologyCtx(context.Background()) }
+
+// Samples is SamplesCtx without a context.
+func (c *Collector) Samples(key ChannelKey) ([]stats.Sample, error) {
+	return c.SamplesCtx(context.Background(), key)
+}
+
+// HostLoad is HostLoadCtx without a context.
+func (c *Collector) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+	return c.HostLoadCtx(context.Background(), node, span)
 }
 
 // Capacity returns the discovered capacity of a channel in bits/s.
@@ -513,50 +535,6 @@ func (c *Collector) noteIngestError() {
 	c.pollErrors++
 	c.mu.Unlock()
 	c.telPollErrors.Inc()
-}
-
-// The in-process Collector answers immediately, so its ContextSource
-// implementation only needs the liveness check: a caller whose budget
-// already expired gets the typed error instead of a computed answer.
-
-// TopologyCtx implements ContextSource.
-func (c *Collector) TopologyCtx(ctx context.Context) (*Topology, error) {
-	if err := ctxError(ctx); err != nil {
-		return nil, err
-	}
-	return c.Topology()
-}
-
-// UtilizationCtx implements ContextSource.
-func (c *Collector) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
-	if err := ctxError(ctx); err != nil {
-		return stats.NoData(), err
-	}
-	return c.Utilization(key, span)
-}
-
-// SamplesCtx implements ContextSource.
-func (c *Collector) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
-	if err := ctxError(ctx); err != nil {
-		return nil, err
-	}
-	return c.Samples(key)
-}
-
-// HostLoadCtx implements ContextSource.
-func (c *Collector) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
-	if err := ctxError(ctx); err != nil {
-		return stats.NoData(), err
-	}
-	return c.HostLoad(node, span)
-}
-
-// DataAgeCtx implements ContextSource.
-func (c *Collector) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
-	if err := ctxError(ctx); err != nil {
-		return 0, err
-	}
-	return c.DataAge(key)
 }
 
 // canonicalKey orients a directed channel relative to the canonical

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestDiscovery(t *testing.T) {
 
 func TestTopologyBeforeDiscoveryFails(t *testing.T) {
 	r := newRig(t, 2)
-	if _, err := r.col.Topology(); err == nil {
+	if _, err := r.col.TopologyCtx(context.Background()); err == nil {
 		t.Fatal("expected error before discovery")
 	}
 }
@@ -123,9 +124,9 @@ func TestPollingMeasuresCBR(t *testing.T) {
 	}
 	traffic.Blast(r.net, "m-6", "m-8", 60e6)
 	r.clk.RunUntil(61)
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "timberline", "whiteface")
-	st, err := r.col.Utilization(k, 30)
+	st, err := r.col.UtilizationCtx(context.Background(), k, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPollingMeasuresCBR(t *testing.T) {
 	}
 	// Reverse direction is idle.
 	rk := keyFor(t, topo, "whiteface", "timberline")
-	rst, _ := r.col.Utilization(rk, 30)
+	rst, _ := r.col.UtilizationCtx(context.Background(), rk, 30)
 	if rst.Median > 1 {
 		t.Fatalf("reverse utilization = %v", rst)
 	}
@@ -161,10 +162,10 @@ func TestPollingSeesTrafficChanges(t *testing.T) {
 	r.clk.RunUntil(30)
 	g := traffic.Blast(r.net, "m-6", "m-8", 80e6)
 	r.clk.RunUntil(60)
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "m-6", "timberline")
-	recent, _ := r.col.Utilization(k, 10) // only busy period
-	full, _ := r.col.Utilization(k, 58)   // spans both regimes
+	recent, _ := r.col.UtilizationCtx(context.Background(), k, 10) // only busy period
+	full, _ := r.col.UtilizationCtx(context.Background(), k, 58)   // spans both regimes
 	if math.Abs(recent.Median-80e6) > 1e4 {
 		t.Fatalf("recent = %v", recent)
 	}
@@ -186,9 +187,9 @@ func TestCounterWraparound(t *testing.T) {
 	}
 	traffic.Blast(r.net, "m-1", "m-2", 90e6)
 	r.clk.RunUntil(800)
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "m-1", "aspen")
-	samples, err := r.col.Samples(k)
+	samples, err := r.col.SamplesCtx(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +210,14 @@ func TestHostLoadPolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.clk.RunUntil(10)
-	st, err := r.col.HostLoad("m-3", 10)
+	st, err := r.col.HostLoadCtx(context.Background(), "m-3", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(st.Median-0.4) > 1e-9 {
 		t.Fatalf("load = %v", st)
 	}
-	if _, err := r.col.HostLoad("aspen", 10); err == nil {
+	if _, err := r.col.HostLoadCtx(context.Background(), "aspen", 10); err == nil {
 		t.Fatal("router load query succeeded")
 	}
 }
@@ -227,10 +228,10 @@ func TestUnknownChannelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.clk.RunUntil(5)
-	if _, err := r.col.Utilization(ChannelKey{Global: 999}, 5); err == nil {
+	if _, err := r.col.UtilizationCtx(context.Background(), ChannelKey{Global: 999}, 5); err == nil {
 		t.Fatal("bogus channel succeeded")
 	}
-	if _, err := r.col.Samples(ChannelKey{Global: 999}); err == nil {
+	if _, err := r.col.SamplesCtx(context.Background(), ChannelKey{Global: 999}); err == nil {
 		t.Fatal("bogus samples succeeded")
 	}
 }
@@ -296,9 +297,9 @@ func TestDeterministicSamples(t *testing.T) {
 		}
 		traffic.OnOff(r.net, "m-6", "m-8", traffic.OnOffConfig{Rate: 50e6, MeanOn: 3, MeanOff: 2, Seed: 5})
 		r.clk.RunUntil(120)
-		topo, _ := r.col.Topology()
+		topo, _ := r.col.TopologyCtx(context.Background())
 		k := keyFor(t, topo, "timberline", "whiteface")
-		samples, _ := r.col.Samples(k)
+		samples, _ := r.col.SamplesCtx(context.Background(), k)
 		out := make([]float64, len(samples))
 		for i, s := range samples {
 			out[i] = s.Value

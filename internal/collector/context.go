@@ -7,77 +7,52 @@ import (
 	"repro/internal/stats"
 )
 
-// ContextSource is the context-aware variant of Source. Remote-backed
-// sources (Client, FailoverSource) implement it to derive per-call I/O
-// deadlines from ctx, forward the remaining budget to the server, and
-// abort in-flight reads on cancellation. In-process sources implement
-// it trivially (answers are immediate), but implementing it still lets
-// a caller's dead context short-circuit a query between steps.
-type ContextSource interface {
-	TopologyCtx(ctx context.Context) (*Topology, error)
-	UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error)
-	SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error)
-	HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error)
-	DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error)
-}
+// ContextSource is another name for Source. It exists only because the
+// frozen benchmark module names it; the benchmark thaw deletes it.
+type ContextSource = Source
 
-// The CtxXxx helpers are the one place that bridges a context onto an
-// arbitrary Source: sources that implement ContextSource get the real
-// ctx; plain sources get a liveness check before the blocking call (the
-// best a context-unaware implementation allows). The Modeler calls
-// through these so any Source composes with deadlines.
+// The CtxXxx helpers are a query entry point's dead-context check and
+// its Source call in one; the Modeler and the frozen benchmark call
+// through them, and Reader.Read makes the same check once per read.
+// Nothing below checks again: an in-process source answers at once, and
+// a dialed one checks its deadline as part of its I/O.
 
-// CtxTopology is Topology with a context.
+// CtxTopology is TopologyCtx behind a dead-context check.
 func CtxTopology(ctx context.Context, s Source) (*Topology, error) {
 	if err := ctxError(ctx); err != nil {
 		return nil, err
 	}
-	if cs, ok := s.(ContextSource); ok {
-		return cs.TopologyCtx(ctx)
-	}
-	return s.Topology()
+	return s.TopologyCtx(ctx)
 }
 
-// CtxUtilization is Utilization with a context.
+// CtxUtilization is UtilizationCtx behind a dead-context check.
 func CtxUtilization(ctx context.Context, s Source, key ChannelKey, span float64) (stats.Stat, error) {
 	if err := ctxError(ctx); err != nil {
 		return stats.NoData(), err
 	}
-	if cs, ok := s.(ContextSource); ok {
-		return cs.UtilizationCtx(ctx, key, span)
-	}
-	return s.Utilization(key, span)
+	return s.UtilizationCtx(ctx, key, span)
 }
 
-// CtxSamples is Samples with a context.
+// CtxSamples is SamplesCtx behind a dead-context check.
 func CtxSamples(ctx context.Context, s Source, key ChannelKey) ([]stats.Sample, error) {
 	if err := ctxError(ctx); err != nil {
 		return nil, err
 	}
-	if cs, ok := s.(ContextSource); ok {
-		return cs.SamplesCtx(ctx, key)
-	}
-	return s.Samples(key)
+	return s.SamplesCtx(ctx, key)
 }
 
-// CtxHostLoad is HostLoad with a context.
+// CtxHostLoad is HostLoadCtx behind a dead-context check.
 func CtxHostLoad(ctx context.Context, s Source, node graph.NodeID, span float64) (stats.Stat, error) {
 	if err := ctxError(ctx); err != nil {
 		return stats.NoData(), err
 	}
-	if cs, ok := s.(ContextSource); ok {
-		return cs.HostLoadCtx(ctx, node, span)
-	}
-	return s.HostLoad(node, span)
+	return s.HostLoadCtx(ctx, node, span)
 }
 
-// CtxDataAge is DataAge with a context.
+// CtxDataAge is DataAgeCtx behind a dead-context check.
 func CtxDataAge(ctx context.Context, s Source, key ChannelKey) (float64, error) {
 	if err := ctxError(ctx); err != nil {
 		return 0, err
 	}
-	if cs, ok := s.(ContextSource); ok {
-		return cs.DataAgeCtx(ctx, key)
-	}
-	return s.DataAge(key)
+	return s.DataAgeCtx(ctx, key)
 }

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func TestFailoverMidStream(t *testing.T) {
 	}
 	defer f.Close()
 
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "timberline", "whiteface")
 
 	// A stream of queries with the primary killed in the middle: every
@@ -62,10 +63,10 @@ func TestFailoverMidStream(t *testing.T) {
 		if i == 5 {
 			srvs[0].Close()
 		}
-		if _, err := f.Utilization(k, 10); err != nil {
+		if _, err := f.UtilizationCtx(context.Background(), k, 10); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if _, err := f.Topology(); err != nil {
+		if _, err := f.TopologyCtx(context.Background()); err != nil {
 			t.Fatalf("query %d (topo): %v", i, err)
 		}
 	}
@@ -87,13 +88,13 @@ func TestFailoverReprobesRestartedPrimary(t *testing.T) {
 	}
 	defer f.Close()
 
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "timberline", "whiteface")
 
 	srvs[0].Close()
 	// Drive the primary to Down.
 	for i := 0; i < 4; i++ {
-		if _, err := f.Utilization(k, 10); err != nil {
+		if _, err := f.UtilizationCtx(context.Background(), k, 10); err != nil {
 			t.Fatalf("query %d during outage: %v", i, err)
 		}
 	}
@@ -122,7 +123,7 @@ func TestFailoverReprobesRestartedPrimary(t *testing.T) {
 
 	// And it is preferred again: the next call lands on it.
 	before := f.Replicas()[0].Calls
-	if _, err := f.Utilization(k, 10); err != nil {
+	if _, err := f.UtilizationCtx(context.Background(), k, 10); err != nil {
 		t.Fatal(err)
 	}
 	if after := f.Replicas()[0].Calls; after <= before {
@@ -140,10 +141,10 @@ func TestFailoverAllReplicasDown(t *testing.T) {
 	srvs[0].Close()
 	srvs[1].Close()
 
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "timberline", "whiteface")
 	start := time.Now()
-	if _, err := f.Utilization(k, 10); err == nil {
+	if _, err := f.UtilizationCtx(context.Background(), k, 10); err == nil {
 		t.Fatal("query succeeded with every replica down")
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -162,7 +163,7 @@ func TestFailoverAppErrorIsAuthoritative(t *testing.T) {
 	}
 	defer f.Close()
 
-	if _, err := f.Utilization(ChannelKey{Global: 999}, 5); err == nil {
+	if _, err := f.UtilizationCtx(context.Background(), ChannelKey{Global: 999}, 5); err == nil {
 		t.Fatal("bogus channel succeeded")
 	}
 	reps := f.Replicas()
@@ -200,7 +201,7 @@ func TestFailoverBusyReplicaSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer occupier.Close()
-	if _, err := occupier.Topology(); err != nil {
+	if _, err := occupier.TopologyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +210,7 @@ func TestFailoverBusyReplicaSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.Topology(); err != nil {
+	if _, err := f.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("busy primary not failed over: %v", err)
 	}
 	if reps := f.Replicas(); reps[1].Calls == 0 {
@@ -233,7 +234,7 @@ func TestDialFailoverNeedsOneReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.Topology(); err != nil {
+	if _, err := f.TopologyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	reps := f.Replicas()
@@ -262,7 +263,7 @@ func TestFailoverShuffleDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if _, err := f.Topology(); err != nil {
+		if _, err := f.TopologyCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		reps := f.Replicas()
@@ -317,7 +318,7 @@ func TestFailoverNotLeaderHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.Topology(); err != nil {
+	if _, err := f.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("query through standby: %v", err)
 	}
 	reps := f.Replicas()

@@ -104,9 +104,9 @@ func TestFeedSinceDeltaExtendsCleanly(t *testing.T) {
 			}
 		}
 	}
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	key := keyFor(t, topo, "m-6", "timberline")
-	want, err := r.col.Samples(key)
+	want, err := r.col.SamplesCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestStandbyDeltaApplyIsAtomic(t *testing.T) {
 	if err != nil || delta == nil || delta.Full || delta.Topo == nil || len(delta.Channels) < 10 {
 		t.Fatalf("delta = %+v, %v; want a topology-carrying delta over many channels", delta, err)
 	}
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	bad := keyFor(t, topo, "m-6", "timberline")
 	delta.Channels[bad] = []stats.Sample{{Time: 1, Value: 1}} // older than everything applied
 
 	snapshot := func() (*Topology, uint64, *FeedPayload) {
-		tp, err := standby.Topology()
+		tp, err := standby.TopologyCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,10 +349,10 @@ func TestStaleReplicaOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Topology(); !errors.Is(err, ErrStaleReplica) {
+	if _, err := cl.TopologyCtx(context.Background()); !errors.Is(err, ErrStaleReplica) {
 		t.Fatalf("Topology err = %v, want ErrStaleReplica", err)
 	}
-	if _, err := cl.Utilization(ChannelKey{Global: 1}, 0); !errors.Is(err, ErrStaleReplica) {
+	if _, err := cl.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 0); !errors.Is(err, ErrStaleReplica) {
 		t.Fatalf("Utilization err = %v, want ErrStaleReplica", err)
 	}
 }
@@ -361,7 +361,7 @@ func TestStaleReplicaOverWire(t *testing.T) {
 // replica.
 type staleFake struct{ fakeSource }
 
-func (s *staleFake) Topology() (*Topology, error) { return nil, ErrStaleReplica }
-func (s *staleFake) Utilization(ChannelKey, float64) (stats.Stat, error) {
+func (s *staleFake) TopologyCtx(ctx context.Context) (*Topology, error) { return nil, ErrStaleReplica }
+func (s *staleFake) UtilizationCtx(context.Context, ChannelKey, float64) (stats.Stat, error) {
 	return stats.NoData(), ErrStaleReplica
 }

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"reflect"
 	"runtime"
@@ -230,7 +231,7 @@ func FuzzStateBody(f *testing.F) {
 			alloc := allocated(func() {
 				col := New(Config{Clock: simclock.New(), PollPeriod: 2})
 				if _, err := col.RestoreCheckpoint(bytes.NewReader(file)); err != nil {
-					if _, terr := col.Topology(); terr == nil {
+					if _, terr := col.TopologyCtx(context.Background()); terr == nil {
 						t.Fatalf("%s: a refused checkpoint left a topology behind", name)
 					}
 				}

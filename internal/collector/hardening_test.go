@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -29,24 +30,24 @@ func fakeTopo() *Topology {
 	return &Topology{Graph: g, GlobalID: map[graph.LinkID]int{l.ID: 1}}
 }
 
-func (f *fakeSource) Topology() (*Topology, error) { return fakeTopo(), nil }
+func (f *fakeSource) TopologyCtx(ctx context.Context) (*Topology, error) { return fakeTopo(), nil }
 
-func (f *fakeSource) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+func (f *fakeSource) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	if f.utilHook != nil {
 		f.utilHook()
 	}
 	return stats.Exact(42), nil
 }
 
-func (f *fakeSource) Samples(key ChannelKey) ([]stats.Sample, error) {
+func (f *fakeSource) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
 	return []stats.Sample{{Time: 1, Value: 42}}, nil
 }
 
-func (f *fakeSource) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+func (f *fakeSource) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	return stats.Exact(0.5), nil
 }
 
-func (f *fakeSource) DataAge(key ChannelKey) (float64, error) { return 0, nil }
+func (f *fakeSource) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) { return 0, nil }
 
 // TestPanicRecovery: a panic in one request must cost the client one
 // errored response — never the daemon process or even the connection.
@@ -63,7 +64,7 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	defer cli.Close()
 
-	_, err = cli.Utilization(ChannelKey{Global: 1}, 5)
+	_, err = cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	if err == nil {
 		t.Fatal("panicking request returned no error")
 	}
@@ -71,7 +72,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("panic not surfaced as typed internal error: %v", err)
 	}
 	// The same connection keeps serving.
-	if _, err := cli.Topology(); err != nil {
+	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("daemon did not survive the panic: %v", err)
 	}
 }
@@ -93,7 +94,7 @@ func TestGarbageFrameDropsOnlyThatConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	if _, err := good.Topology(); err != nil {
+	if _, err := good.TopologyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +131,7 @@ func TestGarbageFrameDropsOnlyThatConn(t *testing.T) {
 		}
 		bad.Close()
 		// ...while the good client keeps working.
-		if _, err := good.Topology(); err != nil {
+		if _, err := good.TopologyCtx(context.Background()); err != nil {
 			t.Fatalf("%s: well-behaved client disturbed by garbage peer: %v", name, err)
 		}
 	}
@@ -177,7 +178,7 @@ func TestMaxConnsBusyRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := first.Topology(); err != nil {
+	if _, err := first.TopologyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,7 +191,7 @@ func TestMaxConnsBusyRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Close()
-	_, err = second.Topology()
+	_, err = second.TopologyCtx(context.Background())
 	if !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("over-cap connection: got %v, want ErrServerBusy", err)
 	}
@@ -201,7 +202,7 @@ func TestMaxConnsBusyRefusal(t *testing.T) {
 	for {
 		third, err := Dial(srv.Addr())
 		if err == nil {
-			_, qerr := third.Topology()
+			_, qerr := third.TopologyCtx(context.Background())
 			third.Close()
 			if qerr == nil {
 				break
@@ -241,7 +242,7 @@ func TestShutdownDrain(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		st, err := cli.Utilization(ChannelKey{Global: 1}, 5)
+		st, err := cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 		done <- result{st, err}
 	}()
 	<-started // the request is in flight inside the Source
@@ -286,7 +287,7 @@ func TestShutdownForceClosesStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	go cli.Utilization(ChannelKey{Global: 1}, 5)
+	go cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	<-started
 
 	shutdownDone := make(chan struct{})
@@ -331,7 +332,7 @@ func TestConcurrentClientsNoCrossTalk(t *testing.T) {
 	}
 	defer srv.Close()
 
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	key := keyFor(t, topo, "timberline", "whiteface")
 	wantNodes := topo.Graph.NumNodes()
 
@@ -354,7 +355,7 @@ func TestConcurrentClientsNoCrossTalk(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				switch it % 5 {
 				case 0:
-					tp, err := cli.Topology()
+					tp, err := cli.TopologyCtx(context.Background())
 					if err != nil {
 						errs <- fmt.Errorf("client %d topo: %w", ci, err)
 						return
@@ -364,7 +365,7 @@ func TestConcurrentClientsNoCrossTalk(t *testing.T) {
 						return
 					}
 				case 1:
-					ld, err := cli.HostLoad(host, 20)
+					ld, err := cli.HostLoadCtx(context.Background(), host, 20)
 					if err != nil {
 						errs <- fmt.Errorf("client %d load: %w", ci, err)
 						return
@@ -374,12 +375,12 @@ func TestConcurrentClientsNoCrossTalk(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := cli.Samples(key); err != nil {
+					if _, err := cli.SamplesCtx(context.Background(), key); err != nil {
 						errs <- fmt.Errorf("client %d samples: %w", ci, err)
 						return
 					}
 				case 3:
-					if _, err := cli.DataAge(key); err != nil {
+					if _, err := cli.DataAgeCtx(context.Background(), key); err != nil {
 						errs <- fmt.Errorf("client %d age: %w", ci, err)
 						return
 					}

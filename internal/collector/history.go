@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -63,21 +64,25 @@ func LoadHistory(r io.Reader) (*Replay, error) {
 // so every age is measured from before any sample and clamps to zero.
 var replayNow = math.Inf(-1)
 
-// Topology implements Source.
-func (r *Replay) Topology() (*Topology, error) { return r.st.topo, nil }
+// TopologyCtx implements Source.
+func (r *Replay) TopologyCtx(context.Context) (*Topology, error) { return r.st.topo, nil }
 
-// Utilization implements Source.
-func (r *Replay) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+// UtilizationCtx implements Source.
+func (r *Replay) UtilizationCtx(_ context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	return r.st.Utilization(key, span, replayNow)
 }
 
-// Samples implements Source.
-func (r *Replay) Samples(key ChannelKey) ([]stats.Sample, error) { return r.st.Samples(key) }
+// SamplesCtx implements Source.
+func (r *Replay) SamplesCtx(_ context.Context, key ChannelKey) ([]stats.Sample, error) {
+	return r.st.Samples(key)
+}
 
-// HostLoad implements Source.
-func (r *Replay) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+// HostLoadCtx implements Source.
+func (r *Replay) HostLoadCtx(_ context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	return r.st.HostLoad(node, span, replayNow)
 }
 
-// DataAge implements Source.
-func (r *Replay) DataAge(key ChannelKey) (float64, error) { return r.st.DataAge(key, replayNow) }
+// DataAgeCtx implements Source.
+func (r *Replay) DataAgeCtx(_ context.Context, key ChannelKey) (float64, error) {
+	return r.st.DataAge(key, replayNow)
+}

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math"
 	"strings"
@@ -30,30 +31,30 @@ func TestSaveLoadHistoryRoundTrip(t *testing.T) {
 	}
 
 	// Topology survives.
-	topo, err := rp.Topology()
+	topo, err := rp.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _ := r.col.Topology()
+	live, _ := r.col.TopologyCtx(context.Background())
 	if topo.Graph.NumNodes() != live.Graph.NumNodes() || topo.Graph.NumLinks() != live.Graph.NumLinks() {
 		t.Fatal("topology changed in the dump")
 	}
 
 	// Measurements answer identically.
 	k := keyFor(t, live, "timberline", "whiteface")
-	want, _ := r.col.Utilization(k, 20)
-	got, err := rp.Utilization(k, 20)
+	want, _ := r.col.UtilizationCtx(context.Background(), k, 20)
+	got, err := rp.UtilizationCtx(context.Background(), k, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got.Median-want.Median) > 1e-9 || got.Samples != want.Samples {
 		t.Fatalf("replayed util %v vs live %v", got, want)
 	}
-	samples, err := rp.Samples(k)
+	samples, err := rp.SamplesCtx(context.Background(), k)
 	if err != nil || len(samples) == 0 {
 		t.Fatalf("samples: %d, %v", len(samples), err)
 	}
-	ld, err := rp.HostLoad("m-3", 20)
+	ld, err := rp.HostLoadCtx(context.Background(), "m-3", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,10 @@ func TestSaveLoadHistoryRoundTrip(t *testing.T) {
 	}
 
 	// Unknown keys error like the live collector.
-	if _, err := rp.Utilization(ChannelKey{Global: 999}, 5); err == nil {
+	if _, err := rp.UtilizationCtx(context.Background(), ChannelKey{Global: 999}, 5); err == nil {
 		t.Fatal("bogus channel succeeded")
 	}
-	if _, err := rp.HostLoad("aspen", 5); err == nil {
+	if _, err := rp.HostLoadCtx(context.Background(), "aspen", 5); err == nil {
 		t.Fatal("router load succeeded")
 	}
 }
@@ -91,7 +92,7 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.clk.RunUntil(20)
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, topo, "timberline", "whiteface")
 
 	// Non-finite samples and times are garbage too: a history file goes
@@ -140,12 +141,12 @@ func TestModelerOverReplay(t *testing.T) {
 	// here (cycle-free layering: collector below core), so just check
 	// the Source contract directly.
 	var src Source = rp
-	topo, err := src.Topology()
+	topo, err := src.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := keyFor(t, topo, "timberline", "whiteface")
-	st, err := src.Utilization(k, 20)
+	st, err := src.UtilizationCtx(context.Background(), k, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestClientCancelMidCallThenReusable(t *testing.T) {
 	}
 
 	// The same client keeps working: the next call reconnects.
-	if _, err := cli.Topology(); err != nil {
+	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("client unusable after mid-call cancel: %v", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestServerEnforcesBudgetHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer occupier.Close()
-	go occupier.Utilization(ChannelKey{Global: 1}, 5)
+	go occupier.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	<-entered
 
 	// Raw second request with a 40 ms budget and no client deadline at
@@ -181,7 +181,7 @@ func TestServerDefaultBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer occupier.Close()
-	go occupier.Utilization(ChannelKey{Global: 1}, 5)
+	go occupier.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	<-entered
 
 	cli, err := Dial(srv.Addr())
@@ -190,7 +190,7 @@ func TestServerDefaultBudget(t *testing.T) {
 	}
 	defer cli.Close()
 	start := time.Now()
-	_, err = cli.Utilization(ChannelKey{Global: 1}, 5) // no ctx, no budget hint
+	_, err = cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5) // no ctx, no budget hint
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("got %v, want server-side ErrDeadlineExceeded", err)
@@ -216,7 +216,7 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer occupier.Close()
-	go occupier.Utilization(ChannelKey{Global: 1}, 5)
+	go occupier.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	<-entered
 
 	cli, err := DialConfig(srv.Addr(), ClientConfig{SingleAttempt: true})
@@ -224,7 +224,7 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	_, err = cli.Utilization(ChannelKey{Global: 1}, 5)
+	_, err = cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	if !errors.Is(err, ErrLoadShed) {
 		t.Fatalf("got %v, want ErrLoadShed", err)
 	}
@@ -264,7 +264,7 @@ func TestFailoverRoutesAroundShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer occupier.Close()
-	go occupier.Utilization(ChannelKey{Global: 1}, 5)
+	go occupier.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	<-entered
 
 	f, err := DialFailover([]string{srvA.Addr(), srvB.Addr()}, FailoverConfig{
@@ -275,7 +275,7 @@ func TestFailoverRoutesAroundShed(t *testing.T) {
 	}
 	defer f.Close()
 
-	st, err := f.Utilization(ChannelKey{Global: 1}, 5)
+	st, err := f.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	if err != nil {
 		t.Fatalf("failover did not route around the shedding replica: %v", err)
 	}

@@ -59,12 +59,7 @@ func (m *Merged) LastPartialError() error {
 	return nil
 }
 
-// Topology implements Source: the union of member topologies.
-func (m *Merged) Topology() (*Topology, error) {
-	return m.TopologyCtx(context.Background())
-}
-
-// TopologyCtx implements ContextSource: the union of member topologies,
+// TopologyCtx implements Source: the union of member topologies,
 // each member queried under the caller's context.
 func (m *Merged) TopologyCtx(ctx context.Context) (*Topology, error) {
 	type linkRec struct {
@@ -79,7 +74,7 @@ func (m *Merged) TopologyCtx(ctx context.Context) (*Topology, error) {
 	var firstErr error
 	memberErr := make([]string, len(m.sources))
 	for i, s := range m.sources {
-		t, err := CtxTopology(ctx, s)
+		t, err := s.TopologyCtx(ctx)
 		if err != nil {
 			if IsLifecycleError(err) {
 				return nil, err
@@ -170,14 +165,9 @@ func (m *Merged) DataVersion() (uint64, bool) {
 	return sum, true
 }
 
-// Utilization implements Source.
-func (m *Merged) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
-	return m.UtilizationCtx(context.Background(), key, span)
-}
-
-// UtilizationCtx implements ContextSource.
+// UtilizationCtx implements Source.
 func (m *Merged) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
-	return firstAnswer(m, stats.NoData(), func(s Source) (stats.Stat, error) { return CtxUtilization(ctx, s, key, span) })
+	return firstAnswer(m, stats.NoData(), func(s Source) (stats.Stat, error) { return s.UtilizationCtx(ctx, key, span) })
 }
 
 // firstAnswer asks the members in order and returns the first answer. A
@@ -201,39 +191,24 @@ func firstAnswer[T any](m *Merged, none T, ask func(Source) (T, error)) (T, erro
 	return none, firstErr
 }
 
-// Samples implements Source.
-func (m *Merged) Samples(key ChannelKey) ([]stats.Sample, error) {
-	return m.SamplesCtx(context.Background(), key)
-}
-
-// SamplesCtx implements ContextSource.
+// SamplesCtx implements Source.
 func (m *Merged) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
-	return firstAnswer(m, nil, func(s Source) ([]stats.Sample, error) { return CtxSamples(ctx, s, key) })
+	return firstAnswer(m, nil, func(s Source) ([]stats.Sample, error) { return s.SamplesCtx(ctx, key) })
 }
 
-// HostLoad implements Source.
-func (m *Merged) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	return m.HostLoadCtx(context.Background(), node, span)
-}
-
-// HostLoadCtx implements ContextSource.
+// HostLoadCtx implements Source.
 func (m *Merged) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
-	return firstAnswer(m, stats.NoData(), func(s Source) (stats.Stat, error) { return CtxHostLoad(ctx, s, node, span) })
+	return firstAnswer(m, stats.NoData(), func(s Source) (stats.Stat, error) { return s.HostLoadCtx(ctx, node, span) })
 }
 
-// DataAge implements Source: the freshest age any member reports for the
-// channel (overlapping members may poll at different rates).
-func (m *Merged) DataAge(key ChannelKey) (float64, error) {
-	return m.DataAgeCtx(context.Background(), key)
-}
-
-// DataAgeCtx implements ContextSource.
+// DataAgeCtx implements Source: the freshest age any member reports for
+// the channel (overlapping members may poll at different rates).
 func (m *Merged) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
 	best := 0.0
 	any := false
 	var firstErr error
 	for _, s := range m.sources {
-		age, err := CtxDataAge(ctx, s, key)
+		age, err := s.DataAgeCtx(ctx, key)
 		if err != nil {
 			if IsLifecycleError(err) {
 				return 0, err

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // link table. Any ordering wobble in Merged shows up as a byte diff.
 func renderMerged(t *testing.T, m *Merged) string {
 	t.Helper()
-	topo, err := m.Topology()
+	topo, err := m.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

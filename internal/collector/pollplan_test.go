@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -236,11 +237,11 @@ func TestRemovedInterfaceRewalksWithinTheRound(t *testing.T) {
 	}
 	// The far end of the removed interface still reports its channels.
 	sameRecords(t, r.col, ref)
-	refTopo, _ := ref.Topology()
+	refTopo, _ := ref.TopologyCtx(context.Background())
 	for _, l := range refTopo.Graph.Links() {
 		for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
-			want, _ := ref.Samples(refTopo.Key(l, d))
-			got, _ := r.col.Samples(refTopo.Key(l, d))
+			want, _ := ref.SamplesCtx(context.Background(), refTopo.Key(l, d))
+			got, _ := r.col.SamplesCtx(context.Background(), refTopo.Key(l, d))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("link %s--%s %v: %d samples, reference %d", l.A, l.B, d, len(got), len(want))
 			}
@@ -348,11 +349,11 @@ func TestMisshapenGetResponsesAreFailedAttempts(t *testing.T) {
 		sameRecords(t, r.col, ref)
 		// aspen's links were covered by their far ends during the bad
 		// round: no channel missed a sample.
-		refTopo, _ := ref.Topology()
+		refTopo, _ := ref.TopologyCtx(context.Background())
 		for _, l := range refTopo.Graph.Links() {
 			k := refTopo.Key(l, graph.AtoB)
-			want, _ := ref.Samples(k)
-			if got, _ := r.col.Samples(k); len(got) != len(want) {
+			want, _ := ref.SamplesCtx(context.Background(), k)
+			if got, _ := r.col.SamplesCtx(context.Background(), k); len(got) != len(want) {
 				t.Fatalf("%s: link %s--%s has %d samples, reference %d", tc.name, l.A, l.B, len(got), len(want))
 			}
 		}
@@ -394,7 +395,7 @@ func TestPlanLargerThanOneMessage(t *testing.T) {
 	if h, _ := r.col.HealthOf("a-hub"); h.State != Healthy || r.col.PollErrors() != 0 {
 		t.Fatalf("hub health %+v, %d poll errors", h, r.col.PollErrors())
 	}
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	busy := map[ChannelKey]bool{
 		keyFor(t, topo, host(hosts-1), "a-hub"): true,
 		keyFor(t, topo, "a-hub", host(3)):       true,
@@ -402,7 +403,7 @@ func TestPlanLargerThanOneMessage(t *testing.T) {
 	for _, l := range topo.Graph.Links() {
 		for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
 			k := topo.Key(l, d)
-			st, err := r.col.Utilization(k, 8)
+			st, err := r.col.UtilizationCtx(context.Background(), k, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -147,7 +147,7 @@ func (r *Reader) discoveredAt(ctx context.Context, versioned bool, version uint6
 	if at := r.topoAt.Load(); versioned && at != nil && at.version == version {
 		return at.discoveredAt, nil
 	}
-	t, err := CtxTopology(ctx, r.src)
+	t, err := r.src.TopologyCtx(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -239,15 +239,15 @@ func (r *Reader) Read(ctx context.Context, rr *ReadRequest, ans *ReadAnswer) err
 		var err error
 		switch {
 		case i >= len(keys):
-			e.Stat, err = CtxHostLoad(ctx, r.src, hosts[i-len(keys)], rr.Span)
+			e.Stat, err = r.src.HostLoadCtx(ctx, hosts[i-len(keys)], rr.Span)
 		case rr.Of == ReadSummary:
-			e.Stat, err = CtxUtilization(ctx, r.src, keys[i], rr.Span)
+			e.Stat, err = r.src.UtilizationCtx(ctx, keys[i], rr.Span)
 		case rr.Of == ReadWindow:
-			if e.Window, err = CtxSamples(ctx, r.src, keys[i]); err == nil {
-				e.Age, err = CtxDataAge(ctx, r.src, keys[i])
+			if e.Window, err = r.src.SamplesCtx(ctx, keys[i]); err == nil {
+				e.Age, err = r.src.DataAgeCtx(ctx, keys[i])
 			}
 		default:
-			e.Age, err = CtxDataAge(ctx, r.src, keys[i])
+			e.Age, err = r.src.DataAgeCtx(ctx, keys[i])
 		}
 		if err != nil {
 			if IsLifecycleError(err) {
@@ -368,45 +368,25 @@ func (r remote) point(ctx context.Context, of ReadKind, span float64, key Channe
 	return ReadEntry{}, fmt.Errorf("collector: no measurement of channel %v", key)
 }
 
-// Utilization implements Source.
-func (r remote) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
-	return r.UtilizationCtx(context.Background(), key, span)
-}
-
-// UtilizationCtx implements ContextSource: a one-entry summary read.
+// UtilizationCtx implements Source: a one-entry summary read.
 func (r remote) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	e, err := r.point(ctx, ReadSummary, span, key, "")
 	return e.Stat, err
 }
 
-// Samples implements Source.
-func (r remote) Samples(key ChannelKey) ([]stats.Sample, error) {
-	return r.SamplesCtx(context.Background(), key)
-}
-
-// SamplesCtx implements ContextSource: a one-entry window read.
+// SamplesCtx implements Source: a one-entry window read.
 func (r remote) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
 	e, err := r.point(ctx, ReadWindow, 0, key, "")
 	return e.Window, err
 }
 
-// HostLoad implements Source.
-func (r remote) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	return r.HostLoadCtx(context.Background(), node, span)
-}
-
-// HostLoadCtx implements ContextSource: a one-entry host read.
+// HostLoadCtx implements Source: a one-entry host read.
 func (r remote) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	e, err := r.point(ctx, ReadSummary, span, ChannelKey{}, node)
 	return e.Stat, err
 }
 
-// DataAge implements Source.
-func (r remote) DataAge(key ChannelKey) (float64, error) {
-	return r.DataAgeCtx(context.Background(), key)
-}
-
-// DataAgeCtx implements ContextSource: a one-entry age read.
+// DataAgeCtx implements Source: a one-entry age read.
 func (r remote) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
 	e, err := r.point(ctx, ReadAge, 0, key, "")
 	return e.Age, err

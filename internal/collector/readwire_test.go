@@ -28,7 +28,7 @@ func TestReadOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	topo, err := r.col.Topology()
+	topo, err := r.col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestReadOp(t *testing.T) {
 		t.Fatalf("answer %+v, collector at version %d, topology discovered at %v", ans, version, topo.DiscoveredAt)
 	}
 	for i, key := range req.Keys {
-		want, werr := r.col.Utilization(key, req.Span)
+		want, werr := r.col.UtilizationCtx(context.Background(), key, req.Span)
 		if e := ans.Entries[i]; e.Failed != (werr != nil) || (werr == nil && e.Stat != want) {
 			t.Errorf("key %v: %+v, Utilization gives %+v, %v", key, e, want, werr)
 		}
 	}
 	for j, host := range req.Hosts {
 		i := len(req.Keys) + j
-		want, werr := r.col.HostLoad(host, req.Span)
+		want, werr := r.col.HostLoadCtx(context.Background(), host, req.Span)
 		if e := ans.Entries[i]; e.Failed != (werr != nil) || (werr == nil && e.Stat != want) {
 			t.Errorf("host %s: %+v, HostLoad gives %+v, %v", host, e, want, werr)
 		}
@@ -101,11 +101,11 @@ type erringFake struct {
 	utilErr error
 }
 
-func (v erringFake) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+func (v erringFake) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	if v.utilErr != nil {
 		return stats.NoData(), v.utilErr
 	}
-	return v.versionedFake.Utilization(key, span)
+	return v.versionedFake.UtilizationCtx(ctx, key, span)
 }
 
 // TestReadOpRefusals: a source without a data version issues no
@@ -214,7 +214,7 @@ func TestPointReadsMatchTheSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	topo, err := r.col.Topology()
+	topo, err := r.col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,17 +224,17 @@ func TestPointReadsMatchTheSource(t *testing.T) {
 	for _, l := range topo.Graph.Links() {
 		key := topo.Key(l, l.DirFrom(l.A))
 		st, err := cl.UtilizationCtx(ctx, key, 10)
-		want, werr := r.col.Utilization(key, 10)
+		want, werr := r.col.UtilizationCtx(context.Background(), key, 10)
 		if err != nil || werr != nil || st != want {
 			t.Fatalf("%v: utilization %+v, %v; the source says %+v, %v", key, st, err, want, werr)
 		}
 		w, err := cl.SamplesCtx(ctx, key)
-		wantW, werr := r.col.Samples(key)
+		wantW, werr := r.col.SamplesCtx(context.Background(), key)
 		if err != nil || werr != nil || len(w) != len(wantW) || len(w) == 0 || w[len(w)-1] != wantW[len(w)-1] {
 			t.Fatalf("%v: a window of %d samples, %v; the source holds %d, %v", key, len(w), err, len(wantW), werr)
 		}
 		age, err := cl.DataAgeCtx(ctx, key)
-		wantAge, werr := r.col.DataAge(key)
+		wantAge, werr := r.col.DataAgeCtx(context.Background(), key)
 		if err != nil || werr != nil || !bits(age, wantAge) {
 			t.Fatalf("%v: age %v, %v; the source says %v, %v", key, age, err, wantAge, werr)
 		}
@@ -242,7 +242,7 @@ func TestPointReadsMatchTheSource(t *testing.T) {
 	}
 	for _, host := range topo.Graph.ComputeNodes() {
 		st, err := cl.HostLoadCtx(ctx, host, 10)
-		want, werr := r.col.HostLoad(host, 10)
+		want, werr := r.col.HostLoadCtx(context.Background(), host, 10)
 		if err != nil || werr != nil || st != want {
 			t.Fatalf("%s: load %+v, %v; the source says %+v, %v", host, st, err, want, werr)
 		}

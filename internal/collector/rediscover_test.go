@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/faults"
@@ -51,7 +52,7 @@ func TestPeriodicRediscoveryPicksUpDegradation(t *testing.T) {
 	if col.Discoveries() < 2 {
 		t.Fatalf("discoveries = %d after rediscovery period", col.Discoveries())
 	}
-	topo, err := col.Topology()
+	topo, err := col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +109,12 @@ func TestAgentFlapBreakerAndAccuracyRecovery(t *testing.T) {
 	traffic.Blast(n, "m-2", "m-4", 40e6)
 	clk.Advance(10)
 
-	topo, err := col.Topology()
+	topo, err := col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := keyFor(t, topo, "aspen", "timberline")
-	base, err := col.Utilization(k, 0)
+	base, err := col.UtilizationCtx(context.Background(), k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestAgentFlapBreakerAndAccuracyRecovery(t *testing.T) {
 	}
 	// The rediscovery at t=20 must not have demoted the unreachable
 	// routers: last-good records keep them in the topology.
-	topo, err = col.Topology()
+	topo, err = col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +158,14 @@ func TestAgentFlapBreakerAndAccuracyRecovery(t *testing.T) {
 		t.Fatalf("links during outage = %d", topo.Graph.NumLinks())
 	}
 	// The starved channel still answers, with age-decayed accuracy.
-	mid, err := col.Utilization(k, 0)
+	mid, err := col.UtilizationCtx(context.Background(), k, 0)
 	if err != nil {
 		t.Fatalf("query during outage: %v", err)
 	}
 	if mid.Accuracy >= base.Accuracy/2 {
 		t.Fatalf("accuracy did not decay: %v vs baseline %v", mid, base)
 	}
-	if age, err := col.DataAge(k); err != nil || age < 15 {
+	if age, err := col.DataAgeCtx(context.Background(), k); err != nil || age < 15 {
 		t.Fatalf("data age = %v, %v", age, err)
 	}
 
@@ -175,7 +176,7 @@ func TestAgentFlapBreakerAndAccuracyRecovery(t *testing.T) {
 	if h["aspen"].State != Healthy || h["timberline"].State != Healthy {
 		t.Fatalf("health after recovery: aspen=%+v timberline=%+v", h["aspen"], h["timberline"])
 	}
-	rec, err := col.Utilization(k, 0)
+	rec, err := col.UtilizationCtx(context.Background(), k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

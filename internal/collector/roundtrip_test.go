@@ -35,14 +35,14 @@ type localSource struct {
 
 func (l *localSource) DataVersion() (uint64, bool) { return 1, true }
 
-func (l *localSource) Topology() (*Topology, error) {
+func (l *localSource) TopologyCtx(ctx context.Context) (*Topology, error) {
 	if l.topoHook != nil {
 		l.topoHook()
 	}
 	return fakeTopo(), nil
 }
 
-func (l *localSource) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+func (l *localSource) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	if l.utilHook != nil {
 		l.utilHook()
 	}
@@ -203,7 +203,7 @@ func TestInlineOpHAGated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	_, err = cli.Utilization(ChannelKey{Global: 1}, 5)
+	_, err = cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	if hint, ok := LeaderHint(err); !errors.Is(err, ErrNotLeader) || !ok || hint != "10.0.0.9:7171" {
 		t.Fatalf("gated util: got %v, want ErrNotLeader with the hint", err)
 	}
@@ -227,7 +227,7 @@ func TestInlinePanicRecovery(t *testing.T) {
 	}
 	defer cli.Close()
 
-	_, err = cli.Utilization(ChannelKey{Global: 1}, 5)
+	_, err = cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	if err == nil {
 		t.Fatal("panicking request returned no error")
 	}
@@ -235,7 +235,7 @@ func TestInlinePanicRecovery(t *testing.T) {
 		t.Fatalf("panic not surfaced as typed internal error: %v", err)
 	}
 	mc := cli.mc
-	if _, err := cli.HostLoad("a", 5); err != nil {
+	if _, err := cli.HostLoadCtx(context.Background(), "a", 5); err != nil {
 		t.Fatalf("daemon did not survive the panic: %v", err)
 	}
 	if cli.mc != mc {
@@ -345,9 +345,9 @@ func TestLonePointCallStartsNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	topo, _ := r.col.Topology()
+	topo, _ := r.col.TopologyCtx(context.Background())
 	key := keyFor(t, topo, "timberline", "whiteface")
-	want, _ := r.col.Utilization(key, 10)
+	want, _ := r.col.UtilizationCtx(context.Background(), key, 10)
 	// One answered call first: the server's goroutine for this
 	// connection is running before the count is taken.
 	if err := cli.Ping(); err != nil {
@@ -355,7 +355,7 @@ func TestLonePointCallStartsNoGoroutine(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		probe.before.Store(int64(runtime.NumGoroutine()))
-		got, err := cli.Utilization(key, 10)
+		got, err := cli.UtilizationCtx(context.Background(), key, 10)
 		if err != nil || got != want {
 			t.Fatalf("call %d: got %+v, %v; want %+v", i, got, err, want)
 		}
@@ -397,10 +397,6 @@ func (g *goroutineProbe) UtilizationCtx(ctx context.Context, key ChannelKey, spa
 	return g.Collector.UtilizationCtx(ctx, key, span)
 }
 
-func (g *goroutineProbe) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
-	return g.UtilizationCtx(context.Background(), key, span)
-}
-
 // TestPointRoundTripAllocBudget: one util round trip over loopback,
 // client and server in this process, counted end to end — client call,
 // both frame codecs, admission, telemetry span, handler.
@@ -413,7 +409,7 @@ func TestPointRoundTripAllocBudget(t *testing.T) {
 	defer cli.Close()
 	key := ChannelKey{Global: 1}
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := cli.Utilization(key, 10); err != nil {
+		if _, err := cli.UtilizationCtx(context.Background(), key, 10); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -459,7 +455,7 @@ func TestLeaderCancelWithFollowers(t *testing.T) {
 	followers := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			_, err := cli.Utilization(ChannelKey{Global: 2}, 5)
+			_, err := cli.UtilizationCtx(context.Background(), ChannelKey{Global: 2}, 5)
 			followers <- err
 		}()
 	}
@@ -537,7 +533,7 @@ func TestLeaderHungServerTimesOut(t *testing.T) {
 	defer cli.Close()
 	mc := cli.mc
 	start := time.Now()
-	_, err = cli.Utilization(ChannelKey{Global: 1}, 5)
+	_, err = cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 	elapsed := time.Since(start)
 	if !errors.Is(err, errCallTimeout) {
 		t.Fatalf("hung server: got %v, want errCallTimeout", err)
@@ -672,7 +668,7 @@ func TestLeaderFollowerManyCallers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
 				key := ChannelKey{Global: g*calls + i}
-				st, err := cli.Utilization(key, 5)
+				st, err := cli.UtilizationCtx(context.Background(), key, 5)
 				if err != nil || st.Median != float64(key.Global) {
 					t.Errorf("goroutine %d call %d: got %v, %v", g, i, st.Median, err)
 					return
@@ -711,7 +707,7 @@ func TestFailedWriteDropsConnWhateverTheContext(t *testing.T) {
 	if _, err := cli.UtilizationCtx(ctx, ChannelKey{Global: 5}, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("call whose write broke off: got %v, want context.Canceled", err)
 	}
-	st, err := cli.Utilization(ChannelKey{Global: 6}, 5)
+	st, err := cli.UtilizationCtx(context.Background(), ChannelKey{Global: 6}, 5)
 	if err != nil || st.Median != 6 {
 		t.Fatalf("next call: got %v, %v; want median 6", st.Median, err)
 	}

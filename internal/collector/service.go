@@ -329,15 +329,16 @@ type Server struct {
 	draining bool
 
 	// Watch subscription registry (watch.go). watchKick wakes the
-	// evaluator when a subscription registers; watchStop ends the
-	// evaluator and every pusher. synthEpoch is the fallback epoch
+	// evaluator when a subscription registers; stopWatch cancels
+	// watchCtx, which ends the evaluator, the source reads of its round
+	// in flight, and every pusher. synthEpoch is the fallback epoch
 	// counter for unversioned sources, owned by watchLoop.
-	watchMu       sync.Mutex
-	watchSubs     map[*subscription]struct{}
-	watchKick     chan struct{}
-	watchStop     chan struct{}
-	watchStopOnce sync.Once
-	synthEpoch    uint64
+	watchMu    sync.Mutex
+	watchSubs  map[*subscription]struct{}
+	watchKick  chan struct{}
+	watchCtx   context.Context
+	stopWatch  context.CancelFunc
+	synthEpoch uint64
 }
 
 // connState tracks a connection's outstanding work: in-flight request
@@ -449,9 +450,9 @@ func ServeConfig(src Source, addr string, cfg ServerConfig) (*Server, error) {
 		conns:     make(map[net.Conn]*connState),
 		watchSubs: make(map[*subscription]struct{}),
 		watchKick: make(chan struct{}, 1),
-		watchStop: make(chan struct{}),
 		reader:    ReaderFor(src),
 	}
+	s.watchCtx, s.stopWatch = context.WithCancel(context.Background())
 	s.gate.instrument(tel)
 	for _, op := range servedOps {
 		s.ops[op] = s.meterFor(op)
@@ -460,11 +461,6 @@ func ServeConfig(src Source, addr string, cfg ServerConfig) (*Server, error) {
 	go s.acceptLoop()
 	go s.watchLoop()
 	return s, nil
-}
-
-// stopWatch ends the watch evaluator and unblocks idle pushers.
-func (s *Server) stopWatch() {
-	s.watchStopOnce.Do(func() { close(s.watchStop) })
 }
 
 // kickWatch wakes the evaluator out-of-cycle (a new subscription wants
@@ -608,6 +604,10 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
+			// A request dispatched just before the drain began still
+			// answers: its handler closes the connection when it is the
+			// last, and Shutdown force-closes it at the deadline.
+			inflight.Wait()
 			return
 		}
 		// Idle read deadline: a silent client, or one that sends half a
@@ -1781,15 +1781,12 @@ type caller interface {
 }
 
 // remote is the query surface of a dialed collector — Source,
-// ContextSource, HealthSource, MatrixSource, ReadSource and the telemetry
+// HealthSource, MatrixSource, ReadSource and the telemetry
 // snapshot — written once over a caller. Client and FailoverSource embed it,
 // pointing at themselves.
 type remote struct{ caller }
 
-// Topology implements Source.
-func (r remote) Topology() (*Topology, error) { return r.TopologyCtx(context.Background()) }
-
-// TopologyCtx implements ContextSource.
+// TopologyCtx implements Source.
 func (r remote) TopologyCtx(ctx context.Context) (*Topology, error) {
 	resp, err := r.call(ctx, &request{Op: "topo"})
 	if err != nil {

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"io"
 	"math"
 	"net"
@@ -36,11 +37,11 @@ func TestTCPService(t *testing.T) {
 	defer cli.Close()
 
 	// Topology round-trips.
-	remote, err := cli.Topology()
+	remote, err := cli.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, _ := r.col.Topology()
+	local, _ := r.col.TopologyCtx(context.Background())
 	if remote.Graph.NumNodes() != local.Graph.NumNodes() || remote.Graph.NumLinks() != local.Graph.NumLinks() {
 		t.Fatalf("topology mismatch: %d/%d vs %d/%d nodes/links",
 			remote.Graph.NumNodes(), remote.Graph.NumLinks(),
@@ -52,8 +53,8 @@ func TestTCPService(t *testing.T) {
 
 	// Utilization agrees with the in-process answer.
 	k := keyFor(t, local, "timberline", "whiteface")
-	want, _ := r.col.Utilization(k, 20)
-	got, err := cli.Utilization(k, 20)
+	want, _ := r.col.UtilizationCtx(context.Background(), k, 20)
+	got, err := cli.UtilizationCtx(context.Background(), k, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestTCPService(t *testing.T) {
 	}
 
 	// Samples.
-	samples, err := cli.Samples(k)
+	samples, err := cli.SamplesCtx(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestTCPService(t *testing.T) {
 	}
 
 	// Host load.
-	load, err := cli.HostLoad("m-5", 20)
+	load, err := cli.HostLoadCtx(context.Background(), "m-5", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +81,10 @@ func TestTCPService(t *testing.T) {
 	}
 
 	// Errors propagate.
-	if _, err := cli.Utilization(ChannelKey{Global: 999}, 5); err == nil {
+	if _, err := cli.UtilizationCtx(context.Background(), ChannelKey{Global: 999}, 5); err == nil {
 		t.Fatal("bogus channel succeeded over TCP")
 	}
-	if _, err := cli.HostLoad("aspen", 5); err == nil {
+	if _, err := cli.HostLoadCtx(context.Background(), "aspen", 5); err == nil {
 		t.Fatal("router load succeeded over TCP")
 	}
 }
@@ -104,7 +105,7 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Topology(); err != nil {
+	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the connection server-side; the next call must reconnect.
@@ -114,7 +115,7 @@ func TestClientReconnects(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	if _, err := cli.Topology(); err != nil {
+	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("reconnect failed: %v", err)
 	}
 }
@@ -144,7 +145,7 @@ func TestServerRestartMidQueryStream(t *testing.T) {
 	}
 	defer cli.Close()
 
-	local, _ := r.col.Topology()
+	local, _ := r.col.TopologyCtx(context.Background())
 	k := keyFor(t, local, "timberline", "whiteface")
 	for i := 0; i < 10; i++ {
 		if i == 5 {
@@ -154,10 +155,10 @@ func TestServerRestartMidQueryStream(t *testing.T) {
 				t.Skipf("could not rebind %s: %v", addr, err)
 			}
 		}
-		if _, err := cli.Utilization(k, 10); err != nil {
+		if _, err := cli.UtilizationCtx(context.Background(), k, 10); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if _, err := cli.Topology(); err != nil {
+		if _, err := cli.TopologyCtx(context.Background()); err != nil {
 			t.Fatalf("query %d (topo): %v", i, err)
 		}
 	}
@@ -191,7 +192,7 @@ func TestClientCallDeadline(t *testing.T) {
 	}
 	defer cli.Close()
 	start := time.Now()
-	if _, err := cli.Topology(); err == nil {
+	if _, err := cli.TopologyCtx(context.Background()); err == nil {
 		t.Fatal("hung server produced an answer")
 	}
 	// Two attempts at 150 ms each plus slack.
@@ -227,7 +228,7 @@ func TestMergeDisjointDomains(t *testing.T) {
 	r.clk.RunUntil(30)
 
 	m := Merge(west, east)
-	topo, err := m.Topology()
+	topo, err := m.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestMergeDisjointDomains(t *testing.T) {
 	}
 	// Utilization on an east-side link is only known to east.
 	k := keyFor(t, topo, "m-7", "whiteface")
-	st, err := m.Utilization(k, 20)
+	st, err := m.UtilizationCtx(context.Background(), k, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +255,14 @@ func TestMergeDisjointDomains(t *testing.T) {
 	// Host load via merge.
 	r.net.SetHostLoad("m-7", 0.5)
 	r.clk.RunUntil(40)
-	ld, err := m.HostLoad("m-7", 5)
+	ld, err := m.HostLoadCtx(context.Background(), "m-7", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(ld.Median-0.5) > 1e-9 {
 		t.Fatalf("merged load = %v", ld)
 	}
-	if _, err := m.Samples(ChannelKey{Global: 999}); err == nil {
+	if _, err := m.SamplesCtx(context.Background(), ChannelKey{Global: 999}); err == nil {
 		t.Fatal("bogus channel succeeded via merge")
 	}
 }

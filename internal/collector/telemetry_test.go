@@ -37,7 +37,7 @@ func TestShedCountMatchesTelemetry(t *testing.T) {
 	defer blocker.Close()
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := blocker.Utilization(ChannelKey{Global: 1}, 5)
+		_, err := blocker.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 		blocked <- err
 	}()
 	<-entered // the handler holds the gate's only work unit
@@ -50,7 +50,7 @@ func TestShedCountMatchesTelemetry(t *testing.T) {
 	const attempts = 7
 	clientShed := 0
 	for i := 0; i < attempts; i++ {
-		_, err := cli.Utilization(ChannelKey{Global: 1}, 5)
+		_, err := cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 		if !errors.Is(err, ErrLoadShed) {
 			t.Fatalf("attempt %d: got %v, want ErrLoadShed", i, err)
 		}
@@ -157,7 +157,7 @@ func TestMsAttrMatchesPrintf(t *testing.T) {
 	}
 }
 
-// ctxSpy is a ContextSource that records what each serving-side call
+// ctxSpy is a Source that records what each serving-side call
 // was handed.
 type ctxSpy struct {
 	fakeSource
@@ -176,23 +176,23 @@ func (s *ctxSpy) saw(ctx context.Context) {
 
 func (s *ctxSpy) TopologyCtx(ctx context.Context) (*Topology, error) {
 	s.saw(ctx)
-	return s.Topology()
+	return s.fakeSource.TopologyCtx(ctx)
 }
 func (s *ctxSpy) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	s.saw(ctx)
-	return s.Utilization(key, span)
+	return s.fakeSource.UtilizationCtx(ctx, key, span)
 }
 func (s *ctxSpy) SamplesCtx(ctx context.Context, key ChannelKey) ([]stats.Sample, error) {
 	s.saw(ctx)
-	return s.Samples(key)
+	return s.fakeSource.SamplesCtx(ctx, key)
 }
 func (s *ctxSpy) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	s.saw(ctx)
-	return s.HostLoad(node, span)
+	return s.fakeSource.HostLoadCtx(ctx, node, span)
 }
 func (s *ctxSpy) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error) {
 	s.saw(ctx)
-	return s.DataAge(key)
+	return s.fakeSource.DataAgeCtx(ctx, key)
 }
 
 // TestScalarOpsCarryTraceAndDeadlineToSource: every scalar query of a

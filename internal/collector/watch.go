@@ -284,9 +284,10 @@ type watchEval struct {
 	cursor    *FeedCursor // WatchFeed replication progress
 }
 
-// eval evaluates the subscription at epoch against src. ok=false means
-// nothing to push (epoch unchanged, or change below threshold).
-func (e *watchEval) eval(src Source, epoch uint64) (WatchUpdate, bool) {
+// eval evaluates the subscription at epoch against src under ctx.
+// ok=false means nothing to push (epoch unchanged, or change below
+// threshold).
+func (e *watchEval) eval(ctx context.Context, src Source, epoch uint64) (WatchUpdate, bool) {
 	if e.started && epoch == e.lastEpoch {
 		return WatchUpdate{}, false
 	}
@@ -295,7 +296,7 @@ func (e *watchEval) eval(src Source, epoch uint64) (WatchUpdate, bool) {
 	var median float64
 	switch e.req.Kind {
 	case WatchVersion, "":
-		t, err := src.Topology()
+		t, err := src.TopologyCtx(ctx)
 		if err != nil {
 			return e.errUpdate(u, err)
 		}
@@ -305,14 +306,14 @@ func (e *watchEval) eval(src Source, epoch uint64) (WatchUpdate, bool) {
 		// moving IS the event.
 		median = math.NaN()
 	case WatchUtil:
-		st, err := src.Utilization(e.req.Key, e.req.Span)
+		st, err := src.UtilizationCtx(ctx, e.req.Key, e.req.Span)
 		if err != nil {
 			return e.errUpdate(u, err)
 		}
 		u.Stat = st
 		median = st.Median
 	case WatchLoad:
-		st, err := src.HostLoad(graph.NodeID(e.req.Node), e.req.Span)
+		st, err := src.HostLoadCtx(ctx, graph.NodeID(e.req.Node), e.req.Span)
 		if err != nil {
 			return e.errUpdate(u, err)
 		}
@@ -515,7 +516,7 @@ func (s *Server) pushLoop(sub *subscription) {
 		case <-sub.q.wake:
 		case <-sub.cancel:
 			return
-		case <-s.watchStop:
+		case <-s.watchCtx.Done():
 			return
 		}
 		for {
@@ -570,7 +571,7 @@ func (s *Server) watchLoop() {
 	}
 	for {
 		select {
-		case <-s.watchStop:
+		case <-s.watchCtx.Done():
 			return
 		case <-notify:
 		case <-tickC:
@@ -612,7 +613,7 @@ func (s *Server) evalWatches() {
 	term := haTermOf(s.src)
 	peak := 0
 	for _, sub := range subs {
-		u, ok := sub.eval.eval(s.src, epoch)
+		u, ok := sub.eval.eval(s.watchCtx, s.src, epoch)
 		if !ok {
 			continue
 		}
@@ -754,7 +755,7 @@ func watchLocal(ctx context.Context, src Source, vn VersionNotifier, req WatchRe
 			}
 		}()
 		for {
-			if u, ok := eval.eval(src, epochOf()); ok {
+			if u, ok := eval.eval(ctx, src, epochOf()); ok {
 				u.Term = haTermOf(src)
 				q.push(u)
 			}

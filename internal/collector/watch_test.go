@@ -59,13 +59,13 @@ func (v *versionedFake) bump() {
 	v.mu.Unlock()
 }
 
-func (v *versionedFake) Topology() (*Topology, error) {
+func (v *versionedFake) TopologyCtx(ctx context.Context) (*Topology, error) {
 	t := fakeTopo()
 	t.DiscoveredAt = float64(v.disc.Load())
 	return t, nil
 }
 
-func (v *versionedFake) Utilization(key ChannelKey, span float64) (stats.Stat, error) {
+func (v *versionedFake) UtilizationCtx(ctx context.Context, key ChannelKey, span float64) (stats.Stat, error) {
 	return stats.Exact(float64(v.util.Load())), nil
 }
 
@@ -120,21 +120,21 @@ func TestWatchThresholdGating(t *testing.T) {
 	src.util.Store(1000)
 	e := watchEval{req: WatchRequest{Kind: WatchUtil, Key: ChannelKey{Global: 1}, Threshold: 100}}
 
-	u, ok := e.eval(src, 1)
+	u, ok := e.eval(context.Background(), src, 1)
 	if !ok || u.Stat.Median != 1000 {
 		t.Fatalf("first eval = %+v, %v; want initial baseline push", u, ok)
 	}
 	src.util.Store(1050) // +50 < threshold
-	if u, ok = e.eval(src, 2); ok {
+	if u, ok = e.eval(context.Background(), src, 2); ok {
 		t.Fatalf("sub-threshold change pushed %+v", u)
 	}
 	src.util.Store(1120) // +120 vs last DELIVERED (1000) >= threshold
-	u, ok = e.eval(src, 3)
+	u, ok = e.eval(context.Background(), src, 3)
 	if !ok || u.Stat.Median != 1120 || u.Seq != 2 {
 		t.Fatalf("material change eval = %+v, %v; want Seq 2 at 1120", u, ok)
 	}
 	// Same epoch: never re-pushed.
-	if u, ok = e.eval(src, 3); ok {
+	if u, ok = e.eval(context.Background(), src, 3); ok {
 		t.Fatalf("unchanged epoch pushed %+v", u)
 	}
 }
@@ -329,7 +329,7 @@ func TestWatchStalledSubscriberEvicted(t *testing.T) {
 	src.bump()
 	recvUpdate(t, h, 5*time.Second)
 	// ... and so are ordinary queries.
-	if _, err := cli.Topology(); err != nil {
+	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("ordinary query failed during watch churn: %v", err)
 	}
 	// The evicted subscriber's connection was closed server-side.
@@ -360,13 +360,13 @@ func TestWatchPipelining(t *testing.T) {
 
 	utilDone := make(chan error, 1)
 	go func() {
-		_, err := cli.Utilization(ChannelKey{Global: 1}, 5)
+		_, err := cli.UtilizationCtx(context.Background(), ChannelKey{Global: 1}, 5)
 		utilDone <- err
 	}()
 	<-entered // the slow call is now blocked inside the handler
 
 	start := time.Now()
-	if _, err := cli.Topology(); err != nil {
+	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("pipelined topo failed: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -456,7 +456,7 @@ func TestWatchCancelStopsServer(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := cli.Topology(); err != nil {
+	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("connection unusable after watch cancel: %v", err)
 	}
 }
@@ -574,5 +574,71 @@ func TestCollectorLocalWatch(t *testing.T) {
 	}
 	if err := h.Err(); err != nil {
 		t.Fatalf("cancel surfaced err %v", err)
+	}
+}
+
+// TestCloseCancelsUpstreamWatchRound: a server over a dialed upstream
+// evaluates its watches through that upstream. Close cancels the
+// evaluation round in flight instead of waiting out the upstream's
+// CallTimeout.
+func TestCloseCancelsUpstreamWatchRound(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	asked := make(chan struct{}, 1)
+	go func() { // an upstream that accepts, reads, and never answers
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, 512)
+				for {
+					if _, err := conn.Read(buf); err != nil {
+						return
+					}
+					select {
+					case asked <- struct{}{}:
+					default:
+					}
+				}
+			}()
+		}
+	}()
+	up, err := DialConfig(ln.Addr().String(), ClientConfig{CallTimeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	srv, err := Serve(up, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	h, err := cli.Watch(context.Background(), WatchRequest{Kind: WatchVersion})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	defer h.Cancel()
+	select {
+	case <-asked: // the evaluation round is waiting on the upstream
+	case <-time.After(5 * time.Second):
+		srv.Close()
+		t.Fatal("the watch evaluator never asked the upstream")
+	}
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with an upstream watch round in flight, want under 1s", d)
 	}
 }

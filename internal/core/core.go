@@ -207,9 +207,6 @@ func (m *Modeler) Refresh() { m.snap.Store(nil) }
 // thundering herd after Refresh does one discovery, not N.
 func (m *Modeler) snapshot(ctx context.Context) (*snapshot, error) {
 	if s := m.snap.Load(); s != nil {
-		if m.tel != nil {
-			m.gCacheAge.Set(time.Since(s.fetched).Seconds())
-		}
 		return s, nil
 	}
 	m.buildMu.Lock()
@@ -246,19 +243,27 @@ func (m *Modeler) topology(ctx context.Context) (*collector.Topology, *graph.Rou
 // startQuery is the shared telemetry prologue of the public query entry
 // points (§4's remos_get_graph and remos_flow_info): it guarantees ctx
 // carries a trace ID — minting one if the caller supplied none — and
-// opens a span named for the query. The returned finish records the
-// latency quantile and commits the span; call it exactly once, with the
-// query's final error.
+// starts the query's clock. That one clock read also dates the topology
+// cache age gauge, and the returned finish records the latency quantile
+// and commits a span named for the query from it; call finish exactly
+// once, with the query's final error.
 func (m *Modeler) startQuery(ctx context.Context, span string, q *telemetry.Quantile) (context.Context, func(error)) {
 	ctx, trace := telemetry.EnsureTrace(ctx)
-	sp := m.tel.StartSpan(trace, span)
 	start := time.Now()
+	if s := m.snap.Load(); s != nil && m.tel != nil {
+		m.gCacheAge.Set(start.Sub(s.fetched).Seconds())
+	}
 	return ctx, func(err error) {
-		q.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		if err != nil {
-			sp.SetAttr("error", err.Error())
+		d := time.Since(start)
+		q.Observe(float64(d) / float64(time.Millisecond))
+		if m.tel == nil {
+			return
 		}
-		sp.Finish()
+		rec := telemetry.SpanRecord{Trace: trace, Name: span, Start: start, Duration: d}
+		if err != nil {
+			rec.Attrs = map[string]string{"error": err.Error()}
+		}
+		m.tel.RecordSpan(rec)
 	}
 }
 
@@ -380,6 +385,7 @@ func (m *Modeler) availableBandwidth(ctx context.Context, src, dst graph.NodeID,
 	for i, l := range p.Links {
 		out = stats.MinStat(out, v.channelAvailability(l, l.DirFrom(p.Nodes[i])))
 	}
+	v.publishHits()
 	// Router internal bandwidth also caps the path (Figure 1).
 	for _, nid := range p.Nodes[1 : len(p.Nodes)-1] {
 		if n := s.topo.Graph.Node(nid); n != nil && n.InternalBW > 0 {

@@ -21,7 +21,7 @@ type lifecycleSource struct {
 }
 
 func (s *lifecycleSource) TopologyCtx(ctx context.Context) (*collector.Topology, error) {
-	return s.Topology()
+	return s.Source.TopologyCtx(ctx)
 }
 func (s *lifecycleSource) UtilizationCtx(context.Context, collector.ChannelKey, float64) (stats.Stat, error) {
 	return stats.NoData(), s.err

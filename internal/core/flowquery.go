@@ -297,9 +297,11 @@ func newResourceIndex(v view) *resourceIndex {
 	return ri
 }
 
-// release returns the index to the pool, dropping query-scoped state but
-// keeping the map and slice capacity warm.
+// release publishes the query's memo hits and returns the index to the
+// pool, dropping query-scoped state but keeping the map and slice
+// capacity warm.
 func (ri *resourceIndex) release() {
+	ri.v.publishHits()
 	clear(ri.ids)
 	ri.v = view{}
 	ri.caps = ri.caps[:0]

@@ -205,6 +205,7 @@ func (m *Modeler) getGraph(ctx context.Context, nodes []graph.NodeID, tf Timefra
 		out.Links[i] = LinkInfo{A: pl.a, B: pl.b, Capacity: pl.capacity, Latency: pl.latency,
 			Avail: [2]stats.Stat{v.foldAvail(pl.fwd, pl.limit), v.foldAvail(pl.rev, pl.limit)}}
 	}
+	v.publishHits()
 	return out, nil
 }
 

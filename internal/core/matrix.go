@@ -330,6 +330,7 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 	for _, mc := range sc.chans {
 		sc.avail[mc.slot] = v.channelAvailability(mc.l, mc.d)
 	}
+	v.publishHits()
 
 	// Row sweeps: serial for small matrices, a bounded worker pool
 	// pulling rows off an atomic counter for large ones. Workers write

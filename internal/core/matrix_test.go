@@ -20,7 +20,7 @@ import (
 // rigHosts enumerates the rig's compute nodes from the collector's map.
 func rigHosts(t testing.TB, r *rig) []graph.NodeID {
 	t.Helper()
-	topo, err := r.col.Topology()
+	topo, err := r.col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func (s *scriptedReader) Read(ctx context.Context, req *collector.ReadRequest, a
 	}
 	ans.Instance, ans.Version, ans.NotModified = s.instance, v, notModified
 	s.stats += len(ans.Entries)
-	topo, err := s.col.Topology()
+	topo, err := s.col.TopologyCtx(context.Background())
 	if err != nil {
 		return err
 	}
@@ -117,20 +117,12 @@ func TestPrefetchFailureDegradesEveryEntry(t *testing.T) {
 // unknowingSource is the collector with every measurement unknown.
 type unknowingSource struct{ *collector.Collector }
 
-func (unknowingSource) Utilization(collector.ChannelKey, float64) (stats.Stat, error) {
+func (unknowingSource) UtilizationCtx(context.Context, collector.ChannelKey, float64) (stats.Stat, error) {
 	return stats.NoData(), errors.New("unknown channel")
 }
 
-func (unknowingSource) HostLoad(graph.NodeID, float64) (stats.Stat, error) {
+func (unknowingSource) HostLoadCtx(context.Context, graph.NodeID, float64) (stats.Stat, error) {
 	return stats.NoData(), errors.New("no load data")
-}
-
-func (u unknowingSource) UtilizationCtx(context.Context, collector.ChannelKey, float64) (stats.Stat, error) {
-	return u.Utilization(collector.ChannelKey{}, 0)
-}
-
-func (u unknowingSource) HostLoadCtx(context.Context, graph.NodeID, float64) (stats.Stat, error) {
-	return u.HostLoad("", 0)
 }
 
 // TestPrefetchPropagatesLifecycleErrors: a refusal that means "the

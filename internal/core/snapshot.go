@@ -166,12 +166,15 @@ func (am *availMemo) tfFor(tf Timeframe, s *snapshot) *tfMemo {
 
 // view is one query's resolved read context: the snapshot it runs
 // against, its timeframe, and — once prefetch has run — the tfMemo
-// holding every channel and host the query folds.
+// holding every channel and host the query folds. Folds count their
+// memo hits in hits; the query publishes the total once (publishHits)
+// rather than paying an atomic add per channel.
 type view struct {
-	m  *Modeler
-	s  *snapshot
-	tf Timeframe
-	tm *tfMemo
+	m    *Modeler
+	s    *snapshot
+	tf   Timeframe
+	tm   *tfMemo
+	hits uint64
 }
 
 // errTopologyMoved is prefetch's verdict that the source now serves a
@@ -305,9 +308,13 @@ func (v *view) hit(p *stats.Stat) stats.Stat {
 	if p == nil {
 		panic("core: a query folded a channel or host it did not list")
 	}
-	v.m.cMemoHits.Inc()
+	v.hits++
 	return *p
 }
+
+// publishHits adds the query's memo hits to the Modeler's counter. Call
+// it once, after the last fold.
+func (v *view) publishHits() { v.m.cMemoHits.Add(v.hits) }
 
 // foldAvail combines the availabilities of the physical channels behind
 // one logical link (element-wise bottleneck min), then folds in any

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,7 +103,7 @@ func PredictionStudy() []PredictorEval {
 		e := NewEnv()
 		patterns[name](e)
 
-		topo, err := e.Col.Topology()
+		topo, err := e.Col.TopologyCtx(context.Background())
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
@@ -124,7 +125,7 @@ func PredictionStudy() []PredictorEval {
 			o := &observation{}
 			obs = append(obs, o)
 			e.Clk.Schedule(simclock.Time(at), "forecast-point", func(simclock.Time) {
-				samples, err := e.Col.Samples(key)
+				samples, err := e.Col.SamplesCtx(context.Background(), key)
 				if err == nil {
 					o.samples = append([]stats.Sample(nil), samples...)
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -115,7 +116,7 @@ func ScaleStudyAt(n int) ScaleResult {
 	e.Warmup()
 	poll := time.Since(t1)
 	t2 := time.Now()
-	topo, err := e.Views[0].Topology()
+	topo, err := e.Views[0].TopologyCtx(context.Background())
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}

@@ -2,6 +2,7 @@ package federation_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"reflect"
@@ -83,7 +84,7 @@ func TestRegionSummaryDeterministic(t *testing.T) {
 func TestFederatedTopologyComposition(t *testing.T) {
 	e := newFed(t)
 	v := e.Views[0]
-	topo, err := v.Topology()
+	topo, err := v.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFederatedTopologyComposition(t *testing.T) {
 	// federation over the same spec renders the identical topology.
 	e2 := experiments.NewFederationEnv(fedSpec)
 	e2.Warmup()
-	topo2, err := e2.Views[0].Topology()
+	topo2, err := e2.Views[0].TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestWatchPeerOverWire(t *testing.T) {
 		Peers:  []federation.Peer{wp, federation.SourcePeer(e.Regions[2])},
 		Clock:  e.Clk,
 	})
-	topo, err := v.Topology()
+	topo, err := v.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

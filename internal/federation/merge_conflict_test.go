@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func TestMergeDuplicateBorderAcrossRegions(t *testing.T) {
 		Peers:  []federation.Peer{mkPeer("pA", "pB", 3), mkPeer("pB", "pA", 8)},
 		Clock:  e.Clk,
 	})
-	topo, err := v.Topology()
+	topo, err := v.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +85,12 @@ func TestMergeEpochSkewBetweenPartials(t *testing.T) {
 		Peers:  []federation.Peer{frozen, live},
 		Clock:  e.Clk,
 	})
-	if _, err := v.Topology(); err != nil {
+	if _, err := v.TopologyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		e.Clk.Advance(2)
-		if _, err := v.Topology(); err != nil {
+		if _, err := v.TopologyCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +143,7 @@ func TestMergeRegionFlappingMidMerge(t *testing.T) {
 	})
 	// Prime until the first successful apply.
 	for i := 0; ; i++ {
-		if _, err := v.Topology(); err == nil && v.LastPartialError() == nil {
+		if _, err := v.TopologyCtx(context.Background()); err == nil && v.LastPartialError() == nil {
 			break
 		}
 		e.Clk.Advance(2)
@@ -150,7 +151,7 @@ func TestMergeRegionFlappingMidMerge(t *testing.T) {
 			t.Fatal("flappy peer never applied")
 		}
 	}
-	base, err := v.Topology()
+	base, err := v.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestMergeRegionFlappingMidMerge(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 5; i++ {
-					topo, err := v.Topology()
+					topo, err := v.TopologyCtx(context.Background())
 					if err != nil {
 						errc <- err
 						return

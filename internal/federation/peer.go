@@ -309,11 +309,11 @@ func (p *peerMember) ageLocked(now float64) float64 {
 
 func (p *peerMember) now() float64 { return float64(p.view.cfg.Clock.Now()) }
 
-// Topology implements collector.Source with the summary's logical
+// TopologyCtx implements collector.Source with the summary's logical
 // topology. No summary yet means a member error, which Merged surfaces
 // as a partial view with a synthetic Down health entry — the same
 // degradation discipline an unreachable agent gets.
-func (p *peerMember) Topology() (*collector.Topology, error) {
+func (p *peerMember) TopologyCtx(context.Context) (*collector.Topology, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.sum == nil {
@@ -365,10 +365,10 @@ func (p *peerMember) Topology() (*collector.Topology, error) {
 	return t, nil
 }
 
-// Utilization implements collector.Source for the member's synthetic
+// UtilizationCtx implements collector.Source for the member's synthetic
 // channels: the summary's aggregate utilization as an exact-quartile
 // Stat aged from receipt.
-func (p *peerMember) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
+func (p *peerMember) UtilizationCtx(_ context.Context, key collector.ChannelKey, span float64) (stats.Stat, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ch, ok := p.chans[key.Global]
@@ -380,21 +380,21 @@ func (p *peerMember) Utilization(key collector.ChannelKey, span float64) (stats.
 	return st, nil
 }
 
-// Samples implements collector.Source. Summaries carry aggregates, not
+// SamplesCtx implements collector.Source. Summaries carry aggregates, not
 // sample histories; predictive timeframes degrade at the Modeler the
 // same way an unmeasured channel does.
-func (p *peerMember) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
+func (p *peerMember) SamplesCtx(_ context.Context, key collector.ChannelKey) ([]stats.Sample, error) {
 	return nil, fmt.Errorf("federation: no sample history for summarized channel %v", key)
 }
 
-// HostLoad implements collector.Source. Load detail stays inside the
+// HostLoadCtx implements collector.Source. Load detail stays inside the
 // owning region.
-func (p *peerMember) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+func (p *peerMember) HostLoadCtx(_ context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	return stats.NoData(), fmt.Errorf("federation: host load of %s is owned by region %q", node, p.regionLabel())
 }
 
-// DataAge implements collector.Source for synthetic channels.
-func (p *peerMember) DataAge(key collector.ChannelKey) (float64, error) {
+// DataAgeCtx implements collector.Source for synthetic channels.
+func (p *peerMember) DataAgeCtx(_ context.Context, key collector.ChannelKey) (float64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.chans[key.Global]; !ok || p.sum == nil {

@@ -28,6 +28,7 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -97,7 +98,7 @@ func (r *Region) RegionSummary() (*collector.RegionSummary, error) {
 			term = t
 		}
 	}
-	s, err := Summarize(r.Name, r.Src, r.RegionOf, float64(r.Clock.Now()), span)
+	s, err := Summarize(context.TODO(), r.Name, r.Src, r.RegionOf, float64(r.Clock.Now()), span)
 	if err != nil {
 		return nil, err
 	}
@@ -106,13 +107,13 @@ func (r *Region) RegionSummary() (*collector.RegionSummary, error) {
 	return s, nil
 }
 
-// Summarize digests src's current state into a RegionSummary for the
-// named region: its compute nodes, its border routers, and one
-// aggregate entry per neighbouring region. Epoch and Term are left for
-// the caller to stamp.
-func Summarize(name string, src collector.Source, regionOf func(graph.NodeID) string,
+// Summarize digests src's current state, read under ctx, into a
+// RegionSummary for the named region: its compute nodes, its border
+// routers, and one aggregate entry per neighbouring region. Epoch and
+// Term are left for the caller to stamp.
+func Summarize(ctx context.Context, name string, src collector.Source, regionOf func(graph.NodeID) string,
 	now, span float64) (*collector.RegionSummary, error) {
-	topo, err := src.Topology()
+	topo, err := src.TopologyCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("federation: summarize %s: %w", name, err)
 	}
@@ -127,7 +128,7 @@ func Summarize(name string, src collector.Source, regionOf func(graph.NodeID) st
 		got := false
 		for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
 			key := topo.Key(l, d)
-			if st, err := src.Utilization(key, span); err == nil && st.Valid() {
+			if st, err := src.UtilizationCtx(ctx, key, span); err == nil && st.Valid() {
 				if !got || st.Median > worst {
 					worst = st.Median
 				}
@@ -136,7 +137,7 @@ func Summarize(name string, src collector.Source, regionOf func(graph.NodeID) st
 					s.MaxDataAge = st.Age
 				}
 			}
-			if age, err := src.DataAge(key); err == nil && age > s.MaxDataAge {
+			if age, err := src.DataAgeCtx(ctx, key); err == nil && age > s.MaxDataAge {
 				s.MaxDataAge = age
 			}
 		}
@@ -206,26 +207,30 @@ func Summarize(name string, src collector.Source, regionOf func(graph.NodeID) st
 
 // ---- Source delegation ----
 
-// Topology implements collector.Source.
-func (r *Region) Topology() (*collector.Topology, error) { return r.Src.Topology() }
-
-// Utilization implements collector.Source.
-func (r *Region) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
-	return r.Src.Utilization(key, span)
+// TopologyCtx implements collector.Source.
+func (r *Region) TopologyCtx(ctx context.Context) (*collector.Topology, error) {
+	return r.Src.TopologyCtx(ctx)
 }
 
-// Samples implements collector.Source.
-func (r *Region) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
-	return r.Src.Samples(key)
+// UtilizationCtx implements collector.Source.
+func (r *Region) UtilizationCtx(ctx context.Context, key collector.ChannelKey, span float64) (stats.Stat, error) {
+	return r.Src.UtilizationCtx(ctx, key, span)
 }
 
-// HostLoad implements collector.Source.
-func (r *Region) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	return r.Src.HostLoad(node, span)
+// SamplesCtx implements collector.Source.
+func (r *Region) SamplesCtx(ctx context.Context, key collector.ChannelKey) ([]stats.Sample, error) {
+	return r.Src.SamplesCtx(ctx, key)
 }
 
-// DataAge implements collector.Source.
-func (r *Region) DataAge(key collector.ChannelKey) (float64, error) { return r.Src.DataAge(key) }
+// HostLoadCtx implements collector.Source.
+func (r *Region) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
+	return r.Src.HostLoadCtx(ctx, node, span)
+}
+
+// DataAgeCtx implements collector.Source.
+func (r *Region) DataAgeCtx(ctx context.Context, key collector.ChannelKey) (float64, error) {
+	return r.Src.DataAgeCtx(ctx, key)
+}
 
 // DataVersion implements collector.VersionedSource by probing Src.
 func (r *Region) DataVersion() (uint64, bool) {

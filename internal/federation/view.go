@@ -123,63 +123,31 @@ func (v *View) RegionAges() []RegionAge {
 
 // ---- collector.Source ----
 
-// Topology implements collector.Source.
-func (v *View) Topology() (*collector.Topology, error) {
-	v.refresh()
-	return v.merged.Topology()
-}
-
-// Utilization implements collector.Source.
-func (v *View) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
-	v.refresh()
-	return v.merged.Utilization(key, span)
-}
-
-// Samples implements collector.Source.
-func (v *View) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
-	v.refresh()
-	return v.merged.Samples(key)
-}
-
-// HostLoad implements collector.Source.
-func (v *View) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	v.refresh()
-	return v.merged.HostLoad(node, span)
-}
-
-// DataAge implements collector.Source.
-func (v *View) DataAge(key collector.ChannelKey) (float64, error) {
-	v.refresh()
-	return v.merged.DataAge(key)
-}
-
-// ---- collector.ContextSource ----
-
-// TopologyCtx implements collector.ContextSource.
+// TopologyCtx implements collector.Source.
 func (v *View) TopologyCtx(ctx context.Context) (*collector.Topology, error) {
 	v.refresh()
 	return v.merged.TopologyCtx(ctx)
 }
 
-// UtilizationCtx implements collector.ContextSource.
+// UtilizationCtx implements collector.Source.
 func (v *View) UtilizationCtx(ctx context.Context, key collector.ChannelKey, span float64) (stats.Stat, error) {
 	v.refresh()
 	return v.merged.UtilizationCtx(ctx, key, span)
 }
 
-// SamplesCtx implements collector.ContextSource.
+// SamplesCtx implements collector.Source.
 func (v *View) SamplesCtx(ctx context.Context, key collector.ChannelKey) ([]stats.Sample, error) {
 	v.refresh()
 	return v.merged.SamplesCtx(ctx, key)
 }
 
-// HostLoadCtx implements collector.ContextSource.
+// HostLoadCtx implements collector.Source.
 func (v *View) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	v.refresh()
 	return v.merged.HostLoadCtx(ctx, node, span)
 }
 
-// DataAgeCtx implements collector.ContextSource.
+// DataAgeCtx implements collector.Source.
 func (v *View) DataAgeCtx(ctx context.Context, key collector.ChannelKey) (float64, error) {
 	v.refresh()
 	return v.merged.DataAgeCtx(ctx, key)

@@ -164,7 +164,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// One topology fetch seeds the whole query universe.
-	topo, err := cfg.Targets[0].Topology()
+	topo, err := cfg.Targets[0].TopologyCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: topology: %w", err)
 	}
@@ -315,9 +315,5 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // queryOnce issues one point query — a channel-utilization read over a
 // random channel, the cheapest realistic unit of query-plane load.
 func (w *workload) queryOnce(ctx context.Context, t Target, rng *rand.Rand, span float64) (any, error) {
-	key := w.keys[rng.Intn(len(w.keys))]
-	if cs, ok := t.(collector.ContextSource); ok {
-		return cs.UtilizationCtx(ctx, key, span)
-	}
-	return t.Utilization(key, span)
+	return t.UtilizationCtx(ctx, w.keys[rng.Intn(len(w.keys))], span)
 }

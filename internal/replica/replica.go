@@ -165,7 +165,7 @@ func (cfg Config) fill() Config {
 // serves the collector query surface from the mirror. The query path
 // is a single atomic pointer load — no locks, no network.
 //
-// Replica implements collector.Source, ContextSource, VersionedSource,
+// Replica implements collector.Source, VersionedSource,
 // VersionNotifier, HealthSource, and TelemetrySource, so
 // collector.ServeConfig can put a full query/watch server in front of
 // it unchanged.
@@ -424,8 +424,8 @@ func (r *Replica) gate() (*store, error) {
 	return st, nil
 }
 
-// Topology implements collector.Source.
-func (r *Replica) Topology() (*collector.Topology, error) {
+// TopologyCtx implements collector.Source.
+func (r *Replica) TopologyCtx(context.Context) (*collector.Topology, error) {
 	st, err := r.gate()
 	if err != nil {
 		return nil, err
@@ -448,8 +448,8 @@ func (r *Replica) CheckFresh() error {
 // feed updates, so a lagging replica's answers degrade honestly instead
 // of freezing at their last-fed age.
 
-// Utilization implements collector.Source.
-func (r *Replica) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
+// UtilizationCtx implements collector.Source.
+func (r *Replica) UtilizationCtx(_ context.Context, key collector.ChannelKey, span float64) (stats.Stat, error) {
 	st, err := r.gate()
 	if err != nil {
 		return stats.NoData(), err
@@ -457,8 +457,8 @@ func (r *Replica) Utilization(key collector.ChannelKey, span float64) (stats.Sta
 	return st.State.Utilization(key, span, st.virtualNow(r.now()))
 }
 
-// DataAge implements collector.Source.
-func (r *Replica) DataAge(key collector.ChannelKey) (float64, error) {
+// DataAgeCtx implements collector.Source.
+func (r *Replica) DataAgeCtx(_ context.Context, key collector.ChannelKey) (float64, error) {
 	st, err := r.gate()
 	if err != nil {
 		return 0, err
@@ -466,8 +466,8 @@ func (r *Replica) DataAge(key collector.ChannelKey) (float64, error) {
 	return st.State.DataAge(key, st.virtualNow(r.now()))
 }
 
-// Samples implements collector.Source.
-func (r *Replica) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
+// SamplesCtx implements collector.Source.
+func (r *Replica) SamplesCtx(_ context.Context, key collector.ChannelKey) ([]stats.Sample, error) {
 	st, err := r.gate()
 	if err != nil {
 		return nil, err
@@ -475,8 +475,8 @@ func (r *Replica) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
 	return st.State.Samples(key)
 }
 
-// HostLoad implements collector.Source.
-func (r *Replica) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+// HostLoadCtx implements collector.Source.
+func (r *Replica) HostLoadCtx(_ context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	st, err := r.gate()
 	if err != nil {
 		return stats.NoData(), err
@@ -541,47 +541,4 @@ func (r *Replica) notifyVersion() {
 		}
 	}
 	r.versionMu.Unlock()
-}
-
-// The context-aware variants only need the liveness check — the data
-// is already local.
-
-// TopologyCtx implements collector.ContextSource.
-func (r *Replica) TopologyCtx(ctx context.Context) (*collector.Topology, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.Topology()
-}
-
-// UtilizationCtx implements collector.ContextSource.
-func (r *Replica) UtilizationCtx(ctx context.Context, key collector.ChannelKey, span float64) (stats.Stat, error) {
-	if err := ctx.Err(); err != nil {
-		return stats.NoData(), err
-	}
-	return r.Utilization(key, span)
-}
-
-// SamplesCtx implements collector.ContextSource.
-func (r *Replica) SamplesCtx(ctx context.Context, key collector.ChannelKey) ([]stats.Sample, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.Samples(key)
-}
-
-// HostLoadCtx implements collector.ContextSource.
-func (r *Replica) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
-	if err := ctx.Err(); err != nil {
-		return stats.NoData(), err
-	}
-	return r.HostLoad(node, span)
-}
-
-// DataAgeCtx implements collector.ContextSource.
-func (r *Replica) DataAgeCtx(ctx context.Context, key collector.ChannelKey) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return r.DataAge(key)
 }

@@ -160,7 +160,7 @@ func newRigOn(t testing.TB, g *graph.Graph) *rig {
 
 func chanKey(t testing.TB, col *collector.Collector, from, to graph.NodeID) collector.ChannelKey {
 	t.Helper()
-	topo, err := col.Topology()
+	topo, err := col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestStoreApplyFullThenDeltas(t *testing.T) {
 		}
 	}
 
-	want, err := r.col.Samples(key)
+	want, err := r.col.SamplesCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestStoreApplyFullThenDeltas(t *testing.T) {
 
 	// Utilization through the state must match the collector's answer
 	// up to the age term (a replica reads it at an extrapolated clock).
-	cs, err := r.col.Utilization(key, 6)
+	cs, err := r.col.UtilizationCtx(context.Background(), key, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,34 +318,34 @@ type lockedFeedSource struct {
 	col *collector.Collector
 }
 
-func (s *lockedFeedSource) Topology() (*collector.Topology, error) {
+func (s *lockedFeedSource) TopologyCtx(ctx context.Context) (*collector.Topology, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.Topology()
+	return s.col.TopologyCtx(ctx)
 }
 
-func (s *lockedFeedSource) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
+func (s *lockedFeedSource) UtilizationCtx(ctx context.Context, key collector.ChannelKey, span float64) (stats.Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.Utilization(key, span)
+	return s.col.UtilizationCtx(ctx, key, span)
 }
 
-func (s *lockedFeedSource) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
+func (s *lockedFeedSource) SamplesCtx(ctx context.Context, key collector.ChannelKey) ([]stats.Sample, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.Samples(key)
+	return s.col.SamplesCtx(ctx, key)
 }
 
-func (s *lockedFeedSource) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+func (s *lockedFeedSource) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.HostLoad(node, span)
+	return s.col.HostLoadCtx(ctx, node, span)
 }
 
-func (s *lockedFeedSource) DataAge(key collector.ChannelKey) (float64, error) {
+func (s *lockedFeedSource) DataAgeCtx(ctx context.Context, key collector.ChannelKey) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.DataAge(key)
+	return s.col.DataAgeCtx(ctx, key)
 }
 
 func (s *lockedFeedSource) Health() map[graph.NodeID]collector.AgentHealth {
@@ -438,19 +438,19 @@ func TestReplicaSyncServeFenceRecover(t *testing.T) {
 		defer mu.Unlock()
 		return chanKey(t, r.col, "m-6", "timberline")
 	}()
-	repTopo, err := rep.Topology()
+	repTopo, err := rep.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	colTopo, _ := r.col.Topology()
+	colTopo, _ := r.col.TopologyCtx(context.Background())
 	mu.Unlock()
 	if repTopo.Graph.NumLinks() != colTopo.Graph.NumLinks() {
 		t.Fatalf("replica topo has %d links, collector %d",
 			repTopo.Graph.NumLinks(), colTopo.Graph.NumLinks())
 	}
 	waitFor(t, 3*time.Second, "replica live", func() bool { return rep.State() == Live })
-	if _, err := rep.Utilization(key, 6); err != nil {
+	if _, err := rep.UtilizationCtx(context.Background(), key, 6); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := rep.Capacity(key); !ok || v != 100e6 {
@@ -471,7 +471,7 @@ func TestReplicaSyncServeFenceRecover(t *testing.T) {
 	}
 
 	time.Sleep(400 * time.Millisecond) // inside the fence
-	st, err := rep.Utilization(key, 6)
+	st, err := rep.UtilizationCtx(context.Background(), key, 6)
 	if err != nil {
 		t.Fatalf("pre-fence query refused: %v", err)
 	}
@@ -485,16 +485,16 @@ func TestReplicaSyncServeFenceRecover(t *testing.T) {
 	// ticker must get to observe the transition.
 	fencedUntil := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(fencedUntil) {
-		if _, err := rep.Utilization(key, 6); !errors.Is(err, collector.ErrStaleReplica) {
+		if _, err := rep.UtilizationCtx(context.Background(), key, 6); !errors.Is(err, collector.ErrStaleReplica) {
 			t.Fatalf("fenced query err = %v, want ErrStaleReplica", err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if _, err := rep.Topology(); !errors.Is(err, collector.ErrStaleReplica) {
+	if _, err := rep.TopologyCtx(context.Background()); !errors.Is(err, collector.ErrStaleReplica) {
 		t.Fatalf("fenced topology err = %v, want ErrStaleReplica", err)
 	}
 	// Lifecycle classification: stale is routable-around, not semantic.
-	if _, err := rep.Utilization(key, 6); !collector.IsLifecycleError(err) {
+	if _, err := rep.UtilizationCtx(context.Background(), key, 6); !collector.IsLifecycleError(err) {
 		t.Fatal("ErrStaleReplica must classify as a lifecycle error")
 	}
 
@@ -511,7 +511,7 @@ func TestReplicaSyncServeFenceRecover(t *testing.T) {
 		ver, _ := rep.DataVersion()
 		return ver > epochAtKill
 	})
-	if _, err := rep.Utilization(key, 6); err != nil {
+	if _, err := rep.UtilizationCtx(context.Background(), key, 6); err != nil {
 		t.Fatalf("post-recovery query refused: %v", err)
 	}
 	tel := rep.Telemetry().Snapshot()

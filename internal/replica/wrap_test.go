@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -43,7 +44,7 @@ func TestReplicaEqualsCollectorAcrossWrap(t *testing.T) {
 	if err := rep.apply(feed()); err != nil {
 		t.Fatal(err)
 	}
-	topo, err := r.col.Topology()
+	topo, err := r.col.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +62,14 @@ func TestReplicaEqualsCollectorAcrossWrap(t *testing.T) {
 		for _, l := range topo.Graph.Links() {
 			for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
 				k := topo.Key(l, d)
-				want, err1 := r.col.Samples(k)
-				got, err2 := rep.Samples(k)
+				want, err1 := r.col.SamplesCtx(context.Background(), k)
+				got, err2 := rep.SamplesCtx(context.Background(), k)
 				if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("epoch %d %v: replica has %d samples, collector %d (%v, %v)", epoch, k, len(got), len(want), err2, err1)
 				}
 				for _, span := range []float64{0, 10, 120, 2000} {
-					want, _ := r.col.Utilization(k, span)
-					got, _ := rep.Utilization(k, span)
+					want, _ := r.col.UtilizationCtx(context.Background(), k, span)
+					got, _ := rep.UtilizationCtx(context.Background(), k, span)
 					if !sameStat(got, want) {
 						t.Fatalf("epoch %d %v span %v: replica %+v, collector %+v", epoch, k, span, got, want)
 					}
@@ -76,8 +77,8 @@ func TestReplicaEqualsCollectorAcrossWrap(t *testing.T) {
 			}
 		}
 		for _, id := range topo.Graph.ComputeNodes() {
-			want, err1 := r.col.HostLoad(id, 60)
-			got, err2 := rep.HostLoad(id, 60)
+			want, err1 := r.col.HostLoadCtx(context.Background(), id, 60)
+			got, err2 := rep.HostLoadCtx(context.Background(), id, 60)
 			if (err1 == nil) != (err2 == nil) || !sameStat(got, want) {
 				t.Fatalf("epoch %d host %s: replica %+v (%v), collector %+v (%v)", epoch, id, got, err2, want, err1)
 			}
@@ -135,7 +136,7 @@ func TestReplicaEqualsCollectorAcrossWrap(t *testing.T) {
 	// The window wrapped: the collector has dropped samples, and so has
 	// the replica, by the same count.
 	k := topo.Key(topo.Graph.Links()[0], graph.AtoB)
-	if got, _ := rep.Samples(k); len(got) != 512 {
+	if got, _ := rep.SamplesCtx(context.Background(), k); len(got) != 512 {
 		t.Fatalf("window holds %d samples after 700 epochs, want 512", len(got))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNilSafety: a nil registry hands out nil instruments whose every
@@ -317,4 +318,21 @@ func TestQuantilePercentiles(t *testing.T) {
 	if p := q.Percentile(100); p != 26 {
 		t.Fatalf("post-wrap max = %v, want 26", p)
 	}
+}
+
+// TestRecordSpan: a caller-timed span lands in the log as recorded and
+// counts as started and finished; a nil registry drops it.
+func TestRecordSpan(t *testing.T) {
+	r := NewRegistry()
+	start := time.Unix(100, 0)
+	r.RecordSpan(SpanRecord{Trace: "t", Name: "op", Start: start, Duration: 3 * time.Millisecond})
+	recs := r.Spans()
+	if len(recs) != 1 || recs[0].Name != "op" || !recs[0].Start.Equal(start) || recs[0].Duration != 3*time.Millisecond {
+		t.Fatalf("recorded spans = %+v", recs)
+	}
+	if s, f := r.SpanCounts(); s != 1 || f != 1 {
+		t.Errorf("span counts %d/%d, want 1/1", s, f)
+	}
+	var nilReg *Registry
+	nilReg.RecordSpan(SpanRecord{Trace: "t", Name: "op"})
 }

@@ -137,6 +137,19 @@ func (s *Span) Finish() {
 	s.reg.spans.add(rec)
 }
 
+// RecordSpan commits a span the caller timed itself: it counts as both
+// started and finished, and no *Span is allocated. Hot paths that
+// already hold the start time and duration use it instead of
+// StartSpan/Finish. No-op on a nil registry.
+func (r *Registry) RecordSpan(rec SpanRecord) {
+	if r == nil {
+		return
+	}
+	r.spansStarted.Add(1)
+	r.spansFinished.Add(1)
+	r.spans.add(rec)
+}
+
 // Spans returns the retained finished spans, oldest first (nil on a nil
 // registry).
 func (r *Registry) Spans() []SpanRecord {

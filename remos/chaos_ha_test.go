@@ -235,7 +235,7 @@ func TestChaosLeaderFailover(t *testing.T) {
 	// A live watch through the failover layer: its updates carry the
 	// term, and across the failover the client must see terms only
 	// ever increase — the client-visible face of split-brain fencing.
-	topo, err := fsrc.Topology()
+	topo, err := fsrc.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +269,14 @@ func TestChaosLeaderFailover(t *testing.T) {
 	waitUntil(t, 10*time.Second, "standby synced from leader feed", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		_, err := colB.Topology()
+		_, err := colB.TopologyCtx(context.Background())
 		return err == nil
 	})
 	if n, _, _ := trB.stats(); n != 0 {
 		t.Fatalf("standby polled agents %d times before promotion", n)
 	}
 	waitUntil(t, 10*time.Second, "leader serving backbone samples", func() bool {
-		_, err := fsrc.Utilization(backbone, 10)
+		_, err := fsrc.UtilizationCtx(context.Background(), backbone, 10)
 		return err == nil
 	})
 	// The standby's first payload dates from before the leader's first
@@ -286,7 +286,7 @@ func TestChaosLeaderFailover(t *testing.T) {
 	waitUntil(t, 10*time.Second, "standby holds the backbone window", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		_, err := colB.Samples(backbone)
+		_, err := colB.SamplesCtx(context.Background(), backbone)
 		return err == nil
 	})
 	if term, leader, on := colA.HAStatus(); !on || !leader || term != 1 {
@@ -344,7 +344,7 @@ func TestChaosLeaderFailover(t *testing.T) {
 	}
 
 	// Queries keep working against the new leader.
-	if _, err := fsrc.Utilization(backbone, 10); err != nil {
+	if _, err := fsrc.UtilizationCtx(context.Background(), backbone, 10); err != nil {
 		t.Fatalf("post-failover query: %v", err)
 	}
 
@@ -365,7 +365,7 @@ func TestChaosLeaderFailover(t *testing.T) {
 		return fsrc.Telemetry().Snapshot().Counters["failover.fencing.rejections"]
 	}
 	waitUntil(t, 10*time.Second, "stale-term answers fenced", func() bool {
-		if _, err := fsrc.Utilization(backbone, 10); err != nil {
+		if _, err := fsrc.UtilizationCtx(context.Background(), backbone, 10); err != nil {
 			t.Fatalf("query during zombie phase: %v", err)
 		}
 		return fenced() > 0
@@ -455,13 +455,13 @@ func TestChaosLeaderFailover(t *testing.T) {
 		return ok && rep.Status().Epoch == v
 	})
 	mu.Lock()
-	topoB, errTopoB := colB.Topology()
-	samplesB, errSampB := colB.Samples(backbone)
+	topoB, errTopoB := colB.TopologyCtx(context.Background())
+	samplesB, errSampB := colB.SamplesCtx(context.Background(), backbone)
 	mu.Unlock()
 	if errTopoB != nil || errSampB != nil {
 		t.Fatalf("leader state read: %v / %v", errTopoB, errSampB)
 	}
-	topoR, err := rep.Topology()
+	topoR, err := rep.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatalf("replica topology: %v", err)
 	}
@@ -469,7 +469,7 @@ func TestChaosLeaderFailover(t *testing.T) {
 		t.Fatalf("replica topology diverged: %d nodes vs %d",
 			len(topoR.Graph.Nodes()), len(topoB.Graph.Nodes()))
 	}
-	samplesR, err := rep.Samples(backbone)
+	samplesR, err := rep.SamplesCtx(context.Background(), backbone)
 	if err != nil {
 		t.Fatalf("replica samples: %v", err)
 	}

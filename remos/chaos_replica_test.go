@@ -1,6 +1,7 @@
 package remos_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -72,7 +73,7 @@ func TestChaosReplicaPartition(t *testing.T) {
 		return rep.State() == remos.ReplicaLive
 	})
 
-	topo, err := rep.Topology()
+	topo, err := rep.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestChaosReplicaPartition(t *testing.T) {
 					return
 				default:
 				}
-				st, err := rep.Utilization(key, 6)
+				st, err := rep.UtilizationCtx(context.Background(), key, 6)
 				o := outcome{phase: phase.Load(), atNanos: time.Now().UnixNano()}
 				if err != nil {
 					o.err = err
@@ -135,7 +136,7 @@ func TestChaosReplicaPartition(t *testing.T) {
 
 	// Phase 0: live for a while.
 	time.Sleep(400 * time.Millisecond)
-	if _, err := fsrc.Topology(); err != nil {
+	if _, err := fsrc.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("live-phase failover query: %v", err)
 	}
 
@@ -153,13 +154,13 @@ func TestChaosReplicaPartition(t *testing.T) {
 	})
 	rep2.Start()
 	defer rep2.Close()
-	if _, err := rep2.Utilization(key, 6); !errors.Is(err, remos.ErrStaleReplica) {
+	if _, err := rep2.UtilizationCtx(context.Background(), key, 6); !errors.Is(err, remos.ErrStaleReplica) {
 		t.Fatalf("unsynced replica answered: err = %v, want ErrStaleReplica", err)
 	}
 
 	deadline := time.Now().Add(fence + 800*time.Millisecond)
 	for time.Now().Before(deadline) {
-		if _, err := fsrc.Topology(); err != nil {
+		if _, err := fsrc.TopologyCtx(context.Background()); err != nil {
 			t.Fatalf("failover query during partition: %v", err)
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -234,13 +235,13 @@ func TestChaosReplicaPartition(t *testing.T) {
 		return repVer == colVer && rep2Ver == colVer
 	})
 	mu.Lock()
-	want, err := tb.Collector.Samples(key)
+	want, err := tb.Collector.SamplesCtx(context.Background(), key)
 	mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, r := range map[string]*remos.ReadReplica{"partitioned": rep, "restarted": rep2} {
-		got, err := r.Samples(key)
+		got, err := r.SamplesCtx(context.Background(), key)
 		if err != nil {
 			t.Fatalf("%s replica samples: %v", name, err)
 		}

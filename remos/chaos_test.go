@@ -40,30 +40,30 @@ type lockedSource struct {
 	col *collector.Collector
 }
 
-func (s *lockedSource) Topology() (*collector.Topology, error) {
+func (s *lockedSource) TopologyCtx(ctx context.Context) (*collector.Topology, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.Topology()
+	return s.col.TopologyCtx(ctx)
 }
-func (s *lockedSource) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
+func (s *lockedSource) UtilizationCtx(ctx context.Context, key collector.ChannelKey, span float64) (stats.Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.Utilization(key, span)
+	return s.col.UtilizationCtx(ctx, key, span)
 }
-func (s *lockedSource) Samples(key collector.ChannelKey) ([]stats.Sample, error) {
+func (s *lockedSource) SamplesCtx(ctx context.Context, key collector.ChannelKey) ([]stats.Sample, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.Samples(key)
+	return s.col.SamplesCtx(ctx, key)
 }
-func (s *lockedSource) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
+func (s *lockedSource) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.HostLoad(node, span)
+	return s.col.HostLoadCtx(ctx, node, span)
 }
-func (s *lockedSource) DataAge(key collector.ChannelKey) (float64, error) {
+func (s *lockedSource) DataAgeCtx(ctx context.Context, key collector.ChannelKey) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.col.DataAge(key)
+	return s.col.DataAgeCtx(ctx, key)
 }
 func (s *lockedSource) Health() map[graph.NodeID]collector.AgentHealth {
 	s.mu.Lock()
@@ -145,7 +145,7 @@ func TestChaosLifecycle(t *testing.T) {
 	defer src.Close()
 
 	// The backbone channel used for data-age queries.
-	topo, err := tb.Collector.Topology()
+	topo, err := tb.Collector.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

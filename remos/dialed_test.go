@@ -48,27 +48,16 @@ func (p *probeSource) UtilizationCtx(ctx context.Context, key collector.ChannelK
 	return p.Collector.UtilizationCtx(ctx, key, span)
 }
 
-func (p *probeSource) Utilization(key collector.ChannelKey, span float64) (stats.Stat, error) {
-	return p.UtilizationCtx(context.Background(), key, span)
-}
-
 func (p *probeSource) HostLoadCtx(ctx context.Context, node graph.NodeID, span float64) (stats.Stat, error) {
 	p.summaries.Add(1)
 	return p.Collector.HostLoadCtx(ctx, node, span)
-}
-
-func (p *probeSource) HostLoad(node graph.NodeID, span float64) (stats.Stat, error) {
-	return p.HostLoadCtx(context.Background(), node, span)
 }
 
 // scalarOnly shows a dialed handle's per-key methods and nothing else:
 // a Modeler over it reads through an in-process collector.Reader, which
 // asks the handle one channel and one host at a time — the per-key
 // program a Modeler ran over any dialed handle before the read op.
-type scalarOnly struct {
-	collector.Source
-	collector.ContextSource
-}
+type scalarOnly struct{ collector.Source }
 
 func sameBits(a, b stats.Stat) bool {
 	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
@@ -226,7 +215,7 @@ func TestDialedModelerMatchesInProcess(t *testing.T) {
 				defer tb.Collector.Stop()
 				hosts := tb.Hosts()
 				startOnOff(tb, hosts, 6)
-				topo, err := tb.Collector.Topology()
+				topo, err := tb.Collector.TopologyCtx(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +253,7 @@ func TestDialedModelerMatchesInProcess(t *testing.T) {
 
 				reg := telemetry.NewRegistry()
 				dialed := core.New(core.Config{Source: fo, DiscountSelf: discount, Telemetry: reg})
-				scalar := core.New(core.Config{Source: scalarOnly{cl, cl}, DiscountSelf: discount})
+				scalar := core.New(core.Config{Source: scalarOnly{cl}, DiscountSelf: discount})
 				local := core.New(core.Config{Source: &probeSource{Collector: tb.Collector, hole: hole}, DiscountSelf: discount})
 				if discount {
 					for _, m := range []*core.Modeler{dialed, scalar, local} {

@@ -1,6 +1,7 @@
 package remos_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestFaultToleranceEndToEnd(t *testing.T) {
 	// The backbone channel the outage will starve: with both aspen and
 	// timberline dark, no agent refreshes it (host-attached links keep
 	// being reported by the host ends).
-	topo, err := tb.Collector.Topology()
+	topo, err := tb.Collector.TopologyCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

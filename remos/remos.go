@@ -81,9 +81,11 @@ type (
 	// Modeler answers Remos queries; obtain one from NewModeler.
 	Modeler = core.Modeler
 
-	// Source supplies the Modeler with topology and measurements: a
-	// local Collector, a TCP client to a collector daemon, or a merge
-	// of several.
+	// Source supplies the Modeler with topology and measurements
+	// through five reads, each under the caller's context: a local
+	// Collector, a TCP client to a collector daemon or a failover set
+	// of them, a read replica, a federation view, a recorded history,
+	// or a merge of several.
 	Source = collector.Source
 
 	// Config parameterizes NewModeler.

@@ -131,7 +131,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	if _, err := src.Topology(); err != nil {
+	if _, err := src.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("replica-first topology query: %v", err)
 	}
 
@@ -140,7 +140,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 
 	// Inside the fence: queries served by the replica, ages growing.
 	time.Sleep(300 * time.Millisecond)
-	if _, err := src.Topology(); err != nil {
+	if _, err := src.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("pre-fence query through failover: %v", err)
 	}
 
@@ -153,12 +153,12 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.Topology(); !errors.Is(err, remos.ErrStaleReplica) {
+	if _, err := direct.TopologyCtx(context.Background()); !errors.Is(err, remos.ErrStaleReplica) {
 		t.Fatalf("fenced replica over the wire: err = %v, want ErrStaleReplica", err)
 	}
 	if !remos.IsLifecycleError(err) {
 		// err here is nil (dial); re-derive from a query.
-		_, qerr := direct.Topology()
+		_, qerr := direct.TopologyCtx(context.Background())
 		if !remos.IsLifecycleError(qerr) {
 			t.Fatalf("ErrStaleReplica must classify as lifecycle, got %v", qerr)
 		}
@@ -168,7 +168,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	// collector — and must NOT mark the replica Down: the refusal
 	// proves the process alive.
 	for i := 0; i < 5; i++ {
-		if _, err := src.Topology(); err != nil {
+		if _, err := src.TopologyCtx(context.Background()); err != nil {
 			t.Fatalf("failover query %d during fence: %v", i, err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 		ver, _ := rep.DataVersion()
 		return ver > epochAtFence
 	})
-	if _, err := direct.Topology(); err != nil {
+	if _, err := direct.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("recovered replica still refusing: %v", err)
 	}
 

@@ -149,6 +149,28 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 		return f(a.Min, b.Min) && f(a.Q1, b.Q1) && f(a.Median, b.Median) && f(a.Q3, b.Q3) &&
 			f(a.Max, b.Max) && a.Samples == b.Samples
 	}
+	// unknown asks src for a channel and a host that do not exist. Every
+	// read must fail as the collector's does, with a non-lifecycle
+	// error: Merged.firstAnswer moves past such an error to the next
+	// member and the Reader fails only that entry, where a lifecycle
+	// error ends the walk or the whole read.
+	unknownKey, unknownHost := collector.ChannelKey{Global: 1 << 30}, graph.NodeID("no-such-host")
+	unknown := func(epoch int, name string, src collector.Source) {
+		t.Helper()
+		ctx := context.Background()
+		_, utilErr := src.UtilizationCtx(ctx, unknownKey, 10)
+		_, samplesErr := src.SamplesCtx(ctx, unknownKey)
+		_, ageErr := src.DataAgeCtx(ctx, unknownKey)
+		_, loadErr := src.HostLoadCtx(ctx, unknownHost, 10)
+		for _, r := range []struct {
+			read string
+			err  error
+		}{{"utilization", utilErr}, {"samples", samplesErr}, {"age", ageErr}, {"load", loadErr}} {
+			if r.err == nil || collector.IsLifecycleError(r.err) {
+				t.Fatalf("epoch %d %s: %s of an unknown key: %v, want a non-lifecycle error", epoch, name, r.read, r.err)
+			}
+		}
+	}
 	restored := false
 	compare := func(epoch int) {
 		t.Helper()
@@ -163,8 +185,10 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 			}
 			dialedGraphs = append(dialedGraphs, g)
 		}
+		unknown(epoch, "dialed", dialedSrc)
 		mu.Lock()
 		defer mu.Unlock()
+		unknown(epoch, "collector", col)
 		linked.Refresh() // redundant since a linked Modeler follows a rediscovery itself (DESIGN §22)
 		for i, tf := range tfs {
 			want, err := linked.GetGraph(nil, tf)
@@ -195,27 +219,28 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 		if restored {
 			tiers = append(tiers, tier{"restored", colRestored, true})
 		}
-		topo, err := col.Topology()
+		topo, err := col.TopologyCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tr := range tiers {
-			tt, err := tr.src.Topology()
+			unknown(epoch, tr.name, tr.src)
+			tt, err := tr.src.TopologyCtx(context.Background())
 			if err != nil || tt.Graph.NumLinks() != topo.Graph.NumLinks() || tt.Graph.NumNodes() != topo.Graph.NumNodes() {
 				t.Fatalf("epoch %d %s: topology %v (%v)", epoch, tr.name, tt, err)
 			}
 			for _, l := range topo.Graph.Links() {
 				for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
 					k := topo.Key(l, d)
-					want, err1 := col.Samples(k)
-					got, err2 := tr.src.Samples(k)
+					want, err1 := col.SamplesCtx(context.Background(), k)
+					got, err2 := tr.src.SamplesCtx(context.Background(), k)
 					if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("epoch %d %s %v: %d samples (%v), collector %d (%v)",
 							epoch, tr.name, k, len(got), err2, len(want), err1)
 					}
 					for _, span := range []float64{0, 10, 60, 1000} {
-						want, _ := col.Utilization(k, span)
-						got, err := tr.src.Utilization(k, span)
+						want, _ := col.UtilizationCtx(context.Background(), k, span)
+						got, err := tr.src.UtilizationCtx(context.Background(), k, span)
 						if err != nil || !sameQuartiles(got, want) {
 							t.Fatalf("epoch %d %s %v span %v: %+v (%v), collector %+v", epoch, tr.name, k, span, got, err, want)
 						}
@@ -231,8 +256,8 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 				}
 			}
 			for _, id := range topo.Graph.ComputeNodes() {
-				want, err1 := col.HostLoad(id, 60)
-				got, err2 := tr.src.HostLoad(id, 60)
+				want, err1 := col.HostLoadCtx(context.Background(), id, 60)
+				got, err2 := tr.src.HostLoadCtx(context.Background(), id, 60)
 				if (err1 == nil) != (err2 == nil) || !sameQuartiles(got, want) {
 					t.Fatalf("epoch %d %s host %s: %+v (%v), collector %+v (%v)", epoch, tr.name, id, got, err2, want, err1)
 				}
@@ -271,11 +296,11 @@ func TestTiersAgreeOnSharedState(t *testing.T) {
 	if n := opCount(readSrv, "topo"); n != 3 {
 		t.Fatalf("the dialed modeler fetched the topology %d times over two rediscoveries, want 3", n)
 	}
-	topo, _ := col.Topology()
-	if s, _ := colStandby.Samples(topo.Key(topo.Graph.Links()[0], graph.AtoB)); len(s) != windowLen {
+	topo, _ := col.TopologyCtx(context.Background())
+	if s, _ := colStandby.SamplesCtx(context.Background(), topo.Key(topo.Graph.Links()[0], graph.AtoB)); len(s) != windowLen {
 		t.Fatalf("standby window holds %d samples after %d epochs, want the wrapped %d", len(s), epochs, windowLen)
 	}
-	if restoredTopo, _ := colRestored.Topology(); colRestored.Polls() <= uint64(checkpointAt) || restoredTopo == nil {
+	if restoredTopo, _ := colRestored.TopologyCtx(context.Background()); colRestored.Polls() <= uint64(checkpointAt) || restoredTopo == nil {
 		t.Fatalf("restored collector did not poll on: %d polls", colRestored.Polls())
 	}
 }
