@@ -20,26 +20,17 @@ import (
 // behind loses intermediate answers, never the freshest one, and the
 // next update it reads is marked Overflowed.
 
-// DefaultWatchBuffer is the update-channel depth when
-// WatchOptions.Buffer is zero.
-const DefaultWatchBuffer = 4
+// watchBuffer is the depth of a Modeler watch's update channel.
+const watchBuffer = 4
 
 // WatchOptions tunes a Modeler subscription.
 type WatchOptions struct {
 	// Threshold is the minimum relative change (0..1) in any annotated
 	// bandwidth median — per link for WatchGraph, per flow for
 	// WatchFlowInfo — since the last delivered answer that counts as
-	// material. 0 delivers an answer for every source epoch.
+	// material. 0 delivers an answer for every source epoch. The first
+	// clean answer after an Err is always delivered.
 	Threshold float64
-	// Buffer is the update channel depth (default DefaultWatchBuffer).
-	Buffer int
-}
-
-func (o WatchOptions) buffer() int {
-	if o.Buffer <= 0 {
-		return DefaultWatchBuffer
-	}
-	return o.Buffer
 }
 
 // GraphUpdate is one recomputed GetGraph answer.
@@ -110,130 +101,113 @@ type FlowInfoWatch struct {
 func (w *FlowInfoWatch) Cancel()    { w.h.Cancel() }
 func (w *FlowInfoWatch) Err() error { return w.h.Err() }
 
-// watchSource returns the Modeler's source as a WatchSource, or a
-// typed error when it cannot push.
-func (m *Modeler) watchSource() (collector.WatchSource, error) {
-	if ws, ok := m.cfg.Source.(collector.WatchSource); ok {
-		return ws, nil
-	}
-	return nil, fmt.Errorf("core: source %T does not support watch subscriptions", m.cfg.Source)
-}
-
 // WatchGraph subscribes to GetGraph(nodes, tf): the answer is
 // recomputed at every source epoch and delivered when it changed
 // materially (see WatchOptions.Threshold), when the topology was
 // rediscovered, or after a resync. ctx cancels the subscription.
 func (m *Modeler) WatchGraph(ctx context.Context, nodes []graph.NodeID, tf Timeframe, opts WatchOptions) (*GraphWatch, error) {
-	ws, err := m.watchSource()
+	c, h, err := watchQuery(m, ctx, opts.Threshold,
+		func(ctx context.Context) (*Graph, error) { return m.GetGraphCtx(ctx, nodes, tf) },
+		graphSignature,
+		func(u collector.WatchUpdate, g *Graph, err error) GraphUpdate {
+			return GraphUpdate{Graph: g, Seq: u.Seq, Epoch: u.Epoch, Overflowed: u.Overflowed,
+				Resync: u.Resync, TopoChanged: u.TopoChanged, Final: u.Final, Err: err}
+		},
+		func(u *GraphUpdate, dropped GraphUpdate) {
+			u.Overflowed = true
+			u.Resync = u.Resync || dropped.Resync
+			u.TopoChanged = u.TopoChanged || dropped.TopoChanged
+		})
 	if err != nil {
 		return nil, err
 	}
-	h, err := ws.Watch(ctx, collector.WatchRequest{Kind: collector.WatchVersion})
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan GraphUpdate, opts.buffer())
-	w := &GraphWatch{C: out, h: h}
-	go func() {
-		defer close(out)
-		var last []float64 // per-link avail medians of the last delivered answer
-		pending := false   // overflow mark carried from a dropped delivery
-		for u := range h.C {
-			gu := GraphUpdate{Seq: u.Seq, Epoch: u.Epoch, Overflowed: u.Overflowed,
-				Resync: u.Resync, TopoChanged: u.TopoChanged, Final: u.Final}
-			if u.Final {
-				deliverGraph(out, gu, &pending)
-				return
-			}
-			if u.Err != "" {
-				gu.Err = errors.New(u.Err)
-				deliverGraph(out, gu, &pending)
-				continue
-			}
-			if u.TopoChanged || u.Resync {
-				// The cached snapshot predates the rediscovery (or
-				// belongs to the previous replica): rebuild it.
-				m.Refresh()
-			}
-			g, err := m.GetGraphCtx(ctx, nodes, tf)
-			if err != nil {
-				gu.Err = err
-				deliverGraph(out, gu, &pending)
-				continue
-			}
-			sig := graphSignature(g)
-			if last != nil && !u.TopoChanged && !u.Resync && !u.Overflowed && !pending &&
-				opts.Threshold > 0 && maxRelDelta(last, sig) < opts.Threshold {
-				continue // below threshold: not material
-			}
-			last = sig
-			gu.Graph = g
-			deliverGraph(out, gu, &pending)
-		}
-	}()
-	return w, nil
+	return &GraphWatch{C: c, h: h}, nil
 }
 
 // WatchFlowInfo subscribes to QueryFlowInfo(fixed, variable,
 // independent, tf) with the same semantics as WatchGraph: re-evaluated
 // per source epoch, delivered on material change.
 func (m *Modeler) WatchFlowInfo(ctx context.Context, fixed, variable, independent []Flow, tf Timeframe, opts WatchOptions) (*FlowInfoWatch, error) {
-	ws, err := m.watchSource()
+	c, h, err := watchQuery(m, ctx, opts.Threshold,
+		func(ctx context.Context) (*FlowInfo, error) {
+			return m.QueryFlowInfoCtx(ctx, fixed, variable, independent, tf)
+		},
+		flowSignature,
+		func(u collector.WatchUpdate, fi *FlowInfo, err error) FlowInfoUpdate {
+			return FlowInfoUpdate{Info: fi, Seq: u.Seq, Epoch: u.Epoch, Overflowed: u.Overflowed,
+				Resync: u.Resync, Final: u.Final, Err: err}
+		},
+		func(u *FlowInfoUpdate, dropped FlowInfoUpdate) {
+			u.Overflowed = true
+			u.Resync = u.Resync || dropped.Resync
+		})
 	if err != nil {
 		return nil, err
+	}
+	return &FlowInfoWatch{C: c, h: h}, nil
+}
+
+// watchQuery is the one Modeler watch loop behind WatchGraph and
+// WatchFlowInfo. It subscribes to the source's version stream and, per
+// update, re-runs query — after a Refresh when the topology was
+// rediscovered or the stream resynced — and delivers the answer, built
+// by mk, when its signature moved by at least threshold since the last
+// delivered one. Errors, Final, TopoChanged, Resync and Overflowed
+// updates always go out, and so does the first clean answer after an
+// error, as on the wire (watchEval.eval). Delivery never blocks: when
+// the channel is full its oldest update is dropped and fold merges that
+// update's marks into the new one.
+func watchQuery[A, U any](m *Modeler, ctx context.Context, threshold float64,
+	query func(context.Context) (A, error), signature func(A) []float64,
+	mk func(collector.WatchUpdate, A, error) U, fold func(u *U, dropped U)) (chan U, *collector.WatchHandle, error) {
+	ws, ok := m.cfg.Source.(collector.WatchSource)
+	if !ok {
+		return nil, nil, fmt.Errorf("core: source %T does not support watch subscriptions", m.cfg.Source)
 	}
 	h, err := ws.Watch(ctx, collector.WatchRequest{Kind: collector.WatchVersion})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make(chan FlowInfoUpdate, opts.buffer())
-	w := &FlowInfoWatch{C: out, h: h}
+	out := make(chan U, watchBuffer)
 	go func() {
 		defer close(out)
-		var last []float64 // per-flow bandwidth medians of the last delivered answer
-		pending := false
+		var last []float64 // signature of the last delivered answer; nil after an error
 		for u := range h.C {
-			fu := FlowInfoUpdate{Seq: u.Seq, Epoch: u.Epoch, Overflowed: u.Overflowed,
-				Resync: u.Resync, Final: u.Final}
+			var a A
+			var err error
+			if u.Err != "" {
+				err = errors.New(u.Err)
+			} else if !u.Final {
+				if u.TopoChanged || u.Resync {
+					// The cached snapshot predates the rediscovery (or
+					// belongs to the previous replica): rebuild it.
+					m.Refresh()
+				}
+				a, err = query(ctx)
+			}
+			switch {
+			case err != nil:
+				last = nil
+			case !u.Final:
+				sig := signature(a)
+				if last != nil && !u.TopoChanged && !u.Resync && !u.Overflowed &&
+					threshold > 0 && maxRelDelta(last, sig) < threshold {
+					continue // below threshold: not material
+				}
+				last = sig
+			}
+			deliver(out, mk(u, a, err), fold)
 			if u.Final {
-				deliverFlowInfo(out, fu, &pending)
 				return
 			}
-			if u.Err != "" {
-				fu.Err = errors.New(u.Err)
-				deliverFlowInfo(out, fu, &pending)
-				continue
-			}
-			if u.TopoChanged || u.Resync {
-				m.Refresh()
-			}
-			fi, err := m.QueryFlowInfoCtx(ctx, fixed, variable, independent, tf)
-			if err != nil {
-				fu.Err = err
-				deliverFlowInfo(out, fu, &pending)
-				continue
-			}
-			sig := flowSignature(fi)
-			if last != nil && !u.TopoChanged && !u.Resync && !u.Overflowed && !pending &&
-				opts.Threshold > 0 && maxRelDelta(last, sig) < opts.Threshold {
-				continue
-			}
-			last = sig
-			fu.Info = fi
-			deliverFlowInfo(out, fu, &pending)
 		}
 	}()
-	return w, nil
+	return out, h, nil
 }
 
-// deliverGraph sends u without ever blocking the evaluation loop: when
-// the buffer is full the oldest buffered update is dropped and its
-// loss — plus any marks it carried — folded into u.
-func deliverGraph(out chan GraphUpdate, u GraphUpdate, pending *bool) {
-	if *pending {
-		u.Overflowed = true
-		*pending = false
-	}
+// deliver sends u without ever blocking the watch loop: when the buffer
+// is full the oldest buffered update is dropped and folded into u.
+func deliver[U any](out chan U, u U, fold func(u *U, dropped U)) {
 	for {
 		select {
 		case out <- u:
@@ -242,33 +216,10 @@ func deliverGraph(out chan GraphUpdate, u GraphUpdate, pending *bool) {
 		}
 		select {
 		case old := <-out:
-			u.Overflowed = true
-			u.Resync = u.Resync || old.Resync
-			u.TopoChanged = u.TopoChanged || old.TopoChanged
+			fold(&u, old)
 		default:
-			// Consumer drained the channel between our two selects;
-			// loop and try the send again.
-		}
-	}
-}
-
-// deliverFlowInfo is deliverGraph for flow updates.
-func deliverFlowInfo(out chan FlowInfoUpdate, u FlowInfoUpdate, pending *bool) {
-	if *pending {
-		u.Overflowed = true
-		*pending = false
-	}
-	for {
-		select {
-		case out <- u:
-			return
-		default:
-		}
-		select {
-		case old := <-out:
-			u.Overflowed = true
-			u.Resync = u.Resync || old.Resync
-		default:
+			// The consumer drained the channel between the two selects;
+			// try the send again.
 		}
 	}
 }
