@@ -195,7 +195,7 @@ func (c *Collector) RestoreCheckpoint(r io.Reader) (CheckpointInfo, error) {
 	c.stateGen++
 	c.mu.Unlock()
 	c.dataVersion.Add(1)
-	c.notifyVersion()
+	c.bell.Ring()
 	c.tel.Counter("collector.checkpoint.restores").Inc()
 
 	return CheckpointInfo{

@@ -356,6 +356,10 @@ func (l *lockedFeedCol) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 
 func (l *lockedFeedCol) DataVersion() (uint64, bool) { return l.col.DataVersion() }
 
+func (l *lockedFeedCol) SubscribeVersion() (<-chan struct{}, func()) {
+	return l.col.SubscribeVersion()
+}
+
 // TestRestoreCheckpointRacingSubscriptions: a restore replaces the
 // collector's windows wholesale while watch/feed subscriptions are
 // live. Every feed subscriber must observe the replacement as a
@@ -391,7 +395,10 @@ func TestRestoreCheckpointRacingSubscriptions(t *testing.T) {
 			started := make([]chan struct{}, len(tc.kinds))
 			var wg sync.WaitGroup
 			for i, kind := range tc.kinds {
-				h := watchLocal(ctx, locked, r.col, WatchRequest{Kind: kind}, DefaultWatchQueueDepth)
+				h, err := WatchLocal(ctx, locked, WatchRequest{Kind: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
 				defer h.Cancel()
 				started[i] = make(chan struct{})
 				wg.Add(1)

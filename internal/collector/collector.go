@@ -230,11 +230,10 @@ type Collector struct {
 	haTerm atomic.Uint64
 	haMode atomic.Uint32
 
-	// versionSubs holds edge-triggered version-change listeners
-	// (VersionNotifier, watch.go); its own lock so notifyVersion never
-	// contends with query-path readers on c.mu.
-	versionMu   sync.Mutex
-	versionSubs map[chan struct{}]struct{}
+	// bell rings after every data-version bump (VersionNotifier,
+	// watch.go); its own lock, so ringing never contends with
+	// query-path readers on c.mu.
+	bell VersionBell
 
 	// Hot-path instruments, resolved once at construction so PollOnce
 	// pays pointer dereferences, not registry lookups, per round.
@@ -513,7 +512,7 @@ func (c *Collector) PollOnce() {
 	// decays) are clock-relative, and the poll tick is the granularity at
 	// which memoized answers may drift from a recomputation.
 	c.dataVersion.Add(1)
-	c.notifyVersion()
+	c.bell.Ring()
 }
 
 func (c *Collector) addSampleLocked(w *stats.Window, now, v float64) {

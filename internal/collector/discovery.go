@@ -363,7 +363,7 @@ func (c *Collector) Discover() (*Topology, error) {
 	c.discoveries++
 	c.mu.Unlock()
 	c.dataVersion.Add(1)
-	c.notifyVersion()
+	c.bell.Ring()
 	if firstErr != nil {
 		// The topology assembled, but at least one agent went unheard:
 		// partial-topology serving is in effect.

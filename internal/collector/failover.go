@@ -567,26 +567,18 @@ func (f *FailoverSource) proxyWatch(ctx context.Context, wr WatchRequest, h *Wat
 					resync = false
 					f.tel.Counter("failover.watch.resyncs").Inc()
 				}
-				select {
-				case h.out <- u:
-				case <-h.cancelCh:
+				if !h.send(u) || u.Final {
 					inner.Cancel()
 					return
 				}
-				if u.Final {
-					inner.Cancel()
-					return
-				}
-			case <-h.cancelCh:
+			case <-h.ctx.Done():
 				inner.Cancel()
 				return
 			}
 		}
 		for inner == nil {
-			select {
-			case <-h.cancelCh:
+			if h.ctx.Err() != nil {
 				return
-			default:
 			}
 			nh, err := f.subscribeAny(ctx, wr)
 			if err == nil {
@@ -599,11 +591,7 @@ func (f *FailoverSource) proxyWatch(ctx context.Context, wr WatchRequest, h *Wat
 				h.setErr(cerr)
 				return
 			}
-			t := time.NewTimer(f.cfg.BackoffBase)
-			select {
-			case <-t.C:
-			case <-h.cancelCh:
-				t.Stop()
+			if !sleepCtx(h.ctx, f.cfg.BackoffBase) {
 				return
 			}
 		}

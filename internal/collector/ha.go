@@ -87,7 +87,7 @@ func (c *Collector) ApplyFeed(p *FeedPayload) error {
 	}
 	c.mu.Unlock()
 	advanceVersionTo(&c.dataVersion, p.Epoch)
-	c.notifyVersion()
+	c.bell.Ring()
 	c.tel.Counter(applied).Inc()
 	return nil
 }

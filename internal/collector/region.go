@@ -1,10 +1,5 @@
 package collector
 
-import (
-	"context"
-	"fmt"
-)
-
 // Federation wire surface: the "region-summary" watch kind ships a
 // compact, epoch-stamped digest of one region's state to federating
 // peers. It is the paper's hierarchical-query idea made concrete: a
@@ -91,17 +86,4 @@ type RegionSummarySource interface {
 	// must emit deterministic field order (sorted hosts/borders/pairs)
 	// so two pulls at the same epoch are byte-identical.
 	RegionSummary() (*RegionSummary, error)
-}
-
-// WatchLocal runs an in-process watch subscription against any Source
-// — the same evaluation, bounded-queue, and backpressure semantics as
-// Collector.Watch, for sources (federation regions, merged views) that
-// are not a *Collector. Version-notifier-driven when src implements
-// VersionNotifier, poll-driven otherwise.
-func WatchLocal(ctx context.Context, src Source, req WatchRequest) (*WatchHandle, error) {
-	if !validWatchKind(req.Kind) {
-		return nil, fmt.Errorf("collector: unknown watch kind %q", req.Kind)
-	}
-	vn, _ := src.(VersionNotifier)
-	return watchLocal(ctx, src, vn, req, DefaultWatchQueueDepth), nil
 }

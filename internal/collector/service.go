@@ -328,17 +328,12 @@ type Server struct {
 	conns    map[net.Conn]*connState
 	draining bool
 
-	// Watch subscription registry (watch.go). watchKick wakes the
-	// evaluator when a subscription registers; stopWatch cancels
-	// watchCtx, which ends the evaluator, the source reads of its round
-	// in flight, and every pusher. synthEpoch is the fallback epoch
-	// counter for unversioned sources, owned by watchLoop.
-	watchMu    sync.Mutex
-	watchSubs  map[*subscription]struct{}
-	watchKick  chan struct{}
-	watchCtx   context.Context
-	stopWatch  context.CancelFunc
-	synthEpoch uint64
+	// hub is the watch subscription set and its one evaluator
+	// (watch.go). stopWatch cancels its context, which ends the
+	// evaluator, the source reads of its round in flight, and every
+	// pusher.
+	hub       *watchHub
+	stopWatch context.CancelFunc
 }
 
 // connState tracks a connection's outstanding work: in-flight request
@@ -444,32 +439,30 @@ func ServeConfig(src Source, addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		src: src, cfg: cfg, ln: ln,
-		gate:      newWorkGate(cfg.MaxInflight, cfg.QueueDepth),
-		tel:       tel,
-		ops:       make(map[string]opMeter, len(servedOps)),
-		conns:     make(map[net.Conn]*connState),
-		watchSubs: make(map[*subscription]struct{}),
-		watchKick: make(chan struct{}, 1),
-		reader:    ReaderFor(src),
+		gate:   newWorkGate(cfg.MaxInflight, cfg.QueueDepth),
+		tel:    tel,
+		ops:    make(map[string]opMeter, len(servedOps)),
+		conns:  make(map[net.Conn]*connState),
+		reader: ReaderFor(src),
 	}
-	s.watchCtx, s.stopWatch = context.WithCancel(context.Background())
+	watchCtx, stopWatch := context.WithCancel(context.Background())
+	s.hub, s.stopWatch = newWatchHub(watchCtx, src, cfg.WatchPollInterval, tel), stopWatch
+	s.hub.paused = func() bool { // DrainWatches owns the terminal updates
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.draining
+	}
 	s.gate.instrument(tel)
 	for _, op := range servedOps {
 		s.ops[op] = s.meterFor(op)
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
-	go s.watchLoop()
+	go func() {
+		defer s.wg.Done()
+		s.hub.run()
+	}()
 	return s, nil
-}
-
-// kickWatch wakes the evaluator out-of-cycle (a new subscription wants
-// its first update without waiting out a poll interval).
-func (s *Server) kickWatch() {
-	select {
-	case s.watchKick <- struct{}{}:
-	default:
-	}
 }
 
 // Addr returns the bound address.
@@ -528,7 +521,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	// Watch subscriptions drain with a terminal Final frame before
 	// their connections close: subscribers learn the stream ended
 	// cleanly instead of inferring it from a reset.
-	s.drainWatches(deadline)
+	s.DrainWatches(time.Until(deadline))
 	s.stopWatch()
 
 	for {
@@ -603,10 +596,13 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		s.mu.Lock()
 		draining := s.draining
 		s.mu.Unlock()
-		if draining {
+		if draining && sc.subCount() == 0 {
 			// A request dispatched just before the drain began still
 			// answers: its handler closes the connection when it is the
-			// last, and Shutdown force-closes it at the deadline.
+			// last, and Shutdown force-closes it at the deadline. A
+			// connection with live subscriptions keeps reading until
+			// DrainWatches has flushed their Final updates and closes
+			// it: leaving now would cancel them first.
 			inflight.Wait()
 			return
 		}
@@ -651,7 +647,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 				return
 			}
 			if sub != nil {
-				s.kickWatch()
+				s.hub.kick()
 			}
 		case f.Kind == mfRequest && f.Req != nil:
 			// A refusal decided before admission, and a cheap in-memory op
@@ -1021,14 +1017,6 @@ type ClientConfig struct {
 	// rejected with ErrFrameTooLarge instead of allocating.
 	MaxFrame int
 
-	// WatchQueueDepth bounds the client-side pending-update queue of
-	// each watch subscription (default DefaultWatchQueueDepth): a
-	// consumer that reads slower than the server pushes sees
-	// drop-oldest plus Overflowed marks instead of unbounded buffering
-	// or TCP backpressure that would stall the whole multiplexed
-	// connection.
-	WatchQueueDepth int
-
 	// Telemetry, when non-nil, records per-call metrics (client.calls,
 	// client.call.errors, client.call_ms). Nil disables client-side
 	// metrics at zero cost.
@@ -1044,9 +1032,6 @@ func (cc *ClientConfig) fill() {
 	}
 	if cc.MaxFrame <= 0 {
 		cc.MaxFrame = DefaultMaxFrame
-	}
-	if cc.WatchQueueDepth <= 0 {
-		cc.WatchQueueDepth = DefaultWatchQueueDepth
 	}
 }
 
@@ -1337,8 +1322,10 @@ func (mc *muxConn) readFrame(own uint64, bodyBy time.Time) (*response, error) {
 			delete(mc.watches, f.Stream)
 		}
 		mc.mu.Unlock()
-		if w != nil && w.q.push(*f.Update) {
-			mc.tel.Counter("client.watch.drops.overflow").Inc()
+		if w != nil {
+			if _, dropped := w.q.push(*f.Update); dropped {
+				mc.tel.Counter("client.watch.drops.overflow").Inc()
+			}
 		}
 	}
 	return nil, nil
@@ -1641,7 +1628,7 @@ func (mc *muxConn) subscribe(ctx context.Context, wr WatchRequest, cfg *ClientCo
 	id := mc.nextID
 	ackCh := make(chan *response, 1)
 	mc.calls[id] = ackCh
-	w := &clientWatch{q: newWatchQueue(cfg.WatchQueueDepth)}
+	w := &clientWatch{q: newWatchQueue(0)}
 	mc.watches[id] = w
 	loop := !mc.reading // a live watch keeps the background loop reading
 	mc.reading = true
@@ -1697,46 +1684,10 @@ func (mc *muxConn) subscribe(ctx context.Context, wr WatchRequest, cfg *ClientCo
 		// canceller's goroutine — the write can block on a sick conn.
 		go mc.writeMux(&muxFrame{Stream: id, Kind: mfCancel}, cfg.writeBudget())
 	}
-	stop := context.AfterFunc(ctx, h.Cancel)
-	go w.forward(mc, h, stop)
+	// The drain loop ends at Cancel or Final; when the connection dies it
+	// first hands over the updates already received.
+	go h.forward(w.q, mc.done, context.AfterFunc(ctx, h.Cancel))
 	return h, nil
-}
-
-// forward drains one subscription's client-side queue onto its
-// handle's channel, preserving order, until cancel, a Final update, or
-// connection death (then pending updates still deliver first).
-func (w *clientWatch) forward(mc *muxConn, h *WatchHandle, stop func() bool) {
-	defer stop()
-	defer close(h.out)
-	deliver := func() bool { // false = stream over
-		for {
-			u, ok := w.q.pop()
-			if !ok {
-				return true
-			}
-			select {
-			case h.out <- u:
-			case <-h.cancelCh:
-				return false
-			}
-			if u.Final {
-				return false
-			}
-		}
-	}
-	for {
-		select {
-		case <-w.q.wake:
-			if !deliver() {
-				return
-			}
-		case <-h.cancelCh:
-			return
-		case <-mc.done:
-			deliver()
-			return
-		}
-	}
 }
 
 // decodeResponse maps a wire response to the client-side error surface:

@@ -185,8 +185,7 @@ type Replica struct {
 	// now is the wall clock; swapped in tests.
 	now func() time.Time
 
-	versionMu   sync.Mutex
-	versionSubs map[chan struct{}]struct{}
+	bell collector.VersionBell // rings after every applied payload
 
 	stateMu   sync.Mutex
 	lastState State
@@ -371,7 +370,7 @@ func (r *Replica) apply(p *collector.FeedPayload) error {
 	r.telEpoch.Set(float64(next.epoch))
 	r.telTerm.Set(float64(next.term))
 	r.syncOnce.Do(func() { close(r.syncedCh) })
-	r.notifyVersion()
+	r.bell.Ring()
 	return nil
 }
 
@@ -515,30 +514,5 @@ func (r *Replica) DataVersion() (uint64, bool) {
 }
 
 // SubscribeVersion implements collector.VersionNotifier; the server's
-// watch loop uses it to wake on feed applies instead of polling.
-func (r *Replica) SubscribeVersion() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	r.versionMu.Lock()
-	if r.versionSubs == nil {
-		r.versionSubs = make(map[chan struct{}]struct{})
-	}
-	r.versionSubs[ch] = struct{}{}
-	r.versionMu.Unlock()
-	release := func() {
-		r.versionMu.Lock()
-		delete(r.versionSubs, ch)
-		r.versionMu.Unlock()
-	}
-	return ch, release
-}
-
-func (r *Replica) notifyVersion() {
-	r.versionMu.Lock()
-	for ch := range r.versionSubs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	r.versionMu.Unlock()
-}
+// watch hub uses it to wake on feed applies instead of polling.
+func (r *Replica) SubscribeVersion() (<-chan struct{}, func()) { return r.bell.SubscribeVersion() }
