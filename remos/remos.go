@@ -178,7 +178,7 @@ type (
 	WireLink = collector.WireLink
 
 	// WatchOptions tunes Modeler.WatchGraph / Modeler.WatchFlowInfo
-	// (material-change threshold, delivery buffer).
+	// (the material-change threshold).
 	WatchOptions = core.WatchOptions
 
 	// GraphUpdate is one recomputed topology answer from WatchGraph.
