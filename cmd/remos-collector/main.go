@@ -67,7 +67,7 @@ func main() {
 	backoff := flag.Float64("backoff", 0, "base retry backoff for failing agents (virtual seconds; 0 = poll period)")
 	backoffMax := flag.Float64("backoff-max", 0, "maximum retry backoff (virtual seconds; 0 = 16x base)")
 	halfLife := flag.Float64("half-life", 0, "data age at which accuracy halves (virtual seconds; 0 = 10x poll, negative disables)")
-	seed := flag.Int64("seed", 1, "seed for fault injection and backoff jitter")
+	seed := flag.Int64("seed", 1, "seed for fault injection")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: restore from it on start, write it periodically and on shutdown")
 	checkpointEvery := flag.Float64("checkpoint-every", 30, "periodic checkpoint interval (virtual seconds)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
@@ -215,7 +215,6 @@ func main() {
 		BackoffBase:   *backoff,
 		BackoffMax:    *backoffMax,
 		StaleHalfLife: *halfLife,
-		Seed:          *seed,
 	})
 	mu.Lock()
 	// Warm restart: restore checkpointed state first, advance the clock
@@ -284,11 +283,11 @@ func main() {
 	// with the configured peer as the hint rather than serving answers
 	// it is not entitled to give.
 	var haNode atomic.Pointer[ha.Node]
-	var gate func(op string) error
+	var gate func() error
 	if *leasePath != "" {
-		gate = func(op string) error {
+		gate = func() error {
 			if n := haNode.Load(); n != nil {
-				return n.Gate(op)
+				return n.Gate()
 			}
 			return &collector.NotLeaderError{Leader: *standbyOf}
 		}

@@ -26,20 +26,6 @@ const DefaultQueueWait = 5 * time.Second
 // the deeper the queue at shed time, the longer the hint.
 const retryAfterUnit = 25 * time.Millisecond
 
-// opWeight prices one request op in semaphore units. Ping is free —
-// liveness probes must succeed on an overloaded server, that is their
-// whole point.
-func opWeight(op string) int {
-	switch op {
-	case "ping":
-		return 0
-	case "topo":
-		return 4
-	default:
-		return 1
-	}
-}
-
 type gateWaiter struct {
 	weight int
 	ready  chan struct{} // closed by grantLocked when the slot is handed over

@@ -140,16 +140,33 @@ func TestGateWeightClamp(t *testing.T) {
 	}
 }
 
-// TestOpWeights pins the pricing: ping free, topo heaviest, a point
-// query one unit.
+// TestOpWeights pins the pricing in the op table: ping free, topo
+// heaviest, a point query one unit.
 func TestOpWeights(t *testing.T) {
-	if w := opWeight("ping"); w != 0 {
+	if w := tableWeight(t, &request{Op: "ping"}); w != 0 {
 		t.Fatalf("ping weight %d, want 0 (liveness probes must pass an overloaded gate)", w)
 	}
-	point := readWeight(&ReadRequest{Keys: make([]ChannelKey, 1)})
-	if !(opWeight("topo") > point && point == 1) {
-		t.Fatalf("weights not ordered: topo=%d point=%d", opWeight("topo"), point)
+	point := tableWeight(t, &request{Op: "read", Read: &ReadRequest{Keys: make([]ChannelKey, 1)}})
+	if topo := tableWeight(t, &request{Op: "topo"}); !(topo > point && point == 1) {
+		t.Fatalf("weights not ordered: topo=%d point=%d", topo, point)
 	}
+}
+
+// tableWeight prices req with its op's opTable row, on a server without
+// admission control.
+func tableWeight(t *testing.T, req *request) int {
+	t.Helper()
+	for _, op := range opTable {
+		if op.name == req.Op {
+			w, err := op.weigh(&Server{}, req)
+			if err != nil {
+				t.Fatalf("%s: %v", req.Op, err)
+			}
+			return w
+		}
+	}
+	t.Fatalf("no opTable row for %q", req.Op)
+	return 0
 }
 
 func waitForQueued(t *testing.T, g *workGate, n int) {

@@ -511,7 +511,7 @@ func (d *wireDec) str() string { return string(d.take(d.count(1))) }
 
 // wireNames are the values of the fields that name() reads: the op
 // names and the watch kinds.
-var wireNames = append(servedOps[:], "watch", WatchVersion, WatchUtil, WatchLoad, WatchFeed, WatchRegionSummary)
+var wireNames = append(opNames(), opWatch, WatchVersion, WatchUtil, WatchLoad, WatchFeed, WatchRegionSummary)
 
 // name is str for the fields whose values come from a small fixed set
 // (op names, watch kinds): those decode without allocating.

@@ -2,16 +2,16 @@
 // network-facing half of the system. It discovers topology and polls
 // octet counters over SNMP, maintains per-channel utilization time
 // series, and answers the Modeler's queries either in-process or over a
-// TCP service (service.go). Multiple collectors covering different parts
-// of a network can be merged (merge.go), the paper's "large environment
-// may require multiple cooperating Collectors".
+// TCP service (server.go, client.go, ops.go). Multiple collectors
+// covering different parts of a network can be merged (merge.go), the
+// paper's "large environment may require multiple cooperating
+// Collectors".
 package collector
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,6 +68,17 @@ func (t *Topology) Key(l *graph.Link, d graph.Dir) ChannelKey {
 // simply not memoized.
 type VersionedSource interface {
 	DataVersion() (version uint64, ok bool)
+}
+
+// VersionOf is src's data version: 0, and ok false, when src is not a
+// VersionedSource or reports none.
+func VersionOf(src Source) (version uint64, ok bool) {
+	if vs, is := src.(VersionedSource); is {
+		if version, ok = vs.DataVersion(); ok {
+			return version, true
+		}
+	}
+	return 0, false
 }
 
 // Source is the query surface the Modeler consumes: five reads, each
@@ -134,14 +145,6 @@ type Config struct {
 	BackoffBase float64
 	BackoffMax  float64
 
-	// BackoffJitter randomizes each backoff by ±(jitter fraction),
-	// drawn from the seeded RNG so schedules stay reproducible. Zero
-	// (the default) keeps the schedule exact.
-	BackoffJitter float64
-
-	// Seed seeds the jitter RNG (default 1).
-	Seed int64
-
 	// StaleHalfLife is the data age, in virtual seconds, at which a
 	// channel's reported Accuracy has decayed to half — the §4.4
 	// estimation-accuracy channel carrying outage information. Zero
@@ -167,9 +170,6 @@ func (c *Config) fill() {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 16 * c.BackoffBase
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.StaleHalfLife == 0 {
 		c.StaleHalfLife = 10 * c.PollPeriod
@@ -197,7 +197,6 @@ type Collector struct {
 	counters   map[ChannelKey]counterState
 	lastNode   map[graph.NodeID]*nodeInfo
 	agents     []agentSlot // the domain in node-ID order; plan fields guarded by mu
-	rng        *rand.Rand
 	ticker     *simclock.Ticker
 	rediscover *simclock.Ticker
 
@@ -284,7 +283,6 @@ func New(cfg Config) *Collector {
 		st:       newState(cfg.staleHalfLife(), cfg.WindowLen, cfg.WindowAge),
 		counters: make(map[ChannelKey]counterState),
 		lastNode: make(map[graph.NodeID]*nodeInfo),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 
 		telPolls:      tel.Counter("collector.polls"),
 		telPollErrors: tel.Counter("collector.poll.errors"),

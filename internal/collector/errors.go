@@ -12,7 +12,7 @@ import (
 //
 //   - the caller's time budget ran out (ErrDeadlineExceeded),
 //   - the server refused the work to protect itself (ErrLoadShed, and
-//     the older connection-cap ErrServerBusy in service.go),
+//     the older connection-cap ErrServerBusy in server.go),
 //   - the wire carried something structurally unacceptable
 //     (ErrFrameTooLarge in frame.go).
 //

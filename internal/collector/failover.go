@@ -52,13 +52,6 @@ type FailoverConfig struct {
 	// BackoffMax). Defaults: ProbeInterval and 16×BackoffBase.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BackoffJitter randomizes each backoff by ±(jitter fraction) —
-	// the same discipline as the collection breaker's
-	// Config.BackoffJitter. Without it a fleet of clients that all
-	// watched the same replica die re-probes it at synchronized
-	// instants, a thundering herd at the worst possible moment (its
-	// restart). Default DefaultFailoverJitter; negative disables.
-	BackoffJitter float64
 	// Seed seeds the jitter RNG. Zero derives a per-process seed so a
 	// fleet's probe schedules decorrelate; tests set it explicitly for
 	// reproducible schedules.
@@ -70,8 +63,10 @@ type FailoverConfig struct {
 	Shuffle bool
 }
 
-// DefaultFailoverJitter is the default ±fraction applied to replica
-// probe backoffs.
+// DefaultFailoverJitter is the ±fraction applied to replica probe
+// backoffs. Without it a fleet of clients that all watched the same
+// replica die re-probes it at synchronized instants, a thundering herd
+// at the worst possible moment (its restart).
 const DefaultFailoverJitter = 0.2
 
 func (fc *FailoverConfig) fill() {
@@ -92,9 +87,6 @@ func (fc *FailoverConfig) fill() {
 	}
 	if fc.BackoffMax <= 0 {
 		fc.BackoffMax = 16 * fc.BackoffBase
-	}
-	if fc.BackoffJitter == 0 {
-		fc.BackoffJitter = DefaultFailoverJitter
 	}
 	if fc.Seed == 0 {
 		fc.Seed = time.Now().UnixNano()
@@ -281,10 +273,9 @@ func (f *FailoverSource) recordFailure(i int, err error) {
 	r.state = next
 	// Jitter desynchronizes probe schedules across a client fleet: N
 	// clients that all saw the replica die must not all re-probe it at
-	// the same instants (health.go's breaker applies the same ±fraction
-	// to agent retries).
+	// the same instants.
 	r.nextAttempt = time.Now().Add(time.Duration(BackoffAfter(float64(f.cfg.BackoffBase),
-		float64(f.cfg.BackoffMax), r.consec, f.cfg.BackoffJitter, f.rng.Float64)))
+		float64(f.cfg.BackoffMax), r.consec, DefaultFailoverJitter, f.rng.Float64)))
 }
 
 // errFencedTerm is the internal routing error for an answer rejected by

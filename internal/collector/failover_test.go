@@ -301,7 +301,7 @@ func TestFailoverNotLeaderHint(t *testing.T) {
 	leaderAddr := srvs[0].Addr()
 	standby := func() *Server {
 		srv, err := ServeConfig(r.col, "127.0.0.1:0", ServerConfig{
-			Gate: func(op string) error { return &NotLeaderError{Leader: leaderAddr} },
+			Gate: func() error { return &NotLeaderError{Leader: leaderAddr} },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -122,8 +122,7 @@ func (c *Collector) recordSuccess(id graph.NodeID, now float64) {
 }
 
 // recordFailure advances the state machine and re-arms the breaker with
-// exponential backoff (plus optional seeded jitter so a fleet of
-// collectors does not re-probe a recovering router in lockstep).
+// exponential backoff.
 func (c *Collector) recordFailure(id graph.NodeID, now float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -138,7 +137,7 @@ func (c *Collector) recordFailure(id graph.NodeID, now float64) {
 	c.noteTransitionLocked(h.State, next)
 	h.State = next
 	h.NextAttempt = now + BackoffAfter(c.cfg.BackoffBase, c.cfg.BackoffMax,
-		h.ConsecutiveFailures, c.cfg.BackoffJitter, c.rng.Float64)
+		h.ConsecutiveFailures, 0, nil)
 }
 
 // Health implements HealthSource: a snapshot of every agent's health,

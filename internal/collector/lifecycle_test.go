@@ -236,7 +236,7 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 	}
 
 	// Liveness probes still pass the saturated gate: ping is free.
-	if err := cli.Ping(); err != nil {
+	if err := cli.PingCtx(context.Background()); err != nil {
 		t.Fatalf("ping refused by saturated gate: %v", err)
 	}
 }

@@ -112,28 +112,31 @@ func validateMatrixRequest(mr *MatrixRequest) error {
 	return nil
 }
 
-// matrixAdmissible applies the server's size policy before the gate:
-// structural validation, the absolute cell cap, and — when admission
-// control is on — whether the gate could ever grant the weight.
-func (s *Server) matrixAdmissible(mr *MatrixRequest) error {
+// weighMatrix prices a matrix request for the admission gate after the
+// server's size policy, which runs before the gate: structural
+// validation, the absolute cell cap, and — when admission control is on
+// — whether the gate could ever grant the weight. A matrix the gate
+// could never grant answers a typed non-retryable refusal; it does not
+// queue forever or get clamped to a cheaper weight.
+func (s *Server) weighMatrix(req *request) (int, error) {
+	mr := req.Matrix
 	if err := validateMatrixRequest(mr); err != nil {
-		return err
+		return 0, err
 	}
 	cells := len(mr.Srcs) * len(mr.Dsts)
 	maxCells := s.cfg.MaxMatrixCells
 	if maxCells > 0 && cells > maxCells {
-		return fmt.Errorf("%w: %d cells exceeds the server cap %d", ErrMatrixTooLarge, cells, maxCells)
+		return 0, fmt.Errorf("%w: %d cells exceeds the server cap %d", ErrMatrixTooLarge, cells, maxCells)
 	}
-	if s.gate != nil {
-		if w := matrixWeight(mr); w > s.gate.capacity {
-			return fmt.Errorf("%w: weight %d exceeds the admission capacity %d", ErrMatrixTooLarge, w, s.gate.capacity)
-		}
+	w := matrixWeight(mr)
+	if s.gate != nil && w > s.gate.capacity {
+		return 0, fmt.Errorf("%w: weight %d exceeds the admission capacity %d", ErrMatrixTooLarge, w, s.gate.capacity)
 	}
-	return nil
+	return w, nil
 }
 
 // handleMatrix serves one admitted matrix request.
-func (s *Server) handleMatrix(ctx context.Context, resp *response, mr *MatrixRequest) {
+func (s *Server) handleMatrix(ctx context.Context, req *request) *response {
 	h := s.cfg.Matrix
 	if h == nil {
 		if ms, ok := s.src.(MatrixSource); ok {
@@ -141,19 +144,16 @@ func (s *Server) handleMatrix(ctx context.Context, resp *response, mr *MatrixReq
 		}
 	}
 	if h == nil {
-		appError(resp, ErrMatrixUnsupported)
-		return
+		return appError(&response{}, ErrMatrixUnsupported)
 	}
-	ans, err := h(ctx, mr)
+	ans, err := h(ctx, req.Matrix)
 	if err != nil {
-		appError(resp, err)
-		return
+		return appError(&response{}, err)
 	}
 	if ans == nil {
-		resp.Err = "collector: matrix handler returned no answer"
-		return
+		return &response{Err: "collector: matrix handler returned no answer"}
 	}
-	resp.Matrix = ans
+	return &response{Matrix: ans}
 }
 
 // MatrixQuery implements MatrixSource: one "matrix" round trip, with

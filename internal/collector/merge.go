@@ -152,11 +152,7 @@ func (m *Merged) TopologyCtx(ctx context.Context) (*Topology, error) {
 func (m *Merged) DataVersion() (uint64, bool) {
 	var sum uint64
 	for _, s := range m.sources {
-		vs, ok := s.(VersionedSource)
-		if !ok {
-			return 0, false
-		}
-		v, ok := vs.DataVersion()
+		v, ok := VersionOf(s)
 		if !ok {
 			return 0, false
 		}

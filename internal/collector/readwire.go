@@ -216,10 +216,8 @@ func (r *Reader) Read(ctx context.Context, rr *ReadRequest, ans *ReadAnswer) err
 	}
 	*ans = ReadAnswer{Entries: ans.Entries[:0]}
 	// The stamp comes first: see "stamp before read" above.
-	if vs, ok := r.src.(VersionedSource); ok {
-		if v, ok := vs.DataVersion(); ok {
-			ans.Instance, ans.Version = r.instance, v
-		}
+	if v, ok := VersionOf(r.src); ok {
+		ans.Instance, ans.Version = r.instance, v
 	}
 	if rr.Discovered {
 		at, err := r.discoveredAt(ctx, ans.Instance != 0, ans.Version)
@@ -260,16 +258,19 @@ func (r *Reader) Read(ctx context.Context, rr *ReadRequest, ans *ReadAnswer) err
 	return nil
 }
 
+// weighRead prices a read for the admission gate.
+func weighRead(_ *Server, req *request) (int, error) { return readWeight(req.Read), nil }
+
 // handleRead serves the "read" op: the server's Reader — or, over a
 // dialed upstream, its read op — answers into the response.
-func (s *Server) handleRead(ctx context.Context, rr *ReadRequest) *response {
+func (s *Server) handleRead(ctx context.Context, req *request) *response {
+	rr := req.Read
 	if rr == nil {
 		return &response{Err: "collector: read request missing payload"}
 	}
 	resp, ans := newReadResponse(len(rr.Keys) + len(rr.Hosts))
 	if err := s.reader.Read(ctx, rr, ans); err != nil {
-		appError(resp, err)
-		return resp
+		return appError(resp, err)
 	}
 	resp.Read = ans
 	return resp

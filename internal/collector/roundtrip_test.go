@@ -192,7 +192,7 @@ func TestInlineOpExpiredBudget(t *testing.T) {
 // the typed not-leader answer and its hint; ping stays exempt.
 func TestInlineOpHAGated(t *testing.T) {
 	srv, err := ServeConfig(&localSource{}, "127.0.0.1:0", ServerConfig{
-		Gate: func(op string) error { return &NotLeaderError{Leader: "10.0.0.9:7171"} },
+		Gate: func() error { return &NotLeaderError{Leader: "10.0.0.9:7171"} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestInlineOpHAGated(t *testing.T) {
 	if hint, ok := LeaderHint(err); !errors.Is(err, ErrNotLeader) || !ok || hint != "10.0.0.9:7171" {
 		t.Fatalf("gated util: got %v, want ErrNotLeader with the hint", err)
 	}
-	if err := cli.Ping(); err != nil {
+	if err := cli.PingCtx(context.Background()); err != nil {
 		t.Fatalf("ping on a standby: %v", err)
 	}
 }
@@ -350,7 +350,7 @@ func TestLonePointCallStartsNoGoroutine(t *testing.T) {
 	want, _ := r.col.UtilizationCtx(context.Background(), key, 10)
 	// One answered call first: the server's goroutine for this
 	// connection is running before the count is taken.
-	if err := cli.Ping(); err != nil {
+	if err := cli.PingCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {

@@ -567,19 +567,12 @@ func (hb *watchHub) evaluate() {
 // round, so unversioned sources degrade to poll-rate epochs instead of
 // losing the feature.
 func (hb *watchHub) stamp() (epoch, term uint64) {
-	vs, ok := hb.src.(VersionedSource)
-	if ok {
-		epoch, ok = vs.DataVersion()
-	}
+	epoch, ok := VersionOf(hb.src)
 	if !ok {
 		hb.synth++
 		epoch = hb.synth
 	}
-	if hs, ok := hb.src.(HAStatusSource); ok {
-		if t, _, on := hs.HAStatus(); on {
-			term = t
-		}
-	}
+	term, _, _ = HAStatusOf(hb.src)
 	return epoch, term
 }
 
@@ -683,10 +676,8 @@ func (s *Server) registerWatch(sc *servedConn, stream uint64, req *request) (*re
 		// HA gating: a standby refuses new subscriptions (including feed
 		// subs — replicas must follow the leader) with a typed refusal
 		// carrying the leader hint, so subscribers re-route.
-		if err := s.cfg.Gate("watch"); err != nil {
-			resp := &response{}
-			appError(resp, err)
-			return resp, nil
+		if err := s.cfg.Gate(); err != nil {
+			return appError(&response{}, err), nil
 		}
 	}
 	s.mu.Lock()
@@ -714,7 +705,12 @@ func (s *Server) registerWatch(sc *servedConn, stream uint64, req *request) (*re
 	hb.subs[sub] = struct{}{}
 	s.tel.Gauge("server.watch.active").Set(float64(len(hb.subs)))
 	hb.mu.Unlock()
-	sc.addSub(sub)
+	s.mu.Lock()
+	if sc.subs == nil {
+		sc.subs = make(map[uint64]*subscription)
+	}
+	sc.subs[stream] = sub
+	s.mu.Unlock()
 	s.tel.Counter("server.watch.subscribed").Inc()
 	s.wg.Add(1)
 	go s.pushLoop(sub)
@@ -728,7 +724,11 @@ func (s *Server) dropSub(sub *subscription) {
 		delete(s.hub.subs, sub)
 		s.tel.Gauge("server.watch.active").Set(float64(len(s.hub.subs)))
 		s.hub.mu.Unlock()
-		sub.sc.removeSub(sub)
+		s.mu.Lock()
+		if sub.sc.subs[sub.stream] == sub {
+			delete(sub.sc.subs, sub.stream)
+		}
+		s.mu.Unlock()
 	})
 }
 

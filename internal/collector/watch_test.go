@@ -328,13 +328,24 @@ func TestWatchStalledSubscriberEvicted(t *testing.T) {
 	if _, err := cli.TopologyCtx(context.Background()); err != nil {
 		t.Fatalf("ordinary query failed during watch churn: %v", err)
 	}
-	// The evicted subscriber's connection was closed server-side.
-	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 4096)
+	// The evicted subscriber's connection was closed server-side: the
+	// server's connection set holds only the healthy client's.
+	healthy := cli.mc.conn.LocalAddr().String()
+	deadline = time.Now().Add(5 * time.Second)
 	for {
-		if _, err := raw.Read(buf); err != nil {
-			break // EOF or reset: evicted
+		srv.mu.Lock()
+		var served []string
+		for c := range srv.conns {
+			served = append(served, c.RemoteAddr().String())
 		}
+		srv.mu.Unlock()
+		if len(served) == 1 && served[0] == healthy {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server still serves %v; want only the healthy client's %s", served, healthy)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

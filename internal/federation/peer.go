@@ -220,11 +220,11 @@ func (p *peerMember) refresh(now float64) {
 	if err != nil {
 		p.fails++
 		// Same breaker schedule as agent polling, without jitter.
-		p.nextAttempt = now + collector.BackoffAfter(v.cfg.RefreshPeriod, v.cfg.BackoffMax, p.fails, 0, nil)
+		p.nextAttempt = now + collector.BackoffAfter(DefaultRefreshPeriod, DefaultBackoffMax, p.fails, 0, nil)
 		v.tel.Counter("federation.pull.errors").Inc()
 		return
 	}
-	p.nextAttempt = now + v.cfg.RefreshPeriod
+	p.nextAttempt = now + DefaultRefreshPeriod
 	if p.sum != nil {
 		if sum.Term < p.sum.Term {
 			// A deposed leader's summary: fence it, keep the newer state.
@@ -422,7 +422,7 @@ func (p *peerMember) Health() map[graph.NodeID]collector.AgentHealth {
 	defer p.mu.Unlock()
 	state := collector.Healthy
 	switch {
-	case p.fails >= p.view.cfg.DownAfter:
+	case p.fails >= DefaultDownAfter:
 		state = collector.Down
 	case p.fails > 0:
 		state = collector.Degraded

@@ -80,24 +80,14 @@ func (r *Region) RegionSummary() (*collector.RegionSummary, error) {
 	if span <= 0 {
 		span = DefaultSummarySpan
 	}
-	epoch := uint64(0)
-	if vs, ok := r.Src.(collector.VersionedSource); ok {
-		if v, vok := vs.DataVersion(); vok {
-			epoch = v
-		}
-	}
+	epoch, _ := collector.VersionOf(r.Src)
 	if epoch == 0 {
 		r.mu.Lock()
 		r.synth++
 		epoch = r.synth
 		r.mu.Unlock()
 	}
-	var term uint64
-	if hs, ok := r.Src.(collector.HAStatusSource); ok {
-		if t, _, on := hs.HAStatus(); on {
-			term = t
-		}
-	}
+	term, _, _ := collector.HAStatusOf(r.Src)
 	s, err := Summarize(context.TODO(), r.Name, r.Src, r.RegionOf, float64(r.Clock.Now()), span)
 	if err != nil {
 		return nil, err
@@ -234,10 +224,7 @@ func (r *Region) DataAgeCtx(ctx context.Context, key collector.ChannelKey) (floa
 
 // DataVersion implements collector.VersionedSource by probing Src.
 func (r *Region) DataVersion() (uint64, bool) {
-	if vs, ok := r.Src.(collector.VersionedSource); ok {
-		return vs.DataVersion()
-	}
-	return 0, false
+	return collector.VersionOf(r.Src)
 }
 
 // Health implements collector.HealthSource by probing Src.

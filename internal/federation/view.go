@@ -11,7 +11,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Defaults for the View's pull discipline (virtual seconds).
+// The View's pull discipline: each peer is pulled every
+// DefaultRefreshPeriod virtual seconds, a failing peer's backoff is
+// capped at DefaultBackoffMax, and DefaultDownAfter consecutive pull
+// failures mark its region Down.
 const (
 	DefaultRefreshPeriod = 2.0
 	DefaultBackoffMax    = 60.0
@@ -27,15 +30,6 @@ type Config struct {
 	Peers []Peer
 	// Clock is the virtual clock shared with the local collector.
 	Clock *simclock.Clock
-	// RefreshPeriod is how often (virtual seconds) each peer is pulled
-	// (0 = DefaultRefreshPeriod).
-	RefreshPeriod float64
-	// BackoffMax caps the per-peer failure backoff (0 =
-	// DefaultBackoffMax).
-	BackoffMax float64
-	// DownAfter is how many consecutive pull failures mark a region
-	// Down (0 = DefaultDownAfter).
-	DownAfter int
 }
 
 // View composes one local region's full detail with the last-good
@@ -69,15 +63,6 @@ func NewView(cfg Config) *View {
 	if cfg.Clock == nil {
 		cfg.Clock = cfg.Region.Clock
 	}
-	if cfg.RefreshPeriod <= 0 {
-		cfg.RefreshPeriod = DefaultRefreshPeriod
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = DefaultBackoffMax
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = DefaultDownAfter
-	}
 	v := &View{cfg: cfg, local: cfg.Region}
 	sources := []collector.Source{cfg.Region}
 	for i, peer := range cfg.Peers {
@@ -97,7 +82,7 @@ func NewView(cfg Config) *View {
 func (v *View) refresh() {
 	now := float64(v.cfg.Clock.Now())
 	v.mu.Lock()
-	if v.refreshed && now-v.lastRefresh < v.cfg.RefreshPeriod && now >= v.lastRefresh {
+	if v.refreshed && now-v.lastRefresh < DefaultRefreshPeriod && now >= v.lastRefresh {
 		v.mu.Unlock()
 		return
 	}
@@ -196,8 +181,5 @@ func (v *View) Watch(ctx context.Context, req collector.WatchRequest) (*collecto
 // HAStatus implements collector.HAStatusSource when the local source
 // participates in a hot-standby pair.
 func (v *View) HAStatus() (term uint64, leader bool, ok bool) {
-	if hs, ok2 := v.local.Src.(collector.HAStatusSource); ok2 {
-		return hs.HAStatus()
-	}
-	return 0, false, false
+	return collector.HAStatusOf(v.local.Src)
 }

@@ -196,11 +196,11 @@ func TestPromotionAfterLeaderDeath(t *testing.T) {
 		t.Fatal("standby polled agents")
 	}
 	// The standby's gate refuses with the observed leader's address.
-	err := nodeB.Gate("topology")
+	err := nodeB.Gate()
 	if hint, ok := collector.LeaderHint(err); !ok || hint != "addrA" {
 		t.Fatalf("standby gate: err=%v hint=%q", err, hint)
 	}
-	if nodeA.Gate("topology") != nil {
+	if nodeA.Gate() != nil {
 		t.Fatal("leader gate refused")
 	}
 
@@ -297,7 +297,7 @@ func TestLeaderStepsDown(t *testing.T) {
 		t.Fatal("ha.demotions != 1")
 	}
 	// The deposed leader's gate now routes to the new one.
-	err := nodeA.Gate("topology")
+	err := nodeA.Gate()
 	if !errors.Is(err, collector.ErrNotLeader) {
 		t.Fatalf("deposed gate: %v", err)
 	}

@@ -197,7 +197,7 @@ func (n *Node) LeaderHint() string {
 // Gate implements collector.ServerConfig.Gate: a standby refuses every
 // query and watch registration with ErrNotLeader carrying the leader
 // hint, so failover clients re-route in one hop.
-func (n *Node) Gate(op string) error {
+func (n *Node) Gate() error {
 	if n.Role() == RoleLeader {
 		return nil
 	}

@@ -106,10 +106,10 @@ func TestChaosLeaderFailover(t *testing.T) {
 	// Gates read the node through an atomic so a server can exist
 	// before (and survive re-creation of) its HA node.
 	var nodePtrA, nodePtrB atomic.Pointer[ha.Node]
-	gateFor := func(p *atomic.Pointer[ha.Node]) func(string) error {
-		return func(op string) error {
+	gateFor := func(p *atomic.Pointer[ha.Node]) func() error {
+		return func() error {
 			if n := p.Load(); n != nil {
-				return n.Gate(op)
+				return n.Gate()
 			}
 			return &collector.NotLeaderError{}
 		}

@@ -59,8 +59,8 @@ go test -race -timeout 300s -count=5 -run 'TestPrefetch|TestAvailMemo' ./interna
 go test -race -timeout 300s -count=5 -run 'TestReadOp|TestPointReads' ./internal/collector
 go test -race -timeout 300s -count=5 -run 'TestDialedFutureMatchesInProcess|TestDialedModelerFollowsRediscovery' ./remos
 
-echo "==> mux stage: inline server ops, leader/follower client demux and stalled-subscriber eviction, x20 under -race"
-go test -race -timeout 600s -count=20 -run 'TestInline|TestLeader|TestLone|TestFailedWriteDropsConn|TestWatchPipelining|TestWatchStalledSubscriberEvicted' ./internal/collector
+echo "==> mux stage: the op table, inline server ops, leader/follower client demux and stalled-subscriber eviction, x20 under -race"
+go test -race -timeout 600s -count=20 -run 'TestOpTable|TestInline|TestLeader|TestLone|TestFailedWriteDropsConn|TestWatchPipelining|TestWatchStalledSubscriberEvicted' ./internal/collector
 
 echo "==> simclock: Now() read from query goroutines while the run loop advances it"
 go test -race -timeout 300s -count=20 -run TestMatrixConcurrentWithPollRounds ./internal/core
