@@ -663,7 +663,7 @@ func BenchmarkReplicaCatchup(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", hosts), func(b *testing.B) {
 			e := experiments.NewEnvOn(topology.Star(hosts, 100, 1000))
 			e.Warmup() // seven poll rounds of window history to ship
-			srv, err := collector.Serve(e.Col, "127.0.0.1:0")
+			srv, err := collector.ServeConfig(e.Col, "127.0.0.1:0", collector.ServerConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -697,7 +697,7 @@ func benchReplicaModeler(b *testing.B) (*experiments.Env, *core.Modeler, func())
 	e := experiments.NewEnv()
 	traffic.Blast(e.Net, "m-6", "m-8", 60e6)
 	e.Warmup()
-	srv, err := collector.Serve(e.Col, "127.0.0.1:0")
+	srv, err := collector.ServeConfig(e.Col, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -762,7 +762,7 @@ func benchDialedModeler(b *testing.B) (*experiments.Env, *core.Modeler, func() f
 	e := experiments.NewEnv()
 	traffic.Blast(e.Net, "m-6", "m-8", 60e6)
 	e.Warmup()
-	srv, err := collector.Serve(e.Col, "127.0.0.1:0")
+	srv, err := collector.ServeConfig(e.Col, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -309,7 +309,7 @@ func main() {
 			// members all subscribe to each other converges in any
 			// startup order.
 			wp := federation.NewDialWatchPeer(parts[0], func() (collector.WatchSource, error) {
-				return collector.DialConfig(addr, collector.ClientConfig{CallTimeout: 5 * time.Second})
+				return collector.Dial(addr)
 			})
 			watchPeers = append(watchPeers, wp)
 			peers = append(peers, wp)

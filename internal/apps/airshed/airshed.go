@@ -114,6 +114,8 @@ func Program(p Params) *fx.Program {
 
 // Grid is a 2-D periodic domain carrying per-cell concentrations of
 // several chemical species.
+//
+//reach:keep the real Airshed kernel BenchmarkRealAirshedStep in the root bench_test.go measures
 type Grid struct {
 	N       int         // grid is N×N
 	Species int         // concentration fields
@@ -121,6 +123,8 @@ type Grid struct {
 }
 
 // NewGrid allocates a grid with all concentrations zero.
+//
+//reach:keep Grid's constructor
 func NewGrid(n, species int) *Grid {
 	if n <= 0 || species <= 0 {
 		panic(fmt.Sprintf("airshed: bad grid %d×%d species %d", n, n, species))

@@ -27,6 +27,8 @@ func Transform(x []complex128) {
 }
 
 // Inverse computes the in-place inverse FFT of x (normalized by 1/N).
+//
+//reach:keep the inverse TestInverseRoundTrip checks Transform against
 func Inverse(x []complex128) {
 	transform(x, true)
 	n := complex(float64(len(x)), 0)
@@ -76,6 +78,8 @@ func transform(x []complex128, inverse bool) {
 // stored in row-major order: row FFTs, transpose, column FFTs (as row
 // FFTs on the transposed data), transpose back — exactly the structure
 // the parallel version distributes.
+//
+//reach:keep the real 2-D FFT kernel BenchmarkRealFFT2D in the root bench_test.go measures
 func Transform2D(m []complex128, n int) {
 	if len(m) != n*n {
 		panic(fmt.Sprintf("fft: matrix length %d != %d²", len(m), n))
@@ -100,6 +104,8 @@ func Transpose(m []complex128, n int) {
 }
 
 // DFT is the O(N²) reference transform used to validate Transform.
+//
+//reach:keep the O(n^2) reference TestTransformMatchesDFT checks Transform against
 func DFT(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)

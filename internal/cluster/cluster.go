@@ -30,9 +30,6 @@ type Metric struct {
 	LatencyWeight   float64
 }
 
-// DefaultMetric matches the paper's testbed setting: bandwidth only.
-func DefaultMetric() Metric { return Metric{BandwidthWeight: 1} }
-
 // TestbedMetric is bandwidth-dominant with a small latency term that
 // breaks ties toward fewer hops, reproducing the paper's Figure 4
 // selection exactly: at 100 Mbps the bandwidth term is 1e-8 per pair,
@@ -179,6 +176,8 @@ func Greedy(nodes []graph.NodeID, dist [][]float64, start graph.NodeID, k int) (
 // Optimal exhaustively searches all k-subsets containing start and
 // returns the one with the lowest Score. Exponential in len(nodes);
 // intended for evaluating the heuristic at testbed scale.
+//
+//reach:keep the exhaustive reference TestOptimalNeverWorseThanGreedy holds Greedy against
 func Optimal(nodes []graph.NodeID, dist [][]float64, start graph.NodeID, k int) (Result, error) {
 	s, err := validate(nodes, dist, start, k)
 	if err != nil {

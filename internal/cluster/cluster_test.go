@@ -18,7 +18,7 @@ import (
 )
 
 func TestMetricDistance(t *testing.T) {
-	m := DefaultMetric()
+	m := Metric{BandwidthWeight: 1}
 	if m.Distance(100e6, 0.001) >= m.Distance(10e6, 0.001) {
 		t.Fatal("higher bandwidth should mean lower distance")
 	}
@@ -222,7 +222,7 @@ func TestFigure4Selection(t *testing.T) {
 	// With bandwidth-only distances the heuristic picks a set that is
 	// performance-equivalent (avoids the loaded link) but may differ in
 	// names; verify the avoidance property.
-	res2, err := FromModeler(mod, topology.TestbedHosts, "m-4", 4, DefaultMetric(), core.TFHistory(15))
+	res2, err := FromModeler(mod, topology.TestbedHosts, "m-4", 4, Metric{BandwidthWeight: 1}, core.TFHistory(15))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/snmp"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 
 	collectorpkg "repro/internal/collector"
 )
@@ -101,7 +100,7 @@ func TestComputeAwareFromModeler(t *testing.T) {
 	}
 	mod := core.New(core.Config{Source: col})
 	// m-5 is pegged; m-6 idle. Both are one hop from m-4.
-	traffic.HostLoadWalk(n, "m-5", traffic.HostLoadWalkConfig{Mean: 0.9, Jitter: 0.01, Period: 1, Seed: 1})
+	n.SetHostLoad("m-5", 0.9)
 	clk.Advance(15)
 
 	res, err := ComputeAwareFromModeler(mod, topology.TestbedHosts, "m-4", 3,

@@ -18,8 +18,6 @@
 //   - TopologyAware: a maximum-bottleneck spanning tree built from
 //     Remos bandwidth measurements, so each slow link is crossed exactly
 //     once and fan-out happens behind it.
-//
-// Gather schedules are the same trees run in reverse.
 package collective
 
 import (
@@ -39,7 +37,7 @@ type Round []netsim.FlowSpec
 // Schedule is a compiled collective operation.
 type Schedule struct {
 	Name   string
-	Op     string // "broadcast" or "gather"
+	Op     string // "broadcast"
 	Root   graph.NodeID
 	Rounds []Round
 }
@@ -244,44 +242,6 @@ func (t *Tree) BroadcastSchedule(name string, bytes float64) *Schedule {
 		}
 		s.Rounds = append(s.Rounds, round)
 		informed = append(informed, newly...)
-	}
-	return s
-}
-
-// GatherSchedule compiles the reverse operation: leaves push toward the
-// root, a node forwarding its subtree's accumulated payload once its
-// own children have delivered.
-func (t *Tree) GatherSchedule(name string, bytesPerNode float64) *Schedule {
-	s := &Schedule{Name: name, Op: "gather", Root: t.Root}
-	// Process by decreasing depth: all nodes at the deepest level send
-	// first (their subtree totals), then the next level, etc.
-	depth := make(map[graph.NodeID]int)
-	var walk func(n graph.NodeID, d int) int
-	maxDepth := 0
-	walk = func(n graph.NodeID, d int) int {
-		depth[n] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-		for _, c := range t.Children[n] {
-			walk(c, d+1)
-		}
-		return 0
-	}
-	walk(t.Root, 0)
-	for d := maxDepth; d >= 1; d-- {
-		var round Round
-		for n, nd := range depth {
-			if nd != d {
-				continue
-			}
-			payload := float64(t.subtreeSize(n)) * bytesPerNode
-			round = append(round, netsim.FlowSpec{Src: n, Dst: t.Parent[n], Bytes: payload})
-		}
-		sort.Slice(round, func(i, j int) bool { return round[i].Src < round[j].Src })
-		if len(round) > 0 {
-			s.Rounds = append(s.Rounds, round)
-		}
 	}
 	return s
 }

@@ -194,42 +194,6 @@ func TestBroadcastDeliversExactBytes(t *testing.T) {
 	}
 }
 
-func TestGatherSchedule(t *testing.T) {
-	_, n, mod := wideAreaEnv(t)
-	bw, err := mod.BandwidthMatrix(participants(), core.TFCapacity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := MaxBottleneckTree("a0", participants(), bw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tree.GatherSchedule("gather", 1e6)
-	if s.Op != "gather" {
-		t.Fatalf("op = %s", s.Op)
-	}
-	// Total bytes: every node's 1 MB crosses each tree edge above it
-	// exactly once; with subtree aggregation, sum over edges of subtree
-	// size = sum over non-root nodes of their depth... just verify the
-	// root ends up receiving 7 MB worth of distinct contributions:
-	// the flows into the root sum to 7 MB.
-	var intoRoot float64
-	for _, r := range s.Rounds {
-		for _, f := range r {
-			if f.Dst == "a0" {
-				intoRoot += f.Bytes
-			}
-		}
-	}
-	if math.Abs(intoRoot-7e6) > 1 {
-		t.Fatalf("root received %v bytes of payload, want 7e6", intoRoot)
-	}
-	// Runs to completion.
-	if d := Measure(n, s, "app"); d <= 0 {
-		t.Fatalf("gather took %v", d)
-	}
-}
-
 func TestMeasureUnderCompetingTraffic(t *testing.T) {
 	_, n, mod := wideAreaEnv(t)
 	s, err := TopologyAware(mod, "a0", participants(), 1e6, core.TFCapacity())

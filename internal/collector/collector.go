@@ -118,9 +118,10 @@ type Config struct {
 	// PollPeriod is the counter-polling interval in (virtual) seconds.
 	PollPeriod float64
 
-	// WindowLen and WindowAge bound the per-channel sample windows.
+	// WindowLen bounds the per-channel sample windows, which have no
+	// age bound.
+	//reach:keep TestTiersAgreeOnSharedState wraps 64-sample windows in 220 epochs, not 512
 	WindowLen int
-	WindowAge float64
 
 	// PerHopLatency is the fixed per-hop delay annotated on discovered
 	// links, matching the paper's collector.
@@ -130,6 +131,7 @@ type Config struct {
 	// that many virtual seconds, picking up capacity changes (degraded
 	// links report a new ifSpeed) and newly reachable agents. Zero
 	// disables periodic rediscovery.
+	//reach:keep periodic rediscovery, the only way a running collector sees renumbered links; TestTiersAgreeOnSharedState and the rediscover tests drive it
 	RediscoverPeriod float64
 
 	// DownAfter is the number of consecutive failed attempts at which an
@@ -280,7 +282,7 @@ func New(cfg Config) *Collector {
 		cfg:      cfg,
 		tel:      tel,
 		agents:   agents,
-		st:       newState(cfg.staleHalfLife(), cfg.WindowLen, cfg.WindowAge),
+		st:       newState(cfg.staleHalfLife(), cfg.WindowLen, 0),
 		counters: make(map[ChannelKey]counterState),
 		lastNode: make(map[graph.NodeID]*nodeInfo),
 
@@ -492,7 +494,7 @@ func (c *Collector) PollOnce() {
 		}
 		w := c.st.channels[o.key]
 		if w == nil {
-			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
+			w = stats.NewWindow(c.cfg.WindowLen, 0)
 			c.st.channels[o.key] = w
 		}
 		c.addSampleLocked(w, now, rate)
@@ -500,7 +502,7 @@ func (c *Collector) PollOnce() {
 	for _, lo := range loads {
 		w := c.st.loads[lo.node]
 		if w == nil {
-			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
+			w = stats.NewWindow(c.cfg.WindowLen, 0)
 			c.st.loads[lo.node] = w
 		}
 		c.addSampleLocked(w, now, lo.load)

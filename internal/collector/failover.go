@@ -24,12 +24,12 @@ import (
 // re-check downed replicas.
 const DefaultProbeInterval = 500 * time.Millisecond
 
-// DefaultReplicaDownAfter is the consecutive-failure count at which a
+// replicaDownAfter is the consecutive-failure count at which a
 // replica is marked Down and removed from the preference order until a
 // probe succeeds. The first failure already makes the replica
 // less-preferred for the failing call (it fails over immediately);
 // Down additionally stops routing new calls at it.
-const DefaultReplicaDownAfter = 2
+const replicaDownAfter = 2
 
 // FailoverConfig tunes a FailoverSource. The zero value of each field
 // selects its default.
@@ -37,24 +37,26 @@ type FailoverConfig struct {
 	// Client configures each per-replica client. SingleAttempt is
 	// forced on: the failover layer owns retries, and trying the next
 	// replica beats retrying the one that just failed.
+	//reach:keep tests cut CallTimeout to 2 s so a killed replica fails over within their timeouts
 	Client ClientConfig
-	// DownAfter is the consecutive-failure threshold for marking a
-	// replica Down (default DefaultReplicaDownAfter).
-	DownAfter int
 	// ProbeInterval is the background re-probe wakeup period for downed
 	// replicas (default DefaultProbeInterval); negative disables the
 	// prober (downed replicas are then only retried as a last resort
 	// when every other replica fails).
+	//reach:keep tests shorten or disable the re-prober to finish within their timeouts
 	ProbeInterval time.Duration
 	// BackoffBase and BackoffMax bound the exponential backoff between
 	// probe attempts at a downed replica: after the n-th consecutive
 	// failure the next attempt waits min(BackoffBase·2^(n-1),
 	// BackoffMax). Defaults: ProbeInterval and 16×BackoffBase.
+	//reach:keep tests shorten the probe backoff to finish within their timeouts
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	//reach:keep tests shorten the probe backoff to finish within their timeouts
+	BackoffMax time.Duration
 	// Seed seeds the jitter RNG. Zero derives a per-process seed so a
 	// fleet's probe schedules decorrelate; tests set it explicitly for
 	// reproducible schedules.
+	//reach:keep TestFailoverProbeBackoffJitter seeds two probe schedules apart
 	Seed int64
 	// Shuffle randomizes the initial routing order (seeded by Seed).
 	// Without it every client in a fleet prefers the first listed
@@ -72,9 +74,6 @@ const DefaultFailoverJitter = 0.2
 func (fc *FailoverConfig) fill() {
 	fc.Client.fill()
 	fc.Client.SingleAttempt = true
-	if fc.DownAfter <= 0 {
-		fc.DownAfter = DefaultReplicaDownAfter
-	}
 	if fc.ProbeInterval == 0 {
 		fc.ProbeInterval = DefaultProbeInterval
 	}
@@ -165,7 +164,7 @@ func DialFailover(addrs []string, cfg FailoverConfig) (*FailoverSource, error) {
 				firstErr = err
 			}
 			r.state = Down
-			r.consec = cfg.DownAfter
+			r.consec = replicaDownAfter
 			r.lastErr = err.Error()
 			r.nextAttempt = time.Now().Add(cfg.BackoffBase)
 		} else {
@@ -266,7 +265,7 @@ func (f *FailoverSource) recordFailure(i int, err error) {
 		r.lastErr = err.Error()
 	}
 	next := Degraded
-	if r.consec >= f.cfg.DownAfter {
+	if r.consec >= replicaDownAfter {
 		next = Down
 	}
 	f.noteReplicaStateLocked(r.state, next)

@@ -31,7 +31,7 @@ func servedRig(t *testing.T, n int) (*rig, []*Server) {
 	r.clk.RunUntil(30)
 	var srvs []*Server
 	for i := 0; i < n; i++ {
-		srv, err := Serve(r.col, "127.0.0.1:0")
+		srv, err := ServeConfig(r.col, "127.0.0.1:0", ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestFailoverReprobesRestartedPrimary(t *testing.T) {
 
 	// Restart the primary on its old address; the background prober
 	// must notice and restore it to the preference order.
-	srv, err := Serve(r.col, primaryAddr)
+	srv, err := ServeConfig(r.col, primaryAddr, ServerConfig{})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", primaryAddr, err)
 	}
@@ -189,7 +189,7 @@ func TestFailoverBusyReplicaSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer capped.Close()
-	spare, err := Serve(r.col, "127.0.0.1:0")
+	spare, err := ServeConfig(r.col, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,7 +264,7 @@ func TestRestoreCheckpointWakesWatchers(t *testing.T) {
 // produce feed payloads must refuse the subscription cleanly.
 func TestWatchFeedCapabilityRefused(t *testing.T) {
 	v := newVersionedFake()
-	srv, err := Serve(v, "127.0.0.1:0")
+	srv, err := ServeConfig(v, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestFailoverProbeBackoffJitter(t *testing.T) {
 // decodeResponse).
 func TestStaleReplicaOverWire(t *testing.T) {
 	v := &staleFake{}
-	srv, err := Serve(v, "127.0.0.1:0")
+	srv, err := ServeConfig(v, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func (f *fakeSource) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, e
 // errored response — never the daemon process or even the connection.
 func TestPanicRecovery(t *testing.T) {
 	src := &fakeSource{utilHook: func() { panic("modeler bug") }}
-	srv, err := Serve(src, "127.0.0.1:0")
+	srv, err := ServeConfig(src, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestShutdownDrain(t *testing.T) {
 		close(started)
 		<-release
 	}}
-	srv, err := Serve(src, "127.0.0.1:0")
+	srv, err := ServeConfig(src, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestShutdownForceClosesStragglers(t *testing.T) {
 		close(started)
 		<-release
 	}}
-	srv, err := Serve(src, "127.0.0.1:0")
+	srv, err := ServeConfig(src, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestConcurrentClientsNoCrossTalk(t *testing.T) {
 	}
 	r.clk.RunUntil(30)
 
-	srv, err := Serve(r.col, "127.0.0.1:0")
+	srv, err := ServeConfig(r.col, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

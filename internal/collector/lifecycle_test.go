@@ -35,7 +35,7 @@ func blockingSource() (*fakeSource, func(), chan struct{}) {
 // server.
 func TestClientCtxDeadline(t *testing.T) {
 	src, release, entered := blockingSource()
-	srv, err := Serve(src, "127.0.0.1:0")
+	srv, err := ServeConfig(src, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestClientCtxDeadline(t *testing.T) {
 // next call — no poisoned stream, no lingering wait.
 func TestClientCancelMidCallThenReusable(t *testing.T) {
 	src, release, entered := blockingSource()
-	srv, err := Serve(src, "127.0.0.1:0")
+	srv, err := ServeConfig(src, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFailoverRoutesAroundShed(t *testing.T) {
 	}
 	defer srvA.Close()
 	defer release() // before Close: a blocked handler would deadlock wg.Wait
-	srvB, err := Serve(&fakeSource{}, "127.0.0.1:0")
+	srvB, err := ServeConfig(&fakeSource{}, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

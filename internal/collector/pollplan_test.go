@@ -208,7 +208,7 @@ func TestRemovedInterfaceRewalksWithinTheRound(t *testing.T) {
 	}
 	cut := snmp.NewAgent("timberline", snmp.DefaultCommunity)
 	for _, vb := range all {
-		perIface := vb.OID.HasPrefix(snmp.OIDIfTable) || vb.OID.HasPrefix(snmp.OIDRemosNeighbor) || vb.OID.HasPrefix(snmp.OIDRemosLinkID)
+		perIface := vb.OID.HasPrefix(snmp.MustOID("1.3.6.1.2.1.2.2.1")) || vb.OID.HasPrefix(snmp.OIDRemosNeighbor) || vb.OID.HasPrefix(snmp.OIDRemosLinkID)
 		if perIface && vb.OID[len(vb.OID)-1] == last {
 			continue
 		}

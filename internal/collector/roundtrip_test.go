@@ -216,7 +216,7 @@ func TestInlineOpHAGated(t *testing.T) {
 // answers inline: the panic costs one errored response, and the
 // connection keeps serving.
 func TestInlinePanicRecovery(t *testing.T) {
-	srv, err := Serve(&localSource{fakeSource: fakeSource{utilHook: func() { panic("modeler bug") }}}, "127.0.0.1:0")
+	srv, err := ServeConfig(&localSource{fakeSource: fakeSource{utilHook: func() { panic("modeler bug") }}}, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestInlinePanicRecovery(t *testing.T) {
 // pipelined behind it answers.
 func TestInlineNeverOnProxySource(t *testing.T) {
 	upSrc, release, entered := blockingSource()
-	upstream, err := Serve(upSrc, "127.0.0.1:0")
+	upstream, err := ServeConfig(upSrc, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestInlineNeverOnProxySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer upCli.Close()
-	proxy, err := Serve(upCli, "127.0.0.1:0")
+	proxy, err := ServeConfig(upCli, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestLonePointCallStartsNoGoroutine(t *testing.T) {
 	traffic.Blast(r.net, "m-6", "m-8", 40e6)
 	r.clk.RunUntil(30)
 	probe := &goroutineProbe{Collector: r.col}
-	srv, err := Serve(probe, "127.0.0.1:0")
+	srv, err := ServeConfig(probe, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestPointRoundTripAllocBudget(t *testing.T) {
 // connection is kept.
 func TestLeaderCancelWithFollowers(t *testing.T) {
 	src, release, entered := blockingSource()
-	srv, err := Serve(src, "127.0.0.1:0")
+	srv, err := ServeConfig(src, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +684,7 @@ func TestLeaderFollowerManyCallers(t *testing.T) {
 // cancelled must still drop the connection; the next call dials a
 // fresh one and answers correctly on its first attempt.
 func TestFailedWriteDropsConnWhateverTheContext(t *testing.T) {
-	srv, err := Serve(&localSource{}, "127.0.0.1:0")
+	srv, err := ServeConfig(&localSource{}, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,12 +88,8 @@ type ServerConfig struct {
 	// WatchPollInterval is the evaluation period used when the Source
 	// offers no version notifications (default
 	// DefaultWatchPollInterval).
+	//reach:keep tests poll unversioned sources every few ms to finish within their timeouts
 	WatchPollInterval time.Duration
-
-	// Telemetry is the registry the server records into (request spans,
-	// per-op counters, admission metrics). Nil means the server creates
-	// its own; it is always reachable via Server.Telemetry.
-	Telemetry *telemetry.Registry
 
 	// Matrix, when non-nil, serves the "matrix" op (one rectangular
 	// batch of flow answers per round trip, matrixwire.go). Wire it to
@@ -105,6 +101,7 @@ type ServerConfig struct {
 	// MaxMatrixCells caps a matrix request's area, len(Srcs)*len(Dsts)
 	// (default DefaultMaxMatrixCells; negative = unlimited). Requests
 	// beyond it get a typed, non-retryable ErrMatrixTooLarge.
+	//reach:keep TestMatrixAdmissionRefusal needs a cap the 8-host testbed can exceed
 	MaxMatrixCells int
 
 	// Gate, when non-nil, is consulted before every query and watch
@@ -219,23 +216,15 @@ func slackDeadline(armed, now time.Time, d time.Duration) (time.Time, bool) {
 	return now.Add(d + d/4), true
 }
 
-// Serve starts a query server on addr (e.g. "127.0.0.1:0") with default
-// lifecycle protections.
-func Serve(src Source, addr string) (*Server, error) {
-	return ServeConfig(src, addr, ServerConfig{})
-}
-
-// ServeConfig starts a query server with explicit lifecycle protections.
+// ServeConfig starts a query server on addr (e.g. "127.0.0.1:0"); the
+// zero ServerConfig gives the default lifecycle protections.
 func ServeConfig(src Source, addr string, cfg ServerConfig) (*Server, error) {
 	cfg.fill()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("collector: %w", err)
 	}
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.NewRegistry()
-	}
+	tel := telemetry.NewRegistry()
 	s := &Server{
 		src: src, cfg: cfg, ln: ln,
 		gate:   newWorkGate(cfg.MaxInflight, cfg.QueueDepth),

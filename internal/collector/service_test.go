@@ -25,7 +25,7 @@ func TestTCPService(t *testing.T) {
 	r.net.SetHostLoad("m-5", 0.25)
 	r.clk.RunUntil(30)
 
-	srv, err := Serve(r.col, "127.0.0.1:0")
+	srv, err := ServeConfig(r.col, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.clk.RunUntil(10)
-	srv, err := Serve(r.col, "127.0.0.1:0")
+	srv, err := ServeConfig(r.col, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestClientReconnects(t *testing.T) {
 	}
 	// Kill the connection server-side; the next call must reconnect.
 	srv.Close()
-	srv2, err := Serve(r.col, addr)
+	srv2, err := ServeConfig(r.col, addr, ServerConfig{})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
@@ -131,7 +131,7 @@ func TestServerRestartMidQueryStream(t *testing.T) {
 	traffic.Blast(r.net, "m-6", "m-8", 40e6)
 	r.clk.RunUntil(20)
 
-	srv, err := Serve(r.col, "127.0.0.1:0")
+	srv, err := ServeConfig(r.col, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestServerRestartMidQueryStream(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if i == 5 {
 			srv.Close()
-			srv, err = Serve(r.col, addr)
+			srv, err = ServeConfig(r.col, addr, ServerConfig{})
 			if err != nil {
 				t.Skipf("could not rebind %s: %v", addr, err)
 			}

@@ -202,7 +202,7 @@ func (s *ctxSpy) DataAgeCtx(ctx context.Context, key ChannelKey) (float64, error
 // bare context when it has neither.
 func TestScalarOpsCarryTraceAndDeadlineToSource(t *testing.T) {
 	spy := &ctxSpy{}
-	srv, err := Serve(spy, "127.0.0.1:0")
+	srv, err := ServeConfig(spy, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

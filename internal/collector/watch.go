@@ -222,6 +222,8 @@ var ErrTooManySubscriptions = errors.New("collector: too many subscriptions")
 // diagnostics and misbehaving-subscriber tests (a client that
 // deliberately never reads its updates); real consumers should use
 // Client.Watch, which demultiplexes and bounds the stream properly.
+//
+//reach:keep TestChaosLifecycle's stalled subscriber, which never reads; a Client always drains its socket
 func SubscribeRaw(conn net.Conn, req WatchRequest) error {
 	if err := writeFrame(conn, &muxFrame{Stream: 1, Kind: mfRequest,
 		Req: &request{Op: "watch", Watch: &req}}, 0); err != nil {

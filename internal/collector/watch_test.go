@@ -353,7 +353,7 @@ func TestWatchStalledSubscriberEvicted(t *testing.T) {
 // same connection overtakes a slow one instead of queueing behind it.
 func TestWatchPipelining(t *testing.T) {
 	src, release, entered := blockingSource()
-	srv, err := Serve(src, "127.0.0.1:0")
+	srv, err := ServeConfig(src, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func TestCloseCancelsUpstreamWatchRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer up.Close()
-	srv, err := Serve(up, "127.0.0.1:0")
+	srv, err := ServeConfig(up, "127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

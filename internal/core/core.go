@@ -117,6 +117,7 @@ type SharingPolicy int
 
 const (
 	// ShareMaxMin is weighted max-min fairness (the default).
+	//reach:keep names the zero policy, the default, which the sharing tests and the root bench_test.go ablation select
 	ShareMaxMin SharingPolicy = iota
 	// ShareProportional splits every link proportionally to weights
 	// without redistributing what bottlenecked-elsewhere flows leave

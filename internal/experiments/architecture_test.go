@@ -28,7 +28,7 @@ func TestFigure2Architecture(t *testing.T) {
 	}
 
 	// Application 2: Modeler over the TCP query service.
-	srv, err := collector.Serve(e.Col, "127.0.0.1:0")
+	srv, err := collector.ServeConfig(e.Col, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,8 @@ type ScaleEnv struct {
 
 // NewScaleEnv builds `hosts` hosts over `routers` chained routers with
 // one collector per router domain (the router plus its attached hosts).
+//
+//reach:keep the router-chain harness of scale_test.go's cross-domain merge-routing tests
 func NewScaleEnv(hosts, routers int) *ScaleEnv {
 	g := topology.RouterChain(hosts, routers, 100)
 	clk := simclock.New()

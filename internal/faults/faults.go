@@ -2,8 +2,7 @@
 // simulated deployment. It wraps an snmp.Transport with per-agent,
 // virtual-time failure schedules — blackholes (drop everything),
 // probabilistic loss, added response latency, response corruption, and
-// flap-at-time-T windows — and wraps the netsim compute model with
-// per-host slowdown and outage windows (compute.go).
+// flap-at-time-T windows.
 //
 // Every probabilistic fault draws from one seeded RNG and every
 // scheduled fault consults the simulation clock, so a robustness

@@ -2,10 +2,8 @@ package faults
 
 import (
 	"errors"
-	"math"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/simclock"
 	"repro/internal/snmp"
@@ -160,59 +158,5 @@ func TestCorruptionIsDeterministicAndDetected(t *testing.T) {
 	}
 	if failures == 0 {
 		t.Fatal("no corrupted response was rejected")
-	}
-}
-
-func TestComputeSlowdownAndOutage(t *testing.T) {
-	clk := simclock.New()
-	n, err := netsim.New(clk, topology.Testbed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := NewCompute(n)
-	host := graph.NodeID("m-1")
-
-	// Nominal: power 1, so 10 work = 10 s.
-	if d := fc.Duration(host, 10); d != 10 {
-		t.Fatalf("nominal duration = %v", d)
-	}
-	// 2x slowdown over [4, 8): 4 s at full speed + 4 s at half speed
-	// (2 units of work) + 4 s for the remaining 4 units = 12 s.
-	fc.Slowdown(host, 2, 4, 8)
-	if d := fc.Duration(host, 10); d != 12 {
-		t.Fatalf("slowed duration = %v", d)
-	}
-	// Outage [10, 15): by t=10 only 8 of the 10 units are done (4 full
-	// speed, 2 at half, 2 more full); the last 2 stall until t=15 and
-	// finish at t=17.
-	fc.Outage(host, 10, 15)
-	if d := fc.Duration(host, 10); d != 17 {
-		t.Fatalf("duration across outage = %v", d)
-	}
-	if d := fc.Duration(host, 11); d != 18 {
-		t.Fatalf("duration across outage = %v", d)
-	}
-
-	// Run fires the completion at the computed time.
-	var doneAt simclock.Time = -1
-	if ev := fc.Run(host, 11, func(now simclock.Time) { doneAt = now }); ev == nil {
-		t.Fatal("Run returned nil for finishable work")
-	}
-	clk.Run(0)
-	if doneAt != 18 {
-		t.Fatalf("completion at t=%v", doneAt)
-	}
-
-	// Unbounded outage: never completes.
-	fc.Outage(host, 20, 0)
-	if d := fc.Duration(host, 1e9); !math.IsInf(d, 1) {
-		t.Fatalf("duration under unbounded outage = %v", d)
-	}
-	if ev := fc.Run(host, 1e9, func(simclock.Time) {}); ev != nil {
-		t.Fatal("Run scheduled unfinishable work")
-	}
-	fc.Restore(host)
-	if d := fc.Duration(host, 10); d != 10 {
-		t.Fatalf("after restore = %v", d)
 	}
 }

@@ -381,13 +381,9 @@ func TestWatchPeerOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := collector.DialConfig(srv.Addr(), collector.ClientConfig{CallTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	wp := federation.NewWatchPeer(e.Topo.Regions[1], cli)
+	wp := federation.NewDialWatchPeer(e.Topo.Regions[1], func() (collector.WatchSource, error) {
+		return collector.DialConfig(srv.Addr(), collector.ClientConfig{CallTimeout: 5 * time.Second})
+	})
 	defer wp.Close()
 	var sum *collector.RegionSummary
 	deadline := time.Now().Add(10 * time.Second)

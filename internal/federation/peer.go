@@ -35,6 +35,8 @@ func (p *sourcePeer) Fetch() (*collector.RegionSummary, error) { return p.src.Re
 
 // FuncPeer adapts a fetch function into a Peer — the seam fault tests
 // use to make a region go dark deterministically.
+//
+//reach:keep the scripted Peer the federation and experiments tests build dark, frozen and flapping regions from
 func FuncPeer(region string, fetch func() (*collector.RegionSummary, error)) Peer {
 	return &funcPeer{region: region, fetch: fetch}
 }
@@ -61,35 +63,15 @@ type WatchPeer struct {
 	done chan struct{}
 }
 
-// NewWatchPeer starts the subscription loop against ws (typically a
-// *collector.Client or *collector.FailoverSource). region is the
-// expected remote region name, used for labeling before the first push.
-// The caller keeps ownership of ws and closes it after Close.
-func NewWatchPeer(region string, ws collector.WatchSource) *WatchPeer {
-	return newWatchPeer(region, func() (collector.WatchSource, func(), error) { return ws, func() {}, nil })
-}
-
-// NewDialWatchPeer is NewWatchPeer with the connection made (and remade)
-// inside the background loop: dial is called before each subscription
-// attempt and the result closed when its stream ends. Daemons of one
-// federation use this so every listener comes up before any peer needs
-// to be reachable — a mutual-subscription cycle converges in any
-// startup order instead of deadlocking on connect-before-listen.
+// NewDialWatchPeer starts the subscription loop. region is the expected
+// remote region name, used for labeling before the first push. The
+// connection is made (and remade) inside the background loop: dial is
+// called before each subscription attempt and the result closed when
+// its stream ends. Daemons of one federation rely on this, so every
+// listener comes up before any peer needs to be reachable: a
+// mutual-subscription cycle converges in any startup order instead of
+// deadlocking on connect-before-listen.
 func NewDialWatchPeer(region string, dial func() (collector.WatchSource, error)) *WatchPeer {
-	return newWatchPeer(region, func() (collector.WatchSource, func(), error) {
-		ws, err := dial()
-		if err != nil {
-			return nil, nil, err
-		}
-		release := func() {}
-		if c, ok := ws.(interface{ Close() error }); ok {
-			release = func() { c.Close() }
-		}
-		return ws, release, nil
-	})
-}
-
-func newWatchPeer(region string, dial func() (collector.WatchSource, func(), error)) *WatchPeer {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &WatchPeer{
 		region: region,
@@ -98,7 +80,17 @@ func newWatchPeer(region string, dial func() (collector.WatchSource, func(), err
 		done:   make(chan struct{}),
 	}
 	cfg := collector.FollowConfig{
-		Dial: dial,
+		Dial: func() (collector.WatchSource, func(), error) {
+			ws, err := dial()
+			if err != nil {
+				return nil, nil, err
+			}
+			release := func() {}
+			if c, ok := ws.(interface{ Close() error }); ok {
+				release = func() { c.Close() }
+			}
+			return ws, release, nil
+		},
 		Kind: collector.WatchRegionSummary,
 		Base: 100 * time.Millisecond,
 		// A dead stream means the peer may be dark: Fetch errors until

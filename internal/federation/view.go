@@ -101,6 +101,8 @@ func (v *View) refresh() {
 }
 
 // RegionAges reports each peer region's current staleness.
+//
+//reach:keep the federation tests read each region's staleness through it
 func (v *View) RegionAges() []RegionAge {
 	v.refresh()
 	return summaryAges(v.members, float64(v.cfg.Clock.Now()))
@@ -157,6 +159,8 @@ func (v *View) Telemetry() *telemetry.Registry { return v.tel }
 
 // LastPartialError surfaces the most recent partial-merge condition
 // (nil = every region contributed to the last topology).
+//
+//reach:keep the merge-conflict tests check through it that a full merge clears the partial error
 func (v *View) LastPartialError() error { return v.merged.LastPartialError() }
 
 // ---- federation surface ----

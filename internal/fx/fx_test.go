@@ -286,10 +286,6 @@ func TestPatterns(t *testing.T) {
 	if len(rg) != 6 {
 		t.Fatalf("Ring flows = %d", len(rg))
 	}
-	comb := Combine(Broadcast(5), Gather(5))(nodes)
-	if len(comb) != 4 {
-		t.Fatalf("Combine = %d", len(comb))
-	}
 }
 
 func TestRunPanicsOnBadInput(t *testing.T) {

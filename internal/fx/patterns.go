@@ -86,14 +86,3 @@ func Ring(bytes float64) func(nodes []graph.NodeID) []netsim.FlowSpec {
 		return out
 	}
 }
-
-// Combine concatenates several pattern builders into one step.
-func Combine(patterns ...func([]graph.NodeID) []netsim.FlowSpec) func(nodes []graph.NodeID) []netsim.FlowSpec {
-	return func(nodes []graph.NodeID) []netsim.FlowSpec {
-		var out []netsim.FlowSpec
-		for _, p := range patterns {
-			out = append(out, p(nodes)...)
-		}
-		return out
-	}
-}

@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// hopWeight charges 1 per link: shortest-hop routing.
+func hopWeight(*Link) float64 { return 1 }
+
+// latencyWeight charges the link latency.
+func latencyWeight(l *Link) float64 { return l.Latency }
+
 // diamond builds:
 //
 //	h1 -- r1 -- r2 -- h2
@@ -101,7 +107,7 @@ func TestLinkDirections(t *testing.T) {
 
 func TestShortestPathHops(t *testing.T) {
 	g := diamond()
-	p, ok := g.ShortestPath("h1", "h2", HopWeight)
+	p, ok := g.ShortestPath("h1", "h2", hopWeight)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -121,7 +127,7 @@ func TestShortestPathHops(t *testing.T) {
 
 func TestPathChannels(t *testing.T) {
 	g := diamond()
-	p, _ := g.ShortestPath("h1", "h2", HopWeight)
+	p, _ := g.ShortestPath("h1", "h2", hopWeight)
 	chs := p.Channels()
 	if len(chs) != 3 {
 		t.Fatalf("channels = %v", chs)
@@ -131,7 +137,7 @@ func TestPathChannels(t *testing.T) {
 		t.Fatalf("first channel = %v", chs[0])
 	}
 	// Reverse path uses reverse channels.
-	rp, _ := g.ShortestPath("h2", "h1", HopWeight)
+	rp, _ := g.ShortestPath("h2", "h1", hopWeight)
 	rchs := rp.Channels()
 	if rchs[2] != (Channel{Link: 0, Dir: BtoA}) {
 		t.Fatalf("reverse channel = %v", rchs[2])
@@ -146,7 +152,7 @@ func TestHostsDoNotForward(t *testing.T) {
 	g.AddHost("h2", 1)
 	g.AddLink("h1", "hmid", 1e6, 0)
 	g.AddLink("hmid", "h2", 1e6, 0)
-	if _, ok := g.ShortestPath("h1", "h2", HopWeight); ok {
+	if _, ok := g.ShortestPath("h1", "h2", hopWeight); ok {
 		t.Fatal("path transits a compute node")
 	}
 	r := g.Reachable("h1")
@@ -221,7 +227,7 @@ func TestRoutesDisconnectedError(t *testing.T) {
 func TestRemoveNodeAndLink(t *testing.T) {
 	g := diamond()
 	g.RemoveLink(1) // cut r1--r2
-	p, ok := g.ShortestPath("h1", "h2", HopWeight)
+	p, ok := g.ShortestPath("h1", "h2", hopWeight)
 	if !ok {
 		t.Fatal("detour should still exist")
 	}
@@ -229,7 +235,7 @@ func TestRemoveNodeAndLink(t *testing.T) {
 		t.Fatalf("hops after cut = %d, want 4", p.Hops())
 	}
 	g.RemoveNode("r3")
-	if _, ok := g.ShortestPath("h1", "h2", HopWeight); ok {
+	if _, ok := g.ShortestPath("h1", "h2", hopWeight); ok {
 		t.Fatal("still connected after removing r3")
 	}
 	if g.NumNodes() != 4 {
@@ -290,9 +296,9 @@ func TestCollapsePreservesPathMetrics(t *testing.T) {
 	g.AddLink("h1", "r1", 100e6, 0.001)
 	g.AddLink("r1", "r2", 30e6, 0.005)
 	g.AddLink("r2", "h2", 100e6, 0.001)
-	before, _ := g.ShortestPath("h1", "h2", LatencyWeight)
+	before, _ := g.ShortestPath("h1", "h2", latencyWeight)
 	c := g.CollapseChains(nil)
-	after, ok := c.ShortestPath("h1", "h2", LatencyWeight)
+	after, ok := c.ShortestPath("h1", "h2", latencyWeight)
 	if !ok {
 		t.Fatal("no path after collapse")
 	}
@@ -356,7 +362,7 @@ func TestInducedByRoutes(t *testing.T) {
 	if sub.NumLinks() != 3 {
 		t.Fatalf("links = %d, want 3", sub.NumLinks())
 	}
-	if _, ok := sub.ShortestPath("h1", "h2", HopWeight); !ok {
+	if _, ok := sub.ShortestPath("h1", "h2", hopWeight); !ok {
 		t.Fatal("induced graph lost connectivity")
 	}
 }
@@ -458,7 +464,7 @@ func BenchmarkShortestPathTree(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.ShortestPathTree("src", HopWeight); err != nil {
+		if _, err := g.ShortestPathTree("src", hopWeight); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -66,14 +66,6 @@ func (p *Path) String() string {
 // the link.
 type Weight func(*Link) float64
 
-// HopWeight charges 1 per link: shortest-hop routing, the paper's testbed
-// behaviour ("any node can be reached from any other node with at most 3
-// hops").
-func HopWeight(*Link) float64 { return 1 }
-
-// LatencyWeight charges the link latency.
-func LatencyWeight(l *Link) float64 { return l.Latency }
-
 // priority queue for Dijkstra.
 type pqItem struct {
 	node  NodeID

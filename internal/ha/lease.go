@@ -69,6 +69,8 @@ type MemoryLease struct {
 }
 
 // NewMemoryLease returns a free lease at term 0 on clk.
+//
+//reach:keep the virtual-clock Lease the ha, remos and root bench tests run on; FileLease follows wall time
 func NewMemoryLease(clk *simclock.Clock) *MemoryLease {
 	return &MemoryLease{clk: clk}
 }

@@ -60,6 +60,7 @@ type Config struct {
 	// (leader) and observation (standby). Default 1.
 	Heartbeat float64
 	// Client configures the standby's feed subscription to PeerAddr.
+	//reach:keep the HA tests cut the standby's CallTimeout to 2 s to finish within their timeouts
 	Client collector.ClientConfig
 	// Telemetry receives the ha.* metrics; defaults to the collector's
 	// own registry so they surface through the "stats" op.
@@ -183,6 +184,8 @@ func (n *Node) Start(leader bool) error {
 func (n *Node) Role() Role { return Role(n.role.Load()) }
 
 // Term reports the highest lease term the node has seen.
+//
+//reach:keep the ha and HA chaos tests check the lease term a promotion took
 func (n *Node) Term() uint64 { return n.term.Load() }
 
 // LeaderHint is the address the node believes currently leads: itself,

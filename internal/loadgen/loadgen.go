@@ -72,11 +72,6 @@ type Config struct {
 	// Seed makes the op mix and key choice reproducible (0 = seed 1).
 	Seed int64
 
-	// Telemetry optionally receives the latency quantiles under
-	// "loadgen.query_ms" / "loadgen.matrix_ms"; nil uses a private
-	// registry.
-	Telemetry *telemetry.Registry
-
 	// Window is the latency-quantile ring size (default 1<<15 — big
 	// enough that a p999 over a multi-second run is meaningful).
 	Window int
@@ -180,10 +175,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.MatrixSize = len(w.hosts)
 	}
 
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	qQuery := reg.Quantile("loadgen.query_ms", cfg.Window)
 	qMatrix := reg.Quantile("loadgen.matrix_ms", cfg.Window)
 

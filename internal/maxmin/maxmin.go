@@ -314,6 +314,8 @@ func (p *Problem) Feasible(alloc []float64, tol float64) error {
 // at its cap or crosses at least one saturated resource on which its
 // normalized rate (alloc/weight) is maximal among that resource's users.
 // This is the classical characterization of weighted max-min fairness.
+//
+//reach:keep the fairness oracle the maxmin and experiments tests check allocations against
 func (p *Problem) IsMaxMinFair(alloc []float64, tol float64) error {
 	if err := p.Feasible(alloc, tol); err != nil {
 		return err

@@ -13,6 +13,8 @@
 // transfers. Tests in this package drive identical scenarios through
 // packetsim and through maxmin/netsim and assert the rates agree to
 // within a few percent.
+//
+//reach:keep the packet-level reference the experiments cross-model tests validate the fluid netsim against
 package packetsim
 
 import (

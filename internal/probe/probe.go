@@ -7,6 +7,8 @@
 // them, so — exactly like a benchmark on a physical network — the probes
 // themselves perturb the system and their results reflect competing
 // traffic.
+//
+//reach:keep the benchmark-probing Collector of PAPER.md's Fig. 2, which its tests alone exercise
 package probe
 
 import (

@@ -408,7 +408,7 @@ func TestReplicaSyncServeFenceRecover(t *testing.T) {
 	r := newRig(t)
 	var mu sync.Mutex
 	src := &lockedFeedSource{mu: &mu, col: r.col}
-	srv, err := collector.Serve(src, "127.0.0.1:0")
+	srv, err := collector.ServeConfig(src, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestReplicaSyncServeFenceRecover(t *testing.T) {
 
 	// Heal: re-serve on the same address; the replica resyncs with a
 	// fresh full snapshot and catches up past its pre-partition epoch.
-	srv2, err := collector.Serve(src, addr)
+	srv2, err := collector.ServeConfig(src, addr, collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestReplicaServesWatches(t *testing.T) {
 	r := newRig(t)
 	var mu sync.Mutex
 	src := &lockedFeedSource{mu: &mu, col: r.col}
-	srv, err := collector.Serve(src, "127.0.0.1:0")
+	srv, err := collector.ServeConfig(src, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestReplicaServesWatches(t *testing.T) {
 
 	// Serve the replica itself over TCP and subscribe a version watch
 	// to it: epoch numbers must advance as the feed applies.
-	rsrv, err := collector.Serve(rep, "127.0.0.1:0")
+	rsrv, err := collector.ServeConfig(rep, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,8 @@ const (
 
 // NewUDPTransport returns a transport with the default timeout, retry
 // count, and inter-attempt backoff.
+//
+//reach:keep the SNMP substitute's UDP transport (DESIGN §2), which TestUDPTransport and TestGetBulkOverUDP run over real sockets
 func NewUDPTransport() *UDPTransport {
 	return &UDPTransport{
 		Timeout: DefaultUDPTimeout,
@@ -287,6 +289,8 @@ func (c *Client) BulkWalk(addr string, prefix OID, maxRepetitions int) ([]VarBin
 
 // Walk retrieves every entry under prefix via repeated GetNext — how the
 // collector discovers interface tables.
+//
+//reach:keep the GETNEXT walk of the SNMP substitute (DESIGN §2); TestBulkWalkMatchesWalk holds GETBULK against it
 func (c *Client) Walk(addr string, prefix OID) ([]VarBind, error) {
 	var out []VarBind
 	cur := prefix.Clone()

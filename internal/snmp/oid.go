@@ -116,7 +116,6 @@ var (
 
 	// Interfaces group.
 	OIDIfNumber    = MustOID("1.3.6.1.2.1.2.1.0")
-	OIDIfTable     = MustOID("1.3.6.1.2.1.2.2.1")
 	OIDIfIndex     = MustOID("1.3.6.1.2.1.2.2.1.1")
 	OIDIfDescr     = MustOID("1.3.6.1.2.1.2.2.1.2")
 	OIDIfSpeed     = MustOID("1.3.6.1.2.1.2.2.1.5")
@@ -131,7 +130,6 @@ var (
 	// Private enterprise subtree standing in for topology discovery
 	// (real deployments would use ipRouteTable or CDP; the collector
 	// only needs "which node is on the other end of interface i").
-	OIDRemosEnterprise = MustOID("1.3.6.1.4.1.53270")
 	OIDRemosNeighbor   = MustOID("1.3.6.1.4.1.53270.1.1") // .i = neighbor sysName
 	OIDRemosLinkID     = MustOID("1.3.6.1.4.1.53270.1.2") // .i = graph link ID
 	OIDRemosNodeKind   = MustOID("1.3.6.1.4.1.53270.1.3.0")

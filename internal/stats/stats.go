@@ -221,18 +221,6 @@ func percentileSorted(s []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
-}
-
 func minInt(a, b int) int {
 	if a < b {
 		return a

@@ -175,11 +175,11 @@ func TestWindowBasics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", w.Len())
+	if w.count != 4 {
+		t.Fatalf("count = %d, want 4", w.count)
 	}
-	if w.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", w.Dropped())
+	if w.dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", w.dropped)
 	}
 	last, ok := w.Latest()
 	if !ok || last.Value != 50 {
@@ -213,8 +213,8 @@ func TestWindowMaxAge(t *testing.T) {
 		w.Add(float64(i), 1)
 	}
 	// Samples older than 20-10=10 expire.
-	if w.Len() != 11 {
-		t.Fatalf("Len = %d, want 11", w.Len())
+	if w.count != 11 {
+		t.Fatalf("count = %d, want 11", w.count)
 	}
 	if w.Samples()[0].Time != 10 {
 		t.Fatalf("oldest = %v", w.Samples()[0])
@@ -348,15 +348,6 @@ func TestQuickPredictStatOrdered(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean wrong")
 	}
 }
 

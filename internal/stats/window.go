@@ -202,12 +202,6 @@ func (w *Window) appendFrom(dst []Sample, from int) []Sample {
 	return dst
 }
 
-// Len returns the number of retained samples.
-func (w *Window) Len() int { return w.count }
-
-// Dropped returns how many samples have aged or been evicted (diagnostic).
-func (w *Window) Dropped() uint64 { return w.dropped }
-
 // Latest returns the most recent sample and whether one exists.
 func (w *Window) Latest() (Sample, bool) {
 	if w.count == 0 {
@@ -234,16 +228,11 @@ func (w *Window) Samples() []Sample {
 	return w.appendFrom(make([]Sample, 0, w.count), 0)
 }
 
-// SamplesSince returns a copy of the samples with Time strictly after
-// t, oldest first. This is the replication-feed cursor primitive: a
+// AppendSince appends copies of the samples with Time strictly after t
+// to dst, oldest first, so a caller collecting from many windows can use
+// one backing slab. This is the replication-feed cursor primitive: a
 // subscriber that has already shipped everything up to time t asks only
 // for what arrived since.
-func (w *Window) SamplesSince(t float64) []Sample {
-	return w.AppendSince(nil, t)
-}
-
-// AppendSince appends the samples SamplesSince(t) would return to dst,
-// so a caller collecting from many windows can use one backing slab.
 func (w *Window) AppendSince(dst []Sample, t float64) []Sample {
 	return w.appendFrom(dst, w.firstFrom(t, true))
 }

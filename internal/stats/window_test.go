@@ -98,8 +98,8 @@ func sameBits(a, b Stat) bool {
 // checkAgainstModel asserts every read of w matches the model.
 func checkAgainstModel(t testing.TB, w *Window, m *modelWindow) {
 	t.Helper()
-	if w.Len() != len(m.s) || w.Dropped() != m.dropped {
-		t.Fatalf("Len/Dropped = %d/%d, model %d/%d", w.Len(), w.Dropped(), len(m.s), m.dropped)
+	if w.count != len(m.s) || w.dropped != m.dropped {
+		t.Fatalf("count/dropped = %d/%d, model %d/%d", w.count, w.dropped, len(m.s), m.dropped)
 	}
 	got := w.Samples()
 	if len(got) != len(m.s) || (len(got) > 0 && !reflect.DeepEqual(got, m.s)) {
@@ -123,8 +123,8 @@ func checkAgainstModel(t testing.TB, w *Window, m *modelWindow) {
 		if g, want := w.Since(c), m.since(c); !reflect.DeepEqual(g, want) {
 			t.Fatalf("Since(%v) = %v, model %v", c, g, want)
 		}
-		if g, want := w.SamplesSince(c), m.samplesSince(c); !reflect.DeepEqual(g, want) {
-			t.Fatalf("SamplesSince(%v) = %v, model %v", c, g, want)
+		if g, want := w.AppendSince(nil, c), m.samplesSince(c); !reflect.DeepEqual(g, want) {
+			t.Fatalf("AppendSince(nil, %v) = %v, model %v", c, g, want)
 		}
 	}
 	for _, span := range []float64{0, -1, 0.5, 3, 40, 1e9, math.Inf(1), math.NaN()} {
@@ -256,19 +256,19 @@ func TestWindowPredecessorsPersist(t *testing.T) {
 	published.Store(views[0])
 
 	// A view's samples are value == absolute index, so any view can be
-	// checked on its own: a contiguous run that starts at Dropped().
+	// checked on its own: a contiguous run that starts at dropped.
 	check := func(w *Window, wantEnd int) string {
 		s := w.Samples()
-		if wantEnd >= 0 && int(w.Dropped())+len(s) != wantEnd {
+		if wantEnd >= 0 && int(w.dropped)+len(s) != wantEnd {
 			return "wrong end"
 		}
 		for i, x := range s {
-			if x.Value != float64(int(w.Dropped())+i) || x.Time != x.Value {
+			if x.Value != float64(int(w.dropped)+i) || x.Time != x.Value {
 				return "sample moved"
 			}
 		}
-		if since := w.SamplesSince(float64(int(w.Dropped()) + len(s) - 2)); len(s) >= 2 && len(since) != 1 {
-			return "SamplesSince lost the tip"
+		if since := w.AppendSince(nil, float64(int(w.dropped)+len(s)-2)); len(s) >= 2 && len(since) != 1 {
+			return "AppendSince lost the tip"
 		}
 		return ""
 	}
@@ -312,8 +312,8 @@ func TestWindowPredecessorsPersist(t *testing.T) {
 		if msg := check(w, ends[i]); msg != "" {
 			t.Fatalf("view %d: %s", i, msg)
 		}
-		if want := min(ends[i], maxLen); w.Len() != want {
-			t.Fatalf("view %d: Len = %d, want %d", i, w.Len(), want)
+		if want := min(ends[i], maxLen); w.count != want {
+			t.Fatalf("view %d: count = %d, want %d", i, w.count, want)
 		}
 	}
 	// Appending to a view that is not at the tip must not disturb the

@@ -132,6 +132,8 @@ func Dumbbell(nPerSide int, edgeMbps, coreMbps float64) *graph.Graph {
 }
 
 // Star builds n hosts around one switch.
+//
+//reach:keep BenchmarkReplicaCatchup in the root bench_test.go builds its networks with it
 func Star(n int, linkMbps, internalMbps float64) *graph.Graph {
 	g := graph.New()
 	g.AddRouter("hub", internalMbps*Mbps)

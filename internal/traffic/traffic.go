@@ -62,13 +62,6 @@ func Blast(n *netsim.Network, src, dst graph.NodeID, rate float64) Generator {
 	return &cbr{n: n, flow: f, src: src, dst: dst, rate: rate}
 }
 
-// Elastic starts a greedy persistent flow that soaks up whatever max-min
-// gives it (a bulk transfer that never ends).
-func Elastic(n *netsim.Network, src, dst graph.NodeID) Generator {
-	f := n.StartFlow(netsim.FlowSpec{Src: src, Dst: dst, Owner: Owner})
-	return &cbr{n: n, flow: f, src: src, dst: dst, rate: math.Inf(1)}
-}
-
 // OnOffConfig parameterizes an on-off (bursty) source.
 type OnOffConfig struct {
 	Rate    float64 // sending rate while on, bits/s
@@ -135,9 +128,6 @@ func (g *onOff) Describe() string {
 	return fmt.Sprintf("OnOff %s->%s @ %.1f Mbps (on %.1fs / off %.1fs)",
 		g.src, g.dst, g.cfg.Rate/1e6, g.cfg.MeanOn, g.cfg.MeanOff)
 }
-
-// Bursts returns how many on-periods have started (diagnostic).
-func (g *onOff) Bursts() int { return g.bursts }
 
 // PoissonTransfersConfig parameterizes a Poisson arrival process of
 // finite transfers with bounded-Pareto-ish sizes.
@@ -215,63 +205,8 @@ func (g *poisson) Describe() string {
 		g.src, g.dst, g.cfg.MeanInterarrival, g.cfg.MinBytes, g.cfg.MaxBytes)
 }
 
-// Launched returns how many transfers have started (diagnostic).
-func (g *poisson) Launched() int { return g.launched }
-
-// HostLoadWalkConfig parameterizes a random-walk CPU load generator.
-type HostLoadWalkConfig struct {
-	Mean   float64 // long-run load level in [0,1)
-	Jitter float64 // maximum step per period
-	Period float64 // seconds between steps
-	Seed   int64
-}
-
-// HostLoadWalk drives a host's background CPU load as a mean-reverting
-// random walk — the compute-side counterpart of the bandwidth
-// generators, feeding the hrProcessorLoad gauge the collector polls.
-func HostLoadWalk(n *netsim.Network, host graph.NodeID, cfg HostLoadWalkConfig) Generator {
-	if cfg.Period <= 0 || cfg.Mean < 0 || cfg.Mean >= 1 {
-		panic("traffic: bad HostLoadWalk config")
-	}
-	g := &loadWalk{n: n, host: host, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), level: cfg.Mean}
-	n.SetHostLoad(host, cfg.Mean)
-	g.ticker = n.Clock().NewTicker(n.Clock().Now()+simclock.Time(cfg.Period), cfg.Period,
-		"load-walk:"+string(host), g.step)
-	return g
-}
-
-type loadWalk struct {
-	n      *netsim.Network
-	host   graph.NodeID
-	cfg    HostLoadWalkConfig
-	rng    *rand.Rand
-	level  float64
-	ticker *simclock.Ticker
-}
-
-func (g *loadWalk) step(simclock.Time) {
-	// Mean-reverting: drift half-way back plus a bounded random step.
-	g.level += (g.cfg.Mean-g.level)*0.5 + (g.rng.Float64()*2-1)*g.cfg.Jitter
-	if g.level < 0 {
-		g.level = 0
-	}
-	if g.level > 0.95 {
-		g.level = 0.95
-	}
-	g.n.SetHostLoad(g.host, g.level)
-}
-
-func (g *loadWalk) Stop() {
-	g.ticker.Stop()
-	g.n.SetHostLoad(g.host, 0)
-}
-
-func (g *loadWalk) Describe() string {
-	return fmt.Sprintf("LoadWalk %s mean=%.2f", g.host, g.cfg.Mean)
-}
-
-// Scenario is a named bundle of generators, used by the experiment
-// harness to describe the traffic patterns of Tables 2 and 3.
+// Scenario is a named bundle of generators: one traffic pattern of
+// Tables 2 and 3.
 type Scenario struct {
 	Name string
 	gens []Generator
@@ -284,23 +219,4 @@ func NewScenario(name string) *Scenario { return &Scenario{Name: name} }
 func (s *Scenario) Add(g Generator) *Scenario {
 	s.gens = append(s.gens, g)
 	return s
-}
-
-// StopAll halts every generator in the scenario.
-func (s *Scenario) StopAll() {
-	for _, g := range s.gens {
-		g.Stop()
-	}
-}
-
-// Describe lists the generators.
-func (s *Scenario) Describe() string {
-	out := s.Name + ":"
-	if len(s.gens) == 0 {
-		return out + " (no traffic)"
-	}
-	for _, g := range s.gens {
-		out += " [" + g.Describe() + "]"
-	}
-	return out
 }

@@ -46,12 +46,12 @@ func TestChaosReplicaPartition(t *testing.T) {
 
 	var mu sync.Mutex
 	ls := &feedSource{&lockedSource{mu: &mu, col: tb.Collector}}
-	feedSrv, err := collector.Serve(ls, "127.0.0.1:0")
+	feedSrv, err := collector.ServeConfig(ls, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedAddr := feedSrv.Addr()
-	querySrv, err := collector.Serve(ls, "127.0.0.1:0")
+	querySrv, err := collector.ServeConfig(ls, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestChaosReplicaPartition(t *testing.T) {
 
 	// Phase 2: heal. Both replicas must converge.
 	phase.Store(2)
-	feedSrv2, err := collector.Serve(ls, feedAddr)
+	feedSrv2, err := collector.ServeConfig(ls, feedAddr, collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

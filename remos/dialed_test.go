@@ -230,12 +230,12 @@ func TestDialedModelerMatchesInProcess(t *testing.T) {
 				}
 
 				probe := &probeSource{Collector: tb.Collector, hole: hole}
-				batchSrv, err := collector.Serve(probe, "127.0.0.1:0")
+				batchSrv, err := collector.ServeConfig(probe, "127.0.0.1:0", collector.ServerConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer batchSrv.Close()
-				scalarSrv, err := collector.Serve(&probeSource{Collector: tb.Collector, hole: hole}, "127.0.0.1:0")
+				scalarSrv, err := collector.ServeConfig(&probeSource{Collector: tb.Collector, hole: hole}, "127.0.0.1:0", collector.ServerConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -528,7 +528,7 @@ func TestDialedReadHonoursReplicaFence(t *testing.T) {
 
 	var mu sync.Mutex
 	ls := &feedSource{&lockedSource{mu: &mu, col: tb.Collector}}
-	feedSrv, err := collector.Serve(ls, "127.0.0.1:0")
+	feedSrv, err := collector.ServeConfig(ls, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,7 +715,7 @@ func TestDialedFutureMatchesInProcess(t *testing.T) {
 	hosts := tb.Hosts()
 	startOnOff(tb, hosts, 4)
 	tb.Run(40)
-	srv, err := collector.Serve(tb.Collector, "127.0.0.1:0")
+	srv, err := collector.ServeConfig(tb.Collector, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

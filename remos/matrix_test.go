@@ -158,7 +158,7 @@ func TestMatrixFencedReplica(t *testing.T) {
 	tb.StartBlast("m-6", "m-8", 60e6)
 	tb.Run(20)
 
-	feedSrv, err := collector.Serve(tb.Collector, "127.0.0.1:0")
+	feedSrv, err := collector.ServeConfig(tb.Collector, "127.0.0.1:0", collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,12 +92,12 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 
 	var mu sync.Mutex
 	ls := &feedSource{&lockedSource{mu: &mu, col: tb.Collector}}
-	feedSrv, err := collector.Serve(ls, "127.0.0.1:0") // the replica's feed
+	feedSrv, err := collector.ServeConfig(ls, "127.0.0.1:0", collector.ServerConfig{}) // the replica's feed
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedAddr := feedSrv.Addr()
-	querySrv, err := collector.Serve(ls, "127.0.0.1:0") // direct collector, never killed
+	querySrv, err := collector.ServeConfig(ls, "127.0.0.1:0", collector.ServerConfig{}) // direct collector, never killed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	// Heal the feed on its old address: the replica resyncs with a
 	// fresh snapshot and serves again.
 	epochAtFence, _ := rep.DataVersion()
-	feedSrv2, err := collector.Serve(ls, feedAddr)
+	feedSrv2, err := collector.ServeConfig(ls, feedAddr, collector.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

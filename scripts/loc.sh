@@ -1,7 +1,7 @@
 #!/bin/sh
 # Non-test Go lines of the root module, per package directory and in
-# total (ROADMAP aim 2 as a number). The separate benchmark/ module is
-# not counted. Run from anywhere; `loc.sh DIR` counts another checkout.
+# total (ROADMAP aim 2 as a number). The separate benchmark/ module and
+# testdata/ fixtures, which the go tool skips, are not counted. Run from anywhere; `loc.sh DIR` counts another checkout.
 #
 # `loc.sh -base REV [DIR]` compares: it counts the tree of revision REV
 # of the checkout's git repository (extracted with git archive into a
@@ -20,7 +20,7 @@ cd "${1:-$(dirname "$0")/..}"
 # count prints "lines package" rows and a "lines total" row for the
 # tree in the current directory.
 count() {
-    find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 |
+    find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 |
         xargs -0 wc -l |
         awk '$2 != "total" {
                  dir = $2; sub(/\/[^\/]*$/, "", dir); n[dir] += $1; total += $1

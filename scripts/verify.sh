@@ -19,6 +19,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> reachability gate: no dead export, test-only *Config field or unnamed op row under internal/ (DESIGN §23)"
+go test -count=1 -run 'TestReachability' .
+
 echo "==> go test ./..."
 go test -timeout 120s ./...
 
