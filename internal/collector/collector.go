@@ -207,10 +207,14 @@ type Collector struct {
 	discoveries uint64
 
 	// pollMu serialises poll rounds and guards the round's scratch
-	// buffers, which are reused from round to round.
-	pollMu  sync.Mutex
-	obsBuf  []counterObs
-	loadBuf []loadObs
+	// buffers, which are reused from round to round: the readings, the
+	// GET on the wire and the values of the agent being read
+	// (discovery.go's getAll).
+	pollMu    sync.Mutex
+	obsBuf    []counterObs
+	loadBuf   []loadObs
+	roundWire []byte
+	roundVals []snmp.Value
 
 	// stateGen counts wholesale state replacements (checkpoint
 	// restores). Feed cursors (feed.go) remember the generation they
@@ -446,19 +450,19 @@ func (c *Collector) PollOnce() {
 		if !ok {
 			continue
 		}
-		plan, vbs, err := c.pollAgent(i, plan)
+		plan, vals, err := c.pollAgent(i, plan)
 		if err != nil {
 			c.recordFailure(id, now)
 			continue
 		}
 		for j, key := range plan.keys {
-			observations = append(observations, counterObs{key, vbs[j].Value.Uint})
+			observations = append(observations, counterObs{key, vals[j].Uint})
 		}
 		// Host CPU load, when exposed. A misbehaving agent can report
 		// anything; negative or non-finite loads are rejected at ingest
 		// so they never reach a sample window.
 		if plan.load {
-			load := float64(vbs[len(plan.keys)].Value.Int) / 100
+			load := float64(vals[len(plan.keys)].Int) / 100
 			if math.IsNaN(load) || math.IsInf(load, 0) || load < 0 {
 				c.noteIngestError()
 			} else {

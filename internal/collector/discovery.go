@@ -79,6 +79,9 @@ type pollPlan struct {
 	// oids is ifOutOctets.i, ifInOctets.i for each interface, then
 	// hrProcessorLoad when the agent exposes it.
 	oids []snmp.OID
+	// gets is oids encoded once as GETs, one per snmp.MaxVarBinds of
+	// them: one for any realistic agent.
+	gets []*snmp.GetRequest
 	// keys[j] is the channel the counter at oids[j] measures.
 	keys []ChannelKey
 	load bool
@@ -108,6 +111,15 @@ func (c *Collector) learnPlan(id graph.NodeID, addr string) ([]ifaceInfo, *pollP
 	case !errors.Is(err, snmp.ErrNoSuchName):
 		return nil, nil, err
 	}
+	for oids := plan.oids; len(oids) > 0; {
+		n := min(len(oids), snmp.MaxVarBinds)
+		get, err := c.cfg.Client.PrepareGet(oids[:n]...)
+		if err != nil {
+			return nil, nil, err
+		}
+		plan.gets = append(plan.gets, get)
+		oids = oids[n:]
+	}
 	return ifaces, plan, nil
 }
 
@@ -118,13 +130,15 @@ func (c *Collector) setPlan(i int, plan *pollPlan) {
 	c.mu.Unlock()
 }
 
-// pollAgent reads one agent's counters: its plan replayed as one GET
-// (see getAll for the agent whose table outgrows one message).
+// pollAgent reads one agent's counters: its plan's prepared GET sent
+// once (see getAll for the agent whose table outgrows one message).
 // An agent without a plan is walked first. A NoSuchName or mismatched
 // answer means the table moved under the plan: the plan is forgotten
 // and the agent walked and asked again within the round. Any other
-// error, or a second one of those, is the agent's failed attempt.
-func (c *Collector) pollAgent(i int, plan *pollPlan) (*pollPlan, []snmp.VarBind, error) {
+// error, or a second one of those, is the agent's failed attempt. The
+// values are the round's scratch, good until the next call; callers
+// hold c.pollMu.
+func (c *Collector) pollAgent(i int, plan *pollPlan) (*pollPlan, []snmp.Value, error) {
 	slot := &c.agents[i]
 	for relearned := false; ; relearned = true {
 		if plan == nil {
@@ -134,19 +148,19 @@ func (c *Collector) pollAgent(i int, plan *pollPlan) (*pollPlan, []snmp.VarBind,
 			}
 			c.setPlan(i, plan)
 		}
-		vbs, err := c.getAll(slot.addr, plan.oids)
+		vals, err := c.getAll(slot.addr, plan)
 		if err == nil {
 			// Get has matched OIDs to positions; the value types are the
 			// other half of "this varbind is that channel's counter".
 			for j := range plan.keys {
-				if vbs[j].Value.Kind != snmp.KindCounter32 {
-					return nil, nil, fmt.Errorf("collector: agent %s answers %v with a %v", slot.addr, plan.oids[j], vbs[j].Value.Kind)
+				if vals[j].Kind != snmp.KindCounter32 {
+					return nil, nil, fmt.Errorf("collector: agent %s answers %v with a %v", slot.addr, plan.oids[j], vals[j].Kind)
 				}
 			}
-			if plan.load && vbs[len(plan.keys)].Value.Kind != snmp.KindInteger {
-				return nil, nil, fmt.Errorf("collector: agent %s answers hrProcessorLoad with a %v", slot.addr, vbs[len(plan.keys)].Value.Kind)
+			if plan.load && vals[len(plan.keys)].Kind != snmp.KindInteger {
+				return nil, nil, fmt.Errorf("collector: agent %s answers hrProcessorLoad with a %v", slot.addr, vals[len(plan.keys)].Kind)
 			}
-			return plan, vbs, nil
+			return plan, vals, nil
 		}
 		if relearned || !(errors.Is(err, snmp.ErrNoSuchName) || errors.Is(err, snmp.ErrBadResponse)) {
 			return nil, nil, err
@@ -156,24 +170,22 @@ func (c *Collector) pollAgent(i int, plan *pollPlan) (*pollPlan, []snmp.VarBind,
 	}
 }
 
-// getAll reads oids in as few GETs as the protocol allows: one for any
-// realistic agent, one per snmp.MaxVarBinds OIDs for a table too large
-// for a single message. The answers come back in the order asked.
-func (c *Collector) getAll(addr string, oids []snmp.OID) ([]snmp.VarBind, error) {
-	if len(oids) <= snmp.MaxVarBinds {
-		return c.cfg.Client.Get(addr, oids...)
+// getAll sends plan's GETs, one for any realistic agent, and returns
+// the answers in the order of plan.oids. Every agent of a round reuses
+// one request buffer and one value slice; callers hold c.pollMu.
+func (c *Collector) getAll(addr string, plan *pollPlan) ([]snmp.Value, error) {
+	if cap(c.roundVals) < len(plan.oids) {
+		c.roundVals = make([]snmp.Value, len(plan.oids))
 	}
-	out := make([]snmp.VarBind, 0, len(oids))
-	for len(oids) > 0 {
-		n := min(len(oids), snmp.MaxVarBinds)
-		vbs, err := c.cfg.Client.Get(addr, oids[:n]...)
-		if err != nil {
+	vals := c.roundVals[:len(plan.oids)]
+	off := 0
+	for _, get := range plan.gets {
+		if err := c.cfg.Client.Do(addr, get, &c.roundWire, vals[off:]); err != nil {
 			return nil, err
 		}
-		out = append(out, vbs...)
-		oids = oids[n:]
+		off += get.Len()
 	}
-	return out, nil
+	return vals, nil
 }
 
 // nodeInfo is the per-node discovery record.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -414,6 +415,172 @@ func TestPlanLargerThanOneMessage(t *testing.T) {
 			if math.Abs(st.Median-want) > 1e4 {
 				t.Fatalf("channel %v reads %v, want %v", k, st.Median, want)
 			}
+		}
+	}
+}
+
+// TestPollRoundAllocBudget: a steady-state hier-300 round allocates per
+// agent, not per OID: 7,070 allocations a round when each GET was
+// encoded, decoded and answered OID by OID; the agents' encoded answers
+// (one per agent) are most of what is left.
+func TestPollRoundAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race drops pooled agent scratch on purpose")
+	}
+	hier, err := topogen.Generate(topogen.Spec{Kind: topogen.KindHier, N: 300, Seed: 11, Regions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRigOn(t, hier.Graph, 2)
+	if err := r.col.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.col.Stop()
+	r.clk.Advance(20) // windows and round buffers past their first growth
+	allocs := testing.AllocsPerRun(20, func() { r.clk.Advance(2) })
+	const want = 365 // 1.2 x the 302 measured
+	if allocs > want {
+		t.Fatalf("a hier-300 poll round took %.0f allocations, want <= %d", allocs, want)
+	}
+}
+
+// checkedTransport passes every GET through and checks its answer
+// against the request on the wire: same ID, the OIDs asked in the order
+// asked, and the value the agent's MIB held before the polls began (the
+// clock does not move while they run).
+type checkedTransport struct {
+	inner    snmp.Transport
+	want     map[string]snmp.Value // addr + " " + OID
+	checked  atomic.Int64
+	mismatch atomic.Int64
+}
+
+func (ct *checkedTransport) RoundTrip(addr string, req []byte) ([]byte, error) {
+	raw, err := ct.inner.RoundTrip(addr, req)
+	if err != nil {
+		return raw, err
+	}
+	q, qerr := snmp.Decode(req)
+	a, aerr := snmp.Decode(raw)
+	if qerr != nil || aerr != nil || q.Type != snmp.PDUGet {
+		return raw, err
+	}
+	ct.checked.Add(1)
+	ok := a.RequestID == q.RequestID && len(a.VarBinds) == len(q.VarBinds)
+	for i := 0; ok && i < len(q.VarBinds); i++ {
+		want, known := ct.want[addr+" "+q.VarBinds[i].OID.String()]
+		ok = a.VarBinds[i].OID.Cmp(q.VarBinds[i].OID) == 0 && (!known || a.VarBinds[i].Value.Equal(want))
+	}
+	if !ok {
+		ct.mismatch.Add(1)
+	}
+	return raw, err
+}
+
+// TestAgentConcurrentGets: two collectors sharing one client poll the
+// same in-process agents at once, and two goroutines send one prepared
+// GET to a UDP-served agent at once. Every answer matches its request:
+// the agents' pooled decode scratch, the client's request IDs, each
+// collector's round buffers and the shared prepared request are never
+// crossed. Run it under -race.
+func TestAgentConcurrentGets(t *testing.T) {
+	r := newRig(t, 2)
+	// Agents read the simulator; like the daemon, serialise them.
+	var simMu sync.Mutex
+	for _, a := range r.att.Agents {
+		a.Serialize = func(fn func()) {
+			simMu.Lock()
+			defer simMu.Unlock()
+			fn()
+		}
+	}
+	traffic.Blast(r.net, "m-2", "m-4", 40e6)
+	ct := &checkedTransport{inner: r.att.Registry, want: map[string]snmp.Value{}}
+	r.col.cfg.Client.Transport = ct
+	if err := r.col.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.col.Stop()
+	r.clk.Advance(6)
+	other := New(r.col.cfg)
+	if _, err := other.Discover(); err != nil {
+		t.Fatal(err)
+	}
+	for id, a := range r.att.Agents {
+		for _, o := range planOf(r.col, id).oids {
+			v, ok := a.MIB.Get(o)
+			if !ok {
+				t.Fatalf("%s has no %v", id, o)
+			}
+			ct.want[snmp.Addr(id)+" "+o.String()] = v
+		}
+	}
+
+	const rounds = 20
+	var wg sync.WaitGroup
+	for _, c := range []*Collector{r.col, other} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c.PollOnce()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, c := range []*Collector{r.col, other} {
+		if c.PollErrors() != 0 {
+			t.Fatalf("%d poll errors", c.PollErrors())
+		}
+		for id := range r.att.Agents {
+			if h, _ := c.HealthOf(id); h.State != Healthy {
+				t.Fatalf("%s: %+v", id, h)
+			}
+		}
+	}
+	if n := ct.checked.Load(); n < 2*rounds*int64(len(r.att.Agents)) {
+		t.Fatalf("%d answers checked, want at least %d", n, 2*rounds*len(r.att.Agents))
+	}
+	if n := ct.mismatch.Load(); n != 0 {
+		t.Fatalf("%d of %d answers do not match their request", n, ct.checked.Load())
+	}
+
+	// One UDP-served agent, one prepared GET, two goroutines.
+	const udpAgent = "aspen"
+	srv, err := snmp.ServeUDP(r.att.Agents[udpAgent], "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	oids := planOf(r.col, udpAgent).oids
+	cl := snmp.NewClient(snmp.NewUDPTransport(), snmp.DefaultCommunity)
+	get, err := cl.PrepareGet(oids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			var wire []byte
+			vals := make([]snmp.Value, get.Len())
+			for i := 0; i < rounds; i++ {
+				if err := cl.Do(srv.Addr(), get, &wire, vals); err != nil {
+					errs <- err
+					return
+				}
+				for j, o := range oids {
+					if want := ct.want[snmp.Addr(udpAgent)+" "+o.String()]; !vals[j].Equal(want) {
+						errs <- fmt.Errorf("%v reads %v over UDP, want %v", o, vals[j], want)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }

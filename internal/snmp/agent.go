@@ -3,6 +3,7 @@ package snmp
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 )
 
@@ -32,37 +33,64 @@ func (a *Agent) Requests() uint64 { return a.requests.Load() }
 
 // Handle processes one decoded request and returns the response message.
 func (a *Agent) Handle(req *Message) *Message {
-	if a.Serialize != nil {
-		var resp *Message
-		a.Serialize(func() { resp = a.handle(req) })
-		return resp
-	}
-	return a.handle(req)
+	resp := new(Message)
+	a.serve(req, resp, new(agentScratch))
+	return resp
 }
 
-func (a *Agent) handle(req *Message) *Message {
+// agentScratch is one request's decode and answer space. HandleBytes
+// takes one from scratchPool per call, so concurrent callers (UDP
+// handlers, two collectors polling one registry) never share one, and
+// a steady stream of GETs allocates only the encoded answer.
+type agentScratch struct {
+	req, resp Message
+	slab      []uint32       // the request's OID components (Message.decode)
+	gets      []func() Value // a GET's getters, one per varbind (MIB.getters)
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(agentScratch) }}
+
+// release drops what the scratch points at outside itself, then
+// returns it to the pool.
+func (s *agentScratch) release() {
+	clear(s.gets)
+	clear(s.resp.VarBinds)
+	scratchPool.Put(s)
+}
+
+// serve answers req into resp under Serialize, when set.
+func (a *Agent) serve(req, resp *Message, s *agentScratch) {
+	if a.Serialize != nil {
+		a.Serialize(func() { a.handle(req, resp, s) })
+		return
+	}
+	a.handle(req, resp, s)
+}
+
+func (a *Agent) handle(req, resp *Message, s *agentScratch) {
 	a.requests.Add(1)
-	resp := &Message{
+	*resp = Message{
 		Community: req.Community,
 		Type:      PDUResponse,
 		RequestID: req.RequestID,
+		VarBinds:  resp.VarBinds[:0],
 	}
 	if req.Community != a.Community {
 		resp.Error = BadCommunity
-		return resp
+		return
 	}
 	switch req.Type {
 	case PDUGet:
-		resp.VarBinds = make([]VarBind, 0, len(req.VarBinds))
+		s.gets = a.MIB.getters(req.VarBinds, s.gets[:0])
 		for i, vb := range req.VarBinds {
-			v, ok := a.MIB.Get(vb.OID)
-			if !ok {
+			get := s.gets[i]
+			if get == nil {
 				resp.Error = NoSuchName
 				resp.ErrorIndex = uint32(i + 1)
 				resp.VarBinds = append(resp.VarBinds, VarBind{OID: vb.OID, Value: Null()})
 				continue
 			}
-			resp.VarBinds = append(resp.VarBinds, VarBind{OID: vb.OID, Value: v})
+			resp.VarBinds = append(resp.VarBinds, VarBind{OID: vb.OID, Value: get()})
 		}
 	case PDUGetNext:
 		for i, vb := range req.VarBinds {
@@ -100,19 +128,22 @@ func (a *Agent) handle(req *Message) *Message {
 	default:
 		resp.Error = GenErr
 	}
-	return resp
 }
 
 // HandleBytes decodes, handles, and re-encodes — the full path a
 // transport exercises. Malformed requests yield a nil response (agents
-// drop garbage rather than answering it, like real SNMP daemons).
+// drop garbage rather than answering it, like real SNMP daemons). The
+// request and response messages are pooled scratch; the returned bytes
+// are the caller's.
 func (a *Agent) HandleBytes(req []byte) []byte {
-	m, err := Decode(req)
-	if err != nil {
+	s := scratchPool.Get().(*agentScratch)
+	defer s.release()
+	var err error
+	if s.slab, err = s.req.decode(req, s.slab); err != nil {
 		return nil
 	}
-	resp := a.Handle(m)
-	out, err := Encode(resp)
+	a.serve(&s.req, &s.resp, s)
+	out, err := Encode(&s.resp)
 	if err != nil {
 		return nil
 	}

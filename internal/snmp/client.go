@@ -1,10 +1,13 @@
 package snmp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,7 +16,9 @@ import (
 // mode, integration tests).
 type Transport interface {
 	// RoundTrip sends an encoded request to the named agent address and
-	// returns the encoded response.
+	// returns the encoded response, which the caller owns. req is the
+	// caller's buffer, reused once RoundTrip returns (Client.Do), so an
+	// implementation must not keep it.
 	RoundTrip(addr string, req []byte) ([]byte, error)
 }
 
@@ -133,13 +138,13 @@ func (t *UDPTransport) RoundTrip(addr string, req []byte) ([]byte, error) {
 	return nil, fmt.Errorf("snmp: %d attempts failed: %w", t.Retries+1, lastErr)
 }
 
-// Client issues Get/GetNext/Walk requests through a Transport.
+// Client issues Get/GetNext/Walk requests through a Transport. It is
+// safe for concurrent use.
 type Client struct {
 	Transport Transport
 	Community string
 
-	mu     sync.Mutex
-	nextID uint32
+	nextID atomic.Uint32
 }
 
 // NewClient creates a client.
@@ -147,12 +152,7 @@ func NewClient(tr Transport, community string) *Client {
 	return &Client{Transport: tr, Community: community}
 }
 
-func (c *Client) id() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextID++
-	return c.nextID
-}
+func (c *Client) id() uint32 { return c.nextID.Add(1) }
 
 func (c *Client) roundTrip(addr string, req *Message) (*Message, error) {
 	raw, err := Encode(req)
@@ -176,37 +176,136 @@ func (c *Client) roundTrip(addr string, req *Message) (*Message, error) {
 	return resp, nil
 }
 
-// Get fetches exact OIDs and returns one varbind per OID asked, in the
-// order asked: callers may index the result by request position. A
-// NoSuchName answer is an error wrapping ErrNoSuchName with the failing
-// index; a NoError answer of any other shape — fewer or more varbinds,
-// or a different OID at some position — is ErrBadResponse.
-func (c *Client) Get(addr string, oids ...OID) ([]VarBind, error) {
-	req := &Message{Community: c.Community, Type: PDUGet, RequestID: c.id(),
-		VarBinds: make([]VarBind, len(oids))}
+// GetRequest is a GET encoded once, to be sent any number of times by
+// Do: a poll plan replays the same OIDs every round. It is immutable,
+// so one may be sent from several goroutines at once.
+type GetRequest struct {
+	raw []byte // the encoded request; Do sends a copy with a fresh ID
+	n   int    // varbinds asked
+}
+
+// PrepareGet encodes a GET of oids under the client's community.
+func (c *Client) PrepareGet(oids ...OID) (*GetRequest, error) {
+	vbs := make([]VarBind, len(oids))
 	for i, o := range oids {
-		req.VarBinds[i] = VarBind{OID: o, Value: Null()}
+		vbs[i] = VarBind{OID: o, Value: Null()}
 	}
-	resp, err := c.roundTrip(addr, req)
+	raw, err := Encode(&Message{Community: c.Community, Type: PDUGet, VarBinds: vbs})
 	if err != nil {
 		return nil, err
 	}
-	switch resp.Error {
+	return &GetRequest{raw: raw, n: len(oids)}, nil
+}
+
+// Len returns how many OIDs r asks.
+func (r *GetRequest) Len() int { return r.n }
+
+// Do sends r to addr and decodes the answer's values into vals[:r.Len()],
+// in the order asked. r's bytes are copied into *wire, a caller-owned
+// buffer reused from call to call, and the request ID is patched there.
+// The errors are Get's; on an error vals holds no meaning.
+func (c *Client) Do(addr string, r *GetRequest, wire *[]byte, vals []Value) error {
+	id := c.id()
+	w := append((*wire)[:0], r.raw...)
+	*wire = w
+	binary.BigEndian.PutUint32(w[idOffset+int(w[3]):], id) // w[3]: the community length
+	resp, err := c.Transport.RoundTrip(addr, w)
+	if err != nil {
+		return err
+	}
+	return r.answer(resp, id, vals[:r.n])
+}
+
+// answer checks resp against r in one pass and decodes its values into
+// vals. Each answer's OID is compared with the asked OID's bytes, found
+// by walking r's own varbinds in step, so no OID is built. A malformed
+// frame is a plain error; then come a wrong request ID or PDU type, a
+// NoSuchName or other error status, a varbind count other than asked
+// and an OID other than asked at some position, in that order.
+func (r *GetRequest) answer(resp []byte, id uint32, vals []Value) error {
+	d := decoder{buf: resp}
+	h, err := d.header()
+	if err != nil {
+		return err
+	}
+	q := headerLen + int(r.raw[3]) // r's next varbind; raw[3] is its community length
+	bad, badAt, badQ := -1, 0, 0
+	for i := 0; i < h.count; i++ {
+		at := d.off
+		if _, err := d.oid(); err != nil {
+			return err
+		}
+		v, err := d.value()
+		if err != nil {
+			return err
+		}
+		if i >= r.n {
+			continue
+		}
+		asked := r.raw[q : q+1+4*int(r.raw[q])]
+		if bad < 0 && !bytes.Equal(resp[at:at+1+4*int(resp[at])], asked) {
+			bad, badAt, badQ = i, at, q
+		}
+		q += len(asked) + 1 // and the asked value's Null kind byte
+		vals[i] = v
+	}
+	if d.off != len(resp) {
+		return fmt.Errorf("snmp: %d trailing bytes", len(resp)-d.off)
+	}
+	if h.id != id {
+		return fmt.Errorf("snmp: response ID %d != request ID %d", h.id, id)
+	}
+	if h.typ != PDUResponse {
+		return fmt.Errorf("snmp: unexpected PDU type %v", h.typ)
+	}
+	switch h.status {
 	case NoError:
 	case NoSuchName:
-		return nil, fmt.Errorf("%w at index %d", ErrNoSuchName, resp.ErrorIndex)
+		return fmt.Errorf("%w at index %d", ErrNoSuchName, h.index)
 	default:
-		return nil, fmt.Errorf("snmp: %v at index %d", resp.Error, resp.ErrorIndex)
+		return fmt.Errorf("snmp: %v at index %d", h.status, h.index)
 	}
-	if len(resp.VarBinds) != len(oids) {
-		return nil, fmt.Errorf("%w: %d varbinds for %d OIDs", ErrBadResponse, len(resp.VarBinds), len(oids))
+	if h.count != r.n {
+		return fmt.Errorf("%w: %d varbinds for %d OIDs", ErrBadResponse, h.count, r.n)
 	}
+	if bad >= 0 {
+		return fmt.Errorf("%w: %v at position %d, asked %v", ErrBadResponse, oidAt(resp[badAt:]), bad+1, oidAt(r.raw[badQ:]))
+	}
+	return nil
+}
+
+// oidAt decodes the wire OID at the start of b, which has been
+// bounds-checked already; only error messages build OIDs from answers.
+func oidAt(b []byte) OID {
+	o := make(OID, b[0])
+	for j := range o {
+		o[j] = binary.BigEndian.Uint32(b[1+4*j:])
+	}
+	return o
+}
+
+// Get fetches exact OIDs and returns one varbind per OID asked, in the
+// order asked: callers may index the result by request position. The
+// varbinds carry the caller's OIDs, which the answer was checked
+// against. A NoSuchName answer is an error wrapping ErrNoSuchName with
+// the failing index; a NoError answer of any other shape — fewer or
+// more varbinds, or a different OID at some position — is
+// ErrBadResponse. Get is PrepareGet and then Do.
+func (c *Client) Get(addr string, oids ...OID) ([]VarBind, error) {
+	r, err := c.PrepareGet(oids...)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]Value, len(oids))
+	// r is Get's own, so its bytes can be the wire buffer.
+	if err := c.Do(addr, r, &r.raw, vals); err != nil {
+		return nil, err
+	}
+	vbs := make([]VarBind, len(oids))
 	for i, o := range oids {
-		if resp.VarBinds[i].OID.Cmp(o) != 0 {
-			return nil, fmt.Errorf("%w: %v at position %d, asked %v", ErrBadResponse, resp.VarBinds[i].OID, i+1, o)
-		}
+		vbs[i] = VarBind{OID: o, Value: vals[i]}
 	}
-	return resp.VarBinds, nil
+	return vbs, nil
 }
 
 // ErrNoSuchName reports that an OID has no successor (end of MIB) or

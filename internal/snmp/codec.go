@@ -39,7 +39,8 @@ const (
 // more OIDs to read issues several Gets.
 const MaxVarBinds = maxVarBinds
 
-// Encode serializes a message.
+// Encode serializes a message into a buffer of exactly its encoded
+// size.
 func Encode(m *Message) ([]byte, error) {
 	if len(m.Community) > maxCommunity {
 		return nil, fmt.Errorf("snmp: community too long (%d)", len(m.Community))
@@ -47,7 +48,28 @@ func Encode(m *Message) ([]byte, error) {
 	if len(m.VarBinds) > maxVarBinds {
 		return nil, fmt.Errorf("snmp: too many varbinds (%d)", len(m.VarBinds))
 	}
-	buf := make([]byte, 0, 64+32*len(m.VarBinds))
+	size := headerLen + len(m.Community)
+	for _, vb := range m.VarBinds {
+		if len(vb.OID) > maxOIDLen {
+			return nil, fmt.Errorf("snmp: OID too long (%d)", len(vb.OID))
+		}
+		size += 2 + 4*len(vb.OID)
+		switch vb.Value.Kind {
+		case KindNull:
+		case KindInteger:
+			size += 8
+		case KindCounter32, KindGauge32, KindTimeTicks:
+			size += 4
+		case KindOctetString:
+			if len(vb.Value.Bytes) > maxOctets {
+				return nil, fmt.Errorf("snmp: octet string too long (%d)", len(vb.Value.Bytes))
+			}
+			size += 2 + len(vb.Value.Bytes)
+		default:
+			return nil, fmt.Errorf("snmp: cannot encode value kind %v", vb.Value.Kind)
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint16(buf, wireMagic)
 	buf = append(buf, wireVersion)
 	buf = append(buf, byte(len(m.Community)))
@@ -58,32 +80,30 @@ func Encode(m *Message) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, m.ErrorIndex)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.VarBinds)))
 	for _, vb := range m.VarBinds {
-		if len(vb.OID) > maxOIDLen {
-			return nil, fmt.Errorf("snmp: OID too long (%d)", len(vb.OID))
-		}
 		buf = append(buf, byte(len(vb.OID)))
 		for _, c := range vb.OID {
 			buf = binary.BigEndian.AppendUint32(buf, c)
 		}
 		buf = append(buf, byte(vb.Value.Kind))
 		switch vb.Value.Kind {
-		case KindNull:
 		case KindInteger:
 			buf = binary.BigEndian.AppendUint64(buf, uint64(vb.Value.Int))
 		case KindCounter32, KindGauge32, KindTimeTicks:
 			buf = binary.BigEndian.AppendUint32(buf, vb.Value.Uint)
 		case KindOctetString:
-			if len(vb.Value.Bytes) > maxOctets {
-				return nil, fmt.Errorf("snmp: octet string too long (%d)", len(vb.Value.Bytes))
-			}
 			buf = binary.BigEndian.AppendUint16(buf, uint16(len(vb.Value.Bytes)))
 			buf = append(buf, vb.Value.Bytes...)
-		default:
-			return nil, fmt.Errorf("snmp: cannot encode value kind %v", vb.Value.Kind)
 		}
 	}
 	return buf, nil
 }
+
+// headerLen is the encoded size of a message's fixed fields, community
+// bytes aside; idOffset is where the request ID sits after them.
+const (
+	headerLen = 16
+	idOffset  = 5
+)
 
 // decoder is a bounds-checked cursor.
 type decoder struct {
@@ -143,123 +163,183 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
-// Decode parses a message, rejecting malformed or oversized input.
-func Decode(buf []byte) (*Message, error) {
-	d := &decoder{buf: buf}
+// header is a message's fixed fields, everything before its varbinds.
+type header struct {
+	community []byte // a window of the decoded buffer
+	typ       PDUType
+	id        uint32
+	status    ErrorStatus
+	index     uint32
+	count     int // varbinds that follow, at most maxVarBinds
+}
+
+// header reads and range-checks the fixed fields.
+func (d *decoder) header() (h header, err error) {
 	magic, err := d.u16()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
 	if magic != wireMagic {
-		return nil, fmt.Errorf("snmp: bad magic %#x", magic)
+		return h, fmt.Errorf("snmp: bad magic %#x", magic)
 	}
 	ver, err := d.u8()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
 	if ver != wireVersion {
-		return nil, fmt.Errorf("snmp: unsupported version %d", ver)
+		return h, fmt.Errorf("snmp: unsupported version %d", ver)
 	}
 	clen, err := d.u8()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
-	comm, err := d.bytes(int(clen))
-	if err != nil {
-		return nil, err
+	if h.community, err = d.bytes(int(clen)); err != nil {
+		return h, err
 	}
-	m := &Message{Community: string(comm)}
 	pt, err := d.u8()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
 	if pt > uint8(PDUGetBulk) {
-		return nil, fmt.Errorf("snmp: bad PDU type %d", pt)
+		return h, fmt.Errorf("snmp: bad PDU type %d", pt)
 	}
-	m.Type = PDUType(pt)
-	if m.RequestID, err = d.u32(); err != nil {
-		return nil, err
+	h.typ = PDUType(pt)
+	if h.id, err = d.u32(); err != nil {
+		return h, err
 	}
 	es, err := d.u8()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
 	if es > uint8(GenErr) {
-		return nil, fmt.Errorf("snmp: bad error status %d", es)
+		return h, fmt.Errorf("snmp: bad error status %d", es)
 	}
-	m.Error = ErrorStatus(es)
-	if m.ErrorIndex, err = d.u32(); err != nil {
-		return nil, err
+	h.status = ErrorStatus(es)
+	if h.index, err = d.u32(); err != nil {
+		return h, err
 	}
 	nb, err := d.u16()
 	if err != nil {
-		return nil, err
+		return h, err
 	}
 	if int(nb) > maxVarBinds {
-		return nil, fmt.Errorf("snmp: too many varbinds (%d)", nb)
+		return h, fmt.Errorf("snmp: too many varbinds (%d)", nb)
 	}
-	// Size the list once: the count is bounded above, and a varbind is at
-	// least two bytes, so a hostile count cannot out-allocate its packet.
-	if n := int(nb); n > 0 {
-		if most := (len(buf) - d.off) / 2; n > most {
-			n = most
+	h.count = int(nb)
+	return h, nil
+}
+
+// oid skips one varbind's OID and returns its component count; its
+// wire bytes are d.buf[at:d.off] for the at before the call.
+func (d *decoder) oid() (int, error) {
+	olen, err := d.u8()
+	if err != nil {
+		return 0, err
+	}
+	if int(olen) > maxOIDLen {
+		return 0, fmt.Errorf("snmp: OID too long (%d)", olen)
+	}
+	if err := d.need(4 * int(olen)); err != nil {
+		return 0, err
+	}
+	d.off += 4 * int(olen)
+	return int(olen), nil
+}
+
+// value reads one varbind's kind and payload. An octet string is
+// copied out of the buffer.
+func (d *decoder) value() (Value, error) {
+	kind, err := d.u8()
+	if err != nil {
+		return Value{}, err
+	}
+	switch ValueKind(kind) {
+	case KindNull:
+		return Null(), nil
+	case KindInteger:
+		u, err := d.u64()
+		if err != nil {
+			return Value{}, err
 		}
+		return Integer(int64(u)), nil
+	case KindCounter32, KindGauge32, KindTimeTicks:
+		u, err := d.u32()
+		if err != nil {
+			return Value{}, err
+		}
+		return Value{Kind: ValueKind(kind), Uint: u}, nil
+	case KindOctetString:
+		slen, err := d.u16()
+		if err != nil {
+			return Value{}, err
+		}
+		if int(slen) > maxOctets {
+			return Value{}, fmt.Errorf("snmp: octet string too long (%d)", slen)
+		}
+		b, err := d.bytes(int(slen))
+		if err != nil {
+			return Value{}, err
+		}
+		return Value{Kind: KindOctetString, Bytes: append([]byte(nil), b...)}, nil
+	default:
+		return Value{}, fmt.Errorf("snmp: bad value kind %d", kind)
+	}
+}
+
+// Decode parses a message, rejecting malformed or oversized input.
+func Decode(buf []byte) (*Message, error) {
+	m := new(Message)
+	if _, err := m.decode(buf, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decode parses buf into m, reusing m's varbind list. Every OID of the
+// message is a capacity-capped window of one component slab (slab's
+// array when it is large enough), sized at one component per four
+// bytes of the packet, so a hostile message cannot out-allocate its own
+// length. decode returns the slab for the next call.
+func (m *Message) decode(buf []byte, slab []uint32) ([]uint32, error) {
+	d := decoder{buf: buf}
+	h, err := d.header()
+	if err != nil {
+		return slab, err
+	}
+	if m.Community != string(h.community) {
+		m.Community = string(h.community)
+	}
+	m.Type, m.RequestID, m.Error, m.ErrorIndex = h.typ, h.id, h.status, h.index
+	m.VarBinds = m.VarBinds[:0]
+	// Size the list once: a varbind is at least two bytes, so a hostile
+	// count cannot out-allocate its packet either.
+	if n := min(h.count, (len(buf)-d.off)/2); cap(m.VarBinds) < n {
 		m.VarBinds = make([]VarBind, 0, n)
 	}
-	for i := 0; i < int(nb); i++ {
-		olen, err := d.u8()
+	if most := (len(buf) - d.off) / 4; h.count > 0 && cap(slab) < most {
+		slab = make([]uint32, 0, most)
+	}
+	slab = slab[:0]
+	for i := 0; i < h.count; i++ {
+		at := d.off
+		olen, err := d.oid()
 		if err != nil {
-			return nil, err
+			return slab, err
 		}
-		if int(olen) > maxOIDLen {
-			return nil, fmt.Errorf("snmp: OID too long (%d)", olen)
-		}
-		oid := make(OID, olen)
+		k := len(slab)
+		slab = slab[:k+olen]
+		oid := OID(slab[k : k+olen : k+olen])
 		for j := range oid {
-			if oid[j], err = d.u32(); err != nil {
-				return nil, err
-			}
+			oid[j] = binary.BigEndian.Uint32(buf[at+1+4*j:])
 		}
-		kind, err := d.u8()
+		v, err := d.value()
 		if err != nil {
-			return nil, err
-		}
-		var v Value
-		switch ValueKind(kind) {
-		case KindNull:
-			v = Null()
-		case KindInteger:
-			u, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			v = Integer(int64(u))
-		case KindCounter32, KindGauge32, KindTimeTicks:
-			u, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			v = Value{Kind: ValueKind(kind), Uint: u}
-		case KindOctetString:
-			slen, err := d.u16()
-			if err != nil {
-				return nil, err
-			}
-			if int(slen) > maxOctets {
-				return nil, fmt.Errorf("snmp: octet string too long (%d)", slen)
-			}
-			b, err := d.bytes(int(slen))
-			if err != nil {
-				return nil, err
-			}
-			v = Value{Kind: KindOctetString, Bytes: append([]byte(nil), b...)}
-		default:
-			return nil, fmt.Errorf("snmp: bad value kind %d", kind)
+			return slab, err
 		}
 		m.VarBinds = append(m.VarBinds, VarBind{OID: oid, Value: v})
 	}
 	if d.off != len(buf) {
-		return nil, fmt.Errorf("snmp: %d trailing bytes", len(buf)-d.off)
+		return slab, fmt.Errorf("snmp: %d trailing bytes", len(buf)-d.off)
 	}
-	return m, nil
+	return slab, nil
 }

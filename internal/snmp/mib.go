@@ -71,6 +71,22 @@ func (m *MIB) Get(oid OID) (Value, bool) {
 	return get(), true
 }
 
+// getters resolves every OID of a GET under one read lock, appending
+// each one's getter to out, nil where the MIB has no entry. As with
+// Get, the caller runs the getters after the lock is released.
+func (m *MIB) getters(vbs []VarBind, out []func() Value) []func() Value {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, vb := range vbs {
+		var get func() Value
+		if i, found := m.search(vb.OID); found {
+			get = m.entries[i].get
+		}
+		out = append(out, get)
+	}
+	return out
+}
+
 // Next returns the first entry strictly after oid in lexicographic
 // order — GETNEXT semantics, which Walk builds on.
 func (m *MIB) Next(oid OID) (OID, Value, bool) {

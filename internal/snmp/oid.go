@@ -14,6 +14,7 @@
 package snmp
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -62,25 +63,17 @@ func (o OID) String() string {
 
 // Cmp compares OIDs in lexicographic order, the ordering GETNEXT walks.
 func (o OID) Cmp(other OID) int {
-	n := len(o)
-	if len(other) < n {
-		n = len(other)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case o[i] < other[i]:
-			return -1
-		case o[i] > other[i]:
+	n := min(len(o), len(other))
+	a, b := o[:n], other[:n]
+	for i := range a {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
 			return 1
 		}
 	}
-	switch {
-	case len(o) < len(other):
-		return -1
-	case len(o) > len(other):
-		return 1
-	}
-	return 0
+	return cmp.Compare(len(o), len(other))
 }
 
 // HasPrefix reports whether o lies under the given prefix.

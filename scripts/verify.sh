@@ -78,6 +78,9 @@ go test -C benchmark -timeout 300s ./...
 
 echo "==> fuzz smoke (10s per target)"
 go test -fuzz=FuzzDecode -fuzztime=10s -run '^$' ./internal/snmp
+# FuzzGetResponse: Get's one-pass answer check against Decode plus the
+# shape checks it replaced.
+go test -fuzz=FuzzGetResponse -fuzztime=10s -run '^$' ./internal/snmp
 go test -fuzz=FuzzWindowOps -fuzztime=10s -run '^$' ./internal/stats
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzReadMuxFrame -fuzztime=10s -run '^$' ./internal/collector
