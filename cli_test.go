@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -131,5 +133,45 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(selOut, "m-7") || strings.Contains(selOut, "m-8") {
 		t.Fatalf("selection %q includes traffic-side nodes", selOut)
+	}
+}
+
+// TestCLIRejectsBadTrafficFlags starts the daemons with traffic and
+// feed flags the topology cannot carry out. Each must exit with status 1
+// and one line naming the flag, and none may panic.
+func TestCLIRejectsBadTrafficFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, name := range []string{"remos-collector", "remos-replica"} {
+		bins[name] = filepath.Join(dir, name)
+		if msg, err := exec.Command("go", "build", "-o", bins[name], "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", name, err, msg)
+		}
+	}
+	for _, tc := range []struct {
+		bin  string
+		args []string
+		want string
+	}{
+		{"remos-collector", []string{"-blast", "m-1,nosuch,50"}, "-blast m-1,nosuch,50: both endpoints must be hosts"},
+		{"remos-collector", []string{"-blast", "m-1,aspen,50"}, "-blast m-1,aspen,50: both endpoints must be hosts"},
+		{"remos-collector", []string{"-blast", "m-1,m-7,0"}, "-blast m-1,m-7,0: the rate must be"},
+		{"remos-collector", []string{"-blast", "m-1,m-1,50"}, "-blast m-1,m-1,50: the endpoints must differ"},
+		{"remos-collector", []string{"-blackhole", "nosuch,0,0"}, `-blackhole nosuch,0,0: no node "nosuch"`},
+		{"remos-replica", []string{"-feed", ","}, "-feed is required"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, bins[tc.bin], append([]string{"-listen", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s %v: %v, want exit status 1\n%s", tc.bin, tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "panic:") {
+			t.Errorf("%s %v: output %q, want a line with %q and no panic", tc.bin, tc.args, out, tc.want)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -52,8 +53,42 @@ import (
 )
 
 type blastSpec struct {
-	src, dst string
-	mbps     float64
+	arg, src, dst string
+	mbps          float64
+}
+
+type blackholeSpec struct {
+	arg, node string
+	from, to  float64
+}
+
+// checkTraffic refuses a -blast or -blackhole that the topology cannot
+// carry out: an unknown node, a blast that is not between two distinct
+// hosts with a route, or a blast rate that is not a positive number.
+func checkTraffic(net *netsim.Network, blasts []blastSpec, blackholes []blackholeSpec) error {
+	g := net.Graph()
+	isHost := func(id string) bool {
+		n := g.Node(graphpkg.NodeID(id))
+		return n != nil && n.Kind == graphpkg.Compute
+	}
+	for _, b := range blasts {
+		switch {
+		case !isHost(b.src) || !isHost(b.dst):
+			return fmt.Errorf("-blast %s: both endpoints must be hosts of the topology", b.arg)
+		case b.src == b.dst:
+			return fmt.Errorf("-blast %s: the endpoints must differ", b.arg)
+		case net.Routes().Route(graphpkg.NodeID(b.src), graphpkg.NodeID(b.dst)) == nil:
+			return fmt.Errorf("-blast %s: no route from %s to %s", b.arg, b.src, b.dst)
+		case !(b.mbps > 0) || math.IsInf(b.mbps, 1):
+			return fmt.Errorf("-blast %s: the rate must be a finite number of Mbps above 0", b.arg)
+		}
+	}
+	for _, b := range blackholes {
+		if !g.HasNode(graphpkg.NodeID(b.node)) {
+			return fmt.Errorf("-blackhole %s: no node %q in the topology", b.arg, b.node)
+		}
+	}
+	return nil
 }
 
 func main() {
@@ -70,15 +105,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for fault injection")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: restore from it on start, write it periodically and on shutdown")
 	checkpointEvery := flag.Float64("checkpoint-every", 30, "periodic checkpoint interval (virtual seconds)")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
-	maxConns := flag.Int("max-conns", 256, "max concurrent client connections (0 = unlimited); extras get a typed busy refusal")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "per-connection idle read deadline (negative disables)")
-	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrent work units across all connections (0 disables; topo=4, read=1+N/16 for N channels and hosts, matrix=1+N*M/256 for N*M cells, ping free, other=1)")
-	queueDepth := flag.Int("queue-depth", 128, "admission control: max requests waiting for work units; beyond it requests are shed with a typed retry-after refusal")
-	defaultBudget := flag.Duration("default-budget", 2*time.Second, "per-request time budget applied when the client declares none (0 = unbudgeted)")
-	watchQueueDepth := flag.Int("watch-queue-depth", 0, "per-subscription bounded delta queue depth; overflow drops oldest and marks the next delivery Overflowed (0 = default 16)")
-	watchWriteDeadline := flag.Duration("watch-write-deadline", 0, "per-delta write budget before a stalled subscriber is evicted (0 = default 2s)")
-	watchMaxSubs := flag.Int("watch-max-subs", 0, "max concurrent watch subscriptions; extras get a typed refusal (0 = default 1024, negative = unlimited)")
+	var serverCfg collector.ServerConfig
+	drainTimeout := serverCfg.RegisterFlags(flag.CommandLine)
 	leasePath := flag.String("lease", "", "hot-standby pair: shared lease file; the holder polls, the other daemon syncs from it and promotes on expiry")
 	standbyOf := flag.String("standby-of", "", "hot-standby pair: start as the standby of the leader at this query address (requires -lease)")
 	leaseTTL := flag.Float64("lease-ttl", 3, "lease grant length in wall seconds; promotion after a leader crash is bounded by it plus one heartbeat")
@@ -107,13 +135,9 @@ func main() {
 		if err != nil {
 			return err
 		}
-		blasts = append(blasts, blastSpec{parts[0], parts[1], mbps})
+		blasts = append(blasts, blastSpec{s, parts[0], parts[1], mbps})
 		return nil
 	})
-	type blackholeSpec struct {
-		node     string
-		from, to float64
-	}
 	var blackholes []blackholeSpec
 	flag.Func("blackhole", "node,from,to — drop the node's SNMP traffic in [from,to) virtual seconds, to<=0 = forever (repeatable)", func(s string) error {
 		parts := strings.Split(s, ",")
@@ -128,7 +152,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		blackholes = append(blackholes, blackholeSpec{parts[0], from, to})
+		blackholes = append(blackholes, blackholeSpec{s, parts[0], from, to})
 		return nil
 	})
 	flag.Parse()
@@ -157,6 +181,9 @@ func main() {
 	}
 	net, err := netsim.New(clk, g)
 	if err != nil {
+		fatal(err)
+	}
+	if err := checkTraffic(net, blasts, blackholes); err != nil {
 		fatal(err)
 	}
 	att := snmp.Attach(net, snmp.DefaultCommunity)
@@ -202,7 +229,11 @@ func main() {
 	inj := faults.New(att.Registry, clk, *seed)
 	for _, b := range blackholes {
 		inj.Blackhole(snmp.Addr(graphpkg.NodeID(b.node)), b.from, b.to)
-		fmt.Printf("fault: blackhole %s in [%g, %g)\n", b.node, b.from, b.to)
+		to := "forever"
+		if b.to > 0 {
+			to = strconv.FormatFloat(b.to, 'g', -1, 64)
+		}
+		fmt.Printf("fault: blackhole %s in [%g, %s)\n", b.node, b.from, to)
 	}
 
 	col := collector.New(collector.Config{
@@ -319,21 +350,12 @@ func main() {
 		fmt.Printf("federation: serving region %q (%d nodes polled, %d peer regions)\n",
 			*region, len(addrs), len(peers))
 	}
-	srv, err := collector.ServeConfig(serveSrc, *listen, collector.ServerConfig{
-		IdleTimeout:        *idleTimeout,
-		MaxConns:           *maxConns,
-		MaxInflight:        *maxInflight,
-		QueueDepth:         *queueDepth,
-		DefaultBudget:      *defaultBudget,
-		WatchQueueDepth:    *watchQueueDepth,
-		WatchWriteDeadline: *watchWriteDeadline,
-		WatchMaxSubs:       *watchMaxSubs,
-		Gate:               gate,
-		// Serve the batched "matrix" op through a Modeler pinned over
-		// whatever this daemon serves (the bare collector or the
-		// federated view).
-		Matrix: core.MatrixHandler(core.New(core.Config{Source: serveSrc})),
-	})
+	serverCfg.Gate = gate
+	// Serve the batched "matrix" op through a Modeler pinned over
+	// whatever this daemon serves (the bare collector or the federated
+	// view).
+	serverCfg.Matrix = core.MatrixHandler(core.New(core.Config{Source: serveSrc}))
+	srv, err := collector.ServeConfig(serveSrc, *listen, serverCfg)
 	if err != nil {
 		fatal(err)
 	}

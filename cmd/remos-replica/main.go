@@ -40,23 +40,18 @@ func main() {
 	resyncBackoff := flag.Duration("resync-backoff", replica.DefaultResyncBackoff, "initial feed reconnect backoff; doubles to 16x with jitter")
 	seed := flag.Int64("seed", 0, "seed for reconnect-backoff jitter (0 = from wall clock)")
 	syncTimeout := flag.Duration("sync-timeout", 0, "max wait for the first snapshot before serving (0 = serve immediately, refusing queries until synced)")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
-	maxConns := flag.Int("max-conns", 256, "max concurrent client connections (0 = unlimited); extras get a typed busy refusal")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "per-connection idle read deadline (negative disables)")
-	maxInflight := flag.Int("max-inflight", 64, "admission control: max concurrent work units across all connections (0 disables; topo=4, read=1+N/16 for N channels and hosts, matrix=1+N*M/256 for N*M cells, ping free, other=1)")
-	queueDepth := flag.Int("queue-depth", 128, "admission control: max requests waiting for work units")
-	defaultBudget := flag.Duration("default-budget", 2*time.Second, "per-request time budget applied when the client declares none (0 = unbudgeted)")
-	watchQueueDepth := flag.Int("watch-queue-depth", 0, "per-subscription bounded delta queue depth (0 = default 16)")
-	watchWriteDeadline := flag.Duration("watch-write-deadline", 0, "per-delta write budget before a stalled subscriber is evicted (0 = default 2s)")
-	watchMaxSubs := flag.Int("watch-max-subs", 0, "max concurrent watch subscriptions (0 = default 1024, negative = unlimited)")
+	var serverCfg collector.ServerConfig
+	drainTimeout := serverCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *feed == "" {
-		fatal(fmt.Errorf("remos-replica: -feed is required (the collector address to replicate from)"))
+	var feedAddrs []string
+	for _, a := range strings.Split(*feed, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			feedAddrs = append(feedAddrs, a)
+		}
 	}
-	feedAddrs := strings.Split(*feed, ",")
-	for i := range feedAddrs {
-		feedAddrs[i] = strings.TrimSpace(feedAddrs[i])
+	if len(feedAddrs) == 0 {
+		fatal(fmt.Errorf("remos-replica: -feed is required (the collector address to replicate from)"))
 	}
 
 	rep := replica.New(replica.Config{
@@ -80,24 +75,15 @@ func main() {
 		}
 	}
 
-	srv, err := collector.ServeConfig(rep, *listen, collector.ServerConfig{
-		IdleTimeout:        *idleTimeout,
-		MaxConns:           *maxConns,
-		MaxInflight:        *maxInflight,
-		QueueDepth:         *queueDepth,
-		DefaultBudget:      *defaultBudget,
-		WatchQueueDepth:    *watchQueueDepth,
-		WatchWriteDeadline: *watchWriteDeadline,
-		WatchMaxSubs:       *watchMaxSubs,
-		// Serve the batched "matrix" op from the mirrored state. The
-		// Modeler re-checks the replica's staleness fence per call, so a
-		// fenced replica refuses matrices exactly like point queries.
-		Matrix: core.MatrixHandler(core.New(core.Config{Source: rep})),
-	})
+	// Serve the batched "matrix" op from the mirrored state. The Modeler
+	// re-checks the replica's staleness fence per call, so a fenced
+	// replica refuses matrices exactly like point queries.
+	serverCfg.Matrix = core.MatrixHandler(core.New(core.Config{Source: rep}))
+	srv, err := collector.ServeConfig(rep, *listen, serverCfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("replica query service on tcp://%s (feed %s, fence %v)\n", srv.Addr(), *feed, *maxStaleness)
+	fmt.Printf("replica query service on tcp://%s (feed %s, fence %v)\n", srv.Addr(), strings.Join(feedAddrs, ","), *maxStaleness)
 	fmt.Printf("query it: remos-query -addr %s graph\n", srv.Addr())
 	if *debugAddr != "" {
 		dln, err := gonet.Listen("tcp", *debugAddr)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -139,6 +140,21 @@ func (sc *ServerConfig) fill() {
 	if sc.MaxMatrixCells == 0 {
 		sc.MaxMatrixCells = DefaultMaxMatrixCells
 	}
+}
+
+// RegisterFlags declares the query-service flags a daemon shares with
+// every other daemon that serves queries, each setting its field of sc,
+// and -drain-timeout, whose value it returns.
+func (sc *ServerConfig) RegisterFlags(fs *flag.FlagSet) (drainTimeout *time.Duration) {
+	fs.IntVar(&sc.MaxConns, "max-conns", 256, "max concurrent client connections (0 = unlimited); extras get a typed busy refusal")
+	fs.DurationVar(&sc.IdleTimeout, "idle-timeout", DefaultIdleTimeout, "per-connection idle read deadline (negative disables)")
+	fs.IntVar(&sc.MaxInflight, "max-inflight", 64, "admission control: max concurrent work units across all connections (0 disables; topo=4, read=1+N/16 for N channels and hosts, matrix=1+N*M/256 for N*M cells, ping free, other=1)")
+	fs.IntVar(&sc.QueueDepth, "queue-depth", 128, "admission control: max requests waiting for work units; beyond it requests are shed with a typed retry-after refusal")
+	fs.DurationVar(&sc.DefaultBudget, "default-budget", 2*time.Second, "per-request time budget applied when the client declares none (0 = unbudgeted)")
+	fs.IntVar(&sc.WatchQueueDepth, "watch-queue-depth", 0, "per-subscription bounded delta queue depth; overflow drops oldest and marks the next delivery Overflowed (0 = default 16)")
+	fs.DurationVar(&sc.WatchWriteDeadline, "watch-write-deadline", 0, "per-delta write budget before a stalled subscriber is evicted (0 = default 2s)")
+	fs.IntVar(&sc.WatchMaxSubs, "watch-max-subs", 0, "max concurrent watch subscriptions; extras get a typed refusal (0 = default 1024, negative = unlimited)")
+	return fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain budget for in-flight requests")
 }
 
 // Server exposes a Source over TCP.

@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/simclock"
 	"repro/internal/snmp"
@@ -44,8 +45,11 @@ type window struct{ from, to float64 }
 
 func (w window) contains(t float64) bool { return t >= w.from && t < w.to }
 
-// agentFaults is the live schedule for one agent address.
+// agentFaults is the record of one agent address: its live schedule,
+// guarded by Injector.mu, and its counters, which outlive Restore.
 type agentFaults struct {
+	attempts, delivered, blackholed, lost, timedOut, corrupted atomic.Uint64
+
 	windows []window // blackhole intervals
 	loss    float64  // per-request drop probability
 	latency float64  // added response latency (virtual seconds)
@@ -60,10 +64,9 @@ type Injector struct {
 	clock   *simclock.Clock
 	timeout float64
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	agents   map[string]*agentFaults
-	counters map[string]*Counters
+	mu     sync.Mutex
+	rng    *rand.Rand
+	agents map[string]*agentFaults
 }
 
 // New wraps inner with an empty fault schedule. The clock positions
@@ -71,12 +74,11 @@ type Injector struct {
 // corruption deterministically.
 func New(inner snmp.Transport, clock *simclock.Clock, seed int64) *Injector {
 	return &Injector{
-		inner:    inner,
-		clock:    clock,
-		timeout:  DefaultTimeout,
-		rng:      rand.New(rand.NewSource(seed)),
-		agents:   make(map[string]*agentFaults),
-		counters: make(map[string]*Counters),
+		inner:   inner,
+		clock:   clock,
+		timeout: DefaultTimeout,
+		rng:     rand.New(rand.NewSource(seed)),
+		agents:  make(map[string]*agentFaults),
 	}
 }
 
@@ -96,15 +98,6 @@ func (i *Injector) faultsFor(addr string) *agentFaults {
 		i.agents[addr] = f
 	}
 	return f
-}
-
-func (i *Injector) countersFor(addr string) *Counters {
-	c := i.counters[addr]
-	if c == nil {
-		c = &Counters{}
-		i.counters[addr] = c
-	}
-	return c
 }
 
 // Blackhole drops every request to addr in the virtual-time interval
@@ -150,64 +143,66 @@ func (i *Injector) Corrupt(addr string, p float64) {
 	i.faultsFor(addr).corrupt = p
 }
 
-// Restore clears addr's entire fault schedule.
+// Restore clears addr's entire fault schedule; its counters stay.
 func (i *Injector) Restore(addr string) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	delete(i.agents, addr)
+	f := i.faultsFor(addr)
+	f.windows, f.loss, f.latency, f.corrupt = nil, 0, 0, 0
 }
 
 // CountersFor returns a snapshot of the injector's effect on addr.
 func (i *Injector) CountersFor(addr string) Counters {
 	i.mu.Lock()
-	defer i.mu.Unlock()
-	return *i.countersFor(addr)
+	f := i.faultsFor(addr)
+	i.mu.Unlock()
+	return Counters{Attempts: f.attempts.Load(), Delivered: f.delivered.Load(), Blackholed: f.blackholed.Load(),
+		Lost: f.lost.Load(), TimedOut: f.timedOut.Load(), Corrupted: f.corrupted.Load()}
 }
 
 // RoundTrip implements snmp.Transport: it applies addr's schedule at
 // the current virtual time, then delegates survivors to the wrapped
-// transport.
+// transport. It takes the mutex once, and again only to draw a due
+// corruption's byte.
 func (i *Injector) RoundTrip(addr string, req []byte) ([]byte, error) {
 	now := float64(i.clock.Now())
 	i.mu.Lock()
-	ctr := i.countersFor(addr)
-	ctr.Attempts++
-	corrupt := false
-	if f := i.agents[addr]; f != nil {
-		for _, w := range f.windows {
-			if w.contains(now) {
-				ctr.Blackholed++
-				i.mu.Unlock()
-				return nil, fmt.Errorf("faults: %s blackholed at t=%.3f: %w", addr, now, ErrInjected)
-			}
-		}
-		if f.loss > 0 && i.rng.Float64() < f.loss {
-			ctr.Lost++
+	f := i.faultsFor(addr)
+	f.attempts.Add(1)
+	for _, w := range f.windows {
+		if w.contains(now) {
+			f.blackholed.Add(1)
 			i.mu.Unlock()
-			return nil, fmt.Errorf("faults: %s lost request at t=%.3f: %w", addr, now, ErrInjected)
+			return nil, fmt.Errorf("faults: %s blackholed at t=%.3f: %w", addr, now, ErrInjected)
 		}
-		if f.latency > 0 && f.latency >= i.timeout {
-			ctr.TimedOut++
-			i.mu.Unlock()
-			return nil, fmt.Errorf("faults: %s response %.3fs late (budget %.3fs): %w",
-				addr, f.latency, i.timeout, ErrInjected)
-		}
-		corrupt = f.corrupt > 0 && i.rng.Float64() < f.corrupt
 	}
+	if f.loss > 0 && i.rng.Float64() < f.loss {
+		f.lost.Add(1)
+		i.mu.Unlock()
+		return nil, fmt.Errorf("faults: %s lost request at t=%.3f: %w", addr, now, ErrInjected)
+	}
+	if f.latency > 0 && f.latency >= i.timeout {
+		f.timedOut.Add(1)
+		i.mu.Unlock()
+		return nil, fmt.Errorf("faults: %s response %.3fs late (budget %.3fs): %w",
+			addr, f.latency, i.timeout, ErrInjected)
+	}
+	corrupt := f.corrupt > 0 && i.rng.Float64() < f.corrupt
 	i.mu.Unlock()
 
 	resp, err := i.inner.RoundTrip(addr, req)
 	if err != nil {
 		return nil, err
 	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	if corrupt && len(resp) > 0 {
+		i.mu.Lock()
+		at := i.rng.Intn(len(resp))
+		i.mu.Unlock()
 		out := append([]byte(nil), resp...)
-		out[i.rng.Intn(len(out))] ^= 0xFF
-		ctr.Corrupted++
+		out[at] ^= 0xFF
+		f.corrupted.Add(1)
 		return out, nil
 	}
-	ctr.Delivered++
+	f.delivered.Add(1)
 	return resp, nil
 }

@@ -78,6 +78,9 @@ func TestFlapAndRestore(t *testing.T) {
 	if _, err := c.Get(addr, snmp.OIDSysName); err != nil {
 		t.Fatalf("after restore: %v", err)
 	}
+	if got, want := inj.CountersFor(addr), (Counters{Attempts: 4, Delivered: 2, Blackholed: 2}); got != want {
+		t.Fatalf("counters across Restore = %+v, want %+v", got, want)
+	}
 }
 
 func TestProbabilisticLossIsSeededAndDeterministic(t *testing.T) {

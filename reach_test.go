@@ -19,7 +19,7 @@ import (
 )
 
 // TestReachability is the reachability gate (DESIGN §23). It
-// fails on every exported declaration under internal/ that nothing live
+// fails on every declaration under internal/ that nothing live
 // references, every *Config field that nothing live sets, every op row
 // that no request names, and every //reach:keep that lacks a reason or
 // sits on something live.
@@ -47,6 +47,7 @@ func TestReachabilitySeeded(t *testing.T) {
 		"internal/store/store.go:39: //reach:keep without a reason",
 		"internal/store/store.go:44: //reach:keep on store.Kept, which is live",
 		`internal/store/store.go:57: op row "drop": no request literal names it`,
+		"internal/store/store.go:89: store.trim: nothing live references it",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -179,7 +180,7 @@ type reachNode struct {
 	decl   ast.Node
 	file   *reachFile
 	anchor token.Pos       // where the gate reports it and //reach:keep attaches
-	entry  bool            // exported and under internal/: reported when dead
+	entry  bool            // under internal/, and not _ or init: reported when dead
 	recv   *types.TypeName // a method's receiver base type
 	live   bool
 }
@@ -290,7 +291,7 @@ func reachBase(t types.Type) *types.TypeName {
 func (c *reachChecker) node(f *reachFile, obj types.Object, decl ast.Node, anchor token.Pos) *reachNode {
 	n := &reachNode{obj: obj, decl: decl, file: f, anchor: anchor}
 	if obj != nil {
-		n.entry = f.internal && obj.Exported()
+		n.entry = f.internal && obj.Name() != "_" && obj.Name() != "init"
 		c.nodes[obj] = n
 	}
 	c.all = append(c.all, n)
@@ -368,12 +369,12 @@ func (c *reachChecker) collectInterfaces() error {
 }
 
 // markRoots marks what is live without being referenced: every
-// declaration outside internal/ or in an extra module, every unexported
-// non-method declaration under internal/, and the closure of what the
-// public package's exported API exposes.
+// declaration outside internal/ or in an extra module, every _ and init
+// under internal/, and the closure of what the public package's
+// exported API exposes.
 func (c *reachChecker) markRoots(public string) {
 	for _, n := range c.all {
-		if n.obj == nil || !n.entry && (n.recv == nil || !n.file.internal) {
+		if n.obj == nil || !n.entry {
 			c.mark(n)
 		}
 	}
@@ -430,14 +431,9 @@ func (c *reachChecker) drain() {
 	}
 }
 
-// liveType marks a live type's unexported methods and every method that
-// makes it, or a pointer to it, satisfy one of the interfaces.
+// liveType marks every method that makes a live type, or a pointer to
+// it, satisfy one of the interfaces.
 func (c *reachChecker) liveType(tn *types.TypeName) {
-	for _, m := range c.methods[tn] {
-		if !m.obj.Exported() {
-			c.mark(m)
-		}
-	}
 	named, ok := tn.Type().(*types.Named)
 	if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
 		return
@@ -670,8 +666,12 @@ func (c *reachChecker) entries() []reachEntry {
 	var out []reachEntry
 	for _, n := range c.all {
 		if n.entry {
+			msg := "nothing live references it"
+			if n.obj.Exported() {
+				msg = "exported, and " + msg
+			}
 			out = append(out, reachEntry{at: c.at(n.file, n.anchor), pkg: n.file.pkg, name: reachName(n.obj),
-				msg: "exported, and nothing live references it", dead: !n.live,
+				msg: msg, dead: !n.live,
 				covered: n.recv != nil && !c.nodes[n.recv].live})
 		}
 	}

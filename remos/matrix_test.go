@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/collector"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/remos"
 )
 
@@ -204,6 +208,163 @@ func TestMatrixFencedReplica(t *testing.T) {
 	if !errors.Is(err, remos.ErrStaleReplica) {
 		t.Fatalf("matrix from a fenced replica: err = %v, want ErrStaleReplica", err)
 	}
+}
+
+// TestMatrixReplicaSetUnderLoad drives a two-replica set the way a
+// fleet of clients does: four failover handles whose shuffled routing
+// orders cover both replicas, eight goroutines, and a seeded half and
+// half mix of 8×8 matrices and point reads. The virtual clock stands
+// still, so every answer must equal the in-process one bit for bit. An
+// op that hangs fails on its own deadline, and outside -race the point
+// reads' p99.9 stays within 250 ms.
+func TestMatrixReplicaSetUnderLoad(t *testing.T) {
+	const (
+		handles      = 4 // FailoverConfig seeds 1–4: two prefer each replica
+		workers      = 8
+		opsPerWorker = 400
+		span         = 10
+		opTimeout    = 5 * time.Second
+		p999Bound    = 250 * time.Millisecond
+	)
+	tb, err := remos.NewTestbed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.StartBlast("m-6", "m-8", 60e6)
+	tb.Run(30)
+	reps, err := tb.ServeReplicas(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, len(reps))
+	for i, r := range reps {
+		addrs[i] = r.Addr()
+		defer r.Close()
+	}
+
+	ctx := context.Background()
+	hosts := tb.Hosts()
+	wantMatrix, err := tb.Modeler.QueryMatrixCtx(ctx, hosts, hosts, core.TFHistory(span))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := tb.Collector.TopologyCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []remos.ChannelKey
+	for _, l := range topo.Graph.Links() {
+		keys = append(keys, topo.Key(l, graph.AtoB), topo.Key(l, graph.BtoA))
+	}
+	wantUtil := make([]remos.Stat, len(keys))
+	for i, k := range keys {
+		if wantUtil[i], err = tb.Collector.UtilizationCtx(ctx, k, span); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srcs := make([]*collector.FailoverSource, handles)
+	for i := range srcs {
+		if srcs[i], err = collector.DialFailover(addrs, collector.FailoverConfig{Shuffle: true, Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		defer srcs[i].Close()
+	}
+
+	// drive issues one worker's ops in order and returns the point reads'
+	// latencies, how many ops were refused, and the first failure.
+	drive := func(src *collector.FailoverSource, rng *rand.Rand) (lat []time.Duration, refused int, err error) {
+		for i := 0; i < opsPerWorker; i++ {
+			opCtx, cancel := context.WithTimeout(ctx, opTimeout)
+			start := time.Now()
+			var same bool
+			if rng.Intn(2) == 0 {
+				var got *remos.MatrixAnswer
+				got, err = src.MatrixQuery(opCtx, &remos.MatrixRequest{Srcs: hosts, Dsts: hosts, TFKind: int(core.History), Span: span})
+				same = err == nil && sameMatrix(got, wantMatrix)
+			} else {
+				k := rng.Intn(len(keys))
+				var got remos.Stat
+				got, err = src.UtilizationCtx(opCtx, keys[k], span)
+				lat = append(lat, time.Since(start))
+				same = err == nil && got == wantUtil[k]
+			}
+			cancel()
+			switch {
+			case err == nil && !same:
+				return lat, refused, fmt.Errorf("op %d: answer differs from the in-process one", i)
+			case err == nil:
+			case remos.IsLifecycleError(err) && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, remos.ErrDeadlineExceeded):
+				refused++
+			default:
+				return lat, refused, fmt.Errorf("op %d: %w", i, err)
+			}
+		}
+		return lat, refused, nil
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		lat      []time.Duration
+		refusals int
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			l, refused, err := drive(srcs[w%handles], rand.New(rand.NewSource(int64(w+1))))
+			if err != nil {
+				t.Errorf("worker %d: %v", w, err)
+			}
+			mu.Lock()
+			lat = append(lat, l...)
+			refusals += refused
+			mu.Unlock()
+		}(w)
+	}
+	wg.Wait()
+
+	calls := map[string]uint64{}
+	for _, src := range srcs {
+		for _, st := range src.Replicas() {
+			calls[st.Addr] += st.Calls
+		}
+	}
+	for _, a := range addrs {
+		if calls[a] == 0 {
+			t.Errorf("replica %s answered no calls: %v", a, calls)
+		}
+	}
+	if len(lat) == 0 {
+		t.Fatal("no point reads were issued")
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	p999 := lat[(len(lat)-1)*999/1000]
+	t.Logf("%d point reads: p50 %v, p99.9 %v; %d refusals; calls per replica %v",
+		len(lat), lat[len(lat)/2], p999, refusals, calls)
+	if !raceEnabled && p999 > p999Bound {
+		t.Errorf("point-read p99.9 %v, want at most %v", p999, p999Bound)
+	}
+}
+
+// sameMatrix reports whether a wire answer equals the in-process one
+// in every cell and in its epoch, floats compared by their bits.
+func sameMatrix(got *remos.MatrixAnswer, want *core.MatrixInfo) bool {
+	if got.Epoch != want.Epoch || len(got.Bandwidth) != len(want.Bandwidth) {
+		return false
+	}
+	for i := range got.Bandwidth {
+		if len(got.Bandwidth[i]) != len(want.Bandwidth[i]) {
+			return false
+		}
+		for j := range got.Bandwidth[i] {
+			if got.Valid[i][j] != want.Valid[i][j] ||
+				math.Float64bits(got.Bandwidth[i][j]) != math.Float64bits(want.Bandwidth[i][j]) ||
+				math.Float64bits(got.Latency[i][j]) != math.Float64bits(want.Latency[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // BenchmarkMatrixWire measures the wire-level win the matrix op exists

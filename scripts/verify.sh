@@ -51,7 +51,7 @@ echo "==> federation stage: generators + 3-region federation (summaries, fencing
 go test -race -timeout 300s -count=1 ./internal/topogen ./internal/federation
 go test -race -timeout 300s -count=1 -run 'TestFederationThousandNodeAcceptance|TestScaleStudy' ./internal/experiments
 
-echo "==> matrix stage: wire op + admission + fencing under -race, kernel equivalence"
+echo "==> matrix stage: wire op + admission + fencing, a two-replica set under oracle-checked load, under -race, kernel equivalence"
 go test -race -timeout 300s -count=1 -run 'TestMatrix' ./remos ./internal/core
 
 echo "==> dialed modeler: four goroutines on one dialed handle while polls advance, x10 under -race (TestDialed*, TestPrefetch*, TestReadOp* ran once in the -race pass above)"
@@ -67,10 +67,6 @@ go test -race -timeout 600s -count=20 -run 'TestOpTable|TestInline|TestLeader|Te
 
 echo "==> simclock: Now() read from query goroutines while the run loop advances it"
 go test -race -timeout 300s -count=20 -run TestMatrixConcurrentWithPollRounds ./internal/core
-
-echo "==> loadgen smoke: 2 replicas, mixed workload, latency + error gates"
-go run ./cmd/remos-loadgen -selftest 2 -workers 8 -conns 4 -duration 3s \
-    -matrix-frac 0.5 -matrix-size 8 -max-p999 250
 
 echo "==> benchmark module: vet + oracle-checked smoke of all four workloads (its own go.mod; ./... above does not reach it)"
 go vet -C benchmark ./...

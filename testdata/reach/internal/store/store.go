@@ -84,3 +84,6 @@ func (s *Store) call(req *request) int {
 
 func (s *Store) get(*request) int  { return s.cfg.Size }
 func (s *Store) drop(*request) int { return 0 }
+
+// trim is unexported and only a test calls it: the gate reports it.
+func trim(s string) string { return s[:1] }
