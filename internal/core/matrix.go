@@ -26,17 +26,35 @@ import (
 //  1. one snapshot pin — every entry is computed against the same
 //     epoch-numbered topology, stamped on the result;
 //  2. one availability pass — each directed channel any route uses is
-//     resolved exactly once per matrix (not once per pair through it);
+//     resolved exactly once per matrix (not once per pair through it),
+//     into two planes: its median and its valid bit;
 //  3. one compiled sweep per distinct source — entries for a row are
 //     produced by a single bottleneck sweep over the source's
 //     shortest-path tree (parent-before-child DP) instead of per-pair
-//     path walks. stats.MinStat is associative and commutative, so the
-//     sweep's fold is bit-identical to the per-pair fold. The sweep is
-//     compiled (node-slot and channel-slot indices pre-resolved, router
-//     caps baked in) and cached on the snapshot, so repeated matrices
-//     between poll rounds pay only the DP arithmetic, no map lookups;
+//     path walks. The sweep is compiled (node-slot and channel-slot
+//     indices pre-resolved, router caps and path latencies baked in)
+//     and cached on the snapshot, so repeated matrices between poll
+//     rounds pay only the DP arithmetic, no map lookups;
 //  4. rows run on a bounded worker pool with pooled scratch, so large
 //     matrices scale across cores without per-query allocation churn.
+//
+// The sweep folds only what the answer carries: per node one median and
+// one valid bit, where the per-pair answer folds full stats.Stats with
+// stats.MinStat. That is exact, bit for bit:
+//
+//   - MinStat(a, b) is valid iff a or b is;
+//   - its median is math.Min(a.Median, b.Median) when both are valid,
+//     else the valid input's median — one min, with an invalid median
+//     held as +Inf, since min(+Inf, x) is x for every float64 x;
+//   - the builtin min agrees with math.Min bit for bit except on a NaN
+//     against -Inf or -0, and neither is ever folded: availability
+//     medians are clamped to +0 or above (stats.SubFrom), capacities
+//     and router caps are positive.
+//
+// min is associative and commutative, so the tree order of the sweep
+// (each step's cap, then its channel) folds to the per-pair answer
+// (the route's channels, then its caps); TestMatrixEquivalencePerPair
+// and FuzzMatrixFold pin it.
 //
 // Degradation is per-entry: an unknown node, a missing route, or an
 // invalid stat marks Valid[i][j] false and zero-fills the number — a
@@ -121,25 +139,29 @@ type matrixChan struct {
 // compiledStep is one parent-before-child DP step with every index the
 // sweep needs pre-resolved against the snapshot: dense node slots for
 // the parent and child, the availability slot of the channel between
-// them, the interior parent's internal-bandwidth cap (0 when the parent
-// is the source or uncapped — see matrixRow), and the hop latency.
+// them, and the interior parent's internal-bandwidth cap (capped is
+// false when the parent is the source or uncapped — see sweepFor; limit
+// is then +Inf, min's identity).
 type compiledStep struct {
-	link      *graph.Link
-	dir       graph.Dir
 	pSlot     int32
 	vSlot     int32
 	availSlot int32
+	capped    bool
 	limit     float64
-	lat       float64
 }
 
 // compiledSweep is one source's full compiled DP program. Topology,
 // routing, and slot assignment are all frozen per snapshot, so the
 // compilation is cached there (snapshot.sweeps) and shared by every
-// matrix until the epoch moves.
+// matrix until the epoch moves. What is topological is baked in too:
+// per node slot whether the sweep reaches it and the path latency from
+// the source, summed hop by hop in step order as graph.Path.Latency
+// sums a route's links.
 type compiledSweep struct {
-	srcSlot int
+	srcSlot int32
 	steps   []compiledStep
+	reached []bool
+	lat     []float64
 }
 
 // sweepFor returns the compiled sweep for src, compiling and caching it
@@ -157,28 +179,33 @@ func (s *snapshot) sweepFor(src graph.NodeID) *compiledSweep {
 	}
 	g := s.topo.Graph
 	sweep := t.Sweep()
-	cs := &compiledSweep{srcSlot: s.nodeSlot[src], steps: make([]compiledStep, 0, len(sweep))}
+	cs := &compiledSweep{
+		srcSlot: int32(s.nodeSlot[src]),
+		steps:   make([]compiledStep, 0, len(sweep)),
+		reached: make([]bool, len(s.nodeSlot)),
+		lat:     make([]float64, len(s.nodeSlot)),
+	}
+	cs.reached[cs.srcSlot] = true
 	for _, step := range sweep {
 		d := step.Via.DirFrom(step.Parent)
-		limit := 0.0
+		cst := compiledStep{
+			pSlot:     int32(s.nodeSlot[step.Parent]),
+			vSlot:     int32(s.nodeSlot[step.Node]),
+			availSlot: int32(step.Via.ID)*2 + int32(d),
+			limit:     math.Inf(1),
+		}
 		// A node that forwards traffic onward is an interior hop for
 		// everything beyond it: its internal bandwidth caps those paths
 		// (Figure 1), but never the path that ends at it — matching the
 		// per-pair fold over p.Nodes[1:len-1].
 		if step.Parent != src {
 			if nd := g.Node(step.Parent); nd != nil && nd.InternalBW > 0 {
-				limit = nd.InternalBW
+				cst.capped, cst.limit = true, nd.InternalBW
 			}
 		}
-		cs.steps = append(cs.steps, compiledStep{
-			link:      step.Via,
-			dir:       d,
-			pSlot:     int32(s.nodeSlot[step.Parent]),
-			vSlot:     int32(s.nodeSlot[step.Node]),
-			availSlot: int32(step.Via.ID)*2 + int32(d),
-			limit:     limit,
-			lat:       step.Via.Latency,
-		})
+		cs.steps = append(cs.steps, cst)
+		cs.reached[cst.vSlot] = true
+		cs.lat[cst.vSlot] = cs.lat[cst.pSlot] + step.Via.Latency
 	}
 	actual, _ := s.sweeps.LoadOrStore(src, cs)
 	return actual.(*compiledSweep)
@@ -186,14 +213,17 @@ func (s *snapshot) sweepFor(src graph.NodeID) *compiledSweep {
 
 // queryScratch is the per-query shared scratch: the dedup list of
 // channels and the hosts a query reads, the read request and answer
-// that fetch them (view.prefetch), and for a matrix the dense
-// availability table (indexed linkID*2+dir, like the snapshot memo).
-// Pooled; only touched slots are cleared on release.
+// that fetch them (view.prefetch), and for a matrix the two channel
+// planes its sweeps fold (indexed linkID*2+dir, like the snapshot
+// memo): each listed channel's availability median, +Inf when the
+// availability is invalid, and its validity. Pooled; only touched
+// slots are cleared on release.
 type queryScratch struct {
-	need  []bool
-	avail []stats.Stat
-	chans []matrixChan
-	hosts []graph.NodeID
+	need    []bool
+	chanMed []float64
+	chanOK  []bool
+	chans   []matrixChan
+	hosts   []graph.NodeID
 
 	keys []collector.ChannelKey
 	req  collector.ReadRequest
@@ -206,7 +236,8 @@ func getScratch(chanSlots int) *queryScratch {
 	sc := scratchPool.Get().(*queryScratch)
 	if len(sc.need) < chanSlots {
 		sc.need = make([]bool, chanSlots)
-		sc.avail = make([]stats.Stat, chanSlots)
+		sc.chanMed = make([]float64, chanSlots)
+		sc.chanOK = make([]bool, chanSlots)
 	}
 	return sc
 }
@@ -217,6 +248,24 @@ func (sc *queryScratch) want(l *graph.Link, d graph.Dir) {
 	if !sc.need[slot] {
 		sc.need[slot] = true
 		sc.chans = append(sc.chans, matrixChan{l: l, d: d, slot: slot})
+	}
+}
+
+// wantSlot lists the directed channel behind an availability slot, once.
+func (sc *queryScratch) wantSlot(s *snapshot, slot int32) {
+	if !sc.need[slot] {
+		sc.need[slot] = true
+		l := s.topo.Graph.Link(graph.LinkID(slot / 2))
+		sc.chans = append(sc.chans, matrixChan{l: l, d: graph.Dir(slot % 2), slot: int(slot)})
+	}
+}
+
+// setChan records one channel's availability in the planes the sweeps
+// fold: its median, or +Inf when it is invalid, and its validity.
+func (sc *queryScratch) setChan(slot int, st stats.Stat) {
+	sc.chanMed[slot], sc.chanOK[slot] = math.Inf(1), st.Valid()
+	if st.Valid() {
+		sc.chanMed[slot] = st.Median
 	}
 }
 
@@ -237,24 +286,22 @@ func putScratch(sc *queryScratch) {
 }
 
 // rowScratch is one worker's DP state, indexed by the snapshot's dense
-// node slots. Generation counters make per-row resets O(touched), not
-// O(nodes).
+// node slots: the bottleneck median so far (+Inf while nothing valid
+// was folded) and whether anything valid was. A sweep writes every slot
+// it reaches before reading it, and the row reads only slots the sweep
+// reaches, so nothing is reset between rows.
 type rowScratch struct {
-	bw  []stats.Stat
-	lat []float64
-	gen []uint64
-	cur uint64
+	med []float64
+	ok  []bool
 }
 
 var rowScratchPool = sync.Pool{New: func() any { return &rowScratch{} }}
 
 func getRowScratch(nodes int) *rowScratch {
 	rs := rowScratchPool.Get().(*rowScratch)
-	if len(rs.bw) < nodes {
-		rs.bw = make([]stats.Stat, nodes)
-		rs.lat = make([]float64, nodes)
-		rs.gen = make([]uint64, nodes)
-		rs.cur = 0
+	if len(rs.med) < nodes {
+		rs.med = make([]float64, nodes)
+		rs.ok = make([]bool, nodes)
 	}
 	return rs
 }
@@ -289,7 +336,7 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 
 	// Resolve each distinct source's compiled sweep once (cached on the
 	// snapshot, underlying trees shared with per-pair Route answers) and
-	// mark every directed channel any sweep will read. A source with no
+	// list every directed channel any sweep will read. A source with no
 	// sweep — unknown node, non-compute — leaves a nil entry: its whole
 	// row is invalid except the diagonal. Destination slots resolve once
 	// per matrix too (-1 = structurally invalid), shared by every row.
@@ -306,7 +353,7 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 		}
 		sweeps[i] = cs
 		for k := range cs.steps {
-			sc.want(cs.steps[k].link, cs.steps[k].dir)
+			sc.wantSlot(s, cs.steps[k].availSlot)
 		}
 	}
 	dstSlots := make([]int32, cols)
@@ -323,12 +370,13 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 	// Availability once per directed channel per matrix. Lifecycle
 	// errors abort the batch (the caller's budget expired or the
 	// source refused); measurement errors degrade to capacity at low
-	// accuracy.
+	// accuracy. The sweeps fold only what the answer carries, so the
+	// planes keep only each channel's median and validity.
 	if err := v.prefetch(ctx, sc); err != nil {
 		return nil, err
 	}
 	for _, mc := range sc.chans {
-		sc.avail[mc.slot] = v.channelAvailability(mc.l, mc.d)
+		sc.setChan(mc.slot, v.channelAvailability(mc.l, mc.d))
 	}
 	v.publishHits()
 
@@ -371,33 +419,29 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 	return out, nil
 }
 
-// matrixRow fills row i: one parent-before-child DP pass over the
-// source's compiled sweep accumulates, for every reachable node, the
-// element-wise bottleneck min over the tree path's channel
-// availabilities and collapsed-router internal-bandwidth limits —
-// exactly the fold AvailableBandwidthCtx performs per pair, in an
-// order MinStat's associativity makes equivalent — plus the summed
-// path latency. Every index is pre-resolved (compiledStep, dstSlots),
-// so the hot loop is pure array arithmetic.
+// sweep runs one compiled sweep over the channel planes: for every node
+// the source's tree reaches, the bottleneck median over the tree path's
+// collapsed-router caps and channel availabilities, and whether any of
+// them was valid — the MinStat fold on one median and one valid bit
+// (see the top of this file for why that is exact).
+func (rs *rowScratch) sweep(cs *compiledSweep, chanMed []float64, chanOK []bool) {
+	med, ok := rs.med, rs.ok
+	med[cs.srcSlot], ok[cs.srcSlot] = math.Inf(1), false
+	for k := range cs.steps {
+		st := &cs.steps[k]
+		med[st.vSlot] = min(med[st.pSlot], st.limit, chanMed[st.availSlot])
+		ok[st.vSlot] = ok[st.pSlot] || st.capped || chanOK[st.availSlot]
+	}
+}
+
+// matrixRow fills row i from the source's sweep (rowScratch.sweep) and
+// the path latencies baked into it. Every index is pre-resolved
+// (compiledStep, dstSlots), so the hot loop is pure array arithmetic.
 func matrixRow(sc *queryScratch, rs *rowScratch,
 	cs *compiledSweep, src graph.NodeID, dsts []graph.NodeID, dstSlots []int32, out *MatrixInfo, i int) {
 
-	rs.cur++
-	cur := rs.cur
 	if cs != nil {
-		rs.bw[cs.srcSlot] = stats.NoData()
-		rs.lat[cs.srcSlot] = 0
-		rs.gen[cs.srcSlot] = cur
-		for k := range cs.steps {
-			st := &cs.steps[k]
-			base := rs.bw[st.pSlot]
-			if st.limit > 0 {
-				base = stats.MinStat(base, stats.Exact(st.limit))
-			}
-			rs.bw[st.vSlot] = stats.MinStat(base, sc.avail[st.availSlot])
-			rs.lat[st.vSlot] = rs.lat[st.pSlot] + st.lat
-			rs.gen[st.vSlot] = cur
-		}
+		rs.sweep(cs, sc.chanMed, sc.chanOK)
 	}
 	for j, dst := range dsts {
 		if dst == src {
@@ -410,12 +454,12 @@ func matrixRow(sc *queryScratch, rs *rowScratch,
 			continue // row source has no routes: entry stays invalid
 		}
 		slot := dstSlots[j]
-		if slot < 0 || rs.gen[slot] != cur {
+		if slot < 0 || !cs.reached[slot] {
 			continue // unknown, non-compute, or unreachable under current routing
 		}
-		out.Latency[i][j] = rs.lat[slot]
-		if bw := rs.bw[slot]; bw.Valid() {
-			out.Bandwidth[i][j] = bw.Median
+		out.Latency[i][j] = cs.lat[slot]
+		if rs.ok[slot] {
+			out.Bandwidth[i][j] = rs.med[slot]
 			out.Valid[i][j] = true
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/simclock"
 	"repro/internal/snmp"
+	"repro/internal/stats"
 	"repro/internal/topogen"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -27,55 +29,128 @@ func rigHosts(t testing.TB, r *rig) []graph.NodeID {
 	return topo.Graph.ComputeNodes()
 }
 
-// TestMatrixEquivalencePerPair pins the kernel's core contract: the
-// batched DP sweep produces byte-identical medians and latencies to the
-// per-pair fold, for every timeframe kind, on the Figure 3 testbed
-// under asymmetric load.
+// TestMatrixEquivalencePerPair pins the kernel's core contract: every
+// entry of the batched sweep — Valid, and the bits of Bandwidth and
+// Latency — equals the per-pair AvailableBandwidthCtx/PathLatencyCtx
+// answer (a per-pair error reads as a zero, invalid entry), for every
+// timeframe kind, on three rigs:
+//
+//   - the Figure 3 testbed under asymmetric load;
+//   - Figure 1 with switch internal bandwidths below the host links and
+//     a load that pushes some channels below them, so the router cap
+//     binds on some paths and not on others;
+//   - a generated hier topology with one router agent dark from t=5 and
+//     a node the collector does not know in the request (its row and
+//     column are invalid).
 func TestMatrixEquivalencePerPair(t *testing.T) {
-	r := testbedRig(t)
-	traffic.Blast(r.net, "m-6", "m-8", 60e6)
-	traffic.Blast(r.net, "m-1", "m-4", 25e6)
-	r.clk.RunUntil(30)
-
-	ctx := context.Background()
-	hosts := rigHosts(t, r)
-	if len(hosts) != 8 {
-		t.Fatalf("testbed hosts = %d, want 8", len(hosts))
-	}
-	for _, tf := range []Timeframe{TFCapacity(), TFCurrent(), TFHistory(20), TFFuture(10)} {
-		mi, err := r.mod.QueryMatrixCtx(ctx, hosts, hosts, tf)
-		if err != nil {
-			t.Fatalf("%v: matrix: %v", tf.Kind, err)
-		}
-		for i, src := range hosts {
-			for j, dst := range hosts {
-				if !mi.Valid[i][j] {
-					t.Fatalf("%v: entry %s->%s invalid on a fully connected testbed", tf.Kind, src, dst)
-				}
-				if src == dst {
-					if !math.IsInf(mi.Bandwidth[i][j], 1) || mi.Latency[i][j] != 0 {
-						t.Fatalf("%v: diagonal %s = bw %v lat %v", tf.Kind, src, mi.Bandwidth[i][j], mi.Latency[i][j])
-					}
-					continue
-				}
-				st, err := r.mod.AvailableBandwidthCtx(ctx, src, dst, tf)
-				if err != nil {
-					t.Fatalf("%v: per-pair %s->%s: %v", tf.Kind, src, dst, err)
-				}
-				if mi.Bandwidth[i][j] != st.Median {
-					t.Fatalf("%v: %s->%s matrix bw %v != per-pair %v",
-						tf.Kind, src, dst, mi.Bandwidth[i][j], st.Median)
-				}
-				lat, err := r.mod.PathLatencyCtx(ctx, src, dst)
-				if err != nil {
-					t.Fatalf("%v: per-pair latency %s->%s: %v", tf.Kind, src, dst, err)
-				}
-				if mi.Latency[i][j] != lat.Median {
-					t.Fatalf("%v: %s->%s matrix latency %v != per-pair %v",
-						tf.Kind, src, dst, mi.Latency[i][j], lat.Median)
+	cases := []struct {
+		name     string
+		allValid bool // every host reaches every other
+		setup    func(t *testing.T) (*rig, []graph.NodeID)
+	}{
+		{"figure3", true, func(t *testing.T) (*rig, []graph.NodeID) {
+			r := testbedRig(t)
+			traffic.Blast(r.net, "m-6", "m-8", 60e6)
+			traffic.Blast(r.net, "m-1", "m-4", 25e6)
+			r.clk.RunUntil(30)
+			return r, rigHosts(t, r)
+		}},
+		{"figure1-capped", true, func(t *testing.T) (*rig, []graph.NodeID) {
+			cfg := topology.Figure1FastSwitches()
+			cfg.InternalAMbps, cfg.InternalBMbps = 9, 9.5
+			r := newRig(t, topology.Figure1(cfg), nil)
+			traffic.Blast(r.net, "n1", "n5", 8e6)
+			traffic.Blast(r.net, "n6", "n2", 5e6)
+			r.clk.RunUntil(30)
+			return r, rigHosts(t, r)
+		}},
+		{"hier-blackholed", false, func(t *testing.T) (*rig, []graph.NodeID) {
+			tp, err := topogen.Generate(topogen.Spec{Kind: topogen.KindHier, N: 60, Seed: 3, Regions: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := tp.Graph.ComputeNodes()
+			var router graph.NodeID
+			for _, id := range tp.Graph.Nodes() {
+				if tp.Graph.Node(id).Kind == graph.Network {
+					router = id
+					break
 				}
 			}
-		}
+			r, inj := newFaultRig(t, tp.Graph, 0)
+			inj.Blackhole(snmp.Addr(router), 5, 0)
+			for i := 0; i+1 < len(hosts); i += 7 {
+				traffic.Blast(r.net, hosts[i], hosts[i+1], 3e6*float64(1+i%4))
+			}
+			r.clk.RunUntil(30)
+			return r, append(hosts, "ghost-host")
+		}},
+	}
+	ctx := context.Background()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, hosts := c.setup(t)
+			topo, err := r.col.TopologyCtx(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps := map[float64]bool{}
+			for _, id := range topo.Graph.Nodes() {
+				if bw := topo.Graph.Node(id).InternalBW; bw > 0 {
+					caps[bw] = true
+				}
+			}
+			var invalid, capped, uncapped int
+			for _, tf := range []Timeframe{TFCapacity(), TFCurrent(), TFHistory(20), TFFuture(10)} {
+				mi, err := r.mod.QueryMatrixCtx(ctx, hosts, hosts, tf)
+				if err != nil {
+					t.Fatalf("%v: matrix: %v", tf.Kind, err)
+				}
+				for i, src := range hosts {
+					for j, dst := range hosts {
+						st, err := r.mod.AvailableBandwidthCtx(ctx, src, dst, tf)
+						if err != nil {
+							st = stats.NoData()
+						}
+						lat, err := r.mod.PathLatencyCtx(ctx, src, dst)
+						if err != nil {
+							lat = stats.NoData()
+						}
+						if mi.Valid[i][j] != st.Valid() || !same(mi.Bandwidth[i][j], st.Median) ||
+							!same(mi.Latency[i][j], lat.Median) {
+							t.Fatalf("%v: %s->%s matrix (valid %v, bw %v, lat %v) != per-pair (valid %v, bw %v, lat %v)",
+								tf.Kind, src, dst, mi.Valid[i][j], mi.Bandwidth[i][j], mi.Latency[i][j],
+								st.Valid(), st.Median, lat.Median)
+						}
+						if !mi.Valid[i][j] {
+							if c.allValid {
+								t.Fatalf("%v: entry %s->%s invalid on a fully connected rig", tf.Kind, src, dst)
+							}
+							invalid++
+						}
+						if st.Valid() && src != dst {
+							if caps[st.Median] {
+								capped++
+							} else {
+								uncapped++
+							}
+						}
+					}
+				}
+			}
+			t.Logf("%d hosts: %d invalid entries, %d bound by a router cap, %d by a channel", len(hosts), invalid, capped, uncapped)
+			switch c.name {
+			case "figure1-capped":
+				if capped == 0 || uncapped == 0 {
+					t.Fatal("the cap binds on all paths or on none: the rig does not exercise the cap step")
+				}
+			case "hier-blackholed":
+				if invalid == 0 {
+					t.Fatal("no invalid entry: the rig does not exercise validity")
+				}
+			}
+		})
 	}
 }
 
@@ -181,30 +256,8 @@ func TestMatrixPartialValidity(t *testing.T) {
 // with an agent marked Down (circuit broken, health map reports it) the
 // matrix still answers every entry rather than aborting the batch.
 func TestMatrixSurvivesAgentDown(t *testing.T) {
-	clk := simclock.New()
-	net, err := netsim.New(clk, topology.Testbed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	att := snmp.Attach(net, snmp.DefaultCommunity)
-	inj := faults.New(att.Registry, clk, 1)
-	addrs := make(map[graph.NodeID]string)
-	for id := range att.Agents {
-		addrs[id] = snmp.Addr(id)
-	}
-	col := collector.New(collector.Config{
-		Client:        snmp.NewClient(inj, snmp.DefaultCommunity),
-		Clock:         clk,
-		Addrs:         addrs,
-		PollPeriod:    1,
-		PerHopLatency: topology.PerHopLatency,
-		DownAfter:     2,
-	})
-	if err := col.Start(); err != nil {
-		t.Fatal(err)
-	}
-	mod := New(Config{Source: col})
-	r := &rig{clk: clk, net: net, col: col, mod: mod}
+	r, inj := newFaultRig(t, topology.Testbed(), 2)
+	mod := r.mod
 
 	r.clk.RunUntil(10)
 	// Kill m-7's agent and advance past DownAfter consecutive failures.
@@ -303,6 +356,35 @@ func errInvalidEntry(a, b graph.NodeID, epoch uint64) error {
 	return &matrixTestErr{s: "unexpected invalid entry " + string(a) + "->" + string(b)}
 }
 
+// newFaultRig is newRig with a fault injector between the collector and
+// the agents and the collector's DownAfter set.
+func newFaultRig(t testing.TB, g *graph.Graph, downAfter int) (*rig, *faults.Injector) {
+	t.Helper()
+	clk := simclock.New()
+	net, err := netsim.New(clk, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	att := snmp.Attach(net, snmp.DefaultCommunity)
+	inj := faults.New(att.Registry, clk, 1)
+	addrs := make(map[graph.NodeID]string)
+	for id := range att.Agents {
+		addrs[id] = snmp.Addr(id)
+	}
+	col := collector.New(collector.Config{
+		Client:        snmp.NewClient(inj, snmp.DefaultCommunity),
+		Clock:         clk,
+		Addrs:         addrs,
+		PollPeriod:    1,
+		PerHopLatency: topology.PerHopLatency,
+		DownAfter:     downAfter,
+	})
+	if err := col.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return &rig{clk: clk, net: net, col: col, mod: New(Config{Source: col})}, inj
+}
+
 type matrixTestErr struct{ s string }
 
 func (e *matrixTestErr) Error() string { return e.s }
@@ -324,12 +406,15 @@ func benchMatrixRig(b *testing.B, n int) (*rig, []graph.NodeID) {
 	return r, hosts[:n]
 }
 
-// BenchmarkMatrixKernel is the tentpole ablation: a 64-host flow matrix
+// BenchmarkMatrixKernel is the kernel's ablation: a 64-host flow matrix
 // via the per-pair scalar loop (the old BandwidthMatrixCtx+LatencyMatrix
 // shape — one bandwidth and one latency answer per pair) versus the
 // batched single-snapshot kernel producing the same two planes in one
-// call. The kernel must show ≥5× lower latency and ≥10× fewer
-// allocs/op.
+// call, on a generated hier topology of 192 nodes. The measured rows
+// are in BENCH_remos.json and EXPERIMENTS.md ("Matrix sweep on one
+// median"). hier300 is the kernel alone on the benchmark module's
+// wire-matrix fixture and request: topogen hier N=300 Seed=11, 64
+// consecutive hosts, TFHistory(10).
 func BenchmarkMatrixKernel(b *testing.B) {
 	const n = 64
 	r, hosts := benchMatrixRig(b, n)
@@ -359,6 +444,144 @@ func BenchmarkMatrixKernel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := r.mod.QueryMatrixCtx(ctx, hosts, hosts, tf); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hier300", func(b *testing.B) {
+		tp, err := topogen.Generate(topogen.Spec{Kind: topogen.KindHier, N: 300, Seed: 11, Regions: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := newRig(b, tp.Graph, nil)
+		r.clk.RunUntil(20)
+		hosts := tp.Graph.ComputeNodes()
+		slices.Sort(hosts)
+		side := hosts[100 : 100+n]
+		// The first query builds the snapshot and compiles the sweeps.
+		if _, err := r.mod.QueryMatrixCtx(ctx, side, side, TFHistory(10)); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.mod.QueryMatrixCtx(ctx, side, side, TFHistory(10)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// foldBytes hands out a fuzz input byte by byte, zeros once it runs dry.
+type foldBytes []byte
+
+func (b *foldBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// value picks a median or a cap: mostly from the values min has special
+// rules for, else eight bytes of any float64 but a NaN. Availability
+// medians are never NaN (they are clamped to +0 or above), and the
+// builtin min and math.Min disagree on a NaN's bits.
+func (b *foldBytes) value() float64 {
+	special := [...]float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, 2, 4e6, 1e8}
+	c := b.next()
+	if int(c) < 2*len(special) {
+		return special[int(c)%len(special)]
+	}
+	var u uint64
+	for range 8 {
+		u = u<<8 | uint64(b.next())
+	}
+	if v := math.Float64frombits(u); !math.IsNaN(v) {
+		return v
+	}
+	return 3
+}
+
+// FuzzMatrixFold checks the kernel's scalar sweep (rowScratch.sweep over
+// the planes queryScratch.setChan fills) against the fold it replaces:
+// full stats.Stats combined with stats.MinStat along the same steps, the
+// cap before the channel. Trees, per-channel stats (invalid ones with a
+// nonzero median among them) and caps (binding or not, +Inf included)
+// come from the input; every node the tree reaches must have the
+// reference's validity and, when valid, its median bit for bit.
+func FuzzMatrixFold(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1, 5, 0, 0, 0, 4, 0, 1, 0, 4}) // a cap of 1 below a channel of 2
+	f.Add([]byte{5, 3, 1, 2, 0, 7, 1, 1, 2, 0, 3, 0, 0, 0, 4, 1, 1, 2, 2, 0, 1, 1})
+	f.Add([]byte{12, 4, 0, 0, 0, 3, 1, 5, 2, 6, 3, 0, 0, 0, 0, 0, 1, 0, 1, 2, 1, 2, 3, 0, 2, 1, 4, 1, 1, 0, 2, 2, 5})
+	f.Add([]byte{9, 2, 0, 200, 64, 0, 0, 0, 0, 0, 0, 0, 1, 9, 1, 0, 0, 0, 1, 0, 1, 1, 8, 2, 1, 0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := foldBytes(data)
+		nodes := 2 + int(in.next()%30)
+		chans := 1 + int(in.next()%16)
+
+		avail := make([]stats.Stat, chans)
+		sc := getScratch(chans)
+		defer putScratch(sc)
+		for k := range avail {
+			kind := in.next()
+			avail[k] = stats.Stat{Median: in.value()} // Samples 0: invalid
+			if kind%4 != 0 {
+				avail[k] = stats.Exact(avail[k].Median)
+				avail[k].Samples = int(kind % 5)
+				avail[k].Accuracy = float64(kind) / 255
+			}
+			sc.setChan(k, avail[k])
+		}
+
+		// Node 0 is the source; every other node joins the tree under a
+		// node already in it, or stays out of it (unreachable).
+		cs := &compiledSweep{}
+		inTree := []int32{0}
+		for v := int32(1); v < int32(nodes); v++ {
+			c := in.next()
+			if c%8 == 7 {
+				continue
+			}
+			st := compiledStep{
+				pSlot:     inTree[int(in.next())%len(inTree)],
+				vSlot:     v,
+				availSlot: int32(int(in.next()) % chans),
+				limit:     math.Inf(1),
+			}
+			if c%3 == 0 {
+				if lim := in.value(); lim > 0 {
+					st.capped, st.limit = true, lim
+				}
+			}
+			cs.steps = append(cs.steps, st)
+			inTree = append(inTree, v)
+		}
+
+		rs := &rowScratch{med: make([]float64, nodes), ok: make([]bool, nodes)}
+		for i := range rs.med { // what an earlier row left behind
+			rs.med[i], rs.ok[i] = -1, true
+		}
+		rs.sweep(cs, sc.chanMed, sc.chanOK)
+
+		ref := make([]stats.Stat, nodes)
+		ref[cs.srcSlot] = stats.NoData()
+		for _, st := range cs.steps {
+			base := ref[st.pSlot]
+			if st.capped {
+				base = stats.MinStat(base, stats.Exact(st.limit))
+			}
+			ref[st.vSlot] = stats.MinStat(base, avail[st.availSlot])
+		}
+		for _, v := range inTree {
+			want := ref[v]
+			if rs.ok[v] != want.Valid() {
+				t.Fatalf("node %d: sweep valid %v, MinStat fold %v", v, rs.ok[v], want)
+			}
+			if want.Valid() && math.Float64bits(rs.med[v]) != math.Float64bits(want.Median) {
+				t.Fatalf("node %d: sweep median %v (%#x), MinStat fold %v (%#x)",
+					v, rs.med[v], math.Float64bits(rs.med[v]), want.Median, math.Float64bits(want.Median))
 			}
 		}
 	})

@@ -89,6 +89,11 @@ func (s Stat) ClampNonNegative() Stat {
 // MinStat returns the element-wise minimum of two Stats: the summary of
 // the bottleneck when a flow crosses both quantities in series. Accuracy
 // combines pessimistically (min), because the weaker estimate dominates.
+//
+// The folds are math.Min/math.Max, not the builtins: those differ when a
+// NaN meets -Inf (math.Min answers -Inf), +Inf (math.Max answers +Inf)
+// or -0 (the builtin min's NaN carries the sign bit). TestMinMaxBits
+// pins math's answers.
 func MinStat(a, b Stat) Stat {
 	if !a.Valid() {
 		return b

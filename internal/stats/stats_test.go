@@ -374,3 +374,46 @@ func BenchmarkWindowAddSummary(b *testing.B) {
 		}
 	}
 }
+
+// TestMinMaxBits pins the float folds of MinStat and ClampNonNegative,
+// field by field, to math.Min/math.Max over every pair of the values
+// where min and max have special rules. The builtin max(0, x) would pass
+// for ClampNonNegative; the builtin min and max would fail for MinStat,
+// on a NaN against -Inf, +Inf or -0.
+func TestMinMaxBits(t *testing.T) {
+	vals := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, 2}
+	all := func(x float64) Stat {
+		return Stat{Min: x, Q1: x, Median: x, Q3: x, Max: x, Accuracy: x, Samples: 1, Age: x}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, x := range vals {
+		c := all(x).ClampNonNegative()
+		want := math.Max(0, x)
+		for i, got := range []float64{c.Min, c.Q1, c.Median, c.Q3, c.Max} {
+			if !same(got, want) {
+				t.Errorf("ClampNonNegative(%v) field %d = %#x, math.Max(0, x) = %#x",
+					x, i, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+		if !same(c.Accuracy, x) || !same(c.Age, x) {
+			t.Errorf("ClampNonNegative(%v) moved Accuracy or Age: %+v", x, c)
+		}
+		for _, y := range vals {
+			m := MinStat(all(x), all(y))
+			want := math.Min(x, y)
+			for i, got := range []float64{m.Min, m.Q1, m.Median, m.Q3, m.Max, m.Accuracy} {
+				if !same(got, want) {
+					t.Errorf("MinStat(%v, %v) field %d = %#x, math.Min = %#x",
+						x, y, i, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+			if wantAge := math.Max(x, y); !same(m.Age, wantAge) {
+				t.Errorf("MinStat(%v, %v) Age = %#x, math.Max = %#x",
+					x, y, math.Float64bits(m.Age), math.Float64bits(wantAge))
+			}
+			if m.Samples != 1 {
+				t.Errorf("MinStat(%v, %v) Samples = %d", x, y, m.Samples)
+			}
+		}
+	}
+}

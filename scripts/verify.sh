@@ -81,6 +81,9 @@ go test -fuzz=FuzzWindowOps -fuzztime=10s -run '^$' ./internal/stats
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzReadMuxFrame -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzDecodeMatrixRequest -fuzztime=10s -run '^$' ./internal/collector
+# FuzzMatrixFold: the matrix kernel's sweep on one median and one valid
+# bit per node against the stats.MinStat fold it replaced.
+go test -fuzz=FuzzMatrixFold -fuzztime=10s -run '^$' ./internal/core
 # FuzzStateBody: the feed, summary, telemetry and checkpoint bodies and
 # the checkpoint and history file readers.
 go test -fuzz=FuzzStateBody -fuzztime=10s -run '^$' ./internal/collector
