@@ -381,7 +381,8 @@ func BenchmarkWindowAppendFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w = w.Fork()
+		cp := *w // a second handle on the same samples
+		w = &cp
 		if err := w.Add(float64(1024+i), 1); err != nil {
 			b.Fatal(err)
 		}

@@ -33,8 +33,10 @@ const checkpointMagic = "REMOS-CKPT"
 
 // CheckpointVersion is the current checkpoint format version. Restores
 // reject any other version: state formats evolve and a silent
-// misdecode is worse than a cold start. Versions 1 and 2 were gob.
-const CheckpointVersion = 3
+// misdecode is worse than a cold start. Versions 1 and 2 were gob;
+// version 3 wrote the feed body of wire 0x84, its maps and counter table
+// in map iteration order.
+const CheckpointVersion = 4
 
 // checkpointDump is the serialized collector: the measurement state as
 // a Full feed payload, and around it what the feed does not carry.
@@ -49,8 +51,15 @@ type checkpointDump struct {
 	PollErrors  uint64
 	Discoveries uint64
 
-	Counters map[ChannelKey]counterState
+	// Counters are the valid counter baselines, in ascending key order.
+	Counters []channelCounter
 	State    FeedPayload
+}
+
+// channelCounter is one channel's counter baseline in a checkpoint.
+type channelCounter struct {
+	Key ChannelKey
+	counterState
 }
 
 // appendStateFile appends a state file's header to b, then the body
@@ -96,8 +105,8 @@ func appendCheckpoint(b []byte, dump *checkpointDump) []byte {
 	for _, n := range []uint64{dump.Polls, dump.PollErrors, dump.Discoveries, uint64(len(dump.Counters))} {
 		b = binary.AppendUvarint(b, n)
 	}
-	for k, cs := range dump.Counters {
-		b = appendF64(appendKey(b, k), cs.At)
+	for _, cs := range dump.Counters {
+		b = appendF64(appendKey(b, cs.Key), cs.At)
 		b = append(binary.AppendUvarint(b, uint64(cs.Octets)), flagBits(cs.Valid))
 	}
 	return AppendFeedPayload(b, &dump.State)
@@ -106,15 +115,37 @@ func appendCheckpoint(b []byte, dump *checkpointDump) []byte {
 func (d *wireDec) checkpoint() *checkpointDump {
 	dump := &checkpointDump{SavedAt: d.f64(), SavedAtWallNanos: d.varint(),
 		Polls: d.uvarint(), PollErrors: d.uvarint(), Discoveries: d.uvarint()}
-	dump.Counters = fillMap(d, d.count(keyWireSize+8+2), func() (ChannelKey, counterState) {
+	if n := d.count(keyWireSize + 8 + 2); n > 0 {
+		dump.Counters = make([]channelCounter, n)
+	}
+	for i := range dump.Counters {
 		k, at, octets := d.key(), d.f64(), d.uvarint()
 		if octets > math.MaxUint32 {
 			d.fail("counter reading exceeds 32 bits")
 		}
-		return k, counterState{At: at, Octets: uint32(octets), Valid: d.flags(1) != 0}
-	})
+		dump.Counters[i] = channelCounter{k, counterState{At: at, Octets: uint32(octets), Valid: d.flags(1) != 0}}
+		if d.err != nil {
+			break
+		}
+		if i > 0 {
+			d.ascending(compareKeys(dump.Counters[i-1].Key, k))
+		}
+	}
 	dump.State = *d.feed()
 	return dump
+}
+
+// baselinesLocked is the checkpoint's counter table: the valid
+// baselines in slot order, which is ascending key order. Callers hold
+// c.mu.
+func (c *Collector) baselinesLocked() []channelCounter {
+	var out []channelCounter
+	for s, cs := range c.counters {
+		if cs.Valid {
+			out = append(out, channelCounter{c.st.topo.chans[s], cs})
+		}
+	}
+	return out
 }
 
 // CheckpointInfo describes a restored checkpoint.
@@ -150,7 +181,7 @@ func (c *Collector) SaveCheckpoint(w io.Writer) error {
 		Polls:            c.polls,
 		PollErrors:       c.pollErrors,
 		Discoveries:      c.discoveries,
-		Counters:         c.counters,
+		Counters:         c.baselinesLocked(),
 		State:            *c.st.Payload(),
 	}
 	if _, err := w.Write(appendStateFile(nil, checkpointMagic, CheckpointVersion, func(b []byte) []byte {
@@ -183,10 +214,15 @@ func (c *Collector) RestoreCheckpoint(r io.Reader) (CheckpointInfo, error) {
 	// Answers decay by this process's configured half-life, not the one
 	// the saving process ran with: a restart may change the flag.
 	st.halfLife = c.cfg.staleHalfLife()
+	counters := make([]counterState, len(st.topo.chans))
+	if err := inStep(st.topo.chans, dump.Counters, func(e *channelCounter) ChannelKey { return e.Key }, compareKeys,
+		func(s int, e *channelCounter) error { counters[s] = e.counterState; return nil }); err != nil {
+		return CheckpointInfo{}, fmt.Errorf("collector: corrupt checkpoint counters: %w", err)
+	}
 
 	c.mu.Lock()
 	c.st = st
-	c.counters = dump.Counters
+	c.counters = counters
 	c.polls = dump.Polls
 	c.pollErrors = dump.PollErrors
 	c.discoveries = dump.Discoveries

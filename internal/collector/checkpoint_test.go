@@ -255,8 +255,10 @@ func TestCheckpointRejection(t *testing.T) {
 	file := func(version uint64, dump *checkpointDump) []byte {
 		return appendStateFile(nil, checkpointMagic, version, func(b []byte) []byte { return appendCheckpoint(b, dump) })
 	}
-	live := &checkpointDump{Counters: r.col.counters, State: *r.col.st.Payload()}
-	expectErr("future version", file(CheckpointVersion+1, live), "unsupported checkpoint version 4")
+	live := &checkpointDump{Counters: r.col.baselinesLocked(), State: *r.col.st.Payload()}
+	expectErr("future version", file(CheckpointVersion+1, live), "unsupported checkpoint version 5")
+	// Version 3 is this layout with its maps in iteration order.
+	expectErr("map-order version", file(3, live), "unsupported checkpoint version 3 (want 4)")
 
 	// A checkpoint written by the previous format (v2: a gob header
 	// value, then a gob dump) is refused by the version check, and the
@@ -278,7 +280,7 @@ func TestCheckpointRejection(t *testing.T) {
 	if err := enc.Encode(&v2Dump{SavedAt: 40, Polls: 20, State: live.State}); err != nil {
 		t.Fatal(err)
 	}
-	expectErr("previous version", v2.Bytes(), "unsupported checkpoint version: a gob file from before version 3")
+	expectErr("previous version", v2.Bytes(), "unsupported checkpoint version: a gob file from before version 4")
 	cold := New(Config{Client: r.col.cfg.Client, Clock: r.clk, Addrs: r.col.cfg.Addrs, PollPeriod: 2})
 	if _, err := cold.RestoreCheckpoint(bytes.NewReader(v2.Bytes())); err == nil {
 		t.Fatal("v2 checkpoint restored")
@@ -301,10 +303,8 @@ func TestCheckpointRejection(t *testing.T) {
 		"-Inf time":  {Time: math.Inf(-1), Value: 1},
 	} {
 		dump := checkpointDump{State: *r.col.st.Payload()}
-		for k := range dump.State.Channels {
-			dump.State.Channels[k] = append(dump.State.Channels[k], poison)
-			break
-		}
+		ch := &dump.State.Channels[0]
+		ch.Samples = append(ch.Samples, poison)
 		expectErr(name, file(CheckpointVersion, &dump), "corrupt checkpoint")
 	}
 }
@@ -444,8 +444,8 @@ func TestRestoreCheckpointRacingSubscriptions(t *testing.T) {
 								res.resyncFulls++
 							}
 							last = make(map[ChannelKey]float64)
-							for k, ss := range p.Channels {
-								last[k] = ss[len(ss)-1].Time
+							for _, e := range p.Channels {
+								last[e.Key] = e.Samples[len(e.Samples)-1].Time
 							}
 							continue
 						}
@@ -459,7 +459,8 @@ func TestRestoreCheckpointRacingSubscriptions(t *testing.T) {
 						// samples strictly newer, per channel. A delta
 						// computed against pre-restore windows ships
 						// samples at or before what we already hold.
-						for k, ss := range p.Channels {
+						for _, e := range p.Channels {
+							k, ss := e.Key, e.Samples
 							if prev, ok := last[k]; ok && ss[0].Time <= prev && res.torn == "" {
 								res.torn = "torn delta: sample not newer than applied window"
 							}

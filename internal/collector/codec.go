@@ -1,10 +1,13 @@
 package collector
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -30,7 +33,10 @@ import (
 //	string           uvarint length, then the bytes
 //	list             uvarint count, then the elements
 //	map              uvarint 0 for a nil map, else 1+count, then the
-//	                 entries, key first; a repeated key is an error
+//	                 entries, key first, in strictly ascending key
+//	                 order (a channel key by Global, then Dir; a
+//	                 string bytewise): a repeated key, or one below
+//	                 its predecessor, is an error
 //	flags            one byte; a bit this version does not define is
 //	                 an error
 //
@@ -84,6 +90,8 @@ import (
 //	          varint WindowLen, f64 WindowAge, PollPeriod, uvarint Term,
 //	          ?topo, map<key, f64> Capacity, map<key, list<sample>>
 //	          Channels, map<string, list<sample>> Loads, health Health
+//	          (each held in a FeedPayload as a slice of entries in
+//	          key order, which decodes to nil when empty)
 //	summary   string Region, uvarint Epoch, Term, f64 GeneratedAt,
 //	          MaxDataAge, list<string ID, f64 Power, MemoryBytes,
 //	          AccessBps, AvailableBps> Hosts, list<string ID,
@@ -320,23 +328,47 @@ func appendF64s(b []byte, vs ...float64) []byte {
 	return b
 }
 
-// appendMap writes m under the map rule, each entry by entry.
-func appendMap[K comparable, V any](b []byte, m map[K]V, entry func([]byte, K, V) []byte) []byte {
+// appendMap writes m under the map rule, each entry by entry, in
+// ascending key order.
+func appendMap[K cmp.Ordered, V any](b []byte, m map[K]V, entry func([]byte, K, V) []byte) []byte {
 	if m == nil {
 		return append(b, 0)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m))+1)
-	for k, v := range m {
-		b = entry(b, k, v)
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		b = entry(b, k, m[k])
+	}
+	return b
+}
+
+// appendEntries writes a map held as a slice of entries under the map
+// rule: nil is 0, anything else 1+count and the entries in the slice's
+// order, which its producer keeps ascending.
+func appendEntries[T any](b []byte, list []T, entry func([]byte, *T) []byte) []byte {
+	if list == nil {
+		return append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(list))+1)
+	for i := range list {
+		b = entry(b, &list[i])
 	}
 	return b
 }
 
 func appendHealth(b []byte, m map[string]AgentHealth) []byte {
 	return appendMap(b, m, func(b []byte, id string, h AgentHealth) []byte {
-		b = appendInt(appendInt(appendString(b, id), int(h.State)), h.ConsecutiveFailures)
-		return binary.AppendUvarint(appendF64s(b, h.LastSuccess, h.LastAttempt, h.NextAttempt), h.Skipped)
+		return appendAgentHealth(appendString(b, id), &h)
 	})
+}
+
+func appendAgentHealth(b []byte, h *AgentHealth) []byte {
+	b = appendInt(appendInt(b, int(h.State)), h.ConsecutiveFailures)
+	return binary.AppendUvarint(appendF64s(b, h.LastSuccess, h.LastAttempt, h.NextAttempt), h.Skipped)
 }
 
 func appendTopo(b []byte, t *WireTopo) []byte {
@@ -358,14 +390,16 @@ func AppendFeedPayload(b []byte, p *FeedPayload) []byte {
 	if p.Topo != nil {
 		b = appendTopo(b, p.Topo)
 	}
-	b = appendMap(b, p.Capacity, func(b []byte, k ChannelKey, v float64) []byte { return appendF64(appendKey(b, k), v) })
-	b = appendMap(b, p.Channels, func(b []byte, k ChannelKey, s []stats.Sample) []byte {
-		return appendSamples(appendKey(b, k), s)
+	b = appendEntries(b, p.Capacity, func(b []byte, e *ChannelCapacity) []byte { return appendF64(appendKey(b, e.Key), e.Bps) })
+	b = appendEntries(b, p.Channels, func(b []byte, e *ChannelSamples) []byte {
+		return appendSamples(appendKey(b, e.Key), e.Samples)
 	})
-	b = appendMap(b, p.Loads, func(b []byte, node string, s []stats.Sample) []byte {
-		return appendSamples(appendString(b, node), s)
+	b = appendEntries(b, p.Loads, func(b []byte, e *NodeSamples) []byte {
+		return appendSamples(appendString(b, string(e.Node)), e.Samples)
 	})
-	return appendHealth(b, p.Health)
+	return appendEntries(b, p.Health, func(b []byte, e *NodeHealth) []byte {
+		return appendAgentHealth(appendString(b, string(e.Node)), &e.Health)
+	})
 }
 
 func appendF64r(b []byte, v float64) []byte {
@@ -423,6 +457,11 @@ func appendTelemetry(b []byte, s *telemetry.Snapshot) []byte {
 type wireDec struct {
 	b   []byte
 	err error
+	// left is how many entries of the section being read are still to
+	// go, this one included (0 outside one); slab is where samples
+	// carves sample lists from.
+	left int
+	slab []stats.Sample
 }
 
 func (d *wireDec) fail(what string) {
@@ -835,25 +874,100 @@ func (d *wireDec) update() *WatchUpdate {
 
 // readMap decodes a map under the map rule, each entry, of at least
 // minSize bytes, by entry.
-func readMap[K comparable, V any](d *wireDec, minSize int, entry func() (K, V)) map[K]V {
+func readMap[K cmp.Ordered, V any](d *wireDec, minSize int, entry func() (K, V)) map[K]V {
 	n := d.uvarint()
 	if n == 0 {
 		return nil
 	}
-	return fillMap(d, d.bounded(n-1, minSize), entry)
-}
-
-// fillMap decodes count entries, already checked against the bytes
-// that remain, into a new map.
-func fillMap[K comparable, V any](d *wireDec, count int, entry func() (K, V)) map[K]V {
+	count := d.bounded(n-1, minSize)
 	m := make(map[K]V, count)
+	var prev K
 	for i := 0; i < count && d.err == nil; i++ {
 		k, v := entry()
-		if m[k] = v; len(m) != i+1 {
-			d.fail("repeated map key")
+		if i > 0 {
+			d.ascending(cmp.Compare(prev, k))
 		}
+		m[k], prev = v, k
 	}
 	return m
+}
+
+// ascending fails the decode unless c, the comparison of a map entry's
+// key with the next one's, puts them in strictly ascending order.
+func (d *wireDec) ascending(c int) {
+	switch {
+	case c == 0:
+		d.fail("repeated map key")
+	case c > 0:
+		d.fail("map keys out of ascending order")
+	}
+}
+
+// readEntries decodes a map held as a slice of entries (appendEntries),
+// each entry, of at least minSize bytes, by entry; compare orders two
+// decoded entries by key. No entries decode to nil, as an empty list
+// does.
+func readEntries[T any](d *wireDec, minSize int, entry func(*T), compare func(*T, *T) int) []T {
+	out := entriesFor[T](d, minSize)
+	for i := range out {
+		if d.left = len(out) - i; d.err != nil {
+			break
+		}
+		entry(&out[i])
+		if i > 0 && d.err == nil {
+			d.ascending(compare(&out[i-1], &out[i]))
+		}
+	}
+	d.left = 0
+	return out
+}
+
+// entriesFor reads the count of a map held as a slice of entries and
+// returns the slice to decode them into: nil for none.
+func entriesFor[T any](d *wireDec, minSize int) []T {
+	n := d.uvarint()
+	if n <= 1 {
+		return nil
+	}
+	if count := d.bounded(n-1, minSize); count > 0 {
+		return make([]T, count)
+	}
+	return nil
+}
+
+// nodeEntries is readEntries for entries keyed by node ID (the name,
+// first), setting each entry's name by setNode. The names of one section
+// share one string: the section's bytes, copied once.
+func nodeEntries[T any](d *wireDec, minSize int, setNode func(*T, graph.NodeID), body func(*T)) []T {
+	out := entriesFor[T](d, minSize)
+	if out == nil {
+		return nil
+	}
+	section := d.b
+	spans := make([][2]int, len(out))
+	var prev []byte
+	for i := range out {
+		if d.left = len(out) - i; d.err != nil {
+			break
+		}
+		name := d.take(d.count(1))
+		spans[i][0] = len(section) - len(d.b) - len(name)
+		spans[i][1] = spans[i][0] + len(name)
+		if i > 0 && d.err == nil {
+			d.ascending(bytes.Compare(prev, name))
+		}
+		prev = name
+		body(&out[i])
+	}
+	d.left = 0
+	if d.err != nil {
+		return out
+	}
+	names := string(section[:len(section)-len(d.b)])
+	for i := range out {
+		setNode(&out[i], graph.NodeID(names[spans[i][0]:spans[i][1]]))
+	}
+	return out
 }
 
 // readList decodes a list, each element, of at least minSize bytes, by
@@ -871,10 +985,12 @@ func readList[T any](d *wireDec, minSize int, elem func() T) []T {
 }
 
 func (d *wireDec) health() map[string]AgentHealth {
-	return readMap(d, healthWireMin, func() (string, AgentHealth) {
-		return d.str(), AgentHealth{State: HealthState(d.int()), ConsecutiveFailures: d.int(),
-			LastSuccess: d.f64(), LastAttempt: d.f64(), NextAttempt: d.f64(), Skipped: d.uvarint()}
-	})
+	return readMap(d, healthWireMin, func() (string, AgentHealth) { return d.str(), d.agentHealth() })
+}
+
+func (d *wireDec) agentHealth() AgentHealth {
+	return AgentHealth{State: HealthState(d.int()), ConsecutiveFailures: d.int(),
+		LastSuccess: d.f64(), LastAttempt: d.f64(), NextAttempt: d.f64(), Skipped: d.uvarint()}
 }
 
 func (d *wireDec) topo() *WireTopo {
@@ -906,24 +1022,35 @@ func (d *wireDec) feed() *FeedPayload {
 	if has&2 != 0 {
 		p.Topo = d.topo()
 	}
-	p.Capacity = readMap(d, keyWireSize+8, func() (ChannelKey, float64) { return d.key(), d.f64() })
-	p.Channels = readMap(d, keyWireSize+1, func() (ChannelKey, []stats.Sample) { return d.key(), d.samples() })
-	p.Loads = readMap(d, 2, func() (string, []stats.Sample) { return d.str(), d.samples() })
-	p.Health = d.health()
+	p.Capacity = readEntries(d, keyWireSize+8, func(e *ChannelCapacity) { e.Key, e.Bps = d.key(), d.f64() },
+		func(a, b *ChannelCapacity) int { return compareKeys(a.Key, b.Key) })
+	p.Channels = readEntries(d, keyWireSize+1, func(e *ChannelSamples) { e.Key, e.Samples = d.key(), d.samples() },
+		func(a, b *ChannelSamples) int { return compareKeys(a.Key, b.Key) })
+	p.Loads = nodeEntries(d, 2, func(e *NodeSamples, id graph.NodeID) { e.Node = id },
+		func(e *NodeSamples) { e.Samples = d.samples() })
+	p.Health = nodeEntries(d, healthWireMin, func(e *NodeHealth, id graph.NodeID) { e.Node = id },
+		func(e *NodeHealth) { e.Health = d.agentHealth() })
 	return p
 }
 
-// samples decodes a list of samples (the "sample" row above).
+// samples decodes a list of samples (the "sample" row above). Inside a
+// section (d.left entries to go, this one included) the lists are
+// carved from one slab, sized as if every entry left were this one's
+// length, but never for more samples than the bytes left could hold: a
+// delta's one sample per window costs one allocation per section.
 func (d *wireDec) samples() []stats.Sample {
 	n := d.count(sampleWireMin)
 	if n == 0 {
 		return nil
 	}
-	s := make([]stats.Sample, n)
-	for i := range s {
-		s[i] = stats.Sample{Time: d.f64r(), Value: d.f64r()}
+	if cap(d.slab)-len(d.slab) < n {
+		d.slab = make([]stats.Sample, 0, max(n, min(n*d.left, len(d.b)/(2*sampleWireMin))))
 	}
-	return s
+	from := len(d.slab)
+	for i := 0; i < n; i++ {
+		d.slab = append(d.slab, stats.Sample{Time: d.f64r(), Value: d.f64r()})
+	}
+	return d.slab[from:len(d.slab):len(d.slab)]
 }
 
 func (d *wireDec) summary() *RegionSummary {

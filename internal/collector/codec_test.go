@@ -338,10 +338,10 @@ func (g frameGen) update() *WatchUpdate {
 	case 2:
 		u.Feed = &FeedPayload{Epoch: u.Epoch, Full: g.Intn(2) == 0, Now: g.NormFloat64(), WindowLen: 150,
 			Topo:     g.topo(g.Intn(5), g.Intn(5)),
-			Capacity: map[ChannelKey]float64{g.key(): 1e8},
-			Channels: map[ChannelKey][]stats.Sample{g.key(): {{Time: 1, Value: 2}}},
-			Loads:    map[string][]stats.Sample{"m-1": {{Time: 1, Value: 0.5}}},
-			Health:   map[string]AgentHealth{"m-1": {LastSuccess: 4}}}
+			Capacity: []ChannelCapacity{{Key: g.key(), Bps: 1e8}},
+			Channels: []ChannelSamples{{Key: g.key(), Samples: []stats.Sample{{Time: 1, Value: 2}}}},
+			Loads:    []NodeSamples{{Node: "m-1", Samples: []stats.Sample{{Time: 1, Value: 0.5}}}},
+			Health:   []NodeHealth{{Node: "m-1", Health: AgentHealth{LastSuccess: 4}}}}
 		if g.Intn(3) == 0 {
 			u.Feed = &FeedPayload{}
 		}
@@ -457,7 +457,8 @@ func liveSnapshot() *telemetry.Snapshot {
 //   - nil vs empty map: none for these types. Both keep a nil map nil
 //     and an empty one empty; gob would turn a nil map that is itself a
 //     map value or list element into an empty one, and no type here
-//     has such a map.
+//     has such a map. A feed payload's sections are lists of entries,
+//     and both decode an empty one to nil.
 func TestCodecMatchesGob(t *testing.T) {
 	g := frameGen{rand.New(rand.NewSource(12))}
 	fig3Full, fig3Delta := feedPair(t, feedRig(t))
@@ -470,9 +471,9 @@ func TestCodecMatchesGob(t *testing.T) {
 		// The biggest topology a default frame carries.
 		respFrame(&response{Topo: g.topo(40000, 50000)}),
 		feedFrame(fig3Full), feedFrame(fig3Delta), feedFrame(hierFull), feedFrame(hierDelta),
-		feedFrame(&FeedPayload{Topo: &WireTopo{}, Capacity: map[ChannelKey]float64{{Global: 1}: math.Copysign(0, -1)},
-			Channels: map[ChannelKey][]stats.Sample{{Global: 1}: {}, {Global: 2}: nil},
-			Loads:    map[string][]stats.Sample{}, Health: map[string]AgentHealth{}}),
+		feedFrame(&FeedPayload{Topo: &WireTopo{}, Capacity: []ChannelCapacity{{Key: ChannelKey{Global: 1}, Bps: math.Copysign(0, -1)}},
+			Channels: []ChannelSamples{{Key: ChannelKey{Global: 1}, Samples: []stats.Sample{}}, {Key: ChannelKey{Global: 2}}},
+			Loads:    []NodeSamples{}, Health: []NodeHealth{}}),
 		respFrame(&response{Telemetry: liveSnapshot()}),
 	}
 	for i := 0; i < 3000; i++ {
@@ -503,9 +504,9 @@ func TestFullFeedFitsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, w := range full.Channels {
-		if len(w) != 512 {
-			t.Fatalf("channel %v holds %d samples, want a full window of 512", k, len(w))
+	for _, e := range full.Channels {
+		if len(e.Samples) != 512 {
+			t.Fatalf("channel %v holds %d samples, want a full window of 512", e.Key, len(e.Samples))
 		}
 	}
 	var wire, gobbed bytes.Buffer
@@ -678,17 +679,16 @@ func TestReadAnswerShapeChecked(t *testing.T) {
 }
 
 // TestWireVersionIsNotThePreviousOne: a peer still on a layout before
-// this one checks a frame's first payload byte against 0x81, 0x82 or
-// 0x83, so
-// a frame from this end fails its version check (ErrWireVersion there),
-// never its decoder.
+// this one checks a frame's first payload byte against 0x81, 0x82, 0x83
+// or 0x84, so a frame from this end fails its version check
+// (ErrWireVersion there), never its decoder.
 func TestWireVersionIsNotThePreviousOne(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, reqFrame(&request{Op: "read", Read: &ReadRequest{Keys: []ChannelKey{{Global: 1}}}}), 0); err != nil {
 		t.Fatal(err)
 	}
-	if v := buf.Bytes()[4]; v != wireVersion || v == 0x81 || v == 0x82 || v == 0x83 {
-		t.Fatalf("frames start with version %#x; this end speaks %#x and the previous layouts were 0x81, 0x82 and 0x83", v, wireVersion)
+	if v := buf.Bytes()[4]; v != wireVersion || v == 0x81 || v == 0x82 || v == 0x83 || v == 0x84 {
+		t.Fatalf("frames start with version %#x; this end speaks %#x and the previous layouts were 0x81 to 0x84", v, wireVersion)
 	}
 }
 
@@ -710,8 +710,8 @@ func BenchmarkFrameCodec(b *testing.B) {
 	}
 	// Twenty-four full 512-sample windows, as a Future query reads them.
 	var keys []ChannelKey
-	for k := range hierFull.Channels {
-		keys = append(keys, k)
+	for _, e := range hierFull.Channels {
+		keys = append(keys, e.Key)
 	}
 	slices.SortFunc(keys, func(x, y ChannelKey) int {
 		return cmp.Or(cmp.Compare(x.Global, y.Global), cmp.Compare(x.Dir, y.Dir))
@@ -759,5 +759,54 @@ func BenchmarkFrameCodec(b *testing.B) {
 			}
 			b.ReportMetric(float64(wire), "wire-bytes")
 		})
+	}
+}
+
+// TestStateBodiesAreCanonical: a state body encodes to the same bytes
+// every time. A hier-300 Full payload, a delta and a checkpoint body
+// are each encoded twice, the checkpoint from two saves (whose bodies
+// differ only in the save times they start with). Go's map iteration
+// order made every one of them differ.
+func TestStateBodiesAreCanonical(t *testing.T) {
+	r := hierRig(t, 20)
+	full, delta := feedPair(t, r)
+	for _, tc := range []struct {
+		name string
+		p    *FeedPayload
+	}{{"Full payload", full}, {"delta", delta}} {
+		if a, b := AppendFeedPayload(nil, tc.p), AppendFeedPayload(nil, tc.p); !bytes.Equal(a, b) {
+			t.Fatalf("a hier-300 %s encodes to two byte strings (%d and %d bytes)", tc.name, len(a), len(b))
+		}
+	}
+	if len(r.col.Health()) == 0 || len(full.Capacity) == 0 || len(full.Loads) == 0 {
+		t.Fatalf("the Full payload has empty sections: %d capacities, %d loads", len(full.Capacity), len(full.Loads))
+	}
+	body := func() []byte {
+		var file bytes.Buffer
+		if err := r.col.SaveCheckpoint(&file); err != nil {
+			t.Fatal(err)
+		}
+		b, err := readStateFile(&file, "checkpoint", checkpointMagic, CheckpointVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := wireDec{b: b}
+		d.f64()    // SavedAt
+		d.varint() // SavedAtWallNanos
+		if d.err != nil {
+			t.Fatal(d.err)
+		}
+		return d.b
+	}
+	a, b := body(), body()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("two checkpoints of one state differ past their save times (%d and %d bytes)", len(a), len(b))
+	}
+	d := wireDec{b: a}
+	d.uvarint() // Polls
+	d.uvarint() // PollErrors
+	d.uvarint() // Discoveries
+	if n := d.uvarint(); n < 100 {
+		t.Fatalf("the checkpoint carries %d counter baselines, want hier-300's", n)
 	}
 }

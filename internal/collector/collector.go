@@ -9,9 +9,11 @@
 package collector
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,6 +47,64 @@ type Topology struct {
 	GlobalID map[graph.LinkID]int
 	// DiscoveredAt is the virtual time of discovery.
 	DiscoveredAt float64
+
+	// The slot index: every channel and every node in one dense order,
+	// the order a State, the poll's counter table and a FeedCursor hold
+	// their measurements in. Both ends of a feed derive it from the same
+	// topology, so slots never cross the wire. Built once (index) where
+	// a Topology is made for a State: by discovery, and by State.Extend
+	// from a payload's wire topology.
+	chans    []ChannelKey   // ascending (Global, Dir)
+	nodes    []graph.NodeID // ascending
+	chanSlot map[ChannelKey]int32
+	nodeSlot map[graph.NodeID]int32
+}
+
+// index builds t's slot index and returns t.
+func (t *Topology) index() *Topology {
+	t.chans = make([]ChannelKey, 0, 2*len(t.GlobalID))
+	for _, gid := range t.GlobalID {
+		t.chans = append(t.chans, ChannelKey{Global: gid, Dir: graph.AtoB}, ChannelKey{Global: gid, Dir: graph.BtoA})
+	}
+	slices.SortFunc(t.chans, compareKeys)
+	t.chans = slices.Compact(t.chans) // two links may share a global ID
+	t.nodes = t.Graph.Nodes()
+	slices.Sort(t.nodes)
+	t.chanSlot = make(map[ChannelKey]int32, len(t.chans))
+	for s, k := range t.chans {
+		t.chanSlot[k] = int32(s)
+	}
+	t.nodeSlot = make(map[graph.NodeID]int32, len(t.nodes))
+	for s, id := range t.nodes {
+		t.nodeSlot[id] = int32(s)
+	}
+	return t
+}
+
+// chanSlotOf is key's channel slot; false when t (which may be nil)
+// has no such channel.
+func (t *Topology) chanSlotOf(key ChannelKey) (int, bool) {
+	if t == nil {
+		return 0, false
+	}
+	s, ok := t.chanSlot[key]
+	return int(s), ok
+}
+
+// nodeSlotOf is id's node slot; false when t (which may be nil) has no
+// such node.
+func (t *Topology) nodeSlotOf(id graph.NodeID) (int, bool) {
+	if t == nil {
+		return 0, false
+	}
+	s, ok := t.nodeSlot[id]
+	return int(s), ok
+}
+
+// compareKeys orders channel keys by (Global, Dir): the slot order, and
+// the order a payload's channel entries are in.
+func compareKeys(a, b ChannelKey) int {
+	return cmp.Or(cmp.Compare(a.Global, b.Global), cmp.Compare(a.Dir, b.Dir))
 }
 
 // Key returns the ChannelKey for a directed traversal of a local link.
@@ -193,10 +253,11 @@ type Collector struct {
 
 	mu sync.Mutex
 	// st is the measurement state (state.go). The poll and discovery
-	// paths write into its maps and windows in place; a feed apply or a
-	// checkpoint restore replaces it whole.
+	// paths write into its windows and health in place; a feed apply or
+	// a checkpoint restore replaces it whole. counters is the last
+	// reading of each channel, by channel slot of st's topology.
 	st         *State
-	counters   map[ChannelKey]counterState
+	counters   []counterState
 	lastNode   map[graph.NodeID]*nodeInfo
 	agents     []agentSlot // the domain in node-ID order; plan fields guarded by mu
 	ticker     *simclock.Ticker
@@ -211,8 +272,8 @@ type Collector struct {
 	// GET on the wire and the values of the agent being read
 	// (discovery.go's getAll).
 	pollMu    sync.Mutex
-	obsBuf    []counterObs
-	loadBuf   []loadObs
+	obsBuf    []agentObs
+	octetBuf  []uint32
 	roundWire []byte
 	roundVals []snmp.Value
 
@@ -260,16 +321,16 @@ type counterState struct {
 	round uint64
 }
 
-// counterObs and loadObs are one round's readings, collected without
-// c.mu (agents may be slow) and applied under it in one step.
-type counterObs struct {
-	key    ChannelKey
-	octets uint32
-}
-
-type loadObs struct {
-	node graph.NodeID
-	load float64
+// agentObs is one agent's readings in a round, collected without c.mu
+// (agents may be slow) and applied under it in one step: the plan they
+// were read by, where its counter values start in the round's octets,
+// and its CPU load when it has one.
+type agentObs struct {
+	agent  int
+	plan   *pollPlan
+	octets int
+	load   float64
+	loaded bool
 }
 
 // New creates a Collector; call Discover (or Start, which discovers
@@ -287,7 +348,6 @@ func New(cfg Config) *Collector {
 		tel:      tel,
 		agents:   agents,
 		st:       newState(cfg.staleHalfLife(), cfg.WindowLen, 0),
-		counters: make(map[ChannelKey]counterState),
 		lastNode: make(map[graph.NodeID]*nodeInfo),
 
 		telPolls:      tel.Counter("collector.polls"),
@@ -439,77 +499,58 @@ func (c *Collector) PollOnce() {
 	c.pollMu.Lock()
 	defer c.pollMu.Unlock()
 	now := float64(c.cfg.Clock.Now())
-	observations, loads := c.obsBuf[:0], c.loadBuf[:0]
+	observations, octets := c.obsBuf[:0], c.octetBuf[:0]
 
 	for i := range c.agents {
 		// Circuit breaker: agents on a backoff schedule are skipped, so
 		// a dead router costs a few probes per backoff period while the
 		// surviving topology keeps being polled at full rate.
-		id := c.agents[i].id
 		plan, ok := c.allowAttempt(i, now)
 		if !ok {
 			continue
 		}
 		plan, vals, err := c.pollAgent(i, plan)
 		if err != nil {
-			c.recordFailure(id, now)
+			c.recordFailure(i, now)
 			continue
 		}
-		for j, key := range plan.keys {
-			observations = append(observations, counterObs{key, vals[j].Uint})
+		o := agentObs{agent: i, plan: plan, octets: len(octets)}
+		for j := range plan.keys {
+			octets = append(octets, vals[j].Uint)
 		}
 		// Host CPU load, when exposed. A misbehaving agent can report
 		// anything; negative or non-finite loads are rejected at ingest
 		// so they never reach a sample window.
 		if plan.load {
-			load := float64(vals[len(plan.keys)].Int) / 100
-			if math.IsNaN(load) || math.IsInf(load, 0) || load < 0 {
+			o.load = float64(vals[len(plan.keys)].Int) / 100
+			if math.IsNaN(o.load) || math.IsInf(o.load, 0) || o.load < 0 {
 				c.noteIngestError()
 			} else {
-				loads = append(loads, loadObs{id, load})
+				o.loaded = true
 			}
 		}
-		c.recordSuccess(id, now)
+		observations = append(observations, o)
+		c.recordSuccess(i, now)
 	}
-	c.obsBuf, c.loadBuf = observations, loads
+	c.obsBuf, c.octetBuf = observations, octets
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	round := c.polls + 1
 	for _, o := range observations {
-		prev := c.counters[o.key]
-		if prev.round == round {
-			continue // the link's other end already reported it this round
+		// A reading lands on its plan's slot, and one whose channel or
+		// host is in no topology has nowhere to go. The plan was
+		// resolved against the topology when the round began; a
+		// rediscovery since resolves it again here.
+		plan := o.plan.resolved(c.st.topo, c.agents[o.agent].id)
+		for j, slot := range plan.slots {
+			if slot >= 0 {
+				c.countLocked(int(slot), octets[o.octets+j], now, round)
+			}
 		}
-		c.counters[o.key] = counterState{At: now, Octets: o.octets, Valid: true, round: round}
-		if !prev.Valid || now <= prev.At {
-			continue // baseline sample
+		if o.loaded && plan.loadSlot >= 0 {
+			c.addSampleLocked(&c.st.loads[plan.loadSlot], now, o.load)
 		}
-		// Counter32 wraparound-safe difference.
-		delta := uint32(o.octets - prev.Octets)
-		rate := float64(delta) * 8 / (now - prev.At)
-		// Ingest validation: a rate must be a finite non-negative number
-		// before it may enter a window. maxmin's guards downstream are
-		// the second line of defense, not the first.
-		if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
-			c.pollErrors++
-			c.telPollErrors.Inc()
-			continue
-		}
-		w := c.st.channels[o.key]
-		if w == nil {
-			w = stats.NewWindow(c.cfg.WindowLen, 0)
-			c.st.channels[o.key] = w
-		}
-		c.addSampleLocked(w, now, rate)
-	}
-	for _, lo := range loads {
-		w := c.st.loads[lo.node]
-		if w == nil {
-			w = stats.NewWindow(c.cfg.WindowLen, 0)
-			c.st.loads[lo.node] = w
-		}
-		c.addSampleLocked(w, now, lo.load)
 	}
 	c.polls++
 	// Bump even on an all-failures round: data *ages* (and accuracy
@@ -519,7 +560,37 @@ func (c *Collector) PollOnce() {
 	c.bell.Ring()
 }
 
+// countLocked records a channel's counter reading of a round, and the
+// rate since the previous reading as a sample. Callers hold c.mu.
+func (c *Collector) countLocked(slot int, octets uint32, now float64, round uint64) {
+	prev := c.counters[slot]
+	if prev.round == round {
+		return // the link's other end already reported it this round
+	}
+	c.counters[slot] = counterState{At: now, Octets: octets, Valid: true, round: round}
+	if !prev.Valid || now <= prev.At {
+		return // baseline sample
+	}
+	// Counter32 wraparound-safe difference.
+	delta := uint32(octets - prev.Octets)
+	rate := float64(delta) * 8 / (now - prev.At)
+	// Ingest validation: a rate must be a finite non-negative number
+	// before it may enter a window. maxmin's guards downstream are the
+	// second line of defense, not the first.
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+		c.pollErrors++
+		c.telPollErrors.Inc()
+		return
+	}
+	c.addSampleLocked(&c.st.channels[slot], now, rate)
+}
+
+// addSampleLocked appends one reading to the window of a slot, making
+// the window on the slot's first reading.
 func (c *Collector) addSampleLocked(w *stats.Window, now, v float64) {
+	if !w.Made() {
+		*w = stats.MakeWindow(c.cfg.WindowLen, 0)
+	}
 	if err := w.Add(now, v); err != nil {
 		c.pollErrors++
 		c.telPollErrors.Inc()

@@ -85,6 +85,42 @@ type pollPlan struct {
 	// keys[j] is the channel the counter at oids[j] measures.
 	keys []ChannelKey
 	load bool
+
+	// slots[j] is keys[j]'s channel slot in topo and loadSlot the
+	// agent's node slot (-1: not in topo): where a round's readings
+	// land in the state. A plan is resolved against each new topology
+	// once (resolved), not per reading.
+	topo     *Topology
+	slots    []int32
+	loadSlot int32
+}
+
+// resolved is p with its slots in topo (p itself when they already
+// are); nil for a nil p.
+func (p *pollPlan) resolved(topo *Topology, id graph.NodeID) *pollPlan {
+	if p == nil || (p.topo == topo && p.slots != nil) {
+		return p
+	}
+	q := *p
+	q.topo, q.slots, q.loadSlot = topo, make([]int32, len(p.keys)), -1
+	for j, k := range p.keys {
+		q.slots[j] = -1
+		if s, ok := topo.chanSlotOf(k); ok {
+			q.slots[j] = int32(s)
+		}
+	}
+	if s, ok := topo.nodeSlotOf(id); ok {
+		q.loadSlot = int32(s)
+	}
+	return &q
+}
+
+// resolvePlanLocked resolves plan, agent slot i's, against the current
+// topology and keeps the result as the agent's plan. Callers hold c.mu.
+func (c *Collector) resolvePlanLocked(i int, plan *pollPlan) *pollPlan {
+	plan = plan.resolved(c.st.topo, c.agents[i].id)
+	c.agents[i].plan = plan
+	return plan
 }
 
 // learnPlan walks an agent's interface table and builds its poll plan.
@@ -123,11 +159,12 @@ func (c *Collector) learnPlan(id graph.NodeID, addr string) ([]ifaceInfo, *pollP
 	return ifaces, plan, nil
 }
 
-// setPlan installs (or, with nil, forgets) the plan of agent slot i.
-func (c *Collector) setPlan(i int, plan *pollPlan) {
+// setPlan installs (or, with nil, forgets) the plan of agent slot i,
+// and returns it resolved against the current topology.
+func (c *Collector) setPlan(i int, plan *pollPlan) *pollPlan {
 	c.mu.Lock()
-	c.agents[i].plan = plan
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.resolvePlanLocked(i, plan)
 }
 
 // pollAgent reads one agent's counters: its plan's prepared GET sent
@@ -146,7 +183,7 @@ func (c *Collector) pollAgent(i int, plan *pollPlan) (*pollPlan, []snmp.Value, e
 			if _, plan, err = c.learnPlan(slot.id, slot.addr); err != nil {
 				return nil, nil, err
 			}
-			c.setPlan(i, plan)
+			plan = c.setPlan(i, plan)
 		}
 		vals, err := c.getAll(slot.addr, plan)
 		if err == nil {
@@ -269,11 +306,11 @@ func (c *Collector) Discover() (*Topology, error) {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("collector: discovering %q: %w", id, err)
 			}
-			c.recordFailure(id, now)
+			c.recordFailure(i, now)
 			remember(id)
 			continue
 		}
-		c.recordSuccess(id, now)
+		c.recordSuccess(i, now)
 		c.mu.Lock()
 		c.lastNode[id] = ni
 		c.agents[i].plan = plan // rediscovery replaces the plan
@@ -364,14 +401,16 @@ func (c *Collector) Discover() (*Topology, error) {
 		rec := links[gid]
 		l := g.AddLink(graph.NodeID(rec.a), graph.NodeID(rec.b), rec.capacity, c.cfg.PerHopLatency)
 		topo.GlobalID[l.ID] = gid
-		// Record capacities for both directions.
-		c.mu.Lock()
-		c.st.capacity[ChannelKey{Global: gid, Dir: graph.AtoB}] = rec.capacity
-		c.st.capacity[ChannelKey{Global: gid, Dir: graph.BtoA}] = rec.capacity
-		c.mu.Unlock()
+	}
+	topo.index()
+	// Both directions of a link have its capacity.
+	capacity := make([]float64, len(topo.chans))
+	for s, k := range topo.chans {
+		capacity[s] = links[k.Global].capacity
 	}
 	c.mu.Lock()
-	c.st.topo = topo
+	c.counters = carry(c.counters, topo.chans, c.st.topo.chanSlotOf)
+	c.st.setTopology(topo, capacity)
 	c.discoveries++
 	c.mu.Unlock()
 	c.dataVersion.Add(1)

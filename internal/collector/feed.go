@@ -2,8 +2,8 @@ package collector
 
 import (
 	"fmt"
-	"maps"
 
+	"repro/internal/graph"
 	"repro/internal/stats"
 )
 
@@ -68,16 +68,47 @@ type FeedPayload struct {
 	// Topo and Capacity are set on Full payloads and whenever a
 	// rediscovery moved the topology; nil otherwise.
 	Topo     *WireTopo
-	Capacity map[ChannelKey]float64
+	Capacity []ChannelCapacity
 
 	// Channels and Loads carry the samples newer than the subscription
 	// cursor (everything retained, on Full payloads).
-	Channels map[ChannelKey][]stats.Sample
-	Loads    map[string][]stats.Sample
+	Channels []ChannelSamples
+	Loads    []NodeSamples
 
-	// Health is the full per-agent health map (small; shipped on every
+	// Health is every agent's record (small; shipped whole on every
 	// payload).
-	Health map[string]AgentHealth
+	Health []NodeHealth
+}
+
+// A payload's sections are a map's entries as a slice, in strictly
+// ascending key order: channels by (Global, Dir), nodes by ID. That is
+// the slot order of the topology (Topology.index), so a producer walks
+// its slots into them and an applier walks them into its slots, and the
+// encoding of a payload is canonical. A channel or node outside the
+// topology fails the payload (State.Extend).
+
+// ChannelSamples is one channel's samples in a FeedPayload.
+type ChannelSamples struct {
+	Key     ChannelKey
+	Samples []stats.Sample
+}
+
+// NodeSamples is one host's CPU-load samples in a FeedPayload.
+type NodeSamples struct {
+	Node    graph.NodeID
+	Samples []stats.Sample
+}
+
+// ChannelCapacity is one channel's capacity in a FeedPayload, bits/s.
+type ChannelCapacity struct {
+	Key ChannelKey
+	Bps float64
+}
+
+// NodeHealth is one agent's health record in a FeedPayload.
+type NodeHealth struct {
+	Node   graph.NodeID
+	Health AgentHealth
 }
 
 // Topology decodes the payload's topology (nil when the payload
@@ -93,15 +124,25 @@ func (p *FeedPayload) Topology() (*Topology, error) {
 
 // FeedCursor is one subscription's replication progress: what the
 // subscriber has already been sent. It is owned by the single evaluator
-// goroutine that runs the subscription.
+// goroutine that runs the subscription. The zero cursor has sent
+// nothing, so its first FeedSince is Full.
 type FeedCursor struct {
 	sentFull bool
 	gen      uint64 // state generation (checkpoint restores reset it)
 	term     uint64 // HA lease term last shipped (promotions force Full)
 	epoch    uint64
-	disc     float64 // topology DiscoveredAt last shipped
-	chans    map[ChannelKey]float64
-	loads    map[string]float64
+	// topo is the topology last shipped; chans and nodes are the newest
+	// sample time shipped per slot of it.
+	topo  *Topology
+	chans []sentMark
+	nodes []sentMark
+}
+
+// sentMark is where a cursor stands in one window: at the newest sample
+// shipped. The zero mark has shipped nothing, so the whole window goes.
+type sentMark struct {
+	at   float64
+	sent bool
 }
 
 // FeedSource is a Source that can stream its state to read replicas.
@@ -132,53 +173,53 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	var p *FeedPayload
 	if full {
 		p = st.Payload()
-		cur.chans, cur.loads = newestTimes(p.Channels), newestTimes(p.Loads)
+		cur.chans, cur.nodes = newestMarks(st.channels), newestMarks(st.loads)
 	} else {
 		p = &FeedPayload{
 			HalfLife:  st.halfLife,
 			WindowLen: st.windowLen,
 			WindowAge: st.windowAge,
-			Channels:  make(map[ChannelKey][]stats.Sample),
-			Loads:     make(map[string][]stats.Sample),
-			Health:    make(map[string]AgentHealth, len(st.health)),
+			Channels:  make([]ChannelSamples, 0, len(st.channels)),
+			Loads:     make([]NodeSamples, 0, len(st.loads)),
+			Health:    append(make([]NodeHealth, 0, len(st.health)), st.health...),
 		}
-		if st.topo.DiscoveredAt != cur.disc {
+		if st.topo != cur.topo {
 			p.Topo = topoToWire(st.topo)
-			p.Capacity = maps.Clone(st.capacity)
+			p.Capacity = st.capacities()
+			cur.chans = carry(cur.chans, st.topo.chans, cur.topo.chanSlotOf)
+			cur.nodes = carry(cur.nodes, st.topo.nodes, cur.topo.nodeSlotOf)
 		}
 		// A delta is about one sample per window: its sample slices are
 		// carved out of one slab (capped, so no later append can reach
 		// into a neighbour's). A window new to the cursor is copied whole.
 		slab := make([]stats.Sample, 0, len(st.channels)+len(st.loads))
-		collect := func(w *stats.Window, since float64, seen bool) []stats.Sample {
-			if !seen {
-				return w.Samples()
+		collect := func(w *stats.Window, mark *sentMark) []stats.Sample {
+			var samples []stats.Sample
+			if !mark.sent {
+				samples = w.Samples()
+			} else {
+				from := len(slab)
+				slab = w.AppendSince(slab, mark.at)
+				samples = slab[from:len(slab):len(slab)]
 			}
-			from := len(slab)
-			slab = w.AppendSince(slab, since)
-			return slab[from:len(slab):len(slab)]
-		}
-		for k, w := range st.channels {
-			since, seen := cur.chans[k]
-			samples := collect(w, since, seen)
-			if len(samples) == 0 {
-				continue
+			if n := len(samples); n > 0 {
+				*mark = sentMark{at: samples[n-1].Time, sent: true}
 			}
-			p.Channels[k] = samples
-			cur.chans[k] = samples[len(samples)-1].Time
+			return samples
 		}
-		for id, w := range st.loads {
-			key := string(id)
-			since, seen := cur.loads[key]
-			samples := collect(w, since, seen)
-			if len(samples) == 0 {
-				continue
+		for s := range st.channels {
+			if w := &st.channels[s]; w.Made() {
+				if samples := collect(w, &cur.chans[s]); len(samples) > 0 {
+					p.Channels = append(p.Channels, ChannelSamples{Key: st.topo.chans[s], Samples: samples})
+				}
 			}
-			p.Loads[key] = samples
-			cur.loads[key] = samples[len(samples)-1].Time
 		}
-		for id, h := range st.health {
-			p.Health[string(id)] = *h
+		for s := range st.loads {
+			if w := &st.loads[s]; w.Made() {
+				if samples := collect(w, &cur.nodes[s]); len(samples) > 0 {
+					p.Loads = append(p.Loads, NodeSamples{Node: st.topo.nodes[s], Samples: samples})
+				}
+			}
 		}
 	}
 	p.Epoch, p.Term = epoch, term
@@ -188,17 +229,17 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	cur.gen = c.stateGen
 	cur.term = term
 	cur.epoch = epoch
-	cur.disc = st.topo.DiscoveredAt
+	cur.topo = st.topo
 	return p, nil
 }
 
-// newestTimes is where a cursor stands after shipping samples: at the
-// newest sample of each window.
-func newestTimes[K comparable](shipped map[K][]stats.Sample) map[K]float64 {
-	marks := make(map[K]float64, len(shipped))
-	for k, samples := range shipped {
-		if n := len(samples); n > 0 {
-			marks[k] = samples[n-1].Time
+// newestMarks is where a cursor stands after shipping windows whole: at
+// the newest sample of each.
+func newestMarks(windows []stats.Window) []sentMark {
+	marks := make([]sentMark, len(windows))
+	for s := range windows {
+		if last, ok := windows[s].Latest(); ok {
+			marks[s] = sentMark{at: last.Time, sent: true}
 		}
 	}
 	return marks

@@ -1,14 +1,19 @@
 package collector
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -50,8 +55,8 @@ func TestFeedSinceFullThenDelta(t *testing.T) {
 		t.Fatalf("epoch = %d, want DataVersion %d", p.Epoch, ver)
 	}
 	total := 0
-	for _, s := range p.Channels {
-		total += len(s)
+	for _, e := range p.Channels {
+		total += len(e.Samples)
 	}
 	if total == 0 {
 		t.Fatal("full payload carries no samples")
@@ -75,9 +80,9 @@ func TestFeedSinceFullThenDelta(t *testing.T) {
 	if p3 == nil || p3.Full {
 		t.Fatalf("delta payload = %+v, want non-full", p3)
 	}
-	for k, s := range p3.Channels {
-		if len(s) > 2 {
-			t.Fatalf("channel %v delta carries %d samples, want <= 2 poll rounds", k, len(s))
+	for _, e := range p3.Channels {
+		if len(e.Samples) > 2 {
+			t.Fatalf("channel %v delta carries %d samples, want <= 2 poll rounds", e.Key, len(e.Samples))
 		}
 	}
 	if p3.Epoch <= p.Epoch {
@@ -99,8 +104,8 @@ func TestFeedSinceDeltaExtendsCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p != nil {
-			for k, s := range p.Channels {
-				got[k] = append(got[k], s...)
+			for _, e := range p.Channels {
+				got[e.Key] = append(got[e.Key], e.Samples...)
 			}
 		}
 	}
@@ -145,7 +150,11 @@ func TestStandbyDeltaApplyIsAtomic(t *testing.T) {
 	}
 	topo, _ := r.col.TopologyCtx(context.Background())
 	bad := keyFor(t, topo, "m-6", "timberline")
-	delta.Channels[bad] = []stats.Sample{{Time: 1, Value: 1}} // older than everything applied
+	for i := range delta.Channels {
+		if delta.Channels[i].Key == bad {
+			delta.Channels[i].Samples = []stats.Sample{{Time: 1, Value: 1}} // older than everything applied
+		}
+	}
 
 	snapshot := func() (*Topology, uint64, *FeedPayload) {
 		tp, err := standby.TopologyCtx(context.Background())
@@ -364,4 +373,143 @@ type staleFake struct{ fakeSource }
 func (s *staleFake) TopologyCtx(ctx context.Context) (*Topology, error) { return nil, ErrStaleReplica }
 func (s *staleFake) UtilizationCtx(context.Context, ChannelKey, float64) (stats.Stat, error) {
 	return stats.NoData(), ErrStaleReplica
+}
+
+// TestFeedDeltaAllocBudget: one epoch's replication on hier-300, from
+// FeedSince through the wire body to a replica's Extend, allocates per
+// section and per chunk of window storage, not per window: with the
+// state, the cursor and the payload sections held in maps it took
+// 2,535.
+func TestFeedDeltaAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes what allocates")
+	}
+	r := hierRig(t, 32)
+	cur := &FeedCursor{}
+	full, err := r.col.FeedSince(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := StateFromPayload(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body []byte
+	const epochs = 64 // two chunk lengths, so chunk allocations are averaged in
+	var mallocs uint64
+	for i := 0; i < epochs; i++ {
+		r.clk.Advance(2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := r.col.FeedSince(cur)
+		if err != nil || p == nil || p.Full {
+			t.Fatalf("epoch %d: FeedSince = %+v, %v; want a delta", i, p, err)
+		}
+		body = AppendFeedPayload(body[:0], p)
+		if p, err = DecodeFeedPayload(body); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = st.Extend(p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	per := float64(mallocs) / epochs
+	t.Logf("%.1f allocations per epoch", per)
+	const want = 93 // 1.2 x the 77 measured
+	if per > want {
+		t.Fatalf("a hier-300 delta took %.0f allocations from FeedSince to Extend, want <= %d", per, want)
+	}
+}
+
+// outsideTopology returns copies of a fig3 Full payload carrying, one
+// each, a channel and a host load that its topology does not have.
+func outsideTopology(t testing.TB, full *FeedPayload) map[string]*FeedPayload {
+	t.Helper()
+	samples := []stats.Sample{{Time: 1, Value: 1}}
+	channel := *full
+	channel.Channels = append(slices.Clone(full.Channels), ChannelSamples{Key: ChannelKey{Global: 99999}, Samples: samples})
+	load := *full
+	at, found := slices.BinarySearchFunc(full.Loads, graph.NodeID("no-such-host"),
+		func(e NodeSamples, id graph.NodeID) int { return strings.Compare(string(e.Node), string(id)) })
+	if found {
+		t.Fatal("fig3 has a host named no-such-host")
+	}
+	load.Loads = slices.Insert(slices.Clone(full.Loads), at, NodeSamples{Node: "no-such-host", Samples: samples})
+	return map[string]*FeedPayload{"channel {Global: 99999}": &channel, "load of no-such-host": &load}
+}
+
+// TestPayloadOutsideTopologyRefused: a payload naming a channel or a
+// host its topology does not have is refused whole, by each of the
+// three readers of a state body — the feed (a replica's Extend, a
+// standby's ApplyFeed), RestoreCheckpoint and LoadHistory — and
+// nothing is applied. No live collector ships one: its windows are its
+// topology's channels and hosts.
+func TestPayloadOutsideTopologyRefused(t *testing.T) {
+	r := feedRig(t)
+	r.net.SetHostLoad("m-5", 0.25)
+	r.clk.Advance(4)
+	full, err := r.col.FeedSince(&FeedCursor{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := StateFromPayload(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range outsideTopology(t, full) {
+		// The feed: the payload crosses the wire (its keys are in
+		// order), then fails to build a state.
+		wire, err := DecodeFeedPayload(AppendFeedPayload(nil, bad))
+		if err != nil {
+			t.Fatalf("%s: the body does not decode: %v", name, err)
+		}
+		if _, err := StateFromPayload(wire); err == nil || !strings.Contains(err.Error(), "not in the topology") {
+			t.Fatalf("%s: StateFromPayload err = %v", name, err)
+		}
+		delta := *wire
+		delta.Full, delta.Topo, delta.Capacity = false, nil, nil
+		if _, err := base.Extend(&delta); err == nil {
+			t.Fatalf("%s: Extend accepted it as a delta", name)
+		}
+		standby := New(Config{Clock: r.clk, PollPeriod: 2})
+		if err := standby.ApplyFeed(bad); err == nil {
+			t.Fatalf("%s: a standby applied it", name)
+		}
+		if _, err := standby.TopologyCtx(context.Background()); err == nil {
+			t.Fatalf("%s: a refused feed left the standby a topology", name)
+		}
+
+		// RestoreCheckpoint: the collector it was offered to is as cold
+		// as before.
+		ckpt := appendStateFile(nil, checkpointMagic, CheckpointVersion, func(b []byte) []byte {
+			return appendCheckpoint(b, &checkpointDump{SavedAt: 40, Polls: 20, State: *bad})
+		})
+		cold := New(Config{Clock: r.clk, PollPeriod: 2})
+		if _, err := cold.RestoreCheckpoint(bytes.NewReader(ckpt)); err == nil {
+			t.Fatalf("%s: RestoreCheckpoint accepted it", name)
+		}
+		if _, err := cold.TopologyCtx(context.Background()); err == nil || cold.Polls() != 0 {
+			t.Fatalf("%s: a refused checkpoint left state behind", name)
+		}
+
+		// LoadHistory.
+		hist := appendStateFile(nil, historyMagic, historyVersion, func(b []byte) []byte { return AppendFeedPayload(b, bad) })
+		if _, err := LoadHistory(bytes.NewReader(hist)); err == nil {
+			t.Fatalf("%s: LoadHistory accepted it", name)
+		}
+	}
+	// A checkpoint's counter table is held by channel slot too.
+	ckpt := appendStateFile(nil, checkpointMagic, CheckpointVersion, func(b []byte) []byte {
+		return appendCheckpoint(b, &checkpointDump{SavedAt: 40, State: *full,
+			Counters: []channelCounter{{ChannelKey{Global: 99999}, counterState{At: 38, Octets: 7, Valid: true}}}})
+	})
+	cold := New(Config{Clock: r.clk, PollPeriod: 2})
+	if _, err := cold.RestoreCheckpoint(bytes.NewReader(ckpt)); err == nil || !strings.Contains(err.Error(), "not in the topology") {
+		t.Fatalf("a counter baseline outside the topology: RestoreCheckpoint err = %v", err)
+	}
+	if _, err := cold.TopologyCtx(context.Background()); err == nil {
+		t.Fatal("a refused checkpoint left a topology behind")
+	}
 }

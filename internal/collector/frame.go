@@ -46,8 +46,11 @@ import (
 // to the response; 0x82 the one that still carried the four scalar
 // measurement ops (util, load, samples, age), which are reads now; 0x83
 // the one that carried the feed payload, region summary and telemetry
-// snapshot as length-prefixed gob blobs instead of codec.go bodies.
-const wireVersion = 0x84
+// snapshot as length-prefixed gob blobs instead of codec.go bodies;
+// 0x84 the one that wrote a map's entries in Go's map iteration order,
+// where this one writes them in ascending key order and refuses any
+// other.
+const wireVersion = 0x85
 
 // DefaultMaxFrame bounds one wire frame in bytes. Topology frames for
 // very large domains are the biggest legitimate messages; 4 MiB covers

@@ -137,6 +137,8 @@ func TestFrameCorruptPayload(t *testing.T) {
 		// refused here by their first byte, and ours there the same way
 		// (TestWireVersionIsNotThePreviousOne).
 		{"previous version", append([]byte{0x81}, body[1:]...), ErrWireVersion},
+		// The layout that wrote map entries in map iteration order.
+		{"map-order version", append([]byte{0x84}, body[1:]...), ErrWireVersion},
 		{"empty", nil, ErrMalformedFrame},
 		{"version only", []byte{wireVersion}, ErrMalformedFrame},
 		{"trailing byte", append(append([]byte{}, body...), 0), ErrMalformedFrame},

@@ -198,13 +198,14 @@ func fuzzStateBody[T any](t *testing.T, name string, data []byte, dec func(*wire
 func FuzzStateBody(f *testing.F) {
 	r := feedRig(f)
 	full, delta := feedPair(f, r)
-	for _, p := range []*FeedPayload{full, delta, {}} {
+	_, hierDelta := feedPair(f, hierRig(f, 20))
+	for _, p := range []*FeedPayload{full, delta, hierDelta, rediscoveryDelta(f, feedRig(f)), {}} {
 		f.Add(AppendFeedPayload(nil, p))
 	}
 	f.Add(appendSummary(nil, &RegionSummary{Region: "r0", Epoch: 2, Hosts: []RegionHost{{ID: "h", Power: 1}},
 		Borders: []RegionBorder{{ID: "b", InteriorBps: 1e9}}, Pairs: []RegionPair{{Peer: "r1", Links: 2}}}))
 	f.Add(appendTelemetry(nil, liveSnapshot()))
-	f.Add(appendCheckpoint(nil, &checkpointDump{SavedAt: 40, Polls: 20, Counters: r.col.counters, State: *full}))
+	f.Add(appendCheckpoint(nil, &checkpointDump{SavedAt: 40, Polls: 20, Counters: r.col.baselinesLocked(), State: *full}))
 	var ckpt, hist bytes.Buffer
 	if err := r.col.SaveCheckpoint(&ckpt); err != nil {
 		f.Fatal(err)
@@ -244,4 +245,24 @@ func FuzzStateBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rediscoveryDelta is the delta a rig's feed ships after a rediscovery:
+// samples and the topology, whose slots a receiver remaps its windows
+// onto.
+func rediscoveryDelta(t testing.TB, r *rig) *FeedPayload {
+	t.Helper()
+	cur := &FeedCursor{}
+	if _, err := r.col.FeedSince(cur); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(2)
+	if _, err := r.col.Discover(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := r.col.FeedSince(cur)
+	if err != nil || p == nil || p.Full || p.Topo == nil {
+		t.Fatalf("delta after a rediscovery = %+v, %v; want one that re-ships the topology", p, err)
+	}
+	return p
 }

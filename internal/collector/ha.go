@@ -78,13 +78,15 @@ func (c *Collector) ApplyFeed(p *FeedPayload) error {
 		c.mu.Unlock()
 		return err
 	}
-	c.st = next
 	applied := "collector.feed.applied.delta"
 	if p.Full {
-		c.counters = make(map[ChannelKey]counterState)
+		c.counters = make([]counterState, len(next.topo.chans))
 		c.stateGen++
 		applied = "collector.feed.applied.full"
+	} else if next.topo != c.st.topo {
+		c.counters = carry(c.counters, next.topo.chans, c.st.topo.chanSlotOf)
 	}
+	c.st = next
 	c.mu.Unlock()
 	advanceVersionTo(&c.dataVersion, p.Epoch)
 	c.bell.Ring()

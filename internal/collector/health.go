@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -73,31 +74,36 @@ type HealthSource interface {
 }
 
 // healthLocked returns (creating if needed) the mutable health record
-// for an agent. Callers hold c.mu.
-func (c *Collector) healthLocked(id graph.NodeID) *AgentHealth {
-	h := c.st.health[id]
-	if h == nil {
-		h = &AgentHealth{LastSuccess: -1, LastAttempt: -1}
-		c.st.health[id] = h
+// of agent slot i. The records are in node-ID order, as the agents are,
+// so once every agent has one, agent i's is record i. Callers hold c.mu.
+func (c *Collector) healthLocked(i int) *AgentHealth {
+	id := c.agents[i].id
+	if i < len(c.st.health) && c.st.health[i].Node == id {
+		return &c.st.health[i].Health
 	}
-	return h
+	j, ok := c.st.healthAt(id)
+	if !ok {
+		c.st.health = slices.Insert(c.st.health, j, NodeHealth{Node: id, Health: AgentHealth{LastSuccess: -1, LastAttempt: -1}})
+	}
+	return &c.st.health[j].Health
 }
 
 // allowAttempt consults the circuit breaker for agent slot i: it
 // reports whether the agent may be contacted now, recording either the
 // attempt or the skip, and hands back the agent's current poll plan
-// (nil: not learned yet) from the same critical section.
+// (nil: not learned yet), resolved against the current topology, from
+// the same critical section.
 func (c *Collector) allowAttempt(i int, now float64) (*pollPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := c.healthLocked(c.agents[i].id)
+	h := c.healthLocked(i)
 	if now < h.NextAttempt {
 		h.Skipped++
 		c.tel.Counter("collector.breaker.skips").Inc()
 		return nil, false
 	}
 	h.LastAttempt = now
-	return c.agents[i].plan, true
+	return c.resolvePlanLocked(i, c.agents[i].plan), true
 }
 
 // noteTransitionLocked counts a health state change in the telemetry
@@ -110,10 +116,10 @@ func (c *Collector) noteTransitionLocked(from, to HealthState) {
 }
 
 // recordSuccess closes the breaker and resets the agent to Healthy.
-func (c *Collector) recordSuccess(id graph.NodeID, now float64) {
+func (c *Collector) recordSuccess(i int, now float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := c.healthLocked(id)
+	h := c.healthLocked(i)
 	c.noteTransitionLocked(h.State, Healthy)
 	h.State = Healthy
 	h.ConsecutiveFailures = 0
@@ -123,12 +129,12 @@ func (c *Collector) recordSuccess(id graph.NodeID, now float64) {
 
 // recordFailure advances the state machine and re-arms the breaker with
 // exponential backoff.
-func (c *Collector) recordFailure(id graph.NodeID, now float64) {
+func (c *Collector) recordFailure(i int, now float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pollErrors++
 	c.telPollErrors.Inc()
-	h := c.healthLocked(id)
+	h := c.healthLocked(i)
 	h.ConsecutiveFailures++
 	next := Degraded
 	if h.ConsecutiveFailures >= c.cfg.DownAfter {
@@ -152,9 +158,9 @@ func (c *Collector) Health() map[graph.NodeID]AgentHealth {
 func (c *Collector) HealthOf(id graph.NodeID) (AgentHealth, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h, ok := c.st.health[id]
+	j, ok := c.st.healthAt(id)
 	if !ok {
 		return AgentHealth{}, false
 	}
-	return *h, true
+	return c.st.health[j].Health, true
 }

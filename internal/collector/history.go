@@ -18,10 +18,11 @@ import (
 // planning, tests with recorded traces).
 
 // historyMagic and historyVersion head a history file: a state file
-// (checkpoint.go) whose body is one Full feed payload.
+// (checkpoint.go) whose body is one Full feed payload. Version 1 wrote
+// the feed body of wire 0x84, its maps in map iteration order.
 const (
 	historyMagic   = "REMOS-HIST"
-	historyVersion = 1
+	historyVersion = 2
 )
 
 // SaveHistory writes the collector's topology and all measurement

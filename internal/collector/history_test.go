@@ -103,11 +103,21 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 		"+Inf time":  {Time: math.Inf(1), Value: 1},
 	} {
 		p := r.col.st.Payload()
-		p.Channels[k] = append(p.Channels[k], poison)
+		for i := range p.Channels {
+			if e := &p.Channels[i]; e.Key == k {
+				e.Samples = append(e.Samples, poison)
+			}
+		}
 		file := appendStateFile(nil, historyMagic, historyVersion, func(b []byte) []byte { return AppendFeedPayload(b, p) })
 		if _, err := LoadHistory(bytes.NewReader(file)); err == nil {
 			t.Fatalf("history with a %s sample accepted", name)
 		}
+	}
+
+	// Version 1 is this layout with its maps in iteration order.
+	v1 := appendStateFile(nil, historyMagic, 1, func(b []byte) []byte { return AppendFeedPayload(b, r.col.st.Payload()) })
+	if _, err := LoadHistory(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported history file version 1 (want 2)") {
+		t.Fatalf("a version 1 history file: err = %v", err)
 	}
 
 	// A history file from before the header — a bare gob Full payload —
@@ -116,7 +126,7 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 	if err := gob.NewEncoder(&old).Encode(r.col.st.Payload()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadHistory(&old); err == nil || !strings.Contains(err.Error(), "want a REMOS-HIST v1 header") {
+	if _, err := LoadHistory(&old); err == nil || !strings.Contains(err.Error(), "want a REMOS-HIST v2 header") {
 		t.Fatalf("headerless gob history: err = %v, want one naming the REMOS-HIST format", err)
 	}
 }

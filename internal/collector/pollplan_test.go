@@ -156,9 +156,17 @@ func sameRecords(t *testing.T, col, ref *Collector) {
 	defer col.mu.Unlock()
 	ref.mu.Lock()
 	defer ref.mu.Unlock()
-	if len(col.st.channels) != len(ref.st.channels) || len(col.st.loads) != len(ref.st.loads) {
+	made := func(ws []stats.Window) (n int) {
+		for i := range ws {
+			if ws[i].Made() {
+				n++
+			}
+		}
+		return n
+	}
+	if made(col.st.channels) != made(ref.st.channels) || made(col.st.loads) != made(ref.st.loads) {
 		t.Fatalf("%d channels %d hosts, reference %d and %d",
-			len(col.st.channels), len(col.st.loads), len(ref.st.channels), len(ref.st.loads))
+			made(col.st.channels), made(col.st.loads), made(ref.st.channels), made(ref.st.loads))
 	}
 	byTime := func(w *stats.Window) map[float64]float64 {
 		m := make(map[float64]float64)
@@ -167,19 +175,26 @@ func sameRecords(t *testing.T, col, ref *Collector) {
 		}
 		return m
 	}
-	for k, w := range col.st.channels {
-		want := byTime(ref.st.channels[k])
-		for tm, v := range byTime(w) {
-			if wv, ok := want[tm]; !ok || wv != v {
-				t.Fatalf("channel %v at t=%v: %v, reference %v (present %v)", k, tm, v, wv, ok)
+	for s := range col.st.channels {
+		if w := &col.st.channels[s]; w.Made() {
+			k := col.st.topo.chans[s]
+			want := byTime(ref.st.channel(k))
+			for tm, v := range byTime(w) {
+				if wv, ok := want[tm]; !ok || wv != v {
+					t.Fatalf("channel %v at t=%v: %v, reference %v (present %v)", k, tm, v, wv, ok)
+				}
 			}
 		}
 	}
-	for id, w := range col.st.loads {
-		want := byTime(ref.st.loads[id])
-		for tm, v := range byTime(w) {
-			if wv, ok := want[tm]; !ok || wv != v {
-				t.Fatalf("host %v at t=%v: %v, reference %v (present %v)", id, tm, v, wv, ok)
+	for s := range col.st.loads {
+		if w := &col.st.loads[s]; w.Made() {
+			id := col.st.topo.nodes[s]
+			rs, _ := ref.st.topo.nodeSlotOf(id)
+			want := byTime(&ref.st.loads[rs])
+			for tm, v := range byTime(w) {
+				if wv, ok := want[tm]; !ok || wv != v {
+					t.Fatalf("host %v at t=%v: %v, reference %v (present %v)", id, tm, v, wv, ok)
+				}
 			}
 		}
 	}

@@ -2,8 +2,9 @@ package collector
 
 import (
 	"fmt"
-	"maps"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/stats"
@@ -18,16 +19,28 @@ import (
 // FeedPayload (StateFromPayload / Payload); its read methods take the
 // reference clock as an argument, so a tier supplies only its "now".
 //
+// The state is held by slot: windows and capacities are slices in the
+// topology's slot order (Topology.index), so the poll, the feed and a
+// replica's apply reach a channel by position, and only a point read
+// looks a key up. A State's slots always index its own topology; a new
+// topology carries the windows over by key (carry).
+//
 // A State handed out by StateFromPayload or Extend is never written
 // again by this package: a holder that publishes it to concurrent
 // readers (the replica) needs no lock. The Collector is the one holder
 // that mutates its State in place, under its own mutex.
 type State struct {
-	topo     *Topology
-	channels map[ChannelKey]*stats.Window
-	loads    map[graph.NodeID]*stats.Window
-	capacity map[ChannelKey]float64
-	health   map[graph.NodeID]*AgentHealth
+	topo *Topology
+	// channels and capacity by channel slot, loads by node slot. A zero
+	// Window is a channel or host without data; a NaN capacity, a
+	// channel the state has none for.
+	channels []stats.Window
+	loads    []stats.Window
+	capacity []float64
+	// health holds every agent's record in ascending node-ID order. It
+	// is not by slot: an agent that never answered discovery has a
+	// record and may be in no topology.
+	health []NodeHealth
 
 	halfLife  float64 // accuracy half-life in seconds (0 = no decay)
 	windowLen int
@@ -35,21 +48,14 @@ type State struct {
 }
 
 func newState(halfLife float64, windowLen int, windowAge float64) *State {
-	return &State{
-		channels:  make(map[ChannelKey]*stats.Window),
-		loads:     make(map[graph.NodeID]*stats.Window),
-		capacity:  make(map[ChannelKey]float64),
-		health:    make(map[graph.NodeID]*AgentHealth),
-		halfLife:  halfLife,
-		windowLen: windowLen,
-		windowAge: windowAge,
-	}
+	return &State{halfLife: halfLife, windowLen: windowLen, windowAge: windowAge}
 }
 
 // StateFromPayload builds a State from a complete payload: a Full feed
 // update, the body of a checkpoint, a history file. It is all or
-// nothing — an incoherent topology, a non-finite sample or samples out
-// of time order fail the whole payload and nothing is returned.
+// nothing — an incoherent topology, a channel or host outside it, a
+// non-finite sample or samples out of time order fail the whole payload
+// and nothing is returned.
 func StateFromPayload(p *FeedPayload) (*State, error) {
 	if p.Topo == nil {
 		return nil, fmt.Errorf("collector: full payload without topology")
@@ -67,10 +73,10 @@ func StateFromPayload(p *FeedPayload) (*State, error) {
 }
 
 // Extend builds the successor of st from a delta payload and leaves st
-// as it was: shallow map copies, windows forked only where new samples
-// landed, topology/capacity and health replaced only when the payload
-// re-shipped them. Forked windows share their predecessor's storage
-// (stats.Window), so a delta costs the samples it ships, not the
+// as it was: the slot slices copied, windows extended only where new
+// samples landed, topology/capacity and health replaced only when the
+// payload re-shipped them. Extended windows share their predecessor's
+// storage (stats.Window), so a delta costs the samples it ships, not the
 // windows it touches. A Full payload is a fresh StateFromPayload; a nil
 // or never-discovered st can be extended by nothing else.
 func (st *State) Extend(p *FeedPayload) (*State, error) {
@@ -90,63 +96,123 @@ func (st *State) extend(p *FeedPayload) (*State, error) {
 	}
 	next := *st
 	next.halfLife = p.HalfLife
-	next.channels = maps.Clone(st.channels)
-	next.loads = maps.Clone(st.loads)
-	if topo != nil {
-		next.topo = topo
-		next.capacity = make(map[ChannelKey]float64, len(p.Capacity))
-		maps.Copy(next.capacity, p.Capacity)
-	}
-	for k, samples := range p.Channels {
-		if next.channels[k], err = next.extendWindow(next.channels[k], samples); err != nil {
+	if topo == nil {
+		// Windows are values: the copied slices fork every window at
+		// once and are the one slab the successor's window headers live
+		// in. A header lives in exactly one state's slice, so no slab
+		// outlives its state, whether or not the delta touched its
+		// windows; states share only sample storage, which each window
+		// bounds.
+		next.channels = slices.Clone(st.channels)
+		next.loads = slices.Clone(st.loads)
+	} else {
+		next.topo = topo.index()
+		next.channels = carry(st.channels, topo.chans, st.topo.chanSlotOf)
+		next.loads = carry(st.loads, topo.nodes, st.topo.nodeSlotOf)
+		next.capacity = make([]float64, len(topo.chans))
+		for i := range next.capacity {
+			next.capacity[i] = math.NaN()
+		}
+		if err := inStep(topo.chans, p.Capacity, func(e *ChannelCapacity) ChannelKey { return e.Key }, compareKeys,
+			func(s int, e *ChannelCapacity) error { next.capacity[s] = e.Bps; return nil }); err != nil {
 			return nil, err
 		}
 	}
-	for id, samples := range p.Loads {
-		nid := graph.NodeID(id)
-		if next.loads[nid], err = next.extendWindow(next.loads[nid], samples); err != nil {
-			return nil, err
-		}
+	if err := inStep(next.topo.chans, p.Channels, func(e *ChannelSamples) ChannelKey { return e.Key }, compareKeys,
+		func(s int, e *ChannelSamples) error { return next.extendWindow(&next.channels[s], e.Samples) }); err != nil {
+		return nil, err
+	}
+	if err := inStep(next.topo.nodes, p.Loads, func(e *NodeSamples) graph.NodeID { return e.Node }, compareNodes,
+		func(s int, e *NodeSamples) error { return next.extendWindow(&next.loads[s], e.Samples) }); err != nil {
+		return nil, err
 	}
 	if p.Health != nil {
-		// Health ships with every delta: one slab, not a record per agent.
-		records := make([]AgentHealth, 0, len(p.Health))
-		next.health = make(map[graph.NodeID]*AgentHealth, len(p.Health))
-		for id, h := range p.Health {
-			records = append(records, h)
-			next.health[graph.NodeID(id)] = &records[len(records)-1]
+		for i := 1; i < len(p.Health); i++ {
+			if compareNodes(p.Health[i-1].Node, p.Health[i].Node) >= 0 {
+				return nil, fmt.Errorf("collector: payload health not in ascending node order at %q", p.Health[i].Node)
+			}
 		}
+		// Health ships with every delta, whole: one slab, which the
+		// Collector may go on to write in place.
+		next.health = slices.Clone(p.Health)
 	}
 	return &next, nil
 }
 
-// extendWindow forks prev (nil: a window new to this state) and appends
-// the shipped samples to the fork; prev is left as it was. This is the
-// one place shipped samples are checked: each must be finite, and times
-// must not go backwards (a corrupt or adversarial payload fails the
-// apply, it does not poison a window).
-func (st *State) extendWindow(prev *stats.Window, samples []stats.Sample) (*stats.Window, error) {
+func compareNodes(a, b graph.NodeID) int { return strings.Compare(string(a), string(b)) }
+
+// inStep calls apply for each entry of a payload section with the slot
+// of its key, found by walking the entries and the topology's ascending
+// keys in step: no lookup. An entry whose key is not above its
+// predecessor's, or is not in keys, fails the whole payload — under
+// slots it has nowhere to go.
+func inStep[E, K any](keys []K, entries []E, keyOf func(*E) K, compare func(K, K) int, apply func(int, *E) error) error {
+	s := 0
+	for i := range entries {
+		k := keyOf(&entries[i])
+		if i > 0 && compare(keyOf(&entries[i-1]), k) >= 0 {
+			return fmt.Errorf("collector: payload key %v not above its predecessor", k)
+		}
+		for s < len(keys) && compare(keys[s], k) < 0 {
+			s++
+		}
+		if s == len(keys) || compare(keys[s], k) != 0 {
+			return fmt.Errorf("collector: payload key %v is not in the topology", k)
+		}
+		if err := apply(s, &entries[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// carry lays vals, held by the slots oldSlot resolves, out in the order
+// of keys: the rare path of a new topology. A value whose key is not in
+// keys is left behind; a key new to keys starts at the zero value.
+func carry[T, K any](vals []T, keys []K, oldSlot func(K) (int, bool)) []T {
+	out := make([]T, len(keys))
+	for s, k := range keys {
+		if o, ok := oldSlot(k); ok {
+			out[s] = vals[o]
+		}
+	}
+	return out
+}
+
+// extendWindow appends the shipped samples to *w, making it first when
+// the slot has no window yet. This is the one place shipped samples are
+// checked: each must be finite, and times must not go backwards (a
+// corrupt or adversarial payload fails the apply, it does not poison a
+// window).
+func (st *State) extendWindow(w *stats.Window, samples []stats.Sample) error {
 	for _, s := range samples {
 		if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) ||
 			math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
-			return nil, fmt.Errorf("collector: non-finite sample in payload")
+			return fmt.Errorf("collector: non-finite sample in payload")
 		}
 	}
-	var w *stats.Window
-	if prev == nil {
-		w = stats.NewWindow(st.windowLen, st.windowAge)
-	} else {
-		w = prev.Fork()
+	if !w.Made() {
+		*w = stats.MakeWindow(st.windowLen, st.windowAge)
 	}
 	if err := w.AddAll(samples); err != nil {
-		return nil, fmt.Errorf("collector: corrupt payload: %w", err)
+		return fmt.Errorf("collector: corrupt payload: %w", err)
 	}
-	return w, nil
+	return nil
+}
+
+// setTopology installs a new topology into a state its holder owns (the
+// Collector's), carrying every window over by key, with capacity by
+// channel slot.
+func (st *State) setTopology(topo *Topology, capacity []float64) {
+	st.channels = carry(st.channels, topo.chans, st.topo.chanSlotOf)
+	st.loads = carry(st.loads, topo.nodes, st.topo.nodeSlotOf)
+	st.topo, st.capacity = topo, capacity
 }
 
 // Payload is the inverse of StateFromPayload: the Full payload holding
-// everything in st. The caller stamps what a State does not know — the
-// Epoch, Term, Now and PollPeriod of the moment it is taken.
+// everything in st, every section in slot order. The caller stamps what
+// a State does not know — the Epoch, Term, Now and PollPeriod of the
+// moment it is taken.
 func (st *State) Payload() *FeedPayload {
 	p := &FeedPayload{
 		Full:      true,
@@ -154,25 +220,45 @@ func (st *State) Payload() *FeedPayload {
 		WindowLen: st.windowLen,
 		WindowAge: st.windowAge,
 		Topo:      topoToWire(st.topo),
-		Capacity:  maps.Clone(st.capacity),
-		Channels:  make(map[ChannelKey][]stats.Sample, len(st.channels)),
-		Loads:     make(map[string][]stats.Sample, len(st.loads)),
-		Health:    make(map[string]AgentHealth, len(st.health)),
+		Capacity:  st.capacities(),
+		Channels:  make([]ChannelSamples, 0, len(st.channels)),
+		Loads:     make([]NodeSamples, 0, len(st.loads)),
+		Health:    append(make([]NodeHealth, 0, len(st.health)), st.health...),
 	}
-	for k, w := range st.channels {
-		p.Channels[k] = w.Samples()
+	for s := range st.channels {
+		if w := &st.channels[s]; w.Made() {
+			p.Channels = append(p.Channels, ChannelSamples{Key: st.topo.chans[s], Samples: w.Samples()})
+		}
 	}
-	for id, w := range st.loads {
-		p.Loads[string(id)] = w.Samples()
-	}
-	for id, h := range st.health {
-		p.Health[string(id)] = *h
+	for s := range st.loads {
+		if w := &st.loads[s]; w.Made() {
+			p.Loads = append(p.Loads, NodeSamples{Node: st.topo.nodes[s], Samples: w.Samples()})
+		}
 	}
 	return p
 }
 
+// capacities is st's capacity section, in slot order.
+func (st *State) capacities() []ChannelCapacity {
+	out := make([]ChannelCapacity, 0, len(st.capacity))
+	for s, v := range st.capacity {
+		if !math.IsNaN(v) {
+			out = append(out, ChannelCapacity{Key: st.topo.chans[s], Bps: v})
+		}
+	}
+	return out
+}
+
 // Topology returns the state's network map (nil before any discovery).
 func (st *State) Topology() *Topology { return st.topo }
+
+// channel is key's window; nil when the state holds none.
+func (st *State) channel(key ChannelKey) *stats.Window {
+	if s, ok := st.topo.chanSlotOf(key); ok && st.channels[s].Made() {
+		return &st.channels[s]
+	}
+	return nil
+}
 
 // aged stamps the data age at the reference time now onto a summary and
 // decays its accuracy by the half-life: how an agent outage, a feed
@@ -189,7 +275,7 @@ func (st *State) aged(s stats.Stat, w *stats.Window, now float64) stats.Stat {
 
 // Utilization summarizes a channel over the trailing span, aged at now.
 func (st *State) Utilization(key ChannelKey, span, now float64) (stats.Stat, error) {
-	w := st.channels[key]
+	w := st.channel(key)
 	if w == nil {
 		return stats.NoData(), fmt.Errorf("collector: unknown channel %v", key)
 	}
@@ -199,17 +285,18 @@ func (st *State) Utilization(key ChannelKey, span, now float64) (stats.Stat, err
 // HostLoad summarizes a host's CPU load over the trailing span, aged at
 // now.
 func (st *State) HostLoad(node graph.NodeID, span, now float64) (stats.Stat, error) {
-	w := st.loads[node]
-	if w == nil {
+	s, ok := st.topo.nodeSlotOf(node)
+	if !ok || !st.loads[s].Made() {
 		return stats.NoData(), fmt.Errorf("collector: no load data for %q", node)
 	}
+	w := &st.loads[s]
 	return st.aged(w.Summary(span), w, now), nil
 }
 
 // DataAge is how many seconds before now the channel's newest sample
 // was taken.
 func (st *State) DataAge(key ChannelKey, now float64) (float64, error) {
-	w := st.channels[key]
+	w := st.channel(key)
 	if w == nil {
 		return 0, fmt.Errorf("collector: unknown channel %v", key)
 	}
@@ -222,7 +309,7 @@ func (st *State) DataAge(key ChannelKey, now float64) (float64, error) {
 
 // Samples returns a copy of a channel's retained samples.
 func (st *State) Samples(key ChannelKey) ([]stats.Sample, error) {
-	w := st.channels[key]
+	w := st.channel(key)
 	if w == nil {
 		return nil, fmt.Errorf("collector: unknown channel %v", key)
 	}
@@ -231,15 +318,24 @@ func (st *State) Samples(key ChannelKey) ([]stats.Sample, error) {
 
 // Capacity returns the discovered capacity of a channel in bits/s.
 func (st *State) Capacity(key ChannelKey) (float64, bool) {
-	v, ok := st.capacity[key]
-	return v, ok
+	s, ok := st.topo.chanSlotOf(key)
+	if !ok || math.IsNaN(st.capacity[s]) {
+		return 0, false
+	}
+	return st.capacity[s], true
 }
 
 // Health returns a copy of the per-agent health map.
 func (st *State) Health() map[graph.NodeID]AgentHealth {
 	out := make(map[graph.NodeID]AgentHealth, len(st.health))
-	for id, h := range st.health {
-		out[id] = *h
+	for _, h := range st.health {
+		out[h.Node] = h.Health
 	}
 	return out
+}
+
+// healthAt is the index of id's record in st.health, or where it would
+// go, and whether it is there.
+func (st *State) healthAt(id graph.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(st.health, id, func(h NodeHealth, id graph.NodeID) int { return compareNodes(h.Node, id) })
 }

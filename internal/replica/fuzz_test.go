@@ -1,14 +1,18 @@
 package replica
 
 import (
+	"cmp"
 	"encoding/gob"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/collector"
+	"repro/internal/graph"
+	"repro/internal/stats"
 )
 
 // FuzzDecodeDelta feeds arbitrary bytes through the production feed
@@ -41,10 +45,42 @@ func FuzzDecodeDelta(f *testing.F) {
 			f.Add(collector.AppendFeedPayload(nil, d))
 		}
 	}
+	// A rediscovery's delta, which re-ships the topology: the remap of
+	// the windows onto its slots.
+	r.clk.Advance(2)
+	if _, err := r.col.Discover(); err != nil {
+		f.Fatal(err)
+	}
+	if d, err := r.col.FeedSince(cur); err != nil || d == nil || d.Topo == nil {
+		f.Fatalf("delta after a rediscovery = %+v, %v", d, err)
+	} else {
+		f.Add(collector.AppendFeedPayload(nil, d))
+	}
+	// A hier-300 delta: every section long.
+	hier := hier300Rig(f)
+	hcur := &collector.FeedCursor{}
+	if _, err := hier.col.FeedSince(hcur); err != nil {
+		f.Fatal(err)
+	}
+	hier.clk.Advance(2)
+	if d, err := hier.col.FeedSince(hcur); err != nil || d == nil || d.Full {
+		f.Fatalf("hier-300 delta = %+v, %v", d, err)
+	} else {
+		f.Add(collector.AppendFeedPayload(nil, d))
+	}
 	// A hand-rolled hostile payload: out-of-order samples.
 	evil := *full
 	evil.Full = false
 	f.Add(collector.AppendFeedPayload(nil, &evil))
+	// A Full payload with a channel its topology does not have: refused
+	// whole, it has no slot to go to.
+	outside := *full
+	outside.Channels = append(slices.Clone(full.Channels),
+		collector.ChannelSamples{Key: collector.ChannelKey{Global: 99999}, Samples: []stats.Sample{{Time: 1, Value: 1}}})
+	if _, err := collector.StateFromPayload(&outside); err == nil {
+		f.Fatal("StateFromPayload accepted a channel outside the topology")
+	}
+	f.Add(collector.AppendFeedPayload(nil, &outside))
 	// A Full payload whose link names an endpoint ("aspei") that is no
 	// declared node: the topology check must fail, not panic.
 	dangling := gobCorpusEntry(f, "testdata/fuzz/FuzzDecodeDelta/825ac52e7e21e9b1")
@@ -80,14 +116,33 @@ func FuzzDecodeDelta(f *testing.F) {
 			return
 		}
 		// An accepted delta must keep per-window sample order.
-		for k, s := range next.Payload().Channels {
-			for i := 1; i < len(s); i++ {
-				if s[i].Time < s[i-1].Time {
-					t.Fatalf("channel %v: samples out of order after accepted delta", k)
+		for _, e := range next.Payload().Channels {
+			for i := 1; i < len(e.Samples); i++ {
+				if e.Samples[i].Time < e.Samples[i-1].Time {
+					t.Fatalf("channel %v: samples out of order after accepted delta", e.Key)
 				}
 			}
 		}
 	})
+}
+
+// gobPayload is the gob shape of a FeedPayload from before its
+// sections were lists of entries: gob matches fields by name, so the
+// checked-in corpus file decodes into it.
+type gobPayload struct {
+	Epoch      uint64
+	Full       bool
+	Now        float64
+	HalfLife   float64
+	WindowLen  int
+	WindowAge  float64
+	PollPeriod float64
+	Term       uint64
+	Topo       *collector.WireTopo
+	Capacity   map[collector.ChannelKey]float64
+	Channels   map[collector.ChannelKey][]stats.Sample
+	Loads      map[string][]stats.Sample
+	Health     map[string]collector.AgentHealth
 }
 
 // gobCorpusEntry reads a checked-in corpus file holding a gob-encoded
@@ -102,9 +157,35 @@ func gobCorpusEntry(f *testing.F, path string) []byte {
 	if err != nil {
 		f.Fatalf("%s: %v", path, err)
 	}
-	var p collector.FeedPayload
-	if err := gob.NewDecoder(strings.NewReader(body)).Decode(&p); err != nil {
+	var g gobPayload
+	if err := gob.NewDecoder(strings.NewReader(body)).Decode(&g); err != nil {
 		f.Fatalf("%s: %v", path, err)
 	}
+	p := collector.FeedPayload{Epoch: g.Epoch, Full: g.Full, Now: g.Now, HalfLife: g.HalfLife,
+		WindowLen: g.WindowLen, WindowAge: g.WindowAge, PollPeriod: g.PollPeriod, Term: g.Term, Topo: g.Topo}
+	byKey := func(a, b collector.ChannelKey) int {
+		return cmp.Or(cmp.Compare(a.Global, b.Global), cmp.Compare(a.Dir, b.Dir))
+	}
+	for _, k := range sortedKeys(g.Capacity, byKey) {
+		p.Capacity = append(p.Capacity, collector.ChannelCapacity{Key: k, Bps: g.Capacity[k]})
+	}
+	for _, k := range sortedKeys(g.Channels, byKey) {
+		p.Channels = append(p.Channels, collector.ChannelSamples{Key: k, Samples: g.Channels[k]})
+	}
+	for _, id := range sortedKeys(g.Loads, strings.Compare) {
+		p.Loads = append(p.Loads, collector.NodeSamples{Node: graph.NodeID(id), Samples: g.Loads[id]})
+	}
+	for _, id := range sortedKeys(g.Health, strings.Compare) {
+		p.Health = append(p.Health, collector.NodeHealth{Node: graph.NodeID(id), Health: g.Health[id]})
+	}
 	return collector.AppendFeedPayload(nil, &p)
+}
+
+func sortedKeys[K comparable, V any](m map[K]V, compare func(K, K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
 }

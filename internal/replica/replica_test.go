@@ -290,8 +290,8 @@ func TestStoreApplyRejectsIncoherentPayloads(t *testing.T) {
 	// Non-finite samples are rejected.
 	bad := collector.FeedPayload{
 		Epoch: p.Epoch + 1,
-		Channels: map[collector.ChannelKey][]stats.Sample{
-			{Global: 0}: {{Time: math.NaN(), Value: 1}},
+		Channels: []collector.ChannelSamples{
+			{Key: p.Channels[0].Key, Samples: []stats.Sample{{Time: math.NaN(), Value: 1}}},
 		},
 	}
 	if _, err := st.Extend(&bad); err == nil {

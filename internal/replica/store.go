@@ -11,10 +11,10 @@ import (
 // as the Modeler's topology snapshots). Query goroutines Load it and
 // read freely; the feed goroutine never mutates a published store —
 // applying a delta builds a successor around collector.State.Extend,
-// which forks only the windows that received samples. The feed
-// goroutine is the windows' single writer; it appends at the tip, and a
-// delta retried from an older store (one that failed half-way) copies at
-// most one chunk per window instead.
+// which copies the window headers and appends only to the windows that
+// received samples. The feed goroutine is the windows' single writer; it
+// appends at the tip, and a delta retried from an older store (one that
+// failed half-way) copies at most one chunk per window instead.
 type store struct {
 	*collector.State
 	epoch uint64 // collector DataVersion this state reflects

@@ -30,20 +30,23 @@ type chunk [chunkLen]Sample
 // A Window is a persistent sequence: a view (head, count) over chunks
 // that are only ever written beyond the end of every existing view. Add
 // advances the handle it is called on and leaves every other handle of
-// the same samples (see Fork) exactly as it was, so a reader holding an
-// older view needs no lock and never observes the writer. Appending costs
-// one slot write, plus one 512 B chunk every 32 samples; nothing is
-// copied when the window is full, and nothing is preallocated when it is
-// short.
+// the same samples (a copy of the Window value) exactly as it was, so a
+// reader holding an older view needs no lock and never observes the
+// writer. Appending costs one slot write, plus one 512 B chunk every 32
+// samples; nothing is copied when the window is full, and nothing is
+// preallocated when it is short.
 //
-// Single writer: all handles forked from one window share a tip marker,
+// Single writer: all handles copied from one window share a tip marker,
 // so Add on any of them must be serialised by the caller (the collector
 // holds c.mu, the replica appends from its one feed goroutine). The
 // handle that is at the tip appends in place; any other handle (a view
 // some successor has already appended past) first copies its partly
 // filled last chunk, at most 512 B, and continues on its own.
 //
-// The zero value is unusable; call NewWindow.
+// The zero value is unusable; call NewWindow or MakeWindow. A copy of
+// a Window value is a second handle on the same samples, sharing all
+// storage: a copy-on-write holder (a State, the read replica's store)
+// copies a window and appends to the copy.
 type Window struct {
 	maxAge  float64 // samples older than newest-maxAge are dropped; 0 = keep all
 	maxLen  int     // hard cap on retained samples
@@ -61,19 +64,23 @@ type Window struct {
 // than maxAge seconds relative to the most recent sample. maxLen must be
 // positive.
 func NewWindow(maxLen int, maxAge float64) *Window {
+	w := MakeWindow(maxLen, maxAge)
+	return &w
+}
+
+// MakeWindow is NewWindow by value, for a holder that keeps its windows
+// in a slice.
+func MakeWindow(maxLen int, maxAge float64) Window {
 	if maxLen <= 0 {
 		panic(fmt.Sprintf("stats: non-positive window length %d", maxLen))
 	}
-	return &Window{maxAge: maxAge, maxLen: maxLen, tip: new(uint64)}
+	return Window{maxAge: maxAge, maxLen: maxLen, tip: new(uint64)}
 }
 
-// Fork returns a second handle on the same samples, sharing all storage.
-// Copy-on-write consumers (the read replica's snapshot store) fork a
-// window and Add to the fork; readers of the original never observe it.
-func (w *Window) Fork() *Window {
-	cp := *w
-	return &cp
-}
+// Made reports whether w came from NewWindow or MakeWindow (or is a
+// copy of one that did). The zero Window did not: it holds nothing and
+// cannot be appended to.
+func (w *Window) Made() bool { return w.tip != nil }
 
 // Add appends a sample. Samples must arrive in nondecreasing time order;
 // out-of-order samples are rejected with an error (a multi-collector merge

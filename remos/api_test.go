@@ -42,10 +42,10 @@ var (
 			Links:        []remos.WireLink{{A: "a", B: "b", Capacity: 1, Latency: 1, Global: 1}},
 			DiscoveredAt: 1,
 		},
-		Capacity: map[remos.ChannelKey]float64{},
-		Channels: map[remos.ChannelKey][]stats.Sample{},
-		Loads:    map[string][]stats.Sample{},
-		Health:   map[string]remos.AgentHealth{},
+		Capacity: []remos.ChannelCapacity{{Key: remos.ChannelKey{Global: 1}, Bps: 1}},
+		Channels: []remos.ChannelSamples{{Key: remos.ChannelKey{Global: 1}, Samples: []stats.Sample{}}},
+		Loads:    []remos.NodeSamples{{Node: "n", Samples: []stats.Sample{}}},
+		Health:   []remos.NodeHealth{{Node: "n", Health: remos.AgentHealth{}}},
 	}
 
 	// The subscription kind and the typed standby refusal.

@@ -156,6 +156,14 @@ type (
 	// protocol without reaching into collector internals.
 	FeedPayload = collector.FeedPayload
 
+	// ChannelSamples, NodeSamples, ChannelCapacity and NodeHealth are
+	// the entries of a FeedPayload's sections, each section in
+	// ascending key order.
+	ChannelSamples  = collector.ChannelSamples
+	NodeSamples     = collector.NodeSamples
+	ChannelCapacity = collector.ChannelCapacity
+	NodeHealth      = collector.NodeHealth
+
 	// FeedCursor tracks one feed subscription's replication progress;
 	// pass a zero cursor to FeedSource.FeedSince to start from a Full
 	// snapshot.
