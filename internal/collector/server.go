@@ -445,13 +445,21 @@ func (s *Server) serveConn(sc *servedConn, busy bool) {
 			return
 		case f.Kind == mfRequest && f.Req != nil && f.Req.Op == opWatch:
 			// Subscriptions register synchronously in the read loop so
-			// the ack precedes any teardown race with a fast Cancel.
+			// the ack precedes any teardown race with a fast Cancel. The
+			// pusher starts only once the ack is written, so no update
+			// can overtake it on the stream.
 			resp, sub := s.registerWatch(sc, f.Stream, f.Req)
 			if err := sc.writeFrame(&muxFrame{Stream: f.Stream, Kind: mfResponse, Resp: resp},
 				s.cfg.IdleTimeout); err != nil {
+				if sub != nil {
+					s.cancelSub(sub)
+					close(sub.done) // no pusher ever ran
+				}
 				return
 			}
 			if sub != nil {
+				s.wg.Add(1)
+				go s.pushLoop(sub)
 				s.hub.kick()
 			}
 		case f.Kind == mfRequest && f.Req != nil:

@@ -453,7 +453,7 @@ type subscription struct {
 	sc     *servedConn
 	ctx    context.Context // ends the pusher
 	stop   context.CancelFunc
-	done   chan struct{} // closed when the pusher exits
+	done   chan struct{} // closed when the pusher exits, or when it never starts
 	once   sync.Once
 }
 
@@ -658,6 +658,7 @@ func (c *Collector) Watch(ctx context.Context, req WatchRequest) (*WatchHandle, 
 
 // registerWatch admits one watch request on a connection: the response
 // is its subscribe ack (or typed refusal), sub is non-nil on success.
+// The caller writes the ack, then starts sub's pushLoop.
 func (s *Server) registerWatch(sc *servedConn, stream uint64, req *request) (*response, *subscription) {
 	if req.Watch == nil {
 		return &response{Err: `collector: malformed watch request (kind "<nil>")`}, nil
@@ -714,8 +715,6 @@ func (s *Server) registerWatch(sc *servedConn, stream uint64, req *request) (*re
 	sc.subs[stream] = sub
 	s.mu.Unlock()
 	s.tel.Counter("server.watch.subscribed").Inc()
-	s.wg.Add(1)
-	go s.pushLoop(sub)
 	return &response{}, sub
 }
 

@@ -769,3 +769,54 @@ func TestWatchGoroutinesPerSubscription(t *testing.T) {
 	srv.Close()
 	waitGoroutines(t, base, "all torn down")
 }
+
+// TestWatchAckPrecedesUpdates: with the source's version bell ringing
+// in a tight loop, every one of many pipelined subscribes reads its ack
+// as the first frame on its stream; no update overtakes it. The updates
+// are 40 kB region digests, so the streams' earlier subscriptions keep
+// the connection's writer busy while each later ack waits for it.
+func TestWatchAckPrecedesUpdates(t *testing.T) {
+	src := newVersionedFake()
+	srv, err := ServeConfig(fatSummaryFake{src}, "127.0.0.1:0", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	stop := make(chan struct{})
+	rang := make(chan struct{})
+	go func() {
+		defer close(rang)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				src.bump()
+			}
+		}
+	}()
+	defer func() { close(stop); <-rang }()
+
+	const conns, subs = 4, 32
+	for c := 0; c < conns; c++ {
+		p := dialRaw(t, srv.Addr())
+		for i := 0; i < subs; i++ {
+			p.send(&request{Op: "watch", Watch: &WatchRequest{Kind: WatchRegionSummary}})
+		}
+		acked := make(map[uint64]bool, subs)
+		for len(acked) < subs {
+			var f muxFrame
+			if err := readFrame(p.br, &f, 0); err != nil {
+				t.Fatalf("connection %d, after %d acks: %v", c, len(acked), err)
+			}
+			switch {
+			case f.Kind == mfResponse && f.Resp != nil && f.Resp.Err == "":
+				acked[f.Stream] = true
+			case f.Kind == mfUpdate && !acked[f.Stream]:
+				t.Fatalf("connection %d: stream %d read an update before its ack", c, f.Stream)
+			case f.Kind != mfUpdate:
+				t.Fatalf("connection %d: stream %d: unexpected frame %+v", c, f.Stream, f)
+			}
+		}
+	}
+}

@@ -119,6 +119,7 @@ func PredictionStudy() []PredictorEval {
 				ch = graph.Channel{Link: l.ID, Dir: l.DirFrom("timberline")}
 			}
 		}
+		bits := e.Net.ChannelCounter(ch)
 
 		var obs []*observation
 		for at := firstAt; at <= lastAt; at += interval {
@@ -129,11 +130,9 @@ func PredictionStudy() []PredictorEval {
 				if err == nil {
 					o.samples = append([]stats.Sample(nil), samples...)
 				}
-				e.Net.Sync()
-				startBits := e.Net.ChannelBits(ch)
+				startBits := bits()
 				e.Clk.After(horizon, "forecast-truth", func(simclock.Time) {
-					e.Net.Sync()
-					o.actual = (e.Net.ChannelBits(ch) - startBits) / horizon
+					o.actual = (bits() - startBits) / horizon
 				})
 			})
 		}

@@ -185,7 +185,6 @@ func TestSimulatorIsMaxMinFairLive(t *testing.T) {
 		live = append(live, e.Net.StartFlow(netsim.FlowSpec{Src: p[0], Dst: p[1]}))
 	}
 	e.Clk.Advance(1)
-	e.Net.Sync()
 	// Elastic flows sharing a saturated resource must have equal rates
 	// unless bottlenecked elsewhere; spot-check the two crossing t->w.
 	r1, r2 := live[0].Rate(), live[1].Rate()

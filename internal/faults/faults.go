@@ -50,6 +50,10 @@ func (w window) contains(t float64) bool { return t >= w.from && t < w.to }
 type agentFaults struct {
 	attempts, delivered, blackholed, lost, timedOut, corrupted atomic.Uint64
 
+	// armed is set, under Injector.mu, while the schedule below holds
+	// any fault; a request to an unarmed agent takes no lock.
+	armed atomic.Bool
+
 	windows []window // blackhole intervals
 	loss    float64  // per-request drop probability
 	latency float64  // added response latency (virtual seconds)
@@ -64,9 +68,10 @@ type Injector struct {
 	clock   *simclock.Clock
 	timeout float64
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	agents map[string]*agentFaults
+	mu  sync.Mutex // guards every schedule, rng and timeout
+	rng *rand.Rand
+
+	agents sync.Map // address -> *agentFaults, created on first use
 }
 
 // New wraps inner with an empty fault schedule. The clock positions
@@ -78,7 +83,6 @@ func New(inner snmp.Transport, clock *simclock.Clock, seed int64) *Injector {
 		clock:   clock,
 		timeout: DefaultTimeout,
 		rng:     rand.New(rand.NewSource(seed)),
-		agents:  make(map[string]*agentFaults),
 	}
 }
 
@@ -92,12 +96,16 @@ func (i *Injector) SetTimeout(d float64) {
 }
 
 func (i *Injector) faultsFor(addr string) *agentFaults {
-	f := i.agents[addr]
-	if f == nil {
-		f = &agentFaults{}
-		i.agents[addr] = f
+	f, ok := i.agents.Load(addr)
+	if !ok {
+		f, _ = i.agents.LoadOrStore(addr, &agentFaults{})
 	}
-	return f
+	return f.(*agentFaults)
+}
+
+// rearm sets f.armed from its schedule; callers hold i.mu.
+func (f *agentFaults) rearm() {
+	f.armed.Store(len(f.windows) > 0 || f.loss > 0 || f.latency > 0 || f.corrupt > 0)
 }
 
 // Blackhole drops every request to addr in the virtual-time interval
@@ -110,6 +118,7 @@ func (i *Injector) Blackhole(addr string, from, to float64) {
 	defer i.mu.Unlock()
 	f := i.faultsFor(addr)
 	f.windows = append(f.windows, window{from: from, to: to})
+	f.rearm()
 }
 
 // FlapAt takes addr down at virtual time `at` for `downFor` seconds —
@@ -122,7 +131,9 @@ func (i *Injector) FlapAt(addr string, at, downFor float64) {
 func (i *Injector) Loss(addr string, p float64) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.faultsFor(addr).loss = p
+	f := i.faultsFor(addr)
+	f.loss = p
+	f.rearm()
 }
 
 // Latency adds d virtual seconds to every response from addr. A
@@ -132,7 +143,9 @@ func (i *Injector) Loss(addr string, p float64) {
 func (i *Injector) Latency(addr string, d float64) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.faultsFor(addr).latency = d
+	f := i.faultsFor(addr)
+	f.latency = d
+	f.rearm()
 }
 
 // Corrupt flips one byte of each response from addr independently with
@@ -140,7 +153,9 @@ func (i *Injector) Latency(addr string, d float64) {
 func (i *Injector) Corrupt(addr string, p float64) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.faultsFor(addr).corrupt = p
+	f := i.faultsFor(addr)
+	f.corrupt = p
+	f.rearm()
 }
 
 // Restore clears addr's entire fault schedule; its counters stay.
@@ -149,47 +164,31 @@ func (i *Injector) Restore(addr string) {
 	defer i.mu.Unlock()
 	f := i.faultsFor(addr)
 	f.windows, f.loss, f.latency, f.corrupt = nil, 0, 0, 0
+	f.rearm()
 }
 
 // CountersFor returns a snapshot of the injector's effect on addr.
 func (i *Injector) CountersFor(addr string) Counters {
-	i.mu.Lock()
 	f := i.faultsFor(addr)
-	i.mu.Unlock()
 	return Counters{Attempts: f.attempts.Load(), Delivered: f.delivered.Load(), Blackholed: f.blackholed.Load(),
 		Lost: f.lost.Load(), TimedOut: f.timedOut.Load(), Corrupted: f.corrupted.Load()}
 }
 
 // RoundTrip implements snmp.Transport: it applies addr's schedule at
 // the current virtual time, then delegates survivors to the wrapped
-// transport. It takes the mutex once, and again only to draw a due
-// corruption's byte.
+// transport. An agent with no fault scheduled costs its two counters
+// and no lock; otherwise the schedule takes the mutex once, and again
+// only to draw a due corruption's byte.
 func (i *Injector) RoundTrip(addr string, req []byte) ([]byte, error) {
-	now := float64(i.clock.Now())
-	i.mu.Lock()
 	f := i.faultsFor(addr)
 	f.attempts.Add(1)
-	for _, w := range f.windows {
-		if w.contains(now) {
-			f.blackholed.Add(1)
-			i.mu.Unlock()
-			return nil, fmt.Errorf("faults: %s blackholed at t=%.3f: %w", addr, now, ErrInjected)
+	corrupt := false
+	if f.armed.Load() {
+		var err error
+		if corrupt, err = i.schedule(f, addr); err != nil {
+			return nil, err
 		}
 	}
-	if f.loss > 0 && i.rng.Float64() < f.loss {
-		f.lost.Add(1)
-		i.mu.Unlock()
-		return nil, fmt.Errorf("faults: %s lost request at t=%.3f: %w", addr, now, ErrInjected)
-	}
-	if f.latency > 0 && f.latency >= i.timeout {
-		f.timedOut.Add(1)
-		i.mu.Unlock()
-		return nil, fmt.Errorf("faults: %s response %.3fs late (budget %.3fs): %w",
-			addr, f.latency, i.timeout, ErrInjected)
-	}
-	corrupt := f.corrupt > 0 && i.rng.Float64() < f.corrupt
-	i.mu.Unlock()
-
 	resp, err := i.inner.RoundTrip(addr, req)
 	if err != nil {
 		return nil, err
@@ -205,4 +204,29 @@ func (i *Injector) RoundTrip(addr string, req []byte) ([]byte, error) {
 	}
 	f.delivered.Add(1)
 	return resp, nil
+}
+
+// schedule applies f's armed schedule to one request at the current
+// virtual time: an error drops it, and corrupt says its response is to
+// be corrupted.
+func (i *Injector) schedule(f *agentFaults, addr string) (corrupt bool, err error) {
+	now := float64(i.clock.Now())
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	for _, w := range f.windows {
+		if w.contains(now) {
+			f.blackholed.Add(1)
+			return false, fmt.Errorf("faults: %s blackholed at t=%.3f: %w", addr, now, ErrInjected)
+		}
+	}
+	if f.loss > 0 && i.rng.Float64() < f.loss {
+		f.lost.Add(1)
+		return false, fmt.Errorf("faults: %s lost request at t=%.3f: %w", addr, now, ErrInjected)
+	}
+	if f.latency > 0 && f.latency >= i.timeout {
+		f.timedOut.Add(1)
+		return false, fmt.Errorf("faults: %s response %.3fs late (budget %.3fs): %w",
+			addr, f.latency, i.timeout, ErrInjected)
+	}
+	return f.corrupt > 0 && i.rng.Float64() < f.corrupt, nil
 }

@@ -394,18 +394,20 @@ func (n *Network) finish(f *Flow, now simclock.Time) {
 	}
 }
 
-// Sync advances counters to the current time without changing allocations;
-// call before reading counters at an arbitrary instant (the SNMP agents
-// do).
-func (n *Network) Sync() { n.advance() }
-
-// ChannelBits returns the cumulative bits carried by a directed channel.
-func (n *Network) ChannelBits(ch graph.Channel) float64 {
+// ChannelCounter returns a reader of the cumulative bits a directed
+// channel has carried, for reading at an arbitrary instant (the SNMP
+// agents do): each call first advances the counters to the current
+// time, without changing allocations. The channel's resource is
+// resolved once, here; a channel outside the network reads 0.
+func (n *Network) ChannelCounter(ch graph.Channel) func() float64 {
 	r, ok := n.chanRes[ch]
 	if !ok {
-		return 0
+		return func() float64 { return 0 }
 	}
-	return n.counterBits[r]
+	return func() float64 {
+		n.advance()
+		return n.counterBits[r]
+	}
 }
 
 // ChannelRate returns the instantaneous aggregate rate on a channel in
@@ -470,7 +472,7 @@ func (n *Network) PathLatency(src, dst graph.NodeID) float64 {
 // invariant: total counter bits on a flow's channels == hops × flow bits.
 // It is cheap and the simulator's main self-check in tests.
 func (n *Network) CheckConservation(tol float64) error {
-	n.Sync()
+	n.advance()
 	var counted float64
 	for _, bits := range n.counterBits {
 		counted += bits

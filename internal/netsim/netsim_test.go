@@ -88,7 +88,7 @@ func TestRateCapCBR(t *testing.T) {
 	clk, n := dumbbell()
 	f := n.StartFlow(FlowSpec{Src: "h1", Dst: "h3", RateCap: 2e6}) // persistent CBR
 	clk.Advance(3)
-	n.Sync()
+	n.advance()
 	if math.Abs(f.Rate()-2e6) > 1 {
 		t.Fatalf("CBR rate = %v", f.Rate())
 	}
@@ -113,8 +113,8 @@ func TestStopFlowAccountsBytes(t *testing.T) {
 	n.StopFlow(f.ID)
 	// 2s at 10 Mbps = 20 Mbit on each of 3 channels.
 	ch := f.Path.Channels()[0]
-	if math.Abs(n.ChannelBits(ch)-20e6) > 1 {
-		t.Fatalf("channel bits = %v", n.ChannelBits(ch))
+	if bits := n.ChannelCounter(ch)(); math.Abs(bits-20e6) > 1 {
+		t.Fatalf("channel bits = %v", bits)
 	}
 	if len(n.ActiveFlows()) != 0 {
 		t.Fatal("flow still active after stop")
@@ -129,11 +129,11 @@ func TestCountersPerChannelDirectional(t *testing.T) {
 	clk.Run(0)
 	p := n.Routes().Route("h1", "h3")
 	for _, ch := range p.Channels() {
-		if got := n.ChannelBits(ch); math.Abs(got-8e6) > 1 {
+		if got := n.ChannelCounter(ch)(); math.Abs(got-8e6) > 1 {
 			t.Fatalf("forward channel %v bits = %v", ch, got)
 		}
 		rev := graph.Channel{Link: ch.Link, Dir: ch.Dir.Reverse()}
-		if got := n.ChannelBits(rev); got != 0 {
+		if got := n.ChannelCounter(rev)(); got != 0 {
 			t.Fatalf("reverse channel %v bits = %v", rev, got)
 		}
 	}

@@ -1,8 +1,10 @@
 package snmp
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -21,6 +23,7 @@ type Agent struct {
 	Serialize func(fn func())
 
 	requests atomic.Uint64
+	prep     atomic.Pointer[prepared] // the last GET answered in full
 }
 
 // NewAgent creates an agent with an empty MIB.
@@ -46,6 +49,8 @@ type agentScratch struct {
 	req, resp Message
 	slab      []uint32       // the request's OID components (Message.decode)
 	gets      []func() Value // a GET's getters, one per varbind (MIB.getters)
+	gen       uint64         // the MIB generation gets was resolved at
+	vals      []Value        // a replayed GET's values (Agent.replay)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(agentScratch) }}
@@ -54,6 +59,7 @@ var scratchPool = sync.Pool{New: func() any { return new(agentScratch) }}
 // returns it to the pool.
 func (s *agentScratch) release() {
 	clear(s.gets)
+	clear(s.vals)
 	clear(s.resp.VarBinds)
 	scratchPool.Put(s)
 }
@@ -81,7 +87,7 @@ func (a *Agent) handle(req, resp *Message, s *agentScratch) {
 	}
 	switch req.Type {
 	case PDUGet:
-		s.gets = a.MIB.getters(req.VarBinds, s.gets[:0])
+		s.gets, s.gen = a.MIB.getters(req.VarBinds, s.gets[:0])
 		for i, vb := range req.VarBinds {
 			get := s.gets[i]
 			if get == nil {
@@ -135,9 +141,19 @@ func (a *Agent) handle(req, resp *Message, s *agentScratch) {
 // drop garbage rather than answering it, like real SNMP daemons). The
 // request and response messages are pooled scratch; the returned bytes
 // are the caller's.
+//
+// A GET answered in full with NoError is prepared: a poll plan sends
+// the agent the same bytes every round, the request ID aside, so a
+// request that matches the prepared one is answered from it (replay)
+// without decoding the request or resolving its OIDs again. Equal bytes
+// decode to the same message, so the answer is the full path's, byte
+// for byte.
 func (a *Agent) HandleBytes(req []byte) []byte {
 	s := scratchPool.Get().(*agentScratch)
 	defer s.release()
+	if p, id := a.match(req); p != nil {
+		return a.replay(p, id, s)
+	}
 	var err error
 	if s.slab, err = s.req.decode(req, s.slab); err != nil {
 		return nil
@@ -147,7 +163,94 @@ func (a *Agent) HandleBytes(req []byte) []byte {
 	if err != nil {
 		return nil
 	}
+	if s.req.Type == PDUGet && s.resp.Error == NoError {
+		a.prepare(req, s)
+	}
 	return out
+}
+
+// prepared is a GET an agent answered in full with NoError, kept to
+// answer the same request again. It is immutable once stored.
+type prepared struct {
+	body []byte   // the request's bytes after the header: its varbinds
+	at   []uint32 // each varbind's offset in body, where its OID begins
+	oids int      // the bytes of body's OIDs: what an answer copies of it
+
+	gets []func() Value // the varbinds' getters
+	gen  uint64         // the MIB generation gets was resolved at
+}
+
+// prepare records req, which the full path has just answered with s's
+// getters, as the agent's prepared GET.
+func (a *Agent) prepare(req []byte, s *agentScratch) {
+	start := headerLen + int(req[3]) // req[3]: the community length
+	p := &prepared{
+		body: bytes.Clone(req[start:]),
+		at:   make([]uint32, len(s.gets)),
+		gets: slices.Clone(s.gets),
+		gen:  s.gen,
+	}
+	d := decoder{buf: p.body}
+	for i := range p.at {
+		p.at[i] = uint32(d.off)
+		olen, _ := d.oid() // req decoded cleanly
+		_, _ = d.value()
+		p.oids += 1 + 4*olen
+	}
+	a.prep.Store(p)
+}
+
+// match returns the agent's prepared GET and req's ID when req asks
+// exactly it again: a well-formed header of a GET under the agent's
+// community, the same varbind count and the same bytes after the
+// header, with the MIB unchanged since its getters were resolved.
+func (a *Agent) match(req []byte) (*prepared, uint32) {
+	p := a.prep.Load()
+	if p == nil {
+		return nil, 0
+	}
+	d := decoder{buf: req}
+	h, err := d.header()
+	if err != nil || h.typ != PDUGet || string(h.community) != a.Community || h.count != len(p.gets) ||
+		!bytes.Equal(req[d.off:], p.body) || p.gen != a.MIB.gen.Load() {
+		return nil, 0
+	}
+	return p, h.id
+}
+
+// replay answers request id from p: the header, then each asked OID's
+// bytes and its getter's value. A value that does not encode drops the
+// request, as Encode's refusal does on the full path.
+func (a *Agent) replay(p *prepared, id uint32, s *agentScratch) []byte {
+	if a.Serialize != nil {
+		a.Serialize(func() { a.read(p, s) })
+	} else {
+		a.read(p, s)
+	}
+	size := headerLen + len(a.Community) + p.oids
+	for _, v := range s.vals {
+		n, err := valueSize(v)
+		if err != nil {
+			return nil
+		}
+		size += n
+	}
+	buf := appendHeader(make([]byte, 0, size), a.Community, PDUResponse, id, NoError, 0, len(s.vals))
+	for i, v := range s.vals {
+		at := p.at[i]
+		buf = append(buf, p.body[at:at+1+4*uint32(p.body[at])]...)
+		buf = appendValue(buf, v)
+	}
+	return buf
+}
+
+// read counts a replayed request and runs p's getters into s.vals.
+func (a *Agent) read(p *prepared, s *agentScratch) {
+	a.requests.Add(1)
+	s.vals = s.vals[:0]
+	for _, get := range p.gets {
+		s.vals = append(s.vals, get())
+	}
 }
 
 // UDPServer runs an agent on a UDP socket until Close is called.

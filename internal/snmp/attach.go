@@ -66,13 +66,12 @@ func Attach(n *netsim.Network, community string) *AttachedAgents {
 			mib.SetFunc(OIDIfSpeed.Append(idx), func() Value {
 				return Gauge32(uint64(link.Capacity))
 			})
+			inBits, outBits := n.ChannelCounter(inCh), n.ChannelCounter(outCh)
 			mib.SetFunc(OIDIfInOctets.Append(idx), func() Value {
-				n.Sync()
-				return Counter32(uint64(n.ChannelBits(inCh) / 8))
+				return Counter32(uint64(inBits() / 8))
 			})
 			mib.SetFunc(OIDIfOutOctets.Append(idx), func() Value {
-				n.Sync()
-				return Counter32(uint64(n.ChannelBits(outCh) / 8))
+				return Counter32(uint64(outBits() / 8))
 			})
 			mib.Set(OIDRemosNeighbor.Append(idx), OctetString(string(neighbor)))
 			mib.Set(OIDRemosLinkID.Append(idx), Integer(int64(l.ID)))

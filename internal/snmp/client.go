@@ -218,10 +218,12 @@ func (c *Client) Do(addr string, r *GetRequest, wire *[]byte, vals []Value) erro
 
 // answer checks resp against r in one pass and decodes its values into
 // vals. Each answer's OID is compared with the asked OID's bytes, found
-// by walking r's own varbinds in step, so no OID is built. A malformed
-// frame is a plain error; then come a wrong request ID or PDU type, a
-// NoSuchName or other error status, a varbind count other than asked
-// and an OID other than asked at some position, in that order.
+// by walking r's own varbinds in step, before it is parsed: an OID
+// equal to the one asked is skipped whole, and only another is parsed,
+// so no OID is built. A malformed frame is a plain error; then come a
+// wrong request ID or PDU type, a NoSuchName or other error status, a
+// varbind count other than asked and an OID other than asked at some
+// position, in that order.
 func (r *GetRequest) answer(resp []byte, id uint32, vals []Value) error {
 	d := decoder{buf: resp}
 	h, err := d.header()
@@ -231,23 +233,26 @@ func (r *GetRequest) answer(resp []byte, id uint32, vals []Value) error {
 	q := headerLen + int(r.raw[3]) // r's next varbind; raw[3] is its community length
 	bad, badAt, badQ := -1, 0, 0
 	for i := 0; i < h.count; i++ {
-		at := d.off
-		if _, err := d.oid(); err != nil {
+		at, askedAt := d.off, q
+		var asked []byte
+		if i < r.n {
+			asked = r.raw[q : q+1+4*int(r.raw[q])]
+			q += len(asked) + 1 // and the asked value's Null kind byte
+		}
+		if i < r.n && bytes.HasPrefix(resp[at:], asked) {
+			d.off += len(asked) // Encode wrote asked: a well-formed OID
+		} else if _, err := d.oid(); err != nil {
 			return err
+		} else if i < r.n && bad < 0 {
+			bad, badAt, badQ = i, at, askedAt
 		}
 		v, err := d.value()
 		if err != nil {
 			return err
 		}
-		if i >= r.n {
-			continue
+		if i < r.n {
+			vals[i] = v
 		}
-		asked := r.raw[q : q+1+4*int(r.raw[q])]
-		if bad < 0 && !bytes.Equal(resp[at:at+1+4*int(resp[at])], asked) {
-			bad, badAt, badQ = i, at, q
-		}
-		q += len(asked) + 1 // and the asked value's Null kind byte
-		vals[i] = v
 	}
 	if d.off != len(resp) {
 		return fmt.Errorf("snmp: %d trailing bytes", len(resp)-d.off)

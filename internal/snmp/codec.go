@@ -53,49 +53,70 @@ func Encode(m *Message) ([]byte, error) {
 		if len(vb.OID) > maxOIDLen {
 			return nil, fmt.Errorf("snmp: OID too long (%d)", len(vb.OID))
 		}
-		size += 2 + 4*len(vb.OID)
-		switch vb.Value.Kind {
-		case KindNull:
-		case KindInteger:
-			size += 8
-		case KindCounter32, KindGauge32, KindTimeTicks:
-			size += 4
-		case KindOctetString:
-			if len(vb.Value.Bytes) > maxOctets {
-				return nil, fmt.Errorf("snmp: octet string too long (%d)", len(vb.Value.Bytes))
-			}
-			size += 2 + len(vb.Value.Bytes)
-		default:
-			return nil, fmt.Errorf("snmp: cannot encode value kind %v", vb.Value.Kind)
+		n, err := valueSize(vb.Value)
+		if err != nil {
+			return nil, err
 		}
+		size += 1 + 4*len(vb.OID) + n
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint16(buf, wireMagic)
-	buf = append(buf, wireVersion)
-	buf = append(buf, byte(len(m.Community)))
-	buf = append(buf, m.Community...)
-	buf = append(buf, byte(m.Type))
-	buf = binary.BigEndian.AppendUint32(buf, m.RequestID)
-	buf = append(buf, byte(m.Error))
-	buf = binary.BigEndian.AppendUint32(buf, m.ErrorIndex)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.VarBinds)))
+	buf := appendHeader(make([]byte, 0, size), m.Community, m.Type, m.RequestID, m.Error, m.ErrorIndex, len(m.VarBinds))
 	for _, vb := range m.VarBinds {
 		buf = append(buf, byte(len(vb.OID)))
 		for _, c := range vb.OID {
 			buf = binary.BigEndian.AppendUint32(buf, c)
 		}
-		buf = append(buf, byte(vb.Value.Kind))
-		switch vb.Value.Kind {
-		case KindInteger:
-			buf = binary.BigEndian.AppendUint64(buf, uint64(vb.Value.Int))
-		case KindCounter32, KindGauge32, KindTimeTicks:
-			buf = binary.BigEndian.AppendUint32(buf, vb.Value.Uint)
-		case KindOctetString:
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(vb.Value.Bytes)))
-			buf = append(buf, vb.Value.Bytes...)
-		}
+		buf = appendValue(buf, vb.Value)
 	}
 	return buf, nil
+}
+
+// appendHeader writes a message's fixed fields and community; the
+// caller has checked the community's length and the varbind count n.
+func appendHeader(buf []byte, community string, typ PDUType, id uint32, status ErrorStatus, index uint32, n int) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, wireMagic)
+	buf = append(buf, wireVersion, byte(len(community)))
+	buf = append(buf, community...)
+	buf = append(buf, byte(typ))
+	buf = binary.BigEndian.AppendUint32(buf, id)
+	buf = append(buf, byte(status))
+	buf = binary.BigEndian.AppendUint32(buf, index)
+	return binary.BigEndian.AppendUint16(buf, uint16(n))
+}
+
+// valueSize is the encoded size of v, its kind byte and payload, or
+// the reason v cannot be encoded.
+func valueSize(v Value) (int, error) {
+	switch v.Kind {
+	case KindNull:
+		return 1, nil
+	case KindInteger:
+		return 1 + 8, nil
+	case KindCounter32, KindGauge32, KindTimeTicks:
+		return 1 + 4, nil
+	case KindOctetString:
+		if len(v.Bytes) > maxOctets {
+			return 0, fmt.Errorf("snmp: octet string too long (%d)", len(v.Bytes))
+		}
+		return 1 + 2 + len(v.Bytes), nil
+	default:
+		return 0, fmt.Errorf("snmp: cannot encode value kind %v", v.Kind)
+	}
+}
+
+// appendValue writes v's kind byte and payload; valueSize has accepted
+// v.
+func appendValue(buf []byte, v Value) []byte {
+	buf = append(buf, byte(v.Kind))
+	switch v.Kind {
+	case KindInteger:
+		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Int))
+	case KindCounter32, KindGauge32, KindTimeTicks:
+		buf = binary.BigEndian.AppendUint32(buf, v.Uint)
+	case KindOctetString:
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(v.Bytes)))
+		buf = append(buf, v.Bytes...)
+	}
+	return buf
 }
 
 // headerLen is the encoded size of a message's fixed fields, community

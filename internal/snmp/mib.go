@@ -1,6 +1,9 @@
 package snmp
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // MIB is an OID-addressed store. Entries may be static values or dynamic
 // getters evaluated at query time (counters read from the simulator).
@@ -12,7 +15,15 @@ type MIB struct {
 	// Next are one binary search under the read lock, with no per-lookup
 	// key to build.
 	entries []mibEntry
+	// gen changes on every SetFunc, so an agent's prepared answer
+	// (Agent.HandleBytes) knows when its resolved getters went stale. It
+	// is drawn from mibGens, so no two MIBs share a generation: an agent
+	// whose MIB is swapped for another misses too.
+	gen atomic.Uint64
 }
+
+// mibGens issues MIB generations.
+var mibGens atomic.Uint64
 
 type mibEntry struct {
 	oid OID
@@ -31,6 +42,7 @@ func (m *MIB) Set(oid OID, v Value) {
 func (m *MIB) SetFunc(oid OID, get func() Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.gen.Store(mibGens.Add(1))
 	i, found := m.search(oid)
 	if found {
 		m.entries[i].get = get
@@ -72,9 +84,10 @@ func (m *MIB) Get(oid OID) (Value, bool) {
 }
 
 // getters resolves every OID of a GET under one read lock, appending
-// each one's getter to out, nil where the MIB has no entry. As with
-// Get, the caller runs the getters after the lock is released.
-func (m *MIB) getters(vbs []VarBind, out []func() Value) []func() Value {
+// each one's getter to out, nil where the MIB has no entry, and returns
+// the generation they were resolved at. As with Get, the caller runs
+// the getters after the lock is released.
+func (m *MIB) getters(vbs []VarBind, out []func() Value) ([]func() Value, uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, vb := range vbs {
@@ -84,7 +97,7 @@ func (m *MIB) getters(vbs []VarBind, out []func() Value) []func() Value {
 		}
 		out = append(out, get)
 	}
-	return out
+	return out, m.gen.Load()
 }
 
 // Next returns the first entry strictly after oid in lexicographic

@@ -26,14 +26,13 @@ func TestCBROccupiesRoute(t *testing.T) {
 	clk, n := testbedSim(t)
 	g := CBR(n, "m-6", "m-8", 60e6)
 	clk.Advance(10)
-	n.Sync()
 	// The m-6 -> m-8 route crosses timberline->whiteface.
 	p := n.Routes().Route("m-6", "m-8")
 	for _, ch := range p.Channels() {
 		if rate := n.ChannelRate(ch, ""); math.Abs(rate-60e6) > 1 {
 			t.Fatalf("channel %v rate = %v", ch, rate)
 		}
-		if bits := n.ChannelBits(ch); math.Abs(bits-600e6) > 1 {
+		if bits := n.ChannelCounter(ch)(); math.Abs(bits-600e6) > 1 {
 			t.Fatalf("channel %v bits = %v", ch, bits)
 		}
 	}
@@ -56,9 +55,8 @@ func TestOnOffAlternates(t *testing.T) {
 		t.Fatalf("bursts = %d over 100s with ~0.5 duty", oo.bursts)
 	}
 	// Mean utilization should be near the 50% duty cycle.
-	n.Sync()
 	p := n.Routes().Route("m-6", "m-8")
-	bits := n.ChannelBits(p.Channels()[1])
+	bits := n.ChannelCounter(p.Channels()[1])()
 	frac := bits / (50e6 * 100)
 	if frac < 0.25 || frac > 0.75 {
 		t.Fatalf("duty fraction = %v", frac)
@@ -75,9 +73,8 @@ func TestOnOffDeterministicAcrossRuns(t *testing.T) {
 		clk, n := testbedSim(t)
 		OnOff(n, "m-6", "m-8", OnOffConfig{Rate: 50e6, MeanOn: 1, MeanOff: 1, Seed: 7})
 		clk.Advance(50)
-		n.Sync()
 		p := n.Routes().Route("m-6", "m-8")
-		return n.ChannelBits(p.Channels()[0])
+		return n.ChannelCounter(p.Channels()[0])()
 	}
 	if run() != run() {
 		t.Fatal("on-off traffic not deterministic for equal seeds")

@@ -94,8 +94,11 @@ run_benches() {
     echo "==> go test -bench BenchmarkReplicaApplyDelta -benchtime=$MICRO_BENCHTIME ./internal/replica (write-side rung: B/op per epoch)"
     go test -run '^$' -bench 'BenchmarkReplicaApplyDelta' -benchmem -benchtime "$MICRO_BENCHTIME" ./internal/replica | tee "$TMP/replicaapply.txt"
 
+    echo "==> go test -bench BenchmarkAgentHandleGet -benchtime=$MICRO_BENCHTIME ./internal/snmp (agent rung: a plan GET, full and replayed)"
+    go test -run '^$' -bench 'BenchmarkAgentHandleGet' -benchmem -benchtime "$MICRO_BENCHTIME" ./internal/snmp | tee "$TMP/agent.txt"
+
     # Benchstat-friendly raw output, kept as a CI artifact.
-    cat "$TMP/root.txt" "$TMP/micro.txt" "$TMP/telemetry.txt" "$TMP/matrixcore.txt" "$TMP/matrixwire.txt" "$TMP/framecodec.txt" "$TMP/replicaapply.txt" > "$RAW"
+    cat "$TMP/root.txt" "$TMP/micro.txt" "$TMP/telemetry.txt" "$TMP/matrixcore.txt" "$TMP/matrixwire.txt" "$TMP/framecodec.txt" "$TMP/replicaapply.txt" "$TMP/agent.txt" > "$RAW"
 
     {
         printf '{\n'
@@ -122,6 +125,9 @@ run_benches() {
         printf '],\n'
         printf '    "repro/internal/replica": ['
         bench_json "$TMP/replicaapply.txt"
+        printf '],\n'
+        printf '    "repro/internal/snmp": ['
+        bench_json "$TMP/agent.txt"
         printf ']\n'
         printf '  }\n'
         printf '}\n'

@@ -77,6 +77,9 @@ go test -fuzz=FuzzDecode -fuzztime=10s -run '^$' ./internal/snmp
 # FuzzGetResponse: Get's one-pass answer check against Decode plus the
 # shape checks it replaced.
 go test -fuzz=FuzzGetResponse -fuzztime=10s -run '^$' ./internal/snmp
+# FuzzAgentReplay: an agent primed with a poll plan's GET answers any
+# request as the full decode, resolve and encode path does.
+go test -fuzz=FuzzAgentReplay -fuzztime=10s -run '^$' ./internal/snmp
 go test -fuzz=FuzzWindowOps -fuzztime=10s -run '^$' ./internal/stats
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzReadMuxFrame -fuzztime=10s -run '^$' ./internal/collector
