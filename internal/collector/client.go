@@ -234,23 +234,25 @@ func (mc *muxConn) close(err error) {
 
 // fail marks the connection dead exactly once: every waiting call sees
 // err via the done channel, and every live watch ends with Err() set
-// after its already-received updates drain.
+// after its already-received updates drain. The watches' errors are set
+// before done closes: a watch's drain loop ends on done and closes its
+// channel, and a reader that finds the channel closed with Err() nil
+// takes it for a cancel, not a transport loss (FailoverSource.Watch
+// would not re-subscribe).
 func (mc *muxConn) fail(err error) {
 	mc.mu.Lock()
+	defer mc.mu.Unlock()
 	if mc.err != nil {
-		mc.mu.Unlock()
 		return
 	}
 	mc.err = err
-	watches := mc.watches
-	mc.watches = make(map[uint64]*clientWatch)
-	close(mc.done)
-	mc.mu.Unlock()
-	for _, w := range watches {
+	for _, w := range mc.watches {
 		if w.handle != nil {
 			w.handle.setErr(err)
 		}
 	}
+	mc.watches = make(map[uint64]*clientWatch)
+	close(mc.done)
 }
 
 // passToken ends a leader's turn: while other streams are outstanding

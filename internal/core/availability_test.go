@@ -12,8 +12,10 @@ import (
 	"repro/internal/topology"
 )
 
-// TestAvailabilityIsNeverInvalid pins what the matrix sweep's validity
-// plane and MinStat's invalid branches are up against: availabilityOf
+// TestAvailabilityIsNeverInvalid pins the rule the matrix kernel rests
+// on — it keeps no validity plane, and an entry is valid exactly when
+// the source's tree reaches it (DESIGN §16) — and that keeps MinStat's
+// invalid branches off every fold: availabilityOf
 // answers every shape of read entry — failed or not; a valid, an
 // invalid, an out-of-range or a non-finite summary; no, an empty or a
 // populated window; any age — with a valid Stat, under every timeframe,

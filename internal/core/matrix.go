@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/collector"
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 // Batched flow-matrix kernel. The clustering consumer needs pairwise
@@ -25,27 +22,36 @@ import (
 //
 //  1. one snapshot pin — every entry is computed against the same
 //     epoch-numbered topology, stamped on the result;
-//  2. one availability pass — each directed channel any route uses is
+//  2. one availability pass — each directed channel an entry folds is
 //     resolved exactly once per matrix (not once per pair through it),
-//     into two planes: its median and its valid bit;
-//  3. one compiled sweep per distinct source — entries for a row are
-//     produced by a single bottleneck sweep over the source's
-//     shortest-path tree (parent-before-child DP) instead of per-pair
-//     path walks. The sweep is compiled (node-slot and channel-slot
-//     indices pre-resolved, router caps and path latencies baked in)
-//     and cached on the snapshot, so repeated matrices between poll
-//     rounds pay only the DP arithmetic, no map lookups;
-//  4. rows run on a bounded worker pool with pooled scratch, so large
-//     matrices scale across cores without per-query allocation churn.
+//     into one plane of availability medians;
+//  3. one compiled sweep per distinct source, in two parts. The
+//     interior steps — the steps of the source's shortest-path tree
+//     into a node that forwards (some step's parent) — are folded once
+//     per row, parent before child, into a bottleneck median per
+//     forwarding node. Every other entry reads its last hop from a
+//     per-node-slot table (parent slot, channel slot, the parent's
+//     cap, path latency): a destination host never forwards
+//     (graph.ShortestPath), so it is a leaf, and its entry is one
+//     min(parent, cap, channel) — the expression a full sweep would
+//     have evaluated for that step. The sweep is compiled (every slot
+//     pre-resolved, router caps and path latencies baked in) and
+//     cached on the snapshot by source node slot, so repeated matrices
+//     between poll rounds pay only the fold arithmetic, no map lookups;
+//  4. rows run one after another on pooled scratch, so a query
+//     allocates only its answer's planes and a few slices.
 //
-// The sweep folds only what the answer carries: per node one median and
-// one valid bit, where the per-pair answer folds full stats.Stats with
-// stats.MinStat. That is exact, bit for bit:
+// The sweep folds only what the answer carries: one median per node,
+// where the per-pair answer folds full stats.Stats with stats.MinStat.
+// A channel that was never measured is its link's capacity at accuracy
+// 0.1 (availabilityOf; TestAvailabilityIsNeverInvalid), so every
+// channel folded is valid, and an entry is valid exactly when the
+// source's tree reaches the destination. The fold is then exact, bit
+// for bit:
 //
-//   - MinStat(a, b) is valid iff a or b is;
-//   - its median is math.Min(a.Median, b.Median) when both are valid,
-//     else the valid input's median — one min, with an invalid median
-//     held as +Inf, since min(+Inf, x) is x for every float64 x;
+//   - MinStat(a, b) of two valid stats has the median
+//     math.Min(a.Median, b.Median), and the source's empty fold is
+//     +Inf, min's identity for every float64;
 //   - the builtin min agrees with math.Min bit for bit except on a NaN
 //     against -Inf or -0, and neither is ever folded: availability
 //     medians are clamped to +0 or above (stats.SubFrom), capacities
@@ -56,8 +62,8 @@ import (
 // (the route's channels, then its caps); TestMatrixEquivalencePerPair
 // and FuzzMatrixFold pin it.
 //
-// Degradation is per-entry: an unknown node, a missing route, or an
-// invalid stat marks Valid[i][j] false and zero-fills the number — a
+// Degradation is per-entry: an unknown node, a non-compute endpoint, or
+// a missing route marks Valid[i][j] false and zero-fills the number — a
 // mid-matrix agent outage degrades entries (measurement errors already
 // fall back to capacity at low accuracy), it does not abort the batch.
 // Only lifecycle errors (the caller's budget, a shed or fenced source)
@@ -119,15 +125,6 @@ func (m *Modeler) QueryMatrixCtx(ctx context.Context, srcs, dsts []graph.NodeID,
 	return mi, err
 }
 
-// maxMatrixWorkers bounds the row worker pool: matrix parallelism is a
-// latency optimization for one query, not a license to occupy every
-// core of a shared daemon.
-const maxMatrixWorkers = 8
-
-// minParallelCells is the matrix area below which spawning workers
-// costs more than the sweep itself.
-const minParallelCells = 256
-
 // matrixChan is one directed channel a query will read: some row sweep
 // of a matrix, a route, or a plan link, listed for view.prefetch.
 type matrixChan struct {
@@ -137,91 +134,136 @@ type matrixChan struct {
 }
 
 // compiledStep is one parent-before-child DP step with every index the
-// sweep needs pre-resolved against the snapshot: dense node slots for
+// fold needs pre-resolved against the snapshot: dense node slots for
 // the parent and child, the availability slot of the channel between
-// them, and the interior parent's internal-bandwidth cap (capped is
-// false when the parent is the source or uncapped — see sweepFor; limit
-// is then +Inf, min's identity).
+// them, and the parent's internal-bandwidth cap — +Inf, min's identity,
+// when the parent is the source or uncapped (see sweepAt).
 type compiledStep struct {
 	pSlot     int32
 	vSlot     int32
 	availSlot int32
-	capped    bool
 	limit     float64
 }
 
-// compiledSweep is one source's full compiled DP program. Topology,
-// routing, and slot assignment are all frozen per snapshot, so the
-// compilation is cached there (snapshot.sweeps) and shared by every
-// matrix until the epoch moves. What is topological is baked in too:
-// per node slot whether the sweep reaches it and the path latency from
-// the source, summed hop by hop in step order as graph.Path.Latency
-// sums a route's links.
+// lastHop is the step that reaches one node slot: the parent's slot
+// (-1 for the source and for a slot the tree does not reach), the
+// channel slot and cap of the step, and the path latency from the
+// source, summed hop by hop in step order as graph.Path.Latency sums a
+// route's links.
+type lastHop struct {
+	pSlot     int32
+	availSlot int32
+	limit     float64
+	lat       float64
+}
+
+// compiledSweep is one source's compiled DP program: the interior steps
+// (into nodes that forward), parent before child, and the last hop of
+// every node slot. Topology, routing, and slot assignment are all
+// frozen per snapshot, so the compilation is cached there
+// (snapshot.sweeps) and shared by every matrix until the epoch moves.
+// Both slices are sized exactly: the cache holds one per source.
 type compiledSweep struct {
 	srcSlot int32
 	steps   []compiledStep
-	reached []bool
-	lat     []float64
+	hops    []lastHop
 }
 
-// sweepFor returns the compiled sweep for src, compiling and caching it
-// on first use. A source with no route tree (unknown node, isolated
-// host) returns nil: its whole row is invalid except the diagonal.
-// Failures are not cached — they are structural and the setup loop has
-// already filtered non-compute nodes, so they should not recur hot.
-func (s *snapshot) sweepFor(src graph.NodeID) *compiledSweep {
-	if v, ok := s.sweeps.Load(src); ok {
-		return v.(*compiledSweep)
+// sweepEdge is one step of a source's shortest-path tree resolved to
+// slots, with the latency of its link.
+type sweepEdge struct {
+	compiledStep
+	latency float64
+}
+
+// compileSweep splits a source's resolved tree steps, given parent
+// before child, into its interior steps and its last-hop table over
+// the snapshot's node slots (nodes of them).
+func compileSweep(src int32, nodes int, edges []sweepEdge) *compiledSweep {
+	cs := &compiledSweep{srcSlot: src, hops: make([]lastHop, nodes)}
+	for i := range cs.hops {
+		cs.hops[i].pSlot = -1
+	}
+	forwards := make([]bool, nodes)
+	for _, e := range edges {
+		cs.hops[e.vSlot] = lastHop{pSlot: e.pSlot, availSlot: e.availSlot, limit: e.limit,
+			lat: cs.hops[e.pSlot].lat + e.latency}
+		forwards[e.pSlot] = true
+	}
+	interior := 0
+	for _, e := range edges {
+		if forwards[e.vSlot] {
+			interior++
+		}
+	}
+	cs.steps = make([]compiledStep, 0, interior)
+	for _, e := range edges {
+		if forwards[e.vSlot] {
+			cs.steps = append(cs.steps, e.compiledStep)
+		}
+	}
+	return cs
+}
+
+// computeSlot is a node's slot if it is a compute node of the snapshot,
+// else -1: only compute nodes are matrix endpoints.
+func (s *snapshot) computeSlot(id graph.NodeID) int32 {
+	if nd := s.topo.Graph.Node(id); nd == nil || nd.Kind != graph.Compute {
+		return -1
+	}
+	return int32(s.nodeSlot[id])
+}
+
+// sweepAt returns the compiled sweep of the compute node src at slot,
+// compiling and caching it on first use. A source with no route tree
+// (an isolated host) returns nil: its whole row is invalid except the
+// diagonal. Failures are not cached — they are structural and should
+// not recur hot.
+func (s *snapshot) sweepAt(slot int32, src graph.NodeID) *compiledSweep {
+	if cs := s.sweeps[slot].Load(); cs != nil {
+		return cs
 	}
 	t, err := s.rt.Tree(src)
 	if err != nil {
 		return nil
 	}
 	g := s.topo.Graph
-	sweep := t.Sweep()
-	cs := &compiledSweep{
-		srcSlot: int32(s.nodeSlot[src]),
-		steps:   make([]compiledStep, 0, len(sweep)),
-		reached: make([]bool, len(s.nodeSlot)),
-		lat:     make([]float64, len(s.nodeSlot)),
-	}
-	cs.reached[cs.srcSlot] = true
-	for _, step := range sweep {
-		d := step.Via.DirFrom(step.Parent)
-		cst := compiledStep{
+	tree := t.Sweep()
+	edges := make([]sweepEdge, len(tree))
+	for k, step := range tree {
+		e := sweepEdge{compiledStep: compiledStep{
 			pSlot:     int32(s.nodeSlot[step.Parent]),
 			vSlot:     int32(s.nodeSlot[step.Node]),
-			availSlot: int32(step.Via.ID)*2 + int32(d),
+			availSlot: int32(step.Via.ID)*2 + int32(step.Via.DirFrom(step.Parent)),
 			limit:     math.Inf(1),
-		}
+		}, latency: step.Via.Latency}
 		// A node that forwards traffic onward is an interior hop for
 		// everything beyond it: its internal bandwidth caps those paths
 		// (Figure 1), but never the path that ends at it — matching the
 		// per-pair fold over p.Nodes[1:len-1].
 		if step.Parent != src {
 			if nd := g.Node(step.Parent); nd != nil && nd.InternalBW > 0 {
-				cst.capped, cst.limit = true, nd.InternalBW
+				e.limit = nd.InternalBW
 			}
 		}
-		cs.steps = append(cs.steps, cst)
-		cs.reached[cst.vSlot] = true
-		cs.lat[cst.vSlot] = cs.lat[cst.pSlot] + step.Via.Latency
+		edges[k] = e
 	}
-	actual, _ := s.sweeps.LoadOrStore(src, cs)
-	return actual.(*compiledSweep)
+	cs := compileSweep(slot, len(s.nodeSlot), edges)
+	if s.sweeps[slot].CompareAndSwap(nil, cs) {
+		return cs
+	}
+	return s.sweeps[slot].Load()
 }
 
 // queryScratch is the per-query shared scratch: the dedup list of
 // channels and the hosts a query reads, the read request and answer
-// that fetch them (view.prefetch), and for a matrix the two channel
-// planes its sweeps fold (indexed linkID*2+dir, like the snapshot
-// memo): each listed channel's availability median, +Inf when the
-// availability is invalid, and its validity. Pooled; only touched
-// slots are cleared on release.
+// that fetch them (view.prefetch), and for a matrix the plane its rows
+// fold: each listed channel's availability median, indexed
+// linkID*2+dir like the snapshot memo. Pooled; only touched slots are
+// cleared on release.
 type queryScratch struct {
 	need    []bool
 	chanMed []float64
-	chanOK  []bool
 	chans   []matrixChan
 	hosts   []graph.NodeID
 
@@ -237,7 +279,6 @@ func getScratch(chanSlots int) *queryScratch {
 	if len(sc.need) < chanSlots {
 		sc.need = make([]bool, chanSlots)
 		sc.chanMed = make([]float64, chanSlots)
-		sc.chanOK = make([]bool, chanSlots)
 	}
 	return sc
 }
@@ -260,15 +301,6 @@ func (sc *queryScratch) wantSlot(s *snapshot, slot int32) {
 	}
 }
 
-// setChan records one channel's availability in the planes the sweeps
-// fold: its median, or +Inf when it is invalid, and its validity.
-func (sc *queryScratch) setChan(slot int, st stats.Stat) {
-	sc.chanMed[slot], sc.chanOK[slot] = math.Inf(1), st.Valid()
-	if st.Valid() {
-		sc.chanMed[slot] = st.Median
-	}
-}
-
 // wantPath lists the channels a route traverses.
 func (sc *queryScratch) wantPath(p *graph.Path) {
 	for i, l := range p.Links {
@@ -285,14 +317,13 @@ func putScratch(sc *queryScratch) {
 	scratchPool.Put(sc)
 }
 
-// rowScratch is one worker's DP state, indexed by the snapshot's dense
-// node slots: the bottleneck median so far (+Inf while nothing valid
-// was folded) and whether anything valid was. A sweep writes every slot
-// it reaches before reading it, and the row reads only slots the sweep
-// reaches, so nothing is reset between rows.
+// rowScratch is one query's DP state: the bottleneck median from the
+// row's source to each forwarding node, indexed by the snapshot's dense
+// node slots. A sweep writes every slot it folds before reading it, and
+// a row reads only the source's and the interior steps' slots, so
+// nothing is reset between rows.
 type rowScratch struct {
 	med []float64
-	ok  []bool
 }
 
 var rowScratchPool = sync.Pool{New: func() any { return &rowScratch{} }}
@@ -301,7 +332,6 @@ func getRowScratch(nodes int) *rowScratch {
 	rs := rowScratchPool.Get().(*rowScratch)
 	if len(rs.med) < nodes {
 		rs.med = make([]float64, nodes)
-		rs.ok = make([]bool, nodes)
 	}
 	return rs
 }
@@ -336,18 +366,24 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 
 	// Resolve each distinct source's compiled sweep once (cached on the
 	// snapshot, underlying trees shared with per-pair Route answers) and
-	// list every directed channel any sweep will read. A source with no
-	// sweep — unknown node, non-compute — leaves a nil entry: its whole
-	// row is invalid except the diagonal. Destination slots resolve once
-	// per matrix too (-1 = structurally invalid), shared by every row.
+	// each destination's slot (-1 = unknown or non-compute), then list
+	// every directed channel a row will fold: the interior steps', and
+	// each reached destination's last hop. A source with no sweep —
+	// unknown node, non-compute, no route tree — leaves a nil entry: its
+	// whole row is invalid except the diagonal.
 	sweeps := make([]*compiledSweep, n)
 	sc := getScratch(s.chanSlots)
 	defer putScratch(sc)
+	dstSlots := make([]int32, cols)
+	for j, dst := range dsts {
+		dstSlots[j] = s.computeSlot(dst)
+	}
 	for i, src := range srcs {
-		if nd := s.topo.Graph.Node(src); nd == nil || nd.Kind != graph.Compute {
+		slot := s.computeSlot(src)
+		if slot < 0 {
 			continue
 		}
-		cs := s.sweepFor(src)
+		cs := s.sweepAt(slot, src)
 		if cs == nil {
 			continue
 		}
@@ -355,113 +391,87 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 		for k := range cs.steps {
 			sc.wantSlot(s, cs.steps[k].availSlot)
 		}
-	}
-	dstSlots := make([]int32, cols)
-	for j, dst := range dsts {
-		dstSlots[j] = -1
-		if nd := s.topo.Graph.Node(dst); nd == nil || nd.Kind != graph.Compute {
-			continue
-		}
-		if slot, ok := s.nodeSlot[dst]; ok {
-			dstSlots[j] = int32(slot)
+		for _, d := range dstSlots {
+			if d >= 0 && cs.hops[d].pSlot >= 0 {
+				sc.wantSlot(s, cs.hops[d].availSlot)
+			}
 		}
 	}
 
 	// Availability once per directed channel per matrix. Lifecycle
 	// errors abort the batch (the caller's budget expired or the
 	// source refused); measurement errors degrade to capacity at low
-	// accuracy. The sweeps fold only what the answer carries, so the
-	// planes keep only each channel's median and validity.
+	// accuracy. An entry keeps only the median, so that is all the
+	// plane holds.
 	if err := v.prefetch(ctx, sc); err != nil {
 		return nil, err
 	}
 	for _, mc := range sc.chans {
-		sc.setChan(mc.slot, v.channelAvailability(mc.l, mc.d))
+		sc.chanMed[mc.slot] = v.channelAvailability(mc.l, mc.d).Median
 	}
 	v.publishHits()
 
-	// Row sweeps: serial for small matrices, a bounded worker pool
-	// pulling rows off an atomic counter for large ones. Workers write
-	// disjoint rows, and read only the shared immutable scratch.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > maxMatrixWorkers {
-		workers = maxMatrixWorkers
+	// Rows run one after another: a worker pool gained nothing at the
+	// matrix sizes the daemon's default admission gate admits
+	// (EXPERIMENTS "A matrix row folds the routers only").
+	rs := getRowScratch(len(s.nodeSlot))
+	for i := range srcs {
+		matrixRow(sc.chanMed, rs, sweeps[i], srcs[i], dsts, dstSlots, out, i)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 || n*cols < minParallelCells {
-		rs := getRowScratch(len(s.nodeSlot))
-		for i := range srcs {
-			matrixRow(sc, rs, sweeps[i], srcs[i], dsts, dstSlots, out, i)
-		}
-		putRowScratch(rs)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rs := getRowScratch(len(s.nodeSlot))
-				defer putRowScratch(rs)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					matrixRow(sc, rs, sweeps[i], srcs[i], dsts, dstSlots, out, i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	putRowScratch(rs)
 	return out, nil
 }
 
-// sweep runs one compiled sweep over the channel planes: for every node
-// the source's tree reaches, the bottleneck median over the tree path's
-// collapsed-router caps and channel availabilities, and whether any of
-// them was valid — the MinStat fold on one median and one valid bit
-// (see the top of this file for why that is exact).
-func (rs *rowScratch) sweep(cs *compiledSweep, chanMed []float64, chanOK []bool) {
-	med, ok := rs.med, rs.ok
-	med[cs.srcSlot], ok[cs.srcSlot] = math.Inf(1), false
+// sweep folds one compiled sweep's interior steps over the channel
+// plane: for every forwarding node the source's tree reaches, the
+// bottleneck median over the tree path's collapsed-router caps and
+// channel availabilities — the MinStat fold on one median (see the top
+// of this file for why that is exact).
+func (rs *rowScratch) sweep(cs *compiledSweep, chanMed []float64) {
+	med := rs.med
+	med[cs.srcSlot] = math.Inf(1)
 	for k := range cs.steps {
 		st := &cs.steps[k]
 		med[st.vSlot] = min(med[st.pSlot], st.limit, chanMed[st.availSlot])
-		ok[st.vSlot] = ok[st.pSlot] || st.capped || chanOK[st.availSlot]
 	}
 }
 
-// matrixRow fills row i from the source's sweep (rowScratch.sweep) and
-// the path latencies baked into it. Every index is pre-resolved
-// (compiledStep, dstSlots), so the hot loop is pure array arithmetic.
-func matrixRow(sc *queryScratch, rs *rowScratch,
+// matrixRow fills row i: the source's interior sweep (rowScratch.sweep),
+// then each destination's entry from its last hop, the path latency
+// baked into it, and the diagonal told apart by node slot. Every index
+// is pre-resolved (compiledSweep, dstSlots), so the hot loop is pure
+// array arithmetic.
+func matrixRow(chanMed []float64, rs *rowScratch,
 	cs *compiledSweep, src graph.NodeID, dsts []graph.NodeID, dstSlots []int32, out *MatrixInfo, i int) {
 
-	if cs != nil {
-		rs.sweep(cs, sc.chanMed, sc.chanOK)
+	bw, lat, ok := out.Bandwidth[i], out.Latency[i], out.Valid[i]
+	if cs == nil {
+		// No sweep: only the diagonal answers, and the source may not
+		// be a node of the snapshot at all, so it is found by name.
+		for j, dst := range dsts {
+			if dst == src {
+				bw[j], ok[j] = math.Inf(1), true
+			}
+		}
+		return
 	}
-	for j, dst := range dsts {
-		if dst == src {
-			out.Bandwidth[i][j] = math.Inf(1)
-			out.Latency[i][j] = 0
-			out.Valid[i][j] = true
+	rs.sweep(cs, chanMed)
+	med := rs.med
+	for j, slot := range dstSlots {
+		if slot == cs.srcSlot {
+			bw[j], ok[j] = math.Inf(1), true
 			continue
 		}
-		if cs == nil {
-			continue // row source has no routes: entry stays invalid
+		if slot < 0 {
+			continue // unknown or non-compute destination
 		}
-		slot := dstSlots[j]
-		if slot < 0 || !cs.reached[slot] {
-			continue // unknown, non-compute, or unreachable under current routing
+		h := &cs.hops[slot]
+		if h.pSlot < 0 {
+			continue // unreachable under current routing
 		}
-		out.Latency[i][j] = cs.lat[slot]
-		if rs.ok[slot] {
-			out.Bandwidth[i][j] = rs.med[slot]
-			out.Valid[i][j] = true
-		}
+		bw[j] = min(med[h.pSlot], h.limit, chanMed[h.availSlot])
+		lat[j] = h.lat
+		ok[j] = true
 	}
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/collector"
 	"repro/internal/faults"
@@ -286,7 +288,7 @@ func TestMatrixSurvivesAgentDown(t *testing.T) {
 // TestMatrixConcurrentWithPollRounds hammers the matrix path from many
 // goroutines while poll rounds advance the clock and another goroutine
 // churns snapshots — run under -race this exercises the shared scratch
-// pools, the tree memo, and the row worker pool.
+// pools, the tree memo, and the snapshot's sweep cache.
 func TestMatrixConcurrentWithPollRounds(t *testing.T) {
 	r := testbedRig(t)
 	traffic.Blast(r.net, "m-6", "m-8", 60e6)
@@ -354,6 +356,50 @@ func errEpochBack(w int, got, last uint64) error {
 
 func errInvalidEntry(a, b graph.NodeID, epoch uint64) error {
 	return &matrixTestErr{s: "unexpected invalid entry " + string(a) + "->" + string(b)}
+}
+
+// TestCompiledSweepFootprint pins what the snapshot's sweep cache holds
+// per source on the wire-matrix fixture (topogen hier N=300 Seed=11):
+// every compiled sweep's slices sized exactly, the interior steps only
+// into nodes that forward, and at most 11 kB per sweep, counted as
+// element sizes times capacities. A full sweep of 299 steps with its
+// reached and latency planes held about 10 kB.
+func TestCompiledSweepFootprint(t *testing.T) {
+	tp, err := topogen.Generate(topogen.Spec{Kind: topogen.KindHier, N: 300, Seed: 11, Regions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, tp.Graph, nil)
+	s, err := r.mod.snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.topo.Graph
+	hosts, ids := g.ComputeNodes(), g.Nodes()
+	for _, h := range hosts {
+		cs := s.sweepAt(s.computeSlot(h), h)
+		if cs == nil {
+			t.Fatalf("%s: no sweep", h)
+		}
+		if len(cs.steps) != cap(cs.steps) || len(cs.hops) != cap(cs.hops) || len(cs.hops) != len(s.nodeSlot) {
+			t.Fatalf("%s: sweep not sized exactly: %d/%d steps, %d/%d hops for %d nodes",
+				h, len(cs.steps), cap(cs.steps), len(cs.hops), cap(cs.hops), len(s.nodeSlot))
+		}
+		for _, st := range cs.steps {
+			if g.Node(ids[st.vSlot]).Kind != graph.Network {
+				t.Fatalf("%s: an interior step enters compute node slot %d", h, st.vSlot)
+			}
+		}
+		bytes := int(unsafe.Sizeof(*cs)) + cap(cs.steps)*int(unsafe.Sizeof(compiledStep{})) +
+			cap(cs.hops)*int(unsafe.Sizeof(lastHop{}))
+		if bytes > 11_000 {
+			t.Fatalf("%s: compiled sweep holds %d bytes (%d interior steps, %d hops), want <= 11 kB",
+				h, bytes, len(cs.steps), len(cs.hops))
+		}
+	}
+	cs := s.sweepAt(s.computeSlot(hosts[0]), hosts[0])
+	t.Logf("%d nodes, %d hosts: %d interior steps, %d bytes per sweep", len(s.nodeSlot), len(hosts), len(cs.steps),
+		int(unsafe.Sizeof(*cs))+cap(cs.steps)*int(unsafe.Sizeof(compiledStep{}))+cap(cs.hops)*int(unsafe.Sizeof(lastHop{})))
 }
 
 // newFaultRig is newRig with a fault injector between the collector and
@@ -503,85 +549,130 @@ func (b *foldBytes) value() float64 {
 	return 3
 }
 
-// FuzzMatrixFold checks the kernel's scalar sweep (rowScratch.sweep over
-// the planes queryScratch.setChan fills) against the fold it replaces:
-// full stats.Stats combined with stats.MinStat along the same steps, the
-// cap before the channel. Trees, per-channel stats (invalid ones with a
-// nonzero median among them) and caps (binding or not, +Inf included)
-// come from the input; every node the tree reaches must have the
-// reference's validity and, when valid, its median bit for bit.
+// FuzzMatrixFold checks one compiled row — compileSweep's interior
+// steps and last-hop table, folded by matrixRow over the channel plane —
+// against the fold it replaces: full stats.Stats combined with
+// stats.MinStat along the tree path, the cap before the channel, and the
+// path latency summed in step order. Trees, the source, per-channel
+// availabilities and caps (binding or not, +Inf included) come from the
+// input. Every channel is valid, as availabilityOf answers
+// (TestAvailabilityIsNeverInvalid), with any median but a NaN. Every
+// node the tree reaches must read valid with the reference's median and
+// latency bit for bit, every other node invalid and zero-filled, and
+// the source as the diagonal.
 func FuzzMatrixFold(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 5, 0, 0, 0, 4, 0, 1, 0, 4}) // a cap of 1 below a channel of 2
 	f.Add([]byte{5, 3, 1, 2, 0, 7, 1, 1, 2, 0, 3, 0, 0, 0, 4, 1, 1, 2, 2, 0, 1, 1})
 	f.Add([]byte{12, 4, 0, 0, 0, 3, 1, 5, 2, 6, 3, 0, 0, 0, 0, 0, 1, 0, 1, 2, 1, 2, 3, 0, 2, 1, 4, 1, 1, 0, 2, 2, 5})
 	f.Add([]byte{9, 2, 0, 200, 64, 0, 0, 0, 0, 0, 0, 0, 1, 9, 1, 0, 0, 0, 1, 0, 1, 1, 8, 2, 1, 0, 0, 1, 0})
+	f.Add([]byte{6, 3, 4, 1, 6, 2, 7, 3, 5, 0, 0, 0, 1, 3, 0, 1, 1, 2, 6, 9, 0, 2, 0, 7, 12, 2, 3, 1, 4, 3, 2, 0, 5, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := foldBytes(data)
 		nodes := 2 + int(in.next()%30)
 		chans := 1 + int(in.next()%16)
 
 		avail := make([]stats.Stat, chans)
-		sc := getScratch(chans)
-		defer putScratch(sc)
+		chanMed := make([]float64, chans)
 		for k := range avail {
 			kind := in.next()
-			avail[k] = stats.Stat{Median: in.value()} // Samples 0: invalid
-			if kind%4 != 0 {
-				avail[k] = stats.Exact(avail[k].Median)
-				avail[k].Samples = int(kind % 5)
-				avail[k].Accuracy = float64(kind) / 255
-			}
-			sc.setChan(k, avail[k])
+			avail[k] = stats.Exact(in.value())
+			avail[k].Samples = 1 + int(kind%5)
+			avail[k].Accuracy = float64(kind) / 255
+			chanMed[k] = avail[k].Median
 		}
 
-		// Node 0 is the source; every other node joins the tree under a
-		// node already in it, or stays out of it (unreachable).
-		cs := &compiledSweep{}
-		inTree := []int32{0}
-		for v := int32(1); v < int32(nodes); v++ {
+		// Every node but the source joins the tree under a node already
+		// in it, or stays out of it (unreachable). A node some step
+		// hangs under forwards, like a router; the rest are leaves, like
+		// hosts.
+		src := int32(in.next()) % int32(nodes)
+		var edges []sweepEdge
+		var capped []bool
+		inTree := []int32{src}
+		for v := int32(0); v < int32(nodes); v++ {
+			if v == src {
+				continue
+			}
 			c := in.next()
 			if c%8 == 7 {
 				continue
 			}
-			st := compiledStep{
+			e := sweepEdge{compiledStep: compiledStep{
 				pSlot:     inTree[int(in.next())%len(inTree)],
 				vSlot:     v,
 				availSlot: int32(int(in.next()) % chans),
 				limit:     math.Inf(1),
-			}
+			}, latency: float64(in.next()) / 1e3}
+			binds := false
 			if c%3 == 0 {
 				if lim := in.value(); lim > 0 {
-					st.capped, st.limit = true, lim
+					binds, e.limit = true, lim
 				}
 			}
-			cs.steps = append(cs.steps, st)
+			edges = append(edges, e)
+			capped = append(capped, binds)
 			inTree = append(inTree, v)
 		}
 
-		rs := &rowScratch{med: make([]float64, nodes), ok: make([]bool, nodes)}
-		for i := range rs.med { // what an earlier row left behind
-			rs.med[i], rs.ok[i] = -1, true
+		cs := compileSweep(src, nodes, edges)
+		if len(cs.steps) != cap(cs.steps) || len(cs.hops) != nodes || cap(cs.hops) != nodes {
+			t.Fatalf("compiled sweep not sized exactly: %d/%d steps, %d/%d hops for %d nodes",
+				len(cs.steps), cap(cs.steps), len(cs.hops), cap(cs.hops), nodes)
 		}
-		rs.sweep(cs, sc.chanMed, sc.chanOK)
+		ids := make([]graph.NodeID, nodes)
+		dstSlots := make([]int32, nodes)
+		for v := range ids {
+			ids[v] = graph.NodeID(fmt.Sprint("n", v))
+			dstSlots[v] = int32(v)
+		}
+		out := &MatrixInfo{
+			Bandwidth: [][]float64{make([]float64, nodes)},
+			Latency:   [][]float64{make([]float64, nodes)},
+			Valid:     [][]bool{make([]bool, nodes)},
+		}
+		rs := &rowScratch{med: make([]float64, nodes)}
+		for i := range rs.med { // what an earlier row left behind
+			rs.med[i] = -1
+		}
+		matrixRow(chanMed, rs, cs, ids[src], ids, dstSlots, out, 0)
 
 		ref := make([]stats.Stat, nodes)
-		ref[cs.srcSlot] = stats.NoData()
-		for _, st := range cs.steps {
-			base := ref[st.pSlot]
-			if st.capped {
-				base = stats.MinStat(base, stats.Exact(st.limit))
+		lat := make([]float64, nodes)
+		reached := make([]bool, nodes)
+		ref[src] = stats.NoData()
+		for k, e := range edges {
+			base := ref[e.pSlot]
+			if capped[k] {
+				base = stats.MinStat(base, stats.Exact(e.limit))
 			}
-			ref[st.vSlot] = stats.MinStat(base, avail[st.availSlot])
+			ref[e.vSlot] = stats.MinStat(base, avail[e.availSlot])
+			lat[e.vSlot] = lat[e.pSlot] + e.latency
+			reached[e.vSlot] = true
 		}
-		for _, v := range inTree {
-			want := ref[v]
-			if rs.ok[v] != want.Valid() {
-				t.Fatalf("node %d: sweep valid %v, MinStat fold %v", v, rs.ok[v], want)
-			}
-			if want.Valid() && math.Float64bits(rs.med[v]) != math.Float64bits(want.Median) {
-				t.Fatalf("node %d: sweep median %v (%#x), MinStat fold %v (%#x)",
-					v, rs.med[v], math.Float64bits(rs.med[v]), want.Median, math.Float64bits(want.Median))
+		bw, gotLat, ok := out.Bandwidth[0], out.Latency[0], out.Valid[0]
+		for v := range nodes {
+			switch {
+			case int32(v) == src:
+				if !ok[v] || !math.IsInf(bw[v], 1) || gotLat[v] != 0 {
+					t.Fatalf("source %d: valid %v, bw %v, lat %v; want the diagonal", v, ok[v], bw[v], gotLat[v])
+				}
+			case !reached[v]:
+				if ok[v] || bw[v] != 0 || gotLat[v] != 0 {
+					t.Fatalf("unreached node %d: valid %v, bw %v, lat %v; want invalid and zero", v, ok[v], bw[v], gotLat[v])
+				}
+			default:
+				want := ref[v]
+				if !want.Valid() || !ok[v] {
+					t.Fatalf("reached node %d: row valid %v, MinStat fold %v", v, ok[v], want)
+				}
+				if math.Float64bits(bw[v]) != math.Float64bits(want.Median) {
+					t.Fatalf("node %d: row median %v (%#x), MinStat fold %v (%#x)",
+						v, bw[v], math.Float64bits(bw[v]), want.Median, math.Float64bits(want.Median))
+				}
+				if math.Float64bits(gotLat[v]) != math.Float64bits(lat[v]) {
+					t.Fatalf("node %d: row latency %v, summed in step order %v", v, gotLat[v], lat[v])
+				}
 			}
 		}
 	})

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,11 +52,11 @@ type snapshot struct {
 
 	plans atomic.Pointer[planMap]
 
-	// sweeps caches compiled per-source matrix sweeps (matrix.go):
-	// graph.NodeID -> *compiledSweep. Topology and routing are frozen
-	// per snapshot, so a source's sweep compiles once and serves every
+	// sweeps caches compiled per-source matrix sweeps (matrix.go) by
+	// the source's node slot. Topology and routing are frozen per
+	// snapshot, so a source's sweep compiles once and serves every
 	// matrix until the epoch moves.
-	sweeps sync.Map
+	sweeps []atomic.Pointer[compiledSweep]
 }
 
 func newSnapshot(epoch uint64, topo *collector.Topology, rt *graph.RouteTable) *snapshot {
@@ -67,6 +66,7 @@ func newSnapshot(epoch uint64, topo *collector.Topology, rt *graph.RouteTable) *
 	for i, id := range ids {
 		s.nodeSlot[id] = i
 	}
+	s.sweeps = make([]atomic.Pointer[compiledSweep], len(ids))
 	maxID := -1
 	for _, l := range topo.Graph.Links() {
 		if int(l.ID) > maxID {

@@ -126,14 +126,16 @@ type watchProbe struct {
 	next   func(within time.Duration) (watchRec, error)
 	cancel func()
 	err    func() error
+	seen   *[]watchRec // what recvRec and drainQuiet read, for failures
 }
 
 func recvRec(t *testing.T, p watchProbe, within time.Duration) watchRec {
 	t.Helper()
 	r, err := p.next(within)
 	if err != nil {
-		t.Fatalf("%v within %v (watch err %v)", err, within, p.err())
+		t.Fatalf("%v within %v (watch err %v; records so far %+v)", err, within, p.err(), *p.seen)
 	}
+	*p.seen = append(*p.seen, r)
 	return r
 }
 
@@ -141,13 +143,14 @@ func recvRec(t *testing.T, p watchProbe, within time.Duration) watchRec {
 func drainQuiet(t *testing.T, p watchProbe) {
 	t.Helper()
 	for {
-		_, err := p.next(300 * time.Millisecond)
+		r, err := p.next(300 * time.Millisecond)
 		if errors.Is(err, errWatchTimeout) {
 			return
 		}
 		if err != nil {
-			t.Fatalf("draining: %v (watch err %v)", err, p.err())
+			t.Fatalf("draining: %v (watch err %v; records so far %+v)", err, p.err(), *p.seen)
 		}
+		*p.seen = append(*p.seen, r)
 	}
 }
 
@@ -168,6 +171,7 @@ func near(got, want float64) bool { return math.Abs(got-want) <= 1e-6*want }
 func runModelerWatch(t *testing.T, open func(t *testing.T, m *Modeler, opts WatchOptions) watchProbe) {
 	scenario := func(t *testing.T, src *scriptedSource, m *Modeler) watchProbe {
 		p := open(t, m, WatchOptions{Threshold: 0.3})
+		p.seen = new([]watchRec)
 		if r := recvRec(t, p, 5*time.Second); r.err != nil || !near(r.value, 90e6) {
 			t.Fatalf("baseline = %+v; want 90e6 without Err", r)
 		}

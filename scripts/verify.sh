@@ -84,8 +84,8 @@ go test -fuzz=FuzzWindowOps -fuzztime=10s -run '^$' ./internal/stats
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzReadMuxFrame -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzDecodeMatrixRequest -fuzztime=10s -run '^$' ./internal/collector
-# FuzzMatrixFold: the matrix kernel's sweep on one median and one valid
-# bit per node against the stats.MinStat fold it replaced.
+# FuzzMatrixFold: a compiled matrix row (interior steps and last-hop
+# table) against the stats.MinStat fold it replaced, on valid channels.
 go test -fuzz=FuzzMatrixFold -fuzztime=10s -run '^$' ./internal/core
 # FuzzStateBody: the feed, summary, telemetry and checkpoint bodies and
 # the checkpoint and history file readers.
